@@ -1,8 +1,11 @@
 """Hot kernels: secular matrix assembly and sigma_min scans over lambda grids.
 
 Two interchangeable implementations live here. scan_sigma_jit is compiled by
-numba when available; scan_sigma_numpy builds the whole grid of matrices in
-chunks and runs batched SVDs. `scan_sigma` points at whichever path the
+numba when available; scan_sigma_numpy works on chunks of the grid: one
+edge_basis_traces call gives the (n_lambda, E) trace tables of a chunk, a
+fixed gather/scatter plan, derived once per graph structure and cached, lays
+them into the whole stack of matrices, and batched SVDs follow. No Python loop
+runs per lambda or per row. `scan_sigma` points at whichever path the
 QGRAPH_NO_NUMBA env flag selects. Both return (sigma_min, sigma_max) arrays.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
@@ -59,84 +62,107 @@ def prepare_structure(g: MetricGraph):
 
 
 def edge_basis_traces(lam, lengths, entire: bool = False):
-    """Per-edge basis traces, vectorized over edges.
+    """Per-edge basis traces, vectorized over lambdas and edges.
 
     Returns eight arrays (f1_0, f2_0, d1_0, d2_0, f1_l, f2_l, d1_l, d2_l):
     values and inward derivatives (+f'(0), -f'(l)) of the two basis functions
-    at both endpoints. `entire` forces the cosh/sinh pair for every edge, at
-    the cost of the large-kappa conditioning; determinant identities are
-    stated in that basis.
+    at both endpoints. A scalar `lam` gives (E,) arrays, an array of n lambdas
+    gives (n, E) tables whose rows equal the scalar calls bit for bit.
+    `entire` forces the cosh/sinh pair for every edge, at the cost of the
+    large-kappa conditioning; determinant identities are stated in that basis.
     """
+    lam = np.asarray(lam, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
-    one = np.ones_like(lengths)
-    zero = np.zeros_like(lengths)
-    if lam < 0.0:
-        kap = np.sqrt(-lam)
+    lams = lam.reshape(-1, 1)
+    shape = (lams.shape[0], lengths.size)
+    # lambda = 0 (and anything neither < 0 nor > 0): the {1, x} pair
+    f10, f20, d10, d20 = (np.ones(shape), np.zeros(shape), np.zeros(shape),
+                          np.ones(shape))
+    f1l, f2l = np.ones(shape), np.broadcast_to(lengths, shape).copy()
+    d1l, d2l = np.zeros(shape), np.full(shape, -1.0)
+    neg = lams[:, 0] < 0.0
+    if neg.any():
+        kap = np.sqrt(-lams[neg])
         kl = kap * lengths
         decay = np.logical_and(kl >= 1.0, not entire)
         es = np.exp(-np.where(decay, kl, 1.0))
         ch = np.cosh(np.where(decay, 0.0, kl))
         sh = np.sinh(np.where(decay, 0.0, kl))
-        return (one, np.where(decay, es, 0.0),
-                np.where(decay, -kap, 0.0), np.where(decay, kap * es, 1.0),
-                np.where(decay, es, ch), np.where(decay, 1.0, sh / kap),
-                np.where(decay, kap * es, -kap * sh),
-                np.where(decay, -kap, -ch))
-    if lam > 0.0:
-        k = np.sqrt(lam)
+        f20[neg] = np.where(decay, es, 0.0)
+        d10[neg] = np.where(decay, -kap, 0.0)
+        d20[neg] = np.where(decay, kap * es, 1.0)
+        f1l[neg] = np.where(decay, es, ch)
+        f2l[neg] = np.where(decay, 1.0, sh / kap)
+        d1l[neg] = np.where(decay, kap * es, -kap * sh)
+        d2l[neg] = np.where(decay, -kap, -ch)
+    pos = lams[:, 0] > 0.0
+    if pos.any():
+        k = np.sqrt(lams[pos])
         c, s = np.cos(k * lengths), np.sin(k * lengths)
-        return one, zero, zero, one, c, s / k, k * s, -c
-    return one, zero, zero, one, one, lengths.copy(), zero, -one
+        f1l[pos], f2l[pos], d1l[pos], d2l[pos] = c, s / k, k * s, -c
+    out = (f10, f20, d10, d20, f1l, f2l, d1l, d2l)
+    if lam.ndim == 0:
+        return tuple(t[0] for t in out)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _scatter_plan(row_kind, row_next, slot_edge, slot_end):
+    """Gather/scatter steps that fill flattened secular matrices.
+
+    Takes the structure arrays as tuples. A matrix is stored as a float row of
+    (real, imag) pairs, entry (r, c) at 2 (r m + c) + part; the trace tables
+    are stacked as (n, 8, E) and flattened to (n, 8 E). Each step is
+    (targets, sources, ufunc), applied as buf[:, t] = ufunc(buf[:, t],
+    tabs[:, s]), with no target twice in one step. Values go to the real part,
+    inward derivatives (times i) to the imaginary part, and a row's terms land
+    in the order a row-by-row complex assembly adds them, starting from zeros:
+    value(q) +, value(r) -, derivative(r), derivative(q). A loop edge puts two
+    terms into one entry. The +-0.0 that complex arithmetic adds to the other
+    part with each term cannot change a sum that started at +0.0 (for finite
+    traces), so dropping it keeps every rounding and signed zero the same.
+    """
+    m = len(row_kind)
+    ne = m // 2
+    steps = ([], [], [])
+
+    def add(step, r, slot, deriv):
+        e = slot_edge[slot]
+        table = 4 * slot_end[slot] + 2 * deriv
+        for b in range(2):
+            steps[step].append((2 * (r * m + 2 * e + b) + deriv,
+                                (table + b) * ne + e))
+
+    for r in range(m):
+        if row_kind[r] == KIND_COUPLED:
+            q = row_next[r]
+            add(0, r, q, deriv=0)
+            add(0, r, r, deriv=1)
+            add(1, r, r, deriv=0)  # the subtracted term
+            add(2, r, q, deriv=1)
+        elif row_kind[r] == KIND_NEUMANN:
+            add(0, r, r, deriv=1)
+        else:
+            add(0, r, r, deriv=0)
+    plan = []
+    for pairs, op in zip(steps, (np.add, np.subtract, np.add)):
+        idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        plan.append((idx[:, 0], idx[:, 1], op))
+    return tuple(plan)
 
 
 def build_matrix_grid_numpy(lams, row_kind, row_next, slot_edge, slot_end,
                             lengths, entire: bool = False):
     """Stack of secular matrices, shape (len(lams), 2E, 2E)."""
-    lams = np.asarray(lams, dtype=float)
+    lams = np.asarray(lams, dtype=float).reshape(-1)
     n, m = lams.size, row_kind.size
-    ne = lengths.size
-    tabs = np.empty((8, n, ne))
-    for i, lam in enumerate(lams):
-        for t, arr in enumerate(edge_basis_traces(lam, lengths, entire)):
-            tabs[t, i] = arr
-    f10, f20, d10, d20, f1l, f2l, d1l, d2l = tabs
-    out = np.zeros((n, m, m), dtype=np.complex128)
-
-    def tr(slot):
-        e = slot_edge[slot]
-        if slot_end[slot]:
-            return e, f1l[:, e], f2l[:, e]
-        return e, f10[:, e], f20[:, e]
-
-    def dv(slot):
-        e = slot_edge[slot]
-        if slot_end[slot]:
-            return e, d1l[:, e], d2l[:, e]
-        return e, d10[:, e], d20[:, e]
-
-    for r in range(m):
-        kind = row_kind[r]
-        if kind == KIND_COUPLED:
-            q = row_next[r]
-            e, t1, t2 = tr(q)
-            out[:, r, 2 * e] += t1
-            out[:, r, 2 * e + 1] += t2
-            e, t1, t2 = tr(r)
-            out[:, r, 2 * e] -= t1
-            out[:, r, 2 * e + 1] -= t2
-            for slot in (r, q):
-                e, g1, g2 = dv(slot)
-                out[:, r, 2 * e] += 1j * g1
-                out[:, r, 2 * e + 1] += 1j * g2
-        elif kind == KIND_NEUMANN:
-            e, g1, g2 = dv(r)
-            out[:, r, 2 * e] += 1j * g1
-            out[:, r, 2 * e + 1] += 1j * g2
-        else:
-            e, t1, t2 = tr(r)
-            out[:, r, 2 * e] += t1
-            out[:, r, 2 * e + 1] += t2
-    return out
+    tabs = np.stack(edge_basis_traces(lams, lengths, entire), axis=1).reshape(n, -1)
+    plan = _scatter_plan(tuple(row_kind.tolist()), tuple(row_next.tolist()),
+                         tuple(slot_edge.tolist()), tuple(slot_end.tolist()))
+    buf = np.zeros((n, 2 * m * m))
+    for tgt, src, op in plan:
+        buf[:, tgt] = op(buf[:, tgt], tabs[:, src])
+    return buf.view(np.complex128).reshape(n, m, m)
 
 
 def scan_sigma_numpy(lams, row_kind, row_next, slot_edge, slot_end, lengths,

@@ -126,7 +126,7 @@ def _sigma_grid(g, struct, lams, method):
     for i, lam in enumerate(lams):
         try:
             s = _svdvals(build_secular_matrix(g, lam, method), lam)
-        except Exception:
+        except DtNSingular:
             smin[i] = np.inf
             smax[i] = np.inf
             continue
@@ -163,15 +163,12 @@ def _golden_min(fn, a, b, tol):
 
 
 def _bracket_minima(xs, ys):
-    """Indices of local minima of ys, including the boundary points."""
-    n = len(xs)
-    out = []
-    for i in range(n):
-        left = ys[i - 1] if i > 0 else np.inf
-        right = ys[i + 1] if i < n - 1 else np.inf
-        if np.isfinite(ys[i]) and ys[i] <= left and ys[i] <= right:
-            out.append(i)
-    return out
+    """Indices of local minima of ys over the grid xs, including the boundary
+    points; ties count (<=), inf and NaN entries never do."""
+    ys = np.asarray(ys, dtype=float)[:len(xs)]
+    left = np.concatenate(([np.inf], ys[:-1]))
+    right = np.concatenate((ys[1:], [np.inf]))
+    return np.flatnonzero(np.isfinite(ys) & (ys <= left) & (ys <= right)).tolist()
 
 
 def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
@@ -295,8 +292,8 @@ def count_negative(g: MetricGraph, *, floor: Optional[float] = None,
     """Number of negative eigenvalues (with multiplicity).
 
     The default search floor is the -(2 max degree)^2 heuristic; pass `floor`
-    to widen it. A diagnostic-worthy root hugging the floor would indicate the
-    heuristic failed, so that case raises via the assert below.
+    to widen it. A root hugging the floor would indicate the heuristic failed,
+    so a lowest root below 0.98 * floor raises WindowTooCoarse.
     """
     lo = floor if floor is not None else default_negative_floor(g)
     spec = find_spectrum(g, (lo, -1e-8), method=method)

@@ -8,9 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from qgraph.graph import make_cycle, make_figure8, make_star
+from qgraph.graph import (
+    BoundaryType,
+    make_cycle,
+    make_figure8,
+    make_path,
+    make_star,
+)
 from qgraph.kernels import (
     HAS_NUMBA,
+    KIND_COUPLED,
+    KIND_NEUMANN,
     build_matrix_grid_numpy,
     edge_basis_traces,
     prepare_structure,
@@ -79,6 +87,95 @@ class TestBasisTraces:
             colmax = np.abs(mats[0]).max(axis=0)
             s_eq = np.linalg.svd(mats[0] / colmax, compute_uv=False)
             assert s_eq[-1] < 1e-8 * s_eq[0], f"entire={entire}"
+
+
+def reference_matrix_grid(lams, row_kind, row_next, slot_edge, slot_end,
+                          lengths, entire=False):
+    """Row-by-row complex assembly from one scalar trace call per lambda."""
+    n, m = len(lams), row_kind.size
+    tabs = np.empty((8, n, lengths.size))
+    for i, lam in enumerate(lams):
+        for t, arr in enumerate(edge_basis_traces(lam, lengths, entire)):
+            tabs[t, i] = arr
+    f10, f20, d10, d20, f1l, f2l, d1l, d2l = tabs
+    out = np.zeros((n, m, m), dtype=np.complex128)
+
+    def tr(slot):
+        e = slot_edge[slot]
+        if slot_end[slot]:
+            return e, f1l[:, e], f2l[:, e]
+        return e, f10[:, e], f20[:, e]
+
+    def dv(slot):
+        e = slot_edge[slot]
+        if slot_end[slot]:
+            return e, d1l[:, e], d2l[:, e]
+        return e, d10[:, e], d20[:, e]
+
+    for r in range(m):
+        kind = row_kind[r]
+        if kind == KIND_COUPLED:
+            q = row_next[r]
+            e, t1, t2 = tr(q)
+            out[:, r, 2 * e] += t1
+            out[:, r, 2 * e + 1] += t2
+            e, t1, t2 = tr(r)
+            out[:, r, 2 * e] -= t1
+            out[:, r, 2 * e + 1] -= t2
+            for slot in (r, q):
+                e, g1, g2 = dv(slot)
+                out[:, r, 2 * e] += 1j * g1
+                out[:, r, 2 * e + 1] += 1j * g2
+        elif kind == KIND_NEUMANN:
+            e, g1, g2 = dv(r)
+            out[:, r, 2 * e] += 1j * g1
+            out[:, r, 2 * e + 1] += 1j * g2
+        else:
+            e, t1, t2 = tr(r)
+            out[:, r, 2 * e] += t1
+            out[:, r, 2 * e + 1] += t2
+    return out
+
+
+# kappa * l crosses 1 on every edge below, lambda = 0 is hit exactly, and the
+# positive part runs through several bands
+BYTE_GRID = np.concatenate([-np.linspace(0.0, 6.0, 61)[::-1] ** 2,
+                            np.linspace(0.0, 80.0, 97)[1:]])
+BYTE_GRAPHS = [
+    make_star([1.0, 0.7, 1.3]),
+    make_star([1.0, 0.7, 1.3], tip_bc=BoundaryType.DIRICHLET),
+    make_figure8(0.7, 1.3),
+    make_cycle([1.0]),
+    make_path([0.5, 1.2, 0.8]),
+]
+
+
+class TestByteIdentity:
+    """The vectorized assembly must reproduce the row loop bit for bit,
+    signed zeros included, so every sigma downstream stays the same."""
+
+    def test_grid_has_exact_zero(self):
+        assert np.count_nonzero(BYTE_GRID == 0.0) == 1
+
+    @pytest.mark.parametrize("entire", [False, True])
+    @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
+                                                    "cycle1", "path3"])
+    def test_matrices(self, g, entire):
+        struct = prepare_structure(g)
+        got = build_matrix_grid_numpy(BYTE_GRID, *struct, entire=entire)
+        ref = reference_matrix_grid(BYTE_GRID, *struct, entire=entire)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("entire", [False, True])
+    def test_trace_rows_match_scalar_calls(self, entire):
+        lengths = np.array([0.3, 1.0, 2.5, 0.17])
+        tables = edge_basis_traces(BYTE_GRID, lengths, entire)
+        assert all(t.shape == (BYTE_GRID.size, lengths.size) for t in tables)
+        for i, lam in enumerate(BYTE_GRID):
+            for table, row in zip(tables, edge_basis_traces(lam, lengths, entire)):
+                assert row.shape == lengths.shape
+                assert table[i].tobytes() == row.tobytes()
 
 
 class TestScanAgreement:

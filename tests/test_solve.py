@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgraph.coupling import assemble_blocks
+import qgraph.solve as solve_mod
 from qgraph.errors import NotAnEigenvalue, WindowTooCoarse
 from qgraph.graph import (
     MetricGraph,
@@ -15,7 +16,10 @@ from qgraph.graph import (
     make_path,
     make_star,
 )
+from qgraph.kernels import prepare_structure
 from qgraph.solve import (
+    _bracket_minima,
+    _sigma_grid,
     count_negative,
     default_negative_floor,
     eigenfunction_at,
@@ -176,6 +180,43 @@ class TestDualRoute:
         for method in ("edge", "dtn"):
             spec = find_spectrum(g, (-5.0, 0.5), method)
             check(spec, [(-1.0, 1), (0.0, 1)])
+
+    def test_dtn_grid_maps_singular_points_to_inf(self, star3):
+        # pi^2 is a Dirichlet eigenvalue of every unit edge: no DtN map there
+        smin, smax = _sigma_grid(star3, prepare_structure(star3),
+                                 [2.0, PI2, 12.0], "dtn")
+        assert np.isinf(smin[1]) and np.isinf(smax[1])
+        assert np.all(np.isfinite(smin[[0, 2]]))
+
+    def test_dtn_grid_propagates_other_errors(self, star3, monkeypatch):
+        def broken(g, lam, method):
+            raise ValueError("not a DtN pole")
+
+        monkeypatch.setattr(solve_mod, "build_secular_matrix", broken)
+        with pytest.raises(ValueError, match="not a DtN pole"):
+            _sigma_grid(star3, prepare_structure(star3), [2.0], "dtn")
+
+
+class TestBracketMinima:
+    @pytest.mark.parametrize("ys,expected", [
+        ([1.0, 2.0, 3.0], [0]),
+        ([3.0, 2.0, 1.0], [2]),
+        ([1.0, 3.0, 0.5, 2.0, 1.5], [0, 2, 4]),
+        ([2.0, 1.0, 1.0, 2.0], [1, 2]),
+        ([1.0, 1.0, 1.0], [0, 1, 2]),
+        ([np.inf, 2.0, np.inf, 1.0], [1, 3]),
+        # a NaN is never a minimum, and compares false against its neighbours
+        ([np.nan, 2.0, 3.0, np.nan], []),
+        ([2.0, np.nan, 1.0, 3.0], []),
+        ([np.nan, 2.0, 1.0, 3.0], [2]),
+        ([np.inf, np.inf], []),
+        ([np.nan], []),
+        ([4.0], [0]),
+        ([4.0, 4.0], [0, 1]),
+        ([5.0, 4.0], [1]),
+    ])
+    def test_indices(self, ys, expected):
+        assert _bracket_minima(np.arange(len(ys)), np.array(ys)) == expected
 
 
 class TestFirstEigenvalues:
