@@ -165,9 +165,28 @@ def build_matrix_grid_numpy(lams, row_kind, row_next, slot_edge, slot_end,
     return buf.view(np.complex128).reshape(n, m, m)
 
 
+def equilibrate_columns(mats):
+    """Scale every column of a matrix, or of a stack of matrices, to unit
+    max-abs; returns (scaled, scales) with scales of shape mats.shape[:-2] +
+    (ncols,). Zero columns keep scale 1 and stay zero.
+
+    Right diagonal scaling keeps the nullspace structure (x solves M x = 0 iff
+    x / scales solves the scaled system) while removing the e^(kappa * l)
+    dynamic range the hyperbolic basis develops at deep lambda, which would
+    otherwise push sigma_min / sigma_max below the rank threshold at
+    perfectly regular points. Each matrix is scaled on its own, so a matrix
+    gets the same bytes alone or inside any stack.
+    """
+    scales = np.abs(mats).max(axis=-2, keepdims=True)
+    scales[scales == 0.0] = 1.0
+    return mats / scales, scales[..., 0, :]
+
+
 def scan_sigma_numpy(lams, row_kind, row_next, slot_edge, slot_end, lengths,
                      chunk: int = 2048):
-    """Pure-numpy scan: batched SVDs over chunks of the grid."""
+    """Pure-numpy scan: batched SVDs over chunks of the grid. Every row is
+    computed on its own, so a lambda gets the same (sigma_min, sigma_max)
+    bytes whatever else its call holds."""
     lams = np.asarray(lams, dtype=float)
     smin = np.empty(lams.size)
     smax = np.empty(lams.size)
@@ -180,9 +199,9 @@ def scan_sigma_numpy(lams, row_kind, row_next, slot_edge, slot_end, lengths,
         # under-reads rank at deep lambda. Positive-branch matrices stay raw
         # so a full-matrix collapse (eigenvalue of multiplicity 2*E, e.g. a
         # one-edge cycle) remains visible as a dip of sigma_max itself.
-        colmax = np.abs(mats).max(axis=1, keepdims=True)
-        np.maximum(colmax, 1e-300, out=colmax)
-        mats = np.where((part < 0.0)[:, None, None], mats / colmax, mats)
+        neg = part < 0.0
+        if neg.any():
+            mats[neg] = equilibrate_columns(mats[neg])[0]
         s = np.linalg.svd(mats, compute_uv=False)
         smin[lo:lo + chunk] = s[:, -1]
         smax[lo:lo + chunk] = s[:, 0]

@@ -108,34 +108,41 @@ def star_secular_closed_form(lengths, tips: str, kappa: float) -> complex:
     return complex(np.prod(a) + (-1) ** (n + 1) * np.prod(b))
 
 
-def star_secular_reduced(lengths, tips: str, kappa: float) -> float:
+def star_secular_reduced(lengths, tips: str, kappa):
     """Real reduced secular function for the star cases that admit one.
 
     Neumann tips: any 3-star (sum of coth products minus kappa^2), equilateral
     4-star (coth^2 - kappa^2), equilateral 6-star (quartic in coth). Dirichlet
-    tips: any 3-star with coth replaced by tanh.
+    tips: any 3-star with coth replaced by tanh. A scalar kappa gives a float,
+    an array of kappas an array of values.
     """
     lengths = np.asarray(lengths, dtype=float)
     n = lengths.size
     equilateral = np.allclose(lengths, lengths[0], rtol=0, atol=0)
     if tips == "neumann":
         if n == 3:
-            c = 1.0 / np.tanh(kappa * lengths)
-            return float(c[0] * c[1] + c[0] * c[2] + c[1] * c[2] - kappa ** 2)
+            c = 1.0 / np.tanh(np.multiply.outer(kappa, lengths))
+            return _real(c[..., 0] * c[..., 1] + c[..., 0] * c[..., 2]
+                         + c[..., 1] * c[..., 2] - kappa ** 2)
         if n == 4 and equilateral:
             c = 1.0 / np.tanh(kappa * lengths[0])
-            return float(c ** 2 - kappa ** 2)
+            return _real(c ** 2 - kappa ** 2)
         if n == 6 and equilateral:
             c2 = (1.0 / np.tanh(kappa * lengths[0])) ** 2
-            return float(3.0 * c2 ** 2 - 10.0 * c2 * kappa ** 2 + 3.0 * kappa ** 4)
+            return _real(3.0 * c2 ** 2 - 10.0 * c2 * kappa ** 2 + 3.0 * kappa ** 4)
     elif tips == "dirichlet":
         if n == 3:
-            t = np.tanh(kappa * lengths)
-            return float(t[0] * t[1] + t[0] * t[2] + t[1] * t[2] - kappa ** 2)
+            t = np.tanh(np.multiply.outer(kappa, lengths))
+            return _real(t[..., 0] * t[..., 1] + t[..., 0] * t[..., 2]
+                         + t[..., 1] * t[..., 2] - kappa ** 2)
     else:
         raise ValueError(f"unknown tip condition {tips!r}")
     raise ValueError(f"no reduced form for N={n}, tips={tips}, "
                      f"equilateral={equilateral}")
+
+
+def _real(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def star_reduced_positive_dirichlet(k: float, length: float) -> float:
@@ -156,7 +163,7 @@ def reduced_negative_kappas(lengths, tips: str = "neumann",
         kappa_max = 3.0 * lengths.size / np.sqrt(np.min(lengths)) + 5.0
     grid = np.linspace(1e-6, kappa_max, 20000)
     fn = lambda k: star_secular_reduced(lengths, tips, k)
-    vals = np.array([fn(k) for k in grid])
+    vals = fn(grid)
     roots = []
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:

@@ -7,7 +7,13 @@ parts uniformly in lambda (default step min(0.01, (pi/L)^2/50)). lambda = 0
 is always tested explicitly from the {1, x} solution basis. A located
 minimum counts as an eigenvalue when sigma_min < rank_tol * sigma_max after
 refinement to |d lambda| < refine_tol. Eigenvalues closer to zero than
-zero_radius are indistinguishable from 0 and folded into it.
+zero_radius + refine_tol are indistinguishable from 0 and folded into it.
+
+Refinement is a golden-section search run in lockstep over all brackets of a
+branch: one batched sigma call per round, each bracket keeping the exact
+point sequence of its scalar search. Since a lambda's sigma does not depend
+on the batch around it, the refined lambdas are the same floats as with one
+search per candidate. Certification is one batched call over the candidates.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .errors import DtNSingular, NotAnEigenvalue, WindowTooCoarse
 from .graph import END, BoundaryType, MetricGraph, START
-from .kernels import prepare_structure, scan_sigma
+from .kernels import equilibrate_columns, prepare_structure, scan_sigma
 from .secular import build_secular_matrix
 
 ZERO_RADIUS = 1e-7
@@ -96,29 +102,16 @@ def default_negative_floor(g: MetricGraph) -> float:
     return -float((2 * dmax) ** 2)
 
 
-def _equilibrate_columns(mat):
-    """Scale columns to unit max-abs; returns (scaled matrix, scale factors).
-
-    Right diagonal scaling keeps the nullspace structure (x solves M x = 0 iff
-    x / scales solves the scaled system) while removing the e^(kappa * l)
-    dynamic range the hyperbolic basis develops at deep lambda, which would
-    otherwise push sigma_min / sigma_max below the rank threshold at
-    perfectly regular points.
-    """
-    colmax = np.abs(mat).max(axis=0)
-    colmax = np.where(colmax > 0.0, colmax, 1.0)
-    return mat / colmax, colmax
-
-
 def _svdvals(mat, lam):
     """Singular values; columns are equilibrated on the negative branch only
     (positive-branch collapses of the whole matrix must stay visible)."""
     if lam < 0.0:
-        mat = _equilibrate_columns(mat)[0]
+        mat = equilibrate_columns(mat)[0]
     return np.linalg.svd(mat, compute_uv=False)
 
 
 def _sigma_grid(g, struct, lams, method):
+    """(sigma_min, sigma_max) arrays over lams; DtN-singular points read inf."""
     if method == "edge":
         return scan_sigma(np.asarray(lams, dtype=float), *struct)
     smin = np.empty(len(lams))
@@ -134,31 +127,37 @@ def _sigma_grid(g, struct, lams, method):
     return smin, smax
 
 
-def _sigma_at(g, struct, lam, method):
-    if method == "edge":
-        smin, smax = scan_sigma(np.array([lam], dtype=float), *struct)
-        return smin[0], smax[0]
-    try:
-        s = _svdvals(build_secular_matrix(g, lam, method), lam)
-    except DtNSingular:
-        return np.inf, np.inf
-    return s[-1], s[0]
-
-
 def _golden_min(fn, a, b, tol):
-    """Golden-section argmin of a unimodal-enough scalar function on [a, b]."""
+    """Golden-section argmins of a unimodal-enough function, one per bracket.
+
+    a, b and tol are arrays (tol may be a scalar). All brackets run in
+    lockstep: each round makes one fn(xs) call, fn mapping an array of points
+    to their values, that evaluates every bracket still wider than its own
+    tolerance. Each bracket sees exactly the point sequence, comparisons and
+    midpoint of a scalar golden-section search, so the results are the same
+    floats. No brackets, no calls.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
+    n = a.size
+    if n == 0:
+        return a
     x1 = b - _GOLD * (b - a)
     x2 = a + _GOLD * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = fn(x2)
+    f = fn(np.concatenate((x1, x2)))
+    f1, f2 = f[:n], f[n:]
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        left = f1[live] <= f2[live]
+        lt, rt = live[left], live[~left]
+        b[lt], x2[lt], f2[lt] = x2[lt], x1[lt], f1[lt]
+        x1[lt] = b[lt] - _GOLD * (b[lt] - a[lt])
+        a[rt], x1[rt], f1[rt] = x1[rt], x2[rt], f2[rt]
+        x2[rt] = a[rt] + _GOLD * (b[rt] - a[rt])
+        fx = fn(np.where(left, x1[live], x2[live]))
+        f1[lt], f2[rt] = fx[left], fx[~left]
+        live = live[b[live] - a[live] > tol[live]]
     return (a + b) / 2.0
 
 
@@ -187,6 +186,9 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     candidates = []  # (lambda, grid step in lambda near it)
     scale_ref = 0.0  # typical sigma_max over the scanned grids
 
+    def smin_at(lams):
+        return _sigma_grid(g, struct, lams, method)[0]
+
     # negative part, scanned in kappa
     if lo < -ZERO_RADIUS:
         k_lo = math.sqrt(-min(hi, 0.0)) if hi < 0 else _KAPPA_FLOOR
@@ -196,14 +198,14 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
             kgrid = np.linspace(k_lo, k_hi, n)
             smin, smax = _sigma_grid(g, struct, -kgrid ** 2, method)
             scale_ref = max(scale_ref, float(np.median(smax[np.isfinite(smax)])))
-            for i in _bracket_minima(kgrid, smin):
-                a = kgrid[max(i - 1, 0)]
-                b = kgrid[min(i + 1, n - 1)]
-                tol_k = max(refine_tol / (2.0 * max(kgrid[i], 0.05)), 1e-15)
-                ks = _golden_min(
-                    lambda k: _sigma_at(g, struct, -k * k, method)[0], a, b, tol_k)
-                lam_step = 2.0 * kgrid[i] * (kgrid[1] - kgrid[0])
-                candidates.append((-ks * ks, lam_step))
+            idx = np.array(_bracket_minima(kgrid, smin), dtype=np.intp)
+            tol_k = np.maximum(refine_tol / (2.0 * np.maximum(kgrid[idx], 0.05)),
+                               1e-15)
+            ks = _golden_min(lambda k: smin_at(-k * k),
+                             kgrid[np.maximum(idx - 1, 0)],
+                             kgrid[np.minimum(idx + 1, n - 1)], tol_k)
+            lam_steps = 2.0 * kgrid[idx] * (kgrid[1] - kgrid[0])
+            candidates += zip(-ks * ks, lam_steps)
 
     # positive part, scanned in lambda
     if hi > ZERO_RADIUS:
@@ -212,24 +214,25 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         pgrid = np.linspace(p_lo, hi, n)
         smin, smax = _sigma_grid(g, struct, pgrid, method)
         scale_ref = max(scale_ref, float(np.median(smax[np.isfinite(smax)])))
-        for i in _bracket_minima(pgrid, smin):
-            a = pgrid[max(i - 1, 0)]
-            b = pgrid[min(i + 1, n - 1)]
-            ls = _golden_min(
-                lambda lam: _sigma_at(g, struct, lam, method)[0], a, b, refine_tol)
-            candidates.append((ls, pgrid[1] - pgrid[0]))
+        idx = np.array(_bracket_minima(pgrid, smin), dtype=np.intp)
+        ls = _golden_min(smin_at, pgrid[np.maximum(idx - 1, 0)],
+                         pgrid[np.minimum(idx + 1, n - 1)], refine_tol)
+        candidates += ((lam, pgrid[1] - pgrid[0]) for lam in ls)
 
     # certify candidates; a collapse of sigma_max against the grid-typical
     # scale means the whole matrix vanished (eigenvalue of full multiplicity
-    # 2E, e.g. a one-edge cycle), which the relative rank test cannot see
+    # 2E, e.g. a one-edge cycle), which the relative rank test cannot see.
+    # Candidates within refine_tol of the zero radius are left to the
+    # explicit zero test: a bracket that holds only the flank of the
+    # lambda = 0 dip refines to its inner end, where the DtN rank ratio can
+    # read below rank_tol.
+    cands = [(lam, grid_step) for lam, grid_step in sorted(candidates)
+             if abs(lam) > ZERO_RADIUS + refine_tol
+             and lo - refine_tol <= lam <= hi + refine_tol]
+    sms, sxs = _sigma_grid(g, struct, [lam for lam, _ in cands], method)
     accepted = []
     diagnostics = []
-    for lam, grid_step in sorted(candidates):
-        if abs(lam) <= ZERO_RADIUS:
-            continue  # resolved by the explicit zero test below
-        if not (lo - refine_tol <= lam <= hi + refine_tol):
-            continue
-        sm, sx = _sigma_at(g, struct, lam, method)
+    for (lam, grid_step), sm, sx in zip(cands, sms, sxs):
         if method == "dtn" and (not np.isfinite(sx)
                                 or sx > 1e6 * max(scale_ref, 1.0)):
             # interval-Dirichlet pole of the DtN map: entries blow up like
@@ -403,7 +406,7 @@ def eigenfunction_at(g: MetricGraph, lam: float, *,
     s_mat = build_secular_matrix(g, lam, "edge")
     scales = np.ones(s_mat.shape[1])
     if lam < 0.0:
-        s_mat, scales = _equilibrate_columns(s_mat)
+        s_mat, scales = equilibrate_columns(s_mat)
     _, svals, vh = np.linalg.svd(s_mat)
     # collapse probe: when the whole matrix vanished (multiplicity 2E) the
     # svd of rounding noise is meaningless; compare against a nearby lambda

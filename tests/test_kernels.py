@@ -21,6 +21,7 @@ from qgraph.kernels import (
     KIND_NEUMANN,
     build_matrix_grid_numpy,
     edge_basis_traces,
+    equilibrate_columns,
     prepare_structure,
     scan_sigma_jit,
     scan_sigma_numpy,
@@ -176,6 +177,74 @@ class TestByteIdentity:
             for table, row in zip(tables, edge_basis_traces(lam, lengths, entire)):
                 assert row.shape == lengths.shape
                 assert table[i].tobytes() == row.tobytes()
+
+
+class TestEquilibration:
+    """One column-equilibration helper serves the scan, the certification
+    SVDs and eigenvector extraction; it must keep the bytes of the copies
+    it replaced."""
+
+    @staticmethod
+    def scan_copy(mats):  # the scan's former stacked form
+        colmax = np.abs(mats).max(axis=1, keepdims=True)
+        np.maximum(colmax, 1e-300, out=colmax)
+        return mats / colmax
+
+    @staticmethod
+    def single_copy(mat):  # the former per-matrix form, with its scales
+        colmax = np.abs(mat).max(axis=0)
+        colmax = np.where(colmax > 0.0, colmax, 1.0)
+        return mat / colmax, colmax
+
+    @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
+                                                    "cycle1", "path3"])
+    def test_matches_former_copies(self, g):
+        mats = build_matrix_grid_numpy(BYTE_GRID, *prepare_structure(g))
+        # a zero column, signed zeros included, must stay zero
+        mats[:3, :, 1] = np.array([0.0, -0.0]).repeat(mats.shape[1] // 2)
+        scaled, scales = equilibrate_columns(mats)
+        assert scales.shape == (mats.shape[0], mats.shape[2])
+        assert scaled.tobytes() == self.scan_copy(mats).tobytes()
+        for i in (0, 1, 60, 100):
+            one, one_scales = equilibrate_columns(mats[i])
+            ref, ref_scales = self.single_copy(mats[i])
+            assert one.tobytes() == ref.tobytes() == scaled[i].tobytes()
+            assert one_scales.tobytes() == ref_scales.tobytes()
+        assert np.all(scaled[:3, :, 1] == 0.0)
+
+
+class TestPerRowIdentity:
+    """A lambda gets the same sigma bytes alone or inside any batch; batched
+    refinement and certification rely on it."""
+
+    @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
+                                                    "cycle1", "path3"])
+    def test_alone_mixed_and_positive_batches(self, g):
+        struct = prepare_structure(g)
+        lams = np.array([-30.0, -4.2, -0.3, 0.0, 0.7, 9.5, 40.0])
+        mixed = scan_sigma_numpy(lams, *struct)
+        pos = lams > 0.0
+        positive = scan_sigma_numpy(lams[pos], *struct)
+        # a chunk boundary splits the batch in the middle
+        chunked = scan_sigma_numpy(lams, *struct, chunk=3)
+        for i, lam in enumerate(lams):
+            alone = scan_sigma_numpy(np.array([lam]), *struct)
+            for j in range(2):
+                assert alone[j].tobytes() == mixed[j][i:i + 1].tobytes()
+                assert alone[j].tobytes() == chunked[j][i:i + 1].tobytes()
+        for j in range(2):
+            assert positive[j].tobytes() == mixed[j][pos].tobytes()
+
+    def test_negative_rows_equilibrated_positive_rows_raw(self, star3):
+        struct = prepare_structure(star3)
+        lams = np.array([-9.0, -1.0, 0.0, 2.0, 20.0])
+        mats = build_matrix_grid_numpy(lams, *struct)
+        eq, _ = equilibrate_columns(mats)
+        ref = np.linalg.svd(np.where((lams < 0.0)[:, None, None], eq, mats),
+                            compute_uv=False)
+        smin, smax = scan_sigma_numpy(lams, *struct)
+        assert smin.tobytes() == ref[:, -1].tobytes()
+        assert smax.tobytes() == ref[:, 0].tobytes()
 
 
 class TestScanAgreement:

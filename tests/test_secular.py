@@ -199,6 +199,17 @@ class TestReducedForms:
             for kap in reduced_negative_kappas(lengths, tips):
                 assert abs(star_secular_reduced(lengths, tips, kap)) < 1e-8
 
+    @pytest.mark.parametrize("lengths,tips", [
+        ([1.0, 0.7, 1.3], "neumann"), ([1.0] * 4, "neumann"),
+        ([1.0] * 6, "neumann"), ([0.6, 0.9, 1.4], "dirichlet")])
+    def test_array_of_kappas_matches_scalar_calls(self, lengths, tips):
+        kaps = np.linspace(1e-3, 6.0, 41)
+        vals = star_secular_reduced(lengths, tips, kaps)
+        assert vals.shape == kaps.shape
+        scalar = [star_secular_reduced(lengths, tips, k) for k in kaps.tolist()]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_allclose(vals, scalar, rtol=1e-14, atol=0)
+
     def test_unsupported_combination(self):
         with pytest.raises(ValueError):
             star_secular_reduced([1.0] * 5, "neumann", 1.0)

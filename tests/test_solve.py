@@ -18,7 +18,9 @@ from qgraph.graph import (
 )
 from qgraph.kernels import prepare_structure
 from qgraph.solve import (
+    _GOLD,
     _bracket_minima,
+    _golden_min,
     _sigma_grid,
     count_negative,
     default_negative_floor,
@@ -181,6 +183,20 @@ class TestDualRoute:
             spec = find_spectrum(g, (-5.0, 0.5), method)
             check(spec, [(-1.0, 1), (0.0, 1)])
 
+    def test_dtn_no_root_on_the_flank_of_zero(self):
+        # the first positive bracket holds only the flank of the lambda = 0
+        # dip and refines to its inner end, ~1.00000465e-7, where the DtN
+        # rank ratio reads below rank_tol; the explicit zero test owns it
+        g = make_cycle([0.4, 0.6, 0.3, 0.7])
+        edge = find_spectrum(g, (-16.0, 50.0), "edge")
+        dtn = find_spectrum(g, (-16.0, 50.0), "dtn")
+        assert not [r.lam for r in dtn.records if 0.0 < abs(r.lam) < 1e-6]
+        assert dtn.diagnostics == []
+        assert [r.mult for r in dtn.records] == [r.mult for r in edge.records]
+        assert [r.lam for r in dtn.records] == pytest.approx(
+            [r.lam for r in edge.records], abs=1e-8)
+        assert [r.mult for r in dtn.records] == [1, 2, 2]
+
     def test_dtn_grid_maps_singular_points_to_inf(self, star3):
         # pi^2 is a Dirichlet eigenvalue of every unit edge: no DtN map there
         smin, smax = _sigma_grid(star3, prepare_structure(star3),
@@ -217,6 +233,110 @@ class TestBracketMinima:
     ])
     def test_indices(self, ys, expected):
         assert _bracket_minima(np.arange(len(ys)), np.array(ys)) == expected
+
+
+def scalar_golden(fn, a, b, tol):
+    """Reference: one golden-section search with one call per point."""
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return fn(x)
+
+    x1 = b - _GOLD * (b - a)
+    x2 = a + _GOLD * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLD * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLD * (b - a)
+            f2 = f(x2)
+    return (a + b) / 2.0, calls
+
+
+class TestLockstepGoldenMin:
+    """Every bracket of a lockstep run ends on the float its own scalar
+    search gives, and each round asks for the live brackets only."""
+
+    @staticmethod
+    def run(fn, a, b, tol):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        sizes = []
+
+        def batched(xs):
+            sizes.append(len(xs))
+            return fn(np.asarray(xs))
+
+        got = _golden_min(batched, a, b, tol)
+        tols = np.broadcast_to(tol, a.shape)
+        refs = [scalar_golden(lambda x: fn(np.array([x]))[0], ai, bi, ti)
+                for ai, bi, ti in zip(a, b, tols)]
+        assert got.shape == a.shape
+        for x, (ref, _) in zip(got, refs):
+            assert x.tobytes() == np.float64(ref).tobytes()
+        calls = [c for _, c in refs]
+        if calls:
+            # one call with both first points, then one per round, each
+            # holding exactly the brackets whose scalar search is still on
+            assert sizes[0] == 2 * len(calls)
+            rounds = max(calls) - 2
+            assert sizes[1:] == [sum(c - 2 > r for c in calls)
+                                 for r in range(rounds)]
+        return got, sizes
+
+    def test_mixed_tolerances_finish_in_different_rounds(self):
+        def fn(xs):
+            return np.abs(np.sin(3.0 * xs) - 0.2)
+
+        a = [0.0, 0.5, 1.0, -2.0, 3.0]
+        b = [0.4, 1.2, 1.001, -1.0, 3.5]
+        tol = [1e-12, 1e-6, 1e-15, 1e-3, 1e-9]
+        _, sizes = self.run(fn, a, b, tol)
+        assert len(set(sizes[1:])) > 2  # brackets dropped out along the way
+
+    def test_scalar_tolerance_and_ties(self):
+        # a flat function: every comparison is a tie and goes left
+        self.run(lambda xs: np.zeros(len(xs)), [0.0, 1.0], [1.0, 3.0], 1e-10)
+
+    def test_no_brackets_no_calls(self):
+        got, sizes = self.run(lambda xs: xs, [], [], 1e-12)
+        assert sizes == [] and got.shape == (0,)
+
+    def test_infinite_values(self):
+        # DtN-singular points read inf; the scalar rules handle inf <= inf
+        def fn(xs):
+            return np.where(np.abs(xs - 1.3) < 0.05, np.inf,
+                            np.where(xs > 2.5, np.inf, np.abs(xs - 0.9)))
+
+        self.run(fn, [0.5, 1.2, 2.4, 2.6], [1.4, 1.4, 3.0, 2.9], 1e-12)
+
+    @pytest.mark.parametrize("g", [make_star([1.0, 1.0, 1.0]),
+                                   make_figure8(0.7, 1.3)], ids=["star3", "figure8"])
+    def test_real_sigma_both_branches(self, g):
+        struct = prepare_structure(g)
+        # kappa branch, with find_spectrum's per-bracket tolerances
+        kgrid = np.linspace(1e-4, 4.0, 200)
+        idx = np.array(_bracket_minima(kgrid, _sigma_grid(
+            g, struct, -kgrid ** 2, "edge")[0]))
+        assert idx.size >= 1
+        tol_k = np.maximum(1e-12 / (2.0 * np.maximum(kgrid[idx], 0.05)), 1e-15)
+        self.run(lambda k: _sigma_grid(g, struct, -k * k, "edge")[0],
+                 kgrid[np.maximum(idx - 1, 0)],
+                 kgrid[np.minimum(idx + 1, kgrid.size - 1)], tol_k)
+        # positive branch, on both routes
+        pgrid = np.linspace(0.5, 30.0, 300)
+        for method in ("edge", "dtn"):
+            idx = np.array(_bracket_minima(pgrid, _sigma_grid(
+                g, struct, pgrid, method)[0]))
+            assert idx.size >= 2
+            self.run(lambda x: _sigma_grid(g, struct, x, method)[0],
+                     pgrid[np.maximum(idx - 1, 0)],
+                     pgrid[np.minimum(idx + 1, pgrid.size - 1)], 1e-12)
 
 
 class TestFirstEigenvalues:
