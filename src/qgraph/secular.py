@@ -7,12 +7,19 @@ Two routes to the same zero set:
 * Dirichlet-to-Neumann: unknowns are the endpoint traces, rows impose
   A F + i B M(lambda) F = 0 with M the per-edge DtN map. Undefined at the edge
   Dirichlet eigenvalues (nominal poles), useful as an independent cross-check.
+  The DtN entries are written once, in `dtn_tables`: (n_lambda, E) tables of
+  the diagonal and off-diagonal entries plus a per-lambda singular mask.
+  `build_dtn_grid` lays a chunk of them into a stack of secular matrices from
+  a per-graph plan; `interval_dtn` and the one-lambda `build_secular_matrix`
+  are single rows of these.
 
 Star graphs additionally admit closed product and reduced transcendental
 forms used for regression and fast sweeps.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -25,26 +32,85 @@ from .kernels import build_matrix_grid_numpy, prepare_structure
 _POLE_TOL = 1e-13
 
 
+def dtn_tables(lams, lengths):
+    """Per-edge DtN entries, vectorized over lambdas and edges.
+
+    Returns (diag, off, singular): (n, E) tables of the diagonal and
+    off-diagonal entries of each interval's DtN map (an interval's map is
+    symmetric with equal diagonal entries) and an (n,) mask that is True
+    where some edge sits on its Dirichlet spectrum, |sin(k l)| <
+    _POLE_TOL * max(1, k l). Rows flagged singular hold no usable entries.
+    """
+    lams = np.asarray(lams, dtype=float).reshape(-1, 1)
+    lengths = np.asarray(lengths, dtype=float)
+    shape = (lams.shape[0], lengths.size)
+    # lambda = 0 (and anything neither < 0 nor > 0)
+    diag = np.broadcast_to(-1.0 / lengths, shape).copy()
+    off = np.broadcast_to(1.0 / lengths, shape).copy()
+    singular = np.zeros(shape[0], dtype=bool)
+    neg = lams[:, 0] < 0.0
+    if neg.any():
+        kap = np.sqrt(-lams[neg])
+        kl = kap * lengths
+        sh = np.sinh(kl)
+        diag[neg] = -kap * np.cosh(kl) / sh
+        off[neg] = kap / sh
+    pos = lams[:, 0] > 0.0
+    if pos.any():
+        k = np.sqrt(lams[pos])
+        kl = k * lengths
+        s = np.sin(kl)
+        diag[pos] = -k * np.cos(kl) / s
+        off[pos] = k / s
+        singular[pos] = np.any(np.abs(s) < _POLE_TOL * np.maximum(1.0, kl),
+                               axis=1)
+    return diag, off, singular
+
+
 def interval_dtn(length: float, lam: float, edge_id: str = "interval") -> np.ndarray:
     """DtN map of one interval: traces (f(0), f(l)) to inward derivatives.
 
     Inward means +f'(0) at the start and -f'(l) at the end. Defined for every
-    lambda off the interval's Dirichlet spectrum {(n pi / l)^2}.
+    lambda off the interval's Dirichlet spectrum {(n pi / l)^2}; on it,
+    raises DtNSingular naming the edge and n.
     """
-    l = float(length)
-    if lam < 0.0:
-        kap = np.sqrt(-lam)
-        sh = np.sinh(kap * l)
-        return np.array([[-kap * np.cosh(kap * l) / sh, kap / sh],
-                         [kap / sh, -kap * np.cosh(kap * l) / sh]])
-    if lam > 0.0:
-        k = np.sqrt(lam)
-        s = np.sin(k * l)
-        if abs(s) < _POLE_TOL * max(1.0, k * l):
-            raise DtNSingular(edge_id, int(round(k * l / np.pi)))
-        return np.array([[-k * np.cos(k * l) / s, k / s],
-                         [k / s, -k * np.cos(k * l) / s]])
-    return np.array([[-1.0 / l, 1.0 / l], [1.0 / l, -1.0 / l]])
+    diag, off, singular = dtn_tables(lam, [length])
+    if singular[0]:
+        raise DtNSingular(edge_id,
+                          int(round(np.sqrt(lam) * float(length) / np.pi)))
+    d, o = diag[0, 0], off[0, 0]
+    return np.array([[d, o], [o, d]])
+
+
+@lru_cache(maxsize=256)
+def _dtn_plan(g: MetricGraph):
+    """Per-graph constants of the DtN secular matrices: the vertex blocks A
+    and B, the (start, end) slots of every edge, and the edge lengths."""
+    blocks = assemble_blocks(g)
+    start = np.array([g.slot_index[(e.id, START)] for e in g.edges], dtype=np.intp)
+    end = np.array([g.slot_index[(e.id, END)] for e in g.edges], dtype=np.intp)
+    lengths = np.array([e.length for e in g.edges], dtype=float)
+    return blocks.a, blocks.b, start, end, lengths
+
+
+def build_dtn_grid(g: MetricGraph, lams):
+    """Stack of DtN secular matrices A + i B M(lambda), shape (n, 2E, 2E),
+    and the (n,) singular mask of `dtn_tables`; singular rows are not valid
+    matrices.
+
+    M is filled from zeros by one add per entry (the two endpoint slots of
+    an edge are its own), then the same A + 1j * (B @ M) as a matrix built
+    alone, so every row has the bytes of a one-lambda build.
+    """
+    a, b, start, end, lengths = _dtn_plan(g)
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    diag, off, singular = dtn_tables(lams, lengths)
+    dtn = np.zeros((lams.size,) + a.shape)
+    dtn[:, start, start] += diag
+    dtn[:, start, end] += off
+    dtn[:, end, start] += off
+    dtn[:, end, end] += diag
+    return a + 1j * (b @ dtn), singular
 
 
 def build_secular_matrix(g: MetricGraph, lam: float, method: str = "edge", *,
@@ -54,24 +120,18 @@ def build_secular_matrix(g: MetricGraph, lam: float, method: str = "edge", *,
     `entire_basis` pins the cosh/sinh pair on every edge (the convention the
     closed-form determinants use) instead of the numerically safer switched
     basis; it only matters for lambda < 0 with kappa * length >= 1 somewhere.
+    The DtN matrix raises DtNSingular at the first edge with a pole at lam.
     """
     if method == "edge":
         struct = prepare_structure(g)
         return build_matrix_grid_numpy(np.array([lam]), *struct,
                                        entire=entire_basis)[0]
     if method == "dtn":
-        blocks = assemble_blocks(g)
-        m = 2 * g.num_edges
-        dtn = np.zeros((m, m))
-        for e in g.edges:
-            i = g.slot_index[(e.id, START)]
-            j = g.slot_index[(e.id, END)]
-            blk = interval_dtn(e.length, lam, e.id)
-            dtn[i, i] += blk[0, 0]
-            dtn[i, j] += blk[0, 1]
-            dtn[j, i] += blk[1, 0]
-            dtn[j, j] += blk[1, 1]
-        return blocks.a + 1j * (blocks.b @ dtn)
+        mats, singular = build_dtn_grid(g, [lam])
+        if singular[0]:
+            for e in g.edges:  # raises at the first edge with a pole
+                interval_dtn(e.length, lam, e.id)
+        return mats[0]
     raise ValueError(f"unknown method {method!r}")
 
 

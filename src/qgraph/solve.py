@@ -14,6 +14,11 @@ branch: one batched sigma call per round, each bracket keeping the exact
 point sequence of its scalar search. Since a lambda's sigma does not depend
 on the batch around it, the refined lambdas are the same floats as with one
 search per candidate. Certification is one batched call over the candidates.
+
+Both routes evaluate a batch in chunks: the edge route through the kernels
+scan, the DtN route by `secular.build_dtn_grid`, one stack of matrices per
+chunk and one batched SVD over its rows off the singular mask. A lambda on
+an edge's Dirichlet spectrum has no DtN matrix and reads inf.
 """
 
 from __future__ import annotations
@@ -25,14 +30,19 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DtNSingular, NotAnEigenvalue, WindowTooCoarse
+from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import END, BoundaryType, MetricGraph, START
 from .kernels import equilibrate_columns, prepare_structure, scan_sigma
-from .secular import build_secular_matrix
+from .secular import build_dtn_grid, build_secular_matrix
 
 ZERO_RADIUS = 1e-7
 _KAPPA_FLOOR = 1e-4
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# lambdas per batched DtN build and SVD. Larger chunks run no faster, and at
+# 2048 (the edge scan's chunk) the freed MB-sized arrays raise glibc's
+# dynamic mmap threshold, so later allocations land on the heap and the
+# process's peak RSS grows; 512 keeps it near the per-lambda loop's.
+_DTN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -112,18 +122,24 @@ def _svdvals(mat, lam):
 
 def _sigma_grid(g, struct, lams, method):
     """(sigma_min, sigma_max) arrays over lams; DtN-singular points read inf."""
+    lams = np.asarray(lams, dtype=float)
     if method == "edge":
-        return scan_sigma(np.asarray(lams, dtype=float), *struct)
-    smin = np.empty(len(lams))
-    smax = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        try:
-            s = _svdvals(build_secular_matrix(g, lam, method), lam)
-        except DtNSingular:
-            smin[i] = np.inf
-            smax[i] = np.inf
+        return scan_sigma(lams, *struct)
+    smin = np.full(lams.size, np.inf)
+    smax = np.full(lams.size, np.inf)
+    for lo in range(0, lams.size, _DTN_CHUNK):
+        part = lams[lo:lo + _DTN_CHUNK]
+        mats, singular = build_dtn_grid(g, part)
+        ok = np.flatnonzero(~singular)
+        if not ok.size:
             continue
-        smin[i], smax[i] = s[-1], s[0]
+        mats = mats[ok]
+        neg = part[ok] < 0.0
+        if neg.any():  # as in _svdvals: negative rows only
+            mats[neg] = equilibrate_columns(mats[neg])[0]
+        s = np.linalg.svd(mats, compute_uv=False)
+        smin[lo + ok] = s[:, -1]
+        smax[lo + ok] = s[:, 0]
     return smin, smax
 
 

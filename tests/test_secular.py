@@ -6,10 +6,23 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from qgraph.coupling import assemble_blocks
 from qgraph.errors import DtNSingular
-from qgraph.graph import make_figure8, make_star
+from qgraph.graph import (
+    END,
+    START,
+    BoundaryType,
+    make_cycle,
+    make_figure8,
+    make_path,
+    make_star,
+)
+from qgraph.kernels import equilibrate_columns, prepare_structure
 from qgraph.secular import (
+    _POLE_TOL,
+    build_dtn_grid,
     build_secular_matrix,
+    dtn_tables,
     interval_dtn,
     reduced_negative_kappas,
     secular_determinant,
@@ -17,6 +30,7 @@ from qgraph.secular import (
     star_secular_reduced,
     star_reduced_positive_dirichlet,
 )
+from qgraph.solve import _DTN_CHUNK, _sigma_grid
 
 COTH1 = 1.3130352854993312  # coth(1)
 CSCH1 = 0.8509181282393216  # 1/sinh(1)
@@ -113,6 +127,153 @@ class TestSecularMatrix:
         for method in ("edge", "dtn"):
             s = np.linalg.svd(build_secular_matrix(g, lam, method), compute_uv=False)
             assert s[-1] < 1e-9 * s[0]
+
+
+# -- batched DtN route against the former per-lambda loop --------------------------
+
+def reference_interval_dtn(length, lam, edge_id="interval"):
+    """The former scalar DtN block of one interval."""
+    l = float(length)
+    if lam < 0.0:
+        kap = np.sqrt(-lam)
+        sh = np.sinh(kap * l)
+        return np.array([[-kap * np.cosh(kap * l) / sh, kap / sh],
+                         [kap / sh, -kap * np.cosh(kap * l) / sh]])
+    if lam > 0.0:
+        k = np.sqrt(lam)
+        s = np.sin(k * l)
+        if abs(s) < _POLE_TOL * max(1.0, k * l):
+            raise DtNSingular(edge_id, int(round(k * l / np.pi)))
+        return np.array([[-k * np.cos(k * l) / s, k / s],
+                         [k / s, -k * np.cos(k * l) / s]])
+    return np.array([[-1.0 / l, 1.0 / l], [1.0 / l, -1.0 / l]])
+
+
+def reference_dtn_matrix(g, lam):
+    """The former per-edge += assembly of A + i B M(lambda)."""
+    blocks = assemble_blocks(g)
+    m = 2 * g.num_edges
+    dtn = np.zeros((m, m))
+    for e in g.edges:
+        i = g.slot_index[(e.id, START)]
+        j = g.slot_index[(e.id, END)]
+        blk = reference_interval_dtn(e.length, lam, e.id)
+        dtn[i, i] += blk[0, 0]
+        dtn[i, j] += blk[0, 1]
+        dtn[j, i] += blk[1, 0]
+        dtn[j, j] += blk[1, 1]
+    return blocks.a + 1j * (blocks.b @ dtn)
+
+
+def reference_dtn_grid(g, lams):
+    """The former per-lambda DtN loop of the sigma grid."""
+    smin = np.empty(len(lams))
+    smax = np.empty(len(lams))
+    for i, lam in enumerate(lams):
+        try:
+            mat = reference_dtn_matrix(g, lam)
+        except DtNSingular:
+            smin[i] = smax[i] = np.inf
+            continue
+        if lam < 0.0:
+            mat = equilibrate_columns(mat)[0]
+        s = np.linalg.svd(mat, compute_uv=False)
+        smin[i], smax[i] = s[-1], s[0]
+    return smin, smax
+
+
+PI2 = math.pi**2
+POLE_IN = PI2 * (1 + 1.5e-13)  # |sin k| just below _POLE_TOL * k on a unit edge
+POLE_OUT = PI2 * (1 + 2e-13)  # and just above it
+DTN_GRAPHS = {
+    "star3-unit": make_star([1.0, 1.0, 1.0]),
+    "star4-unit": make_star([1.0, 0.7, 1.3, 0.9]),
+    "dstar3": make_star([1.0, 0.7, 1.3], tip_bc=BoundaryType.DIRICHLET),
+    "figure8": make_figure8(0.5, 0.5),
+    "cycle1": make_cycle([1.0]),
+    "cycle4": make_cycle([0.4, 0.6, 0.3, 0.7]),
+    "path3": make_path([0.5, 1.0, 0.7]),
+}
+# a mixed-sign batch: both branches, lambda = 0 and +-1e-7, the Dirichlet
+# eigenvalues pi^2 (unit edges) and 4 pi^2 (figure-8 loops, one-edge cycle)
+DTN_GRID = np.concatenate([np.linspace(-20.0, -0.05, 60), [-1e-7, 0.0, 1e-7],
+                           np.linspace(0.05, 45.0, 150),
+                           [PI2, POLE_IN, POLE_OUT, 4.0 * PI2]])
+HAS_UNIT_EDGE = {name for name, g in DTN_GRAPHS.items()
+                 if any(e.length == 1.0 for e in g.edges)}
+
+
+def raised(fn, *args):
+    """The DtNSingular fn raises, as comparable data, or None."""
+    try:
+        fn(*args)
+    except DtNSingular as exc:
+        return exc.edge_id, exc.index, str(exc)
+    return None
+
+
+class TestDtnByteIdentity:
+    """The batched DtN tables, matrices and grid must reproduce the former
+    per-lambda loop bit for bit, poles and lambda = 0 included."""
+
+    def test_tables_flag_the_pole_rule(self):
+        lams = [PI2, POLE_IN, POLE_OUT, 0.0, 1e-7, -1e-7, -3.0]
+        diag, off, singular = dtn_tables(lams, [1.0, 0.7])
+        assert diag.shape == off.shape == (7, 2)
+        assert singular.tolist() == [True, True] + [False] * 5
+        assert not dtn_tables(lams, [0.7])[2].any()
+
+    @pytest.mark.parametrize("name", DTN_GRAPHS)
+    def test_grid_matches_loop(self, name):
+        g = DTN_GRAPHS[name]
+        smin, smax = _sigma_grid(g, prepare_structure(g), DTN_GRID, "dtn")
+        ref_min, ref_max = reference_dtn_grid(g, DTN_GRID)
+        assert smin.tobytes() == ref_min.tobytes()
+        assert smax.tobytes() == ref_max.tobytes()
+        at_pi2 = np.isin(DTN_GRID, [PI2, POLE_IN])
+        assert np.isinf(smin[at_pi2]).all() == (name in HAS_UNIT_EDGE)
+        assert np.isfinite(smin[np.abs(DTN_GRID) <= 1e-7]).all()
+
+    @pytest.mark.parametrize("name", DTN_GRAPHS)
+    def test_long_batch_matches_one_at_a_time(self, name):
+        g = DTN_GRAPHS[name]
+        struct = prepare_structure(g)
+        lams = np.linspace(-16.0, 45.0, 2 * _DTN_CHUNK + 37)
+        # a pole and lambda = 0 on both sides of the first chunk boundary
+        lams[_DTN_CHUNK - 1:_DTN_CHUNK + 3] = [PI2, 0.0, POLE_IN, -1e-7]
+        smin, smax = _sigma_grid(g, struct, lams, "dtn")
+        alone = [_sigma_grid(g, struct, [lam], "dtn") for lam in lams]
+        assert smin.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+        assert smax.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+        ref_min, ref_max = reference_dtn_grid(g, lams)
+        assert smin.tobytes() == ref_min.tobytes()
+        assert smax.tobytes() == ref_max.tobytes()
+
+    @pytest.mark.parametrize("name", DTN_GRAPHS)
+    def test_matrices_match_former_assembly(self, name):
+        g = DTN_GRAPHS[name]
+        mats, singular = build_dtn_grid(g, DTN_GRID)
+        assert mats.shape == (DTN_GRID.size, 2 * g.num_edges, 2 * g.num_edges)
+        for lam, row, sing in zip(DTN_GRID, mats, singular):
+            err = raised(reference_dtn_matrix, g, lam)
+            assert raised(build_secular_matrix, g, lam, "dtn") == err
+            assert sing == (err is not None)
+            if err is None:
+                ref = reference_dtn_matrix(g, lam).tobytes()
+                assert build_secular_matrix(g, lam, "dtn").tobytes() == ref
+                assert row.tobytes() == ref
+
+    def test_interval_dtn_matches_former_scalar_form(self):
+        for length in (1.0, 0.37, 2.5):
+            for lam in DTN_GRID:
+                err = raised(reference_interval_dtn, length, lam, "e7")
+                assert raised(interval_dtn, length, lam, "e7") == err
+                if err is None:
+                    got = interval_dtn(length, lam, "e7")
+                    assert got.shape == (2, 2)
+                    ref = reference_interval_dtn(length, lam, "e7")
+                    assert got.tobytes() == ref.tobytes()
+        assert raised(interval_dtn, 1.0, 4.0 * PI2, "e7")[:2] == ("e7", 2)
 
 
 class TestClosedForms:

@@ -205,10 +205,12 @@ class TestDualRoute:
         assert np.all(np.isfinite(smin[[0, 2]]))
 
     def test_dtn_grid_propagates_other_errors(self, star3, monkeypatch):
-        def broken(g, lam, method):
+        # the grid builds its matrices in batches; only the singular mask
+        # turns into inf, any error of the builder escapes
+        def broken(g, lams):
             raise ValueError("not a DtN pole")
 
-        monkeypatch.setattr(solve_mod, "build_secular_matrix", broken)
+        monkeypatch.setattr(solve_mod, "build_dtn_grid", broken)
         with pytest.raises(ValueError, match="not a DtN pole"):
             _sigma_grid(star3, prepare_structure(star3), [2.0], "dtn")
 
