@@ -1,12 +1,10 @@
 """Hot kernels: secular matrix assembly and sigma_min scans over lambda grids.
 
-Two interchangeable implementations live here. scan_sigma_jit is compiled by
-numba when available; scan_sigma_numpy works on chunks of the grid: one
-edge_basis_traces call gives the (n_lambda, E) trace tables of a chunk, a
-fixed gather/scatter plan, derived once per graph structure and cached, lays
-them into the whole stack of matrices, and batched SVDs follow. No Python loop
-runs per lambda or per row. `scan_sigma` points at whichever path the
-QGRAPH_NO_NUMBA env flag selects. Both return (sigma_min, sigma_max) arrays.
+`scan_sigma` works on chunks of the grid: one edge_basis_traces call gives
+the (n_lambda, E) trace tables of a chunk, a fixed gather/scatter plan,
+derived once per graph structure and cached, lays them into the whole stack
+of matrices, and one batched SVD follows. No Python loop runs per lambda or
+per row. It returns (sigma_min, sigma_max) arrays.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
 f2(x) = sin(sqrt(lambda) x)/sqrt(lambda), continued through lambda <= 0 by
@@ -17,6 +15,9 @@ even at regular points and fakes rank drops deep in the scan window. Any edge
 with kappa * l >= 1 therefore switches to the decaying pair
 {e^(-kappa x), e^(-kappa (l - x))}, whose traces stay bounded by max(1, kappa);
 that pair degenerates only as kappa -> 0, where the entire pair takes over.
+`edge_basis_traces` is the one place this switch is made: the matrix stacks
+are filled from its tables, and solve.eigenfunction_at converts nullspace
+coefficients back through its start traces.
 Matrix rows follow the global endpoint slot order; columns are (2e, 2e+1).
 """
 
@@ -26,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .accel import HAS_NUMBA, njit
 from .graph import END, BoundaryType, MetricGraph
 
 KIND_COUPLED = 0
@@ -36,7 +36,7 @@ KIND_DIRICHLET = 2
 
 @lru_cache(maxsize=256)
 def prepare_structure(g: MetricGraph):
-    """Flatten a graph into the integer arrays the scan kernels consume."""
+    """Flatten a graph into the integer arrays the scan consumes."""
     m = 2 * g.num_edges
     row_kind = np.zeros(m, dtype=np.int8)
     row_next = np.zeros(m, dtype=np.int32)
@@ -182,11 +182,26 @@ def equilibrate_columns(mats):
     return mats / scales, scales[..., 0, :]
 
 
-def scan_sigma_numpy(lams, row_kind, row_next, slot_edge, slot_end, lengths,
-                     chunk: int = 2048):
-    """Pure-numpy scan: batched SVDs over chunks of the grid. Every row is
-    computed on its own, so a lambda gets the same (sigma_min, sigma_max)
-    bytes whatever else its call holds."""
+def branch_svdvals(mats, lams):
+    """Singular values of a stack of secular matrices, one row per lambda.
+
+    Columns are equilibrated to unit max-abs on the lambda < 0 rows only,
+    in place: there the hyperbolic entries grow like e^(kappa*l) and the
+    sigma ratio under-reads rank at deep lambda. Positive-branch matrices
+    stay raw so a full-matrix collapse (eigenvalue of multiplicity 2*E, e.g.
+    a one-edge cycle) remains visible as a dip of sigma_max itself.
+    """
+    neg = np.asarray(lams) < 0.0
+    if neg.any():
+        mats[neg] = equilibrate_columns(mats[neg])[0]
+    return np.linalg.svd(mats, compute_uv=False)
+
+
+def scan_sigma(lams, row_kind, row_next, slot_edge, slot_end, lengths,
+               chunk: int = 2048):
+    """(sigma_min, sigma_max) over lams: batched SVDs over chunks of the
+    grid. Every row is computed on its own, so a lambda gets the same bytes
+    whatever else its call holds."""
     lams = np.asarray(lams, dtype=float)
     smin = np.empty(lams.size)
     smax = np.empty(lams.size)
@@ -194,137 +209,7 @@ def scan_sigma_numpy(lams, row_kind, row_next, slot_edge, slot_end, lengths,
         part = lams[lo:lo + chunk]
         mats = build_matrix_grid_numpy(part, row_kind, row_next,
                                        slot_edge, slot_end, lengths)
-        # unit max-abs columns on the negative branch only: there the
-        # hyperbolic entries grow like e^(kappa*l) and the sigma ratio
-        # under-reads rank at deep lambda. Positive-branch matrices stay raw
-        # so a full-matrix collapse (eigenvalue of multiplicity 2*E, e.g. a
-        # one-edge cycle) remains visible as a dip of sigma_max itself.
-        neg = part < 0.0
-        if neg.any():
-            mats[neg] = equilibrate_columns(mats[neg])[0]
-        s = np.linalg.svd(mats, compute_uv=False)
+        s = branch_svdvals(mats, part)
         smin[lo:lo + chunk] = s[:, -1]
         smax[lo:lo + chunk] = s[:, 0]
     return smin, smax
-
-
-@njit(cache=True, nogil=True)
-def _scan_sigma_compiled(lams, row_kind, row_next, slot_edge, slot_end, lengths):
-    n = lams.size
-    m = row_kind.size
-    ne = lengths.size
-    smin = np.empty(n)
-    smax = np.empty(n)
-    f10 = np.empty(ne)
-    f20 = np.empty(ne)
-    d10 = np.empty(ne)
-    d20 = np.empty(ne)
-    f1l = np.empty(ne)
-    f2l = np.empty(ne)
-    d1l = np.empty(ne)
-    d2l = np.empty(ne)
-    for i in range(n):
-        lam = lams[i]
-        if lam < 0.0:
-            kap = np.sqrt(-lam)
-            for e in range(ne):
-                kl = kap * lengths[e]
-                if kl >= 1.0:  # decaying pair, see module docstring
-                    es = np.exp(-kl)
-                    f10[e] = 1.0
-                    f20[e] = es
-                    d10[e] = -kap
-                    d20[e] = kap * es
-                    f1l[e] = es
-                    f2l[e] = 1.0
-                    d1l[e] = kap * es
-                    d2l[e] = -kap
-                else:
-                    ch = np.cosh(kl)
-                    sh = np.sinh(kl)
-                    f10[e] = 1.0
-                    f20[e] = 0.0
-                    d10[e] = 0.0
-                    d20[e] = 1.0
-                    f1l[e] = ch
-                    f2l[e] = sh / kap
-                    d1l[e] = -kap * sh
-                    d2l[e] = -ch
-        elif lam > 0.0:
-            k = np.sqrt(lam)
-            for e in range(ne):
-                c = np.cos(k * lengths[e])
-                s = np.sin(k * lengths[e])
-                f10[e] = 1.0
-                f20[e] = 0.0
-                d10[e] = 0.0
-                d20[e] = 1.0
-                f1l[e] = c
-                f2l[e] = s / k
-                d1l[e] = k * s
-                d2l[e] = -c
-        else:
-            for e in range(ne):
-                f10[e] = 1.0
-                f20[e] = 0.0
-                d10[e] = 0.0
-                d20[e] = 1.0
-                f1l[e] = 1.0
-                f2l[e] = lengths[e]
-                d1l[e] = 0.0
-                d2l[e] = -1.0
-        mat = np.zeros((m, m), dtype=np.complex128)
-        for r in range(m):
-            kind = row_kind[r]
-            er = slot_edge[r]
-            if slot_end[r]:
-                vr1, vr2, dr1, dr2 = f1l[er], f2l[er], d1l[er], d2l[er]
-            else:
-                vr1, vr2, dr1, dr2 = f10[er], f20[er], d10[er], d20[er]
-            if kind == KIND_COUPLED:
-                q = row_next[r]
-                eq = slot_edge[q]
-                if slot_end[q]:
-                    vq1, vq2, dq1, dq2 = f1l[eq], f2l[eq], d1l[eq], d2l[eq]
-                else:
-                    vq1, vq2, dq1, dq2 = f10[eq], f20[eq], d10[eq], d20[eq]
-                mat[r, 2 * eq] += vq1
-                mat[r, 2 * eq + 1] += vq2
-                mat[r, 2 * er] -= vr1
-                mat[r, 2 * er + 1] -= vr2
-                mat[r, 2 * er] += 1j * dr1
-                mat[r, 2 * er + 1] += 1j * dr2
-                mat[r, 2 * eq] += 1j * dq1
-                mat[r, 2 * eq + 1] += 1j * dq2
-            elif kind == KIND_NEUMANN:
-                mat[r, 2 * er] += 1j * dr1
-                mat[r, 2 * er + 1] += 1j * dr2
-            else:
-                mat[r, 2 * er] += vr1
-                mat[r, 2 * er + 1] += vr2
-        if lam < 0.0:  # negative branch only; see scan_sigma_numpy
-            for c in range(m):
-                cm = 0.0
-                for r in range(m):
-                    v = abs(mat[r, c])
-                    if v > cm:
-                        cm = v
-                if cm > 0.0:
-                    for r in range(m):
-                        mat[r, c] /= cm
-        sv = np.linalg.svd(mat)[1]
-        smin[i] = sv[m - 1]
-        smax[i] = sv[0]
-    return smin, smax
-
-
-def scan_sigma_jit(lams, row_kind, row_next, slot_edge, slot_end, lengths):
-    """numba-compiled scan (falls through to plain python when jit is off)."""
-    lams = np.ascontiguousarray(lams, dtype=np.float64)
-    return _scan_sigma_compiled(lams, row_kind, row_next, slot_edge, slot_end, lengths)
-
-
-if HAS_NUMBA:
-    scan_sigma = scan_sigma_jit
-else:
-    scan_sigma = scan_sigma_numpy

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import END, BoundaryType, MetricGraph, START
-from .kernels import equilibrate_columns, prepare_structure, scan_sigma
+from .kernels import (branch_svdvals, edge_basis_traces, equilibrate_columns,
+                      prepare_structure, scan_sigma)
 from .secular import build_dtn_grid, build_secular_matrix
 
 ZERO_RADIUS = 1e-7
@@ -113,11 +114,9 @@ def default_negative_floor(g: MetricGraph) -> float:
 
 
 def _svdvals(mat, lam):
-    """Singular values; columns are equilibrated on the negative branch only
-    (positive-branch collapses of the whole matrix must stay visible)."""
-    if lam < 0.0:
-        mat = equilibrate_columns(mat)[0]
-    return np.linalg.svd(mat, compute_uv=False)
+    """Singular values of one secular matrix, as `branch_svdvals` gives them
+    (a negative-branch mat is scaled in place)."""
+    return branch_svdvals(mat[None], [lam])[0]
 
 
 def _sigma_grid(g, struct, lams, method):
@@ -133,11 +132,7 @@ def _sigma_grid(g, struct, lams, method):
         ok = np.flatnonzero(~singular)
         if not ok.size:
             continue
-        mats = mats[ok]
-        neg = part[ok] < 0.0
-        if neg.any():  # as in _svdvals: negative rows only
-            mats[neg] = equilibrate_columns(mats[neg])[0]
-        s = np.linalg.svd(mats, compute_uv=False)
+        s = branch_svdvals(mats[ok], part[ok])
         smin[lo + ok] = s[:, -1]
         smax[lo + ok] = s[:, 0]
     return smin, smax
@@ -213,7 +208,9 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
             n = max(3, int(math.ceil((k_hi - k_lo) / kappa_step)) + 1)
             kgrid = np.linspace(k_lo, k_hi, n)
             smin, smax = _sigma_grid(g, struct, -kgrid ** 2, method)
-            scale_ref = max(scale_ref, float(np.median(smax[np.isfinite(smax)])))
+            finite = smax[np.isfinite(smax)]
+            if finite.size:  # none when every point is DtN-singular
+                scale_ref = max(scale_ref, float(np.median(finite)))
             idx = np.array(_bracket_minima(kgrid, smin), dtype=np.intp)
             tol_k = np.maximum(refine_tol / (2.0 * np.maximum(kgrid[idx], 0.05)),
                                1e-15)
@@ -229,7 +226,9 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         n = max(3, int(math.ceil((hi - p_lo) / step_pos)) + 1)
         pgrid = np.linspace(p_lo, hi, n)
         smin, smax = _sigma_grid(g, struct, pgrid, method)
-        scale_ref = max(scale_ref, float(np.median(smax[np.isfinite(smax)])))
+        finite = smax[np.isfinite(smax)]
+        if finite.size:  # none when every point is DtN-singular
+            scale_ref = max(scale_ref, float(np.median(finite)))
         idx = np.array(_bracket_minima(pgrid, smin), dtype=np.intp)
         ls = _golden_min(smin_at, pgrid[np.maximum(idx - 1, 0)],
                          pgrid[np.minimum(idx + 1, n - 1)], refine_tol)
@@ -409,6 +408,18 @@ class Eigenfunction:
         )
 
 
+def _regime_coeffs(g: MetricGraph, lam: float, vecs):
+    """Amplitudes (a, b), each of shape (len(vecs), E), in the regime basis
+    Eigenfunction stores, from edge-ansatz coefficient vectors: the start
+    value of each edge's solution and its start derivative over the rate
+    sqrt|lam| (1 at lam = 0), read off the basis traces of the kernels."""
+    f10, f20, d10, d20 = edge_basis_traces(lam, [e.length for e in g.edges])[:4]
+    vecs = np.asarray(vecs)
+    c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
+    w = math.sqrt(abs(lam)) if lam != 0.0 else 1.0
+    return c1 * f10 + c2 * f20, (c1 * d10 + c2 * d20) / w
+
+
 def eigenfunction_at(g: MetricGraph, lam: float, *,
                      rank_tol: float = 1e-8, order: int = 64) -> list:
     """L2-orthonormal basis of the eigenspace at lam.
@@ -437,21 +448,9 @@ def eigenfunction_at(g: MetricGraph, lam: float, *,
     if not null:
         raise NotAnEigenvalue(f"sigma_min/sigma_max = {svals[-1] / svals[0]:.3e} "
                               f"at lambda = {lam}")
-    w = math.sqrt(abs(lam))
-    funcs = []
-    for vec in null:
-        coeffs = {}
-        for e in g.edges:
-            c1, c2 = vec[2 * g.edge_index[e.id]], vec[2 * g.edge_index[e.id] + 1]
-            if lam == 0.0:
-                coeffs[e.id] = (c1, c2)
-            elif lam < 0.0 and w * e.length >= 1.0:
-                # undo the decaying-pair switch (kernels): back to cosh/sinh
-                es = math.exp(-w * e.length)
-                coeffs[e.id] = (c1 + c2 * es, -c1 + c2 * es)
-            else:
-                coeffs[e.id] = (c1, c2 / w)
-        funcs.append(Eigenfunction(g, float(lam), coeffs))
+    ids = [e.id for e in g.edges]
+    funcs = [Eigenfunction(g, float(lam), dict(zip(ids, zip(a, b))))
+             for a, b in zip(*_regime_coeffs(g, lam, null))]
 
     # orthonormalize in L2 via the quadrature Gram matrix
     quad = {e.id: edge_quadrature(e.length, order) for e in g.edges}

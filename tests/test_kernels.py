@@ -1,9 +1,7 @@
-"""Scan kernels: jit/numpy agreement, basis switching, env-flag selection."""
+"""Scan kernels: basis switching, byte identity of the vectorized assembly,
+equilibration and per-row sigma identity of the scan."""
 
-import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,15 +14,13 @@ from qgraph.graph import (
     make_star,
 )
 from qgraph.kernels import (
-    HAS_NUMBA,
     KIND_COUPLED,
     KIND_NEUMANN,
     build_matrix_grid_numpy,
     edge_basis_traces,
     equilibrate_columns,
     prepare_structure,
-    scan_sigma_jit,
-    scan_sigma_numpy,
+    scan_sigma,
 )
 from qgraph.secular import build_secular_matrix
 
@@ -222,13 +218,13 @@ class TestPerRowIdentity:
     def test_alone_mixed_and_positive_batches(self, g):
         struct = prepare_structure(g)
         lams = np.array([-30.0, -4.2, -0.3, 0.0, 0.7, 9.5, 40.0])
-        mixed = scan_sigma_numpy(lams, *struct)
+        mixed = scan_sigma(lams, *struct)
         pos = lams > 0.0
-        positive = scan_sigma_numpy(lams[pos], *struct)
+        positive = scan_sigma(lams[pos], *struct)
         # a chunk boundary splits the batch in the middle
-        chunked = scan_sigma_numpy(lams, *struct, chunk=3)
+        chunked = scan_sigma(lams, *struct, chunk=3)
         for i, lam in enumerate(lams):
-            alone = scan_sigma_numpy(np.array([lam]), *struct)
+            alone = scan_sigma(np.array([lam]), *struct)
             for j in range(2):
                 assert alone[j].tobytes() == mixed[j][i:i + 1].tobytes()
                 assert alone[j].tobytes() == chunked[j][i:i + 1].tobytes()
@@ -242,28 +238,12 @@ class TestPerRowIdentity:
         eq, _ = equilibrate_columns(mats)
         ref = np.linalg.svd(np.where((lams < 0.0)[:, None, None], eq, mats),
                             compute_uv=False)
-        smin, smax = scan_sigma_numpy(lams, *struct)
+        smin, smax = scan_sigma(lams, *struct)
         assert smin.tobytes() == ref[:, -1].tobytes()
         assert smax.tobytes() == ref[:, 0].tobytes()
 
 
 class TestScanAgreement:
-    @pytest.mark.parametrize("maker,args", [
-        (make_star, ([1.0, 0.7, 1.3],)),
-        (make_figure8, (0.7, 1.3)),
-        (make_cycle, ([1.0],)),
-        (make_star, ([0.3546, 0.2023, 0.1557, 2.2405],)),
-    ])
-    def test_jit_matches_numpy(self, maker, args):
-        g = maker(*args)
-        struct = prepare_structure(g)
-        lams = np.concatenate([np.linspace(-25.0, -0.05, 140),
-                               np.linspace(0.05, 60.0, 140)])
-        mn_j, mx_j = scan_sigma_jit(lams, *struct)
-        mn_n, mx_n = scan_sigma_numpy(lams, *struct)
-        assert np.max(np.abs(mn_j - mn_n)) < 1e-12
-        assert np.max(np.abs(mx_j - mx_n)) < 1e-12
-
     def test_matches_single_matrix_builder(self, star3):
         struct = prepare_structure(star3)
         for lam in (-4.0, 0.0, 2.5):
@@ -277,38 +257,5 @@ class TestScanAgreement:
         g = make_cycle([1.0])
         struct = prepare_structure(g)
         lam = np.array([4 * math.pi**2])
-        _, mx = scan_sigma_numpy(lam, *struct)
+        _, mx = scan_sigma(lam, *struct)
         assert mx[0] < 1e-7
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable in this env")
-class TestEnvSelection:
-    SNIPPET = (
-        "import qgraph.kernels as k, json; "
-        "print(json.dumps([k.HAS_NUMBA, k.scan_sigma is k.scan_sigma_numpy]))"
-    )
-
-    def run_with(self, env_pairs):
-        import os
-
-        env = dict(os.environ)
-        env.update(env_pairs)
-        out = subprocess.run([sys.executable, "-c", self.SNIPPET],
-                             capture_output=True, text=True, env=env, check=True)
-        return json.loads(out.stdout.strip())
-
-    def test_default_uses_jit(self):
-        has, is_numpy = self.run_with({"QGRAPH_NO_NUMBA": ""})
-        assert has and not is_numpy
-
-    def test_flag_selects_numpy(self):
-        has, is_numpy = self.run_with({"QGRAPH_NO_NUMBA": "1"})
-        assert not has and is_numpy
-
-    def test_numba_disable_jit_respected(self):
-        has, is_numpy = self.run_with({"NUMBA_DISABLE_JIT": "1"})
-        assert not has and is_numpy
-
-    def test_zero_means_enabled(self):
-        has, is_numpy = self.run_with({"QGRAPH_NO_NUMBA": "0"})
-        assert has and not is_numpy

@@ -1,6 +1,7 @@
 """Spectrum solver: frozen regressions, multiplicities, dual routes, eigenfunctions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from qgraph.graph import (
     make_path,
     make_star,
 )
-from qgraph.kernels import prepare_structure
+from qgraph.kernels import equilibrate_columns, prepare_structure
+from qgraph.secular import build_secular_matrix
 from qgraph.solve import (
     _GOLD,
     _bracket_minima,
@@ -196,6 +198,25 @@ class TestDualRoute:
         assert [r.lam for r in dtn.records] == pytest.approx(
             [r.lam for r in edge.records], abs=1e-8)
         assert [r.mult for r in dtn.records] == [1, 2, 2]
+
+    def test_all_singular_grid_warns_nothing(self):
+        # every point of the positive grid sits on pi^2, a DtN pole of the
+        # unit edge, so no sigma_max of it is finite to take a median of
+        g = make_star([1.0, 0.7, 1.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = find_spectrum(g, (PI2, PI2), method="dtn")
+        assert spec.window == (PI2, PI2)
+
+    @pytest.mark.parametrize("method", ["edge", "dtn"])
+    def test_one_matrix_svdvals_match_former_form(self, method):
+        # columns equilibrated on the negative branch only, then an SVD
+        g = make_star([1.0, 0.7, 1.3])
+        for lam in (-30.0, -4.2, -0.3, 0.0, 0.7, 9.5, 40.0):
+            mat = build_secular_matrix(g, lam, method)
+            ref = np.linalg.svd(equilibrate_columns(mat)[0] if lam < 0.0
+                                else mat, compute_uv=False)
+            assert solve_mod._svdvals(mat, lam).tobytes() == ref.tobytes()
 
     def test_dtn_grid_maps_singular_points_to_inf(self, star3):
         # pi^2 is a Dirichlet eigenvalue of every unit edge: no DtN map there
@@ -385,6 +406,41 @@ class TestEigenfunctions:
         funcs = eigenfunction_at(g, DEEP_STAR_LAM1)
         assert len(funcs) == 1
         assert residual(g, funcs[0]) < 1e-7
+
+    @staticmethod
+    def former_conversion(g, lam, vec):
+        """The three-branch back-conversion eigenfunction_at once inlined."""
+        w = math.sqrt(abs(lam))
+        out = []
+        for e in g.edges:
+            c1, c2 = vec[2 * g.edge_index[e.id]], vec[2 * g.edge_index[e.id] + 1]
+            if lam == 0.0:
+                out.append((c1, c2))
+            elif lam < 0.0 and w * e.length >= 1.0:
+                es = math.exp(-w * e.length)
+                out.append((c1 + c2 * es, -c1 + c2 * es))
+            else:
+                out.append((c1, c2 / w))
+        return np.array(out).T
+
+    @pytest.mark.parametrize("lengths,lam", [
+        (DEEP_STAR_LENGTHS, DEEP_STAR_LAM1),
+        ([1.0, 1.0, 1.0], 0.0),
+        ([1.0, 1.0, 1.0], STAR3_EQUIL[2]),
+    ], ids=["deep-negative", "zero", "positive"])
+    def test_back_conversion_matches_former_branches(self, lengths, lam):
+        g = make_star(lengths)
+        if lam < 0.0:  # both sides of the kappa * l >= 1 switch
+            kl = math.sqrt(-lam) * np.array(lengths)
+            assert kl.min() < 1.0 <= kl.max()
+        rng = np.random.default_rng(3)
+        shape = (5, 2 * g.num_edges)
+        vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a, b = solve_mod._regime_coeffs(g, lam, vecs)
+        for j, vec in enumerate(vecs):
+            ref_a, ref_b = self.former_conversion(g, lam, vec)
+            np.testing.assert_allclose(a[j], ref_a, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(b[j], ref_b, rtol=1e-14, atol=0.0)
 
     def test_zero_mode_is_constant(self, star3):
         f = eigenfunction_at(star3, 0.0)[0]
