@@ -1,10 +1,15 @@
 """Hot kernels: secular matrix assembly and sigma_min scans over lambda grids.
 
-`scan_sigma` works on chunks of the grid: one edge_basis_traces call gives
-the (n_lambda, E) trace tables of a chunk, a fixed gather/scatter plan,
-derived once per graph structure and cached, lays them into the whole stack
-of matrices, and one batched SVD follows. No Python loop runs per lambda or
-per row. It returns (sigma_min, sigma_max) arrays.
+`scan_sigma` is the one loop that turns a lambda grid into sigmas, for both
+routes: it asks the route's builder for one stack of matrices per chunk of
+the grid, runs one batched SVD over the rows off the builder's singular mask
+and leaves inf in the others. It returns (sigma_min, sigma_max) arrays.
+
+The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
+one edge_basis_traces call gives the (n_lambda, E) trace tables of a chunk,
+and the graph's plan from `prepare_structure`, built once from the vertex
+orders and cached, lays them into the whole stack by a fixed gather/scatter.
+No Python loop runs per lambda or per row.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
 f2(x) = sin(sqrt(lambda) x)/sqrt(lambda), continued through lambda <= 0 by
@@ -29,36 +34,60 @@ import numpy as np
 
 from .graph import END, BoundaryType, MetricGraph
 
-KIND_COUPLED = 0
-KIND_NEUMANN = 1
-KIND_DIRICHLET = 2
+# lambdas per batched build and SVD. Larger chunks run no faster, and at 2048
+# the freed MB-sized arrays raise glibc's dynamic mmap threshold, so later
+# allocations land on the heap and the process's peak RSS grows.
+SCAN_CHUNK = 512
 
 
 @lru_cache(maxsize=256)
 def prepare_structure(g: MetricGraph):
-    """Flatten a graph into the integer arrays the scan consumes."""
-    m = 2 * g.num_edges
-    row_kind = np.zeros(m, dtype=np.int8)
-    row_next = np.zeros(m, dtype=np.int32)
-    slot_edge = np.zeros(m, dtype=np.int32)
-    slot_end = np.zeros(m, dtype=np.int8)
+    """The edge route's plan of a graph: (steps, lengths).
+
+    A matrix is stored as a float row of (real, imag) pairs, entry (r, c) at
+    2 (r m + c) + part; the trace tables are stacked as (n, 8, E) and
+    flattened to (n, 8 E). Each step is (targets, sources, ufunc), applied as
+    buf[:, t] = ufunc(buf[:, t], tabs[:, s]), with no target twice in one
+    step. Values go to the real part, inward derivatives (times i) to the
+    imaginary part. A coupled row r, whose endpoint is followed by q in its
+    vertex's cyclic order, gets its terms in the order a row-by-row complex
+    assembly adds them, starting from zeros: value(q) +, value(r) -,
+    derivative(r), derivative(q); a loop edge puts two terms into one entry.
+    A Neumann row (or a coupled vertex of degree 1) takes derivative(r), a
+    Dirichlet row value(r). The +-0.0 that complex arithmetic adds to the
+    other part with each term cannot change a sum that started at +0.0 (for
+    finite traces), so dropping it keeps every rounding and signed zero the
+    same.
+    """
+    ne = g.num_edges
+    m = 2 * ne
+    edge, slot = g.edge_index, g.slot_index
+    steps = ([], [], [])
+
+    def add(step, r, ref, deriv):
+        e = edge[ref[0]]
+        table = 4 * (ref[1] == END) + 2 * deriv
+        for b in range(2):
+            steps[step].append((2 * (r * m + 2 * e + b) + deriv,
+                                (table + b) * ne + e))
+
     for v in g.sorted_vertices:
-        slots = [g.slot_index[ref] for ref in v.order]
         for j, ref in enumerate(v.order):
-            r = slots[j]
-            slot_edge[r] = g.edge_index[ref[0]]
-            slot_end[r] = 1 if ref[1] == END else 0
+            r = slot[ref]
             if v.bc is BoundaryType.COUPLED and v.degree >= 2:
-                row_kind[r] = KIND_COUPLED
-                row_next[r] = slots[(j + 1) % v.degree]
-            elif v.bc is BoundaryType.DIRICHLET:
-                row_kind[r] = KIND_DIRICHLET
-                row_next[r] = r
+                q = v.order[(j + 1) % v.degree]
+                add(0, r, q, deriv=0)
+                add(0, r, ref, deriv=1)
+                add(1, r, ref, deriv=0)  # the subtracted term
+                add(2, r, q, deriv=1)
             else:
-                row_kind[r] = KIND_NEUMANN
-                row_next[r] = r
+                add(0, r, ref, deriv=int(v.bc is not BoundaryType.DIRICHLET))
+    plan = []
+    for pairs, op in zip(steps, (np.add, np.subtract, np.add)):
+        idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        plan.append((idx[:, 0], idx[:, 1], op))
     lengths = np.array([e.length for e in g.edges], dtype=np.float64)
-    return row_kind, row_next, slot_edge, slot_end, lengths
+    return tuple(plan), lengths
 
 
 def edge_basis_traces(lam, lengths, entire: bool = False):
@@ -106,63 +135,24 @@ def edge_basis_traces(lam, lengths, entire: bool = False):
     return out
 
 
-@lru_cache(maxsize=256)
-def _scatter_plan(row_kind, row_next, slot_edge, slot_end):
-    """Gather/scatter steps that fill flattened secular matrices.
-
-    Takes the structure arrays as tuples. A matrix is stored as a float row of
-    (real, imag) pairs, entry (r, c) at 2 (r m + c) + part; the trace tables
-    are stacked as (n, 8, E) and flattened to (n, 8 E). Each step is
-    (targets, sources, ufunc), applied as buf[:, t] = ufunc(buf[:, t],
-    tabs[:, s]), with no target twice in one step. Values go to the real part,
-    inward derivatives (times i) to the imaginary part, and a row's terms land
-    in the order a row-by-row complex assembly adds them, starting from zeros:
-    value(q) +, value(r) -, derivative(r), derivative(q). A loop edge puts two
-    terms into one entry. The +-0.0 that complex arithmetic adds to the other
-    part with each term cannot change a sum that started at +0.0 (for finite
-    traces), so dropping it keeps every rounding and signed zero the same.
-    """
-    m = len(row_kind)
-    ne = m // 2
-    steps = ([], [], [])
-
-    def add(step, r, slot, deriv):
-        e = slot_edge[slot]
-        table = 4 * slot_end[slot] + 2 * deriv
-        for b in range(2):
-            steps[step].append((2 * (r * m + 2 * e + b) + deriv,
-                                (table + b) * ne + e))
-
-    for r in range(m):
-        if row_kind[r] == KIND_COUPLED:
-            q = row_next[r]
-            add(0, r, q, deriv=0)
-            add(0, r, r, deriv=1)
-            add(1, r, r, deriv=0)  # the subtracted term
-            add(2, r, q, deriv=1)
-        elif row_kind[r] == KIND_NEUMANN:
-            add(0, r, r, deriv=1)
-        else:
-            add(0, r, r, deriv=0)
-    plan = []
-    for pairs, op in zip(steps, (np.add, np.subtract, np.add)):
-        idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        plan.append((idx[:, 0], idx[:, 1], op))
-    return tuple(plan)
-
-
-def build_matrix_grid_numpy(lams, row_kind, row_next, slot_edge, slot_end,
-                            lengths, entire: bool = False):
-    """Stack of secular matrices, shape (len(lams), 2E, 2E)."""
+def build_matrix_grid_numpy(lams, plan, entire: bool = False):
+    """Stack of secular matrices, shape (len(lams), 2E, 2E), laid out by the
+    graph's plan from `prepare_structure`."""
+    steps, lengths = plan
     lams = np.asarray(lams, dtype=float).reshape(-1)
-    n, m = lams.size, row_kind.size
+    n, m = lams.size, 2 * lengths.size
     tabs = np.stack(edge_basis_traces(lams, lengths, entire), axis=1).reshape(n, -1)
-    plan = _scatter_plan(tuple(row_kind.tolist()), tuple(row_next.tolist()),
-                         tuple(slot_edge.tolist()), tuple(slot_end.tolist()))
     buf = np.zeros((n, 2 * m * m))
-    for tgt, src, op in plan:
+    for tgt, src, op in steps:
         buf[:, tgt] = op(buf[:, tgt], tabs[:, src])
     return buf.view(np.complex128).reshape(n, m, m)
+
+
+def edge_builder(plan):
+    """The edge route's chunk builder for `scan_sigma`: the stack laid out by
+    the graph's plan, with no singular rows."""
+    return lambda part: (build_matrix_grid_numpy(part, plan),
+                         np.zeros(part.size, dtype=bool))
 
 
 def equilibrate_columns(mats):
@@ -197,19 +187,23 @@ def branch_svdvals(mats, lams):
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def scan_sigma(lams, row_kind, row_next, slot_edge, slot_end, lengths,
-               chunk: int = 2048):
-    """(sigma_min, sigma_max) over lams: batched SVDs over chunks of the
-    grid. Every row is computed on its own, so a lambda gets the same bytes
-    whatever else its call holds."""
+def scan_sigma(lams, build, chunk: int = SCAN_CHUNK):
+    """(sigma_min, sigma_max) over lams: batched SVDs over chunks of the grid.
+
+    build(part) gives the stack of secular matrices of a chunk and its (n,)
+    singular mask; masked rows hold no matrix and read inf. Every row is
+    computed on its own, so a lambda gets the same bytes whatever else its
+    call holds."""
     lams = np.asarray(lams, dtype=float)
-    smin = np.empty(lams.size)
-    smax = np.empty(lams.size)
+    smin = np.full(lams.size, np.inf)
+    smax = np.full(lams.size, np.inf)
     for lo in range(0, lams.size, chunk):
         part = lams[lo:lo + chunk]
-        mats = build_matrix_grid_numpy(part, row_kind, row_next,
-                                       slot_edge, slot_end, lengths)
+        mats, singular = build(part)
+        ok = np.flatnonzero(~singular)
+        if ok.size < part.size:
+            mats, part = mats[ok], part[ok]
         s = branch_svdvals(mats, part)
-        smin[lo:lo + chunk] = s[:, -1]
-        smax[lo:lo + chunk] = s[:, 0]
+        smin[lo + ok] = s[:, -1]
+        smax[lo + ok] = s[:, 0]
     return smin, smax

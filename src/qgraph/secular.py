@@ -3,15 +3,18 @@
 Two routes to the same zero set:
 
 * edge ansatz: unknowns are two solution-basis coefficients per edge, rows are
-  the vertex conditions. Entire in lambda, no poles, 2E x 2E.
+  the vertex conditions. Entire in lambda, no poles, 2E x 2E. A one-lambda
+  matrix is one row of `kernels.build_matrix_grid_numpy`, laid out by the
+  graph's edge plan.
 * Dirichlet-to-Neumann: unknowns are the endpoint traces, rows impose
   A F + i B M(lambda) F = 0 with M the per-edge DtN map. Undefined at the edge
   Dirichlet eigenvalues (nominal poles), useful as an independent cross-check.
   The DtN entries are written once, in `dtn_tables`: (n_lambda, E) tables of
   the diagonal and off-diagonal entries plus a per-lambda singular mask.
   `build_dtn_grid` lays a chunk of them into a stack of secular matrices from
-  a per-graph plan; `interval_dtn` and the one-lambda `build_secular_matrix`
-  are single rows of these.
+  the route's per-graph plan, `_dtn_plan`; it is the builder the one chunk
+  loop, `kernels.scan_sigma`, runs for this route. `interval_dtn` and the
+  one-lambda `build_secular_matrix` are single rows of these.
 
 Star graphs additionally admit closed product and reduced transcendental
 forms used for regression and fast sweeps.
@@ -123,8 +126,7 @@ def build_secular_matrix(g: MetricGraph, lam: float, method: str = "edge", *,
     The DtN matrix raises DtNSingular at the first edge with a pole at lam.
     """
     if method == "edge":
-        struct = prepare_structure(g)
-        return build_matrix_grid_numpy(np.array([lam]), *struct,
+        return build_matrix_grid_numpy(np.array([lam]), prepare_structure(g),
                                        entire=entire_basis)[0]
     if method == "dtn":
         mats, singular = build_dtn_grid(g, [lam])

@@ -9,16 +9,20 @@ minimum counts as an eigenvalue when sigma_min < rank_tol * sigma_max after
 refinement to |d lambda| < refine_tol. Eigenvalues closer to zero than
 zero_radius + refine_tol are indistinguishable from 0 and folded into it.
 
-Refinement is a golden-section search run in lockstep over all brackets of a
-branch: one batched sigma call per round, each bracket keeping the exact
-point sequence of its scalar search. Since a lambda's sigma does not depend
-on the batch around it, the refined lambdas are the same floats as with one
-search per candidate. Certification is one batched call over the candidates.
+Both branches go through one routine: a grid scan, bracketing of the
+sigma_min minima, and a golden-section search run in lockstep over all
+brackets of the branch: one batched sigma call per round, each bracket
+keeping the exact point sequence of its scalar search. Since a lambda's
+sigma does not depend on the batch around it, the refined lambdas are the
+same floats as with one search per candidate. Certification is one batched
+call over the candidates.
 
-Both routes evaluate a batch in chunks: the edge route through the kernels
-scan, the DtN route by `secular.build_dtn_grid`, one stack of matrices per
-chunk and one batched SVD over its rows off the singular mask. A lambda on
-an edge's Dirichlet spectrum has no DtN matrix and reads inf.
+Every batch goes through the one chunk loop, `kernels.scan_sigma`, with the
+route's builder: the graph's edge plan from `kernels.prepare_structure`, or
+`secular.build_dtn_grid`. A lambda on an edge's Dirichlet spectrum has no
+DtN matrix and reads inf. A DtN candidate where some edge's off-diagonal
+DtN entry exceeds 1e6 max(1, sqrt|lambda|) sits on such a pole; it is
+reported as a DtNPole diagnostic, not certified.
 """
 
 from __future__ import annotations
@@ -32,18 +36,13 @@ import numpy as np
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import END, BoundaryType, MetricGraph, START
-from .kernels import (branch_svdvals, edge_basis_traces, equilibrate_columns,
-                      prepare_structure, scan_sigma)
-from .secular import build_dtn_grid, build_secular_matrix
+from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
+                      equilibrate_columns, prepare_structure, scan_sigma)
+from .secular import build_dtn_grid, build_secular_matrix, dtn_tables
 
 ZERO_RADIUS = 1e-7
 _KAPPA_FLOOR = 1e-4
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-# lambdas per batched DtN build and SVD. Larger chunks run no faster, and at
-# 2048 (the edge scan's chunk) the freed MB-sized arrays raise glibc's
-# dynamic mmap threshold, so later allocations land on the heap and the
-# process's peak RSS grows; 512 keeps it near the per-lambda loop's.
-_DTN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -120,22 +119,11 @@ def _svdvals(mat, lam):
 
 
 def _sigma_grid(g, struct, lams, method):
-    """(sigma_min, sigma_max) arrays over lams; DtN-singular points read inf."""
-    lams = np.asarray(lams, dtype=float)
+    """(sigma_min, sigma_max) arrays over lams; DtN-singular points read inf.
+    `struct` is the graph's edge plan; the DtN route builds from its own."""
     if method == "edge":
-        return scan_sigma(lams, *struct)
-    smin = np.full(lams.size, np.inf)
-    smax = np.full(lams.size, np.inf)
-    for lo in range(0, lams.size, _DTN_CHUNK):
-        part = lams[lo:lo + _DTN_CHUNK]
-        mats, singular = build_dtn_grid(g, part)
-        ok = np.flatnonzero(~singular)
-        if not ok.size:
-            continue
-        s = branch_svdvals(mats[ok], part[ok])
-        smin[lo + ok] = s[:, -1]
-        smax[lo + ok] = s[:, 0]
-    return smin, smax
+        return scan_sigma(lams, edge_builder(struct))
+    return scan_sigma(lams, lambda part: build_dtn_grid(g, part))
 
 
 def _golden_min(fn, a, b, tol):
@@ -197,42 +185,41 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     candidates = []  # (lambda, grid step in lambda near it)
     scale_ref = 0.0  # typical sigma_max over the scanned grids
 
-    def smin_at(lams):
-        return _sigma_grid(g, struct, lams, method)[0]
+    def scan_branch(a, b, step, lam_of, tol_of, slope):
+        """Scan a uniform grid in x over [a, b] at lambda = lam_of(x), refine
+        its sigma_min minima to the x-tolerances tol_of(x) and add them to the
+        candidates with the grid's lambda step there, |d lambda/dx| = slope(x)
+        times the x step. A grid without a finite point (all DtN-singular)
+        leaves its middle point to the pole check."""
+        nonlocal scale_ref
+        n = max(3, int(math.ceil((b - a) / step)) + 1)
+        xs = np.linspace(a, b, n)
+        smin, smax = _sigma_grid(g, struct, lam_of(xs), method)
+        finite = smax[np.isfinite(smax)]
+        if finite.size:
+            scale_ref = max(scale_ref, float(np.median(finite)))
+            idx = np.array(_bracket_minima(xs, smin), dtype=np.intp)
+            x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t),
+                                                  method)[0],
+                            xs[np.maximum(idx - 1, 0)],
+                            xs[np.minimum(idx + 1, n - 1)], tol_of(xs[idx]))
+        else:
+            idx = np.array([n // 2])
+            x = xs[idx]
+        candidates.extend(zip(lam_of(x), slope(xs[idx]) * (xs[1] - xs[0])))
 
-    # negative part, scanned in kappa
-    if lo < -ZERO_RADIUS:
+    if lo < -ZERO_RADIUS:  # negative part, scanned in kappa
         k_lo = math.sqrt(-min(hi, 0.0)) if hi < 0 else _KAPPA_FLOOR
         k_hi = math.sqrt(-lo)
         if k_hi > k_lo:
-            n = max(3, int(math.ceil((k_hi - k_lo) / kappa_step)) + 1)
-            kgrid = np.linspace(k_lo, k_hi, n)
-            smin, smax = _sigma_grid(g, struct, -kgrid ** 2, method)
-            finite = smax[np.isfinite(smax)]
-            if finite.size:  # none when every point is DtN-singular
-                scale_ref = max(scale_ref, float(np.median(finite)))
-            idx = np.array(_bracket_minima(kgrid, smin), dtype=np.intp)
-            tol_k = np.maximum(refine_tol / (2.0 * np.maximum(kgrid[idx], 0.05)),
-                               1e-15)
-            ks = _golden_min(lambda k: smin_at(-k * k),
-                             kgrid[np.maximum(idx - 1, 0)],
-                             kgrid[np.minimum(idx + 1, n - 1)], tol_k)
-            lam_steps = 2.0 * kgrid[idx] * (kgrid[1] - kgrid[0])
-            candidates += zip(-ks * ks, lam_steps)
-
-    # positive part, scanned in lambda
-    if hi > ZERO_RADIUS:
-        p_lo = max(lo, ZERO_RADIUS)
-        n = max(3, int(math.ceil((hi - p_lo) / step_pos)) + 1)
-        pgrid = np.linspace(p_lo, hi, n)
-        smin, smax = _sigma_grid(g, struct, pgrid, method)
-        finite = smax[np.isfinite(smax)]
-        if finite.size:  # none when every point is DtN-singular
-            scale_ref = max(scale_ref, float(np.median(finite)))
-        idx = np.array(_bracket_minima(pgrid, smin), dtype=np.intp)
-        ls = _golden_min(smin_at, pgrid[np.maximum(idx - 1, 0)],
-                         pgrid[np.minimum(idx + 1, n - 1)], refine_tol)
-        candidates += ((lam, pgrid[1] - pgrid[0]) for lam in ls)
+            scan_branch(
+                k_lo, k_hi, kappa_step, lambda k: -k * k,
+                lambda k: np.maximum(refine_tol / (2.0 * np.maximum(k, 0.05)),
+                                     1e-15),
+                lambda k: 2.0 * k)
+    if hi > ZERO_RADIUS:  # positive part, scanned in lambda
+        scan_branch(max(lo, ZERO_RADIUS), hi, step_pos, lambda x: x,
+                    lambda x: refine_tol, np.ones_like)
 
     # certify candidates; a collapse of sigma_max against the grid-typical
     # scale means the whole matrix vanished (eigenvalue of full multiplicity
@@ -244,15 +231,21 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     cands = [(lam, grid_step) for lam, grid_step in sorted(candidates)
              if abs(lam) > ZERO_RADIUS + refine_tol
              and lo - refine_tol <= lam <= hi + refine_tol]
-    sms, sxs = _sigma_grid(g, struct, [lam for lam, _ in cands], method)
+    cand_lams = np.array([lam for lam, _ in cands], dtype=float)
+    sms, sxs = _sigma_grid(g, struct, cand_lams, method)
+    # interval-Dirichlet pole of the DtN map: entries blow up like 1/dist,
+    # the rank ratio under-reads, and any eigenvalue hiding here cannot be
+    # certified on this route (the edge method can)
+    pole = np.zeros(len(cands), dtype=bool)
+    if method == "dtn":
+        lengths = [e.length for e in g.edges]
+        off = np.abs(dtn_tables(cand_lams, lengths)[1]).max(axis=1)
+        pole = ~np.isfinite(sxs) | (off > 1e6 * np.maximum(
+            1.0, np.sqrt(np.abs(cand_lams))))
     accepted = []
     diagnostics = []
-    for (lam, grid_step), sm, sx in zip(cands, sms, sxs):
-        if method == "dtn" and (not np.isfinite(sx)
-                                or sx > 1e6 * max(scale_ref, 1.0)):
-            # interval-Dirichlet pole of the DtN map: entries blow up like
-            # 1/dist, the rank ratio under-reads, and any eigenvalue hiding
-            # here cannot be certified on this route (the edge method can)
+    for (lam, grid_step), sm, sx, at_pole in zip(cands, sms, sxs, pole):
+        if at_pole:
             diagnostics.append(f"DtNPole(lambda={lam:.12g})")
             continue
         if sm < rank_tol * sx or sx < rank_tol * scale_ref:

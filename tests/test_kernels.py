@@ -1,5 +1,6 @@
-"""Scan kernels: basis switching, byte identity of the vectorized assembly,
-equilibration and per-row sigma identity of the scan."""
+"""Scan kernels: the per-graph edge plan, basis switching, byte identity of
+the vectorized assembly, equilibration and per-row sigma identity of the
+scan."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qgraph.graph import (
+    END,
     BoundaryType,
     make_cycle,
     make_figure8,
@@ -14,10 +16,10 @@ from qgraph.graph import (
     make_star,
 )
 from qgraph.kernels import (
-    KIND_COUPLED,
-    KIND_NEUMANN,
+    SCAN_CHUNK,
     build_matrix_grid_numpy,
     edge_basis_traces,
+    edge_builder,
     equilibrate_columns,
     prepare_structure,
     scan_sigma,
@@ -27,22 +29,24 @@ from qgraph.secular import build_secular_matrix
 
 class TestPrepareStructure:
     def test_layout(self, star3):
-        row_kind, row_next, slot_edge, slot_end, lengths = prepare_structure(star3)
-        assert row_kind.shape == (6,)
+        # the plan lays every chunk of traces into the matrices the vertex
+        # conditions give, touching no target twice within a step
+        steps, lengths = prepare_structure(star3)
         assert lengths.tolist() == [1.0, 1.0, 1.0]
-        # center slots are coupled and cycle through each other
-        center = [star3.slot_index[(f"e{j}", "start")] for j in (1, 2, 3)]
-        for i, r in enumerate(center):
-            assert row_kind[r] == 0
-            assert row_next[r] == center[(i + 1) % 3]
-        # tip rows point at themselves
-        for j in (1, 2, 3):
-            r = star3.slot_index[(f"e{j}", "end")]
-            assert row_kind[r] == 1
-            assert row_next[r] == r
+        for tgt, src, op in steps:
+            assert np.unique(tgt).size == tgt.size
+            assert 0 <= tgt.min() and tgt.max() < 2 * 6 * 6
+            assert 0 <= src.min() and src.max() < 8 * 3
+        got = build_matrix_grid_numpy(BYTE_GRID, prepare_structure(star3))
+        assert got.tobytes() == reference_matrix_grid(star3, BYTE_GRID).tobytes()
 
     def test_cached(self, star3):
+        # one plan per graph: an equal graph shares it, another has its own
         assert prepare_structure(star3) is prepare_structure(star3)
+        assert prepare_structure(make_star([1.0, 1.0, 1.0])) is \
+            prepare_structure(star3)
+        assert prepare_structure(make_star([1.0, 0.7, 1.3])) is not \
+            prepare_structure(star3)
 
 
 class TestBasisTraces:
@@ -79,17 +83,21 @@ class TestBasisTraces:
         struct = prepare_structure(g)
         lam = -3.876230573048294
         for entire in (False, True):
-            mats = build_matrix_grid_numpy([lam], *struct, entire=entire)
+            mats = build_matrix_grid_numpy([lam], struct, entire=entire)
             s = np.linalg.svd(mats[0], compute_uv=False)
             colmax = np.abs(mats[0]).max(axis=0)
             s_eq = np.linalg.svd(mats[0] / colmax, compute_uv=False)
             assert s_eq[-1] < 1e-8 * s_eq[0], f"entire={entire}"
 
 
-def reference_matrix_grid(lams, row_kind, row_next, slot_edge, slot_end,
-                          lengths, entire=False):
-    """Row-by-row complex assembly from one scalar trace call per lambda."""
-    n, m = len(lams), row_kind.size
+def reference_matrix_grid(g, lams, entire=False):
+    """Row-by-row complex assembly, read off the graph's vertex orders, from
+    one scalar trace call per lambda. The row of endpoint p at a coupled
+    vertex of degree >= 2, followed by q in the vertex's cyclic order, is
+    F(q) - F(p) + i (F'(p) + F'(q)); any other row is i F'(p) (Neumann, or
+    a coupled vertex of degree 1) or F(p) (Dirichlet)."""
+    lengths = np.array([e.length for e in g.edges])
+    n, m = len(lams), 2 * g.num_edges
     tabs = np.empty((8, n, lengths.size))
     for i, lam in enumerate(lams):
         for t, arr in enumerate(edge_basis_traces(lam, lengths, entire)):
@@ -97,40 +105,41 @@ def reference_matrix_grid(lams, row_kind, row_next, slot_edge, slot_end,
     f10, f20, d10, d20, f1l, f2l, d1l, d2l = tabs
     out = np.zeros((n, m, m), dtype=np.complex128)
 
-    def tr(slot):
-        e = slot_edge[slot]
-        if slot_end[slot]:
+    def tr(ref):
+        e = g.edge_index[ref[0]]
+        if ref[1] == END:
             return e, f1l[:, e], f2l[:, e]
         return e, f10[:, e], f20[:, e]
 
-    def dv(slot):
-        e = slot_edge[slot]
-        if slot_end[slot]:
+    def dv(ref):
+        e = g.edge_index[ref[0]]
+        if ref[1] == END:
             return e, d1l[:, e], d2l[:, e]
         return e, d10[:, e], d20[:, e]
 
-    for r in range(m):
-        kind = row_kind[r]
-        if kind == KIND_COUPLED:
-            q = row_next[r]
-            e, t1, t2 = tr(q)
-            out[:, r, 2 * e] += t1
-            out[:, r, 2 * e + 1] += t2
-            e, t1, t2 = tr(r)
-            out[:, r, 2 * e] -= t1
-            out[:, r, 2 * e + 1] -= t2
-            for slot in (r, q):
-                e, g1, g2 = dv(slot)
+    for v in g.sorted_vertices:
+        for j, p in enumerate(v.order):
+            r = g.slot_index[p]
+            if v.bc is BoundaryType.COUPLED and v.degree >= 2:
+                q = v.order[(j + 1) % v.degree]
+                e, t1, t2 = tr(q)
+                out[:, r, 2 * e] += t1
+                out[:, r, 2 * e + 1] += t2
+                e, t1, t2 = tr(p)
+                out[:, r, 2 * e] -= t1
+                out[:, r, 2 * e + 1] -= t2
+                for ref in (p, q):
+                    e, g1, g2 = dv(ref)
+                    out[:, r, 2 * e] += 1j * g1
+                    out[:, r, 2 * e + 1] += 1j * g2
+            elif v.bc is BoundaryType.DIRICHLET:
+                e, t1, t2 = tr(p)
+                out[:, r, 2 * e] += t1
+                out[:, r, 2 * e + 1] += t2
+            else:
+                e, g1, g2 = dv(p)
                 out[:, r, 2 * e] += 1j * g1
                 out[:, r, 2 * e + 1] += 1j * g2
-        elif kind == KIND_NEUMANN:
-            e, g1, g2 = dv(r)
-            out[:, r, 2 * e] += 1j * g1
-            out[:, r, 2 * e + 1] += 1j * g2
-        else:
-            e, t1, t2 = tr(r)
-            out[:, r, 2 * e] += t1
-            out[:, r, 2 * e + 1] += t2
     return out
 
 
@@ -158,9 +167,9 @@ class TestByteIdentity:
     @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
                                                     "cycle1", "path3"])
     def test_matrices(self, g, entire):
-        struct = prepare_structure(g)
-        got = build_matrix_grid_numpy(BYTE_GRID, *struct, entire=entire)
-        ref = reference_matrix_grid(BYTE_GRID, *struct, entire=entire)
+        got = build_matrix_grid_numpy(BYTE_GRID, prepare_structure(g),
+                                      entire=entire)
+        ref = reference_matrix_grid(g, BYTE_GRID, entire=entire)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
@@ -195,7 +204,7 @@ class TestEquilibration:
     @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
                                                     "cycle1", "path3"])
     def test_matches_former_copies(self, g):
-        mats = build_matrix_grid_numpy(BYTE_GRID, *prepare_structure(g))
+        mats = build_matrix_grid_numpy(BYTE_GRID, prepare_structure(g))
         # a zero column, signed zeros included, must stay zero
         mats[:3, :, 1] = np.array([0.0, -0.0]).repeat(mats.shape[1] // 2)
         scaled, scales = equilibrate_columns(mats)
@@ -216,29 +225,43 @@ class TestPerRowIdentity:
     @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
                                                     "cycle1", "path3"])
     def test_alone_mixed_and_positive_batches(self, g):
-        struct = prepare_structure(g)
+        build = edge_builder(prepare_structure(g))
         lams = np.array([-30.0, -4.2, -0.3, 0.0, 0.7, 9.5, 40.0])
-        mixed = scan_sigma(lams, *struct)
+        mixed = scan_sigma(lams, build)
         pos = lams > 0.0
-        positive = scan_sigma(lams[pos], *struct)
+        positive = scan_sigma(lams[pos], build)
         # a chunk boundary splits the batch in the middle
-        chunked = scan_sigma(lams, *struct, chunk=3)
+        chunked = scan_sigma(lams, build, chunk=3)
         for i, lam in enumerate(lams):
-            alone = scan_sigma(np.array([lam]), *struct)
+            alone = scan_sigma(np.array([lam]), build)
             for j in range(2):
                 assert alone[j].tobytes() == mixed[j][i:i + 1].tobytes()
                 assert alone[j].tobytes() == chunked[j][i:i + 1].tobytes()
         for j in range(2):
             assert positive[j].tobytes() == mixed[j][pos].tobytes()
 
+    @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
+                                                    "cycle1", "path3"])
+    def test_long_batch_matches_one_at_a_time(self, g):
+        build = edge_builder(prepare_structure(g))
+        lams = np.linspace(-16.0, 45.0, 2 * SCAN_CHUNK + 37)
+        # lambda = 0 and pi^2, a Dirichlet eigenvalue of the unit edges, on
+        # both sides of the first chunk boundary
+        lams[SCAN_CHUNK - 1:SCAN_CHUNK + 3] = [math.pi**2, 0.0,
+                                               math.pi**2 + 1e-14, -1e-7]
+        smin, smax = scan_sigma(lams, build)
+        alone = [scan_sigma([lam], build) for lam in lams]
+        assert smin.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+        assert smax.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+        assert np.isfinite(smin).all() and np.isfinite(smax).all()
+
     def test_negative_rows_equilibrated_positive_rows_raw(self, star3):
-        struct = prepare_structure(star3)
         lams = np.array([-9.0, -1.0, 0.0, 2.0, 20.0])
-        mats = build_matrix_grid_numpy(lams, *struct)
+        mats = build_matrix_grid_numpy(lams, prepare_structure(star3))
         eq, _ = equilibrate_columns(mats)
         ref = np.linalg.svd(np.where((lams < 0.0)[:, None, None], eq, mats),
                             compute_uv=False)
-        smin, smax = scan_sigma(lams, *struct)
+        smin, smax = scan_sigma(lams, edge_builder(prepare_structure(star3)))
         assert smin.tobytes() == ref[:, -1].tobytes()
         assert smax.tobytes() == ref[:, 0].tobytes()
 
@@ -247,15 +270,14 @@ class TestScanAgreement:
     def test_matches_single_matrix_builder(self, star3):
         struct = prepare_structure(star3)
         for lam in (-4.0, 0.0, 2.5):
-            grid = build_matrix_grid_numpy([lam], *struct)[0]
+            grid = build_matrix_grid_numpy([lam], struct)[0]
             single = build_secular_matrix(star3, lam, "edge")
             assert np.allclose(grid, single, atol=1e-14)
 
     def test_positive_branch_not_normalized(self):
         # a one-edge cycle collapses the whole matrix at (2 pi n)^2; the scan
         # must report a small sigma_max there, not a normalized one
-        g = make_cycle([1.0])
-        struct = prepare_structure(g)
         lam = np.array([4 * math.pi**2])
-        _, mx = scan_sigma(lam, *struct)
+        plan = prepare_structure(make_cycle([1.0]))
+        _, mx = scan_sigma(lam, edge_builder(plan))
         assert mx[0] < 1e-7

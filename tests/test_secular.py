@@ -17,7 +17,7 @@ from qgraph.graph import (
     make_path,
     make_star,
 )
-from qgraph.kernels import equilibrate_columns, prepare_structure
+from qgraph.kernels import SCAN_CHUNK, equilibrate_columns, prepare_structure
 from qgraph.secular import (
     _POLE_TOL,
     build_dtn_grid,
@@ -30,7 +30,7 @@ from qgraph.secular import (
     star_secular_reduced,
     star_reduced_positive_dirichlet,
 )
-from qgraph.solve import _DTN_CHUNK, _sigma_grid
+from qgraph.solve import _sigma_grid
 
 COTH1 = 1.3130352854993312  # coth(1)
 CSCH1 = 0.8509181282393216  # 1/sinh(1)
@@ -238,9 +238,9 @@ class TestDtnByteIdentity:
     def test_long_batch_matches_one_at_a_time(self, name):
         g = DTN_GRAPHS[name]
         struct = prepare_structure(g)
-        lams = np.linspace(-16.0, 45.0, 2 * _DTN_CHUNK + 37)
+        lams = np.linspace(-16.0, 45.0, 2 * SCAN_CHUNK + 37)
         # a pole and lambda = 0 on both sides of the first chunk boundary
-        lams[_DTN_CHUNK - 1:_DTN_CHUNK + 3] = [PI2, 0.0, POLE_IN, -1e-7]
+        lams[SCAN_CHUNK - 1:SCAN_CHUNK + 3] = [PI2, 0.0, POLE_IN, -1e-7]
         smin, smax = _sigma_grid(g, struct, lams, "dtn")
         alone = [_sigma_grid(g, struct, [lam], "dtn") for lam in lams]
         assert smin.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()

@@ -207,6 +207,23 @@ class TestDualRoute:
             warnings.simplefilter("error")
             spec = find_spectrum(g, (PI2, PI2), method="dtn")
         assert spec.window == (PI2, PI2)
+        # the grid's middle point is left to the pole check, not dropped
+        assert spec.records == []
+        assert spec.diagnostics == [f"DtNPole(lambda={PI2:.12g})"]
+
+    @pytest.mark.parametrize("half", [1e-3, 0.1, 1.0])
+    def test_narrow_window_around_pole_is_flagged(self, half):
+        # the median sigma_max of a narrow window around the pole is large,
+        # yet far below the candidates'; the pole test reads the DtN entries
+        # at each candidate, so both flanks of the pole are flagged, not
+        # reported as two roots closer than the scan step
+        g = make_star([1.0, 0.7, 1.3])
+        window = (PI2 - half, PI2 + half)
+        spec = find_spectrum(g, window, "dtn")
+        assert spec.records == []
+        assert len(spec.diagnostics) == 2
+        assert all(d.startswith("DtNPole") for d in spec.diagnostics)
+        check(find_spectrum(g, window, "edge"), [(PI2, 1)])
 
     @pytest.mark.parametrize("method", ["edge", "dtn"])
     def test_one_matrix_svdvals_match_former_form(self, method):
