@@ -1,9 +1,12 @@
-"""Hot kernels: secular matrix assembly and sigma_min scans over lambda grids.
+"""Hot kernels: secular matrix assembly and sigma_min scans over lambdas.
 
-`scan_sigma` is the one loop that turns a lambda grid into sigmas, for both
+`scan_sigma` is the one loop that turns lambdas into sigmas, for both
 routes: it asks the route's builder for one stack of matrices per chunk of
-the grid, runs one batched SVD over the rows off the builder's singular mask
-and leaves inf in the others. It returns (sigma_min, sigma_max) arrays.
+the lambdas, runs one batched SVD over the rows off the builder's singular
+mask and leaves inf in the others. It returns (sigma_min, sigma_max) arrays.
+The lambdas need not be a grid: find_spectrum passes only the grid points
+that exact eigenvalue counts leave open (`secular.count_below`), then the
+refinement and certification points.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (n_lambda, E) trace tables of a chunk,
@@ -188,7 +191,7 @@ def branch_svdvals(mats, lams):
 
 
 def scan_sigma(lams, build, chunk: int = SCAN_CHUNK):
-    """(sigma_min, sigma_max) over lams: batched SVDs over chunks of the grid.
+    """(sigma_min, sigma_max) over lams: batched SVDs over chunks of lams.
 
     build(part) gives the stack of secular matrices of a chunk and its (n,)
     singular mask; masked rows hold no matrix and read inf. Every row is

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import null_space
 
 from .errors import NotInDomain, QGraphError
 from .graph import END, BoundaryType, MetricGraph, START
@@ -94,6 +95,42 @@ def _vertex_pair_term(fv: np.ndarray, gv: np.ndarray) -> complex:
             sign = -1.0 if (j + k) % 2 else 1.0  # (-1)^(j+k), 0-based == 1-based parity
             total += sign * (fv[k] * np.conj(gv[j]) - fv[j] * np.conj(gv[k]))
     return 1j * total
+
+
+def vertex_form_matrix(g: MetricGraph) -> np.ndarray:
+    """Hermitian H over global slots with G* H F the sum of the vertex terms
+    of `form_value`, read off `_vertex_pair_term` on unit trace vectors:
+    H[s_j, s_k] = i (-1)^(j+k) for j > k at each coupled vertex of degree
+    >= 2, s_j the slot of its j-th endpoint."""
+    m = 2 * g.num_edges
+    h = np.zeros((m, m), dtype=complex)
+    for v in g.vertices:
+        if v.bc is BoundaryType.COUPLED and v.degree >= 2:
+            slots = [g.slot_index[ref] for ref in v.order]
+            unit = np.eye(v.degree)
+            h[np.ix_(slots, slots)] = [[_vertex_pair_term(unit[k], unit[j])
+                                        for k in range(v.degree)]
+                                       for j in range(v.degree)]
+    return h
+
+
+def form_domain_basis(g: MetricGraph) -> np.ndarray:
+    """Orthonormal basis, as columns, of the trace vectors the form domain
+    allows: zero at Dirichlet tips, zero alternating sum at even coupled
+    vertices (the constraints `check_domain` tests)."""
+    m = 2 * g.num_edges
+    rows = []
+    for v in g.vertices:
+        slots = [g.slot_index[ref] for ref in v.order]
+        if v.bc is BoundaryType.DIRICHLET:
+            rows.append(np.eye(m)[slots[0]])
+        elif v.bc is BoundaryType.COUPLED and v.degree % 2 == 0:
+            row = np.zeros(m)
+            row[slots] = [(-1) ** j for j in range(v.degree)]
+            rows.append(row)
+    if not rows:
+        return np.eye(m)
+    return null_space(np.array(rows))
 
 
 def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,

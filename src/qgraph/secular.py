@@ -16,6 +16,20 @@ Two routes to the same zero set:
   loop, `kernels.scan_sigma`, runs for this route. `interval_dtn` and the
   one-lambda `build_secular_matrix` are single rows of these.
 
+The same tables give exact eigenvalue counts, `count_below`: N(lambda), the
+number of eigenvalues below lambda with multiplicity, is
+N_D(lambda) + n_-(Q(lambda)). N_D counts the edge Dirichlet eigenvalues
+(n pi / l_e)^2 below lambda and n_- the negative eigenvalues of
+Q(lambda) = P* (H - M(lambda)) P, with H the Hermitian vertex term of the
+form (`quadform.vertex_form_matrix`) and P an orthonormal basis of the
+form-domain traces (`quadform.form_domain_basis`). Off the edge Dirichlet
+spectrum the form h - lambda splits orthogonally into its parts on the
+edgewise H^1_0 functions and on the lambda-harmonic extensions of the traces,
+where integration by parts leaves F* (H - M) F: the Dirichlet-to-Neumann
+counting argument of L. Friedlander (Arch. Rational Mech. Anal. 116, 1991),
+in the quantum-graph form of Berkolaiko & Kuchment, Introduction to Quantum
+Graphs (AMS, 2013).
+
 Star graphs additionally admit closed product and reduced transcendental
 forms used for regression and fast sweeps.
 """
@@ -31,8 +45,15 @@ from .coupling import assemble_blocks
 from .errors import DtNSingular
 from .graph import END, MetricGraph, START
 from .kernels import build_matrix_grid_numpy, prepare_structure
+from .quadform import form_domain_basis, vertex_form_matrix
 
 _POLE_TOL = 1e-13
+# A count is trusted when the smallest |eigenvalue| of Q clears eigvalsh's
+# backward error: the computed eigenvalues are exact for a Hermitian matrix
+# within a small multiple of r * eps * ||Q||_2 of Q (r its order, ||Q||_2 its
+# largest |eigenvalue|), so one below that may carry either sign. This is
+# the multiple.
+_COUNT_TRUST = 10.0
 
 
 def dtn_tables(lams, lengths):
@@ -114,6 +135,47 @@ def build_dtn_grid(g: MetricGraph, lams):
     dtn[:, end, start] += off
     dtn[:, end, end] += diag
     return a + 1j * (b @ dtn), singular
+
+
+@lru_cache(maxsize=256)
+def _count_plan(g: MetricGraph):
+    """Per-graph constants of `count_below`: P* H P; the (E, r, r) stacks
+    p_s p_s^T + p_e p_e^T and p_s p_e^T + p_e p_s^T that P* M P takes per
+    unit diagonal and off-diagonal DtN entry of each edge, p_s and p_e the
+    rows of P at the edge's start and end slots; and the edge lengths."""
+    _, _, start, end, lengths = _dtn_plan(g)
+    p = form_domain_basis(g)
+    ps, pe = p[start][:, :, None], p[end][:, :, None]
+    ps_t, pe_t = ps.transpose(0, 2, 1), pe.transpose(0, 2, 1)
+    return (p.T @ vertex_form_matrix(g) @ p, ps * ps_t + pe * pe_t,
+            ps * pe_t + pe * ps_t, lengths)
+
+
+def count_below(g: MetricGraph, lams):
+    """Exact eigenvalue counts N(lambda) = N_D(lambda) + n_-(Q(lambda)) (see
+    the module docstring), with one batched eigvalsh over the lambdas.
+
+    Returns (counts, trusted): an (n,) integer array and an (n,) mask. A
+    count is trusted off the singular mask of `dtn_tables` and when no
+    eigenvalue of Q lies within _COUNT_TRUST * r * eps * max |eigenvalue| of
+    zero; an untrusted one sits on, or within rounding of, an edge Dirichlet
+    eigenvalue or an eigenvalue of the graph.
+    """
+    hp, dterm, oterm, lengths = _count_plan(g)
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    diag, off, singular = dtn_tables(lams, lengths)
+    r = hp.shape[0]
+    m = (diag @ dterm.reshape(lengths.size, -1)
+         + off @ oterm.reshape(lengths.size, -1)).reshape(lams.size, r, r)
+    mu = np.linalg.eigvalsh(hp - m)
+    k = np.sqrt(np.maximum(lams, 0.0))[:, None]
+    n_dirichlet = np.maximum(np.ceil(k * lengths / np.pi) - 1.0, 0.0).sum(axis=1)
+    counts = n_dirichlet.astype(np.intp) + (mu < 0.0).sum(axis=1)
+    size = np.abs(mu)
+    trusted = ~singular & (size.min(axis=1, initial=np.inf) > _COUNT_TRUST * r
+                           * np.finfo(float).eps
+                           * size.max(axis=1, initial=0.0))
+    return counts, trusted
 
 
 def build_secular_matrix(g: MetricGraph, lam: float, method: str = "edge", *,

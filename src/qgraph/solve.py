@@ -1,28 +1,41 @@
-"""Spectrum search: grid scan of sigma_min, golden-section refinement,
+"""Spectrum search: count-guided sigma_min scan, golden-section refinement,
 rank-based multiplicities, eigenfunction recovery.
 
 Conventions: windows are closed intervals in lambda. Negative parts are
-scanned uniformly in kappa = sqrt(-lambda) (default step 1e-3), positive
-parts uniformly in lambda (default step min(0.01, (pi/L)^2/50)). lambda = 0
-is always tested explicitly from the {1, x} solution basis. A located
-minimum counts as an eigenvalue when sigma_min < rank_tol * sigma_max after
-refinement to |d lambda| < refine_tol. Eigenvalues closer to zero than
-zero_radius + refine_tol are indistinguishable from 0 and folded into it.
+scanned on a grid uniform in kappa = sqrt(-lambda) (default step 1e-3),
+positive parts on a grid uniform in lambda (default step
+min(0.01, (pi/L)^2/50)). lambda = 0 is always tested explicitly from the
+{1, x} solution basis. A located minimum counts as an eigenvalue when
+sigma_min < rank_tol * sigma_max after refinement to |d lambda| <
+refine_tol. Eigenvalues closer to zero than zero_radius + refine_tol are
+indistinguishable from 0 and folded into it.
 
-Both branches go through one routine: a grid scan, bracketing of the
-sigma_min minima, and a golden-section search run in lockstep over all
-brackets of the branch: one batched sigma call per round, each bracket
-keeping the exact point sequence of its scalar search. Since a lambda's
-sigma does not depend on the batch around it, the refined lambdas are the
-same floats as with one search per candidate. Certification is one batched
-call over the candidates.
+Both branches go through one routine. The exact counts of
+`secular.count_below` pick the grid points it evaluates: grid-index cells
+are bisected in lockstep from the two grid ends, one count call per round,
+and a cell is split while its end counts differ or either end count is
+untrusted. A cell with equal trusted counts holds no eigenvalue, so sigma is
+evaluated only around the cells left at width one (padded by _PAD points)
+and at the two points of each grid end, in one call. The sigma_min minima
+of those points whose neighbours were evaluated are bracketed, and a
+golden-section search runs in lockstep over all brackets of the branch: one
+batched sigma call per round, each bracket keeping the exact point sequence
+of its scalar search. A lambda's sigma does not depend on the batch around
+it, and a bracket [xs[i-1], xs[i+1]] is the same pair of floats as on the
+full grid, so the refined lambdas are the same floats as a full-grid scan
+with one search per candidate gives. Certification is one batched call over
+the candidates.
 
 Every batch goes through the one chunk loop, `kernels.scan_sigma`, with the
 route's builder: the graph's edge plan from `kernels.prepare_structure`, or
 `secular.build_dtn_grid`. A lambda on an edge's Dirichlet spectrum has no
 DtN matrix and reads inf. A DtN candidate where some edge's off-diagonal
 DtN entry exceeds 1e6 max(1, sqrt|lambda|) sits on such a pole; it is
-reported as a DtNPole diagnostic, not certified.
+reported as a DtNPole diagnostic, not certified. Last, the window is
+checked for completeness against the trusted count N(hi+) - N(lo-), with
+the probes nudged just outside the window: it must equal the certified
+multiplicities, up to the at most 2E eigenvalues each DtNPole may hide.
+Otherwise a CountMismatch diagnostic says so.
 """
 
 from __future__ import annotations
@@ -38,9 +51,16 @@ from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import END, BoundaryType, MetricGraph, START
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
                       equilibrate_columns, prepare_structure, scan_sigma)
-from .secular import build_dtn_grid, build_secular_matrix, dtn_tables
+from .secular import (build_dtn_grid, build_secular_matrix, count_below,
+                      dtn_tables)
 
 ZERO_RADIUS = 1e-7
+# grid points evaluated on each side of a cell whose counts could not settle
+# it. An accepted minimum at grid index i has its root within the refinement
+# tolerance of its bracket [xs[i-1], xs[i+1]], so the unsettled cell holding
+# the root ends at most one point outside the bracket; two points of padding
+# evaluate i and both its neighbours.
+_PAD = 2
 _KAPPA_FLOOR = 1e-4
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -102,14 +122,17 @@ def default_positive_step(g: MetricGraph) -> float:
 
 
 def default_negative_floor(g: MetricGraph) -> float:
-    """Heuristic lower end of the negative window: -(2 * max degree)^2.
-
-    The coupling strength grows with vertex degree; empirically all negative
-    eigenvalues of coupled/Neumann graphs sit well above this. Overridable
-    everywhere it is used.
+    """Lower end of the negative window, below every eigenvalue: -d^2, with
+    d = 2 * max degree doubled until the exact count N(-d^2) is a trusted 0.
+    Overridable everywhere it is used.
     """
-    dmax = max(v.degree for v in g.vertices)
-    return -float((2 * dmax) ** 2)
+    d = 2 * max(v.degree for v in g.vertices)
+    while True:
+        floor = -float(d * d)
+        count, trusted = count_below(g, [floor])
+        if trusted[0] and count[0] == 0:
+            return floor
+        d *= 2
 
 
 def _svdvals(mat, lam):
@@ -160,9 +183,44 @@ def _golden_min(fn, a, b, tol):
     return (a + b) / 2.0
 
 
+def _scan_points(g, lams):
+    """Sorted indices of the grid points of lams whose sigma the branch scan
+    evaluates.
+
+    Grid-index cells are bisected in lockstep, starting from the one cell
+    between the two grid ends, with one `count_below` call per round. A cell
+    is split while its end counts differ or either end count is untrusted;
+    a cell with equal trusted counts holds no eigenvalue and is dropped.
+    Returned are the points within _PAD of every cell that ends at width one,
+    and the two points at each grid end."""
+    n = lams.size
+    counts = np.zeros(n, dtype=np.intp)
+    trusted = np.zeros(n, dtype=bool)
+    lo, hi = np.array([0]), np.array([n - 1])
+    counts[[0, n - 1]], trusted[[0, n - 1]] = count_below(g, lams[[0, n - 1]])
+    tight = []
+    while True:
+        open_ = (counts[lo] != counts[hi]) | ~trusted[lo] | ~trusted[hi]
+        lo, hi = lo[open_], hi[open_]
+        wide = hi - lo > 1
+        tight.append(lo[~wide])
+        lo, hi = lo[wide], hi[wide]
+        if not lo.size:
+            break
+        mid = (lo + hi) // 2
+        counts[mid], trusted[mid] = count_below(g, lams[mid])
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    pts = np.concatenate(tight)[:, None] + np.arange(-_PAD, _PAD + 2)
+    pts = np.concatenate((pts.ravel(), [0, 1, n - 2, n - 1]))
+    return np.unique(np.clip(pts, 0, n - 1))
+
+
 def _bracket_minima(xs, ys):
     """Indices of local minima of ys over the grid xs, including the boundary
-    points; ties count (<=), inf and NaN entries never do."""
+    points; ties count (<=), inf and NaN entries never do. A NaN marks a
+    point that was not evaluated: it compares false against its neighbours,
+    so a point next to one is never a minimum; the grid ends compare
+    against inf."""
     ys = np.asarray(ys, dtype=float)[:len(xs)]
     left = np.concatenate(([np.inf], ys[:-1]))
     right = np.concatenate((ys[1:], [np.inf]))
@@ -183,18 +241,22 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     step_pos = pos_step if pos_step is not None else default_positive_step(g)
 
     candidates = []  # (lambda, grid step in lambda near it)
-    scale_ref = 0.0  # typical sigma_max over the scanned grids
+    scale_ref = 0.0  # typical sigma_max over the evaluated grid points
 
     def scan_branch(a, b, step, lam_of, tol_of, slope):
-        """Scan a uniform grid in x over [a, b] at lambda = lam_of(x), refine
-        its sigma_min minima to the x-tolerances tol_of(x) and add them to the
-        candidates with the grid's lambda step there, |d lambda/dx| = slope(x)
-        times the x step. A grid without a finite point (all DtN-singular)
-        leaves its middle point to the pole check."""
+        """Scan a uniform grid in x over [a, b] at lambda = lam_of(x), at the
+        points `_scan_points` picks, refine the sigma_min minima among them
+        to the x-tolerances tol_of(x) and add them to the candidates with the
+        grid's lambda step there, |d lambda/dx| = slope(x) times the x step.
+        A grid without a finite evaluated point (all DtN-singular) leaves its
+        middle point to the pole check."""
         nonlocal scale_ref
         n = max(3, int(math.ceil((b - a) / step)) + 1)
         xs = np.linspace(a, b, n)
-        smin, smax = _sigma_grid(g, struct, lam_of(xs), method)
+        lams = lam_of(xs)
+        pts = _scan_points(g, lams)
+        smin = np.full(n, np.nan)
+        smin[pts], smax = _sigma_grid(g, struct, lams[pts], method)
         finite = smax[np.isfinite(smax)]
         if finite.size:
             scale_ref = max(scale_ref, float(np.median(finite)))
@@ -251,10 +313,12 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         if sm < rank_tol * sx or sx < rank_tol * scale_ref:
             accepted.append((lam, grid_step))
 
+    def near(lam):  # roots closer than this are one; the count probes' nudge
+        return max(1e-9, 1e3 * refine_tol) * max(1.0, abs(lam))
+
     merged = []
     for lam, grid_step in accepted:
-        near = max(1e-9, 1e3 * refine_tol) * max(1.0, abs(lam))
-        if merged and abs(lam - merged[-1][0]) <= near:
+        if merged and abs(lam - merged[-1][0]) <= near(lam):
             continue
         merged.append((lam, grid_step))
     for (l1, s1), (l2, s2) in zip(merged, merged[1:]):
@@ -287,6 +351,17 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
             records.append(rec)
 
     records.sort(key=lambda r: r.lam)
+    # completeness: the window holds count eigenvalues. Each is certified,
+    # or hidden at a flagged DtN pole, whose multiplicity is at most 2E.
+    counts, trusted = count_below(g, [lo - near(lo), hi + near(hi)])
+    count = int(counts[1] - counts[0])
+    certified = sum(r.mult for r in records)
+    poles = sum(d.startswith("DtNPole") for d in diagnostics)
+    if trusted.all() and not (certified <= count
+                              <= certified + 2 * g.num_edges * poles):
+        diagnostics.append(
+            f"CountMismatch(lo={lo:.12g}, hi={hi:.12g}, certified={certified}, "
+            f"poles={poles}, count={count})")
     return Spectrum(
         records=records,
         window=(lo, hi),
@@ -302,9 +377,9 @@ def count_negative(g: MetricGraph, *, floor: Optional[float] = None,
                    method: str = "edge") -> int:
     """Number of negative eigenvalues (with multiplicity).
 
-    The default search floor is the -(2 max degree)^2 heuristic; pass `floor`
-    to widen it. A root hugging the floor would indicate the heuristic failed,
-    so a lowest root below 0.98 * floor raises WindowTooCoarse.
+    The default search floor, `default_negative_floor`, has no eigenvalue
+    below it. An explicit `floor` is used as given; a lowest root below
+    0.98 * floor suggests more below it, and raises WindowTooCoarse.
     """
     lo = floor if floor is not None else default_negative_floor(g)
     spec = find_spectrum(g, (lo, -1e-8), method=method)

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from qgraph.errors import NotInDomain, QGraphError
-from qgraph.graph import make_figure8, make_star
+from qgraph.graph import BoundaryType, make_cycle, make_figure8, make_star
 from qgraph.quadform import (
     TrialFunction,
+    _vertex_pair_term,
     build_transplant_trial,
     check_domain,
     edge_quadrature,
+    form_domain_basis,
     form_value,
     grad_norm_sq,
     rayleigh_quotient,
     trial_norm_sq,
     trial_traces,
+    vertex_form_matrix,
 )
 from qgraph.solve import eigenfunction_at, find_spectrum
 
@@ -161,6 +164,42 @@ class TestTraces:
         tr = trial_traces(star3, f)
         assert tr[star3.slot_index[("e2", "start")]] == pytest.approx(1.0)
         assert tr[star3.slot_index[("e2", "end")]] == pytest.approx(2.0)
+
+
+class TestFormMatrices:
+    """The trace-space pieces of the form that exact eigenvalue counts use."""
+
+    GRAPHS = [make_star([1.0, 0.7, 1.3]), make_star([1.0] * 4),
+              make_star([1.0, 0.5], tip_bc="dirichlet"), make_figure8(0.3, 0.9),
+              make_cycle([1.0])]
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_vertex_matrix_is_the_vertex_term(self, g, rng):
+        h = vertex_form_matrix(g)
+        assert np.array_equal(h, h.conj().T)
+        m = 2 * g.num_edges
+        f = rng.normal(size=m) + 1j * rng.normal(size=m)
+        other = rng.normal(size=m) + 1j * rng.normal(size=m)
+        ref = sum(_vertex_pair_term(f[s], other[s])
+                  for v in g.vertices if v.degree >= 2
+                  for s in [[g.slot_index[r] for r in v.order]])
+        assert np.conj(other) @ h @ f == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_domain_basis_spans_the_allowed_traces(self, g):
+        p = form_domain_basis(g)
+        assert np.allclose(p.T @ p, np.eye(p.shape[1]), atol=1e-14)
+        constraints = 0
+        for v in g.vertices:
+            slots = [g.slot_index[r] for r in v.order]
+            if v.bc is BoundaryType.DIRICHLET:
+                constraints += 1
+                assert np.allclose(p[slots[0]], 0.0, atol=1e-14)
+            elif v.bc is BoundaryType.COUPLED and v.degree % 2 == 0:
+                constraints += 1
+                alt = np.array([(-1) ** j for j in range(v.degree)])
+                assert np.allclose(alt @ p[slots], 0.0, atol=1e-14)
+        assert p.shape == (2 * g.num_edges, 2 * g.num_edges - constraints)
 
 
 class TestTransplantTrial:

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from qgraph.coupling import assemble_blocks
 from qgraph.errors import DtNSingular
+from qgraph.experiments import sample_graph
 from qgraph.graph import (
     END,
     START,
@@ -22,6 +23,7 @@ from qgraph.secular import (
     _POLE_TOL,
     build_dtn_grid,
     build_secular_matrix,
+    count_below,
     dtn_tables,
     interval_dtn,
     reduced_negative_kappas,
@@ -30,7 +32,7 @@ from qgraph.secular import (
     star_secular_reduced,
     star_reduced_positive_dirichlet,
 )
-from qgraph.solve import _sigma_grid
+from qgraph.solve import _sigma_grid, default_negative_floor, find_spectrum
 
 COTH1 = 1.3130352854993312  # coth(1)
 CSCH1 = 0.8509181282393216  # 1/sinh(1)
@@ -381,3 +383,85 @@ class TestReducedForms:
         f = lambda k: star_reduced_positive_dirichlet(k, 1.0)
         k0 = brentq(f, 2.0, 2.5, xtol=1e-13)
         assert 3 * math.tan(k0) ** 2 == pytest.approx(k0**2, rel=1e-9)
+
+
+def _sampled(seed):
+    return sample_graph(np.random.default_rng(seed), 5, total=2.0)
+
+
+# stars with Neumann and Dirichlet tips, equilateral even stars (the
+# alternating-sum constraint), figure-8s, cycles, a path, and sampled
+# multigraphs with loops and parallel edges (seeds 4, 6, 11 have both,
+# seed 8 parallel edges and only even vertices)
+COUNT_GRAPHS = {
+    "star3": make_star([1.0, 0.7, 1.3]),
+    "star3-dirichlet": make_star([1.0, 0.7, 1.3], tip_bc="dirichlet"),
+    "star3-equilateral-dirichlet": make_star([1.0] * 3, tip_bc="dirichlet"),
+    "star4-equilateral": make_star([1.0] * 4),
+    "star6-equilateral": make_star([0.7] * 6),
+    "figure8-0.3-0.9": make_figure8(0.3, 0.9),
+    "figure8-0.5-0.5": make_figure8(0.5, 0.5),
+    "cycle1": make_cycle([1.0]),
+    "cycle4": make_cycle([0.4, 0.6, 0.3, 0.7]),
+    "path": make_path([0.6, 0.4]),
+    "sampled4": _sampled(4),
+    "sampled6": _sampled(6),
+    "sampled8": _sampled(8),
+    "sampled11": _sampled(11),
+}
+
+
+class TestCountBelow:
+    """N(lambda), the number of eigenvalues below lambda, from the inertia of
+    the DtN form against the eigenvalues find_spectrum certifies."""
+
+    def test_sampled_graphs_have_loops_and_parallel_edges(self):
+        for name in ("sampled4", "sampled6", "sampled8", "sampled11"):
+            g = COUNT_GRAPHS[name]
+            pairs = [tuple(sorted((e.src, e.dst))) for e in g.edges]
+            assert len(set(pairs)) < len(pairs), name
+        assert any(e.src == e.dst for e in COUNT_GRAPHS["sampled11"].edges)
+
+    @pytest.mark.parametrize("name", sorted(COUNT_GRAPHS))
+    def test_counts_match_find_spectrum(self, name):
+        g = COUNT_GRAPHS[name]
+        floor = default_negative_floor(g)
+        spec = find_spectrum(g, (2.0 * floor, 60.0))
+        assert spec.diagnostics == []
+        lams = spec.lambdas()
+        probes = np.array([2.0 * floor - 1.0, floor, -20.3, -3.3, -0.5, 0.3,
+                           5.1, 17.3, 33.3, 59.9])
+        counts, trusted = count_below(g, probes)
+        assert trusted.all()
+        assert counts.tolist() == [sum(lam < p for lam in lams) for p in probes]
+        assert counts[1] == 0
+
+    def test_probe_on_a_pole_is_untrusted(self):
+        # pi^2 is a Dirichlet eigenvalue of the unit edge: no DtN map there
+        g = COUNT_GRAPHS["star3"]
+        assert dtn_tables([math.pi ** 2], [1.0])[2][0]
+        counts, trusted = count_below(g, [math.pi ** 2 - 1e-3, math.pi ** 2,
+                                          math.pi ** 2 + 1e-3])
+        assert trusted.tolist() == [True, False, True]
+        assert counts[2] - counts[0] == 1  # pi^2 is an eigenvalue here
+
+    def test_probe_on_an_eigenvalue_is_untrusted(self):
+        # 0 is an eigenvalue (constants) and Q(0) is exactly singular
+        counts, trusted = count_below(make_star([1.0] * 3), [-1e-3, 0.0, 1e-3])
+        assert trusted.tolist() == [True, False, True]
+        assert counts[2] - counts[0] == 1
+
+    def test_batch_matches_one_at_a_time(self):
+        g = COUNT_GRAPHS["sampled6"]
+        lams = np.linspace(-30.0, 60.0, 37)
+        counts, trusted = count_below(g, lams)
+        for lam, c, t in zip(lams, counts, trusted):
+            one = count_below(g, lam)
+            assert (one[0][0], one[1][0]) == (c, t)
+
+    def test_empty_trace_space(self):
+        # a Dirichlet interval keeps no trace: N = N_D, the (n pi)^2 below
+        g = make_path([1.0], tip_bc="dirichlet")
+        counts, trusted = count_below(g, [-1.0, 5.0, 10.0, 50.0])
+        assert counts.tolist() == [0, 0, 1, 2] and trusted.all()
+        assert count_below(g, [])[0].shape == (0,)

@@ -9,6 +9,7 @@ import pytest
 from qgraph.coupling import assemble_blocks
 import qgraph.solve as solve_mod
 from qgraph.errors import NotAnEigenvalue, WindowTooCoarse
+from qgraph.experiments import ground_state, sample_graph
 from qgraph.graph import (
     MetricGraph,
     VertexRecord,
@@ -18,11 +19,13 @@ from qgraph.graph import (
     make_star,
 )
 from qgraph.kernels import equilibrate_columns, prepare_structure
-from qgraph.secular import build_secular_matrix
+from qgraph.secular import (build_secular_matrix, count_below,
+                            reduced_negative_kappas)
 from qgraph.solve import (
     _GOLD,
     _bracket_minima,
     _golden_min,
+    _scan_points,
     _sigma_grid,
     count_negative,
     default_negative_floor,
@@ -119,6 +122,25 @@ class TestNegativeCounts:
         g = make_star(DEEP_STAR_LENGTHS)
         with pytest.raises(WindowTooCoarse):
             count_negative(g, floor=-3.9)
+
+    @pytest.mark.parametrize("lengths", [[1.0, 1.0, 0.001], [1.0, 0.7, 0.002]])
+    def test_default_floor_lies_below_every_eigenvalue(self, lengths):
+        # a short edge puts the ground state far below -(2 * max degree)^2
+        # = -36; the default floor widens until the count below it is 0
+        g = make_star(lengths)
+        kappa = max(reduced_negative_kappas(lengths, kappa_max=40.0))
+        assert -kappa ** 2 < -36.0
+        assert count_below(g, [-36.0])[0][0] == 1
+        floor = default_negative_floor(g)
+        counts, trusted = count_below(g, [floor])
+        assert floor < -kappa ** 2 and counts[0] == 0 and trusted[0]
+        assert ground_state(g) == pytest.approx(-kappa ** 2, rel=1e-10)
+        assert count_negative(g) == 1
+
+    def test_default_floor_keeps_the_degree_guess(self):
+        # where -(2 * max degree)^2 already lies below the spectrum it stands
+        assert default_negative_floor(make_star([1.0] * 3)) == -36.0
+        assert default_negative_floor(make_figure8(0.7, 1.3)) == -64.0
 
     def test_random_stars_respect_bound(self):
         # bracketing against the semi-infinite star gives a lower bound
@@ -253,6 +275,136 @@ class TestDualRoute:
             _sigma_grid(star3, prepare_structure(star3), [2.0], "dtn")
 
 
+class TestCompleteness:
+    """The window count N(hi+) - N(lo-) against the certified records."""
+
+    def test_spurious_dtn_root_is_named(self):
+        # the 1e-6 edge's DtN entries (about 1/l) defeat the DtN route: it
+        # certifies a root at the window end that the edge route and the
+        # count do not have
+        g = make_star([1.0, 0.7, 1e-6])
+        spec = find_spectrum(g, (0.5, 30.0), "dtn")
+        assert any(abs(r.lam - 30.0) < 1e-8 for r in spec.records)
+        assert spec.diagnostics[-1] == (
+            "CountMismatch(lo=0.5, hi=30, certified=3, poles=1, count=2)")
+        edge = find_spectrum(g, (0.5, 30.0), "edge")
+        assert edge.diagnostics == [] and edge.count == 2
+
+    def test_poles_may_hide_eigenvalues(self):
+        # the DtN route cannot certify the triple roots on the equilateral
+        # figure-8's poles; each DtNPole may stand for up to 2E of the count
+        spec = find_spectrum(make_figure8(0.5, 0.5), (-5.0, 170.0), "dtn")
+        assert spec.count == 2  # -1 and 0; 4 pi^2 (x1) and 16 pi^2 (x3) hide
+        assert len(spec.diagnostics) == 2
+        assert all(d.startswith("DtNPole") for d in spec.diagnostics)
+
+    @staticmethod
+    def off_by_one_above(monkeypatch, hi, trusted):
+        """Make count_below count one eigenvalue too many above hi, and mark
+        those probes trusted or not; the scan never probes above hi."""
+        def counted(g, lams):
+            lams = np.asarray(lams, dtype=float).reshape(-1)
+            counts, ok = count_below(g, lams)
+            return counts + (lams > hi), ok & (trusted | (lams <= hi))
+
+        monkeypatch.setattr(solve_mod, "count_below", counted)
+
+    def test_miscount_is_reported(self, star3, monkeypatch):
+        ref = find_spectrum(star3, (-10.0, 10.0))
+        self.off_by_one_above(monkeypatch, 10.0, trusted=True)
+        spec = find_spectrum(star3, (-10.0, 10.0))
+        assert spec.records == ref.records
+        assert spec.diagnostics == [
+            "CountMismatch(lo=-10, hi=10, certified=5, poles=0, count=6)"]
+
+    def test_untrusted_end_count_decides_nothing(self, star3, monkeypatch):
+        ref = find_spectrum(star3, (-10.0, 10.0))
+        self.off_by_one_above(monkeypatch, 10.0, trusted=False)
+        assert repr(find_spectrum(star3, (-10.0, 10.0))) == repr(ref)
+
+
+def full_grid_points(g, lams):
+    """The reference scan: sigma at every grid point."""
+    return np.arange(lams.size)
+
+
+def _sampled(seed):
+    return sample_graph(np.random.default_rng(seed), 5, total=2.0)
+
+
+# (graph, window): stars with Neumann and Dirichlet tips, equilateral even
+# stars, figure-8s (the equilateral one with triple roots on DtN poles), the
+# one-edge cycle (roots of full multiplicity), a 4-cycle, a path, sampled
+# multigraphs with loops and parallel edges, and windows on and around the
+# pi^2 pole of a unit edge
+IDENTITY_CASES = {
+    "star3": (make_star([1.0, 0.7, 1.3]), (-10.0, 30.0)),
+    "star3-dirichlet": (make_star([1.0, 0.7, 1.3], tip_bc="dirichlet"),
+                        (-10.0, 60.0)),
+    "star4-equilateral": (make_star([1.0] * 4), (-20.0, 60.0)),
+    "star6-equilateral": (make_star([0.7] * 6), (-40.0, 60.0)),
+    "figure8-0.3-0.9": (make_figure8(0.3, 0.9), (-5.0, 60.0)),
+    "figure8-equilateral": (make_figure8(0.5, 0.5), (-5.0, 700.0)),
+    "cycle1": (make_cycle([1.0]), (-5.0, 170.0)),
+    "cycle4": (make_cycle([0.4, 0.6, 0.3, 0.7]), (-16.0, 50.0)),
+    "path": (make_path([0.6, 0.4]), (-5.0, 90.0)),
+    "sampled6": (_sampled(6), (-30.0, 60.0)),
+    "sampled11": (_sampled(11), (-30.0, 60.0)),
+    "pole-point": (make_star([1.0, 0.7, 1.3]), (PI2, PI2)),
+    "pole-narrow": (make_star([1.0, 0.7, 1.3]), (PI2 - 1e-3, PI2 + 1e-3)),
+    "pole-wide": (make_star([1.0, 0.7, 1.3]), (8.0, 12.0)),
+}
+
+
+class TestCountGuidedScan:
+    """Counts pick the grid points whose sigma the scan evaluates; every
+    result is repr-identical to the full-grid scan's."""
+
+    @pytest.mark.parametrize("method", ["edge", "dtn"])
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+    def test_identical_to_full_grid(self, name, method, monkeypatch):
+        g, window = IDENTITY_CASES[name]
+        guided = find_spectrum(g, window, method)
+        monkeypatch.setattr(solve_mod, "_scan_points", full_grid_points)
+        assert repr(guided) == repr(find_spectrum(g, window, method))
+
+    def test_few_points_evaluated(self, monkeypatch):
+        picked = []
+
+        def recorded(g, lams):
+            pts = _scan_points(g, lams)
+            picked.append((lams.size, pts.size))
+            return pts
+
+        monkeypatch.setattr(solve_mod, "_scan_points", recorded)
+        spec = find_spectrum(make_figure8(0.5, 0.5), (-5.0, 700.0))
+        assert spec.count == 10
+        grid = sum(n for n, _ in picked)
+        evaluated = sum(k for _, k in picked)
+        assert grid > 70_000 and evaluated < grid / 100
+
+    def test_window_without_eigenvalues_evaluates_the_grid_ends(self, star3):
+        lams = np.linspace(2.0, 6.0, 401)  # between 1.067 and 6.471
+        assert _scan_points(star3, lams).tolist() == [0, 1, 399, 400]
+
+    def test_untrusted_counts_evaluate_every_point(self, star3, monkeypatch):
+        def untrusted(g, lams):
+            counts, _ = count_below(g, lams)
+            return counts, np.zeros(counts.size, dtype=bool)
+
+        monkeypatch.setattr(solve_mod, "count_below", untrusted)
+        lams = np.linspace(-10.0, 10.0, 1001)
+        assert _scan_points(star3, lams).tolist() == list(range(1001))
+
+    def test_cells_holding_roots_are_padded(self, star3):
+        lams = np.linspace(2.0, 10.0, 801)
+        padded = []
+        for root in (6.470961399932133, PI2):  # in cell [i, i + 1]
+            i = int(np.searchsorted(lams, root)) - 1
+            padded += list(range(i - 2, i + 4))
+        assert _scan_points(star3, lams).tolist() == [0, 1] + padded + [799, 800]
+
+
 class TestBracketMinima:
     @pytest.mark.parametrize("ys,expected", [
         ([1.0, 2.0, 3.0], [0]),
@@ -272,6 +424,21 @@ class TestBracketMinima:
         ([5.0, 4.0], [1]),
     ])
     def test_indices(self, ys, expected):
+        assert _bracket_minima(np.arange(len(ys)), np.array(ys)) == expected
+
+    @pytest.mark.parametrize("ys,expected", [
+        # NaN marks a point the scan did not evaluate: a point next to one is
+        # never a minimum, whatever the evaluated neighbour holds
+        ([np.nan, np.nan, 3.0, 1.0, 2.0, np.nan, np.nan, 5.0, 4.0], [3, 8]),
+        ([np.nan, 1.0, 2.0, 3.0], []),
+        ([3.0, 2.0, 1.0, np.nan], []),
+        ([3.0, 1.0, 2.0, np.nan, 2.0, 0.5, 1.0], [1, 5]),
+        # the grid ends compare against inf as on a full grid
+        ([1.0, 2.0, np.nan, np.nan, 2.0, 1.0], [0, 5]),
+        ([2.0, 1.0, np.nan, np.nan, 1.0, 2.0], []),
+        ([np.inf, 1.0, 2.0, np.nan], [1]),
+    ])
+    def test_sparse_indices(self, ys, expected):
         assert _bracket_minima(np.arange(len(ys)), np.array(ys)) == expected
 
 
