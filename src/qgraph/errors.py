@@ -35,7 +35,8 @@ class DtNSingular(QGraphError):
 
 
 class WindowTooCoarse(QGraphError):
-    """Two refined roots collapsed within one grid step; rescan with a finer grid."""
+    """The search window cannot answer: a root hugs an explicit negative
+    floor, or repeated doubling did not reach the requested eigenvalues."""
 
 
 class NotAnEigenvalue(QGraphError):

@@ -4,8 +4,8 @@
 routes: it asks the route's builder for one stack of matrices per chunk of
 the lambdas, runs one batched SVD over the rows off the builder's singular
 mask and leaves inf in the others. It returns (sigma_min, sigma_max) arrays.
-The lambdas need not be a grid: find_spectrum passes only the grid points
-that exact eigenvalue counts leave open (`secular.count_below`), then the
+The lambdas are any batch: find_spectrum passes the ends of the cells that
+exact eigenvalue counts (`secular.count_below`) leave open, then the
 refinement and certification points.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:

@@ -1,41 +1,37 @@
-"""Spectrum search: count-guided sigma_min scan, golden-section refinement,
-rank-based multiplicities, eigenfunction recovery.
+"""Spectrum search: eigenvalues isolated by exact counts, located by
+golden-section refinement of sigma_min, rank-based multiplicities,
+eigenfunction recovery.
 
 Conventions: windows are closed intervals in lambda. Negative parts are
-scanned on a grid uniform in kappa = sqrt(-lambda) (default step 1e-3),
-positive parts on a grid uniform in lambda (default step
-min(0.01, (pi/L)^2/50)). lambda = 0 is always tested explicitly from the
-{1, x} solution basis. A located minimum counts as an eigenvalue when
-sigma_min < rank_tol * sigma_max after refinement to |d lambda| <
-refine_tol. Eigenvalues closer to zero than zero_radius + refine_tol are
-indistinguishable from 0 and folded into it.
+searched in kappa = sqrt(-lambda), positive parts in lambda. lambda = 0 is
+always tested explicitly from the {1, x} solution basis. A located minimum
+counts as an eigenvalue when sigma_min < rank_tol * sigma_max after
+refinement to |d lambda| < refine_tol. Eigenvalues closer to zero than
+zero_radius + refine_tol are indistinguishable from 0 and folded into it.
 
 Both branches go through one routine. The exact counts of
-`secular.count_below` pick the grid points it evaluates: grid-index cells
-are bisected in lockstep from the two grid ends, one count call per round,
-and a cell is split while its end counts differ or either end count is
-untrusted. A cell with equal trusted counts holds no eigenvalue, so sigma is
-evaluated only around the cells left at width one (padded by _PAD points)
-and at the two points of each grid end, in one call. The sigma_min minima
-of those points whose neighbours were evaluated are bracketed, and a
-golden-section search runs in lockstep over all brackets of the branch: one
-batched sigma call per round, each bracket keeping the exact point sequence
-of its scalar search. A lambda's sigma does not depend on the batch around
-it, and a bracket [xs[i-1], xs[i+1]] is the same pair of floats as on the
-full grid, so the refined lambdas are the same floats as a full-grid scan
-with one search per candidate gives. Certification is one batched call over
-the candidates.
+`secular.count_below` isolate the eigenvalues: the branch's interval is
+bisected in lockstep, one count call per round, and a cell is split while it
+is wider than the branch width (_KAPPA_WIDTH in kappa, default_positive_step
+in lambda) and its end counts differ or either end count is untrusted. A
+cell with equal trusted counts holds no eigenvalue and is dropped. One sigma
+call at the ends of the cells left gives the typical sigma_max. Each cell,
+padded by half a width and clipped to the window, is a bracket of one
+golden-section search; all brackets of the branch run in lockstep, one
+batched sigma call per round. Certification is one batched call over the
+candidates, and candidates within the count probes' nudge are one root.
 
 Every batch goes through the one chunk loop, `kernels.scan_sigma`, with the
 route's builder: the graph's edge plan from `kernels.prepare_structure`, or
 `secular.build_dtn_grid`. A lambda on an edge's Dirichlet spectrum has no
-DtN matrix and reads inf. A DtN candidate where some edge's off-diagonal
-DtN entry exceeds 1e6 max(1, sqrt|lambda|) sits on such a pole; it is
-reported as a DtNPole diagnostic, not certified. Last, the window is
-checked for completeness against the trusted count N(hi+) - N(lo-), with
-the probes nudged just outside the window: it must equal the certified
-multiplicities, up to the at most 2E eigenvalues each DtNPole may hide.
-Otherwise a CountMismatch diagnostic says so.
+DtN matrix and reads inf. A DtN candidate sits on such a pole when some edge
+with k l >= 1 has |sin(k l)| < k / (1e6 max(1, k)), an off-diagonal DtN
+entry above 1e6 max(1, k); it is reported as a DtNPole diagnostic, not
+certified. Last, the window is checked for completeness against the trusted
+count N(hi+) - N(lo-), with the probes nudged just outside the window: it
+must equal the certified multiplicities, up to the at most 2E eigenvalues
+each DtNPole may hide. Otherwise a CountMismatch diagnostic says so; two
+roots folded into one cell are caught this way.
 """
 
 from __future__ import annotations
@@ -48,19 +44,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
-from .graph import END, BoundaryType, MetricGraph, START
+from .graph import END, MetricGraph, START
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
                       equilibrate_columns, prepare_structure, scan_sigma)
-from .secular import (build_dtn_grid, build_secular_matrix, count_below,
-                      dtn_tables)
+from .secular import build_dtn_grid, build_secular_matrix, count_below
 
 ZERO_RADIUS = 1e-7
-# grid points evaluated on each side of a cell whose counts could not settle
-# it. An accepted minimum at grid index i has its root within the refinement
-# tolerance of its bracket [xs[i-1], xs[i+1]], so the unsettled cell holding
-# the root ends at most one point outside the bracket; two points of padding
-# evaluate i and both its neighbours.
-_PAD = 2
+_KAPPA_WIDTH = 1e-3  # widest cell the negative branch isolates, in kappa
 _KAPPA_FLOOR = 1e-4
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -183,52 +173,34 @@ def _golden_min(fn, a, b, tol):
     return (a + b) / 2.0
 
 
-def _scan_points(g, lams):
-    """Sorted indices of the grid points of lams whose sigma the branch scan
-    evaluates.
+def _isolate(g, a, b, width, lam_of):
+    """(n, 2) array of the cells [x0, x1] of [a, b] that may hold an
+    eigenvalue at lambda = lam_of(x), none wider than width.
 
-    Grid-index cells are bisected in lockstep, starting from the one cell
-    between the two grid ends, with one `count_below` call per round. A cell
-    is split while its end counts differ or either end count is untrusted;
-    a cell with equal trusted counts holds no eigenvalue and is dropped.
-    Returned are the points within _PAD of every cell that ends at width one,
-    and the two points at each grid end."""
-    n = lams.size
-    counts = np.zeros(n, dtype=np.intp)
-    trusted = np.zeros(n, dtype=bool)
-    lo, hi = np.array([0]), np.array([n - 1])
-    counts[[0, n - 1]], trusted[[0, n - 1]] = count_below(g, lams[[0, n - 1]])
-    tight = []
+    Cells are bisected in lockstep, starting from [a, b], with one
+    `count_below` call per round. A cell is split while it is wider than
+    width and its end counts differ or either end count is untrusted; a cell
+    with equal trusted end counts holds no eigenvalue and is dropped."""
+    def halves(v, mid):
+        return np.concatenate((np.column_stack((v[:, 0], mid)),
+                               np.column_stack((mid, v[:, 1]))))
+
+    x = np.array([[a, b]], dtype=float)
+    n, ok = (v.reshape(1, 2) for v in count_below(g, lam_of(x[0])))
+    cells = []
     while True:
-        open_ = (counts[lo] != counts[hi]) | ~trusted[lo] | ~trusted[hi]
-        lo, hi = lo[open_], hi[open_]
-        wide = hi - lo > 1
-        tight.append(lo[~wide])
-        lo, hi = lo[wide], hi[wide]
-        if not lo.size:
-            break
-        mid = (lo + hi) // 2
-        counts[mid], trusted[mid] = count_below(g, lams[mid])
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-    pts = np.concatenate(tight)[:, None] + np.arange(-_PAD, _PAD + 2)
-    pts = np.concatenate((pts.ravel(), [0, 1, n - 2, n - 1]))
-    return np.unique(np.clip(pts, 0, n - 1))
-
-
-def _bracket_minima(xs, ys):
-    """Indices of local minima of ys over the grid xs, including the boundary
-    points; ties count (<=), inf and NaN entries never do. A NaN marks a
-    point that was not evaluated: it compares false against its neighbours,
-    so a point next to one is never a minimum; the grid ends compare
-    against inf."""
-    ys = np.asarray(ys, dtype=float)[:len(xs)]
-    left = np.concatenate(([np.inf], ys[:-1]))
-    right = np.concatenate((ys[1:], [np.inf]))
-    return np.flatnonzero(np.isfinite(ys) & (ys <= left) & (ys <= right)).tolist()
+        open_ = (n[:, 0] != n[:, 1]) | ~ok.all(axis=1)
+        wide = open_ & (x[:, 1] - x[:, 0] > width)
+        cells.append(x[open_ & ~wide])
+        if not wide.any():
+            return np.concatenate(cells)
+        x, n, ok = x[wide], n[wide], ok[wide]
+        mid = (x[:, 0] + x[:, 1]) / 2.0
+        n_mid, ok_mid = count_below(g, lam_of(mid))
+        x, n, ok = halves(x, mid), halves(n, n_mid), halves(ok, ok_mid)
 
 
 def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
-                  pos_step: Optional[float] = None, kappa_step: float = 1e-3,
                   rank_tol: float = 1e-8, refine_tol: float = 1e-12,
                   mult_guard: float = 10.0) -> Spectrum:
     """All eigenvalues in the closed window [lo, hi], with multiplicities."""
@@ -238,94 +210,75 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     if method not in ("edge", "dtn"):
         raise ValueError(f"unknown method {method!r}")
     struct = prepare_structure(g)
-    step_pos = pos_step if pos_step is not None else default_positive_step(g)
+    pos_width = default_positive_step(g)
 
-    candidates = []  # (lambda, grid step in lambda near it)
-    scale_ref = 0.0  # typical sigma_max over the evaluated grid points
+    candidates = []
+    scale_ref = 0.0  # typical sigma_max over the cell ends
 
-    def scan_branch(a, b, step, lam_of, tol_of, slope):
-        """Scan a uniform grid in x over [a, b] at lambda = lam_of(x), at the
-        points `_scan_points` picks, refine the sigma_min minima among them
-        to the x-tolerances tol_of(x) and add them to the candidates with the
-        grid's lambda step there, |d lambda/dx| = slope(x) times the x step.
-        A grid without a finite evaluated point (all DtN-singular) leaves its
-        middle point to the pole check."""
+    def refine_branch(a, b, width, lam_of, tol_of):
+        """Isolate the eigenvalues of [a, b] in x, at lambda = lam_of(x), in
+        cells no wider than width, and refine the sigma_min minimum of each
+        cell, padded by half a width and clipped to [a, b], to the
+        x-tolerance tol_of(x)."""
         nonlocal scale_ref
-        n = max(3, int(math.ceil((b - a) / step)) + 1)
-        xs = np.linspace(a, b, n)
-        lams = lam_of(xs)
-        pts = _scan_points(g, lams)
-        smin = np.full(n, np.nan)
-        smin[pts], smax = _sigma_grid(g, struct, lams[pts], method)
+        cells = _isolate(g, a, b, width, lam_of)
+        if not cells.size:
+            return
+        smax = _sigma_grid(g, struct, lam_of(np.unique(cells)), method)[1]
         finite = smax[np.isfinite(smax)]
         if finite.size:
             scale_ref = max(scale_ref, float(np.median(finite)))
-            idx = np.array(_bracket_minima(xs, smin), dtype=np.intp)
-            x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t),
-                                                  method)[0],
-                            xs[np.maximum(idx - 1, 0)],
-                            xs[np.minimum(idx + 1, n - 1)], tol_of(xs[idx]))
-        else:
-            idx = np.array([n // 2])
-            x = xs[idx]
-        candidates.extend(zip(lam_of(x), slope(xs[idx]) * (xs[1] - xs[0])))
+        x0 = np.maximum(cells[:, 0] - width / 2.0, a)
+        x1 = np.minimum(cells[:, 1] + width / 2.0, b)
+        x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
+                        x0, x1, tol_of(x0))
+        candidates.extend(lam_of(x))
 
-    if lo < -ZERO_RADIUS:  # negative part, scanned in kappa
+    if lo < -ZERO_RADIUS:  # negative part, isolated in kappa
         k_lo = math.sqrt(-min(hi, 0.0)) if hi < 0 else _KAPPA_FLOOR
         k_hi = math.sqrt(-lo)
         if k_hi > k_lo:
-            scan_branch(
-                k_lo, k_hi, kappa_step, lambda k: -k * k,
+            refine_branch(
+                k_lo, k_hi, _KAPPA_WIDTH, lambda k: -k * k,
                 lambda k: np.maximum(refine_tol / (2.0 * np.maximum(k, 0.05)),
-                                     1e-15),
-                lambda k: 2.0 * k)
-    if hi > ZERO_RADIUS:  # positive part, scanned in lambda
-        scan_branch(max(lo, ZERO_RADIUS), hi, step_pos, lambda x: x,
-                    lambda x: refine_tol, np.ones_like)
+                                     1e-15))
+    if hi > ZERO_RADIUS:  # positive part, isolated in lambda
+        refine_branch(max(lo, ZERO_RADIUS), hi, pos_width, lambda x: x,
+                    lambda x: refine_tol)
 
-    # certify candidates; a collapse of sigma_max against the grid-typical
-    # scale means the whole matrix vanished (eigenvalue of full multiplicity
-    # 2E, e.g. a one-edge cycle), which the relative rank test cannot see.
+    # certify candidates; a collapse of sigma_max against the typical scale
+    # means the whole matrix vanished (eigenvalue of full multiplicity 2E,
+    # e.g. a one-edge cycle), which the relative rank test cannot see.
     # Candidates within refine_tol of the zero radius are left to the
-    # explicit zero test: a bracket that holds only the flank of the
-    # lambda = 0 dip refines to its inner end, where the DtN rank ratio can
-    # read below rank_tol.
-    cands = [(lam, grid_step) for lam, grid_step in sorted(candidates)
-             if abs(lam) > ZERO_RADIUS + refine_tol
-             and lo - refine_tol <= lam <= hi + refine_tol]
-    cand_lams = np.array([lam for lam, _ in cands], dtype=float)
-    sms, sxs = _sigma_grid(g, struct, cand_lams, method)
-    # interval-Dirichlet pole of the DtN map: entries blow up like 1/dist,
-    # the rank ratio under-reads, and any eigenvalue hiding here cannot be
-    # certified on this route (the edge method can)
-    pole = np.zeros(len(cands), dtype=bool)
+    # explicit zero test: a cell that holds only the flank of the lambda = 0
+    # dip refines to its inner end, where the DtN rank ratio can read below
+    # rank_tol.
+    cands = np.array([lam for lam in sorted(candidates)
+                      if abs(lam) > ZERO_RADIUS + refine_tol
+                      and lo - refine_tol <= lam <= hi + refine_tol])
+    sms, sxs = _sigma_grid(g, struct, cands, method)
+    # interval-Dirichlet pole of the DtN map: some edge with k l >= 1 has
+    # |sin(k l)| so small that its entries, k / sin(k l), exceed
+    # 1e6 max(1, k). The rank ratio under-reads there, and any eigenvalue
+    # hiding here cannot be certified on this route (the edge method can).
+    # A short edge's entries are large (about 1 / l) far from its poles.
+    pole = ~np.isfinite(sxs)
     if method == "dtn":
-        lengths = [e.length for e in g.edges]
-        off = np.abs(dtn_tables(cand_lams, lengths)[1]).max(axis=1)
-        pole = ~np.isfinite(sxs) | (off > 1e6 * np.maximum(
-            1.0, np.sqrt(np.abs(cand_lams))))
-    accepted = []
-    diagnostics = []
-    for (lam, grid_step), sm, sx, at_pole in zip(cands, sms, sxs, pole):
-        if at_pole:
-            diagnostics.append(f"DtNPole(lambda={lam:.12g})")
-            continue
-        if sm < rank_tol * sx or sx < rank_tol * scale_ref:
-            accepted.append((lam, grid_step))
+        k = np.sqrt(np.maximum(cands, 0.0))[:, None]
+        kl = k * np.array([e.length for e in g.edges])
+        pole |= ((kl >= 1.0) & (np.abs(np.sin(kl))
+                                < k / (1e6 * np.maximum(1.0, k)))).any(axis=1)
+    diagnostics = [f"DtNPole(lambda={lam:.12g})" for lam in cands[pole]]
+    accepted = cands[~pole & ((sms < rank_tol * sxs)
+                              | (sxs < rank_tol * scale_ref))]
 
     def near(lam):  # roots closer than this are one; the count probes' nudge
         return max(1e-9, 1e3 * refine_tol) * max(1.0, abs(lam))
 
     merged = []
-    for lam, grid_step in accepted:
-        if merged and abs(lam - merged[-1][0]) <= near(lam):
-            continue
-        merged.append((lam, grid_step))
-    for (l1, s1), (l2, s2) in zip(merged, merged[1:]):
-        if abs(l2 - l1) < max(s1, s2):
-            raise WindowTooCoarse(
-                f"roots {l1:.12g} and {l2:.12g} closer than the scan step; "
-                f"rescan with a finer grid")
+    for lam in accepted:
+        if not merged or abs(lam - merged[-1]) > near(lam):
+            merged.append(lam)
 
     records = []
 
@@ -345,7 +298,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         if mult > 0:
             records.append(rec)
 
-    for lam, _ in merged:
+    for lam in merged:
         rec, mult = full_svd_record(lam)
         if mult > 0:
             records.append(rec)
@@ -367,7 +320,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         window=(lo, hi),
         method=method,
         tolerances={"rank_tol": rank_tol, "refine_tol": refine_tol,
-                    "kappa_step": kappa_step, "pos_step": step_pos,
+                    "kappa_step": _KAPPA_WIDTH, "pos_step": pos_width,
                     "zero_radius": ZERO_RADIUS},
         diagnostics=diagnostics,
     )
@@ -394,13 +347,13 @@ def first_eigenvalues(g: MetricGraph, k: int, method: str = "edge", *,
     """First k eigenvalues (with multiplicity), growing the window as needed."""
     lo = floor if floor is not None else default_negative_floor(g)
     hi = (math.pi * (k + 2) / g.total_length) ** 2
-    for _ in range(12):
-        spec = find_spectrum(g, (lo, hi), method=method)
+    for attempt in range(12):
+        spec = find_spectrum(g, (lo, hi * 2.0 ** attempt), method=method)
         lams = spec.lambdas()
         if len(lams) >= k:
             return lams[:k], spec
-        hi *= 2.0
-    raise WindowTooCoarse(f"could not locate {k} eigenvalues below {hi}")
+    raise WindowTooCoarse(f"could not locate {k} eigenvalues in "
+                          f"[{spec.window[0]}, {spec.window[1]}]")
 
 
 # -- eigenfunctions ------------------------------------------------------------
@@ -517,8 +470,9 @@ def eigenfunction_at(g: MetricGraph, lam: float, *,
         raise NotAnEigenvalue(f"sigma_min/sigma_max = {svals[-1] / svals[0]:.3e} "
                               f"at lambda = {lam}")
     ids = [e.id for e in g.edges]
-    funcs = [Eigenfunction(g, float(lam), dict(zip(ids, zip(a, b))))
-             for a, b in zip(*_regime_coeffs(g, lam, null))]
+    a, b = _regime_coeffs(g, lam, null)
+    funcs = [Eigenfunction(g, float(lam), dict(zip(ids, zip(*ab))))
+             for ab in zip(a, b)]
 
     # orthonormalize in L2 via the quadrature Gram matrix
     quad = {e.id: edge_quadrature(e.length, order) for e in g.edges}
@@ -531,12 +485,5 @@ def eigenfunction_at(g: MetricGraph, lam: float, *,
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > 1e-12 * evals[-1]
     trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
-    out = []
-    for col in range(trans.shape[1]):
-        coeffs = {}
-        for e in g.edges:
-            a = sum(trans[j, col] * funcs[j].coeffs[e.id][0] for j in range(len(funcs)))
-            b = sum(trans[j, col] * funcs[j].coeffs[e.id][1] for j in range(len(funcs)))
-            coeffs[e.id] = (a, b)
-        out.append(Eigenfunction(g, float(lam), coeffs))
-    return out
+    return [Eigenfunction(g, float(lam), dict(zip(ids, zip(*ab))))
+            for ab in zip(trans.T @ a, trans.T @ b)]

@@ -22,13 +22,14 @@ from qgraph.kernels import equilibrate_columns, prepare_structure
 from qgraph.secular import (build_secular_matrix, count_below,
                             reduced_negative_kappas)
 from qgraph.solve import (
+    Spectrum,
     _GOLD,
-    _bracket_minima,
     _golden_min,
-    _scan_points,
+    _isolate,
     _sigma_grid,
     count_negative,
     default_negative_floor,
+    default_positive_step,
     eigenfunction_at,
     find_spectrum,
     first_eigenvalues,
@@ -229,7 +230,8 @@ class TestDualRoute:
             warnings.simplefilter("error")
             spec = find_spectrum(g, (PI2, PI2), method="dtn")
         assert spec.window == (PI2, PI2)
-        # the grid's middle point is left to the pole check, not dropped
+        # the one-point cell's untrusted count keeps it open; its point is
+        # left to the pole check, not dropped
         assert spec.records == []
         assert spec.diagnostics == [f"DtNPole(lambda={PI2:.12g})"]
 
@@ -237,13 +239,17 @@ class TestDualRoute:
     def test_narrow_window_around_pole_is_flagged(self, half):
         # the median sigma_max of a narrow window around the pole is large,
         # yet far below the candidates'; the pole test reads the DtN entries
-        # at each candidate, so both flanks of the pole are flagged, not
-        # reported as two roots closer than the scan step
+        # at each candidate, so no flank of the pole is certified. A window
+        # no wider than the cell width is one cell and one candidate; a wider
+        # one is first split at its middle, the pole itself, whose count is
+        # untrusted, so the cells on both sides stay open and both flanks
+        # are flagged
         g = make_star([1.0, 0.7, 1.3])
         window = (PI2 - half, PI2 + half)
         spec = find_spectrum(g, window, "dtn")
         assert spec.records == []
-        assert len(spec.diagnostics) == 2
+        one_cell = 2 * half <= default_positive_step(g)
+        assert len(spec.diagnostics) == (1 if one_cell else 2)
         assert all(d.startswith("DtNPole") for d in spec.diagnostics)
         check(find_spectrum(g, window, "edge"), [(PI2, 1)])
 
@@ -279,16 +285,38 @@ class TestCompleteness:
     """The window count N(hi+) - N(lo-) against the certified records."""
 
     def test_spurious_dtn_root_is_named(self):
-        # the 1e-6 edge's DtN entries (about 1/l) defeat the DtN route: it
-        # certifies a root at the window end that the edge route and the
-        # count do not have
+        # the 1e-6 edge's DtN entries (about 1/l) once made the DtN route
+        # certify a root at the window end, named only by the count. Cells
+        # without a count change are never refined now, so the route finds
+        # what the edge route finds, and says nothing
         g = make_star([1.0, 0.7, 1e-6])
         spec = find_spectrum(g, (0.5, 30.0), "dtn")
-        assert any(abs(r.lam - 30.0) < 1e-8 for r in spec.records)
-        assert spec.diagnostics[-1] == (
-            "CountMismatch(lo=0.5, hi=30, certified=3, poles=1, count=2)")
         edge = find_spectrum(g, (0.5, 30.0), "edge")
-        assert edge.diagnostics == [] and edge.count == 2
+        assert edge.diagnostics == spec.diagnostics == [] and edge.count == 2
+        assert [r.mult for r in spec.records] == [r.mult for r in edge.records]
+        assert [r.lam for r in spec.records] == pytest.approx(
+            [r.lam for r in edge.records], rel=1e-9)
+
+    @pytest.mark.parametrize("short", [1e-7, 1e-8])
+    def test_short_edge_is_no_dtn_pole(self, short):
+        # a short edge's DtN entries are about 1 / l everywhere, far from its
+        # first pole at k l = pi; the pole rule must not flag the true roots.
+        # Where the DtN route then disagrees with the count, it says so
+        g = make_star([1.0, 0.7, short])
+        spec = find_spectrum(g, (0.5, 30.0), "dtn")
+        edge = find_spectrum(g, (0.5, 30.0), "edge")
+        assert edge.diagnostics == []
+        assert [r.lam for r in edge.records] == pytest.approx(
+            [3.4151, 13.6603], abs=1e-4)
+        assert not any(d.startswith("DtNPole") for d in spec.diagnostics)
+        assert [r.lam for r in spec.records] == pytest.approx(
+            [r.lam for r in edge.records], rel=1e-6)
+        for rd, re_ in zip(spec.records, edge.records):
+            if rd.mult != re_.mult:
+                assert f"MultiplicityUncertain(lambda={rd.lam:.12g})" in \
+                    spec.diagnostics
+        if spec.count != edge.count:
+            assert spec.diagnostics[-1].startswith("CountMismatch")
 
     def test_poles_may_hide_eigenvalues(self):
         # the DtN route cannot certify the triple roots on the equilateral
@@ -323,11 +351,6 @@ class TestCompleteness:
         assert repr(find_spectrum(star3, (-10.0, 10.0))) == repr(ref)
 
 
-def full_grid_points(g, lams):
-    """The reference scan: sigma at every grid point."""
-    return np.arange(lams.size)
-
-
 def _sampled(seed):
     return sample_graph(np.random.default_rng(seed), 5, total=2.0)
 
@@ -356,90 +379,239 @@ IDENTITY_CASES = {
 }
 
 
+# (records as (lambda, mult), diagnostic kinds) of every IDENTITY_CASES window
+# on both routes, frozen from the full-grid sigma scan (every point of a grid
+# of the cell width, brackets around its minima) that count isolation
+# replaced
+FULL_GRID_SPECTRA = {
+    ("cycle1", "dtn"): (
+        [(0.0, 1)],
+        ["DtNPole", "DtNPole"]),
+    ("cycle1", "edge"): (
+        [(0.0, 1), (39.47841760435752, 2), (157.91367041742973, 2)],
+        []),
+    ("cycle4", "dtn"): (
+        [(0.0, 1), (9.86960440108949, 2), (39.478417604357524, 2)],
+        []),
+    ("cycle4", "edge"): (
+        [(0.0, 1), (9.86960440108949, 2), (39.478417604357524, 2)],
+        []),
+    ("figure8-0.3-0.9", "dtn"): (
+        [(-1.000000000000142, 1), (0.0, 1), (27.41556778080398, 1)],
+        ["DtNPole"]),
+    ("figure8-0.3-0.9", "edge"): (
+        [(-1.000000000000142, 1), (0.0, 1), (27.415567780803542, 1),
+         (48.73878716587357, 1)],
+        []),
+    ("figure8-equilateral", "dtn"): (
+        [(-1.000000000000142, 1), (0.0, 1)],
+        ["DtNPole", "DtNPole", "DtNPole", "DtNPole"]),
+    ("figure8-equilateral", "edge"): (
+        [(-1.000000000000142, 1), (0.0, 1), (39.47841760435737, 1),
+         (157.91367041742984, 3), (355.3057584392168, 1), (631.654681669719,
+         3)],
+        []),
+    ("path", "dtn"): (
+        [(0.0, 1), (9.869604401089537, 1), (39.478417604357276, 1),
+         (88.82643960980414, 1)],
+        []),
+    ("path", "edge"): (
+        [(0.0, 1), (9.869604401089537, 1), (39.478417604357276, 1),
+         (88.82643960980414, 1)],
+        []),
+    ("pole-narrow", "dtn"): (
+        [],
+        # the fixed grid flagged both flanks of the one pole
+        ["DtNPole"]),
+    ("pole-narrow", "edge"): (
+        [(9.86960440108936, 1)],
+        []),
+    ("pole-point", "dtn"): (
+        [],
+        ["DtNPole"]),
+    ("pole-point", "edge"): (
+        [(9.869604401089358, 1)],
+        []),
+    ("pole-wide", "dtn"): (
+        [],
+        ["DtNPole"]),
+    ("pole-wide", "edge"): (
+        [(9.869604401089253, 1)],
+        []),
+    ("sampled11", "dtn"): (
+        [(-16.549615541929246, 1), (-1.7618563491761194, 1),
+         (-0.9374422682460687, 1), (-0.7779552013213085, 1), (0.0, 1),
+         (10.251405315562026, 1), (25.01089651548199, 1), (58.82775238719481,
+         1)],
+        []),
+    ("sampled11", "edge"): (
+        [(-16.549615541929246, 1), (-1.7618563491761194, 1),
+         (-0.9374422682460687, 1), (-0.7779552013213085, 1), (0.0, 1),
+         (10.251405315562026, 1), (25.01089651548199, 1), (58.82775238719454,
+         1)],
+        []),
+    ("sampled6", "dtn"): (
+        [(-19.798190448468382, 1), (-2.7558381617066905, 1),
+         (-0.09127495298748191, 1), (0.0, 1), (10.54523210063416, 1),
+         (38.558910225893264, 1), (50.816311448712696, 1)],
+        []),
+    ("sampled6", "edge"): (
+        [(-19.798190448468382, 1), (-2.7558381617066905, 1),
+         (-0.09127495298748191, 1), (0.0, 1), (10.54523210063416, 1),
+         (38.558910225893264, 1), (50.816311448712696, 1)],
+        []),
+    ("star3-dirichlet", "dtn"): (
+        [(-2.363985693651558, 1), (2.4674011002722303, 1),
+         (5.9469876975412985, 1), (13.200196726165146, 1), (22.20660990245102,
+         1), (36.11419002307062, 1), (45.43976737434642, 1)],
+        []),
+    ("star3-dirichlet", "edge"): (
+        [(-2.363985693651558, 1), (2.4674011002722303, 1),
+         (5.9469876975412985, 1), (13.200196726165146, 1), (22.20660990245102,
+         1), (36.11419002307062, 1), (45.43976737434642, 1)],
+        []),
+    ("star3", "dtn"): (
+        [(-3.4617242468051828, 1), (0.0, 1), (1.0697613270244237, 1),
+         (5.222405795808801, 1), (19.34370045266015, 1), (24.246622228261685,
+         1)],
+        ["DtNPole"]),
+    ("star3", "edge"): (
+        [(-3.4617242468051828, 1), (0.0, 1), (1.0697613270244237, 1),
+         (5.222405795808801, 1), (9.869604401089553, 1), (19.34370045266015,
+         1), (24.246622228261685, 1)],
+        []),
+    ("star4-equilateral", "dtn"): (
+        [(-1.4392288398907136, 1), (0.0, 1), (0.7401738843948504, 1),
+         (2.4674011002722303, 1), (7.8309644612381, 1), (11.734861829941819,
+         1), (22.20660990245102, 1), (37.46970727849981, 1),
+         (41.438807847570544, 1)],
+        ["DtNPole", "DtNPole"]),
+    ("star4-equilateral", "edge"): (
+        [(-1.4392288398907136, 1), (0.0, 1), (0.7401738843948504, 1),
+         (2.4674011002722303, 1), (7.8309644612381, 1), (9.869604401089145, 1),
+         (11.734861829941819, 1), (22.20660990245102, 1), (37.46970727849981,
+         1), (39.47841760435746, 1), (41.438807847570544, 1)],
+        []),
+    ("star6-equilateral", "dtn"): (
+        [(-3.8710354230140553, 1), (-0.9488111930944065, 1), (0.0, 1),
+         (0.7247576913768314, 1), (1.731503287224418, 1), (5.0355124495354815,
+         1), (15.12810735381193, 1), (18.465895010723454, 1),
+         (21.75231482809856, 1), (24.673945424222666, 1), (45.3196120458184,
+         1)],
+        ["DtNPole"]),
+    ("star6-equilateral", "edge"): (
+        [(-3.8710354230140553, 1), (-0.9488111930944065, 1), (0.0, 1),
+         (0.7247576913768314, 1), (1.731503287224418, 1), (5.0355124495354815,
+         1), (15.12810735381193, 1), (18.465895010723454, 1),
+         (20.14204979814165, 1), (21.75231482809856, 1), (24.673945424222666,
+         1), (45.3196120458184, 1)],
+        []),
+}
+
+
+def diagnostic_kinds(spec):
+    return [d.split("(")[0] for d in spec.diagnostics]
+
+
 class TestCountGuidedScan:
-    """Counts pick the grid points whose sigma the scan evaluates; every
-    result is repr-identical to the full-grid scan's."""
+    """Counts isolate the eigenvalues in cells, sigma refines each cell."""
 
     @pytest.mark.parametrize("method", ["edge", "dtn"])
     @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
-    def test_identical_to_full_grid(self, name, method, monkeypatch):
+    def test_identical_to_full_grid(self, name, method):
+        # same multiplicities and diagnostics as the full-grid scan, and the
+        # same eigenvalues up to the refinement of a different bracket
         g, window = IDENTITY_CASES[name]
-        guided = find_spectrum(g, window, method)
-        monkeypatch.setattr(solve_mod, "_scan_points", full_grid_points)
-        assert repr(guided) == repr(find_spectrum(g, window, method))
+        spec = find_spectrum(g, window, method)
+        records, kinds = FULL_GRID_SPECTRA[(name, method)]
+        assert diagnostic_kinds(spec) == kinds
+        assert [r.mult for r in spec.records] == [m for _, m in records]
+        for r, (lam, _) in zip(spec.records, records):
+            assert abs(r.lam - lam) <= 1e-10 * max(1.0, abs(lam))
 
     def test_few_points_evaluated(self, monkeypatch):
-        picked = []
+        points = []
 
-        def recorded(g, lams):
-            pts = _scan_points(g, lams)
-            picked.append((lams.size, pts.size))
-            return pts
+        def recorded(g, struct, lams, method):
+            points.append(np.size(lams))
+            return _sigma_grid(g, struct, lams, method)
 
-        monkeypatch.setattr(solve_mod, "_scan_points", recorded)
-        spec = find_spectrum(make_figure8(0.5, 0.5), (-5.0, 700.0))
+        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
+        g = make_figure8(0.5, 0.5)
+        spec = find_spectrum(g, (-5.0, 700.0))
         assert spec.count == 10
-        grid = sum(n for n, _ in picked)
-        evaluated = sum(k for _, k in picked)
-        assert grid > 70_000 and evaluated < grid / 100
+        # a grid of the cell width holds 70,000 points
+        assert 700.0 / default_positive_step(g) >= 70_000
+        assert sum(points) < 2_000
 
-    def test_window_without_eigenvalues_evaluates_the_grid_ends(self, star3):
-        lams = np.linspace(2.0, 6.0, 401)  # between 1.067 and 6.471
-        assert _scan_points(star3, lams).tolist() == [0, 1, 399, 400]
+    def test_window_without_eigenvalues_evaluates_no_sigma(self, star3,
+                                                          monkeypatch):
+        points = []
+
+        def recorded(g, struct, lams, method):
+            points.append(np.size(lams))
+            return _sigma_grid(g, struct, lams, method)
+
+        assert _isolate(star3, 2.0, 6.0, 0.01, lambda x: x).shape == (0, 2)
+        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
+        spec = find_spectrum(star3, (2.0, 6.0))  # between 1.067 and 6.471
+        assert spec.records == [] and spec.diagnostics == []
+        assert sum(points) == 0
 
     def test_untrusted_counts_evaluate_every_point(self, star3, monkeypatch):
+        # no count settles a cell, so the cells cover the whole window, each
+        # is refined on its own, and every root is still found
         def untrusted(g, lams):
             counts, _ = count_below(g, lams)
             return counts, np.zeros(counts.size, dtype=bool)
 
         monkeypatch.setattr(solve_mod, "count_below", untrusted)
-        lams = np.linspace(-10.0, 10.0, 1001)
-        assert _scan_points(star3, lams).tolist() == list(range(1001))
+        cells = _isolate(star3, -10.0, 10.0, 0.05, lambda x: x)
+        cells = cells[np.argsort(cells[:, 0])]
+        assert cells[0, 0] == -10.0 and cells[-1, 1] == 10.0
+        assert np.array_equal(cells[1:, 0], cells[:-1, 1])
+        assert np.all(cells[:, 1] - cells[:, 0] <= 0.05)
+        spec = find_spectrum(star3, (-10.0, 10.0))
+        check(spec, [(lam, 1) for lam in STAR3_EQUIL])
+        assert spec.diagnostics == []
 
-    def test_cells_holding_roots_are_padded(self, star3):
-        lams = np.linspace(2.0, 10.0, 801)
-        padded = []
-        for root in (6.470961399932133, PI2):  # in cell [i, i + 1]
-            i = int(np.searchsorted(lams, root)) - 1
-            padded += list(range(i - 2, i + 4))
-        assert _scan_points(star3, lams).tolist() == [0, 1] + padded + [799, 800]
+    def test_cells_holding_roots_are_padded(self, star3, monkeypatch):
+        # one cell per root, refined over the cell widened by half a width
+        # on each side and clipped to the window
+        width = default_positive_step(star3)
+        brackets = []
 
+        def recorded(fn, a, b, tol):
+            brackets.append((np.array(a), np.array(b)))
+            return _golden_min(fn, a, b, tol)
 
-class TestBracketMinima:
-    @pytest.mark.parametrize("ys,expected", [
-        ([1.0, 2.0, 3.0], [0]),
-        ([3.0, 2.0, 1.0], [2]),
-        ([1.0, 3.0, 0.5, 2.0, 1.5], [0, 2, 4]),
-        ([2.0, 1.0, 1.0, 2.0], [1, 2]),
-        ([1.0, 1.0, 1.0], [0, 1, 2]),
-        ([np.inf, 2.0, np.inf, 1.0], [1, 3]),
-        # a NaN is never a minimum, and compares false against its neighbours
-        ([np.nan, 2.0, 3.0, np.nan], []),
-        ([2.0, np.nan, 1.0, 3.0], []),
-        ([np.nan, 2.0, 1.0, 3.0], [2]),
-        ([np.inf, np.inf], []),
-        ([np.nan], []),
-        ([4.0], [0]),
-        ([4.0, 4.0], [0, 1]),
-        ([5.0, 4.0], [1]),
-    ])
-    def test_indices(self, ys, expected):
-        assert _bracket_minima(np.arange(len(ys)), np.array(ys)) == expected
+        monkeypatch.setattr(solve_mod, "_golden_min", recorded)
+        spec = find_spectrum(star3, (2.0, 9.0))
+        check(spec, [(6.470961399932133, 1)])
+        cells = _isolate(star3, 2.0, 9.0, width, lambda x: x)
+        assert cells.shape == (1, 2) and cells[0, 1] - cells[0, 0] <= width
+        assert cells[0, 0] < 6.470961399932133 < cells[0, 1]
+        (a, b), = brackets
+        assert a.tolist() == [cells[0, 0] - width / 2.0]
+        assert b.tolist() == [cells[0, 1] + width / 2.0]
+        brackets.clear()
+        find_spectrum(star3, (6.47, 9.0))
+        (a, b), = brackets
+        assert a.tolist() == [6.47]  # clipped to the window
 
-    @pytest.mark.parametrize("ys,expected", [
-        # NaN marks a point the scan did not evaluate: a point next to one is
-        # never a minimum, whatever the evaluated neighbour holds
-        ([np.nan, np.nan, 3.0, 1.0, 2.0, np.nan, np.nan, 5.0, 4.0], [3, 8]),
-        ([np.nan, 1.0, 2.0, 3.0], []),
-        ([3.0, 2.0, 1.0, np.nan], []),
-        ([3.0, 1.0, 2.0, np.nan, 2.0, 0.5, 1.0], [1, 5]),
-        # the grid ends compare against inf as on a full grid
-        ([1.0, 2.0, np.nan, np.nan, 2.0, 1.0], [0, 5]),
-        ([2.0, 1.0, np.nan, np.nan, 1.0, 2.0], []),
-        ([np.inf, 1.0, 2.0, np.nan], [1]),
-    ])
-    def test_sparse_indices(self, ys, expected):
-        assert _bracket_minima(np.arange(len(ys)), np.array(ys)) == expected
+    def test_root_on_a_shared_cell_end_is_one_record(self, star3):
+        # the window's middle is the root pi^2: the first split lands on it,
+        # its count is untrusted, and the cells on both sides stay open; both
+        # refine to the root, which is reported once
+        lo, hi = PI2 - 0.5, PI2 + 0.5
+        assert (lo + hi) / 2.0 == PI2
+        cells = _isolate(star3, lo, hi, default_positive_step(star3),
+                         lambda x: x)
+        assert sorted(cells[:, 0].tolist() + cells[:, 1].tolist()).count(
+            PI2) == 2
+        spec = find_spectrum(star3, (lo, hi))
+        check(spec, [(PI2, 1)])
+        assert spec.diagnostics == []
 
 
 def scalar_golden(fn, a, b, tol):
@@ -525,25 +697,21 @@ class TestLockstepGoldenMin:
     @pytest.mark.parametrize("g", [make_star([1.0, 1.0, 1.0]),
                                    make_figure8(0.7, 1.3)], ids=["star3", "figure8"])
     def test_real_sigma_both_branches(self, g):
+        # the cells find_spectrum refines, padded by half a width
         struct = prepare_structure(g)
         # kappa branch, with find_spectrum's per-bracket tolerances
-        kgrid = np.linspace(1e-4, 4.0, 200)
-        idx = np.array(_bracket_minima(kgrid, _sigma_grid(
-            g, struct, -kgrid ** 2, "edge")[0]))
-        assert idx.size >= 1
-        tol_k = np.maximum(1e-12 / (2.0 * np.maximum(kgrid[idx], 0.05)), 1e-15)
+        cells = _isolate(g, 1e-4, 4.0, 1e-3, lambda k: -k * k)
+        assert len(cells) >= 1
+        a, b = cells[:, 0] - 5e-4, cells[:, 1] + 5e-4
+        tol_k = np.maximum(1e-12 / (2.0 * np.maximum(a, 0.05)), 1e-15)
         self.run(lambda k: _sigma_grid(g, struct, -k * k, "edge")[0],
-                 kgrid[np.maximum(idx - 1, 0)],
-                 kgrid[np.minimum(idx + 1, kgrid.size - 1)], tol_k)
+                 a, b, tol_k)
         # positive branch, on both routes
-        pgrid = np.linspace(0.5, 30.0, 300)
+        cells = _isolate(g, 0.5, 30.0, 0.01, lambda x: x)
+        assert len(cells) >= 2
         for method in ("edge", "dtn"):
-            idx = np.array(_bracket_minima(pgrid, _sigma_grid(
-                g, struct, pgrid, method)[0]))
-            assert idx.size >= 2
             self.run(lambda x: _sigma_grid(g, struct, x, method)[0],
-                     pgrid[np.maximum(idx - 1, 0)],
-                     pgrid[np.minimum(idx + 1, pgrid.size - 1)], 1e-12)
+                     cells[:, 0] - 0.005, cells[:, 1] + 0.005, 1e-12)
 
 
 class TestFirstEigenvalues:
@@ -557,6 +725,22 @@ class TestFirstEigenvalues:
         assert lams[0] == pytest.approx(0.0, abs=1e-10)
         assert lams[1] == pytest.approx(4 * PI2, abs=1e-7)
         assert lams[2] == pytest.approx(4 * PI2, abs=1e-7)
+
+    def test_error_names_the_last_window_scanned(self, star3, monkeypatch):
+        windows = []
+
+        def empty(g, window, method="edge"):
+            windows.append(window)
+            return Spectrum([], window, method, {})
+
+        monkeypatch.setattr(solve_mod, "find_spectrum", empty)
+        with pytest.raises(WindowTooCoarse) as err:
+            first_eigenvalues(star3, 2)
+        assert len(windows) == 12
+        assert windows[-1][1] == windows[0][1] * 2.0 ** 11
+        assert str(err.value) == (
+            f"could not locate 2 eigenvalues in [{windows[-1][0]}, "
+            f"{windows[-1][1]}]")
 
     def test_window_growth_reaches_high_count(self):
         lams, _ = first_eigenvalues(make_path([1.0]), 6)
@@ -653,6 +837,59 @@ class TestEigenfunctions:
         assert len(funcs) == 3
         for f in funcs:
             assert residual(fig8, f) < 1e-6
+
+    @staticmethod
+    def former_orthonormalization(g, lam, a, b, order=64):
+        """Coefficient dicts of the L2-orthonormal basis, from the raw (a, b)
+        amplitudes, by the per-column, per-edge loop eigenfunction_at ran
+        before it took one product per amplitude."""
+        from qgraph.quadform import edge_quadrature
+
+        ids = [e.id for e in g.edges]
+        funcs = [solve_mod.Eigenfunction(g, lam, dict(zip(ids, zip(*ab))))
+                 for ab in zip(a, b)]
+        quad = {e.id: edge_quadrature(e.length, order) for e in g.edges}
+        weights = np.concatenate([quad[e.id][1] for e in g.edges])
+        samples = np.array([np.concatenate([f.value(e.id, quad[e.id][0])
+                                            for e in g.edges]) for f in funcs])
+        gram = (samples * weights) @ samples.conj().T
+        evals, evecs = np.linalg.eigh(gram)
+        keep = evals > 1e-12 * evals[-1]
+        trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
+        out = []
+        for col in range(trans.shape[1]):
+            coeffs = {}
+            for e in g.edges:
+                ca = sum(trans[j, col] * funcs[j].coeffs[e.id][0]
+                         for j in range(len(funcs)))
+                cb = sum(trans[j, col] * funcs[j].coeffs[e.id][1]
+                         for j in range(len(funcs)))
+                coeffs[e.id] = (ca, cb)
+            out.append(coeffs)
+        return out
+
+    @pytest.mark.parametrize("g,lam", [(make_cycle([1.0]), 4 * PI2),
+                                       (make_figure8(0.5, 0.5), 16 * PI2)],
+                             ids=["cycle-double", "figure8-triple"])
+    def test_orthonormal_basis_matches_former_loop(self, g, lam, monkeypatch):
+        regime = solve_mod._regime_coeffs
+        raw = []
+
+        def recorded(*args):
+            raw.append(regime(*args))
+            return raw[-1]
+
+        monkeypatch.setattr(solve_mod, "_regime_coeffs", recorded)
+        funcs = eigenfunction_at(g, lam)
+        ref = self.former_orthonormalization(g, lam, *raw[0])
+        assert len(funcs) == len(ref) == len(raw[0][0])
+        for f, coeffs in zip(funcs, ref):
+            assert list(f.coeffs) == list(coeffs)
+            got = np.array([f.coeffs[eid] for eid in coeffs])
+            want = np.array(list(coeffs.values()))
+            # entries that cancel to rounding noise are held to the scale
+            np.testing.assert_allclose(got, want, rtol=1e-14,
+                                       atol=1e-14 * np.abs(want).max())
 
     def test_not_an_eigenvalue(self, star3):
         with pytest.raises(NotAnEigenvalue):
