@@ -6,7 +6,8 @@ the lambdas, runs one batched SVD over the rows off the builder's singular
 mask and leaves inf in the others. It returns (sigma_min, sigma_max) arrays.
 The lambdas are any batch: find_spectrum passes the ends of the cells that
 exact eigenvalue counts (`secular.count_below`) leave open, then the
-refinement and certification points.
+golden-section points inside the brackets the counts narrowed or padded,
+then the certification points.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (n_lambda, E) trace tables of a chunk,

@@ -18,8 +18,9 @@ Two routes to the same zero set:
 
 The same tables give exact eigenvalue counts, `count_below`: N(lambda), the
 number of eigenvalues below lambda with multiplicity, is
-N_D(lambda) + n_-(Q(lambda)). N_D counts the edge Dirichlet eigenvalues
-(n pi / l_e)^2 below lambda and n_- the negative eigenvalues of
+N_D(lambda) + n_-(Q(lambda)), whose terms `count_terms` computes. N_D counts
+the edge Dirichlet eigenvalues (n pi / l_e)^2 below lambda and n_- the
+negative eigenvalues of
 Q(lambda) = P* (H - M(lambda)) P, with H the Hermitian vertex term of the
 form (`quadform.vertex_form_matrix`) and P an orthonormal basis of the
 form-domain traces (`quadform.form_domain_basis`). Off the edge Dirichlet
@@ -28,7 +29,10 @@ edgewise H^1_0 functions and on the lambda-harmonic extensions of the traces,
 where integration by parts leaves F* (H - M) F: the Dirichlet-to-Neumann
 counting argument of L. Friedlander (Arch. Rational Mech. Anal. 116, 1991),
 in the quantum-graph form of Berkolaiko & Kuchment, Introduction to Quantum
-Graphs (AMS, 2013).
+Graphs (AMS, 2013). Between edge Dirichlet poles the eigenvalues of Q
+decrease strictly in lambda, so the one that crosses zero in a pole-free
+cell also locates the root: `count_terms` returns them, with the threshold
+below which their signs are uncertain, for solve's refinement.
 
 Star graphs additionally admit closed product and reduced transcendental
 forms used for regression and fast sweeps.
@@ -139,7 +143,7 @@ def build_dtn_grid(g: MetricGraph, lams):
 
 @lru_cache(maxsize=256)
 def _count_plan(g: MetricGraph):
-    """Per-graph constants of `count_below`: P* H P; the (E, r, r) stacks
+    """Per-graph constants of `count_terms`: P* H P; the (E, r, r) stacks
     p_s p_s^T + p_e p_e^T and p_s p_e^T + p_e p_s^T that P* M P takes per
     unit diagonal and off-diagonal DtN entry of each edge, p_s and p_e the
     rows of P at the edge's start and end slots; and the edge lengths."""
@@ -151,15 +155,15 @@ def _count_plan(g: MetricGraph):
             ps * pe_t + pe * ps_t, lengths)
 
 
-def count_below(g: MetricGraph, lams):
-    """Exact eigenvalue counts N(lambda) = N_D(lambda) + n_-(Q(lambda)) (see
+def count_terms(g: MetricGraph, lams):
+    """The terms of the count N(lambda) = N_D(lambda) + n_-(Q(lambda)) (see
     the module docstring), with one batched eigvalsh over the lambdas.
 
-    Returns (counts, trusted): an (n,) integer array and an (n,) mask. A
-    count is trusted off the singular mask of `dtn_tables` and when no
-    eigenvalue of Q lies within _COUNT_TRUST * r * eps * max |eigenvalue| of
-    zero; an untrusted one sits on, or within rounding of, an edge Dirichlet
-    eigenvalue or an eigenvalue of the graph.
+    Returns (n_dirichlet, mu, thr, singular): N_D as an (n,) integer array,
+    the (n, r) ascending eigenvalues of Q, the (n,) backward-error threshold
+    _COUNT_TRUST * r * eps * max |mu| below which an eigenvalue's sign is
+    uncertain, and the singular mask of `dtn_tables`, whose rows hold no
+    usable mu.
     """
     hp, dterm, oterm, lengths = _count_plan(g)
     lams = np.asarray(lams, dtype=float).reshape(-1)
@@ -170,12 +174,23 @@ def count_below(g: MetricGraph, lams):
     mu = np.linalg.eigvalsh(hp - m)
     k = np.sqrt(np.maximum(lams, 0.0))[:, None]
     n_dirichlet = np.maximum(np.ceil(k * lengths / np.pi) - 1.0, 0.0).sum(axis=1)
-    counts = n_dirichlet.astype(np.intp) + (mu < 0.0).sum(axis=1)
-    size = np.abs(mu)
-    trusted = ~singular & (size.min(axis=1, initial=np.inf) > _COUNT_TRUST * r
-                           * np.finfo(float).eps
-                           * size.max(axis=1, initial=0.0))
-    return counts, trusted
+    thr = (_COUNT_TRUST * r * np.finfo(float).eps
+           * np.abs(mu).max(axis=1, initial=0.0))
+    return n_dirichlet.astype(np.intp), mu, thr, singular
+
+
+def count_below(g: MetricGraph, lams):
+    """Exact eigenvalue counts N(lambda), from `count_terms`.
+
+    Returns (counts, trusted): an (n,) integer array and an (n,) mask. A
+    count is trusted off the singular mask of `dtn_tables` and when no
+    eigenvalue of Q lies within the threshold of zero; an untrusted one sits
+    on, or within rounding of, an edge Dirichlet eigenvalue or an eigenvalue
+    of the graph.
+    """
+    n_dirichlet, mu, thr, singular = count_terms(g, lams)
+    trusted = ~singular & (np.abs(mu).min(axis=1, initial=np.inf) > thr)
+    return n_dirichlet + (mu < 0.0).sum(axis=1), trusted
 
 
 def build_secular_matrix(g: MetricGraph, lam: float, method: str = "edge", *,

@@ -1,6 +1,6 @@
-"""Spectrum search: eigenvalues isolated by exact counts, located by
-golden-section refinement of sigma_min, rank-based multiplicities,
-eigenfunction recovery.
+"""Spectrum search: eigenvalues isolated and refined by exact counts,
+polished by golden-section refinement of sigma_min, rank-based
+multiplicities, eigenfunction recovery.
 
 Conventions: windows are closed intervals in lambda. Negative parts are
 searched in kappa = sqrt(-lambda), positive parts in lambda. lambda = 0 is
@@ -9,17 +9,24 @@ counts as an eigenvalue when sigma_min < rank_tol * sigma_max after
 refinement to |d lambda| < refine_tol. Eigenvalues closer to zero than
 zero_radius + refine_tol are indistinguishable from 0 and folded into it.
 
-Both branches go through one routine. The exact counts of
-`secular.count_below` isolate the eigenvalues: the branch's interval is
-bisected in lockstep, one count call per round, and a cell is split while it
-is wider than the branch width (_KAPPA_WIDTH in kappa, default_positive_step
+Both branches run in one lockstep, in the coordinate x = -kappa below zero
+and x = lambda above, which increases with lambda. The exact counts of
+`secular.count_below` isolate the eigenvalues: the branches' intervals are
+bisected together, one count call per round, and a cell is split while it
+is wider than its branch width (_KAPPA_WIDTH in kappa, default_positive_step
 in lambda) and its end counts differ or either end count is untrusted. A
 cell with equal trusted counts holds no eigenvalue and is dropped. One sigma
-call at the ends of the cells left gives the typical sigma_max. Each cell,
-padded by half a width and clipped to the window, is a bracket of one
-golden-section search; all brackets of the branch run in lockstep, one
-batched sigma call per round. Certification is one batched call over the
-candidates, and candidates within the count probes' nudge are one root.
+call at the ends of the cells left gives the typical sigma_max, the largest
+of the per-branch medians. Each cell is padded by half a width and clipped
+to its branch. Where both end counts are trusted and no edge Dirichlet pole
+lies inside, `_narrow` refines the cell by Illinois steps on the eigenvalue
+of Q(lambda) that crosses zero there (`secular.count_terms`), one count call
+per round for all cells, down to the tolerance or to the count's error bar.
+One golden-section search, all brackets in lockstep and one batched sigma
+call per round, then finishes every bracket: one narrowed to the tolerance
+in its opening call, one narrowed to the error bar in a few rounds, a padded
+one in about 50. Certification is one batched call over the candidates, and
+candidates within the count probes' nudge are one root.
 
 Every batch goes through the one chunk loop, `kernels.scan_sigma`, with the
 route's builder: the graph's edge plan from `kernels.prepare_structure`, or
@@ -47,11 +54,13 @@ from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import END, MetricGraph, START
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
                       equilibrate_columns, prepare_structure, scan_sigma)
-from .secular import build_dtn_grid, build_secular_matrix, count_below
+from .secular import (build_dtn_grid, build_secular_matrix, count_below,
+                      count_terms)
 
 ZERO_RADIUS = 1e-7
 _KAPPA_WIDTH = 1e-3  # widest cell the negative branch isolates, in kappa
 _KAPPA_FLOOR = 1e-4
+_ILLINOIS_ROUNDS = 40  # cap on the lockstep regula falsi rounds of _narrow
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -173,31 +182,95 @@ def _golden_min(fn, a, b, tol):
     return (a + b) / 2.0
 
 
-def _isolate(g, a, b, width, lam_of):
-    """(n, 2) array of the cells [x0, x1] of [a, b] that may hold an
-    eigenvalue at lambda = lam_of(x), none wider than width.
+def _isolate(g, cells, width, lam_of):
+    """(n, 2) array of the cells [x0, x1] inside the start cells that may
+    hold an eigenvalue at lambda = lam_of(x), each no wider than its start
+    cell's entry of width.
 
-    Cells are bisected in lockstep, starting from [a, b], with one
-    `count_below` call per round. A cell is split while it is wider than
-    width and its end counts differ or either end count is untrusted; a cell
-    with equal trusted end counts holds no eigenvalue and is dropped."""
+    Cells are bisected in lockstep with one `count_below` call per round. A
+    cell is split while it is wider than its width and its end counts differ
+    or either end count is untrusted; a cell with equal trusted end counts
+    holds no eigenvalue and is dropped."""
     def halves(v, mid):
         return np.concatenate((np.column_stack((v[:, 0], mid)),
                                np.column_stack((mid, v[:, 1]))))
 
-    x = np.array([[a, b]], dtype=float)
-    n, ok = (v.reshape(1, 2) for v in count_below(g, lam_of(x[0])))
-    cells = []
+    x = np.array(cells, dtype=float).reshape(-1, 2)
+    width = np.broadcast_to(np.asarray(width, dtype=float), x.shape[:1])
+    n, ok = (v.reshape(2, -1).T for v in count_below(g, lam_of(x.T.ravel())))
+    found = []
     while True:
         open_ = (n[:, 0] != n[:, 1]) | ~ok.all(axis=1)
         wide = open_ & (x[:, 1] - x[:, 0] > width)
-        cells.append(x[open_ & ~wide])
+        found.append(x[open_ & ~wide])
         if not wide.any():
-            return np.concatenate(cells)
-        x, n, ok = x[wide], n[wide], ok[wide]
+            return np.concatenate(found)
+        x, n, ok, width = x[wide], n[wide], ok[wide], width[wide]
         mid = (x[:, 0] + x[:, 1]) / 2.0
         n_mid, ok_mid = count_below(g, lam_of(mid))
         x, n, ok = halves(x, mid), halves(n, n_mid), halves(ok, ok_mid)
+        width = np.concatenate((width, width))
+
+
+def _narrow(g, cells, x0, x1, lam_of, tol):
+    """Golden-section brackets [x0, x1] for the count cells, narrowed where
+    the counts can refine the root.
+
+    Between edge Dirichlet poles the eigenvalues of Q(lambda) (see
+    `secular.count_terms`) decrease strictly, so in a cell with trusted end
+    counts and the same N_D at both ends, mu_q, q = n_-(Q) at the lower end,
+    changes sign once: at the cell's lowest root. The sign is uncertain
+    within bar = thr / slope of the root, thr the trust threshold at the
+    last probe and slope mu_q's mean slope over the cell. Lockstep Illinois
+    steps on the raw sign of mu_q, one `count_terms` call per round, shrink
+    each such cell to its tolerance or to bar, whichever is wider; the
+    midpoint replaces a secant step that leaves the bracket. Where bar
+    exceeds tol / 2 the bracket returned is mid +- 4 bar, clipped to
+    [x0, x1]; otherwise it is the Illinois bracket. Other cells keep
+    [x0, x1].
+    """
+    x0, x1 = np.array(x0, dtype=float), np.array(x1, dtype=float)
+    n = len(cells)
+    nd, mu, thr, singular = count_terms(g, lam_of(cells.T.ravel()))
+    trusted = ~singular & (np.abs(mu).min(axis=1, initial=np.inf) > thr)
+    neg = (mu < 0.0).sum(axis=1)
+    (nd_u, nd_v), (neg_u, neg_v) = nd.reshape(2, n), neg.reshape(2, n)
+    sel = np.flatnonzero(trusted.reshape(2, n).all(axis=0) & (nd_u == nd_v)
+                         & (neg_u < neg_v))
+    q = neg_u[sel]
+    u, v = cells[sel, 0].copy(), cells[sel, 1].copy()
+    fu, fv = mu[sel, q], mu[n + sel, q]
+    slope = (fu - fv) / (v - u)
+    thr_last = np.maximum(thr[sel], thr[n + sel])
+    tol = tol[sel]
+    side = np.zeros(sel.size)  # sign of the last probe: which end moved
+    live = np.arange(sel.size)
+    for _ in range(_ILLINOIS_ROUNDS):
+        # a bracket inside the error bar learns nothing more from signs
+        live = live[v[live] - u[live]
+                    > np.maximum(tol[live], thr_last[live] / slope[live])]
+        if not live.size:
+            break
+        a, b, fa, fb = u[live], v[live], fu[live], fv[live]
+        t = b - fb * (b - a) / (fb - fa)
+        t = np.where((a < t) & (t < b), t, (a + b) / 2.0)
+        _, mu_t, thr_t, _ = count_terms(g, lam_of(t))
+        ft = mu_t[np.arange(live.size), q[live]]
+        # Illinois: halve the value at an end kept twice in a row
+        fu[live] = np.where(ft > 0.0, ft,
+                            np.where((ft < 0.0) & (side[live] < 0), fa / 2.0, fa))
+        fv[live] = np.where(ft < 0.0, ft,
+                            np.where((ft > 0.0) & (side[live] > 0), fb / 2.0, fb))
+        u[live] = np.where(ft >= 0.0, t, a)
+        v[live] = np.where(ft <= 0.0, t, b)
+        side[live] = np.sign(ft)
+        thr_last[live] = thr_t
+    bar = thr_last / slope
+    mid = (u + v) / 2.0
+    wide = bar > tol / 2.0
+    x0[sel] = np.where(wide, np.maximum(mid - 4.0 * bar, x0[sel]), u)
+    x1[sel] = np.where(wide, np.minimum(mid + 4.0 * bar, x1[sel]), v)
+    return x0, x1
 
 
 def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
@@ -212,39 +285,46 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     struct = prepare_structure(g)
     pos_width = default_positive_step(g)
 
-    candidates = []
-    scale_ref = 0.0  # typical sigma_max over the cell ends
+    # one lockstep over both branches in x, increasing with lambda: x = -kappa
+    # on the negative branch, x = lambda on the positive one
+    def lam_of(x):
+        return np.where(x < 0.0, -x * x, x)
 
-    def refine_branch(a, b, width, lam_of, tol_of):
-        """Isolate the eigenvalues of [a, b] in x, at lambda = lam_of(x), in
-        cells no wider than width, and refine the sigma_min minimum of each
-        cell, padded by half a width and clipped to [a, b], to the
-        x-tolerance tol_of(x)."""
-        nonlocal scale_ref
-        cells = _isolate(g, a, b, width, lam_of)
-        if not cells.size:
-            return
-        smax = _sigma_grid(g, struct, lam_of(np.unique(cells)), method)[1]
-        finite = smax[np.isfinite(smax)]
-        if finite.size:
-            scale_ref = max(scale_ref, float(np.median(finite)))
-        x0 = np.maximum(cells[:, 0] - width / 2.0, a)
-        x1 = np.minimum(cells[:, 1] + width / 2.0, b)
-        x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
-                        x0, x1, tol_of(x0))
-        candidates.extend(lam_of(x))
+    def width_of(x):
+        return np.where(x < 0.0, _KAPPA_WIDTH, pos_width)
 
+    branches = []
     if lo < -ZERO_RADIUS:  # negative part, isolated in kappa
         k_lo = math.sqrt(-min(hi, 0.0)) if hi < 0 else _KAPPA_FLOOR
         k_hi = math.sqrt(-lo)
         if k_hi > k_lo:
-            refine_branch(
-                k_lo, k_hi, _KAPPA_WIDTH, lambda k: -k * k,
-                lambda k: np.maximum(refine_tol / (2.0 * np.maximum(k, 0.05)),
-                                     1e-15))
+            branches.append((-k_hi, -k_lo))
     if hi > ZERO_RADIUS:  # positive part, isolated in lambda
-        refine_branch(max(lo, ZERO_RADIUS), hi, pos_width, lambda x: x,
-                    lambda x: refine_tol)
+        branches.append((max(lo, ZERO_RADIUS), hi))
+    branches = np.array(branches, dtype=float).reshape(-1, 2)
+    cells = _isolate(g, branches, width_of(branches[:, 0]), lam_of)
+
+    scale_ref = 0.0  # typical sigma_max over the cell ends, per branch
+    ends = np.unique(cells)
+    smax = _sigma_grid(g, struct, lam_of(ends), method)[1]
+    for part in (ends < 0.0, ends > 0.0):
+        finite = smax[part & np.isfinite(smax)]
+        if finite.size:
+            scale_ref = max(scale_ref, float(np.median(finite)))
+    # each cell padded by half a width, clipped to its branch
+    a, b = branches[np.searchsorted(branches[:, 0], cells[:, 0],
+                                    side="right") - 1].T
+    width = width_of(cells[:, 0])
+    x0 = np.maximum(cells[:, 0] - width / 2.0, a)
+    x1 = np.minimum(cells[:, 1] + width / 2.0, b)
+    # kappa tolerance from the padded lower kappa, -x1
+    tol = np.where(x1 < 0.0,
+                   np.maximum(refine_tol / (2.0 * np.maximum(-x1, 0.05)), 1e-15),
+                   refine_tol)
+    x0, x1 = _narrow(g, cells, x0, x1, lam_of, tol)
+    x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
+                    x0, x1, tol)
+    candidates = lam_of(x)
 
     # certify candidates; a collapse of sigma_max against the typical scale
     # means the whole matrix vanished (eigenvalue of full multiplicity 2E,

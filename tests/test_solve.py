@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qgraph.coupling import assemble_blocks
+import qgraph.secular as secular_mod
 import qgraph.solve as solve_mod
 from qgraph.errors import NotAnEigenvalue, WindowTooCoarse
 from qgraph.experiments import ground_state, sample_graph
@@ -24,6 +25,7 @@ from qgraph.secular import (build_secular_matrix, count_below,
 from qgraph.solve import (
     Spectrum,
     _GOLD,
+    _KAPPA_WIDTH,
     _golden_min,
     _isolate,
     _sigma_grid,
@@ -552,7 +554,7 @@ class TestCountGuidedScan:
             points.append(np.size(lams))
             return _sigma_grid(g, struct, lams, method)
 
-        assert _isolate(star3, 2.0, 6.0, 0.01, lambda x: x).shape == (0, 2)
+        assert _isolate(star3, [[2.0, 6.0]], 0.01, lambda x: x).shape == (0, 2)
         monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
         spec = find_spectrum(star3, (2.0, 6.0))  # between 1.067 and 6.471
         assert spec.records == [] and spec.diagnostics == []
@@ -566,7 +568,7 @@ class TestCountGuidedScan:
             return counts, np.zeros(counts.size, dtype=bool)
 
         monkeypatch.setattr(solve_mod, "count_below", untrusted)
-        cells = _isolate(star3, -10.0, 10.0, 0.05, lambda x: x)
+        cells = _isolate(star3, [[-10.0, 10.0]], 0.05, lambda x: x)
         cells = cells[np.argsort(cells[:, 0])]
         assert cells[0, 0] == -10.0 and cells[-1, 1] == 10.0
         assert np.array_equal(cells[1:, 0], cells[:-1, 1])
@@ -575,10 +577,9 @@ class TestCountGuidedScan:
         check(spec, [(lam, 1) for lam in STAR3_EQUIL])
         assert spec.diagnostics == []
 
-    def test_cells_holding_roots_are_padded(self, star3, monkeypatch):
-        # one cell per root, refined over the cell widened by half a width
-        # on each side and clipped to the window
-        width = default_positive_step(star3)
+    @staticmethod
+    def recorded_brackets(monkeypatch):
+        """The (a, b) arrays of every _golden_min call find_spectrum makes."""
         brackets = []
 
         def recorded(fn, a, b, tol):
@@ -586,18 +587,92 @@ class TestCountGuidedScan:
             return _golden_min(fn, a, b, tol)
 
         monkeypatch.setattr(solve_mod, "_golden_min", recorded)
-        spec = find_spectrum(star3, (2.0, 9.0))
-        check(spec, [(6.470961399932133, 1)])
-        cells = _isolate(star3, 2.0, 9.0, width, lambda x: x)
+        return brackets
+
+    def test_cells_holding_roots_are_padded(self, monkeypatch):
+        # a cell with an edge Dirichlet pole inside (pi^2, of the unit edge)
+        # is refined over the cell widened by half a width on each side and
+        # clipped to the window
+        g = make_star([1.0, 0.7, 1.3])
+        width = default_positive_step(g)
+        brackets = self.recorded_brackets(monkeypatch)
+        spec = find_spectrum(g, (8.0, 12.0))
+        check(spec, [(PI2, 1)])
+        cells = _isolate(g, [[8.0, 12.0]], width, lambda x: x)
         assert cells.shape == (1, 2) and cells[0, 1] - cells[0, 0] <= width
-        assert cells[0, 0] < 6.470961399932133 < cells[0, 1]
+        assert cells[0, 0] < PI2 < cells[0, 1]
         (a, b), = brackets
         assert a.tolist() == [cells[0, 0] - width / 2.0]
         assert b.tolist() == [cells[0, 1] + width / 2.0]
         brackets.clear()
-        find_spectrum(star3, (6.47, 9.0))
+        find_spectrum(g, (PI2 - 0.003, 12.0))
         (a, b), = brackets
-        assert a.tolist() == [6.47]  # clipped to the window
+        assert a.tolist() == [PI2 - 0.003]  # clipped to the window
+
+    def test_pole_free_cells_are_narrowed_by_counts(self, star3, monkeypatch):
+        # a pole-free cell whose count error bar is small reaches golden
+        # section already no wider than refine_tol, inside the count cell
+        width = default_positive_step(star3)
+        brackets = self.recorded_brackets(monkeypatch)
+        spec = find_spectrum(star3, (0.5, 2.0))
+        check(spec, [(1.067126678486186, 1)], tol=1e-12)
+        cells = _isolate(star3, [[0.5, 2.0]], width, lambda x: x)
+        (a, b), = brackets
+        assert cells[0, 0] <= a[0] <= b[0] <= cells[0, 1]
+        assert b[0] - a[0] <= 1e-12
+
+    def test_few_sigma_calls_on_pole_free_cells(self, monkeypatch):
+        # every root of the Dirichlet star lies off the edge Dirichlet
+        # spectrum: sigma is evaluated at the cell ends, once at the narrowed
+        # brackets and for certification, plus a few golden rounds where the
+        # count's error bar is wide
+        calls = []
+
+        def recorded(g, struct, lams, method):
+            calls.append(np.size(lams))
+            return _sigma_grid(g, struct, lams, method)
+
+        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
+        g, window = IDENTITY_CASES["star3-dirichlet"]
+        spec = find_spectrum(g, window)
+        assert spec.diagnostics == [] and spec.count == 7
+        assert len(calls) <= 10
+
+    def test_untrusted_cells_are_not_narrowed(self, star3, monkeypatch):
+        # with every count untrusted no cell is narrowed: each golden bracket
+        # is a whole padded cell, and every root is still found
+        monkeypatch.setattr(secular_mod, "_COUNT_TRUST", np.inf)
+        assert not count_below(star3, [-5.0, 3.0])[1].any()
+        brackets = self.recorded_brackets(monkeypatch)
+        spec = find_spectrum(star3, (-10.0, 10.0))
+        check(spec, [(lam, 1) for lam in STAR3_EQUIL])
+        assert spec.diagnostics == []
+        (a, b), = brackets
+        assert np.all(b - a >= _KAPPA_WIDTH / 2.0)
+
+    def test_double_roots_keep_their_multiplicity(self, monkeypatch):
+        # the cycle's double roots pi^2 and 4 pi^2 are narrowed by counts like
+        # any other pole-free root, and certified with multiplicity 2
+        brackets = self.recorded_brackets(monkeypatch)
+        g, window = IDENTITY_CASES["cycle4"]
+        spec = find_spectrum(g, window)
+        check(spec, [(0.0, 1), (PI2, 2), (4.0 * PI2, 2)], tol=1e-12)
+        (a, b), = brackets
+        for lam in (PI2, 4.0 * PI2):
+            hit = (a <= lam + 1e-12) & (lam - 1e-12 <= b)
+            assert hit.sum() == 1 and (b - a)[hit][0] <= 1e-12
+
+    @pytest.mark.parametrize("short, roots", [
+        (1e-7, [3.4150867286307403, 13.660344866513093]),
+        (1e-8, [3.4150878981158543, 13.660351387661684])])
+    def test_short_edge_roots_keep_their_accuracy(self, short, roots):
+        # Q's entries grow like 1 / l, so the count's sign is uncertain over
+        # an error bar around each root; sigma refines over that bar
+        spec = find_spectrum(make_star([1.0, 0.7, short]), (0.5, 30.0))
+        assert spec.diagnostics == []
+        assert [r.mult for r in spec.records] == [1, 1]
+        for r, lam in zip(spec.records, roots):
+            assert abs(r.lam - lam) <= 1e-12 * lam
 
     def test_root_on_a_shared_cell_end_is_one_record(self, star3):
         # the window's middle is the root pi^2: the first split lands on it,
@@ -605,7 +680,7 @@ class TestCountGuidedScan:
         # refine to the root, which is reported once
         lo, hi = PI2 - 0.5, PI2 + 0.5
         assert (lo + hi) / 2.0 == PI2
-        cells = _isolate(star3, lo, hi, default_positive_step(star3),
+        cells = _isolate(star3, [[lo, hi]], default_positive_step(star3),
                          lambda x: x)
         assert sorted(cells[:, 0].tolist() + cells[:, 1].tolist()).count(
             PI2) == 2
@@ -700,14 +775,14 @@ class TestLockstepGoldenMin:
         # the cells find_spectrum refines, padded by half a width
         struct = prepare_structure(g)
         # kappa branch, with find_spectrum's per-bracket tolerances
-        cells = _isolate(g, 1e-4, 4.0, 1e-3, lambda k: -k * k)
+        cells = _isolate(g, [[1e-4, 4.0]], 1e-3, lambda k: -k * k)
         assert len(cells) >= 1
         a, b = cells[:, 0] - 5e-4, cells[:, 1] + 5e-4
         tol_k = np.maximum(1e-12 / (2.0 * np.maximum(a, 0.05)), 1e-15)
         self.run(lambda k: _sigma_grid(g, struct, -k * k, "edge")[0],
                  a, b, tol_k)
         # positive branch, on both routes
-        cells = _isolate(g, 0.5, 30.0, 0.01, lambda x: x)
+        cells = _isolate(g, [[0.5, 30.0]], 0.01, lambda x: x)
         assert len(cells) >= 2
         for method in ("edge", "dtn"):
             self.run(lambda x: _sigma_grid(g, struct, x, method)[0],
