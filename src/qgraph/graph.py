@@ -19,6 +19,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import Disconnected, InvalidGraph
 
 START = "start"
@@ -354,27 +356,34 @@ def _vertex_distances(g: MetricGraph) -> dict:
     return dist
 
 
-def _max_min_affine(rows, bounds, extra=None):
-    """Maximize min of affine functions c + a*t + b*s over a box, exactly.
+def _max_min_affine(rows, box, same_edge=False):
+    """Max of min_i c_i + a_i t + b_i s over 0 <= t <= box[0], 0 <= s <= box[1],
+    and s <= t if same_edge; rows are the (c_i, a_i, b_i). Exact, no LP.
 
-    rows: iterable of (const, coef_t, coef_s). Returns the max value.
+    A concave piecewise-affine function on a polygon takes its max at a
+    vertex of its pieces' cells, where two of these lines meet: the box
+    sides, s = t on one edge, and c_i + a_i t + b_i s = c_j + a_j t + b_j s.
+    Every such meeting point, moved into the polygon, is a candidate, so the
+    max over them is exact up to rounding.
     """
-    from scipy.optimize import linprog
-
-    a_ub = []
-    b_ub = []
-    for const, at, bs in rows:
-        a_ub.append([-at, -bs, 1.0])
-        b_ub.append(const)
-    if extra:
-        for row, rhs in extra:
-            a_ub.append(row)
-            b_ub.append(rhs)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=[bounds[0], bounds[1], (None, None)], method="highs")
-    if not res.success:
-        raise RuntimeError(f"diameter subproblem failed: {res.message}")
-    return -res.fun
+    c, a, b = np.asarray(rows, dtype=float).T
+    i, j = np.triu_indices(c.size, 1)
+    sides = [(1.0, 0.0, 0.0), (1.0, 0.0, box[0]), (0.0, 1.0, 0.0),
+             (0.0, 1.0, box[1])]
+    if same_edge:
+        sides.append((1.0, -1.0, 0.0))
+    # the lines alpha t + beta s = gamma, and where each two of them meet
+    alpha, beta, gamma = np.concatenate(
+        (np.column_stack((a[i] - a[j], b[i] - b[j], c[j] - c[i])), sides)).T
+    p, q = np.triu_indices(alpha.size, 1)
+    det = alpha[p] * beta[q] - alpha[q] * beta[p]
+    p, q, det = p[det != 0.0], q[det != 0.0], det[det != 0.0]
+    t = np.clip((gamma[p] * beta[q] - gamma[q] * beta[p]) / det, 0.0, box[0])
+    s = np.clip((alpha[p] * gamma[q] - alpha[q] * gamma[p]) / det, 0.0, box[1])
+    if same_edge:
+        s = np.minimum(s, t)
+    value = c[:, None] + a[:, None] * t + b[:, None] * s
+    return float(value.min(axis=0).max())
 
 
 def diameter(g: MetricGraph) -> float:
@@ -385,21 +394,18 @@ def diameter(g: MetricGraph) -> float:
     best = 0.0
     for i, e in enumerate(g.edges):
         a, b = e.src, e.dst
-        # both points on e, with s <= t
+        # both points on e, at s <= t from its start
         rows = [(0.0, 1.0, -1.0),
-                (dv[a][b] + e.length, 1.0, -1.0),
                 (dv[a][b] + e.length, -1.0, 1.0)]
-        val = _max_min_affine(rows, [(0.0, e.length), (0.0, e.length)],
-                              extra=[([-1.0, 1.0, 0.0], 0.0)])  # s - t <= 0
-        best = max(best, val)
+        best = max(best, _max_min_affine(rows, (e.length, e.length),
+                                         same_edge=True))
         for f in g.edges[i + 1:]:
             c, d = f.src, f.dst
             rows = [(dv[a][c], 1.0, 1.0),
                     (dv[a][d] + f.length, 1.0, -1.0),
                     (dv[b][c] + e.length, -1.0, 1.0),
                     (dv[b][d] + e.length + f.length, -1.0, -1.0)]
-            val = _max_min_affine(rows, [(0.0, e.length), (0.0, f.length)])
-            best = max(best, val)
+            best = max(best, _max_min_affine(rows, (e.length, f.length)))
     return best
 
 

@@ -17,16 +17,22 @@ is wider than its branch width (_KAPPA_WIDTH in kappa, default_positive_step
 in lambda) and its end counts differ or either end count is untrusted. A
 cell with equal trusted counts holds no eigenvalue and is dropped. One sigma
 call at the ends of the cells left gives the typical sigma_max, the largest
-of the per-branch medians. Each cell is padded by half a width and clipped
-to its branch. Where both end counts are trusted and no edge Dirichlet pole
-lies inside, `_narrow` refines the cell by Illinois steps on the eigenvalue
-of Q(lambda) that crosses zero there (`secular.count_terms`), one count call
+of the per-branch medians. The same call evaluates sigma at the edge
+Dirichlet eigenvalue p = (n pi / l_e)^2 inside each cell, in closed form
+from the edge lengths, and at p -+ refine_tol / 2. Each cell is padded by
+half a width and clipped to its branch. Where both end counts are trusted,
+a root on an edge Dirichlet pole, as on equilateral stars and figure-8s, is
+taken in closed form: where sigma passes the certification test at p and is
+least there of the three points, the bracket is [p, p]. Where no pole lies
+inside, `_narrow` refines the cell by Illinois steps on the eigenvalue of
+Q(lambda) that crosses zero there (`secular.count_terms`), one count call
 per round for all cells, down to the tolerance or to the count's error bar.
 One golden-section search, all brackets in lockstep and one batched sigma
-call per round, then finishes every bracket: one narrowed to the tolerance
-in its opening call, one narrowed to the error bar in a few rounds, a padded
-one in about 50. Certification is one batched call over the candidates, and
-candidates within the count probes' nudge are one root.
+call per round, then finishes every bracket: a pole root or one narrowed to
+the tolerance in its opening call, one narrowed to the error bar in a few
+rounds, a padded one (an untrusted end, a pole that is not the root, every
+pole on the DtN route) in about 50. Certification is one batched call over
+the candidates, and candidates within the count probes' nudge are one root.
 
 Every batch goes through the one chunk loop, `kernels.scan_sigma`, with the
 route's builder: the graph's edge plan from `kernels.prepare_structure`, or
@@ -212,9 +218,31 @@ def _isolate(g, cells, width, lam_of):
         width = np.concatenate((width, width))
 
 
-def _narrow(g, cells, x0, x1, lam_of, tol):
+def _pole_inside(g, cells):
+    """The edge Dirichlet eigenvalue (n pi / l_e)^2 strictly inside each
+    cell, in closed form; nan where there is none or where the edges put two
+    distinct values there (equal edges give one). A cell no wider than
+    `default_positive_step` holds at most one per edge."""
+    lengths = np.array([e.length for e in g.edges])
+    u, v = cells[:, :1], cells[:, 1:]
+    n = np.floor(np.sqrt(np.maximum(v, 0.0)) * lengths / np.pi)
+    p = (n * np.pi / lengths) ** 2
+    inside = (n >= 1.0) & (u < p) & (p < v)
+    first = np.where(inside, p, np.inf).min(axis=1, initial=np.inf)
+    last = np.where(inside, p, -np.inf).max(axis=1, initial=-np.inf)
+    return np.where(first == last, first, np.nan)
+
+
+def _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole):
     """Golden-section brackets [x0, x1] for the count cells, narrowed where
-    the counts can refine the root.
+    the counts can refine the root or the root sits on an edge Dirichlet
+    pole.
+
+    root_on_pole holds, per cell, the pole p inside it (`_pole_inside`)
+    where sigma passes the certification test and is no larger than at
+    p -+ refine_tol / 2, and nan elsewhere. A cell with trusted end counts
+    and such a pole gets the bracket [p, p]: its root is the pole, in closed
+    form.
 
     Between edge Dirichlet poles the eigenvalues of Q(lambda) (see
     `secular.count_terms`) decrease strictly, so in a cell with trusted end
@@ -226,17 +254,19 @@ def _narrow(g, cells, x0, x1, lam_of, tol):
     each such cell to its tolerance or to bar, whichever is wider; the
     midpoint replaces a secant step that leaves the bracket. Where bar
     exceeds tol / 2 the bracket returned is mid +- 4 bar, clipped to
-    [x0, x1]; otherwise it is the Illinois bracket. Other cells keep
-    [x0, x1].
+    [x0, x1]; otherwise it is the Illinois bracket. Other cells, among them
+    those with a pole inside that is not a root, keep [x0, x1].
     """
     x0, x1 = np.array(x0, dtype=float), np.array(x1, dtype=float)
     n = len(cells)
     nd, mu, thr, singular = count_terms(g, lam_of(cells.T.ravel()))
     trusted = ~singular & (np.abs(mu).min(axis=1, initial=np.inf) > thr)
+    trusted = trusted.reshape(2, n).all(axis=0)
+    on_pole = trusted & np.isfinite(root_on_pole)
+    x0[on_pole] = x1[on_pole] = root_on_pole[on_pole]
     neg = (mu < 0.0).sum(axis=1)
     (nd_u, nd_v), (neg_u, neg_v) = nd.reshape(2, n), neg.reshape(2, n)
-    sel = np.flatnonzero(trusted.reshape(2, n).all(axis=0) & (nd_u == nd_v)
-                         & (neg_u < neg_v))
+    sel = np.flatnonzero(trusted & (nd_u == nd_v) & (neg_u < neg_v))
     q = neg_u[sel]
     u, v = cells[sel, 0].copy(), cells[sel, 1].copy()
     fu, fv = mu[sel, q], mu[n + sel, q]
@@ -297,20 +327,36 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     if lo < -ZERO_RADIUS:  # negative part, isolated in kappa
         k_lo = math.sqrt(-min(hi, 0.0)) if hi < 0 else _KAPPA_FLOOR
         k_hi = math.sqrt(-lo)
-        if k_hi > k_lo:
+        if k_hi >= k_lo:  # a point window stays, as on the positive branch
             branches.append((-k_hi, -k_lo))
     if hi > ZERO_RADIUS:  # positive part, isolated in lambda
         branches.append((max(lo, ZERO_RADIUS), hi))
     branches = np.array(branches, dtype=float).reshape(-1, 2)
     cells = _isolate(g, branches, width_of(branches[:, 0]), lam_of)
 
+    # one sigma call at the cell ends, and at each edge Dirichlet pole p
+    # inside a cell and at p -+ refine_tol / 2, where a root may sit
     scale_ref = 0.0  # typical sigma_max over the cell ends, per branch
     ends = np.unique(cells)
-    smax = _sigma_grid(g, struct, lam_of(ends), method)[1]
+    poles = _pole_inside(g, cells)
+    at = np.flatnonzero(np.isfinite(poles))
+    half = refine_tol / 2.0
+    smin, smax = _sigma_grid(g, struct, np.concatenate(
+        (lam_of(ends), poles[at], poles[at] - half, poles[at] + half)), method)
+    smax_ends = smax[:ends.size]
     for part in (ends < 0.0, ends > 0.0):
-        finite = smax[part & np.isfinite(smax)]
+        finite = smax_ends[part & np.isfinite(smax_ends)]
         if finite.size:
             scale_ref = max(scale_ref, float(np.median(finite)))
+    # p is the root where sigma passes the certification test below and is
+    # least at p of the three points: the minimum then lies within
+    # refine_tol / 2 of p, as close as golden section would take it
+    sm, sm_below, sm_above = smin[ends.size:].reshape(3, -1)
+    sx = smax[ends.size:ends.size + at.size]
+    hit = at[((sm < rank_tol * sx) | (sx < rank_tol * scale_ref))
+             & (sm <= sm_below) & (sm <= sm_above)]
+    root_on_pole = np.full(len(cells), np.nan)
+    root_on_pole[hit] = poles[hit]
     # each cell padded by half a width, clipped to its branch
     a, b = branches[np.searchsorted(branches[:, 0], cells[:, 0],
                                     side="right") - 1].T
@@ -321,7 +367,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     tol = np.where(x1 < 0.0,
                    np.maximum(refine_tol / (2.0 * np.maximum(-x1, 0.05)), 1e-15),
                    refine_tol)
-    x0, x1 = _narrow(g, cells, x0, x1, lam_of, tol)
+    x0, x1 = _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole)
     x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
                     x0, x1, tol)
     candidates = lam_of(x)

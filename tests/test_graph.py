@@ -3,14 +3,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from qgraph import (BoundaryType, EdgeRecord, MetricGraph, VertexRecord,
                     diameter, graph_metrics, load_graph, make_cycle,
                     make_figure8, make_path, make_star, rotation_genus,
                     save_graph)
 from qgraph.errors import Disconnected, InvalidGraph
-from qgraph.graph import END, START
+from qgraph.experiments import sample_graph
+from qgraph.graph import END, START, _vertex_distances
 
 
 def test_star_shape(star3):
@@ -91,6 +94,63 @@ def test_diameter_attained_inside_edges():
     # two unit loops: farthest pair is midpoint to midpoint
     assert diameter(make_figure8(1.0, 1.0)) == pytest.approx(1.0)
     assert diameter(make_cycle([1.0, 1.0])) == pytest.approx(1.0)
+
+
+def lp_diameter(g):
+    """Reference diameter: one linear program per pair of edges, maximizing
+    z <= every affine piece of the distance over the pair's box."""
+    dv = _vertex_distances(g)
+
+    def lp(rows, box, same_edge=False):
+        a_ub = [[-at, -bs, 1.0] for _, at, bs in rows]
+        b_ub = [const for const, _, _ in rows]
+        if same_edge:  # the first variable is the larger one: s - t <= 0
+            a_ub.append([-1.0, 1.0, 0.0])
+            b_ub.append(0.0)
+        res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
+                      bounds=[(0.0, box[0]), (0.0, box[1]), (None, None)],
+                      method="highs")
+        assert res.success
+        return -res.fun
+
+    best = 0.0
+    for i, e in enumerate(g.edges):
+        a, b = e.src, e.dst
+        best = max(best, lp([(0.0, 1.0, -1.0),
+                             (dv[a][b] + e.length, 1.0, -1.0),
+                             (dv[a][b] + e.length, -1.0, 1.0)],
+                            (e.length, e.length), same_edge=True))
+        for f in g.edges[i + 1:]:
+            c, d = f.src, f.dst
+            best = max(best, lp([(dv[a][c], 1.0, 1.0),
+                                 (dv[a][d] + f.length, 1.0, -1.0),
+                                 (dv[b][c] + e.length, -1.0, 1.0),
+                                 (dv[b][d] + e.length + f.length, -1.0, -1.0)],
+                                (e.length, f.length)))
+    return best
+
+
+def test_diameter_of_one_edge_cycle_is_half_its_length():
+    assert diameter(make_cycle([1.0])) == 0.5
+    assert lp_diameter(make_cycle([1.0])) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_diameter_matches_linear_programs():
+    rng = np.random.default_rng(12)
+    graphs = [sample_graph(rng, int(rng.integers(2, 8)))
+              for _ in range(70)]  # loops and parallel edges
+    graphs += [make_star(rng.uniform(0.1, 2.0, n)) for n in range(2, 7)]
+    graphs += [make_star([0.7] * n) for n in (2, 4, 6)]
+    graphs += [make_figure8(*rng.uniform(0.1, 2.0, 2)) for _ in range(4)]
+    graphs += [make_figure8(0.5, 0.5), make_path([0.6, 0.4])]
+    graphs += [make_cycle(rng.uniform(0.1, 2.0, n)) for n in range(1, 6)]
+    graphs += [make_cycle([1.0] * n) for n in (1, 2, 3)]
+    assert len(graphs) >= 90
+    assert any(e.src == e.dst for g in graphs[:70] for e in g.edges)
+    assert any(len({(e.src, e.dst) for e in g.edges}) < g.num_edges
+               for g in graphs[:70])
+    for g in graphs:
+        assert abs(diameter(g) - lp_diameter(g)) <= 1e-12
 
 
 def test_rotation_genus_planar_cases(star3, fig8):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qgraph.coupling import assemble_blocks
 import qgraph.secular as secular_mod
@@ -28,6 +29,7 @@ from qgraph.solve import (
     _KAPPA_WIDTH,
     _golden_min,
     _isolate,
+    _pole_inside,
     _sigma_grid,
     count_negative,
     default_negative_floor,
@@ -175,6 +177,13 @@ class TestWindowHandling:
     def test_window_excludes_outside_roots(self, star3):
         spec = find_spectrum(star3, (0.5, 7.0))
         check(spec, [(1.067126678486186, 1), (6.470961399932133, 1)])
+
+    def test_point_window_on_a_negative_root(self, star3):
+        # the negative branch keeps a point window, as the positive one does
+        lam = STAR3_EQUIL[0]
+        spec = find_spectrum(star3, (lam, lam))
+        check(spec, [(lam, 1)])
+        assert spec.diagnostics == []
 
     def test_multiplicity_uncertain_diagnostic(self, star3):
         # an absurd guard band flags every certification as shaky; this
@@ -590,14 +599,14 @@ class TestCountGuidedScan:
         return brackets
 
     def test_cells_holding_roots_are_padded(self, monkeypatch):
-        # a cell with an edge Dirichlet pole inside (pi^2, of the unit edge)
-        # is refined over the cell widened by half a width on each side and
-        # clipped to the window
+        # the DtN route reads inf on the pi^2 pole of the unit edge, so the
+        # cell holding it is refined over the cell widened by half a width on
+        # each side and clipped to the window
         g = make_star([1.0, 0.7, 1.3])
         width = default_positive_step(g)
         brackets = self.recorded_brackets(monkeypatch)
-        spec = find_spectrum(g, (8.0, 12.0))
-        check(spec, [(PI2, 1)])
+        spec = find_spectrum(g, (8.0, 12.0), "dtn")
+        assert spec.records == [] and diagnostic_kinds(spec) == ["DtNPole"]
         cells = _isolate(g, [[8.0, 12.0]], width, lambda x: x)
         assert cells.shape == (1, 2) and cells[0, 1] - cells[0, 0] <= width
         assert cells[0, 0] < PI2 < cells[0, 1]
@@ -605,9 +614,72 @@ class TestCountGuidedScan:
         assert a.tolist() == [cells[0, 0] - width / 2.0]
         assert b.tolist() == [cells[0, 1] + width / 2.0]
         brackets.clear()
-        find_spectrum(g, (PI2 - 0.003, 12.0))
+        find_spectrum(g, (PI2 - 0.003, 12.0), "dtn")
         (a, b), = brackets
         assert a.tolist() == [PI2 - 0.003]  # clipped to the window
+
+    def test_root_on_a_pole_is_taken_in_closed_form(self, monkeypatch):
+        # on the edge route sigma certifies the root pi^2 on the unit edge's
+        # Dirichlet pole, and the cell's bracket is the pole itself
+        brackets = self.recorded_brackets(monkeypatch)
+        spec = find_spectrum(make_star([1.0, 0.7, 1.3]), (8.0, 12.0))
+        assert [(r.lam, r.mult) for r in spec.records] == [(math.pi**2, 1)]
+        assert spec.diagnostics == []
+        (a, b), = brackets
+        assert a.tolist() == b.tolist() == [math.pi**2]
+
+    @pytest.mark.parametrize("shift", [1e-8, 1e-12])
+    def test_root_beside_a_pole_is_searched(self, shift, monkeypatch):
+        # lengthening the 1.3 edge moves the root off pi^2. At shift 1e-8
+        # sigma at the pole still passes the rank test, but it is not least
+        # there, so the cell keeps its padded bracket and golden section
+        # finds the root of the reduced secular function
+        g = make_star([1.0, 0.7, 1.3 + shift])
+        sm, sx = _sigma_grid(g, prepare_structure(g), np.array([PI2]), "edge")
+        assert sm[0] < 1e-8 * sx[0]
+        brackets = self.recorded_brackets(monkeypatch)
+        spec = find_spectrum(g, (8.0, 12.0))
+        (a, b), = brackets
+        assert b[0] - a[0] >= default_positive_step(g)
+
+        def reduced(k):  # the Neumann 3-star form at lambda = k^2, times tan k
+            c2, c3 = 1.0 / math.tan(0.7 * k), 1.0 / math.tan((1.3 + shift) * k)
+            return c2 + c3 + math.tan(k) * (c2 * c3 - k * k)
+
+        k = brentq(reduced, math.pi - 1e-3, math.pi + 1e-3, xtol=1e-16)
+        assert spec.diagnostics == [] and len(spec.records) == 1
+        assert spec.records[0].mult == 1
+        assert abs(spec.records[0].lam - k * k) <= 1e-12
+
+    def test_poles_inside_cells(self, star3):
+        # equal edges give one pole; two distinct poles in a cell give none
+        cells = np.array([[PI2 - 1e-3, PI2 + 1e-3], [-2.0, -1.0], [2.0, 3.0],
+                          [PI2, PI2 + 1e-3]])
+        got = _pole_inside(star3, cells)
+        assert got[0] == PI2 and np.isnan(got[1:]).all()
+        got = _pole_inside(make_star([1.0, 1.0 + 1e-6, 0.7]), cells[:1])
+        assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("loop", [0.5, 0.55])
+    def test_equilateral_figure8_needs_few_sigma_calls(self, loop,
+                                                       monkeypatch):
+        # every positive root of the equilateral figure-8 sits on a loop's
+        # Dirichlet pole (n pi / loop)^2: one call at the cell ends and the
+        # poles, golden section's opening call and certification
+        calls = []
+
+        def recorded(g, struct, lams, method):
+            calls.append(np.size(lams))
+            return _sigma_grid(g, struct, lams, method)
+
+        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
+        spec = find_spectrum(make_figure8(loop, loop), (-5.0, 700.0))
+        n = range(1, int(math.sqrt(700.0) * loop / math.pi) + 1)
+        check(spec, [(-1.0, 1), (0.0, 1)]
+              + [((j * math.pi / loop) ** 2, 1 if j % 2 else 3) for j in n],
+              tol=1e-10)
+        assert spec.diagnostics == []
+        assert len(calls) <= 5
 
     def test_pole_free_cells_are_narrowed_by_counts(self, star3, monkeypatch):
         # a pole-free cell whose count error bar is small reaches golden
