@@ -3,20 +3,34 @@
 Independent cross-check of the secular solver: discretize each edge with
 linear elements, add the imaginary skew trace pairing at coupled vertices,
 eliminate the linear constraints (alternating trace sums at even-degree
-coupled vertices, Dirichlet tips) by nullspace restriction, then solve the
-reduced Hermitian pencil with shift-invert Lanczos. Shares only the
-MetricGraph data model with the secular path; independence is the point.
+coupled vertices, Dirichlet tips) by nullspace restriction, and solve the
+reduced Hermitian pencil (A, M) on a banded Cholesky factor.
+
+Reverse Cuthill-McKee leaves (A, M) a narrow band (a few diagonals), stored
+once in LAPACK band form. The factorization certifies the shift: a Cholesky
+factor of A - sM exists only when s lies below the whole discrete spectrum,
+so sigma is twice the first s of -1, -2, -4, ... that factors. ARPACK then
+runs in standard mode on x -> (A - sigma M)^{-1} M x, whose largest
+eigenvalues theta = 1 / (lambda - sigma) belong to the smallest lambda.
+Shares only the MetricGraph data model with the secular path: no count, no
+search floor and no secular matrix enters; independence is the point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from .errors import MeshTooCoarse
 from .graph import END, BoundaryType, MetricGraph, START
-from .solve import default_negative_floor
+
+# doublings of the trial shift s before giving up; A - sM is positive
+# definite once |s| exceeds ||A|| / lambda_min(M), far below this cap for
+# finite data
+_SHIFT_DOUBLINGS = 64
 
 
 def _trace_dofs(g: MetricGraph, h: float):
@@ -86,31 +100,57 @@ def discretize(g: MetricGraph, h: float):
     h_mat = (stiff.astype(complex) + coupling).tocsr()
 
     # constraint elimination by substitution: eliminated dof = combo of kept
-    elim = {}
+    dropped, er, src, ev = [], [], [], []
     for v in g.vertices:
         if v.bc is BoundaryType.DIRICHLET:
-            elim[trace[v.order[0]]] = []
+            dropped.append(trace[v.order[0]])
         elif v.bc is BoundaryType.COUPLED and v.degree % 2 == 0:
             dofs = [trace[ref] for ref in v.order]
+            dropped.append(dofs[-1])
             # sum_j (-1)^j F_j = 0 (1-based)  =>  F_d = -sum_{j<d} (-1)^j F_j
-            coef = [-((-1.0) ** j) for j in range(1, v.degree)]
-            elim[dofs[-1]] = list(zip(dofs[:-1], coef))
-    free = [i for i in range(total) if i not in elim]
-    col_of = {dof: c for c, dof in enumerate(free)}
-    rr = list(free)
-    rc = list(range(len(free)))
-    rv = [1.0] * len(free)
-    for dof, terms in elim.items():
-        for src, coef in terms:
-            rr.append(dof)
-            rc.append(col_of[src])
-            rv.append(coef)
-    restrict = sp.coo_matrix((rv, (rr, rc)), shape=(total, len(free))).tocsr()
+            er += [dofs[-1]] * (v.degree - 1)
+            src += dofs[:-1]
+            ev += [-((-1.0) ** j) for j in range(1, v.degree)]
+    kept = np.ones(total, dtype=bool)
+    kept[dropped] = False
+    free = np.flatnonzero(kept)
+    col_of = np.cumsum(kept) - 1
+    rr = np.concatenate((free, np.array(er, dtype=int)))
+    rc = np.concatenate((np.arange(free.size), col_of[np.array(src, dtype=int)]))
+    rv = np.concatenate((np.ones(free.size), np.array(ev, dtype=float)))
+    restrict = sp.coo_matrix((rv, (rr, rc)), shape=(total, free.size)).tocsr()
     return h_mat, mass, restrict
 
 
-def oracle_eigenvalues(g: MetricGraph, count: int, h: float, *,
-                       sigma: float = None) -> np.ndarray:
+def _upper_band(mat, ku: int) -> np.ndarray:
+    """LAPACK upper band form (Fortran order) of a Hermitian matrix whose
+    nonzeros lie within ku of the diagonal."""
+    up = sp.triu(mat, format="coo")
+    band = np.zeros((ku + 1, mat.shape[0]), dtype=complex, order="F")
+    band[ku + up.row - up.col, up.col] = up.data
+    return band
+
+
+def _certified_shift(a_band: np.ndarray, m_band: np.ndarray):
+    """(sigma, upper Cholesky band factor of A - sigma M), sigma below the
+    whole spectrum of the pencil.
+
+    The first s of -1, -2, -4, ... at which A - sM factors is below every
+    eigenvalue, and the one before it (if any) is not; sigma = 2s keeps
+    lambda_1 - sigma between |s| and 1.5 |s|, away from a near-singular
+    factor."""
+    s = -1.0
+    for _ in range(_SHIFT_DOUBLINGS):
+        if lapack.zpbtrf(a_band - s * m_band)[1] == 0:
+            chol, info = lapack.zpbtrf(a_band - 2.0 * s * m_band)
+            if info == 0:
+                return 2.0 * s, chol
+        s *= 2.0
+    raise np.linalg.LinAlgError(
+        f"A - sM did not factor for any s down to {s / 2.0!r}")
+
+
+def oracle_eigenvalues(g: MetricGraph, count: int, h: float) -> np.ndarray:
     """`count` smallest eigenvalues of the constrained pencil, ascending.
 
     Raises MeshTooCoarse when the reduced problem is too small to trust
@@ -124,10 +164,19 @@ def oracle_eigenvalues(g: MetricGraph, count: int, h: float, *,
         raise MeshTooCoarse(
             f"{count} eigenvalues from {ndof} reduced dofs is unreliable; "
             f"refine the mesh")
-    a_red = (restrict.conj().T @ h_mat @ restrict).tocsc()
-    m_red = (restrict.T @ mass @ restrict).tocsc()
-    if sigma is None:
-        sigma = default_negative_floor(g) - 1.0
-    vals = eigsh(a_red, k=count, M=m_red, sigma=sigma,
-                 which="LM", return_eigenvectors=False)
-    return np.sort(vals.real)
+    a_red = (restrict.conj().T @ h_mat @ restrict).tocsr()
+    m_red = (restrict.T @ mass @ restrict).tocsr()
+    pattern = abs(a_red) + m_red
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    a_red, m_red, pattern = (x[perm][:, perm] for x in (a_red, m_red, pattern))
+    pattern = pattern.tocoo()
+    ku = int((pattern.col - pattern.row).max())
+    sigma, chol = _certified_shift(_upper_band(a_red, ku),
+                                   _upper_band(m_red, ku))
+    op = LinearOperator((ndof, ndof), dtype=complex,
+                        matvec=lambda x: lapack.zpbtrs(chol, m_red @ x)[0])
+    # a fixed generic start vector makes the result independent of ARPACK's
+    # internal random state, hence of the calls made before
+    start = np.random.default_rng(0).standard_normal(ndof)
+    theta = eigs(op, k=count, which="LM", v0=start, return_eigenvectors=False)
+    return np.sort(sigma + 1.0 / theta.real)

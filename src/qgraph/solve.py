@@ -160,21 +160,22 @@ def _golden_min(fn, a, b, tol):
     a, b and tol are arrays (tol may be a scalar). All brackets run in
     lockstep: each round makes one fn(xs) call, fn mapping an array of points
     to their values, that evaluates every bracket still wider than its own
-    tolerance. Each bracket sees exactly the point sequence, comparisons and
-    midpoint of a scalar golden-section search, so the results are the same
-    floats. No brackets, no calls.
+    tolerance, the opening call included. Each bracket sees exactly the point
+    sequence, comparisons and midpoint of a scalar golden-section search, so
+    the results are the same floats. A bracket no wider than its tolerance
+    is never evaluated and returns its midpoint; with no wider bracket, fn
+    is not called at all.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
-    n = a.size
-    if n == 0:
-        return a
     x1 = b - _GOLD * (b - a)
     x2 = a + _GOLD * (b - a)
-    f = fn(np.concatenate((x1, x2)))
-    f1, f2 = f[:n], f[n:]
+    f1, f2 = np.empty(a.size), np.empty(a.size)
     live = np.flatnonzero(b - a > tol)
+    if live.size:
+        f = fn(np.concatenate((x1[live], x2[live])))
+        f1[live], f2[live] = f[:live.size], f[live.size:]
     while live.size:
         left = f1[live] <= f2[live]
         lt, rt = live[left], live[~left]

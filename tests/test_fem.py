@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from qgraph import fem, secular, solve
 from qgraph.errors import MeshTooCoarse
+from qgraph.experiments import ground_state
 from qgraph.fem import discretize, oracle_eigenvalues
 from qgraph.graph import (
     MetricGraph,
     VertexRecord,
+    make_cycle,
     make_figure8,
     make_path,
     make_star,
@@ -96,3 +100,46 @@ class TestOracle:
     def test_count_validation(self, star3):
         with pytest.raises(ValueError):
             oracle_eigenvalues(star3, 0, 0.1)
+
+
+class TestBandedOracle:
+    """The banded Cholesky oracle: its own shift, dense agreement, deep
+    ground states."""
+
+    def test_independent_of_the_secular_path(self, monkeypatch, star3):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the FEM oracle read the secular path")
+
+        # wherever a module holds these names, its own import included
+        for name in ("count_terms", "count_below", "default_negative_floor"):
+            for mod in (secular, solve, fem):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        vals = oracle_eigenvalues(star3, 4, 1e-2)
+        assert vals[0] == pytest.approx(-3.329, abs=5e-2)
+
+    @pytest.mark.parametrize("g", [
+        make_star([1.0] * 3),
+        make_figure8(0.5, 0.5),
+        make_cycle([0.4, 0.7, 0.5, 0.9]),
+        make_star([1.0] * 3, tip_bc="dirichlet"),
+        make_star([1.0] * 6),
+    ], ids=["star3", "figure8-equilateral", "cycle4", "star3-dirichlet",
+            "star6-equilateral"])
+    def test_matches_dense_pencil(self, g):
+        h_mat, mass, restrict = discretize(g, 0.02)
+        a = (restrict.conj().T @ h_mat @ restrict).toarray()
+        m = (restrict.T @ mass @ restrict).toarray()
+        want = scipy.linalg.eigh(a, m, eigvals_only=True)[:8]
+        got = oracle_eigenvalues(g, 8, 0.02)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_deep_ground_state(self):
+        # a short edge pushes lambda_1 near -12.5: the shift needs several
+        # doublings below -1
+        g = make_star([1.0, 1.0, 0.05])
+        lam = ground_state(g)
+        assert lam == pytest.approx(-12.4685, abs=1e-4)
+        h = 1e-3
+        got = oracle_eigenvalues(g, 1, h)[0]
+        assert abs(got - lam) < max(5e-2, 10.0 * h * (1.0 + abs(lam)))

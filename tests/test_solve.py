@@ -762,8 +762,11 @@ class TestCountGuidedScan:
 
 
 def scalar_golden(fn, a, b, tol):
-    """Reference: one golden-section search with one call per point."""
+    """Reference: one golden-section search with one call per point; a
+    bracket no wider than its tolerance is never evaluated."""
     calls = 0
+    if not b - a > tol:
+        return (a + b) / 2.0, calls
 
     def f(x):
         nonlocal calls
@@ -805,14 +808,17 @@ class TestLockstepGoldenMin:
         assert got.shape == a.shape
         for x, (ref, _) in zip(got, refs):
             assert x.tobytes() == np.float64(ref).tobytes()
-        calls = [c for _, c in refs]
+        calls = [c for _, c in refs if c]
         if calls:
-            # one call with both first points, then one per round, each
-            # holding exactly the brackets whose scalar search is still on
+            # one call with both first points of every bracket wider than its
+            # tolerance, then one per round, each holding exactly the
+            # brackets whose scalar search is still on
             assert sizes[0] == 2 * len(calls)
             rounds = max(calls) - 2
             assert sizes[1:] == [sum(c - 2 > r for c in calls)
                                  for r in range(rounds)]
+        else:
+            assert sizes == []
         return got, sizes
 
     def test_mixed_tolerances_finish_in_different_rounds(self):
@@ -832,6 +838,22 @@ class TestLockstepGoldenMin:
     def test_no_brackets_no_calls(self):
         got, sizes = self.run(lambda xs: xs, [], [], 1e-12)
         assert sizes == [] and got.shape == (0,)
+
+    def test_dead_brackets_are_never_evaluated(self):
+        # [p, p] (a root on a pole) and sub-tolerance brackets return their
+        # midpoints unread, beside live brackets and on their own
+        def fn(xs):
+            assert np.all((xs < 0.95) | (xs > 1.05)), xs
+            return np.abs(np.cos(xs) - 0.3)
+
+        a = [1.0, 0.0, 1.0 - 1e-13, 2.0, 1.0]
+        b = [1.0, 0.9, 1.0 + 1e-13, 3.0, 1.0 + 1e-15]
+        tol = [1e-12, 1e-12, 1e-12, 1e-9, 1e-12]
+        got, sizes = self.run(fn, a, b, tol)
+        assert sizes[0] == 4
+        assert got[0] == 1.0 and got[2] == 1.0
+        _, sizes = self.run(fn, a[::2], b[::2], tol[::2])
+        assert sizes == []
 
     def test_infinite_values(self):
         # DtN-singular points read inf; the scalar rules handle inf <= inf
