@@ -1,13 +1,14 @@
 """Hot kernels: secular matrix assembly and sigma_min scans over lambdas.
 
-`scan_sigma` is the one loop that turns lambdas into sigmas, for both
-routes: it asks the route's builder for one stack of matrices per chunk of
-the lambdas, runs one batched SVD over the rows off the builder's singular
-mask and leaves inf in the others. It returns (sigma_min, sigma_max) arrays.
-The lambdas are any batch: find_spectrum passes the ends of the cells that
-exact eigenvalue counts (`secular.count_below`) leave open, then the
-golden-section points inside the brackets the counts narrowed or padded,
-then the certification points.
+`scan_svdvals` is the one loop that turns lambdas into singular values, for
+both routes: it asks the route's builder for one stack of matrices per chunk
+of the lambdas and runs one batched SVD over the rows off the builder's
+singular mask. `scan_sigma` reads (sigma_min, sigma_max) arrays from it, inf
+in the masked rows. The lambdas are any batch: find_spectrum scans the ends
+of the cells that exact eigenvalue counts (`secular.count_below`) leave
+open, then the points its V-step refinement asks for inside the brackets
+the counts narrowed or padded, and certifies the candidates from every
+singular value of one more batch.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (n_lambda, E) trace tables of a chunk,
@@ -191,23 +192,30 @@ def branch_svdvals(mats, lams):
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def scan_sigma(lams, build, chunk: int = SCAN_CHUNK):
-    """(sigma_min, sigma_max) over lams: batched SVDs over chunks of lams.
+def scan_svdvals(lams, build, chunk: int = SCAN_CHUNK):
+    """Batched SVDs over chunks of lams: yields (rows, svdvals) per chunk,
+    svdvals holding every singular value of each row's matrix, descending.
 
     build(part) gives the stack of secular matrices of a chunk and its (n,)
-    singular mask; masked rows hold no matrix and read inf. Every row is
-    computed on its own, so a lambda gets the same bytes whatever else its
-    call holds."""
+    singular mask; masked rows hold no matrix and are left out of rows.
+    Every row is computed on its own, so a lambda gets the same bytes
+    whatever else its call holds."""
     lams = np.asarray(lams, dtype=float)
-    smin = np.full(lams.size, np.inf)
-    smax = np.full(lams.size, np.inf)
     for lo in range(0, lams.size, chunk):
         part = lams[lo:lo + chunk]
         mats, singular = build(part)
         ok = np.flatnonzero(~singular)
         if ok.size < part.size:
             mats, part = mats[ok], part[ok]
-        s = branch_svdvals(mats, part)
-        smin[lo + ok] = s[:, -1]
-        smax[lo + ok] = s[:, 0]
+        yield lo + ok, branch_svdvals(mats, part)
+
+
+def scan_sigma(lams, build, chunk: int = SCAN_CHUNK):
+    """(sigma_min, sigma_max) over lams, from `scan_svdvals`; masked rows
+    read inf."""
+    lams = np.asarray(lams, dtype=float)
+    smin = np.full(lams.size, np.inf)
+    smax = np.full(lams.size, np.inf)
+    for rows, s in scan_svdvals(lams, build, chunk):
+        smin[rows], smax[rows] = s[:, -1], s[:, 0]
     return smin, smax

@@ -1,6 +1,6 @@
 """Spectrum search: eigenvalues isolated and refined by exact counts,
-polished by golden-section refinement of sigma_min, rank-based
-multiplicities, eigenfunction recovery.
+polished by V-steps on sigma_min, rank-based multiplicities, eigenfunction
+recovery.
 
 Conventions: windows are closed intervals in lambda. Negative parts are
 searched in kappa = sqrt(-lambda), positive parts in lambda. lambda = 0 is
@@ -27,14 +27,19 @@ least there of the three points, the bracket is [p, p]. Where no pole lies
 inside, `_narrow` refines the cell by Illinois steps on the eigenvalue of
 Q(lambda) that crosses zero there (`secular.count_terms`), one count call
 per round for all cells, down to the tolerance or to the count's error bar.
-One golden-section search, all brackets in lockstep and one batched sigma
-call per round, then finishes every bracket: a pole root or one narrowed to
-the tolerance in its opening call, one narrowed to the error bar in a few
-rounds, a padded one (an untrusted end, a pole that is not the root, every
-pole on the DtN route) in about 50. Certification is one batched call over
-the candidates, and candidates within the count probes' nudge are one root.
+One search on sigma_min, `_golden_min`, all brackets in lockstep and one
+batched sigma call per round, then finishes every bracket: a pole root or
+one narrowed to the tolerance is never evaluated; the others step to the
+vertex of the V that sigma_min makes at a simple root, guarded by golden
+section. One narrowed to the error bar takes about three calls, a padded one
+(an untrusted end, a pole that is not the root) a few more, and a pole cell
+on the DtN route, where sigma_min is noise, about 50 golden steps.
+Certification is one batched SVD over the candidates that keeps every
+singular value, and candidates within the count probes' nudge are one root.
+Each record reads its multiplicity from its row; only the explicit
+lambda = 0 test builds and decomposes a matrix of its own.
 
-Every batch goes through the one chunk loop, `kernels.scan_sigma`, with the
+Every batch goes through the one chunk loop, `kernels.scan_svdvals`, with the
 route's builder: the graph's edge plan from `kernels.prepare_structure`, or
 `secular.build_dtn_grid`. A lambda on an edge's Dirichlet spectrum has no
 DtN matrix and reads inf. A DtN candidate sits on such a pole when some edge
@@ -59,7 +64,8 @@ import numpy as np
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import END, MetricGraph, START
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
-                      equilibrate_columns, prepare_structure, scan_sigma)
+                      equilibrate_columns, prepare_structure, scan_sigma,
+                      scan_svdvals)
 from .secular import (build_dtn_grid, build_secular_matrix, count_below,
                       count_terms)
 
@@ -67,7 +73,7 @@ ZERO_RADIUS = 1e-7
 _KAPPA_WIDTH = 1e-3  # widest cell the negative branch isolates, in kappa
 _KAPPA_FLOOR = 1e-4
 _ILLINOIS_ROUNDS = 40  # cap on the lockstep regula falsi rounds of _narrow
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLD_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
 
 
 @dataclass(frozen=True)
@@ -146,47 +152,116 @@ def _svdvals(mat, lam):
     return branch_svdvals(mat[None], [lam])[0]
 
 
-def _sigma_grid(g, struct, lams, method):
-    """(sigma_min, sigma_max) arrays over lams; DtN-singular points read inf.
-    `struct` is the graph's edge plan; the DtN route builds from its own."""
+def _builder(g, struct, method):
+    """The route's chunk builder: `struct` is the graph's edge plan; the DtN
+    route builds from its own."""
     if method == "edge":
-        return scan_sigma(lams, edge_builder(struct))
-    return scan_sigma(lams, lambda part: build_dtn_grid(g, part))
+        return edge_builder(struct)
+    return lambda part: build_dtn_grid(g, part)
+
+
+def _sigma_grid(g, struct, lams, method):
+    """(sigma_min, sigma_max) arrays over lams; DtN-singular points read
+    inf."""
+    return scan_sigma(lams, _builder(g, struct, method))
 
 
 def _golden_min(fn, a, b, tol):
-    """Golden-section argmins of a unimodal-enough function, one per bracket.
+    """Argmins of a unimodal-enough function, one per bracket, by V-steps
+    guarded by golden section.
 
-    a, b and tol are arrays (tol may be a scalar). All brackets run in
-    lockstep: each round makes one fn(xs) call, fn mapping an array of points
-    to their values, that evaluates every bracket still wider than its own
-    tolerance, the opening call included. Each bracket sees exactly the point
-    sequence, comparisons and midpoint of a scalar golden-section search, so
-    the results are the same floats. A bracket no wider than its tolerance
-    is never evaluated and returns its midpoint; with no wider bracket, fn
-    is not called at all.
+    a, b and tol are arrays (tol may be a scalar); each tolerance is floored
+    at 4 float spacings of its bracket's larger end, so that every bracket
+    can get narrower than it. A bracket no wider than its tolerance is never
+    evaluated and returns its midpoint. The others run in lockstep, one
+    fn(xs) call per round, fn mapping an array of points to their values.
+    The opening call evaluates each bracket's ends and midpoint. From then on
+    a bracket is three evaluated points xl <= xb <= xr, xb the lowest, and
+    the minimum lies in [xl, xr]. Each round evaluates, per bracket, one of:
+    - a V-step: sigma_min is |c (x - v)| near a simple root, so the vertex of
+      the symmetric V through xb and its two neighbours, c the steeper of the
+      two secant slopes and v = xb -+ f(xb) / c on the shallower side;
+    - a confirmation, once |v - xb| <= tol / 2 or xb is an end: xb -+ tol / 2,
+      those of them inside (xl, xr). If neither is lower, the minimum lies
+      within tol / 2 of xb, which is returned;
+    - a golden step, 0.382 of the larger side away from xb, wherever a value
+      is inf, the vertex leaves (xl, xr) or the bracket has not halved in
+      the last two rounds; a confirmation right after the opening or a
+      V-step is taken all the same.
+    A bracket narrowed to its tolerance returns its midpoint. Each bracket's
+    points, comparisons and result are those of the same search run on it
+    alone, so the results are the same floats.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1, f2 = np.empty(a.size), np.empty(a.size)
-    live = np.flatnonzero(b - a > tol)
-    if live.size:
-        f = fn(np.concatenate((x1[live], x2[live])))
-        f1[live], f2[live] = f[:live.size], f[live.size:]
-    while live.size:
-        left = f1[live] <= f2[live]
-        lt, rt = live[left], live[~left]
-        b[lt], x2[lt], f2[lt] = x2[lt], x1[lt], f1[lt]
-        x1[lt] = b[lt] - _GOLD * (b[lt] - a[lt])
-        a[rt], x1[rt], f1[rt] = x1[rt], x2[rt], f2[rt]
-        x2[rt] = a[rt] + _GOLD * (b[rt] - a[rt])
-        fx = fn(np.where(left, x1[live], x2[live]))
-        f1[lt], f2[rt] = fx[left], fx[~left]
-        live = live[b[live] - a[live] > tol[live]]
-    return (a + b) / 2.0
+    tol = np.maximum(np.broadcast_to(np.asarray(tol, dtype=float), a.shape),
+                     4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    out = (a + b) / 2.0
+    idx = np.flatnonzero(b - a > tol)
+    if not idx.size:
+        return out
+    # the opening call: the midpoint and both ends of each live bracket
+    pts = np.stack((out[idx], a[idx], b[idx]))
+    f = fn(pts.ravel()).reshape(3, -1)
+    pick = np.argmin(f, axis=0)  # of (mid, a, b), the first on ties
+    xb, fb = np.choose(pick, pts), np.choose(pick, f)
+    at_a, at_b = pick == 1, pick == 2
+    xl, fl = np.where(at_b, pts[0], pts[1]), np.where(at_b, f[0], f[1])
+    xr, fr = np.where(at_a, pts[0], pts[2]), np.where(at_a, f[0], f[2])
+    tol = tol[idx]
+    w1 = w2 = np.full(idx.size, np.inf)  # widths one and two rounds ago
+    again = np.zeros(idx.size, dtype=bool)  # the last round confirmed
+    while True:
+        width = xr - xl
+        done = width <= tol
+        out[idx[done]] = (xl[done] + xr[done]) / 2.0
+        idx, xl, xb, xr, fl, fb, fr, tol, w1, w2, again, width = (
+            v[~done] for v in (idx, xl, xb, xr, fl, fb, fr, tol, w1, w2,
+                               again, width))
+        if not idx.size:
+            return out
+        h = tol / 2.0
+        inner = (xl < xb) & (xb < xr)
+        finite = np.isfinite(fl) & np.isfinite(fb) & np.isfinite(fr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sl = (fl - fb) / (xb - xl)
+            sr = (fr - fb) / (xr - xb)
+            c = np.maximum(sl, sr)
+            v = np.where(sl < sr, xb - fb / c, xb + fb / c)
+        shaped = finite & inner & (c > 0.0)
+        stalled = width > w2 / 2.0
+        # a V-step that lands on the vertex rarely halves the bracket, so
+        # the confirmation after it skips the halving test; a run of failed
+        # confirmations, which crawls by tol / 2 a round, does not
+        confirm = (((finite & ~inner) | (shaped & (np.abs(v - xb) <= h)))
+                   & ~(stalled & again))
+        step = shaped & ~stalled & ~confirm & (xl < v) & (v < xr)
+        golden = ~confirm & ~step
+        far = np.where(xr - xb >= xb - xl, xr, xl)
+        u = np.where(confirm, xb - h,
+                     np.where(golden, xb + _GOLD_STEP * (far - xb), v))
+        # confirmation points only inside (xl, xr); the others read inf
+        ask, ask_right = ~confirm | (xb - h > xl), confirm & (xb + h < xr)
+        fu, f_right = np.full(idx.size, np.inf), np.full(idx.size, np.inf)
+        pts = np.concatenate((u[ask], (xb + h)[ask_right]))
+        if pts.size:
+            fx = fn(pts)
+            fu[ask], f_right[ask_right] = fx[:ask.sum()], fx[ask.sum():]
+        # a confirmation moves to the lower of its points, the left on ties
+        right = confirm & (f_right < fu)
+        u, fu = np.where(right, xb + h, u), np.where(right, f_right, fu)
+        # a lower point becomes xb, and xb the end on its other side; any
+        # other point becomes the end on its own side
+        lower = fu < fb
+        x_end, f_end = np.where(lower, xb, u), np.where(lower, fb, fu)
+        left = lower == (u > xb)
+        xl, fl = np.where(left, x_end, xl), np.where(left, f_end, fl)
+        xr, fr = np.where(left, xr, x_end), np.where(left, fr, f_end)
+        xb, fb = np.where(lower, u, xb), np.where(lower, fu, fb)
+        # a confirmed bracket closes on [xb, xb] and returns xb
+        confirmed = confirm & ~lower
+        xl, xr = np.where(confirmed, xb, xl), np.where(confirmed, xb, xr)
+        w2, w1, again = w1, width, confirm
 
 
 def _isolate(g, cells, width, lam_of):
@@ -235,9 +310,9 @@ def _pole_inside(g, cells):
 
 
 def _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole):
-    """Golden-section brackets [x0, x1] for the count cells, narrowed where
-    the counts can refine the root or the root sits on an edge Dirichlet
-    pole.
+    """Brackets [x0, x1] of the count cells for the sigma search, narrowed
+    where the counts can refine the root or the root sits on an edge
+    Dirichlet pole.
 
     root_on_pole holds, per cell, the pole p inside it (`_pole_inside`)
     where sigma passes the certification test and is no larger than at
@@ -351,7 +426,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
             scale_ref = max(scale_ref, float(np.median(finite)))
     # p is the root where sigma passes the certification test below and is
     # least at p of the three points: the minimum then lies within
-    # refine_tol / 2 of p, as close as golden section would take it
+    # refine_tol / 2 of p, as close as the search below would take it
     sm, sm_below, sm_above = smin[ends.size:].reshape(3, -1)
     sx = smax[ends.size:ends.size + at.size]
     hit = at[((sm < rank_tol * sx) | (sx < rank_tol * scale_ref))
@@ -383,7 +458,10 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     cands = np.array([lam for lam in sorted(candidates)
                       if abs(lam) > ZERO_RADIUS + refine_tol
                       and lo - refine_tol <= lam <= hi + refine_tol])
-    sms, sxs = _sigma_grid(g, struct, cands, method)
+    svals = np.full((cands.size, 2 * g.num_edges), np.inf)
+    for rows, s in scan_svdvals(cands, _builder(g, struct, method)):
+        svals[rows] = s
+    sms, sxs = svals[:, -1], svals[:, 0]
     # interval-Dirichlet pole of the DtN map: some edge with k l >= 1 has
     # |sin(k l)| so small that its entries, k / sin(k l), exceed
     # 1e6 max(1, k). The rank ratio under-reads there, and any eigenvalue
@@ -396,21 +474,20 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         pole |= ((kl >= 1.0) & (np.abs(np.sin(kl))
                                 < k / (1e6 * np.maximum(1.0, k)))).any(axis=1)
     diagnostics = [f"DtNPole(lambda={lam:.12g})" for lam in cands[pole]]
-    accepted = cands[~pole & ((sms < rank_tol * sxs)
-                              | (sxs < rank_tol * scale_ref))]
+    accepted = np.flatnonzero(~pole & ((sms < rank_tol * sxs)
+                                       | (sxs < rank_tol * scale_ref)))
 
     def near(lam):  # roots closer than this are one; the count probes' nudge
         return max(1e-9, 1e3 * refine_tol) * max(1.0, abs(lam))
 
-    merged = []
-    for lam in accepted:
-        if not merged or abs(lam - merged[-1]) > near(lam):
-            merged.append(lam)
+    merged = []  # indices into cands
+    for i in accepted:
+        if not merged or abs(cands[i] - cands[merged[-1]]) > near(cands[i]):
+            merged.append(i)
 
     records = []
 
-    def full_svd_record(lam):
-        s = _svdvals(build_secular_matrix(g, lam, method), lam)
+    def full_svd_record(lam, s):
         if s[0] < rank_tol * scale_ref:  # full collapse: every column is null
             return EigRecord(float(lam), len(s), float(s[-1]), float(s[0])), len(s)
         mult = int(np.sum(s < rank_tol * s[0]))
@@ -421,12 +498,13 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         return EigRecord(float(lam), mult, float(s[-1]), float(s[0])), mult
 
     if lo <= 0.0 <= hi:
-        rec, mult = full_svd_record(0.0)
+        rec, mult = full_svd_record(
+            0.0, _svdvals(build_secular_matrix(g, 0.0, method), 0.0))
         if mult > 0:
             records.append(rec)
 
-    for lam in merged:
-        rec, mult = full_svd_record(lam)
+    for i in merged:
+        rec, mult = full_svd_record(cands[i], svals[i])
         if mult > 0:
             records.append(rec)
 

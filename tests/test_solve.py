@@ -25,7 +25,7 @@ from qgraph.secular import (build_secular_matrix, count_below,
                             reduced_negative_kappas)
 from qgraph.solve import (
     Spectrum,
-    _GOLD,
+    _GOLD_STEP,
     _KAPPA_WIDTH,
     _golden_min,
     _isolate,
@@ -761,65 +761,182 @@ class TestCountGuidedScan:
         assert spec.diagnostics == []
 
 
-def scalar_golden(fn, a, b, tol):
-    """Reference: one golden-section search with one call per point; a
-    bracket no wider than its tolerance is never evaluated."""
-    calls = 0
-    if not b - a > tol:
-        return (a + b) / 2.0, calls
+class TestRefinementBudget:
+    """V-steps finish a bracket in a few rounds; certification reads its
+    records from the candidates' batch."""
 
-    def f(x):
-        nonlocal calls
-        calls += 1
-        return fn(x)
+    @staticmethod
+    def refine_calls(monkeypatch):
+        """Sizes of the fn calls of the _golden_min calls find_spectrum
+        makes."""
+        calls = []
 
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = f(x1)
+        def recorded(fn, a, b, tol):
+            def counted(xs):
+                calls.append(len(xs))
+                return fn(xs)
+
+            return _golden_min(counted, a, b, tol)
+
+        monkeypatch.setattr(solve_mod, "_golden_min", recorded)
+        return calls
+
+    @pytest.mark.parametrize("lengths, window, budget", [
+        ([1.0, 0.7, 1e-7], (0.5, 30.0), 6),
+        ([1.0, 0.7, 1e-8], (0.5, 30.0), 6),
+        ([1.0, 0.7, 1.3], (-10.0, 30.0), 5)])
+    def test_few_refinement_calls(self, lengths, window, budget, monkeypatch):
+        # golden section took 37, 42 and 10 calls here
+        calls = self.refine_calls(monkeypatch)
+        spec = find_spectrum(make_star(lengths), window)
+        assert spec.diagnostics == [] and spec.count >= 2
+        assert len(calls) <= budget
+
+    @pytest.mark.parametrize("method, budget", [("edge", 6), ("dtn", 60)])
+    def test_refinement_ends_where_tol_is_below_the_float_spacing(
+            self, method, budget, monkeypatch):
+        # near 9.3e3 the float spacing is 1.8e-12, wider than refine_tol: the
+        # tolerance floor of four spacings lets each bracket finish. The DtN
+        # route's pole cell at 9484.69 keeps golden steps
+        calls = []
+
+        def recorded(g, struct, lams, method):
+            calls.append(np.size(lams))
+            return _sigma_grid(g, struct, lams, method)
+
+        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
+        g = make_star([1.0, 0.7, 1.3])
+        spec = find_spectrum(g, (9000.0, 9600.0), method)
+        counts, trusted = count_below(g, [9000.0, 9600.0])
+        assert trusted.all() and counts[1] - counts[0] == 2
+        roots = [9343.98427390539, 9484.689829446872]
+        if method == "dtn":
+            roots = roots[:1]
+            assert diagnostic_kinds(spec) == ["DtNPole"]
+            assert "9484.689" in spec.diagnostics[0]
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0, calls
+            assert spec.diagnostics == []
+        assert [r.mult for r in spec.records] == [1] * len(roots)
+        for r, lam in zip(spec.records, roots):
+            assert abs(r.lam - lam) <= 1e-12 * lam
+        assert len(calls) <= budget
+
+    @pytest.mark.parametrize("method", ["edge", "dtn"])
+    def test_records_come_from_the_certification_batch(self, method,
+                                                       monkeypatch):
+        # only the lambda = 0 test builds a matrix of its own; every record
+        # holds the bytes a one-matrix SVD at its lambda gives
+        builds = []
+
+        def recorded(g, lam, method="edge", **kwargs):
+            builds.append(lam)
+            return build_secular_matrix(g, lam, method, **kwargs)
+
+        monkeypatch.setattr(solve_mod, "build_secular_matrix", recorded)
+        g = make_star([1.0, 0.7, 1.3])
+        spec = find_spectrum(g, (-10.0, 30.0), method)
+        assert builds == [0.0]
+        assert len(spec.records) >= 5 and spec.records[1].lam == 0.0
+        for r in spec.records:
+            mat = build_secular_matrix(g, r.lam, method)
+            s = solve_mod._svdvals(mat, r.lam)
+            assert np.float64(r.sigma_min).tobytes() == s[-1].tobytes()
+            assert np.float64(r.sigma_max).tobytes() == s[0].tobytes()
+
+
+def scalar_vmin(fn, a, b, tol):
+    """Reference: the search of `_golden_min` on one bracket in plain floats,
+    one fn call per point. Returns the result and the points of each round;
+    a bracket no wider than its floored tolerance is never evaluated."""
+    tol = max(tol, 4.0 * float(np.spacing(max(abs(a), abs(b)))))
+    rounds = []
+
+    def ev(xs):
+        rounds.append(list(xs))
+        return [fn(x) for x in xs]
+
+    if not b - a > tol:
+        return (a + b) / 2.0, rounds
+    m = (a + b) / 2.0
+    fm, fa, fb = ev([m, a, b])
+    if fa < fm and fa <= fb:  # the lowest of (m, a, b), the first on ties
+        xl, xb, xr, fl, fbest, fr = a, a, m, fa, fa, fm
+    elif fb < fm and fb < fa:
+        xl, xb, xr, fl, fbest, fr = m, b, b, fm, fb, fb
+    else:
+        xl, xb, xr, fl, fbest, fr = a, m, b, fa, fm, fb
+    h = tol / 2.0
+    w1 = w2 = math.inf
+    again = False
+    while xr - xl > tol:
+        width = xr - xl
+        inner = xl < xb < xr
+        finite = all(math.isfinite(y) for y in (fl, fbest, fr))
+        v = None
+        if inner and finite:
+            sl = (fl - fbest) / (xb - xl)
+            sr = (fr - fbest) / (xr - xb)
+            c = max(sl, sr)
+            if c > 0.0:  # the vertex of the V, on the shallower side
+                v = xb - fbest / c if sl < sr else xb + fbest / c
+        stalled = width > w2 / 2.0
+        near = v is not None and abs(v - xb) <= h
+        confirm = finite and (not inner or near) and not (stalled and again)
+        step = (not confirm and finite and not stalled and v is not None
+                and xl < v < xr)
+        w2, w1, again = w1, width, confirm
+        if confirm:
+            pts = [x for x in (xb - h, xb + h) if xl < x < xr]
+            got = dict(zip(pts, ev(pts) if pts else []))
+            fcl, fcr = got.get(xb - h, math.inf), got.get(xb + h, math.inf)
+            u, fu = (xb - h, fcl) if fcl <= fcr else (xb + h, fcr)
+            if not fu < fbest:
+                return xb, rounds
+        else:
+            if not step:
+                far = xr if xr - xb >= xb - xl else xl
+                v = xb + _GOLD_STEP * (far - xb)
+            u, (fu,) = v, ev([v])
+        if fu < fbest:
+            if u > xb:
+                xl, fl = xb, fbest
+            else:
+                xr, fr = xb, fbest
+            xb, fbest = u, fu
+        elif u > xb:
+            xr, fr = u, fu
+        else:
+            xl, fl = u, fu
+    return (xl + xr) / 2.0, rounds
 
 
 class TestLockstepGoldenMin:
     """Every bracket of a lockstep run ends on the float its own scalar
-    search gives, and each round asks for the live brackets only."""
+    search gives, and each round asks for the live brackets' points only."""
 
     @staticmethod
     def run(fn, a, b, tol):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        sizes = []
+        calls = []
 
         def batched(xs):
-            sizes.append(len(xs))
+            calls.append(np.array(xs))
             return fn(np.asarray(xs))
 
         got = _golden_min(batched, a, b, tol)
         tols = np.broadcast_to(tol, a.shape)
-        refs = [scalar_golden(lambda x: fn(np.array([x]))[0], ai, bi, ti)
+        refs = [scalar_vmin(lambda x: fn(np.array([x]))[0], ai, bi, ti)
                 for ai, bi, ti in zip(a, b, tols)]
         assert got.shape == a.shape
         for x, (ref, _) in zip(got, refs):
             assert x.tobytes() == np.float64(ref).tobytes()
-        calls = [c for _, c in refs if c]
-        if calls:
-            # one call with both first points of every bracket wider than its
-            # tolerance, then one per round, each holding exactly the
-            # brackets whose scalar search is still on
-            assert sizes[0] == 2 * len(calls)
-            rounds = max(calls) - 2
-            assert sizes[1:] == [sum(c - 2 > r for c in calls)
-                                 for r in range(rounds)]
-        else:
-            assert sizes == []
-        return got, sizes
+        # round r of the lockstep evaluates exactly the points of round r of
+        # every scalar search still on, and makes no call without points
+        rounds = max((len(r) for _, r in refs), default=0)
+        want = [sorted(x for _, r in refs if len(r) > k for x in r[k])
+                for k in range(rounds)]
+        assert [sorted(c.tolist()) for c in calls] == [w for w in want if w]
+        return got, [len(c) for c in calls]
 
     def test_mixed_tolerances_finish_in_different_rounds(self):
         def fn(xs):
@@ -829,10 +946,11 @@ class TestLockstepGoldenMin:
         b = [0.4, 1.2, 1.001, -1.0, 3.5]
         tol = [1e-12, 1e-6, 1e-15, 1e-3, 1e-9]
         _, sizes = self.run(fn, a, b, tol)
-        assert len(set(sizes[1:])) > 2  # brackets dropped out along the way
+        assert sizes[0] == 15 and len(set(sizes)) > 2
 
     def test_scalar_tolerance_and_ties(self):
-        # a flat function: every comparison is a tie and goes left
+        # a flat function: every comparison is a tie, and with no V to fit
+        # every step is golden
         self.run(lambda xs: np.zeros(len(xs)), [0.0, 1.0], [1.0, 3.0], 1e-10)
 
     def test_no_brackets_no_calls(self):
@@ -850,18 +968,47 @@ class TestLockstepGoldenMin:
         b = [1.0, 0.9, 1.0 + 1e-13, 3.0, 1.0 + 1e-15]
         tol = [1e-12, 1e-12, 1e-12, 1e-9, 1e-12]
         got, sizes = self.run(fn, a, b, tol)
-        assert sizes[0] == 4
+        assert sizes[0] == 6  # the ends and midpoints of the two live ones
         assert got[0] == 1.0 and got[2] == 1.0
         _, sizes = self.run(fn, a[::2], b[::2], tol[::2])
         assert sizes == []
 
+    def test_tolerance_below_the_float_spacing(self):
+        # at 9344 the spacing is 1.8e-12: a tolerance of 1e-12 is floored at
+        # four spacings, and the search ends
+        a, b = 9343.98427367, 9343.98427414
+        assert np.spacing(b) > 1e-12
+        got, _ = self.run(lambda xs: np.abs(xs - 9343.9842739), [a], [b], 1e-12)
+        assert abs(got[0] - 9343.9842739) <= 2.0 * np.spacing(b)
+
     def test_infinite_values(self):
-        # DtN-singular points read inf; the scalar rules handle inf <= inf
+        # DtN-singular points read inf; a value inf forces a golden step
         def fn(xs):
             return np.where(np.abs(xs - 1.3) < 0.05, np.inf,
                             np.where(xs > 2.5, np.inf, np.abs(xs - 0.9)))
 
         self.run(fn, [0.5, 1.2, 2.4, 2.6], [1.4, 1.4, 3.0, 2.9], 1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_v_vertex_within_half_tolerance(self, seed):
+        # on c |x - v| with noise at the 1e-16 level every result lies within
+        # tol / 2 of its vertex, in a few rounds
+        rng = np.random.default_rng(seed)
+        a = np.arange(20) * 0.3 - 3.0 + rng.uniform(0.0, 0.1, 20)
+        b = a + 10.0 ** rng.uniform(-9.0, -1.0, 20)
+        v = a + rng.uniform(0.0, 1.0, 20) * (b - a)
+        c = 10.0 ** rng.uniform(-2.0, 2.0, 20)
+        noise = rng.uniform(-1e-16, 1e-16, 97)
+        tol = 10.0 ** rng.uniform(-13.0, -11.0, 20)
+
+        def fn(xs):  # bracket j's points read its own V
+            j = np.searchsorted(a, xs, side="right") - 1
+            k = np.floor(np.abs(xs) * 1e15).astype(int) % noise.size
+            return c[j] * np.abs(xs - v[j]) + noise[k]
+
+        got, sizes = self.run(fn, a, b, tol)
+        assert np.all(np.abs(got - v) <= tol / 2.0)
+        assert len(sizes) <= 8  # golden section: 30 to 50
 
     @pytest.mark.parametrize("g", [make_star([1.0, 1.0, 1.0]),
                                    make_figure8(0.7, 1.3)], ids=["star3", "figure8"])
