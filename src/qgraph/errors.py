@@ -35,8 +35,8 @@ class DtNSingular(QGraphError):
 
 
 class WindowTooCoarse(QGraphError):
-    """The search window cannot answer: a root hugs an explicit negative
-    floor, or repeated doubling did not reach the requested eigenvalues."""
+    """The search window cannot answer: the count of negative eigenvalues is
+    untrusted, or repeated doubling did not reach the requested eigenvalues."""
 
 
 class NotAnEigenvalue(QGraphError):

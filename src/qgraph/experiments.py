@@ -23,12 +23,13 @@ import numpy as np
 from .graph import (BoundaryType, EdgeRecord, MetricGraph, START, END,
                     VertexRecord, diameter, make_figure8, make_star,
                     rotation_genus)
-from .solve import default_negative_floor, find_spectrum, first_eigenvalues
+from .solve import (RANK_TOL, REFINE_TOL, default_negative_floor,
+                    find_spectrum, first_eigenvalues)
 from .surgery import AttachEdge, ExtendEdge, Merge, Transplant, apply_surgery
 
 STRICT_MARGIN = 1e-9
 
-_SOLVER_TOL = {"rank_tol": 1e-8, "refine_tol": 1e-12}
+_SOLVER_TOL = {"rank_tol": RANK_TOL, "refine_tol": REFINE_TOL}
 
 
 @dataclass
@@ -166,11 +167,9 @@ def sample_graph(rng, num_edges: int = 5, total: float = None) -> MetricGraph:
     raise RuntimeError("no planar enumeration found in 500 draws")
 
 
-def ground_state(g: MetricGraph, floor: float = None) -> float:
+def ground_state(g: MetricGraph) -> float:
     """Lowest eigenvalue; scans the negative window first, then widens."""
-    if floor is None:
-        floor = default_negative_floor(g)
-    spec = find_spectrum(g, (floor, -1e-8))
+    spec = find_spectrum(g, (default_negative_floor(g), -1e-8))
     if spec.records:
         return spec.records[0].lam
     lams, _ = first_eigenvalues(g, 1)

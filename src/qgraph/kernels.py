@@ -192,17 +192,17 @@ def branch_svdvals(mats, lams):
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def scan_svdvals(lams, build, chunk: int = SCAN_CHUNK):
-    """Batched SVDs over chunks of lams: yields (rows, svdvals) per chunk,
-    svdvals holding every singular value of each row's matrix, descending.
+def scan_svdvals(lams, build):
+    """Batched SVDs over chunks of SCAN_CHUNK lams: yields (rows, svdvals) per
+    chunk, svdvals holding each row's singular values, descending.
 
     build(part) gives the stack of secular matrices of a chunk and its (n,)
     singular mask; masked rows hold no matrix and are left out of rows.
     Every row is computed on its own, so a lambda gets the same bytes
     whatever else its call holds."""
     lams = np.asarray(lams, dtype=float)
-    for lo in range(0, lams.size, chunk):
-        part = lams[lo:lo + chunk]
+    for lo in range(0, lams.size, SCAN_CHUNK):
+        part = lams[lo:lo + SCAN_CHUNK]
         mats, singular = build(part)
         ok = np.flatnonzero(~singular)
         if ok.size < part.size:
@@ -210,12 +210,12 @@ def scan_svdvals(lams, build, chunk: int = SCAN_CHUNK):
         yield lo + ok, branch_svdvals(mats, part)
 
 
-def scan_sigma(lams, build, chunk: int = SCAN_CHUNK):
+def scan_sigma(lams, build):
     """(sigma_min, sigma_max) over lams, from `scan_svdvals`; masked rows
     read inf."""
     lams = np.asarray(lams, dtype=float)
     smin = np.full(lams.size, np.inf)
     smax = np.full(lams.size, np.inf)
-    for rows, s in scan_svdvals(lams, build, chunk):
+    for rows, s in scan_svdvals(lams, build):
         smin[rows], smax[rows] = s[:, -1], s[:, 0]
     return smin, smax

@@ -13,7 +13,7 @@ Two routes to the same zero set:
   the diagonal and off-diagonal entries plus a per-lambda singular mask.
   `build_dtn_grid` lays a chunk of them into a stack of secular matrices from
   the route's per-graph plan, `_dtn_plan`; it is the builder the one chunk
-  loop, `kernels.scan_sigma`, runs for this route. `interval_dtn` and the
+  loop, `kernels.scan_svdvals`, runs for this route. `interval_dtn` and the
   one-lambda `build_secular_matrix` are single rows of these.
 
 The same tables give exact eigenvalue counts, `count_below`: N(lambda), the
@@ -68,6 +68,8 @@ def dtn_tables(lams, lengths):
     symmetric with equal diagonal entries) and an (n,) mask that is True
     where some edge sits on its Dirichlet spectrum, |sin(k l)| <
     _POLE_TOL * max(1, k l). Rows flagged singular hold no usable entries.
+    Past k l ~ 710 below zero, where sinh overflows, the entries take their
+    limits: -kappa on the diagonal and 0 off it.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1, 1)
     lengths = np.asarray(lengths, dtype=float)
@@ -80,9 +82,10 @@ def dtn_tables(lams, lengths):
     if neg.any():
         kap = np.sqrt(-lams[neg])
         kl = kap * lengths
-        sh = np.sinh(kl)
-        diag[neg] = -kap * np.cosh(kl) / sh
-        off[neg] = kap / sh
+        with np.errstate(over="ignore", invalid="ignore"):
+            sh = np.sinh(kl)
+            diag[neg] = np.where(np.isinf(sh), -kap, -kap * np.cosh(kl) / sh)
+            off[neg] = kap / sh
     pos = lams[:, 0] > 0.0
     if pos.any():
         k = np.sqrt(lams[pos])
@@ -189,8 +192,13 @@ def count_below(g: MetricGraph, lams):
     of the graph.
     """
     n_dirichlet, mu, thr, singular = count_terms(g, lams)
-    trusted = ~singular & (np.abs(mu).min(axis=1, initial=np.inf) > thr)
-    return n_dirichlet + (mu < 0.0).sum(axis=1), trusted
+    return n_dirichlet + (mu < 0.0).sum(axis=1), count_trusted(mu, thr, singular)
+
+
+def count_trusted(mu, thr, singular):
+    """Which rows of `count_terms` give a trusted count: those off the
+    singular mask with no eigenvalue of Q within the threshold of zero."""
+    return ~singular & (np.abs(mu).min(axis=1, initial=np.inf) > thr)
 
 
 def build_secular_matrix(g: MetricGraph, lam: float, method: str = "edge", *,

@@ -5,9 +5,9 @@ recovery.
 Conventions: windows are closed intervals in lambda. Negative parts are
 searched in kappa = sqrt(-lambda), positive parts in lambda. lambda = 0 is
 always tested explicitly from the {1, x} solution basis. A located minimum
-counts as an eigenvalue when sigma_min < rank_tol * sigma_max after
-refinement to |d lambda| < refine_tol. Eigenvalues closer to zero than
-zero_radius + refine_tol are indistinguishable from 0 and folded into it.
+counts as an eigenvalue when sigma_min < RANK_TOL * sigma_max after
+refinement to |d lambda| < REFINE_TOL. Eigenvalues closer to zero than
+ZERO_RADIUS + REFINE_TOL are indistinguishable from 0 and folded into it.
 
 Both branches run in one lockstep, in the coordinate x = -kappa below zero
 and x = lambda above, which increases with lambda. The exact counts of
@@ -19,7 +19,7 @@ cell with equal trusted counts holds no eigenvalue and is dropped. One sigma
 call at the ends of the cells left gives the typical sigma_max, the largest
 of the per-branch medians. The same call evaluates sigma at the edge
 Dirichlet eigenvalue p = (n pi / l_e)^2 inside each cell, in closed form
-from the edge lengths, and at p -+ refine_tol / 2. Each cell is padded by
+from the edge lengths, and at p -+ REFINE_TOL / 2. Each cell is padded by
 half a width and clipped to its branch. Where both end counts are trusted,
 a root on an edge Dirichlet pole, as on equilateral stars and figure-8s, is
 taken in closed form: where sigma passes the certification test at p and is
@@ -57,7 +57,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -67,9 +66,13 @@ from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
                       equilibrate_columns, prepare_structure, scan_sigma,
                       scan_svdvals)
 from .secular import (build_dtn_grid, build_secular_matrix, count_below,
-                      count_terms)
+                      count_terms, count_trusted)
 
 ZERO_RADIUS = 1e-7
+RANK_TOL = 1e-8  # sigma ratio below which a singular value counts as null
+REFINE_TOL = 1e-12  # |d lambda| every eigenvalue is refined to
+MULT_GUARD = 10.0  # a sigma within this factor of the rank threshold is shaky
+QUAD_ORDER = 64  # Gauss points per edge of the eigenfunction quadrature
 _KAPPA_WIDTH = 1e-3  # widest cell the negative branch isolates, in kappa
 _KAPPA_FLOOR = 1e-4
 _ILLINOIS_ROUNDS = 40  # cap on the lockstep regula falsi rounds of _narrow
@@ -135,7 +138,6 @@ def default_positive_step(g: MetricGraph) -> float:
 def default_negative_floor(g: MetricGraph) -> float:
     """Lower end of the negative window, below every eigenvalue: -d^2, with
     d = 2 * max degree doubled until the exact count N(-d^2) is a trusted 0.
-    Overridable everywhere it is used.
     """
     d = 2 * max(v.degree for v in g.vertices)
     while True:
@@ -316,7 +318,7 @@ def _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole):
 
     root_on_pole holds, per cell, the pole p inside it (`_pole_inside`)
     where sigma passes the certification test and is no larger than at
-    p -+ refine_tol / 2, and nan elsewhere. A cell with trusted end counts
+    p -+ REFINE_TOL / 2, and nan elsewhere. A cell with trusted end counts
     and such a pole gets the bracket [p, p]: its root is the pole, in closed
     form.
 
@@ -336,8 +338,7 @@ def _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole):
     x0, x1 = np.array(x0, dtype=float), np.array(x1, dtype=float)
     n = len(cells)
     nd, mu, thr, singular = count_terms(g, lam_of(cells.T.ravel()))
-    trusted = ~singular & (np.abs(mu).min(axis=1, initial=np.inf) > thr)
-    trusted = trusted.reshape(2, n).all(axis=0)
+    trusted = count_trusted(mu, thr, singular).reshape(2, n).all(axis=0)
     on_pole = trusted & np.isfinite(root_on_pole)
     x0[on_pole] = x1[on_pole] = root_on_pole[on_pole]
     neg = (mu < 0.0).sum(axis=1)
@@ -379,9 +380,16 @@ def _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole):
     return x0, x1
 
 
-def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
-                  rank_tol: float = 1e-8, refine_tol: float = 1e-12,
-                  mult_guard: float = 10.0) -> Spectrum:
+def _null(s, scale):
+    """The rank rule: which singular values of each row (descending) are
+    null. All of a row whose sigma_max < RANK_TOL * scale, where the whole
+    matrix vanished (multiplicity 2E, e.g. a one-edge cycle); otherwise
+    those below RANK_TOL * sigma_max, so sigma_min is null iff any is."""
+    smax = s[..., :1]
+    return (s < RANK_TOL * smax) | (smax < RANK_TOL * scale)
+
+
+def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     """All eigenvalues in the closed window [lo, hi], with multiplicities."""
     lo, hi = float(window[0]), float(window[1])
     if not lo <= hi:
@@ -411,12 +419,12 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     cells = _isolate(g, branches, width_of(branches[:, 0]), lam_of)
 
     # one sigma call at the cell ends, and at each edge Dirichlet pole p
-    # inside a cell and at p -+ refine_tol / 2, where a root may sit
+    # inside a cell and at p -+ REFINE_TOL / 2, where a root may sit
     scale_ref = 0.0  # typical sigma_max over the cell ends, per branch
     ends = np.unique(cells)
     poles = _pole_inside(g, cells)
     at = np.flatnonzero(np.isfinite(poles))
-    half = refine_tol / 2.0
+    half = REFINE_TOL / 2.0
     smin, smax = _sigma_grid(g, struct, np.concatenate(
         (lam_of(ends), poles[at], poles[at] - half, poles[at] + half)), method)
     smax_ends = smax[:ends.size]
@@ -426,10 +434,10 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
             scale_ref = max(scale_ref, float(np.median(finite)))
     # p is the root where sigma passes the certification test below and is
     # least at p of the three points: the minimum then lies within
-    # refine_tol / 2 of p, as close as the search below would take it
+    # REFINE_TOL / 2 of p, as close as the search below would take it
     sm, sm_below, sm_above = smin[ends.size:].reshape(3, -1)
     sx = smax[ends.size:ends.size + at.size]
-    hit = at[((sm < rank_tol * sx) | (sx < rank_tol * scale_ref))
+    hit = at[_null(np.column_stack((sx, sm)), scale_ref)[:, -1]
              & (sm <= sm_below) & (sm <= sm_above)]
     root_on_pole = np.full(len(cells), np.nan)
     root_on_pole[hit] = poles[hit]
@@ -441,44 +449,39 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     x1 = np.minimum(cells[:, 1] + width / 2.0, b)
     # kappa tolerance from the padded lower kappa, -x1
     tol = np.where(x1 < 0.0,
-                   np.maximum(refine_tol / (2.0 * np.maximum(-x1, 0.05)), 1e-15),
-                   refine_tol)
+                   np.maximum(REFINE_TOL / (2.0 * np.maximum(-x1, 0.05)), 1e-15),
+                   REFINE_TOL)
     x0, x1 = _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole)
     x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
                     x0, x1, tol)
     candidates = lam_of(x)
 
-    # certify candidates; a collapse of sigma_max against the typical scale
-    # means the whole matrix vanished (eigenvalue of full multiplicity 2E,
-    # e.g. a one-edge cycle), which the relative rank test cannot see.
-    # Candidates within refine_tol of the zero radius are left to the
-    # explicit zero test: a cell that holds only the flank of the lambda = 0
-    # dip refines to its inner end, where the DtN rank ratio can read below
-    # rank_tol.
+    # certify candidates against the typical sigma_max. Candidates within
+    # REFINE_TOL of the zero radius are left to the explicit zero test: a
+    # cell that holds only the flank of the lambda = 0 dip refines to its
+    # inner end, where the DtN rank ratio can read below RANK_TOL.
     cands = np.array([lam for lam in sorted(candidates)
-                      if abs(lam) > ZERO_RADIUS + refine_tol
-                      and lo - refine_tol <= lam <= hi + refine_tol])
+                      if abs(lam) > ZERO_RADIUS + REFINE_TOL
+                      and lo - REFINE_TOL <= lam <= hi + REFINE_TOL])
     svals = np.full((cands.size, 2 * g.num_edges), np.inf)
     for rows, s in scan_svdvals(cands, _builder(g, struct, method)):
         svals[rows] = s
-    sms, sxs = svals[:, -1], svals[:, 0]
     # interval-Dirichlet pole of the DtN map: some edge with k l >= 1 has
     # |sin(k l)| so small that its entries, k / sin(k l), exceed
     # 1e6 max(1, k). The rank ratio under-reads there, and any eigenvalue
     # hiding here cannot be certified on this route (the edge method can).
     # A short edge's entries are large (about 1 / l) far from its poles.
-    pole = ~np.isfinite(sxs)
+    pole = ~np.isfinite(svals[:, 0])
     if method == "dtn":
         k = np.sqrt(np.maximum(cands, 0.0))[:, None]
         kl = k * np.array([e.length for e in g.edges])
         pole |= ((kl >= 1.0) & (np.abs(np.sin(kl))
                                 < k / (1e6 * np.maximum(1.0, k)))).any(axis=1)
     diagnostics = [f"DtNPole(lambda={lam:.12g})" for lam in cands[pole]]
-    accepted = np.flatnonzero(~pole & ((sms < rank_tol * sxs)
-                                       | (sxs < rank_tol * scale_ref)))
+    accepted = np.flatnonzero(~pole & _null(svals, scale_ref)[:, -1])
 
     def near(lam):  # roots closer than this are one; the count probes' nudge
-        return max(1e-9, 1e3 * refine_tol) * max(1.0, abs(lam))
+        return max(1e-9, 1e3 * REFINE_TOL) * max(1.0, abs(lam))
 
     merged = []  # indices into cands
     for i in accepted:
@@ -488,12 +491,10 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     records = []
 
     def full_svd_record(lam, s):
-        if s[0] < rank_tol * scale_ref:  # full collapse: every column is null
-            return EigRecord(float(lam), len(s), float(s[-1]), float(s[0])), len(s)
-        mult = int(np.sum(s < rank_tol * s[0]))
-        shaky = np.sum((s >= rank_tol * s[0] / mult_guard)
-                       & (s <= rank_tol * s[0] * mult_guard))
-        if shaky:
+        mult = int(_null(s, scale_ref).sum())
+        # a full collapse has no sigma ratio to be unsure of
+        if mult < len(s) and np.any((s >= RANK_TOL * s[0] / MULT_GUARD)
+                                    & (s <= RANK_TOL * s[0] * MULT_GUARD)):
             diagnostics.append(f"MultiplicityUncertain(lambda={lam:.12g})")
         return EigRecord(float(lam), mult, float(s[-1]), float(s[0])), mult
 
@@ -524,36 +525,31 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         records=records,
         window=(lo, hi),
         method=method,
-        tolerances={"rank_tol": rank_tol, "refine_tol": refine_tol,
+        tolerances={"rank_tol": RANK_TOL, "refine_tol": REFINE_TOL,
                     "kappa_step": _KAPPA_WIDTH, "pos_step": pos_width,
                     "zero_radius": ZERO_RADIUS},
         diagnostics=diagnostics,
     )
 
 
-def count_negative(g: MetricGraph, *, floor: Optional[float] = None,
-                   method: str = "edge") -> int:
-    """Number of negative eigenvalues (with multiplicity).
-
-    The default search floor, `default_negative_floor`, has no eigenvalue
-    below it. An explicit `floor` is used as given; a lowest root below
-    0.98 * floor suggests more below it, and raises WindowTooCoarse.
+def count_negative(g: MetricGraph) -> int:
+    """Number of negative eigenvalues (with multiplicity): the exact count
+    N(-ZERO_RADIUS) of `secular.count_below`, since eigenvalues closer to
+    zero fold into 0. Raises WindowTooCoarse where that count is untrusted.
     """
-    lo = floor if floor is not None else default_negative_floor(g)
-    spec = find_spectrum(g, (lo, -1e-8), method=method)
-    if spec.records and spec.records[0].lam < 0.98 * lo:
-        raise WindowTooCoarse(f"eigenvalue {spec.records[0].lam} hugs the search "
-                              f"floor {lo}; widen it")
-    return spec.count_negative()
+    counts, trusted = count_below(g, [-ZERO_RADIUS])
+    if not trusted[0]:
+        raise WindowTooCoarse(f"the eigenvalue count below {-ZERO_RADIUS} is "
+                              f"not trusted")
+    return int(counts[0])
 
 
-def first_eigenvalues(g: MetricGraph, k: int, method: str = "edge", *,
-                      floor: Optional[float] = None):
+def first_eigenvalues(g: MetricGraph, k: int):
     """First k eigenvalues (with multiplicity), growing the window as needed."""
-    lo = floor if floor is not None else default_negative_floor(g)
+    lo = default_negative_floor(g)
     hi = (math.pi * (k + 2) / g.total_length) ** 2
     for attempt in range(12):
-        spec = find_spectrum(g, (lo, hi * 2.0 ** attempt), method=method)
+        spec = find_spectrum(g, (lo, hi * 2.0 ** attempt))
         lams = spec.lambdas()
         if len(lams) >= k:
             return lams[:k], spec
@@ -614,7 +610,7 @@ class Eigenfunction:
             fp[j] = -self.derivative(e.id, e.length)
         return f, fp
 
-    def norm_sq(self, order: int = 64) -> float:
+    def norm_sq(self, order: int = QUAD_ORDER) -> float:
         from .quadform import edge_quadrature
 
         total = 0.0
@@ -646,8 +642,7 @@ def _regime_coeffs(g: MetricGraph, lam: float, vecs):
     return c1 * f10 + c2 * f20, (c1 * d10 + c2 * d20) / w
 
 
-def eigenfunction_at(g: MetricGraph, lam: float, *,
-                     rank_tol: float = 1e-8, order: int = 64) -> list:
+def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     """L2-orthonormal basis of the eigenspace at lam.
 
     Extraction always goes through the edge-ansatz matrix (its nullspace IS
@@ -665,22 +660,18 @@ def eigenfunction_at(g: MetricGraph, lam: float, *,
     # svd of rounding noise is meaningless; compare against a nearby lambda
     probe = np.linalg.norm(build_secular_matrix(g, lam + 1e-3 * (1.0 + abs(lam)),
                                                 "edge"))
-    if svals[0] < rank_tol * probe:
-        null = [np.eye(s_mat.shape[1], dtype=complex)[i]
-                for i in range(s_mat.shape[1])]
-    else:
-        null = [vh[i].conj() / scales
-                for i in range(len(svals)) if svals[i] < rank_tol * svals[0]]
-    if not null:
+    null = _null(svals, probe)
+    if not null.any():
         raise NotAnEigenvalue(f"sigma_min/sigma_max = {svals[-1] / svals[0]:.3e} "
                               f"at lambda = {lam}")
     ids = [e.id for e in g.edges]
-    a, b = _regime_coeffs(g, lam, null)
+    a, b = _regime_coeffs(g, lam, np.eye(len(svals), dtype=complex) if null.all()
+                          else vh[null].conj() / scales)
     funcs = [Eigenfunction(g, float(lam), dict(zip(ids, zip(*ab))))
              for ab in zip(a, b)]
 
     # orthonormalize in L2 via the quadrature Gram matrix
-    quad = {e.id: edge_quadrature(e.length, order) for e in g.edges}
+    quad = {e.id: edge_quadrature(e.length, QUAD_ORDER) for e in g.edges}
     samples = []
     weights = np.concatenate([quad[e.id][1] for e in g.edges])
     for f in funcs:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import qgraph.kernels as kernels_mod
 from qgraph.graph import (
     END,
     BoundaryType,
@@ -224,14 +225,16 @@ class TestPerRowIdentity:
 
     @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
                                                     "cycle1", "path3"])
-    def test_alone_mixed_and_positive_batches(self, g):
+    def test_alone_mixed_and_positive_batches(self, g, monkeypatch):
         build = edge_builder(prepare_structure(g))
         lams = np.array([-30.0, -4.2, -0.3, 0.0, 0.7, 9.5, 40.0])
         mixed = scan_sigma(lams, build)
         pos = lams > 0.0
         positive = scan_sigma(lams[pos], build)
         # a chunk boundary splits the batch in the middle
-        chunked = scan_sigma(lams, build, chunk=3)
+        with monkeypatch.context() as m:
+            m.setattr(kernels_mod, "SCAN_CHUNK", 3)
+            chunked = scan_sigma(lams, build)
         for i, lam in enumerate(lams):
             alone = scan_sigma(np.array([lam]), build)
             for j in range(2):

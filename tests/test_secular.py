@@ -97,6 +97,15 @@ class TestIntervalDtn:
         with pytest.raises(DtNSingular):
             interval_dtn(1.0, math.pi**2)
 
+    def test_overflowing_sinh_takes_the_limits(self):
+        # kappa l = 720 overflows sinh: coth -> 1 and 1/sinh -> 0; the
+        # finite column keeps the bytes it has alone
+        diag, off, singular = dtn_tables([-36.0], [120.0, 1.0])
+        assert diag[0, 0] == -6.0 and off[0, 0] == 0.0 and not singular[0]
+        alone = dtn_tables([-36.0], [1.0])
+        assert diag[0, 1].tobytes() == alone[0][0, 0].tobytes()
+        assert off[0, 1].tobytes() == alone[1][0, 0].tobytes()
+
     def test_symmetric(self):
         for lam in (-2.3, 0.0, 3.7):
             m = interval_dtn(1.3, lam)

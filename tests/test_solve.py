@@ -51,6 +51,25 @@ DEEP_STAR_LENGTHS = [0.3546, 0.2023, 0.1557, 2.2405]
 DEEP_STAR_LAM1 = -3.876230573048294
 
 
+def _count_graphs():
+    """The graphs of acceptance criteria 4 and 8, and three figure-8s."""
+    graphs = {f"star{n}-equilateral": make_star([1.0] * n) for n in (3, 4, 6)}
+    rng = np.random.default_rng(1)  # criterion 4's 20 random stars
+    for i in range(20):
+        n = int(rng.integers(3, 7))
+        graphs[f"star-random{i}"] = make_star(
+            [float(x) for x in rng.uniform(0.25, 2.0, size=n)])
+    for a, b in ((0.5, 0.5), (0.7, 1.3), (0.3, 0.9)):
+        graphs[f"figure8-{a}-{b}"] = make_figure8(a, b)
+    for length in (0.55, 0.6):
+        graphs[f"dirichlet-star-{length}"] = make_star([length] * 3,
+                                                      tip_bc="dirichlet")
+    return graphs
+
+
+COUNT_GRAPHS = _count_graphs()
+
+
 def reorder(g, vid, order):
     verts = [VertexRecord(v.id, v.bc, tuple(order)) if v.id == vid else v
              for v in g.vertices]
@@ -123,10 +142,19 @@ class TestNegativeCounts:
     def test_equilateral_star_saturates_bound(self, n, count):
         assert count_negative(make_star([1.0] * n)) == count == (n - 1) // 2
 
-    def test_floor_hugging_raises(self):
-        g = make_star(DEEP_STAR_LENGTHS)
+    @pytest.mark.parametrize("g", COUNT_GRAPHS.values(), ids=list(COUNT_GRAPHS))
+    def test_matches_the_solver_count(self, g):
+        # the exact count N(-ZERO_RADIUS) against the certified negative roots
+        spec = find_spectrum(g, (default_negative_floor(g), -1e-8))
+        assert count_negative(g) == spec.count_negative()
+
+    def test_untrusted_count_raises(self):
+        # beside a 1e-7 edge, Q's entries reach ~1e7 and the sign of its
+        # eigenvalue nearest zero at -ZERO_RADIUS is lost in rounding
+        g = make_star([1.0, 0.7, 1e-7])
+        assert not count_below(g, [-solve_mod.ZERO_RADIUS])[1][0]
         with pytest.raises(WindowTooCoarse):
-            count_negative(g, floor=-3.9)
+            count_negative(g)
 
     @pytest.mark.parametrize("lengths", [[1.0, 1.0, 0.001], [1.0, 0.7, 0.002]])
     def test_default_floor_lies_below_every_eigenvalue(self, lengths):
@@ -154,6 +182,33 @@ class TestNegativeCounts:
             n = int(rng.integers(3, 7))
             lengths = rng.uniform(0.3, 2.0, size=n).tolist()
             assert count_negative(make_star(lengths)) >= (n - 1) // 2
+
+
+class TestLongEdgeOverflow:
+    """Where kappa l passes ~710, sinh(kappa l) overflows; the DtN tables
+    take their limits there, so counts and both routes still answer."""
+
+    def test_both_routes_on_a_long_edge(self):
+        # kappa l reaches 720 on the 120 edge at the window's floor
+        lengths = [120.0, 1.0, 1.0]
+        g = make_star(lengths)
+        lam1 = -max(reduced_negative_kappas(lengths)) ** 2
+        for method in ("edge", "dtn"):
+            spec = find_spectrum(g, (-36.0, 1.0), method)
+            assert spec.records[0].lam == pytest.approx(lam1, rel=1e-10)
+            assert spec.records[0].mult == 1 and spec.count_negative() == 1
+            assert spec.diagnostics == []
+        assert ground_state(g) == pytest.approx(lam1, rel=1e-10)
+        assert count_negative(g) == 1
+        assert first_eigenvalues(g, 1)[0] == pytest.approx([lam1], rel=1e-10)
+
+    @pytest.mark.parametrize("lengths,floor", [([200.0, 1.0, 1.0], -36.0),
+                                               ([1.0, 0.7, 1e-8], -589824.0)])
+    def test_floor_is_a_trusted_zero_count(self, lengths, floor):
+        g = make_star(lengths)
+        assert default_negative_floor(g) == floor
+        counts, trusted = count_below(g, [floor])
+        assert counts[0] == 0 and trusted[0]
 
 
 class TestWindowHandling:
@@ -185,10 +240,11 @@ class TestWindowHandling:
         check(spec, [(lam, 1)])
         assert spec.diagnostics == []
 
-    def test_multiplicity_uncertain_diagnostic(self, star3):
+    def test_multiplicity_uncertain_diagnostic(self, star3, monkeypatch):
         # an absurd guard band flags every certification as shaky; this
         # exercises the diagnostic plumbing, not a real degeneracy
-        spec = find_spectrum(star3, (-4.0, -1.0), mult_guard=1e10)
+        monkeypatch.setattr(solve_mod, "MULT_GUARD", 1e10)
+        spec = find_spectrum(star3, (-4.0, -1.0))
         assert any(d.startswith("MultiplicityUncertain") for d in spec.diagnostics)
 
 
