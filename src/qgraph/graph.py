@@ -150,11 +150,6 @@ class MetricGraph:
     def total_length(self) -> float:
         return float(sum(e.length for e in self.edges))
 
-    def endpoints_of(self, edge_id: str) -> tuple:
-        """(vertex at start, vertex at end) of an edge."""
-        return (self.vertex_of_endpoint[(edge_id, START)],
-                self.vertex_of_endpoint[(edge_id, END)])
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list:
@@ -176,7 +171,7 @@ class MetricGraph:
                 out.append(Violation("NonpositiveLength", e.id,
                                      f"length {e.length!r} must be > 0"))
             for vid in (e.src, e.dst):
-                if vid not in {v.id for v in self.vertices}:
+                if vid not in seen_v:
                     out.append(Violation("UnknownVertex", e.id,
                                          f"edge references missing vertex {vid!r}"))
         # every endpoint claimed exactly once, by the vertex the edge names

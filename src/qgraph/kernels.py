@@ -6,8 +6,8 @@ of the lambdas and runs one batched SVD over the rows off the builder's
 singular mask. `scan_sigma` reads (sigma_min, sigma_max) arrays from it, inf
 in the masked rows. The lambdas are any batch: find_spectrum scans the ends
 of the cells that exact eigenvalue counts (`secular.count_below`) leave
-open, then the points its V-step refinement asks for inside the brackets
-the counts narrowed or padded, and certifies the candidates from every
+open, then the points its V-step refinement asks for inside those cells,
+each padded by half a width, and certifies the candidates from every
 singular value of one more batch.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:

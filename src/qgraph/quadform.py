@@ -99,18 +99,17 @@ def _vertex_pair_term(fv: np.ndarray, gv: np.ndarray) -> complex:
 
 def vertex_form_matrix(g: MetricGraph) -> np.ndarray:
     """Hermitian H over global slots with G* H F the sum of the vertex terms
-    of `form_value`, read off `_vertex_pair_term` on unit trace vectors:
-    H[s_j, s_k] = i (-1)^(j+k) for j > k at each coupled vertex of degree
+    of `form_value` (`_vertex_pair_term` on each vertex's traces):
+    H[s_j, s_k] = i (-1)^(j+k) sign(j - k) at each coupled vertex of degree
     >= 2, s_j the slot of its j-th endpoint."""
     m = 2 * g.num_edges
     h = np.zeros((m, m), dtype=complex)
     for v in g.vertices:
         if v.bc is BoundaryType.COUPLED and v.degree >= 2:
             slots = [g.slot_index[ref] for ref in v.order]
-            unit = np.eye(v.degree)
-            h[np.ix_(slots, slots)] = [[_vertex_pair_term(unit[k], unit[j])
-                                        for k in range(v.degree)]
-                                       for j in range(v.degree)]
+            j = np.arange(v.degree)
+            h[np.ix_(slots, slots)] = (1j * (-1.0) ** np.add.outer(j, j)
+                                       * np.sign(np.subtract.outer(j, j)))
     return h
 
 

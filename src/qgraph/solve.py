@@ -1,6 +1,5 @@
-"""Spectrum search: eigenvalues isolated and refined by exact counts,
-polished by V-steps on sigma_min, rank-based multiplicities, eigenfunction
-recovery.
+"""Spectrum search: eigenvalues isolated by exact counts and refined on
+sigma_min, rank-based multiplicities, eigenfunction recovery.
 
 Conventions: windows are closed intervals in lambda. Negative parts are
 searched in kappa = sqrt(-lambda), positive parts in lambda. lambda = 0 is
@@ -9,31 +8,22 @@ counts as an eigenvalue when sigma_min < RANK_TOL * sigma_max after
 refinement to |d lambda| < REFINE_TOL. Eigenvalues closer to zero than
 ZERO_RADIUS + REFINE_TOL are indistinguishable from 0 and folded into it.
 
-Both branches run in one lockstep, in the coordinate x = -kappa below zero
-and x = lambda above, which increases with lambda. The exact counts of
-`secular.count_below` isolate the eigenvalues: the branches' intervals are
-bisected together, one count call per round, and a cell is split while it
-is wider than its branch width (_KAPPA_WIDTH in kappa, default_positive_step
-in lambda) and its end counts differ or either end count is untrusted. A
-cell with equal trusted counts holds no eigenvalue and is dropped. One sigma
-call at the ends of the cells left gives the typical sigma_max, the largest
-of the per-branch medians. The same call evaluates sigma at the edge
-Dirichlet eigenvalue p = (n pi / l_e)^2 inside each cell, in closed form
-from the edge lengths, and at p -+ REFINE_TOL / 2. Each cell is padded by
-half a width and clipped to its branch. Where both end counts are trusted,
-a root on an edge Dirichlet pole, as on equilateral stars and figure-8s, is
-taken in closed form: where sigma passes the certification test at p and is
-least there of the three points, the bracket is [p, p]. Where no pole lies
-inside, `_narrow` refines the cell by Illinois steps on the eigenvalue of
-Q(lambda) that crosses zero there (`secular.count_terms`), one count call
-per round for all cells, down to the tolerance or to the count's error bar.
-One search on sigma_min, `_golden_min`, all brackets in lockstep and one
-batched sigma call per round, then finishes every bracket: a pole root or
-one narrowed to the tolerance is never evaluated; the others step to the
-vertex of the V that sigma_min makes at a simple root, guarded by golden
-section. One narrowed to the error bar takes about three calls, a padded one
-(an untrusted end, a pole that is not the root) a few more, and a pole cell
-on the DtN route, where sigma_min is noise, about 50 golden steps.
+Counts locate, sigma refines. Both branches run in one lockstep, in the
+coordinate x = -kappa below zero and x = lambda above, which increases with
+lambda. The exact counts of `secular.count_below` isolate the eigenvalues:
+the branches' intervals are bisected together, one count call per round.
+A cell with equal trusted counts holds no eigenvalue and is dropped; the
+others are split while wider than their branch width (_KAPPA_WIDTH in
+kappa, default_positive_step in lambda) or than half their distance to a
+neighbour across a trusted end. One sigma call at the ends of the cells
+left gives the typical sigma_max, the largest of the per-branch medians.
+Each cell is padded by half a width and clipped to its branch, except on a
+side that faces another cell within two widths. One search on sigma_min,
+`_golden_min`, all brackets in lockstep and one batched sigma call per
+round, then refines every bracket: it steps to the vertex of the V that
+sigma_min makes at a simple root, guarded by golden section. A padded cell
+takes four or five calls; a pole cell on the DtN route, where sigma_min is
+noise, about 50 golden steps.
 Certification is one batched SVD over the candidates that keeps every
 singular value, and candidates within the count probes' nudge are one root.
 Each record reads its multiplicity from its row; only the explicit
@@ -65,8 +55,7 @@ from .graph import END, MetricGraph, START
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
                       equilibrate_columns, prepare_structure, scan_sigma,
                       scan_svdvals)
-from .secular import (build_dtn_grid, build_secular_matrix, count_below,
-                      count_terms, count_trusted)
+from .secular import build_dtn_grid, build_secular_matrix, count_below
 
 ZERO_RADIUS = 1e-7
 RANK_TOL = 1e-8  # sigma ratio below which a singular value counts as null
@@ -75,7 +64,6 @@ MULT_GUARD = 10.0  # a sigma within this factor of the rank threshold is shaky
 QUAD_ORDER = 64  # Gauss points per edge of the eigenfunction quadrature
 _KAPPA_WIDTH = 1e-3  # widest cell the negative branch isolates, in kappa
 _KAPPA_FLOOR = 1e-4
-_ILLINOIS_ROUNDS = 40  # cap on the lockstep regula falsi rounds of _narrow
 _GOLD_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
 
 
@@ -99,10 +87,9 @@ class Spectrum:
     tolerances: dict
     diagnostics: list = field(default_factory=list)
 
-    def lambdas(self, with_multiplicity: bool = True) -> list:
-        if with_multiplicity:
-            return [r.lam for r in self.records for _ in range(r.mult)]
-        return [r.lam for r in self.records]
+    def lambdas(self) -> list:
+        """Eigenvalues, each repeated by its multiplicity."""
+        return [r.lam for r in self.records for _ in range(r.mult)]
 
     def nth(self, k: int) -> float:
         """k-th eigenvalue, 1-based, counting multiplicity."""
@@ -267,117 +254,44 @@ def _golden_min(fn, a, b, tol):
 
 
 def _isolate(g, cells, width, lam_of):
-    """(n, 2) array of the cells [x0, x1] inside the start cells that may
-    hold an eigenvalue at lambda = lam_of(x), each no wider than its start
-    cell's entry of width.
+    """(n, 2) array of the cells [x0, x1], in increasing order, inside the
+    start cells that may hold an eigenvalue at lambda = lam_of(x), each no
+    wider than its start cell's entry of width.
 
     Cells are bisected in lockstep with one `count_below` call per round. A
-    cell is split while it is wider than its width and its end counts differ
-    or either end count is untrusted; a cell with equal trusted end counts
-    holds no eigenvalue and is dropped."""
-    def halves(v, mid):
-        return np.concatenate((np.column_stack((v[:, 0], mid)),
-                               np.column_stack((mid, v[:, 1]))))
-
+    cell with equal trusted end counts holds no eigenvalue and is dropped.
+    The others are split while wider than their width, and two neighbours
+    across a trusted end while the wider is wider than half their distance:
+    sigma_min refines each cell alone, and a neighbour's root that close
+    could draw its search away. Neighbours that share an untrusted end
+    share its root."""
     x = np.array(cells, dtype=float).reshape(-1, 2)
-    width = np.broadcast_to(np.asarray(width, dtype=float), x.shape[:1])
+    order = np.argsort(x[:, 0])
+    x = x[order]
+    width = np.broadcast_to(np.asarray(width, dtype=float), order.shape)[order]
     n, ok = (v.reshape(2, -1).T for v in count_below(g, lam_of(x.T.ravel())))
-    found = []
     while True:
-        open_ = (n[:, 0] != n[:, 1]) | ~ok.all(axis=1)
-        wide = open_ & (x[:, 1] - x[:, 0] > width)
-        found.append(x[open_ & ~wide])
-        if not wide.any():
-            return np.concatenate(found)
-        x, n, ok, width = x[wide], n[wide], ok[wide], width[wide]
+        keep = (n[:, 0] != n[:, 1]) | ~(ok[:, 0] & ok[:, 1])
+        x, n, ok, width = x[keep], n[keep], ok[keep], width[keep]
+        w = x[:, 1] - x[:, 0]
+        near = ok[:-1, 1] & (x[1:, 0] - x[:-1, 1]
+                             < 2.0 * np.maximum(w[:-1], w[1:]))
+        split = w > width
+        split[1:] |= near
+        split[:-1] |= near
         mid = (x[:, 0] + x[:, 1]) / 2.0
-        n_mid, ok_mid = count_below(g, lam_of(mid))
-        x, n, ok = halves(x, mid), halves(n, n_mid), halves(ok, ok_mid)
-        width = np.concatenate((width, width))
-
-
-def _pole_inside(g, cells):
-    """The edge Dirichlet eigenvalue (n pi / l_e)^2 strictly inside each
-    cell, in closed form; nan where there is none or where the edges put two
-    distinct values there (equal edges give one). A cell no wider than
-    `default_positive_step` holds at most one per edge."""
-    lengths = np.array([e.length for e in g.edges])
-    u, v = cells[:, :1], cells[:, 1:]
-    n = np.floor(np.sqrt(np.maximum(v, 0.0)) * lengths / np.pi)
-    p = (n * np.pi / lengths) ** 2
-    inside = (n >= 1.0) & (u < p) & (p < v)
-    first = np.where(inside, p, np.inf).min(axis=1, initial=np.inf)
-    last = np.where(inside, p, -np.inf).max(axis=1, initial=-np.inf)
-    return np.where(first == last, first, np.nan)
-
-
-def _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole):
-    """Brackets [x0, x1] of the count cells for the sigma search, narrowed
-    where the counts can refine the root or the root sits on an edge
-    Dirichlet pole.
-
-    root_on_pole holds, per cell, the pole p inside it (`_pole_inside`)
-    where sigma passes the certification test and is no larger than at
-    p -+ REFINE_TOL / 2, and nan elsewhere. A cell with trusted end counts
-    and such a pole gets the bracket [p, p]: its root is the pole, in closed
-    form.
-
-    Between edge Dirichlet poles the eigenvalues of Q(lambda) (see
-    `secular.count_terms`) decrease strictly, so in a cell with trusted end
-    counts and the same N_D at both ends, mu_q, q = n_-(Q) at the lower end,
-    changes sign once: at the cell's lowest root. The sign is uncertain
-    within bar = thr / slope of the root, thr the trust threshold at the
-    last probe and slope mu_q's mean slope over the cell. Lockstep Illinois
-    steps on the raw sign of mu_q, one `count_terms` call per round, shrink
-    each such cell to its tolerance or to bar, whichever is wider; the
-    midpoint replaces a secant step that leaves the bracket. Where bar
-    exceeds tol / 2 the bracket returned is mid +- 4 bar, clipped to
-    [x0, x1]; otherwise it is the Illinois bracket. Other cells, among them
-    those with a pole inside that is not a root, keep [x0, x1].
-    """
-    x0, x1 = np.array(x0, dtype=float), np.array(x1, dtype=float)
-    n = len(cells)
-    nd, mu, thr, singular = count_terms(g, lam_of(cells.T.ravel()))
-    trusted = count_trusted(mu, thr, singular).reshape(2, n).all(axis=0)
-    on_pole = trusted & np.isfinite(root_on_pole)
-    x0[on_pole] = x1[on_pole] = root_on_pole[on_pole]
-    neg = (mu < 0.0).sum(axis=1)
-    (nd_u, nd_v), (neg_u, neg_v) = nd.reshape(2, n), neg.reshape(2, n)
-    sel = np.flatnonzero(trusted & (nd_u == nd_v) & (neg_u < neg_v))
-    q = neg_u[sel]
-    u, v = cells[sel, 0].copy(), cells[sel, 1].copy()
-    fu, fv = mu[sel, q], mu[n + sel, q]
-    slope = (fu - fv) / (v - u)
-    thr_last = np.maximum(thr[sel], thr[n + sel])
-    tol = tol[sel]
-    side = np.zeros(sel.size)  # sign of the last probe: which end moved
-    live = np.arange(sel.size)
-    for _ in range(_ILLINOIS_ROUNDS):
-        # a bracket inside the error bar learns nothing more from signs
-        live = live[v[live] - u[live]
-                    > np.maximum(tol[live], thr_last[live] / slope[live])]
-        if not live.size:
-            break
-        a, b, fa, fb = u[live], v[live], fu[live], fv[live]
-        t = b - fb * (b - a) / (fb - fa)
-        t = np.where((a < t) & (t < b), t, (a + b) / 2.0)
-        _, mu_t, thr_t, _ = count_terms(g, lam_of(t))
-        ft = mu_t[np.arange(live.size), q[live]]
-        # Illinois: halve the value at an end kept twice in a row
-        fu[live] = np.where(ft > 0.0, ft,
-                            np.where((ft < 0.0) & (side[live] < 0), fa / 2.0, fa))
-        fv[live] = np.where(ft < 0.0, ft,
-                            np.where((ft > 0.0) & (side[live] > 0), fb / 2.0, fb))
-        u[live] = np.where(ft >= 0.0, t, a)
-        v[live] = np.where(ft <= 0.0, t, b)
-        side[live] = np.sign(ft)
-        thr_last[live] = thr_t
-    bar = thr_last / slope
-    mid = (u + v) / 2.0
-    wide = bar > tol / 2.0
-    x0[sel] = np.where(wide, np.maximum(mid - 4.0 * bar, x0[sel]), u)
-    x1[sel] = np.where(wide, np.minimum(mid + 4.0 * bar, x1[sel]), v)
-    return x0, x1
+        split &= (x[:, 0] < mid) & (mid < x[:, 1])
+        if not split.any():
+            return x
+        n_mid, ok_mid = count_below(g, lam_of(mid[split]))
+        # each split cell becomes its two halves, in place
+        i = np.repeat(np.arange(split.size), split + 1)
+        upper = np.append(False, i[1:] == i[:-1])
+        lower = split[i] & ~upper
+        x, n, ok, width = x[i], n[i], ok[i], width[i]
+        x[lower, 1] = x[upper, 0] = mid[split]
+        n[lower, 1] = n[upper, 0] = n_mid
+        ok[lower, 1] = ok[upper, 0] = ok_mid
 
 
 def _null(s, scale):
@@ -418,40 +332,30 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     branches = np.array(branches, dtype=float).reshape(-1, 2)
     cells = _isolate(g, branches, width_of(branches[:, 0]), lam_of)
 
-    # one sigma call at the cell ends, and at each edge Dirichlet pole p
-    # inside a cell and at p -+ REFINE_TOL / 2, where a root may sit
+    # one sigma call at the cell ends
     scale_ref = 0.0  # typical sigma_max over the cell ends, per branch
     ends = np.unique(cells)
-    poles = _pole_inside(g, cells)
-    at = np.flatnonzero(np.isfinite(poles))
-    half = REFINE_TOL / 2.0
-    smin, smax = _sigma_grid(g, struct, np.concatenate(
-        (lam_of(ends), poles[at], poles[at] - half, poles[at] + half)), method)
-    smax_ends = smax[:ends.size]
+    smax = _sigma_grid(g, struct, lam_of(ends), method)[1]
     for part in (ends < 0.0, ends > 0.0):
-        finite = smax_ends[part & np.isfinite(smax_ends)]
+        finite = smax[part & np.isfinite(smax)]
         if finite.size:
             scale_ref = max(scale_ref, float(np.median(finite)))
-    # p is the root where sigma passes the certification test below and is
-    # least at p of the three points: the minimum then lies within
-    # REFINE_TOL / 2 of p, as close as the search below would take it
-    sm, sm_below, sm_above = smin[ends.size:].reshape(3, -1)
-    sx = smax[ends.size:ends.size + at.size]
-    hit = at[_null(np.column_stack((sx, sm)), scale_ref)[:, -1]
-             & (sm <= sm_below) & (sm <= sm_above)]
-    root_on_pole = np.full(len(cells), np.nan)
-    root_on_pole[hit] = poles[hit]
-    # each cell padded by half a width, clipped to its branch
+    # each cell padded by half a width, clipped to its branch. A side that
+    # faces another cell within two widths is not padded: the search there
+    # could slide down sigma_min onto that cell's root
     a, b = branches[np.searchsorted(branches[:, 0], cells[:, 0],
                                     side="right") - 1].T
     width = width_of(cells[:, 0])
-    x0 = np.maximum(cells[:, 0] - width / 2.0, a)
-    x1 = np.minimum(cells[:, 1] + width / 2.0, b)
-    # kappa tolerance from the padded lower kappa, -x1
+    near_lo = cells[:, 0] - np.append(-np.inf, cells[:-1, 1]) < 2.0 * width
+    near_hi = np.append(cells[1:, 0], np.inf) - cells[:, 1] < 2.0 * width
+    x0 = np.where(near_lo, cells[:, 0],
+                  np.maximum(cells[:, 0] - width / 2.0, a))
+    x1 = np.where(near_hi, cells[:, 1],
+                  np.minimum(cells[:, 1] + width / 2.0, b))
+    # kappa tolerance from the bracket's lower kappa, -x1
     tol = np.where(x1 < 0.0,
                    np.maximum(REFINE_TOL / (2.0 * np.maximum(-x1, 0.05)), 1e-15),
                    REFINE_TOL)
-    x0, x1 = _narrow(g, cells, x0, x1, lam_of, tol, root_on_pole)
     x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
                     x0, x1, tol)
     candidates = lam_of(x)
@@ -610,12 +514,12 @@ class Eigenfunction:
             fp[j] = -self.derivative(e.id, e.length)
         return f, fp
 
-    def norm_sq(self, order: int = QUAD_ORDER) -> float:
+    def norm_sq(self) -> float:
         from .quadform import edge_quadrature
 
         total = 0.0
         for e in self.graph.edges:
-            x, w = edge_quadrature(e.length, order)
+            x, w = edge_quadrature(e.length, QUAD_ORDER)
             total += float(np.sum(w * np.abs(self.value(e.id, x)) ** 2))
         return total
 

@@ -111,7 +111,7 @@ class TestBandedOracle:
             raise AssertionError("the FEM oracle read the secular path")
 
         # wherever a module holds these names, its own import included
-        for name in ("count_terms", "count_below", "default_negative_floor"):
+        for name in ("count_below", "default_negative_floor"):
             for mod in (secular, solve, fem):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, refuse)
