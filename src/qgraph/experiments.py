@@ -347,8 +347,20 @@ def verify_ground_state_theorem(total: float, samples=None, *, seed: int = 0,
 # -- monotonicity under attach / extend / merge ----------------------------------
 
 def _first_k(g: MetricGraph, k: int = 6):
-    lams, _ = first_eigenvalues(g, k)
-    return list(lams)
+    """First k eigenvalues, and the CountMismatch diagnostics of their
+    window: where the solver left a root uncertified the list is wrong."""
+    lams, spec = first_eigenvalues(g, k)
+    return list(lams), [d for d in spec.diagnostics
+                        if d.startswith("CountMismatch")]
+
+
+def _missed(case: CaseResult, *mismatches) -> CaseResult:
+    """The case fails where a spectrum it read missed a root."""
+    missed = [d for m in mismatches for d in m]
+    if missed:
+        case.status = "fail"
+        case.details["count_mismatch"] = missed
+    return case
 
 
 def _compare(before, after, ks, direction) -> tuple:
@@ -407,7 +419,7 @@ def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
             if kind in ("attach-even", "attach-odd"):
                 before = make_star(ls)
                 after = apply_surgery(before, AttachEdge("v0", extra))
-                lb, la = _first_k(before), _first_k(after)
+                (lb, mb), (la, ma) = _first_k(before), _first_k(after)
                 if kind == "attach-even":
                     ks = range(1, 7)
                 else:
@@ -419,7 +431,7 @@ def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
                 before = make_star(ls)
                 mid = apply_surgery(before, AttachEdge("v0", extra[0]))
                 after = apply_surgery(mid, AttachEdge("v0", extra[1]))
-                lb, la = _first_k(before), _first_k(after)
+                (lb, mb), (la, ma) = _first_k(before), _first_k(after)
                 worst, margins = _compare(lb, la, range(1, 7), "down")
                 status = _nonstrict(worst)
                 det = {}
@@ -429,7 +441,7 @@ def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
                 before = make_star(ls, tip_bc=tip)
                 j, amount = extra
                 after = apply_surgery(before, ExtendEdge(f"e{j}", amount))
-                lb, la = _first_k(before), _first_k(after)
+                (lb, mb), (la, ma) = _first_k(before), _first_k(after)
                 margins = {}
                 uncovered = []
                 if tip == "dirichlet":
@@ -452,11 +464,11 @@ def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
                 if kind == "merge-odd-odd":
                     a, b = extra
                     after = apply_surgery(before, Merge(f"v{a}", f"v{b}"))
-                    lb, la = _first_k(before), _first_k(after)
+                    (lb, mb), (la, ma) = _first_k(before), _first_k(after)
                     worst, margins = _compare(lb, la, range(1, 7), "up")
                 else:
                     after = apply_surgery(before, Merge(f"v{extra}", "v0"))
-                    lb, la = _first_k(before), _first_k(after)
+                    (lb, mb), (la, ma) = _first_k(before), _first_k(after)
                     worst, margins = _compare(lb, la, range(1, 7), "down")
                 status = _nonstrict(worst)
                 det = {}
@@ -464,9 +476,10 @@ def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
                         "graph_after": after.to_json_dict(),
                         "lambdas_before": lb, "lambdas_after": la,
                         "margins": {str(k): v for k, v in margins.items()}})
-            return CaseResult(name=f"{kind}-{idx:03d}", status=status,
-                              margin=(None if worst is math.inf else worst),
-                              details=det)
+            return _missed(CaseResult(
+                name=f"{kind}-{idx:03d}", status=status,
+                margin=(None if worst is math.inf else worst), details=det),
+                mb, ma)
         return thunk
 
     thunks = [build(i, *c) for i, c in enumerate(cases)]
@@ -489,7 +502,7 @@ def verify_diameter_bound(samples=None, *, seed: int = 0,
     def run(idx, ls):
         def thunk():
             g = make_star(ls)
-            lams = _first_k(g, 6)
+            lams, missed = _first_k(g, 6)
             diam = diameter(g)
             nn = len(ls)
             length = sum(ls)
@@ -504,10 +517,10 @@ def verify_diameter_bound(samples=None, *, seed: int = 0,
                 worst = min(worst, b1 - lams[k - 1])
                 chain_ok = chain_ok and (b2 - b1 >= -STRICT_MARGIN)
             status = _nonstrict(worst) if chain_ok else "fail"
-            return CaseResult(
+            return _missed(CaseResult(
                 name=f"diameter-bound-{idx:03d}", status=status, margin=worst,
                 details={"graph": g.to_json_dict(), "diameter": diam,
-                         "bounds": per_k})
+                         "bounds": per_k}), missed)
         return thunk
 
     thunks = [run(i, ls) for i, ls in enumerate(samples)]
@@ -535,7 +548,7 @@ def verify_general_bounds(samples=None, *, seed: int = 0,
 
     def run(idx, g):
         def thunk():
-            lams = _first_k(g, 5)
+            lams, missed = _first_k(g, 5)
             length = g.total_length
             checks = {
                 "lambda1<=-1": -1.0 - lams[0],
@@ -544,24 +557,24 @@ def verify_general_bounds(samples=None, *, seed: int = 0,
                 "lambda5<=16pi^2/L^2": 16 * math.pi ** 2 / length ** 2 - lams[4],
             }
             worst = min(checks.values())
-            return CaseResult(
+            return _missed(CaseResult(
                 name=f"general-bounds-{idx:03d}", status=_nonstrict(worst),
                 margin=worst,
                 details={"graph": g.to_json_dict(), "lambdas": lams,
-                         "margins": checks})
+                         "margins": checks}), missed)
         return thunk
 
     cases = _run_cases([run(i, g) for i, g in enumerate(graphs)])
 
     # sharpness: the equilateral figure-8 attains every bound
     g8 = make_figure8(0.5, 0.5)
-    lams = _first_k(g8, 5)
+    lams, missed = _first_k(g8, 5)
     targets = [-1.0, 0.0, 4 * math.pi ** 2, 16 * math.pi ** 2, 16 * math.pi ** 2]
     dev = max(abs(l - t) for l, t in zip(lams, targets))
-    cases.append(CaseResult(
+    cases.append(_missed(CaseResult(
         name="general-bounds-sharp-figure8",
         status="pass" if dev < 1e-8 else "fail", margin=dev,
-        details={"lambdas": lams, "targets": targets}))
+        details={"lambdas": lams, "targets": targets}), missed))
     return Report("general-bounds", seed, cases)
 
 

@@ -11,20 +11,27 @@ ZERO_RADIUS + REFINE_TOL are indistinguishable from 0 and folded into it.
 Counts locate, sigma refines. Both branches run in one lockstep, in the
 coordinate x = -kappa below zero and x = lambda above, which increases with
 lambda. The exact counts of `secular.count_below` isolate the eigenvalues:
-the branches' intervals are bisected together, one count call per round.
-A cell with equal trusted counts holds no eigenvalue and is dropped; the
-others are split while wider than their branch width (_KAPPA_WIDTH in
-kappa, default_positive_step in lambda) or than half their distance to a
-neighbour across a trusted end. One sigma call at the ends of the cells
-left gives the typical sigma_max, the largest of the per-branch medians.
-Each cell is padded by half a width and clipped to its branch, except on a
-side that faces another cell within two widths. One search on sigma_min,
-`_golden_min`, all brackets in lockstep and one batched sigma call per
-round, then refines every bracket: it steps to the vertex of the V that
-sigma_min makes at a simple root, guarded by golden section. A padded cell
-takes four or five calls; a pole cell on the DtN route, where sigma_min is
-noise, about 50 golden steps.
-Certification is one batched SVD over the candidates that keeps every
+the branches' intervals are bisected together, one count call per round,
+and a cell is split while it is wider than its branch width (_KAPPA_WIDTH
+in kappa, default_positive_step in lambda) and its end counts differ or
+either end count is untrusted. A cell with equal trusted counts holds no
+eigenvalue and is dropped. Neighbours that share an untrusted end share its
+root; a longest chain of them is a run. One sigma call at the ends of the
+cells left gives the typical sigma_max, the largest of the per-branch
+medians. Each cell is padded by half a width and clipped to its branch, and
+one search on sigma_min, `_golden_min`, all brackets in lockstep and one
+batched sigma call per round, refines every bracket: it steps to the vertex
+of the V that sigma_min makes at a simple root, guarded by golden section.
+A padded cell takes four or five calls; a pole cell on the DtN route, where
+sigma_min is noise, about 50 golden steps. A candidate outside its run lies
+where the counts put no root and is none. A cell with trusted end counts
+whose candidate is none, or that holds more eigenvalues than sigma
+certified in it, is bisected by counts down to the distance at which roots
+are one, and each run of its pieces is padded by half that distance and
+searched again. This finds the roots of a near-degenerate cluster, where
+sigma_min dips to each in a notch narrower than the first search can see,
+and a root whose cell's search slid onto a neighbour's.
+Each search's candidates are certified by one batched SVD that keeps every
 singular value, and candidates within the count probes' nudge are one root.
 Each record reads its multiplicity from its row; only the explicit
 lambda = 0 test builds and decomposes a matrix of its own.
@@ -38,8 +45,8 @@ entry above 1e6 max(1, k); it is reported as a DtNPole diagnostic, not
 certified. Last, the window is checked for completeness against the trusted
 count N(hi+) - N(lo-), with the probes nudged just outside the window: it
 must equal the certified multiplicities, up to the at most 2E eigenvalues
-each DtNPole may hide. Otherwise a CountMismatch diagnostic says so; two
-roots folded into one cell are caught this way.
+each DtNPole may hide. Otherwise a CountMismatch diagnostic names the
+roots that neither search certified.
 """
 
 from __future__ import annotations
@@ -254,17 +261,15 @@ def _golden_min(fn, a, b, tol):
 
 
 def _isolate(g, cells, width, lam_of):
-    """(n, 2) array of the cells [x0, x1], in increasing order, inside the
-    start cells that may hold an eigenvalue at lambda = lam_of(x), each no
-    wider than its start cell's entry of width.
+    """The cells [x0, x1] inside the start cells that may hold an eigenvalue
+    at lambda = lam_of(x), each no wider than its start cell's entry of
+    width: an (n, 2) array in increasing order, with the (n, 2) counts and
+    trust flags of `count_below` at their ends.
 
     Cells are bisected in lockstep with one `count_below` call per round. A
-    cell with equal trusted end counts holds no eigenvalue and is dropped.
-    The others are split while wider than their width, and two neighbours
-    across a trusted end while the wider is wider than half their distance:
-    sigma_min refines each cell alone, and a neighbour's root that close
-    could draw its search away. Neighbours that share an untrusted end
-    share its root."""
+    cell is split while it is wider than its width and its end counts differ
+    or either end count is untrusted; a cell with equal trusted end counts
+    holds no eigenvalue and is dropped."""
     x = np.array(cells, dtype=float).reshape(-1, 2)
     order = np.argsort(x[:, 0])
     x = x[order]
@@ -273,25 +278,30 @@ def _isolate(g, cells, width, lam_of):
     while True:
         keep = (n[:, 0] != n[:, 1]) | ~(ok[:, 0] & ok[:, 1])
         x, n, ok, width = x[keep], n[keep], ok[keep], width[keep]
-        w = x[:, 1] - x[:, 0]
-        near = ok[:-1, 1] & (x[1:, 0] - x[:-1, 1]
-                             < 2.0 * np.maximum(w[:-1], w[1:]))
-        split = w > width
-        split[1:] |= near
-        split[:-1] |= near
-        mid = (x[:, 0] + x[:, 1]) / 2.0
-        split &= (x[:, 0] < mid) & (mid < x[:, 1])
+        split = x[:, 1] - x[:, 0] > width
         if not split.any():
-            return x
-        n_mid, ok_mid = count_below(g, lam_of(mid[split]))
+            return x, n, ok
+        mid = (x[split, 0] + x[split, 1]) / 2.0
+        n_mid, ok_mid = count_below(g, lam_of(mid))
         # each split cell becomes its two halves, in place
         i = np.repeat(np.arange(split.size), split + 1)
         upper = np.append(False, i[1:] == i[:-1])
         lower = split[i] & ~upper
         x, n, ok, width = x[i], n[i], ok[i], width[i]
-        x[lower, 1] = x[upper, 0] = mid[split]
+        x[lower, 1] = x[upper, 0] = mid
         n[lower, 1] = n[upper, 0] = n_mid
         ok[lower, 1] = ok[upper, 0] = ok_mid
+
+
+def _runs(cells, ok):
+    """The runs of the cells from `_isolate`: neighbours that share an
+    untrusted end share its root, and a run is a longest chain of them.
+    Returns the (m, 2) array of run ends and each cell's run index."""
+    start = np.ones(len(cells), dtype=bool)
+    start[1:] = ok[:-1, 1] | (cells[1:, 0] > cells[:-1, 1])
+    last = np.roll(start, -1)  # a run ends before the next one starts
+    runs = np.stack((cells[start, 0], cells[last, 1]), axis=1)
+    return runs, np.cumsum(start) - 1
 
 
 def _null(s, scale):
@@ -330,7 +340,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     if hi > ZERO_RADIUS:  # positive part, isolated in lambda
         branches.append((max(lo, ZERO_RADIUS), hi))
     branches = np.array(branches, dtype=float).reshape(-1, 2)
-    cells = _isolate(g, branches, width_of(branches[:, 0]), lam_of)
+    cells, n, ok = _isolate(g, branches, width_of(branches[:, 0]), lam_of)
 
     # one sigma call at the cell ends
     scale_ref = 0.0  # typical sigma_max over the cell ends, per branch
@@ -340,55 +350,72 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
         finite = smax[part & np.isfinite(smax)]
         if finite.size:
             scale_ref = max(scale_ref, float(np.median(finite)))
-    # each cell padded by half a width, clipped to its branch. A side that
-    # faces another cell within two widths is not padded: the search there
-    # could slide down sigma_min onto that cell's root
-    a, b = branches[np.searchsorted(branches[:, 0], cells[:, 0],
-                                    side="right") - 1].T
-    width = width_of(cells[:, 0])
-    near_lo = cells[:, 0] - np.append(-np.inf, cells[:-1, 1]) < 2.0 * width
-    near_hi = np.append(cells[1:, 0], np.inf) - cells[:, 1] < 2.0 * width
-    x0 = np.where(near_lo, cells[:, 0],
-                  np.maximum(cells[:, 0] - width / 2.0, a))
-    x1 = np.where(near_hi, cells[:, 1],
-                  np.minimum(cells[:, 1] + width / 2.0, b))
-    # kappa tolerance from the bracket's lower kappa, -x1
-    tol = np.where(x1 < 0.0,
-                   np.maximum(REFINE_TOL / (2.0 * np.maximum(-x1, 0.05)), 1e-15),
-                   REFINE_TOL)
-    x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
-                    x0, x1, tol)
-    candidates = lam_of(x)
-
-    # certify candidates against the typical sigma_max. Candidates within
-    # REFINE_TOL of the zero radius are left to the explicit zero test: a
-    # cell that holds only the flank of the lambda = 0 dip refines to its
-    # inner end, where the DtN rank ratio can read below RANK_TOL.
-    cands = np.array([lam for lam in sorted(candidates)
-                      if abs(lam) > ZERO_RADIUS + REFINE_TOL
-                      and lo - REFINE_TOL <= lam <= hi + REFINE_TOL])
-    svals = np.full((cands.size, 2 * g.num_edges), np.inf)
-    for rows, s in scan_svdvals(cands, _builder(g, struct, method)):
-        svals[rows] = s
-    # interval-Dirichlet pole of the DtN map: some edge with k l >= 1 has
-    # |sin(k l)| so small that its entries, k / sin(k l), exceed
-    # 1e6 max(1, k). The rank ratio under-reads there, and any eigenvalue
-    # hiding here cannot be certified on this route (the edge method can).
-    # A short edge's entries are large (about 1 / l) far from its poles.
-    pole = ~np.isfinite(svals[:, 0])
-    if method == "dtn":
-        k = np.sqrt(np.maximum(cands, 0.0))[:, None]
-        kl = k * np.array([e.length for e in g.edges])
-        pole |= ((kl >= 1.0) & (np.abs(np.sin(kl))
-                                < k / (1e6 * np.maximum(1.0, k)))).any(axis=1)
-    diagnostics = [f"DtNPole(lambda={lam:.12g})" for lam in cands[pole]]
-    accepted = np.flatnonzero(~pole & _null(svals, scale_ref)[:, -1])
 
     def near(lam):  # roots closer than this are one; the count probes' nudge
-        return max(1e-9, 1e3 * REFINE_TOL) * max(1.0, abs(lam))
+        return max(1e-9, 1e3 * REFINE_TOL) * np.maximum(1.0, np.abs(lam))
+
+    def search(cells, bounds, width):
+        """Each cell's candidate lambda, with its singular values, DtN pole
+        flag and certified multiplicity (0 where it is not certified), and
+        whether it lies within its bounds, the ends of its run."""
+        # each cell padded by half the width it was isolated to, clipped to
+        # its branch
+        a, b = branches[np.searchsorted(branches[:, 0], cells[:, 0],
+                                        side="right") - 1].T
+        x0 = np.maximum(cells[:, 0] - width / 2.0, a)
+        x1 = np.minimum(cells[:, 1] + width / 2.0, b)
+        # kappa tolerance from the bracket's lower kappa, -x1
+        tol = np.where(x1 < 0.0, np.maximum(
+            REFINE_TOL / (2.0 * np.maximum(-x1, 0.05)), 1e-15), REFINE_TOL)
+        x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
+                        x0, x1, tol)
+        lams = lam_of(x)
+        # the counts put every root in a run of cells, so a candidate in
+        # the padding is none. Candidates within REFINE_TOL of the zero
+        # radius are left to the explicit zero test: a cell that holds only
+        # the flank of the lambda = 0 dip refines to its inner end, where the
+        # DtN rank ratio can read below RANK_TOL.
+        inside = ((bounds[:, 0] - near(bounds[:, 0]) <= x)
+                  & (x <= bounds[:, 1] + near(bounds[:, 1])))
+        live = (inside & (np.abs(lams) > ZERO_RADIUS + REFINE_TOL)
+                & (lo - REFINE_TOL <= lams) & (lams <= hi + REFINE_TOL))
+        svals = np.full((lams.size, 2 * g.num_edges), np.inf)
+        for rows, s in scan_svdvals(lams[live], _builder(g, struct, method)):
+            svals[np.flatnonzero(live)[rows]] = s
+        # interval-Dirichlet pole of the DtN map: some edge with k l >= 1
+        # has |sin(k l)| so small that its entries, k / sin(k l), exceed
+        # 1e6 max(1, k). The rank ratio under-reads there, and any eigenvalue
+        # hiding here cannot be certified on this route (the edge method
+        # can). A short edge's entries are large (about 1 / l) far from its
+        # poles.
+        pole = live & ~np.isfinite(svals[:, 0])
+        if method == "dtn":
+            k = np.sqrt(np.maximum(lams, 0.0))[:, None]
+            kl = k * np.array([e.length for e in g.edges])
+            pole |= live & ((kl >= 1.0) & (np.abs(np.sin(kl)) < k / (
+                1e6 * np.maximum(1.0, k)))).any(axis=1)
+        mult = np.where(pole, 0, _null(svals, scale_ref).sum(axis=1))
+        return lams, svals, pole, mult, inside
+
+    runs, run = _runs(cells, ok)
+    found = search(cells, runs[run], width_of(cells[:, 0]))
+    # a cell with trusted end counts whose candidate is none, or that holds
+    # more eigenvalues than sigma certified in it, is bisected by counts
+    # down to the distance at which roots are one; each run of its pieces
+    # is searched again. A DtN pole cell is left as it is.
+    _, _, pole, mult, inside = found
+    lost = ok.all(axis=1) & ~pole & (~inside | (mult < n[:, 1] - n[:, 0]))
+    if lost.any():
+        sub, _, sub_ok = _isolate(g, cells[lost], near(cells[lost, 0]), lam_of)
+        runs = _runs(sub, sub_ok)[0]
+        found = [np.concatenate((v[~lost], w)) for v, w in
+                 zip(found, search(runs, runs, near(runs[:, 0])))]
+    order = np.argsort(found[0], kind="stable")
+    cands, svals, pole, mult = (v[order] for v in found[:4])
+    diagnostics = [f"DtNPole(lambda={lam:.12g})" for lam in cands[pole]]
 
     merged = []  # indices into cands
-    for i in accepted:
+    for i in np.flatnonzero(mult > 0):
         if not merged or abs(cands[i] - cands[merged[-1]]) > near(cands[i]):
             merged.append(i)
 

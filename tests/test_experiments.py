@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import qgraph.experiments as experiments_mod
 from qgraph.experiments import (
     SUITES,
     CaseResult,
@@ -15,6 +16,7 @@ from qgraph.experiments import (
     sample_graph,
     sample_lengths,
     sweep_lambda1_vs_length,
+    verify_diameter_bound,
     verify_equilateral_max,
     verify_star_count_ladder,
     verify_transplantation,
@@ -130,6 +132,23 @@ class TestSuites:
         rep = verify_transplantation(lengths=[1.0, 0.7, 1.3], moves=[(3, 2, 0.2)])
         assert not rep.passed()
         assert rep.cases[0].status == "fail"
+
+    def test_missed_root_fails_the_case(self, monkeypatch):
+        # a window whose count exceeds the certified roots gives a list with
+        # a root missing, which could satisfy any bound; the case fails
+        first_eigenvalues = experiments_mod.first_eigenvalues
+        assert verify_diameter_bound(samples=[[1.0, 1.0, 1.0, 1.0]]).passed()
+
+        def missing(g, k):
+            lams, spec = first_eigenvalues(g, k)
+            spec.diagnostics.append("CountMismatch(certified=6, count=7)")
+            return lams, spec
+
+        monkeypatch.setattr(experiments_mod, "first_eigenvalues", missing)
+        rep = verify_diameter_bound(samples=[[1.0, 1.0, 1.0, 1.0]])
+        assert [c.status for c in rep.cases] == ["fail"]
+        assert rep.cases[0].details["count_mismatch"] == [
+            "CountMismatch(certified=6, count=7)"]
 
 
 class TestSweeps:

@@ -644,7 +644,7 @@ class TestCountGuidedScan:
             points.append(np.size(lams))
             return _sigma_grid(g, struct, lams, method)
 
-        assert _isolate(star3, [[2.0, 6.0]], 0.01, lambda x: x).shape == (0, 2)
+        assert _isolate(star3, [[2.0, 6.0]], 0.01, lambda x: x)[0].shape == (0, 2)
         monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
         spec = find_spectrum(star3, (2.0, 6.0))  # between 1.067 and 6.471
         assert spec.records == [] and spec.diagnostics == []
@@ -658,7 +658,7 @@ class TestCountGuidedScan:
             return counts, np.zeros(counts.size, dtype=bool)
 
         monkeypatch.setattr(solve_mod, "count_below", untrusted)
-        cells = _isolate(star3, [[-10.0, 10.0]], 0.05, lambda x: x)
+        cells = _isolate(star3, [[-10.0, 10.0]], 0.05, lambda x: x)[0]
         cells = cells[np.argsort(cells[:, 0])]
         assert cells[0, 0] == -10.0 and cells[-1, 1] == 10.0
         assert np.array_equal(cells[1:, 0], cells[:-1, 1])
@@ -688,16 +688,20 @@ class TestCountGuidedScan:
         brackets = self.recorded_brackets(monkeypatch)
         spec = find_spectrum(g, (8.0, 12.0), "dtn")
         assert spec.records == [] and diagnostic_kinds(spec) == ["DtNPole"]
-        cells = _isolate(g, [[8.0, 12.0]], width, lambda x: x)
+        cells = _isolate(g, [[8.0, 12.0]], width, lambda x: x)[0]
         assert cells.shape == (1, 2) and cells[0, 1] - cells[0, 0] <= width
         assert cells[0, 0] < PI2 < cells[0, 1]
         (a, b), = brackets
         assert a.tolist() == [cells[0, 0] - width / 2.0]
         assert b.tolist() == [cells[0, 1] + width / 2.0]
         brackets.clear()
-        find_spectrum(g, (PI2 - 0.003, 12.0), "dtn")
-        (a, b), = brackets
-        assert a.tolist() == [PI2 - 0.003]  # clipped to the window
+        spec = find_spectrum(g, (PI2 - 0.003, 12.0), "dtn")
+        # clipped to the window. That search ends on the window end, which
+        # sigma does not certify, so the cell is searched again after count
+        # bisection and the pole is flagged
+        a, b = brackets[0]
+        assert a.tolist() == [PI2 - 0.003]
+        assert spec.records == [] and diagnostic_kinds(spec) == ["DtNPole"]
 
     def test_root_on_a_pole_is_found(self):
         # on the edge route sigma certifies the root pi^2 on the unit edge's
@@ -758,7 +762,7 @@ class TestCountGuidedScan:
         brackets = self.recorded_brackets(monkeypatch)
         spec = find_spectrum(star3, (0.5, 2.0))
         check(spec, [(1.067126678486186, 1)], tol=1e-12)
-        cells = _isolate(star3, [[0.5, 2.0]], width, lambda x: x)
+        cells = _isolate(star3, [[0.5, 2.0]], width, lambda x: x)[0]
         (a, b), = brackets
         assert a.tolist() == [cells[0, 0] - width / 2.0]
         assert b.tolist() == [cells[0, 1] + width / 2.0]
@@ -806,25 +810,52 @@ class TestCountGuidedScan:
 
     @pytest.mark.parametrize("method", ["edge", "dtn"])
     @pytest.mark.parametrize("window", [(32.5, 32.7), (30.0, 35.0), (0.0, 40.0)])
-    def test_close_roots_keep_their_own_cells(self, window, method):
+    def test_close_roots_are_both_found(self, window, method):
         # merging two tips of this 4-star puts two roots 0.0097 apart, less
-        # than the cell width 0.01. Padded towards each other, or in cells
-        # that touch, one search slid onto the other's root and lost its own
+        # than the cell width 0.01. A padded search can slide onto the other
+        # cell's root; a candidate outside its cell is none, and the cell is
+        # searched again after count bisection
         g = apply_surgery(make_star([0.24637772951322695, 0.31956165121482083,
                                      0.7810700918519062, 0.853935106921419]),
                           Merge("v3", "v2"))
-        width = default_positive_step(g)
-        start = [max(window[0], solve_mod.ZERO_RADIUS), window[1]]
-        cells = _isolate(g, [start], width, lambda x: x)
-        cells = cells[(cells[:, 1] > 32.58) & (cells[:, 0] < 32.61)]
-        assert len(cells) == 2
-        assert cells[1, 0] - cells[0, 1] >= 2.0 * (cells[:, 1] - cells[:, 0]).max()
         spec = find_spectrum(g, window, method)
         assert spec.diagnostics == []
         got = [r for r in spec.records if 32.5 < r.lam < 32.7]
         assert [r.mult for r in got] == [1, 1]
         for r, lam in zip(got, [32.5893477603954, 32.59905829469669]):
             assert abs(r.lam - lam) <= 1e-12 * lam
+
+    def test_root_in_a_narrow_sigma_notch_is_found(self):
+        # three roots of a near-equal figure-8 lie 0.0045 apart near 115.1,
+        # and sigma_min dips to each in a notch about 1e-4 wide on a plateau
+        # of about 1e-5, which the search over a padded 0.01 cell misses.
+        # The cell's trusted counts hold a root that sigma did not certify
+        # there, so counts bisect it and sigma searches it again
+        loop = 0.5856491671436244
+        g = make_figure8(loop, loop * (1.0 + 3.908645348885937e-05))
+        spec = find_spectrum(g, (114.0, 116.0))
+        assert spec.diagnostics == []
+        assert [r.mult for r in spec.records] == [1, 1, 1]
+        lams = [r.lam for r in spec.records]
+        # the exact count steps by one across each root, and only there
+        probes = [114.0] + [x for lam in lams for x in (lam - 1e-5, lam + 1e-5)]
+        counts, trusted = count_below(g, probes + [116.0])
+        assert trusted.all()
+        assert np.diff(counts).tolist() == [0, 1, 0, 1, 0, 1, 0]
+
+    def test_dtn_roots_beside_a_short_edge_are_not_bracket_ends(self):
+        # beside a 1e-6 edge the DtN entries reach 1e6 and sigma_min is so
+        # noisy that a search ending on an end of its bracket can pass the
+        # rank test 1.8e-3 from the root. Every cell is padded, and a
+        # candidate outside its cell is not a root
+        g = make_star([1.0, 0.7, 1e-6])
+        edge = find_spectrum(g, (0.5, 30.0))
+        dtn = find_spectrum(g, (0.5, 30.0), "dtn")
+        assert edge.diagnostics == [] and dtn.diagnostics == []
+        assert [r.mult for r in dtn.records] == [1, 1]
+        assert [r.mult for r in edge.records] == [1, 1]
+        for a, b in zip(dtn.records, edge.records):
+            assert abs(a.lam - b.lam) <= 1e-9 * b.lam
 
     @pytest.mark.parametrize("short, roots", [
         (1e-7, [3.4150867286307403, 13.660344866513093]),
@@ -845,7 +876,7 @@ class TestCountGuidedScan:
         lo, hi = PI2 - 0.5, PI2 + 0.5
         assert (lo + hi) / 2.0 == PI2
         cells = _isolate(star3, [[lo, hi]], default_positive_step(star3),
-                         lambda x: x)
+                         lambda x: x)[0]
         assert sorted(cells[:, 0].tolist() + cells[:, 1].tolist()).count(
             PI2) == 2
         spec = find_spectrum(star3, (lo, hi))
@@ -1108,14 +1139,14 @@ class TestLockstepGoldenMin:
         # the cells find_spectrum refines, padded by half a width
         struct = prepare_structure(g)
         # kappa branch, with find_spectrum's per-bracket tolerances
-        cells = _isolate(g, [[1e-4, 4.0]], 1e-3, lambda k: -k * k)
+        cells = _isolate(g, [[1e-4, 4.0]], 1e-3, lambda k: -k * k)[0]
         assert len(cells) >= 1
         a, b = cells[:, 0] - 5e-4, cells[:, 1] + 5e-4
         tol_k = np.maximum(1e-12 / (2.0 * np.maximum(a, 0.05)), 1e-15)
         self.run(lambda k: _sigma_grid(g, struct, -k * k, "edge")[0],
                  a, b, tol_k)
         # positive branch, on both routes
-        cells = _isolate(g, [[0.5, 30.0]], 0.01, lambda x: x)
+        cells = _isolate(g, [[0.5, 30.0]], 0.01, lambda x: x)[0]
         assert len(cells) >= 2
         for method in ("edge", "dtn"):
             self.run(lambda x: _sigma_grid(g, struct, x, method)[0],
