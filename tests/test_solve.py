@@ -37,7 +37,7 @@ from qgraph.solve import (
     find_spectrum,
     first_eigenvalues,
 )
-from qgraph.surgery import Merge, apply_surgery
+from qgraph.surgery import AttachEdge, Merge, apply_surgery
 
 PI2 = math.pi**2
 
@@ -854,6 +854,25 @@ class TestCountGuidedScan:
         assert edge.diagnostics == [] and dtn.diagnostics == []
         assert [r.mult for r in dtn.records] == [1, 1]
         assert [r.mult for r in edge.records] == [1, 1]
+        for a, b in zip(dtn.records, edge.records):
+            assert abs(a.lam - b.lam) <= 1e-9 * b.lam
+
+    @pytest.mark.parametrize("window", [(32.5, 32.7), (30.0, 35.0)])
+    def test_dtn_close_roots_beside_a_short_edge_keep_their_places(
+            self, window):
+        # the merged 4-star above with a 1e-6 edge attached at its centre:
+        # two roots 0.0087 apart, less than a cell width, and a noisy
+        # sigma_min on the DtN route. Each root is found where the edge
+        # route puts it, not at a cell or bracket end. (The DtN rank rule
+        # reads both as double here, which the count check names.)
+        g = apply_surgery(apply_surgery(
+            make_star([0.24637772951322695, 0.31956165121482083,
+                       0.7810700918519062, 0.853935106921419]),
+            Merge("v3", "v2")), AttachEdge("v0", 1e-6))
+        edge = find_spectrum(g, window)
+        dtn = find_spectrum(g, window, "dtn")
+        assert edge.diagnostics == [] and [r.mult for r in edge.records] == [1, 1]
+        assert len(dtn.records) == 2
         for a, b in zip(dtn.records, edge.records):
             assert abs(a.lam - b.lam) <= 1e-9 * b.lam
 
