@@ -27,7 +27,8 @@ with kappa * l >= 1 therefore switches to the decaying pair
 that pair degenerates only as kappa -> 0, where the entire pair takes over.
 `edge_basis_traces` is the one place this switch is made: the matrix stacks
 are filled from its tables, and solve.eigenfunction_at converts nullspace
-coefficients back through its start traces.
+coefficients back through its start traces. It picks each entry of its
+eight tables in one pass, so a row has the same bytes in any batch.
 Matrix rows follow the global endpoint slot order; columns are (2e, 2e+1).
 """
 
@@ -108,32 +109,26 @@ def edge_basis_traces(lam, lengths, entire: bool = False):
     lam = np.asarray(lam, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     lams = lam.reshape(-1, 1)
-    shape = (lams.shape[0], lengths.size)
-    # lambda = 0 (and anything neither < 0 nor > 0): the {1, x} pair
-    f10, f20, d10, d20 = (np.ones(shape), np.zeros(shape), np.zeros(shape),
-                          np.ones(shape))
-    f1l, f2l = np.ones(shape), np.broadcast_to(lengths, shape).copy()
-    d1l, d2l = np.zeros(shape), np.full(shape, -1.0)
-    neg = lams[:, 0] < 0.0
-    if neg.any():
-        kap = np.sqrt(-lams[neg])
-        kl = kap * lengths
-        decay = np.logical_and(kl >= 1.0, not entire)
-        es = np.exp(-np.where(decay, kl, 1.0))
-        ch = np.cosh(np.where(decay, 0.0, kl))
-        sh = np.sinh(np.where(decay, 0.0, kl))
-        f20[neg] = np.where(decay, es, 0.0)
-        d10[neg] = np.where(decay, -kap, 0.0)
-        d20[neg] = np.where(decay, kap * es, 1.0)
-        f1l[neg] = np.where(decay, es, ch)
-        f2l[neg] = np.where(decay, 1.0, sh / kap)
-        d1l[neg] = np.where(decay, kap * es, -kap * sh)
-        d2l[neg] = np.where(decay, -kap, -ch)
-    pos = lams[:, 0] > 0.0
-    if pos.any():
-        k = np.sqrt(lams[pos])
-        c, s = np.cos(k * lengths), np.sin(k * lengths)
-        f1l[pos], f2l[pos], d1l[pos], d2l[pos] = c, s / k, k * s, -c
+    neg, zero = lams < 0.0, lams == 0.0
+    k = np.sqrt(np.abs(lams))
+    kl = k * lengths
+    decay = neg & (kl >= 1.0) & (not entire)
+    es = np.exp(-np.where(decay, kl, 1.0))
+    kes = k * es
+    # cosh/sinh on the entire pair's negative rows (fed 0 elsewhere, where
+    # they could overflow), cos/sin elsewhere; lambda = 0 puts x = l in f2l
+    hyp = np.where(neg & ~decay, kl, 0.0)
+    sn = np.where(neg, np.sinh(hyp), np.sin(kl))
+    cs = np.where(neg, np.cosh(hyp), np.cos(kl))
+    f10 = np.ones(sn.shape)
+    f20 = np.where(decay, es, 0.0)
+    d10 = np.where(decay, -k, 0.0)
+    d20 = np.where(decay, kes, 1.0)
+    f1l = np.where(decay, es, cs)
+    f2l = np.where(decay, 1.0, np.where(zero, lengths,
+                                        sn / np.where(zero, 1.0, k)))
+    d1l = np.where(decay, kes, np.where(neg, -k, k) * sn)
+    d2l = np.where(decay, -k, -cs)
     out = (f10, f20, d10, d20, f1l, f2l, d1l, d2l)
     if lam.ndim == 0:
         return tuple(t[0] for t in out)

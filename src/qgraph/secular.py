@@ -67,31 +67,25 @@ def dtn_tables(lams, lengths):
     _POLE_TOL * max(1, k l). Rows flagged singular hold no usable entries.
     Past k l ~ 710 below zero, where sinh overflows, the entries take their
     limits: -kappa on the diagonal and 0 off it.
+    One pass picks sinh/cosh or sin/cos per row, with the float operations
+    of a one-lambda call, so a row has the same bytes in any batch.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1, 1)
     lengths = np.asarray(lengths, dtype=float)
-    shape = (lams.shape[0], lengths.size)
-    # lambda = 0 (and anything neither < 0 nor > 0)
-    diag = np.broadcast_to(-1.0 / lengths, shape).copy()
-    off = np.broadcast_to(1.0 / lengths, shape).copy()
-    singular = np.zeros(shape[0], dtype=bool)
-    neg = lams[:, 0] < 0.0
-    if neg.any():
-        kap = np.sqrt(-lams[neg])
-        kl = kap * lengths
-        with np.errstate(over="ignore", invalid="ignore"):
-            sh = np.sinh(kl)
-            diag[neg] = np.where(np.isinf(sh), -kap, -kap * np.cosh(kl) / sh)
-            off[neg] = kap / sh
-    pos = lams[:, 0] > 0.0
-    if pos.any():
-        k = np.sqrt(lams[pos])
-        kl = k * lengths
-        s = np.sin(kl)
-        diag[pos] = -k * np.cos(kl) / s
-        off[pos] = k / s
-        singular[pos] = np.any(np.abs(s) < _POLE_TOL * np.maximum(1.0, kl),
-                               axis=1)
+    neg, pos = lams < 0.0, lams > 0.0
+    k = np.sqrt(np.abs(lams))
+    kl = k * lengths
+    with np.errstate(over="ignore", invalid="ignore"):
+        sh = np.where(neg, np.sinh(kl), np.sin(kl))
+        diag = -k * np.where(neg, np.cosh(kl), np.cos(kl)) / sh
+        off = k / sh
+    diag = np.where(np.isinf(sh), -k, diag)
+    zero = ~(neg | pos)  # lambda = 0 (and anything neither < 0 nor > 0)
+    if zero.any():
+        diag = np.where(zero, -1.0 / lengths, diag)
+        off = np.where(zero, 1.0 / lengths, off)
+    singular = pos[:, 0] & (np.abs(sh) < _POLE_TOL
+                            * np.maximum(1.0, kl)).any(axis=1)
     return diag, off, singular
 
 
@@ -143,16 +137,18 @@ def build_dtn_grid(g: MetricGraph, lams):
 
 @lru_cache(maxsize=256)
 def _count_plan(g: MetricGraph):
-    """Per-graph constants of `count_below`: P* H P; the (E, r, r) stacks
+    """Per-graph constants of `count_below`: P* H P; the stacks
     p_s p_s^T + p_e p_e^T and p_s p_e^T + p_e p_s^T that P* M P takes per
     unit diagonal and off-diagonal DtN entry of each edge, p_s and p_e the
-    rows of P at the edge's start and end slots; and the edge lengths."""
+    rows of P at the edge's start and end slots, each flattened to (E, r^2);
+    and the edge lengths."""
     _, _, start, end, lengths = _dtn_plan(g)
     p = form_domain_basis(g)
     ps, pe = p[start][:, :, None], p[end][:, :, None]
     ps_t, pe_t = ps.transpose(0, 2, 1), pe.transpose(0, 2, 1)
-    return (p.T @ vertex_form_matrix(g) @ p, ps * ps_t + pe * pe_t,
-            ps * pe_t + pe * ps_t, lengths)
+    return (p.T @ vertex_form_matrix(g) @ p,
+            (ps * ps_t + pe * pe_t).reshape(lengths.size, -1),
+            (ps * pe_t + pe * ps_t).reshape(lengths.size, -1), lengths)
 
 
 def count_below(g: MetricGraph, lams):
@@ -170,15 +166,15 @@ def count_below(g: MetricGraph, lams):
     lams = np.asarray(lams, dtype=float).reshape(-1)
     diag, off, singular = dtn_tables(lams, lengths)
     r = hp.shape[0]
-    m = (diag @ dterm.reshape(lengths.size, -1)
-         + off @ oterm.reshape(lengths.size, -1)).reshape(lams.size, r, r)
-    mu = np.linalg.eigvalsh(hp - m)
+    mu = np.linalg.eigvalsh(
+        hp - (diag @ dterm + off @ oterm).reshape(lams.size, r, r))
+    abs_mu = np.abs(mu)
     k = np.sqrt(np.maximum(lams, 0.0))[:, None]
     n_dirichlet = np.maximum(np.ceil(k * lengths / np.pi) - 1.0, 0.0).sum(axis=1)
     thr = (_COUNT_TRUST * r * np.finfo(float).eps
-           * np.abs(mu).max(axis=1, initial=0.0))
+           * abs_mu.max(axis=1, initial=0.0))
     counts = n_dirichlet.astype(np.intp) + (mu < 0.0).sum(axis=1)
-    return counts, ~singular & (np.abs(mu).min(axis=1, initial=np.inf) > thr)
+    return counts, ~singular & (abs_mu.min(axis=1, initial=np.inf) > thr)
 
 
 def build_secular_matrix(g: MetricGraph, lam: float, method: str = "edge", *,

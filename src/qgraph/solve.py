@@ -11,9 +11,10 @@ ZERO_RADIUS + REFINE_TOL are indistinguishable from 0 and folded into it.
 Counts locate, sigma refines. Both branches run in one lockstep, in the
 coordinate x = -kappa below zero and x = lambda above, which increases with
 lambda. The exact counts of `secular.count_below` isolate the eigenvalues:
-the branches' intervals are bisected together, one count call per round,
-and a cell is split while it is wider than its branch width (_KAPPA_WIDTH
-in kappa, default_positive_step in lambda) and its end counts differ or
+the branches' intervals are bisected together, one count call per round on
+that round's midpoints, with the few live cells held in Python lists. A
+cell is split while it is wider than its branch width (_KAPPA_WIDTH in
+kappa, default_positive_step in lambda) and its end counts differ or
 either end count is untrusted. A cell with equal trusted counts holds no
 eigenvalue and is dropped. Neighbours that share an untrusted end share its
 root; a longest chain of them is a run. One sigma call at the ends of the
@@ -46,7 +47,8 @@ certified. Last, the window is checked for completeness against the trusted
 count N(hi+) - N(lo-), with the probes nudged just outside the window: it
 must equal the certified multiplicities, up to the at most 2E eigenvalues
 each DtNPole may hide. Otherwise a CountMismatch diagnostic names the
-roots that neither search certified.
+roots that neither search certified. Where either probe is untrusted the
+check cannot be made, and a CountUntrusted diagnostic names the window.
 """
 
 from __future__ import annotations
@@ -269,28 +271,35 @@ def _isolate(g, cells, width, lam_of):
     Cells are bisected in lockstep with one `count_below` call per round. A
     cell is split while it is wider than its width and its end counts differ
     or either end count is untrusted; a cell with equal trusted end counts
-    holds no eigenvalue and is dropped."""
+    holds no eigenvalue and is dropped. The few live cells are a list of
+    (x0, x1, n0, n1, ok0, ok1, width); only the midpoints go through numpy."""
     x = np.array(cells, dtype=float).reshape(-1, 2)
     order = np.argsort(x[:, 0])
     x = x[order]
     width = np.broadcast_to(np.asarray(width, dtype=float), order.shape)[order]
-    n, ok = (v.reshape(2, -1).T for v in count_below(g, lam_of(x.T.ravel())))
+    n, ok = (v.reshape(2, -1).tolist()
+             for v in count_below(g, lam_of(x.T.ravel())))
+    live = list(zip(*x.T.tolist(), *n, *ok, width.tolist()))
     while True:
-        keep = (n[:, 0] != n[:, 1]) | ~(ok[:, 0] & ok[:, 1])
-        x, n, ok, width = x[keep], n[keep], ok[keep], width[keep]
-        split = x[:, 1] - x[:, 0] > width
-        if not split.any():
-            return x, n, ok
-        mid = (x[split, 0] + x[split, 1]) / 2.0
-        n_mid, ok_mid = count_below(g, lam_of(mid))
+        # a cell with equal trusted end counts holds no eigenvalue
+        live = [c for c in live if c[2] != c[3] or not (c[4] and c[5])]
+        mids = [(c[0] + c[1]) / 2.0 for c in live if c[1] - c[0] > c[6]]
+        if not mids:
+            break
+        n_mid, ok_mid = count_below(g, lam_of(np.array(mids)))
         # each split cell becomes its two halves, in place
-        i = np.repeat(np.arange(split.size), split + 1)
-        upper = np.append(False, i[1:] == i[:-1])
-        lower = split[i] & ~upper
-        x, n, ok, width = x[i], n[i], ok[i], width[i]
-        x[lower, 1] = x[upper, 0] = mid
-        n[lower, 1] = n[upper, 0] = n_mid
-        ok[lower, 1] = ok[upper, 0] = ok_mid
+        split, halves = [], zip(mids, n_mid.tolist(), ok_mid.tolist())
+        for x0, x1, n0, n1, ok0, ok1, w in live:
+            if x1 - x0 > w:
+                mid, n_m, ok_m = next(halves)
+                split += [(x0, mid, n0, n_m, ok0, ok_m, w),
+                          (mid, x1, n_m, n1, ok_m, ok1, w)]
+            else:
+                split.append((x0, x1, n0, n1, ok0, ok1, w))
+        live = split
+    return (np.array([c[0:2] for c in live], dtype=float).reshape(-1, 2),
+            np.array([c[2:4] for c in live], dtype=np.intp).reshape(-1, 2),
+            np.array([c[4:6] for c in live], dtype=bool).reshape(-1, 2))
 
 
 def _runs(cells, ok):
@@ -447,8 +456,9 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     count = int(counts[1] - counts[0])
     certified = sum(r.mult for r in records)
     poles = sum(d.startswith("DtNPole") for d in diagnostics)
-    if trusted.all() and not (certified <= count
-                              <= certified + 2 * g.num_edges * poles):
+    if not trusted.all():
+        diagnostics.append(f"CountUntrusted(lo={lo:.12g}, hi={hi:.12g})")
+    elif not certified <= count <= certified + 2 * g.num_edges * poles:
         diagnostics.append(
             f"CountMismatch(lo={lo:.12g}, hi={hi:.12g}, certified={certified}, "
             f"poles={poles}, count={count})")

@@ -185,6 +185,25 @@ class TestByteIdentity:
                 assert table[i].tobytes() == row.tobytes()
 
 
+    # kappa = k = 300 puts k l past 710 on the 2.5 edge on both branches:
+    # below zero the decaying pair takes over, above zero cosh and sinh must
+    # not be evaluated at all, or they overflow and warn
+    OVERFLOW_GRID = np.array([-300.0**2, -2.0, -0.0, 0.0, 1e-9, 3.0,
+                              300.0**2])
+
+    @pytest.mark.parametrize("entire", [False, True])
+    def test_overflow_rows_match_scalar_calls(self, entire):
+        # the entire pair itself overflows below zero past k l ~ 710, so
+        # that row is left out of its batch
+        lams = self.OVERFLOW_GRID[entire:]
+        lengths = np.array([0.3, 1.0, 2.5])
+        tables = edge_basis_traces(lams, lengths, entire)
+        assert all(np.isfinite(t).all() for t in tables)
+        for i, lam in enumerate(lams):
+            for table, row in zip(tables, edge_basis_traces(lam, lengths, entire)):
+                assert table[i].tobytes() == row.tobytes()
+
+
 class TestEquilibration:
     """One column-equilibration helper serves the scan, the certification
     SVDs and eigenvector extraction; it must keep the bytes of the copies

@@ -234,6 +234,19 @@ class TestDtnByteIdentity:
         assert singular.tolist() == [True, True] + [False] * 5
         assert not dtn_tables(lams, [0.7])[2].any()
 
+    def test_overflow_rows_match_scalar_calls(self):
+        # k l passes 710 on the 2.5 edge on both branches; below zero sinh
+        # overflows and the entries take their limits, with no warning
+        lams = [-300.0**2, -2.0, -0.0, 0.0, 1e-9, 3.0, PI2, 300.0**2]
+        lengths = [0.3, 1.0, 2.5]
+        tables = dtn_tables(lams, lengths)
+        for i, lam in enumerate(lams):
+            for table, row in zip(tables, dtn_tables(lam, lengths)):
+                assert table[i].tobytes() == row[0].tobytes()
+        diag, off, singular = tables
+        assert diag[0, 2] == -300.0 and off[0, 2] == 0.0
+        assert singular.tolist() == [False] * 6 + [True, False]
+
     @pytest.mark.parametrize("name", DTN_GRAPHS)
     def test_grid_matches_loop(self, name):
         g = DTN_GRAPHS[name]

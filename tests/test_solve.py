@@ -323,9 +323,12 @@ class TestDualRoute:
             spec = find_spectrum(g, (PI2, PI2), method="dtn")
         assert spec.window == (PI2, PI2)
         # the one-point cell's untrusted count keeps it open; its point is
-        # left to the pole check, not dropped
+        # left to the pole check, not dropped. The completeness probes sit
+        # within rounding of the root pi^2, so the check is named untrusted
         assert spec.records == []
-        assert spec.diagnostics == [f"DtNPole(lambda={PI2:.12g})"]
+        assert spec.diagnostics == [f"DtNPole(lambda={PI2:.12g})",
+                                    f"CountUntrusted(lo={PI2:.12g}, "
+                                    f"hi={PI2:.12g})"]
 
     @pytest.mark.parametrize("half", [1e-3, 0.1, 1.0])
     def test_narrow_window_around_pole_is_flagged(self, half):
@@ -437,10 +440,27 @@ class TestCompleteness:
         assert spec.diagnostics == [
             "CountMismatch(lo=-10, hi=10, certified=5, poles=0, count=6)"]
 
+    @pytest.mark.parametrize("length, window, method", [
+        (1e-7, None, "edge"), (1e-7, None, "dtn"), (1e-8, None, "edge"),
+        (1e-12, (0.5, 30.0), "edge"), (1e-12, (0.5, 30.0), "dtn")])
+    def test_untrusted_probe_is_named(self, length, window, method):
+        # beside a short edge Q's entries grow like 1 / l, and so does the
+        # trust threshold: a completeness probe is untrusted, and the check
+        # it cannot make is named instead of passing silently
+        g = make_star([1.0, 0.7, length])
+        lo, hi = window or (default_negative_floor(g), -1e-8)
+        spec = find_spectrum(g, (lo, hi), method)
+        assert f"CountUntrusted(lo={lo:.12g}, hi={hi:.12g})" in spec.diagnostics
+        assert not any(d.startswith("CountMismatch") for d in spec.diagnostics)
+
     def test_untrusted_end_count_decides_nothing(self, star3, monkeypatch):
+        # the miscount is not reported, but the check is named untrusted
         ref = find_spectrum(star3, (-10.0, 10.0))
         self.off_by_one_above(monkeypatch, 10.0, trusted=False)
-        assert repr(find_spectrum(star3, (-10.0, 10.0))) == repr(ref)
+        spec = find_spectrum(star3, (-10.0, 10.0))
+        assert repr(spec.records) == repr(ref.records)
+        assert ref.diagnostics == []
+        assert spec.diagnostics == ["CountUntrusted(lo=-10, hi=10)"]
 
 
 def _sampled(seed):
@@ -518,12 +538,14 @@ FULL_GRID_SPECTRA = {
     ("pole-narrow", "edge"): (
         [(9.86960440108936, 1)],
         []),
+    # the full-grid scan had no CountUntrusted: both completeness probes of
+    # the one-point window sit within rounding of the root pi^2
     ("pole-point", "dtn"): (
         [],
-        ["DtNPole"]),
+        ["DtNPole", "CountUntrusted"]),
     ("pole-point", "edge"): (
         [(9.869604401089358, 1)],
-        []),
+        ["CountUntrusted"]),
     ("pole-wide", "dtn"): (
         [],
         ["DtNPole"]),
@@ -665,7 +687,7 @@ class TestCountGuidedScan:
         assert np.all(cells[:, 1] - cells[:, 0] <= 0.05)
         spec = find_spectrum(star3, (-10.0, 10.0))
         check(spec, [(lam, 1) for lam in STAR3_EQUIL])
-        assert spec.diagnostics == []
+        assert spec.diagnostics == ["CountUntrusted(lo=-10, hi=10)"]
 
     @staticmethod
     def recorded_brackets(monkeypatch):
@@ -792,7 +814,7 @@ class TestCountGuidedScan:
         brackets = self.recorded_brackets(monkeypatch)
         spec = find_spectrum(star3, (-10.0, 10.0))
         check(spec, [(lam, 1) for lam in STAR3_EQUIL])
-        assert spec.diagnostics == []
+        assert spec.diagnostics == ["CountUntrusted(lo=-10, hi=10)"]
         (a, b), = brackets
         assert np.all(b - a >= _KAPPA_WIDTH / 2.0)
 
@@ -901,6 +923,110 @@ class TestCountGuidedScan:
         spec = find_spectrum(star3, (lo, hi))
         check(spec, [(PI2, 1)])
         assert spec.diagnostics == []
+
+
+def reference_isolate(g, cells, width, lam_of):
+    """`_isolate` as a plain recursive bisection: one count per point, each
+    start cell bisected on its own, left half first."""
+    def count(x):
+        n, ok = solve_mod.count_below(g, lam_of(np.array([x])))
+        return int(n[0]), bool(ok[0])
+
+    out = []
+
+    def bisect(x0, x1, end0, end1, w):
+        (n0, ok0), (n1, ok1) = end0, end1
+        if n0 == n1 and ok0 and ok1:
+            return
+        if not x1 - x0 > w:
+            out.append(((x0, x1), (n0, n1), (ok0, ok1)))
+            return
+        mid = (x0 + x1) / 2.0
+        at_mid = count(mid)
+        bisect(x0, mid, end0, at_mid, w)
+        bisect(mid, x1, at_mid, end1, w)
+
+    widths = np.broadcast_to(np.asarray(width, dtype=float), len(cells))
+    for (x0, x1), w in sorted(zip(map(tuple, np.asarray(cells).tolist()),
+                                  widths.tolist())):
+        bisect(x0, x1, count(x0), count(x1), w)
+    return tuple(np.array([c[i] for c in out], dtype=t).reshape(-1, 2)
+                 for i, t in enumerate((float, np.intp, bool)))
+
+
+def branch_lam(x):
+    return np.where(x < 0.0, -x * x, x)
+
+
+class TestIsolate:
+    """`_isolate` keeps its live cells in lists; it must return what a plain
+    recursive bisection on the same counts returns, dtypes included. Both
+    count one point at a time: a batched count's Q may differ from a lone
+    one in its last bits, and that may flip a count that is untrusted or
+    barely trusted."""
+
+    GRAPHS = {"star3": make_star([1.0, 0.7, 1.3]),
+              "figure8": make_figure8(0.3, 0.9),
+              "star3-dirichlet": make_star([1.0, 0.7, 1.3],
+                                           tip_bc="dirichlet")}
+
+    @staticmethod
+    def assert_same(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.fixture(autouse=True)
+    def pointwise(self, monkeypatch):
+        def counted(g, lams):
+            parts = [count_below(g, [lam]) for lam in np.ravel(lams)]
+            return (np.array([n[0] for n, _ in parts], dtype=np.intp),
+                    np.array([ok[0] for _, ok in parts], dtype=bool))
+
+        monkeypatch.setattr(solve_mod, "count_below", counted)
+
+    @staticmethod
+    def branches(g, lo, hi):
+        """find_spectrum's start cells and widths for the window."""
+        cells = np.array([[-math.sqrt(-lo), -1e-4], [1e-7, hi]])
+        return cells, np.array([_KAPPA_WIDTH, default_positive_step(g)])
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_branches_match_the_reference(self, name):
+        g = self.GRAPHS[name]
+        cells, width = self.branches(g, default_negative_floor(g), 60.0)
+        got = _isolate(g, cells, width, branch_lam)
+        assert len(got[0]) >= 3
+        self.assert_same(got, reference_isolate(g, cells, width, branch_lam))
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_per_cell_widths_match_the_reference(self, name):
+        # the count re-search passes one width per cell, in any order
+        g = self.GRAPHS[name]
+        cells, width = self.branches(g, default_negative_floor(g), 60.0)
+        cells = _isolate(g, cells, width, branch_lam)[0][::-1]
+        width = np.geomspace(1e-9, 1e-5, len(cells))
+        got = _isolate(g, cells, width, branch_lam)
+        self.assert_same(got, reference_isolate(g, cells, width, branch_lam))
+
+    def test_untrusted_counts_match_the_reference(self, monkeypatch):
+        counted = solve_mod.count_below
+
+        def untrusted(g, lams):
+            counts, _ = counted(g, lams)
+            return counts, np.zeros(counts.size, dtype=bool)
+
+        monkeypatch.setattr(solve_mod, "count_below", untrusted)
+        g = self.GRAPHS["star3"]
+        got = _isolate(g, [[-3.0, 3.0]], 0.05, lambda x: x)
+        assert len(got[0]) == 128 and not got[2].any()
+        self.assert_same(got, reference_isolate(g, [[-3.0, 3.0]], 0.05,
+                                                lambda x: x))
+
+    def test_empty_result(self, star3):
+        got = _isolate(star3, [[2.0, 6.0]], 0.01, lambda x: x)
+        self.assert_same(got, (np.zeros((0, 2)), np.zeros((0, 2), np.intp),
+                               np.zeros((0, 2), bool)))
 
 
 class TestRefinementBudget:
