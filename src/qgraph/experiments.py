@@ -347,15 +347,17 @@ def verify_ground_state_theorem(total: float, samples=None, *, seed: int = 0,
 # -- monotonicity under attach / extend / merge ----------------------------------
 
 def _first_k(g: MetricGraph, k: int = 6):
-    """First k eigenvalues, and the CountMismatch diagnostics of their
-    window: where the solver left a root uncertified the list is wrong."""
+    """First k eigenvalues, and the CountMismatch and CountUntrusted
+    diagnostics of their window: where the solver left a root uncertified,
+    or the window's count could not check it, the list may be wrong."""
     lams, spec = first_eigenvalues(g, k)
     return list(lams), [d for d in spec.diagnostics
-                        if d.startswith("CountMismatch")]
+                        if d.startswith(("CountMismatch", "CountUntrusted"))]
 
 
 def _missed(case: CaseResult, *mismatches) -> CaseResult:
-    """The case fails where a spectrum it read missed a root."""
+    """The case fails where a spectrum it read missed a root, or where its
+    count could not tell."""
     missed = [d for m in mismatches for d in m]
     if missed:
         case.status = "fail"

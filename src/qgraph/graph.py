@@ -78,9 +78,9 @@ class MetricGraph:
     edges: tuple
 
     @staticmethod
-    def create(vertices: Iterable[VertexRecord], edges: Iterable[EdgeRecord],
-               check: bool = True) -> "MetricGraph":
-        """Normalize and (optionally) validate a graph.
+    def create(vertices: Iterable[VertexRecord],
+               edges: Iterable[EdgeRecord]) -> "MetricGraph":
+        """Normalize and validate a graph.
 
         Degree-1 vertices marked COUPLED are rewritten to NEUMANN: the cyclic
         coupled condition at a single endpoint reduces to F' = 0.
@@ -96,10 +96,9 @@ class MetricGraph:
                 bc = BoundaryType.NEUMANN
             vs.append(VertexRecord(v.id, bc, tuple((e, w) for e, w in v.order)))
         g = MetricGraph(tuple(vs), tuple(edges))
-        if check:
-            bad = g.validate()
-            if bad:
-                raise InvalidGraph("; ".join(str(b) for b in bad))
+        bad = g.validate()
+        if bad:
+            raise InvalidGraph("; ".join(str(b) for b in bad))
         return g
 
     # -- indexed views -------------------------------------------------------

@@ -4,11 +4,11 @@
 both routes: it asks the route's builder for one stack of matrices per chunk
 of the lambdas and runs one batched SVD over the rows off the builder's
 singular mask. `scan_sigma` reads (sigma_min, sigma_max) arrays from it, inf
-in the masked rows. The lambdas are any batch: find_spectrum scans the ends
-of the cells that exact eigenvalue counts (`secular.count_below`) leave
-open, then the points its V-step refinement asks for inside those cells,
-each padded by half a width, and certifies the candidates from every
-singular value of one more batch.
+in the masked rows. The lambdas are any batch: find_spectrum scans the
+points its V-step refinement asks for inside the cells that exact
+eigenvalue counts (`secular.count_below`) leave open, each padded by half a
+width, and certifies the candidates from every singular value of one more
+batch.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (n_lambda, E) trace tables of a chunk,

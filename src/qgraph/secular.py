@@ -65,8 +65,9 @@ def dtn_tables(lams, lengths):
     symmetric with equal diagonal entries) and an (n,) mask that is True
     where some edge sits on its Dirichlet spectrum, |sin(k l)| <
     _POLE_TOL * max(1, k l). Rows flagged singular hold no usable entries.
-    Past k l ~ 710 below zero, where sinh overflows, the entries take their
-    limits: -kappa on the diagonal and 0 off it.
+    Below zero, where k cosh(k l) overflows (k l > 710.48 - ln k) or sinh
+    does, the diagonal takes its limit -kappa, correctly rounded there since
+    coth(k l) rounds to 1; past sinh's overflow the off-diagonal reads 0.
     One pass picks sinh/cosh or sin/cos per row, with the float operations
     of a one-lambda call, so a row has the same bytes in any batch.
     """
@@ -79,7 +80,7 @@ def dtn_tables(lams, lengths):
         sh = np.where(neg, np.sinh(kl), np.sin(kl))
         diag = -k * np.where(neg, np.cosh(kl), np.cos(kl)) / sh
         off = k / sh
-    diag = np.where(np.isinf(sh), -k, diag)
+    diag = np.where(np.isfinite(diag), diag, -k)
     zero = ~(neg | pos)  # lambda = 0 (and anything neither < 0 nor > 0)
     if zero.any():
         diag = np.where(zero, -1.0 / lengths, diag)

@@ -5,7 +5,8 @@ Conventions: windows are closed intervals in lambda. Negative parts are
 searched in kappa = sqrt(-lambda), positive parts in lambda. lambda = 0 is
 always tested explicitly from the {1, x} solution basis. A located minimum
 counts as an eigenvalue when sigma_min < RANK_TOL * sigma_max after
-refinement to |d lambda| < REFINE_TOL. Eigenvalues closer to zero than
+refinement to |d lambda| < REFINE_TOL, or when the whole matrix vanished,
+sigma_max < RANK_TOL (`_null`). Eigenvalues closer to zero than
 ZERO_RADIUS + REFINE_TOL are indistinguishable from 0 and folded into it.
 
 Counts locate, sigma refines. Both branches run in one lockstep, in the
@@ -17,12 +18,11 @@ cell is split while it is wider than its branch width (_KAPPA_WIDTH in
 kappa, default_positive_step in lambda) and its end counts differ or
 either end count is untrusted. A cell with equal trusted counts holds no
 eigenvalue and is dropped. Neighbours that share an untrusted end share its
-root; a longest chain of them is a run. One sigma call at the ends of the
-cells left gives the typical sigma_max, the largest of the per-branch
-medians. Each cell is padded by half a width and clipped to its branch, and
-one search on sigma_min, `_golden_min`, all brackets in lockstep and one
-batched sigma call per round, refines every bracket: it steps to the vertex
-of the V that sigma_min makes at a simple root, guarded by golden section.
+root; a longest chain of them is a run. Each cell left is padded by half a
+width and clipped to its branch, and one search on sigma_min,
+`_golden_min`, all brackets in lockstep and one batched sigma call per
+round, refines every bracket: it steps to the vertex of the V that
+sigma_min makes at a simple root, guarded by golden section.
 A padded cell takes four or five calls; a pole cell on the DtN route, where
 sigma_min is noise, about 50 golden steps. A candidate outside its run lies
 where the counts put no root and is none. A cell with trusted end counts
@@ -313,13 +313,23 @@ def _runs(cells, ok):
     return runs, np.cumsum(start) - 1
 
 
-def _null(s, scale):
+def _null(s):
     """The rank rule: which singular values of each row (descending) are
-    null. All of a row whose sigma_max < RANK_TOL * scale, where the whole
-    matrix vanished (multiplicity 2E, e.g. a one-edge cycle); otherwise
-    those below RANK_TOL * sigma_max, so sigma_min is null iff any is."""
+    null. All of a row whose sigma_max < RANK_TOL, where the whole matrix
+    vanished (multiplicity 2E, e.g. a one-edge cycle); otherwise those below
+    RANK_TOL * sigma_max, so sigma_min is null iff any is.
+
+    The constant threshold needs no reference scale, because sigma_max >= 1
+    up to rounding on every matrix that has not vanished. An edge-route
+    matrix (column-equilibrated below zero) holds an entry of modulus >= 1
+    unless the graph is a single loop: some row has a start value f1(0) = 1
+    or a start derivative 1 that no other term of its entry cancels. On the
+    DtN route every row of a coupled or Dirichlet vertex has real part +-1
+    from A. The one exception is a single loop shorter than RANK_TOL /
+    sqrt(2), about 7e-9: its matrix at lambda = 0 has sigma_max sqrt(2) l,
+    and reads as vanished."""
     smax = s[..., :1]
-    return (s < RANK_TOL * smax) | (smax < RANK_TOL * scale)
+    return (s < RANK_TOL * smax) | (smax < RANK_TOL)
 
 
 def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
@@ -350,15 +360,6 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
         branches.append((max(lo, ZERO_RADIUS), hi))
     branches = np.array(branches, dtype=float).reshape(-1, 2)
     cells, n, ok = _isolate(g, branches, width_of(branches[:, 0]), lam_of)
-
-    # one sigma call at the cell ends
-    scale_ref = 0.0  # typical sigma_max over the cell ends, per branch
-    ends = np.unique(cells)
-    smax = _sigma_grid(g, struct, lam_of(ends), method)[1]
-    for part in (ends < 0.0, ends > 0.0):
-        finite = smax[part & np.isfinite(smax)]
-        if finite.size:
-            scale_ref = max(scale_ref, float(np.median(finite)))
 
     def near(lam):  # roots closer than this are one; the count probes' nudge
         return max(1e-9, 1e3 * REFINE_TOL) * np.maximum(1.0, np.abs(lam))
@@ -403,7 +404,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
             kl = k * np.array([e.length for e in g.edges])
             pole |= live & ((kl >= 1.0) & (np.abs(np.sin(kl)) < k / (
                 1e6 * np.maximum(1.0, k)))).any(axis=1)
-        mult = np.where(pole, 0, _null(svals, scale_ref).sum(axis=1))
+        mult = np.where(pole, 0, _null(svals).sum(axis=1))
         return lams, svals, pole, mult, inside
 
     runs, run = _runs(cells, ok)
@@ -428,27 +429,20 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
         if not merged or abs(cands[i] - cands[merged[-1]]) > near(cands[i]):
             merged.append(i)
 
-    records = []
-
-    def full_svd_record(lam, s):
-        mult = int(_null(s, scale_ref).sum())
+    def record(lam, s, m):
         # a full collapse has no sigma ratio to be unsure of
-        if mult < len(s) and np.any((s >= RANK_TOL * s[0] / MULT_GUARD)
-                                    & (s <= RANK_TOL * s[0] * MULT_GUARD)):
+        if m < len(s) and np.any((s >= RANK_TOL * s[0] / MULT_GUARD)
+                                 & (s <= RANK_TOL * s[0] * MULT_GUARD)):
             diagnostics.append(f"MultiplicityUncertain(lambda={lam:.12g})")
-        return EigRecord(float(lam), mult, float(s[-1]), float(s[0])), mult
+        return EigRecord(float(lam), int(m), float(s[-1]), float(s[0]))
 
+    records = []
     if lo <= 0.0 <= hi:
-        rec, mult = full_svd_record(
-            0.0, _svdvals(build_secular_matrix(g, 0.0, method), 0.0))
-        if mult > 0:
+        s = _svdvals(build_secular_matrix(g, 0.0, method), 0.0)
+        rec = record(0.0, s, _null(s).sum())
+        if rec.mult > 0:
             records.append(rec)
-
-    for i in merged:
-        rec, mult = full_svd_record(cands[i], svals[i])
-        if mult > 0:
-            records.append(rec)
-
+    records += [record(cands[i], svals[i], mult[i]) for i in merged]
     records.sort(key=lambda r: r.lam)
     # completeness: the window holds count eigenvalues. Each is certified,
     # or hidden at a flagged DtN pole, whose multiplicity is at most 2E.
@@ -486,11 +480,18 @@ def count_negative(g: MetricGraph) -> int:
 
 
 def first_eigenvalues(g: MetricGraph, k: int):
-    """First k eigenvalues (with multiplicity), growing the window as needed."""
+    """First k eigenvalues (with multiplicity), growing the window as needed.
+
+    Each window end tried is moved outward by a relative 1e-6 until its
+    count is trusted, so that no end on an eigenvalue or an edge Dirichlet
+    pole leaves the window's completeness check undone."""
     lo = default_negative_floor(g)
     hi = (math.pi * (k + 2) / g.total_length) ** 2
     for attempt in range(12):
-        spec = find_spectrum(g, (lo, hi * 2.0 ** attempt))
+        end = hi * 2.0 ** attempt
+        while not count_below(g, [end])[1][0]:
+            end *= 1.0 + 1e-6
+        spec = find_spectrum(g, (lo, end))
         lams = spec.lambdas()
         if len(lams) >= k:
             return lams[:k], spec
@@ -597,11 +598,7 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     if lam < 0.0:
         s_mat, scales = equilibrate_columns(s_mat)
     _, svals, vh = np.linalg.svd(s_mat)
-    # collapse probe: when the whole matrix vanished (multiplicity 2E) the
-    # svd of rounding noise is meaningless; compare against a nearby lambda
-    probe = np.linalg.norm(build_secular_matrix(g, lam + 1e-3 * (1.0 + abs(lam)),
-                                                "edge"))
-    null = _null(svals, probe)
+    null = _null(svals)
     if not null.any():
         raise NotAnEigenvalue(f"sigma_min/sigma_max = {svals[-1] / svals[0]:.3e} "
                               f"at lambda = {lam}")

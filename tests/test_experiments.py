@@ -135,20 +135,21 @@ class TestSuites:
 
     def test_missed_root_fails_the_case(self, monkeypatch):
         # a window whose count exceeds the certified roots gives a list with
-        # a root missing, which could satisfy any bound; the case fails
+        # a root missing, which could satisfy any bound, and one whose count
+        # is untrusted cannot tell; the case fails
         first_eigenvalues = experiments_mod.first_eigenvalues
         assert verify_diameter_bound(samples=[[1.0, 1.0, 1.0, 1.0]]).passed()
+        for diagnostic in ("CountMismatch(certified=6, count=7)",
+                           "CountUntrusted(lo=-64, hi=39.4784176044)"):
+            def missing(g, k):
+                lams, spec = first_eigenvalues(g, k)
+                spec.diagnostics.append(diagnostic)
+                return lams, spec
 
-        def missing(g, k):
-            lams, spec = first_eigenvalues(g, k)
-            spec.diagnostics.append("CountMismatch(certified=6, count=7)")
-            return lams, spec
-
-        monkeypatch.setattr(experiments_mod, "first_eigenvalues", missing)
-        rep = verify_diameter_bound(samples=[[1.0, 1.0, 1.0, 1.0]])
-        assert [c.status for c in rep.cases] == ["fail"]
-        assert rep.cases[0].details["count_mismatch"] == [
-            "CountMismatch(certified=6, count=7)"]
+            monkeypatch.setattr(experiments_mod, "first_eigenvalues", missing)
+            rep = verify_diameter_bound(samples=[[1.0, 1.0, 1.0, 1.0]])
+            assert [c.status for c in rep.cases] == ["fail"]
+            assert rep.cases[0].details["count_mismatch"] == [diagnostic]
 
 
 class TestSweeps:

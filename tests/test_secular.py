@@ -236,8 +236,10 @@ class TestDtnByteIdentity:
 
     def test_overflow_rows_match_scalar_calls(self):
         # k l passes 710 on the 2.5 edge on both branches; below zero sinh
-        # overflows and the entries take their limits, with no warning
-        lams = [-300.0**2, -2.0, -0.0, 0.0, 1e-9, 3.0, PI2, 300.0**2]
+        # overflows and the entries take their limits, with no warning. At
+        # k l = 707.5 only k cosh(k l) overflows: the diagonal is still -k
+        lams = [-300.0**2, -283.0**2, -2.0, -0.0, 0.0, 1e-9, 3.0, PI2,
+                300.0**2]
         lengths = [0.3, 1.0, 2.5]
         tables = dtn_tables(lams, lengths)
         for i, lam in enumerate(lams):
@@ -245,7 +247,8 @@ class TestDtnByteIdentity:
                 assert table[i].tobytes() == row[0].tobytes()
         diag, off, singular = tables
         assert diag[0, 2] == -300.0 and off[0, 2] == 0.0
-        assert singular.tolist() == [False] * 6 + [True, False]
+        assert diag[1, 2] == -283.0 and 0.0 < off[1, 2] < 1e-300
+        assert singular.tolist() == [False] * 7 + [True, False]
 
     @pytest.mark.parametrize("name", DTN_GRAPHS)
     def test_grid_matches_loop(self, name):

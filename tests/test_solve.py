@@ -29,6 +29,7 @@ from qgraph.solve import (
     _KAPPA_WIDTH,
     _golden_min,
     _isolate,
+    _null,
     _sigma_grid,
     count_negative,
     default_negative_floor,
@@ -210,8 +211,9 @@ class TestNegativeCounts:
 
 
 class TestLongEdgeOverflow:
-    """Where kappa l passes ~710, sinh(kappa l) overflows; the DtN tables
-    take their limits there, so counts and both routes still answer."""
+    """Where kappa cosh(kappa l) or sinh(kappa l) overflows (kappa l near
+    710), the DtN tables take their limits, so counts and both routes still
+    answer."""
 
     def test_both_routes_on_a_long_edge(self):
         # kappa l reaches 720 on the 120 edge at the window's floor
@@ -226,6 +228,14 @@ class TestLongEdgeOverflow:
         assert ground_state(g) == pytest.approx(lam1, rel=1e-10)
         assert count_negative(g) == 1
         assert first_eigenvalues(g, 1)[0] == pytest.approx([lam1], rel=1e-10)
+        # on a 50 edge k cosh(k l) overflows before sinh(k l) does, for
+        # lambda in (-201.9, -200.4); the diagonal DtN entry is -kappa there
+        g = make_star([30.0, 50.0, 1.0])
+        counts, trusted = count_below(g, [-201.0, -100.0])
+        assert counts.tolist() == [0, 0] and trusted.all()
+        for method in ("edge", "dtn"):
+            spec = find_spectrum(g, (-201.0, -100.0), method)
+            assert spec.records == [] and spec.diagnostics == []
 
     @pytest.mark.parametrize("lengths,floor", [([200.0, 1.0, 1.0], -36.0),
                                                ([1.0, 0.7, 1e-8], -589824.0)])
@@ -234,6 +244,67 @@ class TestLongEdgeOverflow:
         assert default_negative_floor(g) == floor
         counts, trusted = count_below(g, [floor])
         assert counts[0] == 0 and trusted[0]
+
+
+def _rank_graphs():
+    """Graphs of every kind the rank rule's bound covers."""
+    graphs = {
+        "star3": make_star([1.0] * 3),
+        "star-generic": make_star([0.3, 1.0, 2.5, 0.7]),
+        "star-dirichlet": make_star([0.6, 1.1, 0.8], tip_bc="dirichlet"),
+        "star-short-edge": make_star([1.0, 0.7, 1e-9]),
+        "star-long-edges": make_star([30.0, 50.0, 1.0]),
+        "figure8": make_figure8(0.5, 0.5),
+        "figure8-generic": make_figure8(0.3, 0.9),
+        "cycle2": make_cycle([0.5, 0.7]),
+        "cycle4": make_cycle([0.5, 0.7, 0.8, 1.0]),
+        "path2": make_path([0.5, 1.5]),
+        "path3-dirichlet": make_path([1.0, 0.4, 2.0], tip_bc="dirichlet"),
+    }
+    rng = np.random.default_rng(5)
+    for i in range(4):
+        graphs[f"sample{i}"] = sample_graph(rng, 5)
+    return graphs
+
+
+RANK_GRAPHS = _rank_graphs()
+# both branches out to 1e6 in size, lambda = 0, and the cosh overflow band
+# of the 50 edge
+RANK_LAMS = np.concatenate((-np.geomspace(1e6, 1e-6, 25), [-201.0, 0.0],
+                            np.geomspace(1e-6, 1e6, 25)))
+
+
+class TestRankRule:
+    """`_null` needs no reference scale: sigma_max >= 1 up to rounding on
+    every secular matrix that has not vanished, so sigma_max < RANK_TOL
+    means the whole matrix did."""
+
+    @pytest.mark.parametrize("method", ["edge", "dtn"])
+    def test_sigma_max_is_at_least_one(self, method):
+        graphs = dict(RANK_GRAPHS)
+        if method == "edge":  # a lone Neumann edge: no coupled vertex
+            graphs["edge"] = make_path([0.8])
+        for name, g in graphs.items():
+            smax = _sigma_grid(g, prepare_structure(g), RANK_LAMS, method)[1]
+            assert np.isfinite(smax).all(), name  # no lambda is a DtN pole
+            assert smax.min() >= 1.0 - 1e-12, name
+
+    def test_vanished_rows_are_wholly_null(self):
+        s = np.array([[3.0, 1.0, 2e-8], [3.0, 1.0, 4e-8], [9e-9, 5e-9, 1e-9]])
+        assert _null(s).tolist() == [[False, False, True],
+                                     [False, False, False],
+                                     [True, True, True]]
+
+    def test_lone_loop_root_far_up(self):
+        # the whole matrix vanishes at this double root, to sigma_max 2.2e-12,
+        # while a cell width away it reads about 5e-5: a threshold scaled by
+        # nearby sigma_max values would sit below the root's own
+        r = (2.0 * math.pi / 1e-3) ** 2
+        spec = find_spectrum(make_cycle([1e-3]), (r - 0.5, r + 0.5))
+        assert spec.diagnostics == []
+        assert [rec.mult for rec in spec.records] == [2]
+        assert spec.records[0].lam == pytest.approx(r, rel=1e-12)
+        assert spec.records[0].sigma_max < solve_mod.RANK_TOL
 
 
 class TestWindowHandling:
@@ -759,9 +830,9 @@ class TestCountGuidedScan:
     def test_equilateral_figure8_needs_few_sigma_calls(self, loop,
                                                        monkeypatch):
         # every positive root of the equilateral figure-8 sits on a loop's
-        # Dirichlet pole (n pi / loop)^2, where sigma_min is a clean V: one
-        # call at the cell ends, golden section's opening call, and V-steps
-        # with their confirmation. Measured: 6 calls for both loops
+        # Dirichlet pole (n pi / loop)^2, where sigma_min is a clean V:
+        # golden section's opening call, and V-steps with their
+        # confirmation. Measured: 5 calls for both loops
         calls = []
 
         def recorded(g, struct, lams, method):
@@ -775,7 +846,7 @@ class TestCountGuidedScan:
               + [((j * math.pi / loop) ** 2, 1 if j % 2 else 3) for j in n],
               tol=1e-10)
         assert spec.diagnostics == []
-        assert len(calls) <= 6
+        assert len(calls) <= 5
 
     def test_pole_free_cells_are_refined_on_sigma(self, star3, monkeypatch):
         # a pole-free cell reaches golden section as the count cell padded
@@ -791,8 +862,8 @@ class TestCountGuidedScan:
 
     def test_few_sigma_calls_on_pole_free_cells(self, monkeypatch):
         # every root of the Dirichlet star lies off the edge Dirichlet
-        # spectrum: sigma is evaluated at the cell ends, at golden section's
-        # opening points and in a few rounds of V-steps and confirmations
+        # spectrum: sigma is evaluated at golden section's opening points and
+        # in a few rounds of V-steps and confirmations. Measured: 5 calls
         calls = []
 
         def recorded(g, struct, lams, method):
@@ -803,7 +874,7 @@ class TestCountGuidedScan:
         g, window = IDENTITY_CASES["star3-dirichlet"]
         spec = find_spectrum(g, window)
         assert spec.diagnostics == [] and spec.count == 7
-        assert len(calls) <= 10
+        assert len(calls) <= 5
 
     def test_untrusted_cells_are_not_narrowed(self, star3, monkeypatch):
         # with every count untrusted no cell is dropped: the cells cover the
@@ -1060,12 +1131,13 @@ class TestRefinementBudget:
         assert spec.diagnostics == [] and spec.count >= 2
         assert len(calls) <= budget
 
-    @pytest.mark.parametrize("method, budget", [("edge", 6), ("dtn", 60)])
+    @pytest.mark.parametrize("method, budget", [("edge", 4), ("dtn", 60)])
     def test_refinement_ends_where_tol_is_below_the_float_spacing(
             self, method, budget, monkeypatch):
         # near 9.3e3 the float spacing is 1.8e-12, wider than refine_tol: the
-        # tolerance floor of four spacings lets each bracket finish. The DtN
-        # route's pole cell at 9484.69 keeps golden steps
+        # tolerance floor of four spacings lets each bracket finish, in 4
+        # calls on the edge route. The DtN route's pole cell at 9484.69 keeps
+        # golden steps
         calls = []
 
         def recorded(g, struct, lams, method):
@@ -1226,8 +1298,9 @@ class TestLockstepGoldenMin:
         assert sizes == [] and got.shape == (0,)
 
     def test_dead_brackets_are_never_evaluated(self):
-        # [p, p] (a root on a pole) and sub-tolerance brackets return their
-        # midpoints unread, beside live brackets and on their own
+        # zero-width brackets (those of a point window) and sub-tolerance
+        # brackets return their midpoints unread, beside live brackets and
+        # on their own
         def fn(xs):
             assert np.all((xs < 0.95) | (xs > 1.05)), xs
             return np.abs(np.cos(xs) - 0.3)
@@ -1309,6 +1382,15 @@ class TestFirstEigenvalues:
         assert lams[0] == pytest.approx(0.0, abs=1e-10)
         assert lams[1] == pytest.approx(4 * PI2, abs=1e-7)
         assert lams[2] == pytest.approx(4 * PI2, abs=1e-7)
+
+    def test_window_end_on_a_root_is_moved(self):
+        # the unit 4-star's first window would end on the root 4 pi^2, where
+        # the count that checks the window is untrusted; its end moves out
+        g = make_star([1.0] * 4)
+        assert not count_below(g, [4.0 * PI2])[1][0]
+        lams, spec = first_eigenvalues(g, 6)
+        assert spec.diagnostics == [] and len(lams) == 6
+        assert 4.0 * PI2 < spec.window[1] <= 4.0 * PI2 * (1.0 + 1e-5)
 
     def test_error_names_the_last_window_scanned(self, star3, monkeypatch):
         windows = []
