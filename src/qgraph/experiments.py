@@ -167,13 +167,16 @@ def sample_graph(rng, num_edges: int = 5, total: float = None) -> MetricGraph:
     raise RuntimeError("no planar enumeration found in 500 draws")
 
 
-def ground_state(g: MetricGraph) -> float:
-    """Lowest eigenvalue; scans the negative window first, then widens."""
+def ground_state(g: MetricGraph) -> tuple:
+    """Lowest eigenvalue, and the CountMismatch and CountUntrusted
+    diagnostics of its window, as `_first_k`; scans the negative window
+    first, then widens."""
     spec = find_spectrum(g, (default_negative_floor(g), -1e-8))
-    if spec.records:
-        return spec.records[0].lam
-    lams, _ = first_eigenvalues(g, 1)
-    return lams[0]
+    if not spec.records:
+        lams, missed = _first_k(g, 1)
+        return lams[0], missed
+    return spec.records[0].lam, [d for d in spec.diagnostics if d.startswith(
+        ("CountMismatch", "CountUntrusted"))]
 
 
 # -- transplantation ------------------------------------------------------------
@@ -213,17 +216,18 @@ def verify_transplantation(n: int = None, lengths=None, moves=None, *,
             before = make_star(ls)
             op = Transplant(f"e{j}", f"e{k}", amount)
             after = apply_surgery(before, op)
-            lam_b = ground_state(before)
-            lam_a = ground_state(after)
+            lam_b, mb = ground_state(before)
+            lam_a, ma = ground_state(after)
             margin = lam_b - lam_a
-            return CaseResult(
+            return _missed(CaseResult(
                 name=f"transplant-{idx:03d}",
                 status=_strict(margin), margin=margin,
                 details={"graph_before": before.to_json_dict(),
                          "graph_after": after.to_json_dict(),
                          "move": {"from": f"e{j}", "to": f"e{k}",
                                   "amount": amount},
-                         "lambda1_before": lam_b, "lambda1_after": lam_a})
+                         "lambda1_before": lam_b, "lambda1_after": lam_a}),
+                mb, ma)
         return thunk
 
     thunks = [run(i, *s) for i, s in enumerate(specs)]
@@ -240,26 +244,27 @@ def verify_equilateral_max(n: int, total: float, samples=None, *,
     if samples is None:
         samples = [sample_lengths(rng, n, total) for _ in range(num_samples)]
     eq = make_star([total / n] * n)
-    lam_eq = ground_state(eq)
+    lam_eq, m_eq = ground_state(eq)
     cases = []
 
-    lam_eq_again = ground_state(make_star([total / n] * n))
+    lam_eq_again, m_again = ground_state(make_star([total / n] * n))
     dev = abs(lam_eq_again - lam_eq)
-    cases.append(CaseResult(
+    cases.append(_missed(CaseResult(
         name=f"equilateral-max-N{n}-equality",
         status="pass" if dev < 1e-10 else "fail", margin=dev,
-        details={"lambda1": lam_eq, "recomputed": lam_eq_again}))
+        details={"lambda1": lam_eq, "recomputed": lam_eq_again}),
+        m_eq, m_again))
 
     def run(idx, ls):
         def thunk():
             g = make_star(ls)
-            lam = ground_state(g)
+            lam, missed = ground_state(g)
             margin = lam_eq - lam
-            return CaseResult(
+            return _missed(CaseResult(
                 name=f"equilateral-max-N{n}-{idx:03d}",
                 status=_strict(margin), margin=margin,
                 details={"graph": g.to_json_dict(), "lambda1": lam,
-                         "lambda1_equilateral": lam_eq})
+                         "lambda1_equilateral": lam_eq}), missed, m_eq)
         return thunk
 
     cases.extend(_run_cases([run(i, ls) for i, ls in enumerate(samples)]))
@@ -272,23 +277,21 @@ def verify_star_count_ladder(total: float = 3.0, n_max: int = 8) -> Report:
     """Orderings of ground states of equilateral stars of fixed total length:
     adding two edges lowers it; odd -> odd+1 raises it; even -> even+1 lowers it.
     """
-    lams = {}
-
     def lam_for(nn):
         def thunk():
             return nn, ground_state(make_star([total / nn] * nn))
         return thunk
 
-    for nn, lam in _run_cases([lam_for(nn) for nn in range(3, n_max + 3)]):
-        lams[nn] = lam
+    found = dict(_run_cases([lam_for(nn) for nn in range(3, n_max + 3)]))
+    lams = {nn: lam for nn, (lam, _) in found.items()}
 
     cases = []
     for nn in range(3, n_max + 1):
         margin = lams[nn] - lams[nn + 2]
-        cases.append(CaseResult(
+        cases.append(_missed(CaseResult(
             name=f"ladder-skip2-N{nn}", status=_strict(margin), margin=margin,
             details={"lambda1": {str(nn): lams[nn], str(nn + 2): lams[nn + 2]},
-                     "total_length": total}))
+                     "total_length": total}), found[nn][1], found[nn + 2][1]))
     for nn in range(3, n_max + 1):
         if nn % 2 == 1:
             margin = lams[nn + 1] - lams[nn]
@@ -296,10 +299,10 @@ def verify_star_count_ladder(total: float = 3.0, n_max: int = 8) -> Report:
         else:
             margin = lams[nn] - lams[nn + 1]
             name = f"ladder-even-down-N{nn}"
-        cases.append(CaseResult(
+        cases.append(_missed(CaseResult(
             name=name, status=_strict(margin), margin=margin,
             details={"lambda1": {str(nn): lams[nn], str(nn + 1): lams[nn + 1]},
-                     "total_length": total}))
+                     "total_length": total}), found[nn][1], found[nn + 1][1]))
     return Report("star-ladder", 0, cases)
 
 
@@ -315,28 +318,28 @@ def verify_ground_state_theorem(total: float, samples=None, *, seed: int = 0,
         for nn in ns:
             for _ in range(per_n):
                 samples.append((nn, sample_lengths(rng, nn, total)))
-    ref3 = ground_state(make_star([total / 3] * 3))
-    ref4 = ground_state(make_star([total / 4] * 4))
+    refs = {nn: ground_state(make_star([total / nn] * nn)) for nn in (3, 4)}
     cases = []
-    for nn, ref in ((3, ref3), (4, ref4)):
-        again = ground_state(make_star([total / nn] * nn))
+    for nn, (ref, m_ref) in refs.items():
+        again, m_again = ground_state(make_star([total / nn] * nn))
         dev = abs(again - ref)
-        cases.append(CaseResult(
+        cases.append(_missed(CaseResult(
             name=f"ground-state-equality-N{nn}",
             status="pass" if dev < 1e-10 else "fail", margin=dev,
-            details={"lambda1": ref}))
+            details={"lambda1": ref}), m_ref, m_again))
 
     def run(idx, nn, ls):
         def thunk():
             g = make_star(ls)
-            lam = ground_state(g)
-            ref = ref3 if nn % 2 == 1 else ref4
+            lam, missed = ground_state(g)
+            ref, m_ref = refs[3 if nn % 2 else 4]
             margin = ref - lam
-            return CaseResult(
+            return _missed(CaseResult(
                 name=f"ground-state-N{nn}-{idx:03d}",
                 status=_strict(margin), margin=margin,
                 details={"graph": g.to_json_dict(), "lambda1": lam,
-                         "reference": ref, "reference_star": 3 if nn % 2 else 4})
+                         "reference": ref, "reference_star": 3 if nn % 2 else 4}),
+                missed, m_ref)
         return thunk
 
     cases.extend(_run_cases([run(i, nn, ls)
@@ -418,62 +421,44 @@ def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
 
     def build(idx, kind, ls, extra):
         def thunk():
+            tip = "dirichlet" if kind == "extend-dirichlet" else "neumann"
+            before = make_star(ls, tip_bc=tip)
             if kind in ("attach-even", "attach-odd"):
-                before = make_star(ls)
                 after = apply_surgery(before, AttachEdge("v0", extra))
-                (lb, mb), (la, ma) = _first_k(before), _first_k(after)
-                if kind == "attach-even":
-                    ks = range(1, 7)
-                else:
-                    ks = [k for k in range(1, 7) if lb[k - 1] >= 0.0]
-                worst, margins = _compare(lb, la, ks, "down")
-                status = _nonstrict(worst)
-                det = {"checked_k": list(ks)}
             elif kind == "attach-two":
-                before = make_star(ls)
                 mid = apply_surgery(before, AttachEdge("v0", extra[0]))
                 after = apply_surgery(mid, AttachEdge("v0", extra[1]))
-                (lb, mb), (la, ma) = _first_k(before), _first_k(after)
-                worst, margins = _compare(lb, la, range(1, 7), "down")
-                status = _nonstrict(worst)
-                det = {}
             elif kind in ("extend", "extend-dirichlet"):
-                tip = ("dirichlet" if kind == "extend-dirichlet"
-                       else "neumann")
-                before = make_star(ls, tip_bc=tip)
-                j, amount = extra
-                after = apply_surgery(before, ExtendEdge(f"e{j}", amount))
-                (lb, mb), (la, ma) = _first_k(before), _first_k(after)
-                margins = {}
-                uncovered = []
-                if tip == "dirichlet":
-                    worst, margins = _compare(lb, la, range(1, 7), "down")
-                else:
-                    for k in range(1, 7):
-                        if la[k - 1] <= 0.0:
-                            margins[k] = la[k - 1] - lb[k - 1]
-                        elif lb[k - 1] >= 0.0:
-                            margins[k] = lb[k - 1] - la[k - 1]
-                        else:
-                            uncovered.append(k)
-                    worst = min(margins.values()) if margins else math.inf
+                after = apply_surgery(before, ExtendEdge(f"e{extra[0]}",
+                                                         extra[1]))
+            elif kind == "merge-odd-odd":
+                after = apply_surgery(before, Merge(f"v{extra[0]}",
+                                                    f"v{extra[1]}"))
+            else:  # merge-mixed: a tip into the even center
+                after = apply_surgery(before, Merge(f"v{extra}", "v0"))
+            (lb, mb), (la, ma) = _first_k(before), _first_k(after)
+            ks, det = range(1, 7), {}
+            if kind == "attach-odd":
+                ks = [k for k in ks if lb[k - 1] >= 0.0]
+            if kind in ("attach-even", "attach-odd"):
+                det = {"checked_k": list(ks)}
+            if kind == "extend":  # Neumann tips: the signs decide the way
+                margins, uncovered = {}, []
+                for k in ks:
+                    if la[k - 1] <= 0.0:
+                        margins[k] = la[k - 1] - lb[k - 1]
+                    elif lb[k - 1] >= 0.0:
+                        margins[k] = lb[k - 1] - la[k - 1]
+                    else:
+                        uncovered.append(k)
+                worst = min(margins.values()) if margins else math.inf
+                status = ("uncovered" if uncovered and not margins
+                          else _nonstrict(worst))
+                det = {"uncovered_k": uncovered}
+            else:
+                worst, margins = _compare(
+                    lb, la, ks, "up" if kind == "merge-odd-odd" else "down")
                 status = _nonstrict(worst)
-                det = {"uncovered_k": uncovered} if tip == "neumann" else {}
-                if tip == "neumann" and uncovered and not margins:
-                    status = "uncovered"
-            else:  # merge variants
-                before = make_star(ls)
-                if kind == "merge-odd-odd":
-                    a, b = extra
-                    after = apply_surgery(before, Merge(f"v{a}", f"v{b}"))
-                    (lb, mb), (la, ma) = _first_k(before), _first_k(after)
-                    worst, margins = _compare(lb, la, range(1, 7), "up")
-                else:
-                    after = apply_surgery(before, Merge(f"v{extra}", "v0"))
-                    (lb, mb), (la, ma) = _first_k(before), _first_k(after)
-                    worst, margins = _compare(lb, la, range(1, 7), "down")
-                status = _nonstrict(worst)
-                det = {}
             det.update({"graph_before": before.to_json_dict(),
                         "graph_after": after.to_json_dict(),
                         "lambdas_before": lb, "lambdas_after": la,
@@ -620,7 +605,7 @@ def sweep_lambda1_vs_length(family: str, grid, n: int = 3) -> SweepTable:
 
     def run(p):
         def thunk():
-            lam = ground_state(builder(float(p)))
+            lam = ground_state(builder(float(p)))[0]
             return (float(p), lam, lam - limit)
         return thunk
 

@@ -23,6 +23,7 @@ from .graph import END, BoundaryType, MetricGraph, START
 from .surgery import Transplant, apply_surgery
 
 DOMAIN_TOL = 1e-9
+SEAM_TOL = 1e-13  # |psi| at a transplant cut below which the trial is undefined
 
 
 @lru_cache(maxsize=512)
@@ -70,18 +71,19 @@ def trial_traces(g: MetricGraph, f: TrialFunction) -> np.ndarray:
     return out
 
 
-def check_domain(g: MetricGraph, f: TrialFunction, tol: float = DOMAIN_TOL) -> None:
-    """Raise NotInDomain when a trace constraint is violated."""
+def check_domain(g: MetricGraph, f: TrialFunction) -> None:
+    """Raise NotInDomain when a trace constraint is violated by more than
+    DOMAIN_TOL."""
     traces = trial_traces(g, f)
     for v in g.vertices:
         if v.bc is BoundaryType.DIRICHLET:
             t = traces[g.slot_index[v.order[0]]]
-            if abs(t) > tol:
+            if abs(t) > DOMAIN_TOL:
                 raise NotInDomain(f"dirichlet trace {t:.3e} at vertex {v.id!r}")
         elif v.bc is BoundaryType.COUPLED and v.degree % 2 == 0:
             alt = sum((-1) ** (j + 1) * traces[g.slot_index[ref]]
                       for j, ref in enumerate(v.order, start=1))
-            if abs(alt) > tol:
+            if abs(alt) > DOMAIN_TOL:
                 raise NotInDomain(
                     f"alternating trace sum {abs(alt):.3e} at even vertex {v.id!r}")
 
@@ -133,8 +135,7 @@ def form_domain_basis(g: MetricGraph) -> np.ndarray:
 
 
 def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,
-               order: int = 64, domain_tol: float = DOMAIN_TOL,
-               skip_domain_check: bool = False):
+               order: int = 64, skip_domain_check: bool = False):
     """Form value a[f, other]; diagonal a[f] (returned real) when other is None.
 
     The diagonal value is real by construction; its imaginary quadrature
@@ -143,9 +144,9 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,
     diag = other is None
     h = f if diag else other
     if not skip_domain_check:
-        check_domain(g, f, domain_tol)
+        check_domain(g, f)
         if not diag:
-            check_domain(g, h, domain_tol)
+            check_domain(g, h)
     total = 0.0 + 0.0j
     for e in g.edges:
         breaks = tuple(f.breakpoints.get(e.id, ())) + tuple(h.breakpoints.get(e.id, ()))
@@ -188,7 +189,7 @@ def rayleigh_quotient(g: MetricGraph, f: TrialFunction, *, order: int = 64) -> f
 
 
 def build_transplant_trial(g: MetricGraph, psi, from_edge: str, to_edge: str,
-                           amount: float, *, seam_tol: float = 1e-13):
+                           amount: float):
     """Transplant trial: cut `amount` off from_edge's far end, glue a scaled
     copy of the removed tail onto to_edge's far end.
 
@@ -211,7 +212,7 @@ def build_transplant_trial(g: MetricGraph, psi, from_edge: str, to_edge: str,
     seam_val = complex(psi.value(from_edge, stub))
     denom = complex(psi.value(to_edge, le_to))
     # scale so the glued tail continues psi on to_edge
-    if abs(seam_val) < seam_tol:
+    if abs(seam_val) < SEAM_TOL:
         raise QGraphError("eigenfunction vanishes at the cut point; trial undefined")
     scale = denom / seam_val
 

@@ -178,18 +178,15 @@ def count_below(g: MetricGraph, lams):
     return counts, ~singular & (abs_mu.min(axis=1, initial=np.inf) > thr)
 
 
-def build_secular_matrix(g: MetricGraph, lam: float, method: str = "edge", *,
-                         entire_basis: bool = False) -> np.ndarray:
+def build_secular_matrix(g: MetricGraph, lam: float,
+                         method: str = "edge") -> np.ndarray:
     """Secular matrix at one lambda; rank deficiency = eigenspace dimension.
 
-    `entire_basis` pins the cosh/sinh pair on every edge (the convention the
-    closed-form determinants use) instead of the numerically safer switched
-    basis; it only matters for lambda < 0 with kappa * length >= 1 somewhere.
     The DtN matrix raises DtNSingular at the first edge with a pole at lam.
     """
     if method == "edge":
-        return build_matrix_grid_numpy(np.array([lam]), prepare_structure(g),
-                                       entire=entire_basis)[0]
+        return build_matrix_grid_numpy(np.array([lam]),
+                                       prepare_structure(g))[0]
     if method == "dtn":
         mats, singular = build_dtn_grid(g, [lam])
         if singular[0]:
@@ -204,10 +201,15 @@ def secular_determinant(g: MetricGraph, lam: float, method: str = "edge") -> com
 
     Root *detection* goes through singular values (see solve); the determinant
     is exposed because the star and figure-8 factorizations are stated in
-    determinant form and make good regression targets.
+    determinant form and make good regression targets. The edge matrix pins
+    the cosh/sinh pair on every edge (the convention of those closed forms)
+    in place of the numerically safer switched basis; that only matters for
+    lambda < 0 with kappa * length >= 1 somewhere.
     """
-    return complex(np.linalg.det(
-        build_secular_matrix(g, lam, method, entire_basis=True)))
+    if method == "edge":
+        return complex(np.linalg.det(build_matrix_grid_numpy(
+            np.array([lam]), prepare_structure(g), entire=True)[0]))
+    return complex(np.linalg.det(build_secular_matrix(g, lam, method)))
 
 
 # -- star closed forms ---------------------------------------------------------

@@ -19,19 +19,20 @@ kappa, default_positive_step in lambda) and its end counts differ or
 either end count is untrusted. A cell with equal trusted counts holds no
 eigenvalue and is dropped. Neighbours that share an untrusted end share its
 root; a longest chain of them is a run. Each cell left is padded by half a
-width and clipped to its branch, and one search on sigma_min,
-`_golden_min`, all brackets in lockstep and one batched sigma call per
-round, refines every bracket: it steps to the vertex of the V that
-sigma_min makes at a simple root, guarded by golden section.
-A padded cell takes four or five calls; a pole cell on the DtN route, where
-sigma_min is noise, about 50 golden steps. A candidate outside its run lies
-where the counts put no root and is none. A cell with trusted end counts
-whose candidate is none, or that holds more eigenvalues than sigma
-certified in it, is bisected by counts down to the distance at which roots
-are one, and each run of its pieces is padded by half that distance and
-searched again. This finds the roots of a near-degenerate cluster, where
-sigma_min dips to each in a notch narrower than the first search can see,
-and a root whose cell's search slid onto a neighbour's.
+width and clipped to its branch. Each bracket runs its own search on
+sigma_min in plain floats, `_v_search`, which steps to the vertex of the V
+that sigma_min makes at a simple root, guarded by golden section;
+`_golden_min` batches them, one sigma call per round holding every live
+search's points. A padded cell takes four or five rounds; a pole cell on
+the DtN route, where sigma_min is noise, about 50 golden steps. A
+candidate outside its run lies where the counts put no root and is none.
+A cell with trusted end counts whose candidate is none, or that holds more
+eigenvalues than sigma certified in it, is bisected by counts down to the
+distance at which roots are one, and each run of its pieces is padded by
+half that distance and searched again. This finds the roots of a
+near-degenerate cluster, where sigma_min dips to each in a notch narrower
+than the first search can see, and a root whose cell's search slid onto a
+neighbour's.
 Each search's candidates are certified by one batched SVD that keeps every
 singular value, and candidates within the count probes' nudge are one root.
 Each record reads its multiplicity from its row; only the explicit
@@ -164,18 +165,18 @@ def _sigma_grid(g, struct, lams, method):
     return scan_sigma(lams, _builder(g, struct, method))
 
 
-def _golden_min(fn, a, b, tol):
-    """Argmins of a unimodal-enough function, one per bracket, by V-steps
-    guarded by golden section.
+def _v_search(a, b, tol):
+    """The search for the argmin of a unimodal-enough function on one
+    bracket [a, b], by V-steps guarded by golden section, in plain floats.
 
-    a, b and tol are arrays (tol may be a scalar); each tolerance is floored
-    at 4 float spacings of its bracket's larger end, so that every bracket
-    can get narrower than it. A bracket no wider than its tolerance is never
-    evaluated and returns its midpoint. The others run in lockstep, one
-    fn(xs) call per round, fn mapping an array of points to their values.
-    The opening call evaluates each bracket's ends and midpoint. From then on
-    a bracket is three evaluated points xl <= xb <= xr, xb the lowest, and
-    the minimum lies in [xl, xr]. Each round evaluates, per bracket, one of:
+    A generator: it yields each round's points, is sent their values as a
+    list, and returns the argmin. The tolerance is floored at 4 float
+    spacings of the bracket's larger end, so that every bracket can get
+    narrower than it. A bracket no wider than its tolerance is never
+    evaluated and returns its midpoint. The opening round evaluates the
+    midpoint and both ends. From then on the bracket is three evaluated
+    points xl <= xb <= xr, xb the lowest, and the minimum lies in [xl, xr].
+    Each round evaluates one of:
     - a V-step: sigma_min is |c (x - v)| near a simple root, so the vertex of
       the symmetric V through xb and its two neighbours, c the steeper of the
       two secant slopes and v = xb -+ f(xb) / c on the shallower side;
@@ -186,80 +187,89 @@ def _golden_min(fn, a, b, tol):
       is inf, the vertex leaves (xl, xr) or the bracket has not halved in
       the last two rounds; a confirmation right after the opening or a
       V-step is taken all the same.
-    A bracket narrowed to its tolerance returns its midpoint. Each bracket's
-    points, comparisons and result are those of the same search run on it
-    alone, so the results are the same floats.
+    A bracket narrowed to its tolerance returns its midpoint.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    tol = np.maximum(np.broadcast_to(np.asarray(tol, dtype=float), a.shape),
-                     4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
-    out = (a + b) / 2.0
-    idx = np.flatnonzero(b - a > tol)
-    if not idx.size:
-        return out
-    # the opening call: the midpoint and both ends of each live bracket
-    pts = np.stack((out[idx], a[idx], b[idx]))
-    f = fn(pts.ravel()).reshape(3, -1)
-    pick = np.argmin(f, axis=0)  # of (mid, a, b), the first on ties
-    xb, fb = np.choose(pick, pts), np.choose(pick, f)
-    at_a, at_b = pick == 1, pick == 2
-    xl, fl = np.where(at_b, pts[0], pts[1]), np.where(at_b, f[0], f[1])
-    xr, fr = np.where(at_a, pts[0], pts[2]), np.where(at_a, f[0], f[2])
-    tol = tol[idx]
-    w1 = w2 = np.full(idx.size, np.inf)  # widths one and two rounds ago
-    again = np.zeros(idx.size, dtype=bool)  # the last round confirmed
-    while True:
+    tol = max(tol, 4.0 * math.ulp(max(abs(a), abs(b))))
+    if not b - a > tol:
+        return (a + b) / 2.0
+    m = (a + b) / 2.0
+    fm, fa, fb = yield [m, a, b]
+    if fa < fm and fa <= fb:  # the lowest of (m, a, b), the first on ties
+        xl, xb, xr, fl, fx, fr = a, a, m, fa, fa, fm
+    elif fb < fm and fb < fa:
+        xl, xb, xr, fl, fx, fr = m, b, b, fm, fb, fb
+    else:
+        xl, xb, xr, fl, fx, fr = a, m, b, fa, fm, fb
+    h = tol / 2.0
+    w1 = w2 = math.inf  # widths one and two rounds ago
+    again = False  # the last round confirmed
+    while xr - xl > tol:
         width = xr - xl
-        done = width <= tol
-        out[idx[done]] = (xl[done] + xr[done]) / 2.0
-        idx, xl, xb, xr, fl, fb, fr, tol, w1, w2, again, width = (
-            v[~done] for v in (idx, xl, xb, xr, fl, fb, fr, tol, w1, w2,
-                               again, width))
-        if not idx.size:
-            return out
-        h = tol / 2.0
-        inner = (xl < xb) & (xb < xr)
-        finite = np.isfinite(fl) & np.isfinite(fb) & np.isfinite(fr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sl = (fl - fb) / (xb - xl)
-            sr = (fr - fb) / (xr - xb)
-            c = np.maximum(sl, sr)
-            v = np.where(sl < sr, xb - fb / c, xb + fb / c)
-        shaped = finite & inner & (c > 0.0)
+        inner = xl < xb < xr
+        finite = math.isfinite(fl) and math.isfinite(fx) and math.isfinite(fr)
+        v = None
+        if inner and finite:
+            sl, sr = (fl - fx) / (xb - xl), (fr - fx) / (xr - xb)
+            c = max(sl, sr)
+            if c > 0.0:  # the vertex of the V, on the shallower side
+                v = xb - fx / c if sl < sr else xb + fx / c
         stalled = width > w2 / 2.0
         # a V-step that lands on the vertex rarely halves the bracket, so
         # the confirmation after it skips the halving test; a run of failed
         # confirmations, which crawls by tol / 2 a round, does not
-        confirm = (((finite & ~inner) | (shaped & (np.abs(v - xb) <= h)))
-                   & ~(stalled & again))
-        step = shaped & ~stalled & ~confirm & (xl < v) & (v < xr)
-        golden = ~confirm & ~step
-        far = np.where(xr - xb >= xb - xl, xr, xl)
-        u = np.where(confirm, xb - h,
-                     np.where(golden, xb + _GOLD_STEP * (far - xb), v))
-        # confirmation points only inside (xl, xr); the others read inf
-        ask, ask_right = ~confirm | (xb - h > xl), confirm & (xb + h < xr)
-        fu, f_right = np.full(idx.size, np.inf), np.full(idx.size, np.inf)
-        pts = np.concatenate((u[ask], (xb + h)[ask_right]))
-        if pts.size:
-            fx = fn(pts)
-            fu[ask], f_right[ask_right] = fx[:ask.sum()], fx[ask.sum():]
-        # a confirmation moves to the lower of its points, the left on ties
-        right = confirm & (f_right < fu)
-        u, fu = np.where(right, xb + h, u), np.where(right, f_right, fu)
+        confirm = (finite and (not inner or (v is not None and abs(v - xb) <= h))
+                   and not (stalled and again))
+        w2, w1, again = w1, width, confirm
+        if confirm:
+            # the points inside (xl, xr); it moves to the lower, the left on
+            # ties, and returns xb where neither is lower
+            pts = [x for x in (xb - h, xb + h) if xl < x < xr]
+            fu, u = min(zip((yield pts), pts)) if pts else (math.inf, xb)
+            if not fu < fx:
+                return xb
+        else:
+            if stalled or v is None or not xl < v < xr:  # a golden step
+                far = xr if xr - xb >= xb - xl else xl
+                v = xb + _GOLD_STEP * (far - xb)
+            u, (fu,) = v, (yield [v])
         # a lower point becomes xb, and xb the end on its other side; any
         # other point becomes the end on its own side
-        lower = fu < fb
-        x_end, f_end = np.where(lower, xb, u), np.where(lower, fb, fu)
-        left = lower == (u > xb)
-        xl, fl = np.where(left, x_end, xl), np.where(left, f_end, fl)
-        xr, fr = np.where(left, xr, x_end), np.where(left, fr, f_end)
-        xb, fb = np.where(lower, u, xb), np.where(lower, fu, fb)
-        # a confirmed bracket closes on [xb, xb] and returns xb
-        confirmed = confirm & ~lower
-        xl, xr = np.where(confirmed, xb, xl), np.where(confirmed, xb, xr)
-        w2, w1, again = w1, width, confirm
+        if fu < fx:
+            if u > xb:
+                xl, fl = xb, fx
+            else:
+                xr, fr = xb, fx
+            xb, fx = u, fu
+        elif u > xb:
+            xr, fr = u, fu
+        else:
+            xl, fl = u, fu
+    return (xl + xr) / 2.0
+
+
+def _golden_min(fn, a, b, tol):
+    """Argmins of a unimodal-enough function, one per bracket: each bracket
+    runs its own `_v_search`, and one fn(xs) call per round, fn mapping an
+    array of points to their values, holds every live search's points.
+
+    a, b and tol are arrays (tol may be a scalar). Each bracket's points,
+    comparisons and result are those of its search run alone."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
+    out = np.empty(a.shape)
+    live = [(i, search, None) for i, search in enumerate(
+        map(_v_search, a.tolist(), b.tolist(), tol.tolist()))]
+    while True:
+        asked = []  # each live search's next points, or its argmin in out
+        for i, search, ys in live:
+            try:
+                asked.append((i, search, search.send(ys)))
+            except StopIteration as stop:
+                out[i] = stop.value
+        if not asked:
+            return out
+        f = iter(fn(np.array([x for *_, xs in asked for x in xs])).tolist())
+        live = [(i, search, [next(f) for _ in xs]) for i, search, xs in asked]
 
 
 def _isolate(g, cells, width, lam_of):

@@ -22,7 +22,7 @@ from qgraph.experiments import (
     verify_transplantation,
     write_report,
 )
-from qgraph.graph import rotation_genus
+from qgraph.graph import make_star, rotation_genus
 
 
 class TestSampling:
@@ -187,9 +187,20 @@ class TestSweeps:
 
 class TestGroundState:
     def test_matches_frozen_star(self, star3):
-        assert ground_state(star3) == pytest.approx(-3.3290586132660844, abs=1e-8)
+        assert ground_state(star3)[0] == pytest.approx(-3.3290586132660844, abs=1e-8)
 
     def test_no_negative_gives_zero_mode(self):
         from qgraph.graph import make_path
 
-        assert ground_state(make_path([1.0])) == pytest.approx(0.0, abs=1e-10)
+        assert ground_state(make_path([1.0]))[0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_untrusted_window_fails_the_case(self):
+        # beside a 1e-7 edge the negative window's end count is untrusted and
+        # the lowest certified root, -73681.5196, is not the true one near
+        # -73681.2967; the case reads the diagnostic and fails
+        rep = verify_equilateral_max(3, 1.7000001, samples=[[1.0, 0.7, 1e-7]])
+        assert [c.status for c in rep.cases] == ["pass", "fail"]
+        assert rep.cases[1].margin > 0.0  # the margin alone would pass
+        missed = ["CountUntrusted(lo=-147456, hi=-1e-08)"]
+        assert rep.cases[1].details["count_mismatch"] == missed
+        assert ground_state(make_star([1.0, 0.7, 1e-7]))[1] == missed

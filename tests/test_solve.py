@@ -193,7 +193,7 @@ class TestNegativeCounts:
         floor = default_negative_floor(g)
         counts, trusted = count_below(g, [floor])
         assert floor < -kappa ** 2 and counts[0] == 0 and trusted[0]
-        assert ground_state(g) == pytest.approx(-kappa ** 2, rel=1e-10)
+        assert ground_state(g)[0] == pytest.approx(-kappa ** 2, rel=1e-10)
         assert count_negative(g) == 1
 
     def test_default_floor_keeps_the_degree_guess(self):
@@ -225,7 +225,7 @@ class TestLongEdgeOverflow:
             assert spec.records[0].lam == pytest.approx(lam1, rel=1e-10)
             assert spec.records[0].mult == 1 and spec.count_negative() == 1
             assert spec.diagnostics == []
-        assert ground_state(g) == pytest.approx(lam1, rel=1e-10)
+        assert ground_state(g)[0] == pytest.approx(lam1, rel=1e-10)
         assert count_negative(g) == 1
         assert first_eigenvalues(g, 1)[0] == pytest.approx([lam1], rel=1e-10)
         # on a 50 edge k cosh(k l) overflows before sinh(k l) does, for
@@ -1321,6 +1321,19 @@ class TestLockstepGoldenMin:
         assert np.spacing(b) > 1e-12
         got, _ = self.run(lambda xs: np.abs(xs - 9343.9842739), [a], [b], 1e-12)
         assert abs(got[0] - 9343.9842739) <= 2.0 * np.spacing(b)
+
+    def test_all_infinite_brackets_end_in_golden_rounds(self):
+        # a DtN pole cell reads inf everywhere, so only golden steps run:
+        # each bracket ends within golden section's rounds at 0.618 a round,
+        # plus two, and no round makes an empty call
+        a = np.array([0.0, 3.0, -2.0, 1.0, 0.5])
+        b = np.array([1.0, 3.001, -1.0, 1.0 + 1e-10, 30.0])
+        tol = np.array([1e-12, 1e-12, 1e-9, 1e-12, 1e-12])
+        _, sizes = self.run(lambda xs: np.full(len(xs), np.inf), a, b, tol)
+        rounds = np.ceil(np.log((b - a) / tol) / np.log(1.0 / 0.618)) + 2
+        assert len(sizes) <= rounds.max() and min(sizes) > 0
+        for ai, bi, ti, n in zip(a, b, tol, rounds):
+            assert len(scalar_vmin(lambda x: math.inf, ai, bi, ti)[1]) <= n
 
     def test_infinite_values(self):
         # DtN-singular points read inf; a value inf forces a golden step
