@@ -95,14 +95,15 @@ def write_report(report: Report, out_dir: str) -> str:
 
 
 def _worker_count() -> int:
+    """Pool size: QGRAPH_THREADS, or 1 (serial) when unset. The case thunks
+    hold the GIL, so a pool only pays where the variable asks for one."""
     env = os.environ.get("QGRAPH_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    return max(1, int(env)) if env else 1
 
 
 def _run_cases(thunks) -> list:
-    """Evaluate zero-arg case thunks, in parallel, preserving order."""
+    """Evaluate zero-arg case thunks on `_worker_count()` threads, preserving
+    order."""
     workers = _worker_count()
     if workers == 1 or len(thunks) <= 1:
         return [fn() for fn in thunks]

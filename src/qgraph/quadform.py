@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import NotInDomain, QGraphError
 from .graph import END, BoundaryType, MetricGraph, START
@@ -118,7 +117,12 @@ def vertex_form_matrix(g: MetricGraph) -> np.ndarray:
 def form_domain_basis(g: MetricGraph) -> np.ndarray:
     """Orthonormal basis, as columns, of the trace vectors the form domain
     allows: zero at Dirichlet tips, zero alternating sum at even coupled
-    vertices (the constraints `check_domain` tests)."""
+    vertices (the constraints `check_domain` tests).
+
+    The null space of the M x N constraint rows by numpy's full SVD, with
+    the rank rule of scipy.linalg.null_space: singular values above
+    max(s) * eps * max(M, N) count, and the remaining right singular vectors
+    span the basis."""
     m = 2 * g.num_edges
     rows = []
     for v in g.vertices:
@@ -131,7 +135,10 @@ def form_domain_basis(g: MetricGraph) -> np.ndarray:
             rows.append(row)
     if not rows:
         return np.eye(m)
-    return null_space(np.array(rows))
+    c = np.array(rows)
+    _, s, vh = np.linalg.svd(c)
+    rank = int((s > s.max() * np.finfo(float).eps * max(c.shape)).sum())
+    return vh[rank:].T
 
 
 def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,

@@ -40,7 +40,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coupling import assemble_blocks
 from .errors import DtNSingular
@@ -105,15 +104,19 @@ def interval_dtn(length: float, lam: float, edge_id: str = "interval") -> np.nda
     return np.array([[d, o], [o, d]])
 
 
+def _edge_slots(g: MetricGraph):
+    """The (start, end) slots of every edge, and the edge lengths."""
+    start = np.array([g.slot_index[(e.id, START)] for e in g.edges], dtype=np.intp)
+    end = np.array([g.slot_index[(e.id, END)] for e in g.edges], dtype=np.intp)
+    return start, end, np.array([e.length for e in g.edges], dtype=float)
+
+
 @lru_cache(maxsize=256)
 def _dtn_plan(g: MetricGraph):
     """Per-graph constants of the DtN secular matrices: the vertex blocks A
-    and B, the (start, end) slots of every edge, and the edge lengths."""
+    and B, then `_edge_slots`."""
     blocks = assemble_blocks(g)
-    start = np.array([g.slot_index[(e.id, START)] for e in g.edges], dtype=np.intp)
-    end = np.array([g.slot_index[(e.id, END)] for e in g.edges], dtype=np.intp)
-    lengths = np.array([e.length for e in g.edges], dtype=float)
-    return blocks.a, blocks.b, start, end, lengths
+    return (blocks.a, blocks.b) + _edge_slots(g)
 
 
 def build_dtn_grid(g: MetricGraph, lams):
@@ -143,7 +146,7 @@ def _count_plan(g: MetricGraph):
     unit diagonal and off-diagonal DtN entry of each edge, p_s and p_e the
     rows of P at the edge's start and end slots, each flattened to (E, r^2);
     and the edge lengths."""
-    _, _, start, end, lengths = _dtn_plan(g)
+    start, end, lengths = _edge_slots(g)
     p = form_domain_basis(g)
     ps, pe = p[start][:, :, None], p[end][:, :, None]
     ps_t, pe_t = ps.transpose(0, 2, 1), pe.transpose(0, 2, 1)
@@ -281,8 +284,11 @@ def reduced_negative_kappas(lengths, tips: str = "neumann",
     """All kappa > 0 roots of the reduced secular function, by bracketed brentq.
 
     Independent of the general solver: pure scalar root finding on the
-    transcendental reduced forms.
+    transcendental reduced forms. The only caller of scipy.optimize, which
+    it imports on first use.
     """
+    from scipy.optimize import brentq
+
     lengths = np.asarray(lengths, dtype=float)
     if kappa_max is None:
         # coth(kappa l) <= coth of the smallest edge bounds the root region

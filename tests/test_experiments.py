@@ -152,6 +152,14 @@ class TestSuites:
             assert rep.cases[0].details["count_mismatch"] == [diagnostic]
 
 
+class TestWorkerCount:
+    def test_serial_unless_asked(self, monkeypatch):
+        monkeypatch.delenv("QGRAPH_THREADS", raising=False)
+        assert experiments_mod._worker_count() == 1
+        monkeypatch.setenv("QGRAPH_THREADS", "3")
+        assert experiments_mod._worker_count() == 3
+
+
 class TestSweeps:
     def test_figure8_is_constant(self):
         table = sweep_lambda1_vs_length("figure8", [0.4, 0.7, 1.0, 1.5])

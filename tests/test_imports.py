@@ -1,0 +1,46 @@
+"""Import footprint: the solver and the CLI load numpy alone; scipy loads
+with the FEM oracle. Each check runs in a fresh interpreter, because the
+test process has scipy loaded already."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+SCIPY = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+@pytest.mark.parametrize("module", ["qgraph", "qgraph.cli"])
+def test_import_loads_no_scipy(module):
+    assert run(f"import sys, {module}; print(*{SCIPY})") == []
+
+
+def test_oracle_loads_scipy_sparse_on_access():
+    out = run("import sys\nimport qgraph\n"
+              f"before = {SCIPY}\n"
+              "from qgraph import oracle_eigenvalues\n"
+              "from qgraph.fem import oracle_eigenvalues as fem_oracle\n"
+              "assert oracle_eigenvalues is fem_oracle\n"
+              "print(len(before), 'scipy.sparse' in sys.modules)")
+    assert out == ["0", "True"]
+
+
+def test_every_public_name_resolves():
+    out = run("import qgraph\n"
+              "missing = [n for n in qgraph.__all__ if not hasattr(qgraph, n)]\n"
+              "print(len(qgraph.__all__), *missing)")
+    assert int(out[0]) > 0 and out[1:] == []

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from qgraph.errors import NotInDomain, QGraphError
-from qgraph.graph import BoundaryType, make_cycle, make_figure8, make_star
+from qgraph.experiments import sample_graph
+from qgraph.graph import (BoundaryType, make_cycle, make_figure8, make_path,
+                          make_star)
 from qgraph.quadform import (
     TrialFunction,
     _vertex_pair_term,
@@ -169,9 +171,14 @@ class TestTraces:
 class TestFormMatrices:
     """The trace-space pieces of the form that exact eigenvalue counts use."""
 
-    GRAPHS = [make_star([1.0, 0.7, 1.3]), make_star([1.0] * 4),
-              make_star([1.0, 0.5], tip_bc="dirichlet"), make_figure8(0.3, 0.9),
-              make_cycle([1.0])]
+    GRAPHS = ([make_star([1.0, 0.7, 1.3]), make_star([1.0] * 4),
+               make_star([1.0, 0.5], tip_bc="dirichlet"), make_figure8(0.3, 0.9),
+               make_cycle([1.0]), make_star([1.0, 0.7, 1.3], tip_bc="dirichlet"),
+               make_star([1.0, 0.7, 1.3, 0.4], tip_bc="dirichlet"),
+               make_figure8(1.0, 1.0), make_cycle([1.0, 0.5, 2.0]),
+               make_path([1.0, 0.5, 0.7]), make_path([1.0, 0.5], tip_bc="dirichlet")]
+              + [sample_graph(np.random.default_rng(seed), num_edges=n)
+                 for seed, n in [(0, 3), (1, 4), (2, 5), (3, 6)]])
 
     @pytest.mark.parametrize("g", GRAPHS)
     def test_vertex_matrix_is_the_vertex_term(self, g, rng):
@@ -200,6 +207,30 @@ class TestFormMatrices:
                 alt = np.array([(-1) ** j for j in range(v.degree)])
                 assert np.allclose(alt @ p[slots], 0.0, atol=1e-14)
         assert p.shape == (2 * g.num_edges, 2 * g.num_edges - constraints)
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_domain_basis_is_the_scipy_null_space(self, g):
+        # numpy's SVD with scipy.linalg.null_space's rank rule: the same
+        # subspace, compared through its orthogonal projector
+        from scipy.linalg import null_space
+
+        m = 2 * g.num_edges
+        rows = []
+        for v in g.vertices:
+            slots = [g.slot_index[r] for r in v.order]
+            if v.bc is BoundaryType.DIRICHLET:
+                rows.append(np.eye(m)[slots[0]])
+            elif v.bc is BoundaryType.COUPLED and v.degree % 2 == 0:
+                row = np.zeros(m)
+                row[slots] = [(-1) ** j for j in range(v.degree)]
+                rows.append(row)
+        p = form_domain_basis(g)
+        if not rows:  # nothing to annihilate: every trace vector is allowed
+            assert np.array_equal(p, np.eye(m))
+            return
+        q = null_space(np.array(rows))
+        assert p.shape == q.shape
+        assert np.allclose(p @ p.T, q @ q.T, rtol=0, atol=1e-14)
 
 
 class TestTransplantTrial:
