@@ -6,9 +6,9 @@ Four subcommands: `spectrum` (eigenvalues of a graph file in a window),
 (ground state along a one-parameter family, as plot-ready CSV).
 
 Exit codes: 0 ok, 2 input error, 3 numerical diagnostic (certification
-failures, suite failures), 4 internal error. Identical inputs and seed give
-byte-identical output; floats are printed with repr so round-tripping is
-exact.
+failures, suite failures, a diagnostic of any `surgery` step's window), 4
+internal error. Identical inputs and seed give byte-identical output; floats
+are printed with repr so round-tripping is exact. Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -148,12 +148,13 @@ def cmd_surgery(args) -> int:
 
     k = args.track
     rows = []  # (step, label, [lambda_1..lambda_k])
-    lams, _ = first_eigenvalues(g, k)
-    rows.append((0, "input", lams))
-    for i, op in enumerate(ops, start=1):
-        g = apply_surgery(g, op)
-        lams, _ = first_eigenvalues(g, k)
-        rows.append((i, _op_label(op), lams))
+    diagnostics = []  # (step, diagnostic) of each step's window
+    for i, op in enumerate([None] + ops):
+        if op is not None:
+            g = apply_surgery(g, op)
+        lams, spec = first_eigenvalues(g, k)
+        rows.append((i, "input" if op is None else _op_label(op), lams))
+        diagnostics += [(i, d) for d in spec.diagnostics]
 
     header = ["step", "op"] + [f"lambda_{j + 1}" for j in range(k)]
     if args.format == "json":
@@ -172,7 +173,9 @@ def cmd_surgery(args) -> int:
         print("  ".join(header))
         for s, label, lam in rows:
             print("  ".join([str(s), label] + [repr(x) for x in lam]))
-    return EXIT_OK
+    for i, d in diagnostics:
+        print(f"diagnostic: step {i}: {d}", file=sys.stderr)
+    return EXIT_NUMERICAL if diagnostics else EXIT_OK
 
 
 # -- verify ----------------------------------------------------------------------

@@ -6,12 +6,21 @@ eliminate the linear constraints (alternating trace sums at even-degree
 coupled vertices, Dirichlet tips) by nullspace restriction, and solve the
 reduced Hermitian pencil (A, M) on a banded Cholesky factor.
 
-Reverse Cuthill-McKee leaves (A, M) a narrow band (a few diagonals), stored
-once in LAPACK band form. The factorization certifies the shift: a Cholesky
-factor of A - sM exists only when s lies below the whole discrete spectrum,
-so sigma is twice the first s of -1, -2, -4, ... that factors. ARPACK then
-runs in standard mode on x -> (A - sigma M)^{-1} M x, whose largest
-eigenvalues theta = 1 / (lambda - sigma) belong to the smallest lambda.
+The reduced pencil goes straight to LAPACK band form. One assembly gives
+the triplets of the element, vertex-coupling and constraint terms; the few
+that touch an eliminated trace are expanded through the constraint, the
+rest keep their values, reverse Cuthill-McKee on their pattern leaves
+(A, M) a narrow band (a few diagonals), and each triplet of the upper
+triangle is summed into its band slot. No sparse product, permutation or
+triangle pass runs; `discretize` turns the same triplets into the sparse
+(H, M, C), the reference the reduced pencil is tested against. M also
+stays one CSR matrix for the Arnoldi matvec.
+
+The factorization certifies the shift: a Cholesky factor of A - sM exists
+only when s lies below the whole discrete spectrum, so sigma is twice the
+first s of -1, -2, -4, ... that factors. ARPACK then runs in standard mode
+on x -> (A - sigma M)^{-1} M x, whose largest eigenvalues
+theta = 1 / (lambda - sigma) belong to the smallest lambda.
 Shares only the MetricGraph data model with the secular path: no count, no
 search floor and no secular matrix enters; independence is the point.
 """
@@ -48,38 +57,31 @@ def _trace_dofs(g: MetricGraph, h: float):
     return offsets, nelem, total, trace
 
 
-def discretize(g: MetricGraph, h: float):
-    """Assemble the discrete pencil: (H, M, C).
+def _triplets(g: MetricGraph, h: float):
+    """The unreduced pencil and its constraints as triplets, the one
+    assembly behind `discretize` and the oracle's band pencil.
 
-    H is the Hermitian form matrix (edge stiffness plus skew vertex traces),
-    M the mass matrix, C the restriction onto the constraint nullspace
-    (columns span the admissible subspace: alternating trace sums vanish at
-    even-degree coupled vertices, Dirichlet tip traces vanish). The reduced
-    pencil is (C* H C, C^T M C).
+    Returns (rows, cols, hvals, mvals, kept, c). H holds hvals at (rows,
+    cols): the edge elements' stiffness first, where the mass values mvals
+    lie too, then the skew vertex coupling. kept masks the dofs that stay,
+    and c = (rows, cols, vals) holds the triplets of C: a kept dof is its own
+    column, an eliminated even-vertex trace the combination of kept ones
+    that its constraint gives, an eliminated Dirichlet trace nothing.
     """
     if not h > 0:
         raise MeshTooCoarse("mesh size must be positive")
     offsets, nelem, total, trace = _trace_dofs(g, h)
 
-    rows, cols, kvals, mvals = [], [], [], []
-    for e in g.edges:
-        n = nelem[e.id]
-        he = e.length / n
-        base = offsets[e.id]
-        left = np.arange(n) + base
-        right = left + 1
-        for (i, j, kv, mv) in ((left, left, 1.0, 2.0), (right, right, 1.0, 2.0),
-                               (left, right, -1.0, 1.0), (right, left, -1.0, 1.0)):
-            rows.append(i)
-            cols.append(j)
-            kvals.append(np.full(n, kv / he))
-            mvals.append(np.full(n, mv * he / 6.0))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    stiff = sp.coo_matrix((np.concatenate(kvals), (rows, cols)),
-                          shape=(total, total)).tocsr()
-    mass = sp.coo_matrix((np.concatenate(mvals), (rows, cols)),
-                         shape=(total, total)).tocsr()
+    # element e spans the nodes (left, left + 1); he its length
+    left = np.concatenate([np.arange(nelem[e.id]) + offsets[e.id]
+                           for e in g.edges])
+    he = np.concatenate([np.full(nelem[e.id], e.length / nelem[e.id])
+                         for e in g.edges])
+    right = left + 1
+    rows = [left, right, left, right]
+    cols = [left, right, right, left]
+    kvals = [1.0 / he, 1.0 / he, -1.0 / he, -1.0 / he]
+    mvals = [2.0 * he / 6.0, 2.0 * he / 6.0, he / 6.0, he / 6.0]
 
     hr, hc, hv = [], [], []
     for v in g.vertices:
@@ -95,9 +97,9 @@ def discretize(g: MetricGraph, h: float):
                 hr.append(dofs[j])
                 hc.append(dofs[k])
                 hv.append(1j * sign * eps)
-    coupling = sp.coo_matrix((hv, (hr, hc)), shape=(total, total)).tocsr() \
-        if hv else sp.csr_matrix((total, total), dtype=complex)
-    h_mat = (stiff.astype(complex) + coupling).tocsr()
+    rows = np.concatenate(rows + [np.array(hr, dtype=int)])
+    cols = np.concatenate(cols + [np.array(hc, dtype=int)])
+    hvals = np.concatenate(kvals + [np.array(hv, dtype=complex)])
 
     # constraint elimination by substitution: eliminated dof = combo of kept
     dropped, er, src, ev = [], [], [], []
@@ -115,20 +117,95 @@ def discretize(g: MetricGraph, h: float):
     kept[dropped] = False
     free = np.flatnonzero(kept)
     col_of = np.cumsum(kept) - 1
-    rr = np.concatenate((free, np.array(er, dtype=int)))
-    rc = np.concatenate((np.arange(free.size), col_of[np.array(src, dtype=int)]))
-    rv = np.concatenate((np.ones(free.size), np.array(ev, dtype=float)))
-    restrict = sp.coo_matrix((rv, (rr, rc)), shape=(total, free.size)).tocsr()
+    c = (np.concatenate((free, np.array(er, dtype=int))),
+         np.concatenate((np.arange(free.size), col_of[np.array(src, dtype=int)])),
+         np.concatenate((np.ones(free.size), np.array(ev, dtype=float))))
+    return rows, cols, hvals, np.concatenate(mvals), kept, c
+
+
+def discretize(g: MetricGraph, h: float):
+    """Assemble the discrete pencil: (H, M, C).
+
+    H is the Hermitian form matrix (edge stiffness plus skew vertex traces),
+    M the mass matrix, C the restriction onto the constraint nullspace
+    (columns span the admissible subspace: alternating trace sums vanish at
+    even-degree coupled vertices, Dirichlet tip traces vanish). The reduced
+    pencil is (C* H C, C^T M C). The oracle builds that pencil straight from
+    the same triplets (`_band_pencil`); these sparse matrices are its
+    reference.
+    """
+    rows, cols, hvals, mvals, kept, (c_rows, c_cols, c_vals) = _triplets(g, h)
+    ne = mvals.size
+    shape = (kept.size, kept.size)
+    stiff = sp.coo_matrix((hvals[:ne].real, (rows[:ne], cols[:ne])),
+                          shape=shape).tocsr()
+    mass = sp.coo_matrix((mvals, (rows[:ne], cols[:ne])), shape=shape).tocsr()
+    coupling = sp.coo_matrix((hvals[ne:], (rows[ne:], cols[ne:])),
+                             shape=shape).tocsr()
+    h_mat = (stiff.astype(complex) + coupling).tocsr()
+    restrict = sp.coo_matrix((c_vals, (c_rows, c_cols)),
+                             shape=(kept.size, int(kept.sum()))).tocsr()
     return h_mat, mass, restrict
 
 
-def _upper_band(mat, ku: int) -> np.ndarray:
-    """LAPACK upper band form (Fortran order) of a Hermitian matrix whose
-    nonzeros lie within ku of the diagonal."""
-    up = sp.triu(mat, format="coo")
-    band = np.zeros((ku + 1, mat.shape[0]), dtype=complex, order="F")
-    band[ku + up.row - up.col, up.col] = up.data
-    return band
+def _band_pencil(rows, cols, hvals, mvals, kept, c):
+    """The reduced pencil (C* H C, C^T M C) of `discretize`, in reverse
+    Cuthill-McKee order, built from the triplets of `_triplets` without
+    forming H, M or C. At least one dof must be kept.
+
+    Returns (a_band, m_band, m_csr, perm): A and M in LAPACK upper band
+    form (Fortran order), M also as CSR for the Arnoldi matvec, and perm,
+    the reduced dof at each position of the order.
+    """
+    c_dof, c_col, c_val = c
+    col_of = np.cumsum(kept) - 1
+    ndof = int(kept.sum())
+    # C's rows in CSR form (c_ptr, c_col, c_val), for through_c
+    order = np.argsort(c_dof, kind="stable")
+    c_col, c_val = c_col[order], c_val[order]
+    c_ptr = np.concatenate(([0], np.cumsum(np.bincount(c_dof,
+                                                       minlength=kept.size))))
+
+    def through_c(dof):
+        """Row dof[t] of C for each t, flat: (t, column, coefficient)."""
+        size = c_ptr[dof + 1] - c_ptr[dof]
+        t = np.repeat(np.arange(dof.size), size)
+        k = (c_ptr[dof][t] + np.arange(t.size)
+             - np.repeat(np.cumsum(size) - size, size))
+        return t, c_col[k], c_val[k]
+
+    # a triplet between kept dofs keeps its value; only the few that touch
+    # an eliminated trace expand, one term per pair of their C entries
+    plain = kept[rows] & kept[cols]
+    touched = np.flatnonzero(~plain)
+    ti, a, ca = through_c(rows[touched])
+    tj, b, cb = through_c(cols[touched][ti])
+    which = np.concatenate((np.flatnonzero(plain), touched[ti[tj]]))
+    coef = np.concatenate((np.ones(which.size - tj.size), ca[tj] * cb))
+    ra = np.concatenate((col_of[rows[plain]], a[tj]))
+    rb = np.concatenate((col_of[cols[plain]], b))
+
+    pattern = sp.csr_matrix((np.ones(ra.size), (ra, rb)), shape=(ndof, ndof))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    at = np.empty(ndof, dtype=np.intp)
+    at[perm] = np.arange(ndof)
+    pa, pb = at[ra], at[rb]
+    ku = int((pb - pa).max())
+    # entry (i, j), i <= j, sits at band[ku + i - j, j], Fortran order
+    upper = pa <= pb
+    slot = (ku + pa - pb + (ku + 1) * pb)[upper]
+    size = (ku + 1) * ndof
+    a_vals = (hvals[which] * coef)[upper]
+    a_band = np.empty(size, dtype=complex)
+    a_band.real = np.bincount(slot, a_vals.real, size)
+    a_band.imag = np.bincount(slot, a_vals.imag, size)
+    is_mass = which < mvals.size
+    m_vals = mvals[which[is_mass]] * coef[is_mass]
+    m_band = np.bincount(slot[is_mass[upper]], m_vals[upper[is_mass]], size)
+    m_csr = sp.csr_matrix((m_vals, (pa[is_mass], pb[is_mass])),
+                          shape=(ndof, ndof))
+    return (a_band.reshape((ku + 1, ndof), order="F"),
+            m_band.reshape((ku + 1, ndof), order="F"), m_csr, perm)
 
 
 def _certified_shift(a_band: np.ndarray, m_band: np.ndarray):
@@ -158,21 +235,14 @@ def oracle_eigenvalues(g: MetricGraph, count: int, h: float) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    h_mat, mass, restrict = discretize(g, h)
-    ndof = restrict.shape[1]
+    rows, cols, hvals, mvals, kept, c = _triplets(g, h)
+    ndof = int(kept.sum())
     if count > ndof // 4:
         raise MeshTooCoarse(
             f"{count} eigenvalues from {ndof} reduced dofs is unreliable; "
             f"refine the mesh")
-    a_red = (restrict.conj().T @ h_mat @ restrict).tocsr()
-    m_red = (restrict.T @ mass @ restrict).tocsr()
-    pattern = abs(a_red) + m_red
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-    a_red, m_red, pattern = (x[perm][:, perm] for x in (a_red, m_red, pattern))
-    pattern = pattern.tocoo()
-    ku = int((pattern.col - pattern.row).max())
-    sigma, chol = _certified_shift(_upper_band(a_red, ku),
-                                   _upper_band(m_red, ku))
+    a_band, m_band, m_red, _ = _band_pencil(rows, cols, hvals, mvals, kept, c)
+    sigma, chol = _certified_shift(a_band, m_band)
     op = LinearOperator((ndof, ndof), dtype=complex,
                         matvec=lambda x: lapack.zpbtrs(chol, m_red @ x)[0])
     # a fixed generic start vector makes the result independent of ARPACK's

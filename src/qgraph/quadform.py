@@ -73,7 +73,11 @@ def trial_traces(g: MetricGraph, f: TrialFunction) -> np.ndarray:
 def check_domain(g: MetricGraph, f: TrialFunction) -> None:
     """Raise NotInDomain when a trace constraint is violated by more than
     DOMAIN_TOL."""
-    traces = trial_traces(g, f)
+    _check_traces(g, trial_traces(g, f))
+
+
+def _check_traces(g: MetricGraph, traces: np.ndarray) -> None:
+    """`check_domain` on a trace vector from `trial_traces`."""
     for v in g.vertices:
         if v.bc is BoundaryType.DIRICHLET:
             t = traces[g.slot_index[v.order[0]]]
@@ -150,17 +154,20 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,
     """
     diag = other is None
     h = f if diag else other
+    # on the diagonal each derivative and the trace vector are read once
+    ftr = trial_traces(g, f)
+    htr = ftr if diag else trial_traces(g, h)
     if not skip_domain_check:
-        check_domain(g, f)
+        _check_traces(g, ftr)
         if not diag:
-            check_domain(g, h)
+            _check_traces(g, htr)
     total = 0.0 + 0.0j
     for e in g.edges:
         breaks = tuple(f.breakpoints.get(e.id, ())) + tuple(h.breakpoints.get(e.id, ()))
         x, w = edge_quadrature(e.length, order, breaks)
-        total += np.sum(w * f.derivative(e.id, x) * np.conj(h.derivative(e.id, x)))
-    ftr = trial_traces(g, f)
-    htr = ftr if diag else trial_traces(g, h)
+        df = f.derivative(e.id, x)
+        dh = df if diag else h.derivative(e.id, x)
+        total += np.sum(w * df * np.conj(dh))
     for v in g.vertices:
         if v.bc is BoundaryType.COUPLED and v.degree >= 2:
             slots = [g.slot_index[ref] for ref in v.order]

@@ -12,11 +12,14 @@ ZERO_RADIUS + REFINE_TOL are indistinguishable from 0 and folded into it.
 Counts locate, sigma refines. Both branches run in one lockstep, in the
 coordinate x = -kappa below zero and x = lambda above, which increases with
 lambda. The exact counts of `secular.count_below` isolate the eigenvalues:
-the branches' intervals are bisected together, one count call per round on
-that round's midpoints, with the few live cells held in Python lists. A
-cell is split while it is wider than its branch width (_KAPPA_WIDTH in
-kappa, default_positive_step in lambda) and its end counts differ or
-either end count is untrusted. A cell with equal trusted counts holds no
+the branches' intervals are bisected together, two rounds per count call,
+with the few live cells held in Python lists. A call counts the midpoints
+of its round and, for each cell whose halves will still be too wide, the
+halves' midpoints, which the next round reads; the opening call counts the
+start cells' ends and the window's completeness probes. A cell is split
+while it is wider than its branch width (_KAPPA_WIDTH in kappa,
+default_positive_step in lambda) and its end counts differ or either end
+count is untrusted. A cell with equal trusted counts holds no
 eigenvalue and is dropped. Neighbours that share an untrusted end share its
 root; a longest chain of them is a run. Each cell left is padded by half a
 width and clipped to its branch. Each bracket runs its own search on
@@ -45,11 +48,12 @@ DtN matrix and reads inf. A DtN candidate sits on such a pole when some edge
 with k l >= 1 has |sin(k l)| < k / (1e6 max(1, k)), an off-diagonal DtN
 entry above 1e6 max(1, k); it is reported as a DtNPole diagnostic, not
 certified. Last, the window is checked for completeness against the trusted
-count N(hi+) - N(lo-), with the probes nudged just outside the window: it
-must equal the certified multiplicities, up to the at most 2E eigenvalues
-each DtNPole may hide. Otherwise a CountMismatch diagnostic names the
-roots that neither search certified. Where either probe is untrusted the
-check cannot be made, and a CountUntrusted diagnostic names the window.
+count N(hi+) - N(lo-), with the probes nudged just outside the window
+(counted in isolation's opening call): it must equal the certified
+multiplicities, up to the at most 2E eigenvalues each DtNPole may hide.
+Otherwise a CountMismatch diagnostic names the roots that neither search
+certified. Where either probe is untrusted the check cannot be made, and a
+CountUntrusted diagnostic names the window.
 """
 
 from __future__ import annotations
@@ -272,36 +276,53 @@ def _golden_min(fn, a, b, tol):
         live = [(i, search, [next(f) for _ in xs]) for i, search, xs in asked]
 
 
-def _isolate(g, cells, width, lam_of):
+def _isolate(g, cells, width, lam_of, probes=()):
     """The cells [x0, x1] inside the start cells that may hold an eigenvalue
     at lambda = lam_of(x), each no wider than its start cell's entry of
     width: an (n, 2) array in increasing order, with the (n, 2) counts and
-    trust flags of `count_below` at their ends.
+    trust flags of `count_below` at their ends, and last the counts and
+    trust flags at the probes, lambdas counted in the opening call.
 
-    Cells are bisected in lockstep with one `count_below` call per round. A
-    cell is split while it is wider than its width and its end counts differ
-    or either end count is untrusted; a cell with equal trusted end counts
-    holds no eigenvalue and is dropped. The few live cells are a list of
-    (x0, x1, n0, n1, ok0, ok1, width); only the midpoints go through numpy."""
+    Cells are bisected in lockstep, two rounds per `count_below` call: a
+    call counts the midpoint of every cell that splits in its round and,
+    where that cell's halves are still wider than their width, the halves'
+    midpoints, which the next round reads from the dict of counted points.
+    A cell is split while it is wider than its width and its end counts
+    differ or either end count is untrusted; a cell with equal trusted end
+    counts holds no eigenvalue and is dropped. The few live cells are a list
+    of (x0, x1, n0, n1, ok0, ok1, width); only the counted points go through
+    numpy."""
     x = np.array(cells, dtype=float).reshape(-1, 2)
     order = np.argsort(x[:, 0])
     x = x[order]
     width = np.broadcast_to(np.asarray(width, dtype=float), order.shape)[order]
-    n, ok = (v.reshape(2, -1).tolist()
-             for v in count_below(g, lam_of(x.T.ravel())))
+    n, ok = count_below(g, np.concatenate((lam_of(x.T.ravel()),
+                                           np.asarray(probes, dtype=float))))
+    probed = n[x.size:], ok[x.size:]
+    n, ok = (v[:x.size].reshape(2, -1).tolist() for v in (n, ok))
     live = list(zip(*x.T.tolist(), *n, *ok, width.tolist()))
+    counted = {}  # midpoint -> (count, trusted)
     while True:
         # a cell with equal trusted end counts holds no eigenvalue
         live = [c for c in live if c[2] != c[3] or not (c[4] and c[5])]
-        mids = [(c[0] + c[1]) / 2.0 for c in live if c[1] - c[0] > c[6]]
-        if not mids:
+        wide = [c for c in live if c[1] - c[0] > c[6]]
+        if not wide:
             break
-        n_mid, ok_mid = count_below(g, lam_of(np.array(mids)))
+        ask = []
+        for x0, x1, *_, w in wide:
+            mid = (x0 + x1) / 2.0
+            if mid not in counted:
+                ask += [mid] + [(a + b) / 2.0 for a, b in ((x0, mid), (mid, x1))
+                                if b - a > w]
+        if ask:
+            n_ask, ok_ask = count_below(g, lam_of(np.array(ask)))
+            counted.update(zip(ask, zip(n_ask.tolist(), ok_ask.tolist())))
         # each split cell becomes its two halves, in place
-        split, halves = [], zip(mids, n_mid.tolist(), ok_mid.tolist())
+        split = []
         for x0, x1, n0, n1, ok0, ok1, w in live:
             if x1 - x0 > w:
-                mid, n_m, ok_m = next(halves)
+                mid = (x0 + x1) / 2.0
+                n_m, ok_m = counted[mid]
                 split += [(x0, mid, n0, n_m, ok0, ok_m, w),
                           (mid, x1, n_m, n1, ok_m, ok1, w)]
             else:
@@ -309,7 +330,8 @@ def _isolate(g, cells, width, lam_of):
         live = split
     return (np.array([c[0:2] for c in live], dtype=float).reshape(-1, 2),
             np.array([c[2:4] for c in live], dtype=np.intp).reshape(-1, 2),
-            np.array([c[4:6] for c in live], dtype=bool).reshape(-1, 2))
+            np.array([c[4:6] for c in live], dtype=bool).reshape(-1, 2),
+            probed)
 
 
 def _runs(cells, ok):
@@ -369,10 +391,14 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     if hi > ZERO_RADIUS:  # positive part, isolated in lambda
         branches.append((max(lo, ZERO_RADIUS), hi))
     branches = np.array(branches, dtype=float).reshape(-1, 2)
-    cells, n, ok = _isolate(g, branches, width_of(branches[:, 0]), lam_of)
 
     def near(lam):  # roots closer than this are one; the count probes' nudge
         return max(1e-9, 1e3 * REFINE_TOL) * np.maximum(1.0, np.abs(lam))
+
+    # the completeness probes, just outside the window, ride the opening call
+    cells, n, ok, (counts, trusted) = _isolate(
+        g, branches, width_of(branches[:, 0]), lam_of,
+        [lo - near(lo), hi + near(hi)])
 
     def search(cells, bounds, width):
         """Each cell's candidate lambda, with its singular values, DtN pole
@@ -426,7 +452,8 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     _, _, pole, mult, inside = found
     lost = ok.all(axis=1) & ~pole & (~inside | (mult < n[:, 1] - n[:, 0]))
     if lost.any():
-        sub, _, sub_ok = _isolate(g, cells[lost], near(cells[lost, 0]), lam_of)
+        sub, _, sub_ok, _ = _isolate(g, cells[lost], near(cells[lost, 0]),
+                                     lam_of)
         runs = _runs(sub, sub_ok)[0]
         found = [np.concatenate((v[~lost], w)) for v, w in
                  zip(found, search(runs, runs, near(runs[:, 0])))]
@@ -456,7 +483,6 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     records.sort(key=lambda r: r.lam)
     # completeness: the window holds count eigenvalues. Each is certified,
     # or hidden at a flagged DtN pole, whose multiplicity is at most 2E.
-    counts, trusted = count_below(g, [lo - near(lo), hi + near(hi)])
     count = int(counts[1] - counts[0])
     certified = sum(r.mult for r in records)
     poles = sum(d.startswith("DtNPole") for d in diagnostics)

@@ -141,6 +141,20 @@ class TestSurgery:
         assert first == capsys.readouterr().out
         assert first.startswith("# method=edge\nstep,op,lambda_1")
 
+    def test_step_diagnostic_exits_3(self, tmp_path, capsys):
+        # a 1e-7 pendant edge drives lambda_1 to about -7.4e4, where the
+        # step's window misses roots its trusted count holds
+        p = tmp_path / "star.json"
+        save_graph(make_star([1.0, 0.7]), p)
+        ops = self.write_ops(tmp_path, [
+            {"op": "attach", "at_vertex": "v0", "length": 1e-7},
+        ])
+        assert main(["surgery", str(p), ops, "--track", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[2].startswith("1  attach at v0 (1e-07)  -73681.")
+        assert "diagnostic: step 1: CountMismatch(" in err
+        assert "diagnostic: step 0" not in err
+
     def test_unknown_op_exits_2(self, star_file, tmp_path, capsys):
         ops = self.write_ops(tmp_path, [{"op": "teleport"}])
         assert main(["surgery", star_file, ops]) == 2

@@ -97,6 +97,11 @@ class TestOracle:
         with pytest.raises(MeshTooCoarse):
             oracle_eigenvalues(star3, 10, 0.5)
 
+    def test_no_reduced_dofs_is_too_coarse(self):
+        # one element between two Dirichlet tips leaves no dof at all
+        with pytest.raises(MeshTooCoarse):
+            oracle_eigenvalues(make_path([1.0], tip_bc="dirichlet"), 1, 2.0)
+
     def test_count_validation(self, star3):
         with pytest.raises(ValueError):
             oracle_eigenvalues(star3, 0, 0.1)
@@ -133,6 +138,42 @@ class TestBandedOracle:
         want = scipy.linalg.eigh(a, m, eigvals_only=True)[:8]
         got = oracle_eigenvalues(g, 8, 0.02)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    @staticmethod
+    def dense(band):
+        """The Hermitian matrix stored in LAPACK upper band form."""
+        ku, n = band.shape[0] - 1, band.shape[1]
+        upper = np.zeros((n, n), dtype=band.dtype)
+        for d in range(ku + 1):
+            i = np.arange(n - d)
+            upper[i, i + d] = band[ku - d, d:]
+        return upper + np.triu(upper, 1).conj().T
+
+    @pytest.mark.parametrize("g", [
+        make_star([1.0] * 3),
+        make_figure8(0.5, 0.5),
+        make_cycle([0.4, 0.7, 0.5, 0.9]),
+        make_star([1.0] * 3, tip_bc="dirichlet"),
+        make_star([1.0] * 6),
+        make_star([1.0, 0.7, 1.3, 0.8], tip_bc="dirichlet"),
+        make_path([0.5, 0.3, 0.4]),
+    ], ids=["star3", "figure8-equilateral", "cycle4", "star3-dirichlet",
+            "star6-equilateral", "star4-dirichlet", "path3"])
+    def test_band_pencil_is_the_permuted_reduced_pencil(self, g):
+        # the direct assembly gives the pencil discretize's sparse H, M and
+        # C give, in its own order, and M's CSR holds what its band holds
+        h_mat, mass, restrict = discretize(g, 0.02)
+        a_band, m_band, m_csr, perm = fem._band_pencil(*fem._triplets(g, 0.02))
+        n = restrict.shape[1]
+        assert np.array_equal(np.sort(perm), np.arange(n))
+        assert a_band.shape == m_band.shape and a_band.shape[1] == n
+        assert a_band.flags.f_contiguous and m_band.flags.f_contiguous
+        order = np.ix_(perm, perm)
+        a = (restrict.conj().T @ h_mat @ restrict).toarray()[order]
+        m = (restrict.T @ mass @ restrict).toarray()[order]
+        for got, want in ((self.dense(a_band), a), (self.dense(m_band), m),
+                          (m_csr.toarray(), m)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_deep_ground_state(self):
         # a short edge pushes lambda_1 near -12.5: the shift needs several

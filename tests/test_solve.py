@@ -996,16 +996,17 @@ class TestCountGuidedScan:
         assert spec.diagnostics == []
 
 
-def reference_isolate(g, cells, width, lam_of):
+def reference_isolate(g, cells, width, lam_of, depths=None):
     """`_isolate` as a plain recursive bisection: one count per point, each
-    start cell bisected on its own, left half first."""
+    start cell bisected on its own, left half first. Appends to depths the
+    round of each midpoint counted, 1 for a start cell's own."""
     def count(x):
         n, ok = solve_mod.count_below(g, lam_of(np.array([x])))
         return int(n[0]), bool(ok[0])
 
     out = []
 
-    def bisect(x0, x1, end0, end1, w):
+    def bisect(x0, x1, end0, end1, w, depth):
         (n0, ok0), (n1, ok1) = end0, end1
         if n0 == n1 and ok0 and ok1:
             return
@@ -1014,13 +1015,15 @@ def reference_isolate(g, cells, width, lam_of):
             return
         mid = (x0 + x1) / 2.0
         at_mid = count(mid)
-        bisect(x0, mid, end0, at_mid, w)
-        bisect(mid, x1, at_mid, end1, w)
+        if depths is not None:
+            depths.append(depth)
+        bisect(x0, mid, end0, at_mid, w, depth + 1)
+        bisect(mid, x1, at_mid, end1, w, depth + 1)
 
     widths = np.broadcast_to(np.asarray(width, dtype=float), len(cells))
     for (x0, x1), w in sorted(zip(map(tuple, np.asarray(cells).tolist()),
                                   widths.tolist())):
-        bisect(x0, x1, count(x0), count(x1), w)
+        bisect(x0, x1, count(x0), count(x1), w, 1)
     return tuple(np.array([c[i] for c in out], dtype=t).reshape(-1, 2)
                  for i, t in enumerate((float, np.intp, bool)))
 
@@ -1079,6 +1082,29 @@ class TestIsolate:
         width = np.geomspace(1e-9, 1e-5, len(cells))
         got = _isolate(g, cells, width, branch_lam)
         self.assert_same(got, reference_isolate(g, cells, width, branch_lam))
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_two_rounds_per_count_call(self, name, monkeypatch):
+        # R rounds of bisection take the opening call (the ends and the
+        # probes) and one call per two rounds
+        g = self.GRAPHS[name]
+        cells, width = self.branches(g, default_negative_floor(g), 60.0)
+        pointwise, calls = solve_mod.count_below, []
+
+        def counted(g, lams):
+            calls.append(np.size(lams))
+            return pointwise(g, lams)
+
+        monkeypatch.setattr(solve_mod, "count_below", counted)
+        probes = [-40.0, 60.5]
+        got = _isolate(g, cells, width, branch_lam, probes)
+        monkeypatch.setattr(solve_mod, "count_below", pointwise)
+        depths = []
+        self.assert_same(got, reference_isolate(g, cells, width, branch_lam,
+                                                depths))
+        assert len(calls) <= math.ceil(max(depths) / 2) + 1
+        assert calls[0] == cells.size + len(probes)
+        self.assert_same(got[3], pointwise(g, probes))
 
     def test_untrusted_counts_match_the_reference(self, monkeypatch):
         counted = solve_mod.count_below
