@@ -6,9 +6,10 @@ Four subcommands: `spectrum` (eigenvalues of a graph file in a window),
 (ground state along a one-parameter family, as plot-ready CSV).
 
 Exit codes: 0 ok, 2 input error, 3 numerical diagnostic (certification
-failures, suite failures, a diagnostic of any `surgery` step's window), 4
-internal error. Identical inputs and seed give byte-identical output; floats
-are printed with repr so round-tripping is exact. Diagnostics go to stderr.
+failures, suite failures, a diagnostic of any `surgery` step's window or of
+any `sweep` ground state's window), 4 internal error. Identical inputs and
+seed give byte-identical output; floats are printed with repr so
+round-tripping is exact. Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -210,7 +211,9 @@ def cmd_sweep(args) -> int:
         print(f"{args.family}: {len(table.rows)} rows -> {args.out}")
     else:
         print(text, end="")
-    return EXIT_OK
+    for p, d in table.diagnostics:
+        print(f"diagnostic: {p!r}: {d}", file=sys.stderr)
+    return EXIT_NUMERICAL if table.diagnostics else EXIT_OK
 
 
 # -- entry point -------------------------------------------------------------------

@@ -575,6 +575,7 @@ class SweepTable:
     limit: float
     rows: list  # (param, lambda1, gap)
     monotonicity: str
+    diagnostics: list = field(default_factory=list)  # (param, diagnostic)
 
     def to_csv(self) -> str:
         head = (f"# family={self.family},n={self.n},limit={repr(self.limit)},"
@@ -586,7 +587,9 @@ class SweepTable:
 
 
 def sweep_lambda1_vs_length(family: str, grid, n: int = 3) -> SweepTable:
-    """Ground state along a one-parameter family of graphs.
+    """Ground state along a one-parameter family of graphs, with the
+    CountMismatch and CountUntrusted diagnostics of each ground state's
+    window, as `ground_state` gives them.
 
     Families: "neumann_star" and "dirichlet_star" (parameter = edge length of
     the equilateral n-star; limit = -n(n-1)/2) and "figure8" (loops (t, 2t);
@@ -606,11 +609,13 @@ def sweep_lambda1_vs_length(family: str, grid, n: int = 3) -> SweepTable:
 
     def run(p):
         def thunk():
-            lam = ground_state(builder(float(p)))[0]
-            return (float(p), lam, lam - limit)
+            lam, missed = ground_state(builder(float(p)))
+            return (float(p), lam, lam - limit), missed
         return thunk
 
-    rows = _run_cases([run(p) for p in grid])
+    solved = _run_cases([run(p) for p in grid])
+    rows = [row for row, _ in solved]
+    diagnostics = [(row[0], d) for row, missed in solved for d in missed]
     lams = [r[1] for r in rows]
     diffs = np.diff(lams)
     if np.all(np.abs(diffs) < 1e-12):
@@ -621,7 +626,7 @@ def sweep_lambda1_vs_length(family: str, grid, n: int = 3) -> SweepTable:
         mono = "decreasing"
     else:
         mono = "non-monotone"
-    return SweepTable(family, n, limit, rows, mono)
+    return SweepTable(family, n, limit, rows, mono, diagnostics)
 
 
 SUITES = {

@@ -15,7 +15,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -350,57 +350,82 @@ def _vertex_distances(g: MetricGraph) -> dict:
     return dist
 
 
-def _max_min_affine(rows, box, same_edge=False):
-    """Max of min_i c_i + a_i t + b_i s over 0 <= t <= box[0], 0 <= s <= box[1],
-    and s <= t if same_edge; rows are the (c_i, a_i, b_i). Exact, no LP.
+@lru_cache(maxsize=8)
+def _meeting_lines(a, b, same_edge):
+    """The part of `_max_min_affine` fixed by the slopes a and b (tuples):
+    the row pairs (i, j) whose lines c_i + a_i t + b_i s = c_j + a_j t + b_j s
+    come first, then the box sides and s = t on one edge, each as
+    alpha t + beta s = gamma; and the pairs (p, q) of lines that meet, with
+    det != 0. The slopes come back as arrays first."""
+    a, b = np.array(a), np.array(b)
+    i, j = np.triu_indices(a.size, 1)
+    sides = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
+    if same_edge:
+        sides.append((1.0, -1.0))
+    alpha = np.concatenate((a[i] - a[j], [side[0] for side in sides]))
+    beta = np.concatenate((b[i] - b[j], [side[1] for side in sides]))
+    p, q = np.triu_indices(alpha.size, 1)
+    det = alpha[p] * beta[q] - alpha[q] * beta[p]
+    meet = det != 0.0
+    return a, b, i, j, alpha, beta, p[meet], q[meet], det[meet]
+
+
+def _max_min_affine(c, a, b, box0, box1, same_edge=False):
+    """For each row of c, the max of min_i c_i + a_i t + b_i s over
+    0 <= t <= box0, 0 <= s <= box1, and s <= t if same_edge: c is (P, R),
+    the slopes a and b (tuples of R) are shared by every row, box0 and box1
+    are (P,). Exact, no LP.
 
     A concave piecewise-affine function on a polygon takes its max at a
     vertex of its pieces' cells, where two of these lines meet: the box
     sides, s = t on one edge, and c_i + a_i t + b_i s = c_j + a_j t + b_j s.
     Every such meeting point, moved into the polygon, is a candidate, so the
-    max over them is exact up to rounding.
+    max over them is exact up to rounding. The lines' slopes are shared, so
+    which of them meet is the same for every row (`_meeting_lines`).
     """
-    c, a, b = np.asarray(rows, dtype=float).T
-    i, j = np.triu_indices(c.size, 1)
-    sides = [(1.0, 0.0, 0.0), (1.0, 0.0, box[0]), (0.0, 1.0, 0.0),
-             (0.0, 1.0, box[1])]
-    if same_edge:
-        sides.append((1.0, -1.0, 0.0))
-    # the lines alpha t + beta s = gamma, and where each two of them meet
-    alpha, beta, gamma = np.concatenate(
-        (np.column_stack((a[i] - a[j], b[i] - b[j], c[j] - c[i])), sides)).T
-    p, q = np.triu_indices(alpha.size, 1)
-    det = alpha[p] * beta[q] - alpha[q] * beta[p]
-    p, q, det = p[det != 0.0], q[det != 0.0], det[det != 0.0]
-    t = np.clip((gamma[p] * beta[q] - gamma[q] * beta[p]) / det, 0.0, box[0])
-    s = np.clip((alpha[p] * gamma[q] - alpha[q] * gamma[p]) / det, 0.0, box[1])
+    a, b, i, j, alpha, beta, p, q, det = _meeting_lines(a, b, same_edge)
+    zero = np.zeros(box0.shape)
+    gamma = np.column_stack([c[:, j] - c[:, i], zero, box0, zero, box1]
+                            + [zero] * same_edge)
+    t = np.clip((gamma[:, p] * beta[q] - gamma[:, q] * beta[p]) / det,
+                0.0, box0[:, None])
+    s = np.clip((alpha[p] * gamma[:, q] - alpha[q] * gamma[:, p]) / det,
+                0.0, box1[:, None])
     if same_edge:
         s = np.minimum(s, t)
-    value = c[:, None] + a[:, None] * t + b[:, None] * s
-    return float(value.min(axis=0).max())
+    value = (c[:, :, None] + a[:, None] * t[:, None, :]
+             + b[:, None] * s[:, None, :])
+    return value.min(axis=1).max(axis=1)
 
 
 def diameter(g: MetricGraph) -> float:
-    """Metric diameter: max distance over all points, interior points included."""
+    """Metric diameter: max distance over all points, interior points included.
+
+    The distance of a point t along edge e (from its start) to a point s
+    along f is the min of four affine pieces through the ends' vertex
+    distances, two when both points lie on one edge; `_max_min_affine`
+    maximizes it over every pair of edges at once."""
     if not g.is_connected():
         raise Disconnected("diameter undefined for disconnected graph")
     dv = _vertex_distances(g)
-    best = 0.0
-    for i, e in enumerate(g.edges):
-        a, b = e.src, e.dst
-        # both points on e, at s <= t from its start
-        rows = [(0.0, 1.0, -1.0),
-                (dv[a][b] + e.length, -1.0, 1.0)]
-        best = max(best, _max_min_affine(rows, (e.length, e.length),
-                                         same_edge=True))
-        for f in g.edges[i + 1:]:
-            c, d = f.src, f.dst
-            rows = [(dv[a][c], 1.0, 1.0),
-                    (dv[a][d] + f.length, 1.0, -1.0),
-                    (dv[b][c] + e.length, -1.0, 1.0),
-                    (dv[b][d] + e.length + f.length, -1.0, -1.0)]
-            best = max(best, _max_min_affine(rows, (e.length, f.length)))
-    return best
+    ids = [v.id for v in g.vertices]
+    dist = np.array([[dv[u][w] for w in ids] for u in ids])
+    at = {v: k for k, v in enumerate(ids)}
+    src = np.array([at[e.src] for e in g.edges])
+    dst = np.array([at[e.dst] for e in g.edges])
+    length = np.array([e.length for e in g.edges])
+    # both points on e, at s <= t from its start
+    same = _max_min_affine(
+        np.column_stack((np.zeros(length.size), dist[src, dst] + length)),
+        (1.0, -1.0), (-1.0, 1.0), length, length, same_edge=True)
+    i, j = np.triu_indices(length.size, 1)
+    a, b, c, d = src[i], dst[i], src[j], dst[j]
+    pairs = _max_min_affine(
+        np.column_stack((dist[a, c], dist[a, d] + length[j],
+                         dist[b, c] + length[i],
+                         dist[b, d] + length[i] + length[j])),
+        (1.0, 1.0, -1.0, -1.0), (1.0, -1.0, 1.0, -1.0), length[i], length[j])
+    return float(max(0.0, same.max(), pairs.max(initial=0.0)))
 
 
 def rotation_genus(g: MetricGraph) -> int:

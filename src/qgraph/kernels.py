@@ -3,18 +3,19 @@
 `scan_svdvals` is the one loop that turns lambdas into singular values, for
 both routes: it asks the route's builder for one stack of matrices per chunk
 of the lambdas and runs one batched SVD over the rows off the builder's
-singular mask. `scan_sigma` reads (sigma_min, sigma_max) arrays from it, inf
-in the masked rows. The lambdas are any batch: find_spectrum scans the
-points its V-step refinement asks for inside the cells that exact
-eigenvalue counts (`secular.count_below`) leave open, each padded by half a
-width, and certifies the candidates from every singular value of one more
-batch.
+singular mask. `scan_sigma` gathers its rows into one array, each lambda's
+singular values in descending order, inf in the masked rows. The lambdas
+are any batch: find_spectrum scans the points its V-step refinement asks
+for inside the cells that exact eigenvalue counts (`secular.count_below`)
+leave open, each padded by half a width, and certifies each candidate from
+the row its refinement already computed.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
-one edge_basis_traces call gives the (n_lambda, E) trace tables of a chunk,
-and the graph's plan from `prepare_structure`, built once from the vertex
-orders and cached, lays them into the whole stack by a fixed gather/scatter.
-No Python loop runs per lambda or per row.
+one edge_basis_traces call gives the (8, n_lambda, E) trace tables of a
+chunk, and the graph's plan from `prepare_structure`, built once from the
+vertex orders and cached, lays them into the whole stack by one product
+with a fixed matrix of +-1 weights. No Python loop runs per lambda or per
+row.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
 f2(x) = sin(sqrt(lambda) x)/sqrt(lambda), continued through lambda <= 0 by
@@ -48,61 +49,67 @@ SCAN_CHUNK = 512
 
 @lru_cache(maxsize=256)
 def prepare_structure(g: MetricGraph):
-    """The edge route's plan of a graph: (steps, lengths).
+    """The edge route's plan of a graph: (targets, weights, lengths).
 
     A matrix is stored as a float row of (real, imag) pairs, entry (r, c) at
     2 (r m + c) + part; the trace tables are stacked as (n, 8, E) and
-    flattened to (n, 8 E). Each step is (targets, sources, ufunc), applied as
-    buf[:, t] = ufunc(buf[:, t], tabs[:, s]), with no target twice in one
-    step. Values go to the real part, inward derivatives (times i) to the
-    imaginary part. A coupled row r, whose endpoint is followed by q in its
-    vertex's cyclic order, gets its terms in the order a row-by-row complex
-    assembly adds them, starting from zeros: value(q) +, value(r) -,
-    derivative(r), derivative(q); a loop edge puts two terms into one entry.
-    A Neumann row (or a coupled vertex of degree 1) takes derivative(r), a
-    Dirichlet row value(r). The +-0.0 that complex arithmetic adds to the
-    other part with each term cannot change a sum that started at +0.0 (for
-    finite traces), so dropping it keeps every rounding and signed zero the
-    same.
+    flattened to (n, 8 E). `targets` are the T distinct float slots that
+    any term reaches, in increasing order, and `weights` the (8 E, T)
+    matrix of +-1 that sums each slot's terms, applied as
+    buf[:, targets] = tabs @ weights + 0.0. Values go to the real part,
+    inward derivatives (times i) to the imaginary part. A coupled row r,
+    whose endpoint is followed by q in its vertex's cyclic order, gets
+    value(q) - value(r) + i (derivative(r) + derivative(q)); a loop edge
+    puts two terms into one slot. A Neumann row (or a coupled vertex of
+    degree 1) takes derivative(r), a Dirichlet row value(r).
+
+    No slot gets more than two nonzero terms, so its sum is the one
+    rounding of a row-by-row complex assembly whatever order the product
+    adds them in: the products by 0 and +-1 are exact, and adding a signed
+    zero to a nonzero sum changes nothing. The + 0.0 turns a -0.0 sum into
+    the +0.0 an assembly that starts from zeros gives. This holds for finite
+    traces, which `edge_basis_traces` gives everywhere but on the entire
+    pair far below zero (kappa l past about 710).
     """
     ne = g.num_edges
     m = 2 * ne
     edge, slot = g.edge_index, g.slot_index
-    steps = ([], [], [])
+    terms = []  # (target, source, sign)
 
-    def add(step, r, ref, deriv):
+    def add(r, ref, deriv, sign=1.0):
         e = edge[ref[0]]
         table = 4 * (ref[1] == END) + 2 * deriv
         for b in range(2):
-            steps[step].append((2 * (r * m + 2 * e + b) + deriv,
-                                (table + b) * ne + e))
+            terms.append((2 * (r * m + 2 * e + b) + deriv,
+                          (table + b) * ne + e, sign))
 
     for v in g.sorted_vertices:
         for j, ref in enumerate(v.order):
             r = slot[ref]
             if v.bc is BoundaryType.COUPLED and v.degree >= 2:
                 q = v.order[(j + 1) % v.degree]
-                add(0, r, q, deriv=0)
-                add(0, r, ref, deriv=1)
-                add(1, r, ref, deriv=0)  # the subtracted term
-                add(2, r, q, deriv=1)
+                add(r, q, deriv=0)
+                add(r, ref, deriv=0, sign=-1.0)
+                add(r, ref, deriv=1)
+                add(r, q, deriv=1)
             else:
-                add(0, r, ref, deriv=int(v.bc is not BoundaryType.DIRICHLET))
-    plan = []
-    for pairs, op in zip(steps, (np.add, np.subtract, np.add)):
-        idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        plan.append((idx[:, 0], idx[:, 1], op))
+                add(r, ref, deriv=int(v.bc is not BoundaryType.DIRICHLET))
+    tgt, src, sign = np.array(terms).T
+    targets, col = np.unique(tgt.astype(np.intp), return_inverse=True)
+    weights = np.zeros((8 * ne, targets.size))
+    np.add.at(weights, (src.astype(np.intp), col), sign)
     lengths = np.array([e.length for e in g.edges], dtype=np.float64)
-    return tuple(plan), lengths
+    return targets, weights, lengths
 
 
 def edge_basis_traces(lam, lengths, entire: bool = False):
     """Per-edge basis traces, vectorized over lambdas and edges.
 
-    Returns eight arrays (f1_0, f2_0, d1_0, d2_0, f1_l, f2_l, d1_l, d2_l):
-    values and inward derivatives (+f'(0), -f'(l)) of the two basis functions
-    at both endpoints. A scalar `lam` gives (E,) arrays, an array of n lambdas
-    gives (n, E) tables whose rows equal the scalar calls bit for bit.
+    Returns one (8, n, E) array, which unpacks into the eight tables
+    (f1_0, f2_0, d1_0, d2_0, f1_l, f2_l, d1_l, d2_l): values and inward
+    derivatives (+f'(0), -f'(l)) of the two basis functions at both
+    endpoints, one row per lambda. A scalar `lam` gives an (8, E) array, of
+    the bytes of that lambda's row in any batch.
     `entire` forces the cosh/sinh pair for every edge, at the cost of the
     large-kappa conditioning; determinant identities are stated in that basis.
     """
@@ -120,31 +127,30 @@ def edge_basis_traces(lam, lengths, entire: bool = False):
     hyp = np.where(neg & ~decay, kl, 0.0)
     sn = np.where(neg, np.sinh(hyp), np.sin(kl))
     cs = np.where(neg, np.cosh(hyp), np.cos(kl))
-    f10 = np.ones(sn.shape)
-    f20 = np.where(decay, es, 0.0)
-    d10 = np.where(decay, -k, 0.0)
-    d20 = np.where(decay, kes, 1.0)
-    f1l = np.where(decay, es, cs)
-    f2l = np.where(decay, 1.0, np.where(zero, lengths,
-                                        sn / np.where(zero, 1.0, k)))
-    d1l = np.where(decay, kes, np.where(neg, -k, k) * sn)
-    d2l = np.where(decay, -k, -cs)
-    out = (f10, f20, d10, d20, f1l, f2l, d1l, d2l)
+    out = np.empty((8,) + kl.shape)
+    out[0] = 1.0
+    out[1] = np.where(decay, es, 0.0)
+    out[2] = np.where(decay, -k, 0.0)
+    out[3] = np.where(decay, kes, 1.0)
+    out[4] = np.where(decay, es, cs)
+    out[5] = np.where(decay, 1.0, np.where(zero, lengths,
+                                           sn / np.where(zero, 1.0, k)))
+    out[6] = np.where(decay, kes, np.where(neg, -k, k) * sn)
+    out[7] = np.where(decay, -k, -cs)
     if lam.ndim == 0:
-        return tuple(t[0] for t in out)
+        return out[:, 0]
     return out
 
 
 def build_matrix_grid_numpy(lams, plan, entire: bool = False):
     """Stack of secular matrices, shape (len(lams), 2E, 2E), laid out by the
     graph's plan from `prepare_structure`."""
-    steps, lengths = plan
+    targets, weights, lengths = plan
     lams = np.asarray(lams, dtype=float).reshape(-1)
     n, m = lams.size, 2 * lengths.size
-    tabs = np.stack(edge_basis_traces(lams, lengths, entire), axis=1).reshape(n, -1)
+    tabs = edge_basis_traces(lams, lengths, entire).swapaxes(0, 1).reshape(n, -1)
     buf = np.zeros((n, 2 * m * m))
-    for tgt, src, op in steps:
-        buf[:, tgt] = op(buf[:, tgt], tabs[:, src])
+    buf[:, targets] = tabs @ weights + 0.0
     return buf.view(np.complex128).reshape(n, m, m)
 
 
@@ -206,11 +212,12 @@ def scan_svdvals(lams, build):
 
 
 def scan_sigma(lams, build):
-    """(sigma_min, sigma_max) over lams, from `scan_svdvals`; masked rows
-    read inf."""
+    """Every singular value over lams, from `scan_svdvals`: one descending
+    row per lambda, an (n, m) array for m x m matrices; masked rows read
+    inf."""
     lams = np.asarray(lams, dtype=float)
-    smin = np.full(lams.size, np.inf)
-    smax = np.full(lams.size, np.inf)
-    for rows, s in scan_svdvals(lams, build):
-        smin[rows], smax[rows] = s[:, -1], s[:, 0]
-    return smin, smax
+    parts = list(scan_svdvals(lams, build))
+    out = np.full((lams.size, parts[0][1].shape[1] if parts else 0), np.inf)
+    for rows, s in parts:
+        out[rows] = s
+    return out

@@ -16,7 +16,8 @@ the branches' intervals are bisected together, two rounds per count call,
 with the few live cells held in Python lists. A call counts the midpoints
 of its round and, for each cell whose halves will still be too wide, the
 halves' midpoints, which the next round reads; the opening call counts the
-start cells' ends and the window's completeness probes. A cell is split
+start cells' ends, the window's completeness probes and the points of the
+first two rounds. A cell is split
 while it is wider than its branch width (_KAPPA_WIDTH in kappa,
 default_positive_step in lambda) and its end counts differ or either end
 count is untrusted. A cell with equal trusted counts holds no
@@ -36,10 +37,12 @@ half that distance and searched again. This finds the roots of a
 near-degenerate cluster, where sigma_min dips to each in a notch narrower
 than the first search can see, and a root whose cell's search slid onto a
 neighbour's.
-Each search's candidates are certified by one batched SVD that keeps every
-singular value, and candidates within the count probes' nudge are one root.
-Each record reads its multiplicity from its row; only the explicit
-lambda = 0 test builds and decomposes a matrix of its own.
+The sigma scans keep every singular value, one row per lambda, and each
+candidate is certified from the row its search computed; a candidate the
+search returned unevaluated (a bracket's midpoint) takes one more batch.
+Candidates within the count probes' nudge are one root. Each record reads
+its multiplicity from its row; only the explicit lambda = 0 test builds and
+decomposes a matrix of its own.
 
 Every batch goes through the one chunk loop, `kernels.scan_svdvals`, with the
 route's builder: the graph's edge plan from `kernels.prepare_structure`, or
@@ -54,6 +57,15 @@ multiplicities, up to the at most 2E eigenvalues each DtNPole may hide.
 Otherwise a CountMismatch diagnostic names the roots that neither search
 certified. Where either probe is untrusted the check cannot be made, and a
 CountUntrusted diagnostic names the window.
+
+A caller that keeps only the lowest k eigenvalues (`first_eigenvalues`)
+passes first=k. Where the lower probe's count is trusted, isolation stops at
+the limit N(lo-) + k: in every round the lowest live cell end whose trusted
+count reaches it becomes the cut x*, and the cells at or above x* are
+dropped. The window then ends at lambda(x*), completeness compares
+N(x*) - N(lo-) with the certified multiplicities, and the lambda = 0 test
+runs only where 0 lies in [lo, lambda(x*)]. Every cell below x* is the one
+the whole window gives, so every record kept is too.
 """
 
 from __future__ import annotations
@@ -164,8 +176,8 @@ def _builder(g, struct, method):
 
 
 def _sigma_grid(g, struct, lams, method):
-    """(sigma_min, sigma_max) arrays over lams; DtN-singular points read
-    inf."""
+    """Every singular value over lams, one descending row per lambda, from
+    `kernels.scan_sigma`; DtN-singular points read inf."""
     return scan_sigma(lams, _builder(g, struct, method))
 
 
@@ -276,44 +288,74 @@ def _golden_min(fn, a, b, tol):
         live = [(i, search, [next(f) for _ in xs]) for i, search, xs in asked]
 
 
-def _isolate(g, cells, width, lam_of, probes=()):
+def _isolate(g, cells, width, lam_of, probes=(), first=None):
     """The cells [x0, x1] inside the start cells that may hold an eigenvalue
     at lambda = lam_of(x), each no wider than its start cell's entry of
     width: an (n, 2) array in increasing order, with the (n, 2) counts and
-    trust flags of `count_below` at their ends, and last the counts and
-    trust flags at the probes, lambdas counted in the opening call.
+    trust flags of `count_below` at their ends, then the counts and trust
+    flags at the probes, lambdas counted in the opening call, and last the
+    cut, (x, count) or None.
 
     Cells are bisected in lockstep, two rounds per `count_below` call: a
     call counts the midpoint of every cell that splits in its round and,
     where that cell's halves are still wider than their width, the halves'
     midpoints, which the next round reads from the dict of counted points.
-    A cell is split while it is wider than its width and its end counts
+    The opening call counts the start cells' ends, the probes and the points
+    of the first two rounds of every start cell wider than its width. A
+    cell is split while it is wider than its width and its end counts
     differ or either end count is untrusted; a cell with equal trusted end
     counts holds no eigenvalue and is dropped. The few live cells are a list
     of (x0, x1, n0, n1, ok0, ok1, width); only the counted points go through
-    numpy."""
+    numpy.
+
+    With `first`, only the lowest `first` eigenvalues above the first probe
+    are wanted, and where the probe's count is trusted their limit is that
+    count plus `first`. In every round the lowest end of a live cell whose
+    trusted count reaches the limit becomes the cut, and the cells at or
+    above it are dropped."""
     x = np.array(cells, dtype=float).reshape(-1, 2)
     order = np.argsort(x[:, 0])
     x = x[order]
     width = np.broadcast_to(np.asarray(width, dtype=float), order.shape)[order]
-    n, ok = count_below(g, np.concatenate((lam_of(x.T.ravel()),
-                                           np.asarray(probes, dtype=float))))
-    probed = n[x.size:], ok[x.size:]
+
+    def ahead(x0, x1, w):
+        """The points of a splitting cell's next two rounds: its midpoint
+        and, where its halves are still wider than w, theirs."""
+        mid = (x0 + x1) / 2.0
+        return [mid] + [(a + b) / 2.0 for a, b in ((x0, mid), (mid, x1))
+                        if b - a > w]
+
+    opening = [p for (x0, x1), w in zip(x.tolist(), width.tolist())
+               if x1 - x0 > w for p in ahead(x0, x1, w)]
+    n, ok = count_below(g, np.concatenate((
+        lam_of(x.T.ravel()), np.asarray(probes, dtype=float),
+        lam_of(np.array(opening, dtype=float)))))
+    nprobe = x.size + len(probes)
+    probed = n[x.size:nprobe], ok[x.size:nprobe]
+    counted = dict(zip(opening, zip(n[nprobe:].tolist(),
+                                    ok[nprobe:].tolist())))
     n, ok = (v[:x.size].reshape(2, -1).tolist() for v in (n, ok))
     live = list(zip(*x.T.tolist(), *n, *ok, width.tolist()))
-    counted = {}  # midpoint -> (count, trusted)
+    limit = (int(probed[0][0]) + first
+             if first is not None and probed[1][0] else None)
+    cut = None
     while True:
         # a cell with equal trusted end counts holds no eigenvalue
         live = [c for c in live if c[2] != c[3] or not (c[4] and c[5])]
+        if limit is not None:
+            # the cells are in increasing order, so the first end found is
+            # the lowest; it lies at or below the last cut
+            reached = next(((xe, ne) for c in live for xe, ne, oke in
+                            ((c[0], c[2], c[4]), (c[1], c[3], c[5]))
+                            if oke and ne >= limit), cut)
+            if reached is not None:
+                cut = reached
+                live = [c for c in live if c[0] < cut[0]]
         wide = [c for c in live if c[1] - c[0] > c[6]]
         if not wide:
             break
-        ask = []
-        for x0, x1, *_, w in wide:
-            mid = (x0 + x1) / 2.0
-            if mid not in counted:
-                ask += [mid] + [(a + b) / 2.0 for a, b in ((x0, mid), (mid, x1))
-                                if b - a > w]
+        ask = [p for x0, x1, *_, w in wide if (x0 + x1) / 2.0 not in counted
+               for p in ahead(x0, x1, w)]
         if ask:
             n_ask, ok_ask = count_below(g, lam_of(np.array(ask)))
             counted.update(zip(ask, zip(n_ask.tolist(), ok_ask.tolist())))
@@ -331,7 +373,7 @@ def _isolate(g, cells, width, lam_of, probes=()):
     return (np.array([c[0:2] for c in live], dtype=float).reshape(-1, 2),
             np.array([c[2:4] for c in live], dtype=np.intp).reshape(-1, 2),
             np.array([c[4:6] for c in live], dtype=bool).reshape(-1, 2),
-            probed)
+            probed, cut)
 
 
 def _runs(cells, ok):
@@ -364,8 +406,16 @@ def _null(s):
     return (s < RANK_TOL * smax) | (smax < RANK_TOL)
 
 
-def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
-    """All eigenvalues in the closed window [lo, hi], with multiplicities."""
+def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
+                  first=None) -> Spectrum:
+    """All eigenvalues in the closed window [lo, hi], with multiplicities.
+
+    With `first` = k only the lowest k eigenvalues of the window are wanted.
+    Where the count below lo is trusted and the window holds k eigenvalues,
+    isolation cuts the window at a trusted count point x* with
+    N(x*) >= N(lo-) + k (see `_isolate`), and the spectrum covers
+    [lo, lambda(x*)]: its records, diagnostics, completeness check and
+    window end. Every record it keeps is the one the whole window gives."""
     lo, hi = float(window[0]), float(window[1])
     if not lo <= hi:
         raise ValueError(f"window {window} is empty")
@@ -395,10 +445,21 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     def near(lam):  # roots closer than this are one; the count probes' nudge
         return max(1e-9, 1e3 * REFINE_TOL) * np.maximum(1.0, np.abs(lam))
 
-    # the completeness probes, just outside the window, ride the opening call
-    cells, n, ok, (counts, trusted) = _isolate(
+    # the completeness probes, just outside the window, ride the opening
+    # call; a cut ends the window at a count already made
+    cells, n, ok, (counts, trusted), cut = _isolate(
         g, branches, width_of(branches[:, 0]), lam_of,
-        [lo - near(lo), hi + near(hi)])
+        [lo - near(lo), hi + near(hi)], first)
+    if cut is not None:
+        hi = float(lam_of(cut[0]))
+        counts[1], trusted[1] = cut[1], True
+    rows = {}  # each lambda the refinement evaluated -> its singular values
+
+    def sigma_min(t):
+        lams = lam_of(t)
+        svals = _sigma_grid(g, struct, lams, method)
+        rows.update(zip(lams.tolist(), svals))
+        return svals[:, -1]
 
     def search(cells, bounds, width):
         """Each cell's candidate lambda, with its singular values, DtN pole
@@ -413,8 +474,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
         # kappa tolerance from the bracket's lower kappa, -x1
         tol = np.where(x1 < 0.0, np.maximum(
             REFINE_TOL / (2.0 * np.maximum(-x1, 0.05)), 1e-15), REFINE_TOL)
-        x = _golden_min(lambda t: _sigma_grid(g, struct, lam_of(t), method)[0],
-                        x0, x1, tol)
+        x = _golden_min(sigma_min, x0, x1, tol)
         lams = lam_of(x)
         # the counts put every root in a run of cells, so a candidate in
         # the padding is none. Candidates within REFINE_TOL of the zero
@@ -425,9 +485,19 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
                   & (x <= bounds[:, 1] + near(bounds[:, 1])))
         live = (inside & (np.abs(lams) > ZERO_RADIUS + REFINE_TOL)
                 & (lo - REFINE_TOL <= lams) & (lams <= hi + REFINE_TOL))
+        # each candidate's row from its refinement; a batch of its own only
+        # for a candidate the search returned unevaluated
         svals = np.full((lams.size, 2 * g.num_edges), np.inf)
-        for rows, s in scan_svdvals(lams[live], _builder(g, struct, method)):
-            svals[np.flatnonzero(live)[rows]] = s
+        fresh = []
+        for i in np.flatnonzero(live).tolist():
+            if lams[i] in rows:
+                svals[i] = rows[lams[i]]
+            else:
+                fresh.append(i)
+        if fresh:
+            for got, s in scan_svdvals(lams[fresh],
+                                       _builder(g, struct, method)):
+                svals[np.array(fresh)[got]] = s
         # interval-Dirichlet pole of the DtN map: some edge with k l >= 1
         # has |sin(k l)| so small that its entries, k / sin(k l), exceed
         # 1e6 max(1, k). The rank ratio under-reads there, and any eigenvalue
@@ -452,8 +522,8 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge") -> Spectrum:
     _, _, pole, mult, inside = found
     lost = ok.all(axis=1) & ~pole & (~inside | (mult < n[:, 1] - n[:, 0]))
     if lost.any():
-        sub, _, sub_ok, _ = _isolate(g, cells[lost], near(cells[lost, 0]),
-                                     lam_of)
+        sub, _, sub_ok = _isolate(g, cells[lost], near(cells[lost, 0]),
+                                  lam_of)[:3]
         runs = _runs(sub, sub_ok)[0]
         found = [np.concatenate((v[~lost], w)) for v, w in
                  zip(found, search(runs, runs, near(runs[:, 0])))]
@@ -516,18 +586,25 @@ def count_negative(g: MetricGraph) -> int:
 
 
 def first_eigenvalues(g: MetricGraph, k: int):
-    """First k eigenvalues (with multiplicity), growing the window as needed.
+    """First k eigenvalues (with multiplicity), growing the window as needed,
+    and the spectrum they were read from.
 
-    Each window end tried is moved outward by a relative 1e-6 until its
-    count is trusted, so that no end on an eigenvalue or an edge Dirichlet
-    pole leaves the window's completeness check undone."""
+    Each window is solved with first=k, so a window that holds k
+    eigenvalues ends just above the k-th, at a trusted count point, and its
+    spectrum covers only that much. Where a cut window certifies fewer than
+    k, the whole window is solved again, as with no cut. Each window end
+    tried is moved outward by a relative 1e-6 until its count is trusted,
+    so that no end on an eigenvalue or an edge Dirichlet pole leaves the
+    window's completeness check undone."""
     lo = default_negative_floor(g)
     hi = (math.pi * (k + 2) / g.total_length) ** 2
     for attempt in range(12):
         end = hi * 2.0 ** attempt
         while not count_below(g, [end])[1][0]:
             end *= 1.0 + 1e-6
-        spec = find_spectrum(g, (lo, end))
+        spec = find_spectrum(g, (lo, end), first=k)
+        if spec.count < k and spec.window[1] < end:
+            spec = find_spectrum(g, (lo, end))
         lams = spec.lambdas()
         if len(lams) >= k:
             return lams[:k], spec

@@ -163,7 +163,7 @@ class TestWorkerCount:
 class TestSweeps:
     def test_figure8_is_constant(self):
         table = sweep_lambda1_vs_length("figure8", [0.4, 0.7, 1.0, 1.5])
-        assert table.monotonicity == "constant"
+        assert table.monotonicity == "constant" and table.diagnostics == []
         assert table.limit == -1.0
         for _, lam, gap in table.rows:
             assert lam == pytest.approx(-1.0, abs=1e-9)

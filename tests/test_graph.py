@@ -135,7 +135,7 @@ def test_diameter_of_one_edge_cycle_is_half_its_length():
     assert lp_diameter(make_cycle([1.0])) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_diameter_matches_linear_programs():
+def diameter_graphs():
     rng = np.random.default_rng(12)
     graphs = [sample_graph(rng, int(rng.integers(2, 8)))
               for _ in range(70)]  # loops and parallel edges
@@ -145,6 +145,65 @@ def test_diameter_matches_linear_programs():
     graphs += [make_figure8(0.5, 0.5), make_path([0.6, 0.4])]
     graphs += [make_cycle(rng.uniform(0.1, 2.0, n)) for n in range(1, 6)]
     graphs += [make_cycle([1.0] * n) for n in (1, 2, 3)]
+    return graphs
+
+
+def loop_max_min_affine(rows, box, same_edge=False):
+    """Reference: `graph._max_min_affine` on one pair of edges, rows the
+    (c_i, a_i, b_i) of its affine pieces."""
+    c, a, b = np.asarray(rows, dtype=float).T
+    i, j = np.triu_indices(c.size, 1)
+    sides = [(1.0, 0.0, 0.0), (1.0, 0.0, box[0]), (0.0, 1.0, 0.0),
+             (0.0, 1.0, box[1])]
+    if same_edge:
+        sides.append((1.0, -1.0, 0.0))
+    alpha, beta, gamma = np.concatenate(
+        (np.column_stack((a[i] - a[j], b[i] - b[j], c[j] - c[i])), sides)).T
+    p, q = np.triu_indices(alpha.size, 1)
+    det = alpha[p] * beta[q] - alpha[q] * beta[p]
+    p, q, det = p[det != 0.0], q[det != 0.0], det[det != 0.0]
+    t = np.clip((gamma[p] * beta[q] - gamma[q] * beta[p]) / det, 0.0, box[0])
+    s = np.clip((alpha[p] * gamma[q] - alpha[q] * gamma[p]) / det, 0.0, box[1])
+    if same_edge:
+        s = np.minimum(s, t)
+    value = c[:, None] + a[:, None] * t + b[:, None] * s
+    return float(value.min(axis=0).max())
+
+
+def loop_diameter(g):
+    """Reference: the diameter one pair of edges at a time."""
+    dv = _vertex_distances(g)
+    best = 0.0
+    for i, e in enumerate(g.edges):
+        a, b = e.src, e.dst
+        rows = [(0.0, 1.0, -1.0),
+                (dv[a][b] + e.length, -1.0, 1.0)]
+        best = max(best, loop_max_min_affine(rows, (e.length, e.length),
+                                             same_edge=True))
+        for f in g.edges[i + 1:]:
+            c, d = f.src, f.dst
+            rows = [(dv[a][c], 1.0, 1.0),
+                    (dv[a][d] + f.length, 1.0, -1.0),
+                    (dv[b][c] + e.length, -1.0, 1.0),
+                    (dv[b][d] + e.length + f.length, -1.0, -1.0)]
+            best = max(best, loop_max_min_affine(rows, (e.length, f.length)))
+    return best
+
+
+def test_diameter_matches_the_pairwise_loop():
+    # every pair of edges in one pass, each candidate with the float
+    # operations of its pair alone: the same bytes
+    graphs = diameter_graphs()
+    graphs += [make_star(np.geomspace(1e-7, 3.0, 6)), make_path([1e-9, 2.0]),
+               make_cycle([1e-8, 1.0, 1e-8])]
+    for g in graphs:
+        got, want = diameter(g), loop_diameter(g)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_diameter_matches_linear_programs():
+    graphs = diameter_graphs()
     assert len(graphs) >= 90
     assert any(e.src == e.dst for g in graphs[:70] for e in g.edges)
     assert any(len({(e.src, e.dst) for e in g.edges}) < g.num_edges

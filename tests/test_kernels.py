@@ -30,14 +30,18 @@ from qgraph.secular import build_secular_matrix
 
 class TestPrepareStructure:
     def test_layout(self, star3):
-        # the plan lays every chunk of traces into the matrices the vertex
-        # conditions give, touching no target twice within a step
-        steps, lengths = prepare_structure(star3)
+        # the plan's +-1 weights sum every chunk of traces into the matrices
+        # the vertex conditions give: each target slot once, from one or two
+        # of the 8 E trace columns, and no more than two, which keeps every
+        # sum one rounding
+        targets, weights, lengths = prepare_structure(star3)
         assert lengths.tolist() == [1.0, 1.0, 1.0]
-        for tgt, src, op in steps:
-            assert np.unique(tgt).size == tgt.size
-            assert 0 <= tgt.min() and tgt.max() < 2 * 6 * 6
-            assert 0 <= src.min() and src.max() < 8 * 3
+        assert np.unique(targets).size == targets.size
+        assert 0 <= targets.min() and targets.max() < 2 * 6 * 6
+        assert weights.shape == (8 * 3, targets.size)
+        assert set(np.unique(weights).tolist()) == {-1.0, 0.0, 1.0}
+        terms = np.count_nonzero(weights, axis=0)
+        assert terms.min() == 1 and terms.max() <= 2
         got = build_matrix_grid_numpy(BYTE_GRID, prepare_structure(star3))
         assert got.tobytes() == reference_matrix_grid(star3, BYTE_GRID).tobytes()
 
@@ -254,13 +258,12 @@ class TestPerRowIdentity:
         with monkeypatch.context() as m:
             m.setattr(kernels_mod, "SCAN_CHUNK", 3)
             chunked = scan_sigma(lams, build)
+        assert mixed.shape == (lams.size, 2 * g.num_edges)
         for i, lam in enumerate(lams):
             alone = scan_sigma(np.array([lam]), build)
-            for j in range(2):
-                assert alone[j].tobytes() == mixed[j][i:i + 1].tobytes()
-                assert alone[j].tobytes() == chunked[j][i:i + 1].tobytes()
-        for j in range(2):
-            assert positive[j].tobytes() == mixed[j][pos].tobytes()
+            assert alone.tobytes() == mixed[i:i + 1].tobytes()
+            assert alone.tobytes() == chunked[i:i + 1].tobytes()
+        assert positive.tobytes() == mixed[pos].tobytes()
 
     @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
                                                     "cycle1", "path3"])
@@ -271,11 +274,10 @@ class TestPerRowIdentity:
         # both sides of the first chunk boundary
         lams[SCAN_CHUNK - 1:SCAN_CHUNK + 3] = [math.pi**2, 0.0,
                                                math.pi**2 + 1e-14, -1e-7]
-        smin, smax = scan_sigma(lams, build)
+        svals = scan_sigma(lams, build)
         alone = [scan_sigma([lam], build) for lam in lams]
-        assert smin.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
-        assert smax.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
-        assert np.isfinite(smin).all() and np.isfinite(smax).all()
+        assert svals.tobytes() == np.concatenate(alone).tobytes()
+        assert np.isfinite(svals).all()
 
     def test_negative_rows_equilibrated_positive_rows_raw(self, star3):
         lams = np.array([-9.0, -1.0, 0.0, 2.0, 20.0])
@@ -283,9 +285,8 @@ class TestPerRowIdentity:
         eq, _ = equilibrate_columns(mats)
         ref = np.linalg.svd(np.where((lams < 0.0)[:, None, None], eq, mats),
                             compute_uv=False)
-        smin, smax = scan_sigma(lams, edge_builder(prepare_structure(star3)))
-        assert smin.tobytes() == ref[:, -1].tobytes()
-        assert smax.tobytes() == ref[:, 0].tobytes()
+        svals = scan_sigma(lams, edge_builder(prepare_structure(star3)))
+        assert svals.tobytes() == ref.tobytes()
 
 
 class TestScanAgreement:
@@ -301,5 +302,5 @@ class TestScanAgreement:
         # must report a small sigma_max there, not a normalized one
         lam = np.array([4 * math.pi**2])
         plan = prepare_structure(make_cycle([1.0]))
-        _, mx = scan_sigma(lam, edge_builder(plan))
-        assert mx[0] < 1e-7
+        svals = scan_sigma(lam, edge_builder(plan))
+        assert svals[0, 0] < 1e-7

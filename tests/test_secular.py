@@ -177,20 +177,18 @@ def reference_dtn_matrix(g, lam):
 
 
 def reference_dtn_grid(g, lams):
-    """The former per-lambda DtN loop of the sigma grid."""
-    smin = np.empty(len(lams))
-    smax = np.empty(len(lams))
+    """The former per-lambda DtN loop of the sigma grid: every singular
+    value of each lambda, descending, and a row of inf at a pole."""
+    out = np.full((len(lams), 2 * g.num_edges), np.inf)
     for i, lam in enumerate(lams):
         try:
             mat = reference_dtn_matrix(g, lam)
         except DtNSingular:
-            smin[i] = smax[i] = np.inf
             continue
         if lam < 0.0:
             mat = equilibrate_columns(mat)[0]
-        s = np.linalg.svd(mat, compute_uv=False)
-        smin[i], smax[i] = s[-1], s[0]
-    return smin, smax
+        out[i] = np.linalg.svd(mat, compute_uv=False)
+    return out
 
 
 PI2 = math.pi**2
@@ -253,10 +251,9 @@ class TestDtnByteIdentity:
     @pytest.mark.parametrize("name", DTN_GRAPHS)
     def test_grid_matches_loop(self, name):
         g = DTN_GRAPHS[name]
-        smin, smax = _sigma_grid(g, prepare_structure(g), DTN_GRID, "dtn")
-        ref_min, ref_max = reference_dtn_grid(g, DTN_GRID)
-        assert smin.tobytes() == ref_min.tobytes()
-        assert smax.tobytes() == ref_max.tobytes()
+        svals = _sigma_grid(g, prepare_structure(g), DTN_GRID, "dtn")
+        assert svals.tobytes() == reference_dtn_grid(g, DTN_GRID).tobytes()
+        smin = svals[:, -1]
         at_pi2 = np.isin(DTN_GRID, [PI2, POLE_IN])
         assert np.isinf(smin[at_pi2]).all() == (name in HAS_UNIT_EDGE)
         assert np.isfinite(smin[np.abs(DTN_GRID) <= 1e-7]).all()
@@ -268,13 +265,10 @@ class TestDtnByteIdentity:
         lams = np.linspace(-16.0, 45.0, 2 * SCAN_CHUNK + 37)
         # a pole and lambda = 0 on both sides of the first chunk boundary
         lams[SCAN_CHUNK - 1:SCAN_CHUNK + 3] = [PI2, 0.0, POLE_IN, -1e-7]
-        smin, smax = _sigma_grid(g, struct, lams, "dtn")
+        svals = _sigma_grid(g, struct, lams, "dtn")
         alone = [_sigma_grid(g, struct, [lam], "dtn") for lam in lams]
-        assert smin.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
-        assert smax.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
-        ref_min, ref_max = reference_dtn_grid(g, lams)
-        assert smin.tobytes() == ref_min.tobytes()
-        assert smax.tobytes() == ref_max.tobytes()
+        assert svals.tobytes() == np.concatenate(alone).tobytes()
+        assert svals.tobytes() == reference_dtn_grid(g, lams).tobytes()
 
     @pytest.mark.parametrize("name", DTN_GRAPHS)
     def test_matrices_match_former_assembly(self, name):

@@ -285,7 +285,7 @@ class TestRankRule:
         if method == "edge":  # a lone Neumann edge: no coupled vertex
             graphs["edge"] = make_path([0.8])
         for name, g in graphs.items():
-            smax = _sigma_grid(g, prepare_structure(g), RANK_LAMS, method)[1]
+            smax = _sigma_grid(g, prepare_structure(g), RANK_LAMS, method)[:, 0]
             assert np.isfinite(smax).all(), name  # no lambda is a DtN pole
             assert smax.min() >= 1.0 - 1e-12, name
 
@@ -431,10 +431,10 @@ class TestDualRoute:
 
     def test_dtn_grid_maps_singular_points_to_inf(self, star3):
         # pi^2 is a Dirichlet eigenvalue of every unit edge: no DtN map there
-        smin, smax = _sigma_grid(star3, prepare_structure(star3),
-                                 [2.0, PI2, 12.0], "dtn")
-        assert np.isinf(smin[1]) and np.isinf(smax[1])
-        assert np.all(np.isfinite(smin[[0, 2]]))
+        svals = _sigma_grid(star3, prepare_structure(star3),
+                            [2.0, PI2, 12.0], "dtn")
+        assert np.isinf(svals[1]).all()
+        assert np.isfinite(svals[[0, 2]]).all()
 
     def test_dtn_grid_propagates_other_errors(self, star3, monkeypatch):
         # the grid builds its matrices in batches; only the singular mask
@@ -810,8 +810,8 @@ class TestCountGuidedScan:
         # sigma at the pole still passes the rank test, but the search over
         # the padded cell finds the root of the reduced secular function
         g = make_star([1.0, 0.7, 1.3 + shift])
-        sm, sx = _sigma_grid(g, prepare_structure(g), np.array([PI2]), "edge")
-        assert sm[0] < 1e-8 * sx[0]
+        s = _sigma_grid(g, prepare_structure(g), np.array([PI2]), "edge")[0]
+        assert s[-1] < 1e-8 * s[0]
         brackets = self.recorded_brackets(monkeypatch)
         spec = find_spectrum(g, (8.0, 12.0))
         (a, b), = brackets
@@ -1085,8 +1085,9 @@ class TestIsolate:
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_two_rounds_per_count_call(self, name, monkeypatch):
-        # R rounds of bisection take the opening call (the ends and the
-        # probes) and one call per two rounds
+        # R rounds of bisection take the opening call (the ends, the probes
+        # and the points of the first two rounds) and one call per two of
+        # the other rounds
         g = self.GRAPHS[name]
         cells, width = self.branches(g, default_negative_floor(g), 60.0)
         pointwise, calls = solve_mod.count_below, []
@@ -1102,9 +1103,34 @@ class TestIsolate:
         depths = []
         self.assert_same(got, reference_isolate(g, cells, width, branch_lam,
                                                 depths))
-        assert len(calls) <= math.ceil(max(depths) / 2) + 1
-        assert calls[0] == cells.size + len(probes)
+        assert len(calls) <= math.ceil((max(depths) - 2) / 2) + 1
+        # every start cell here splits, and so do both its halves
+        assert max(depths) > 2 and np.all(cells[:, 1] - cells[:, 0] > 2 * width)
+        assert calls[0] == cells.size + len(probes) + 3 * len(cells)
         self.assert_same(got[3], pointwise(g, probes))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_cut_keeps_the_reference_cells_below_it(self, name, k):
+        # with first=k the cells below the cut are the reference's, and the
+        # cut is the lowest trusted end among them whose count reaches the
+        # lower probe's count plus k
+        g = self.GRAPHS[name]
+        lo = default_negative_floor(g)
+        cells, width = self.branches(g, lo, 60.0)
+        got = _isolate(g, cells, width, branch_lam, [lo * (1.0 + 1e-9)],
+                       first=k)
+        (n_lo,), (ok_lo,) = got[3]
+        x, count = got[4]
+        assert ok_lo and count >= n_lo + k
+        n_x, ok_x = solve_mod.count_below(g, branch_lam(np.array([x])))
+        assert n_x.tolist() == [count] and ok_x.tolist() == [True]
+        ref = reference_isolate(g, cells, width, branch_lam)
+        below = ref[0][:, 0] < x
+        assert 0 < below.sum() < len(ref[0])
+        self.assert_same(got[:3], tuple(v[below] for v in ref))
+        ends, n, ok = (v[below] for v in ref)
+        assert not np.any(ok & (n >= n_lo + k) & (ends < x))
 
     def test_untrusted_counts_match_the_reference(self, monkeypatch):
         counted = solve_mod.count_below
@@ -1400,13 +1426,13 @@ class TestLockstepGoldenMin:
         assert len(cells) >= 1
         a, b = cells[:, 0] - 5e-4, cells[:, 1] + 5e-4
         tol_k = np.maximum(1e-12 / (2.0 * np.maximum(a, 0.05)), 1e-15)
-        self.run(lambda k: _sigma_grid(g, struct, -k * k, "edge")[0],
+        self.run(lambda k: _sigma_grid(g, struct, -k * k, "edge")[:, -1],
                  a, b, tol_k)
         # positive branch, on both routes
         cells = _isolate(g, [[0.5, 30.0]], 0.01, lambda x: x)[0]
         assert len(cells) >= 2
         for method in ("edge", "dtn"):
-            self.run(lambda x: _sigma_grid(g, struct, x, method)[0],
+            self.run(lambda x: _sigma_grid(g, struct, x, method)[:, -1],
                      cells[:, 0] - 0.005, cells[:, 1] + 0.005, 1e-12)
 
 
@@ -1422,19 +1448,30 @@ class TestFirstEigenvalues:
         assert lams[1] == pytest.approx(4 * PI2, abs=1e-7)
         assert lams[2] == pytest.approx(4 * PI2, abs=1e-7)
 
-    def test_window_end_on_a_root_is_moved(self):
+    def test_window_end_on_a_root_is_moved(self, monkeypatch):
         # the unit 4-star's first window would end on the root 4 pi^2, where
-        # the count that checks the window is untrusted; its end moves out
+        # the count that checks the window is untrusted; its end moves out.
+        # The spectrum then ends at the cut above the sixth eigenvalue
         g = make_star([1.0] * 4)
         assert not count_below(g, [4.0 * PI2])[1][0]
+        windows = []
+
+        def recorded(g, window, method="edge", **kwargs):
+            windows.append(window)
+            return find_spectrum(g, window, method, **kwargs)
+
+        monkeypatch.setattr(solve_mod, "find_spectrum", recorded)
         lams, spec = first_eigenvalues(g, 6)
         assert spec.diagnostics == [] and len(lams) == 6
-        assert 4.0 * PI2 < spec.window[1] <= 4.0 * PI2 * (1.0 + 1e-5)
+        (lo, end), = windows
+        assert 4.0 * PI2 < end <= 4.0 * PI2 * (1.0 + 1e-5)
+        assert spec.window[0] == lo and lams[-1] < spec.window[1] < end
 
     def test_error_names_the_last_window_scanned(self, star3, monkeypatch):
         windows = []
 
-        def empty(g, window, method="edge"):
+        def empty(g, window, method="edge", *, first=None):
+            assert first == 2
             windows.append(window)
             return Spectrum([], window, method, {})
 
@@ -1451,6 +1488,180 @@ class TestFirstEigenvalues:
         lams, _ = first_eigenvalues(make_path([1.0]), 6)
         assert lams == pytest.approx([0.0] + [(n * math.pi) ** 2 for n in range(1, 6)],
                                      abs=1e-6)
+
+
+FIRST_K_CASES = {
+    # the second eigenvalue is 0: the cut is the positive branch's start,
+    # ZERO_RADIUS, and the lambda = 0 test still runs
+    "star3-zero": (make_star([1.0] * 3), 2),
+    # the cut on the negative branch: no lambda = 0 test
+    "star4-negative": (make_star([1.0] * 4), 1),
+    # the double root 4 pi^2 holds the second and third eigenvalues
+    "cycle1-double": (make_cycle([1.0]), 2),
+    "cycle1-double-end": (make_cycle([1.0]), 3),
+    "star3-dirichlet": (make_star([1.0, 0.7, 1.3], tip_bc="dirichlet"), 4),
+    "figure8": (make_figure8(0.7, 1.3), 5),
+    # a triple root holds the fourth eigenvalue
+    "figure8-triple": (make_figure8(0.5, 0.5), 4),
+}
+
+
+class TestFirstK:
+    """find_spectrum(..., first=k) stops at the k-th eigenvalue: its records
+    are the whole window's, byte for byte, up to the one that holds the
+    k-th, and it ends at a trusted count point that holds k."""
+
+    @staticmethod
+    def sigma_points(monkeypatch):
+        points = []
+
+        def recorded(g, struct, lams, method):
+            points.append(np.size(lams))
+            return _sigma_grid(g, struct, lams, method)
+
+        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
+        return points
+
+    @pytest.mark.parametrize("name", sorted(FIRST_K_CASES))
+    def test_records_are_the_whole_windows(self, name, monkeypatch):
+        g, k = FIRST_K_CASES[name]
+        # first_eigenvalues' first window
+        end = (math.pi * (k + 2) / g.total_length) ** 2
+        while not count_below(g, [end])[1][0]:
+            end *= 1.0 + 1e-6
+        window = (default_negative_floor(g), end)
+        points = self.sigma_points(monkeypatch)
+        whole = find_spectrum(g, window)
+        spent = sum(points)
+        points.clear()
+        cut = find_spectrum(g, window, first=k)
+        assert cut.diagnostics == whole.diagnostics == []
+        assert whole.count > k
+        # the records up to the k-th eigenvalue, and none beyond
+        mults = np.cumsum([r.mult for r in cut.records])
+        assert mults[-1] >= k and (len(mults) == 1 or mults[-2] < k)
+        assert repr(cut.records) == repr(whole.records[:len(cut.records)])
+        assert cut.lambdas()[:k] == whole.lambdas()[:k]
+        # the window ends at a trusted count point that holds k
+        lo, end = cut.window
+        assert lo == window[0] and cut.records[-1].lam < end < window[1]
+        counts, trusted = count_below(g, [end])
+        assert trusted[0] and counts[0] >= k
+        assert sum(points) < spent
+
+    def test_zero_cut_ends_at_the_zero_radius(self):
+        g, k = FIRST_K_CASES["star3-zero"]
+        spec = find_spectrum(g, (default_negative_floor(g), 30.0), first=k)
+        assert spec.window[1] == solve_mod.ZERO_RADIUS
+        assert [r.lam for r in spec.records][-1] == 0.0
+
+    def test_negative_cut_runs_no_zero_test(self, monkeypatch):
+        builds = []
+
+        def recorded(g, lam, method="edge"):
+            builds.append(lam)
+            return build_secular_matrix(g, lam, method)
+
+        monkeypatch.setattr(solve_mod, "build_secular_matrix", recorded)
+        g, k = FIRST_K_CASES["star4-negative"]
+        spec = find_spectrum(g, (default_negative_floor(g), 30.0), first=k)
+        assert spec.count == 1 and spec.window[1] < 0.0 and builds == []
+        find_spectrum(g, (default_negative_floor(g), 30.0), first=4)
+        assert builds == [0.0]
+
+    def test_window_short_of_k_is_solved_whole(self):
+        # three eigenvalues below 2.0: no count point reaches the limit of
+        # four, so the window is not cut
+        g = make_star([1.0] * 3)
+        window = (default_negative_floor(g), 2.0)
+        assert repr(find_spectrum(g, window, first=4)) == repr(
+            find_spectrum(g, window))
+
+    def test_untrusted_lower_probe_makes_no_cut(self, star3, monkeypatch):
+        # the limit reads the count below lo; where it is untrusted the
+        # whole window is solved
+        counted = solve_mod.count_below
+
+        def untrusted_below(g, lams):
+            counts, trusted = counted(g, lams)
+            return counts, trusted & (np.asarray(lams) > -10.0)
+
+        window = (-10.0, 30.0)
+        whole = find_spectrum(star3, window)
+        monkeypatch.setattr(solve_mod, "count_below", untrusted_below)
+        spec = find_spectrum(star3, window, first=1)
+        assert spec.window == window
+        assert repr(spec.records) == repr(whole.records)
+        assert spec.diagnostics == ["CountUntrusted(lo=-10, hi=30)"]
+
+    def test_cut_window_short_of_k_is_solved_again_whole(self, star3,
+                                                         monkeypatch):
+        # a cut window that certifies fewer than k has missed a root its
+        # count holds: first_eigenvalues solves the whole window, as with
+        # no cut, instead of growing a window the cut would shrink again
+        calls = []
+
+        def lossy(g, window, method="edge", *, first=None):
+            calls.append(first)
+            spec = find_spectrum(g, window, method, first=first)
+            if first is not None:
+                spec.records = spec.records[:-1]
+            return spec
+
+        monkeypatch.setattr(solve_mod, "find_spectrum", lossy)
+        lams, spec = first_eigenvalues(star3, 4)
+        assert calls == [4, None]
+        assert lams == pytest.approx(STAR3_EQUIL[:4], abs=1e-8)
+        assert spec.window[1] > STAR3_EQUIL[4]
+
+
+class TestCertificationRows:
+    """Certification reads each candidate's singular values from the row
+    its refinement computed; only a candidate the search returned
+    unevaluated takes a batch of its own."""
+
+    @staticmethod
+    def cert_batches(monkeypatch):
+        batches = []
+        scan = solve_mod.scan_svdvals
+
+        def recorded(lams, build):
+            batches.append(np.array(lams))
+            return scan(lams, build)
+
+        monkeypatch.setattr(solve_mod, "scan_svdvals", recorded)
+        return batches
+
+    @pytest.mark.parametrize("g, hi", [
+        (make_star([0.9, 1.1, 1.05]), 30.0),
+        (make_figure8(0.6, 1.4), 60.0),
+        (make_figure8(0.55, 0.55), 700.0),
+        (make_cycle([0.4, 0.6, 0.5, 0.5]), 60.0),
+        (make_star([0.6, 0.7, 0.5, 0.6, 0.6]), 30.0),
+        (make_star([0.9, 1.1, 1.0], tip_bc="dirichlet"), 30.0)])
+    def test_scan_solves_make_no_certification_batch(self, g, hi,
+                                                     monkeypatch):
+        batches = self.cert_batches(monkeypatch)
+        spec = find_spectrum(g, (default_negative_floor(g), hi))
+        assert spec.diagnostics == [] and spec.count >= 3
+        assert batches == []
+
+    def test_unevaluated_candidate_takes_its_own_batch(self, monkeypatch):
+        # the golden search on a DtN pole cell returns its bracket's
+        # midpoint, which it never evaluated; every record still holds the
+        # bytes a one-matrix SVD at its lambda gives
+        batches = self.cert_batches(monkeypatch)
+        g = make_figure8(1.15, 1.85)
+        spec = find_spectrum(g, (-16.0, 30.0), "dtn")
+        assert diagnostic_kinds(spec) == ["DtNPole", "DtNPole"]
+        (batch,) = batches
+        assert batch.size == 1 and f"DtNPole(lambda={batch[0]:.12g})" in (
+            spec.diagnostics)
+        assert len(spec.records) == 4
+        for r in spec.records:
+            s = solve_mod._svdvals(build_secular_matrix(g, r.lam, "dtn"), r.lam)
+            assert np.float64(r.sigma_min).tobytes() == s[-1].tobytes()
+            assert np.float64(r.sigma_max).tobytes() == s[0].tobytes()
 
 
 def residual(g, f):
