@@ -23,8 +23,8 @@ import numpy as np
 from .graph import (BoundaryType, EdgeRecord, MetricGraph, START, END,
                     VertexRecord, diameter, make_figure8, make_star,
                     rotation_genus)
-from .solve import (RANK_TOL, REFINE_TOL, default_negative_floor,
-                    find_spectrum, first_eigenvalues)
+# find_spectrum is not called here; qgbench's spans wrap it under this module
+from .solve import RANK_TOL, REFINE_TOL, find_spectrum, first_eigenvalues
 from .surgery import AttachEdge, ExtendEdge, Merge, Transplant, apply_surgery
 
 STRICT_MARGIN = 1e-9
@@ -170,14 +170,9 @@ def sample_graph(rng, num_edges: int = 5, total: float = None) -> MetricGraph:
 
 def ground_state(g: MetricGraph) -> tuple:
     """Lowest eigenvalue, and the CountMismatch and CountUntrusted
-    diagnostics of its window, as `_first_k`; scans the negative window
-    first, then widens."""
-    spec = find_spectrum(g, (default_negative_floor(g), -1e-8))
-    if not spec.records:
-        lams, missed = _first_k(g, 1)
-        return lams[0], missed
-    return spec.records[0].lam, [d for d in spec.diagnostics if d.startswith(
-        ("CountMismatch", "CountUntrusted"))]
+    diagnostics of its window, as `_first_k` gives them for k = 1."""
+    lams, missed = _first_k(g, 1)
+    return lams[0], missed
 
 
 # -- transplantation ------------------------------------------------------------

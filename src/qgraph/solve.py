@@ -17,12 +17,12 @@ with the few live cells held in Python lists. A call counts the midpoints
 of its round and, for each cell whose halves will still be too wide, the
 halves' midpoints, which the next round reads; the opening call counts the
 start cells' ends, the window's completeness probes and the points of the
-first two rounds. A cell is split
-while it is wider than its branch width (_KAPPA_WIDTH in kappa,
-default_positive_step in lambda) and its end counts differ or either end
-count is untrusted. A cell with equal trusted counts holds no
-eigenvalue and is dropped. Neighbours that share an untrusted end share its
-root; a longest chain of them is a run. Each cell left is padded by half a
+first two rounds. A cell is split while it is wider than its branch width
+(_KAPPA_WIDTH in kappa, default_positive_step in lambda) and than 4 float
+spacings of its larger |end|, and its end counts differ or either end
+count is untrusted. A cell with equal trusted counts holds no eigenvalue
+and is dropped. Neighbours that share an untrusted end share its root; a
+longest chain of them is a run. Each cell left is padded by half a
 width and clipped to its branch. Each bracket runs its own search on
 sigma_min in plain floats, `_v_search`, which steps to the vertex of the V
 that sigma_min makes at a simple root, guarded by golden section;
@@ -291,10 +291,11 @@ def _golden_min(fn, a, b, tol):
 def _isolate(g, cells, width, lam_of, probes=(), first=None):
     """The cells [x0, x1] inside the start cells that may hold an eigenvalue
     at lambda = lam_of(x), each no wider than its start cell's entry of
-    width: an (n, 2) array in increasing order, with the (n, 2) counts and
-    trust flags of `count_below` at their ends, then the counts and trust
-    flags at the probes, lambdas counted in the opening call, and last the
-    cut, (x, count) or None.
+    width or, as `_v_search` floors its tolerance, 4 float spacings of its
+    larger |end|: an (n, 2) array in increasing order, with the (n, 2)
+    counts and trust flags of `count_below` at their ends, then the counts
+    and trust flags at the probes, lambdas counted in the opening call, and
+    last the cut, (x, count) or None.
 
     Cells are bisected in lockstep, two rounds per `count_below` call: a
     call counts the midpoint of every cell that splits in its round and,
@@ -318,15 +319,18 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
     x = x[order]
     width = np.broadcast_to(np.asarray(width, dtype=float), order.shape)[order]
 
+    def wide(x0, x1, w):  # the floor keeps the midpoint off both ends
+        return x1 - x0 > w and x1 - x0 > 4.0 * math.ulp(max(-x0, x1))
+
     def ahead(x0, x1, w):
         """The points of a splitting cell's next two rounds: its midpoint
-        and, where its halves are still wider than w, theirs."""
+        and, where its halves split too, theirs."""
         mid = (x0 + x1) / 2.0
         return [mid] + [(a + b) / 2.0 for a, b in ((x0, mid), (mid, x1))
-                        if b - a > w]
+                        if wide(a, b, w)]
 
     opening = [p for (x0, x1), w in zip(x.tolist(), width.tolist())
-               if x1 - x0 > w for p in ahead(x0, x1, w)]
+               if wide(x0, x1, w) for p in ahead(x0, x1, w)]
     n, ok = count_below(g, np.concatenate((
         lam_of(x.T.ravel()), np.asarray(probes, dtype=float),
         lam_of(np.array(opening, dtype=float)))))
@@ -351,18 +355,19 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
             if reached is not None:
                 cut = reached
                 live = [c for c in live if c[0] < cut[0]]
-        wide = [c for c in live if c[1] - c[0] > c[6]]
-        if not wide:
+        splits = [wide(c[0], c[1], c[6]) for c in live]
+        if not any(splits):
             break
-        ask = [p for x0, x1, *_, w in wide if (x0 + x1) / 2.0 not in counted
+        ask = [p for (x0, x1, *_, w), s in zip(live, splits)
+               if s and (x0 + x1) / 2.0 not in counted
                for p in ahead(x0, x1, w)]
         if ask:
             n_ask, ok_ask = count_below(g, lam_of(np.array(ask)))
             counted.update(zip(ask, zip(n_ask.tolist(), ok_ask.tolist())))
         # each split cell becomes its two halves, in place
         split = []
-        for x0, x1, n0, n1, ok0, ok1, w in live:
-            if x1 - x0 > w:
+        for (x0, x1, n0, n1, ok0, ok1, w), s in zip(live, splits):
+            if s:
                 mid = (x0 + x1) / 2.0
                 n_m, ok_m = counted[mid]
                 split += [(x0, mid, n0, n_m, ok0, ok_m, w),
@@ -555,7 +560,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     # or hidden at a flagged DtN pole, whose multiplicity is at most 2E.
     count = int(counts[1] - counts[0])
     certified = sum(r.mult for r in records)
-    poles = sum(d.startswith("DtNPole") for d in diagnostics)
+    poles = int(pole.sum())
     if not trusted.all():
         diagnostics.append(f"CountUntrusted(lo={lo:.12g}, hi={hi:.12g})")
     elif not certified <= count <= certified + 2 * g.num_edges * poles:

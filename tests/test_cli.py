@@ -240,19 +240,20 @@ class TestSweep:
         assert texts[0].startswith("# family=neumann_star,n=3,limit=-3.0")
 
     def test_untrusted_ground_state_exits_3(self, capsys):
-        # loops of 1e-7 and 2e-7: the ground state's window count is
-        # untrusted and the values read off it are wrong (the family's
-        # ground state is -1). The CSV is still printed; each row's
-        # diagnostic goes to stderr
+        # loops of 1e-7 and 2e-7: the ground state's window counts fewer
+        # eigenvalues than it certified, and the values read off it are wrong
+        # (the family's ground state is -1). The CSV is still printed; each
+        # row's diagnostic goes to stderr
         assert main(["sweep", "figure8", "--grid", "1e-7:2e-7:2"]) == 3
         out, err = capsys.readouterr()
-        assert [row.split(",")[0] for row in out.strip().split("\n")[2:]] == [
-            "1e-07", "2e-07"]
-        lines = err.splitlines()
-        assert lines and all(line.startswith(("diagnostic: 1e-07: Count",
-                                              "diagnostic: 2e-07: Count"))
-                             for line in lines)
-        assert "diagnostic: 1e-07: CountUntrusted(lo=-64, hi=-1e-08)" in lines
+        assert out.splitlines()[2:] == [
+            "1e-07,-1.3314446998540321,-0.33144469985403213",
+            "2e-07,-1.1656757003676708,-0.16567570036767076"]
+        assert err.splitlines() == [
+            "diagnostic: 1e-07: CountMismatch(lo=-64, hi=1.57513684483, "
+            "certified=739, poles=0, count=2)",
+            "diagnostic: 2e-07: CountMismatch(lo=-64, hi=-0.595327566205, "
+            "certified=172, poles=0, count=1)"]
 
     def test_unknown_family_exits_2(self, capsys):
         assert main(["sweep", "moebius", "--grid", "1:2:3"]) == 2

@@ -22,7 +22,9 @@ from qgraph.experiments import (
     verify_transplantation,
     write_report,
 )
-from qgraph.graph import make_star, rotation_genus
+from qgraph.graph import (make_cycle, make_figure8, make_path, make_star,
+                          rotation_genus)
+from qgraph.solve import first_eigenvalues
 
 
 class TestSampling:
@@ -203,12 +205,29 @@ class TestGroundState:
         assert ground_state(make_path([1.0]))[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_untrusted_window_fails_the_case(self):
-        # beside a 1e-7 edge the negative window's end count is untrusted and
-        # the lowest certified root, -73681.5196, is not the true one near
-        # -73681.2967; the case reads the diagnostic and fails
+        # beside a 1e-7 edge the lowest certified root, -73681.5196, is not
+        # the true one near -73681.2967: the window cut above the first root
+        # counts one eigenvalue where four were certified. The case reads
+        # the diagnostic and fails
         rep = verify_equilateral_max(3, 1.7000001, samples=[[1.0, 0.7, 1e-7]])
         assert [c.status for c in rep.cases] == ["pass", "fail"]
         assert rep.cases[1].margin > 0.0  # the margin alone would pass
-        missed = ["CountUntrusted(lo=-147456, hi=-1e-08)"]
+        missed = ["CountMismatch(lo=-147456, hi=-73677.669632, certified=4, "
+                  "poles=0, count=1)"]
         assert rep.cases[1].details["count_mismatch"] == missed
-        assert ground_state(make_star([1.0, 0.7, 1e-7]))[1] == missed
+        lam, got = ground_state(make_star([1.0, 0.7, 1e-7]))
+        assert lam == -73681.51962370185 and got == missed
+
+    @pytest.mark.parametrize("g", [
+        make_star(sample_lengths(np.random.default_rng(5), 4, 3.0)),
+        make_star([1.0, 0.7, 1.3], tip_bc="dirichlet"),
+        make_figure8(0.3, 0.9),
+        make_cycle([0.6, 1.1]),
+        make_path([1.0]),  # the zero mode
+    ], ids=["star", "dirichlet-star", "figure8", "cycle", "path-zero"])
+    def test_is_the_first_eigenvalue(self, g):
+        lam, missed = ground_state(g)
+        (first,), spec = first_eigenvalues(g, 1)
+        assert lam.hex() == first.hex()
+        assert missed == [d for d in spec.diagnostics if d.startswith(
+            ("CountMismatch", "CountUntrusted"))]

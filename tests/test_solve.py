@@ -1,7 +1,9 @@
 """Spectrum solver: frozen regressions, multiplicities, dual routes, eigenfunctions."""
 
 import math
+import signal
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -996,10 +998,32 @@ class TestCountGuidedScan:
         assert spec.diagnostics == []
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`, so that
+    a loop that never ends fails fast instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# a cell of width 0.01 at the first eigenvalue, about 2.47e14, is narrower
+# than 4 float spacings there (0.03125 each)
+TINY_DIRICHLET_STAR = make_star([1e-7] * 4, tip_bc="dirichlet")
+
+
 def reference_isolate(g, cells, width, lam_of, depths=None):
     """`_isolate` as a plain recursive bisection: one count per point, each
-    start cell bisected on its own, left half first. Appends to depths the
-    round of each midpoint counted, 1 for a start cell's own."""
+    start cell bisected on its own, left half first, down to its width or 4
+    float spacings of its larger |end|. Appends to depths the round of each
+    midpoint counted, 1 for a start cell's own."""
     def count(x):
         n, ok = solve_mod.count_below(g, lam_of(np.array([x])))
         return int(n[0]), bool(ok[0])
@@ -1010,7 +1034,7 @@ def reference_isolate(g, cells, width, lam_of, depths=None):
         (n0, ok0), (n1, ok1) = end0, end1
         if n0 == n1 and ok0 and ok1:
             return
-        if not x1 - x0 > w:
+        if not x1 - x0 > max(w, 4.0 * math.ulp(max(-x0, x1))):
             out.append(((x0, x1), (n0, n1), (ok0, ok1)))
             return
         mid = (x0 + x1) / 2.0
@@ -1144,6 +1168,18 @@ class TestIsolate:
         got = _isolate(g, [[-3.0, 3.0]], 0.05, lambda x: x)
         assert len(got[0]) == 128 and not got[2].any()
         self.assert_same(got, reference_isolate(g, [[-3.0, 3.0]], 0.05,
+                                                lambda x: x))
+
+    def test_cells_stop_at_float_resolution(self):
+        # a cell no wider than 4 float spacings is not split: one spacing
+        # wide, its midpoint rounds onto an end and it splits into itself
+        g = TINY_DIRICHLET_STAR
+        with deadline(20):
+            got = _isolate(g, [[1e14, 4e14]], 0.01, lambda x: x)
+        assert got[1].tolist() == [[0, 1], [1, 2], [2, 3]] and got[2].all()
+        for x0, x1 in got[0].tolist():
+            assert 0.01 < x1 - x0 <= 4.0 * math.ulp(x1)
+        self.assert_same(got, reference_isolate(g, [[1e14, 4e14]], 0.01,
                                                 lambda x: x))
 
     def test_empty_result(self, star3):
@@ -1483,6 +1519,19 @@ class TestFirstEigenvalues:
         assert str(err.value) == (
             f"could not locate 2 eigenvalues in [{windows[-1][0]}, "
             f"{windows[-1][1]}]")
+
+    def test_root_beyond_float_resolution_of_the_width(self):
+        # the first eigenvalue, about 2.47e14, is isolated to 4 float
+        # spacings rather than the positive width 0.01, and certified
+        g = TINY_DIRICHLET_STAR
+        with deadline(20):
+            (lam,), spec = first_eigenvalues(g, 1)
+            assert ground_state(g) == (lam, [])
+        # the coupling splits the cluster about (pi / 2l)^2 by a relative
+        # 1e-7 or so
+        assert lam == pytest.approx((math.pi / 2e-7) ** 2, rel=1e-6)
+        n, ok = count_below(g, [lam * (1.0 - 1e-9), lam * (1.0 + 1e-9)])
+        assert n.tolist() == [0, 1] and ok.all()
 
     def test_window_growth_reaches_high_count(self):
         lams, _ = first_eigenvalues(make_path([1.0]), 6)
