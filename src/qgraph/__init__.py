@@ -17,6 +17,7 @@ from .solve import (Eigenfunction, EigRecord, Spectrum, count_negative,
                     first_eigenvalues)
 from .quadform import (TrialFunction, form_value, rayleigh_quotient,
                        trial_norm_sq)
+from .fem import oracle_eigenvalues
 from .experiments import (Report, SUITES, sample_graph,
                           sweep_lambda1_vs_length, write_report)
 
@@ -39,11 +40,3 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # The FEM oracle loads scipy.sparse; import it on first access only.
-    if name == "oracle_eigenvalues":
-        from .fem import oracle_eigenvalues
-        return oracle_eigenvalues
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,49 +1,76 @@
-"""P1 Galerkin oracle for the vertex-coupled form.
+"""P1 Galerkin oracle for the vertex-coupled form, by exact inertia counts.
 
 Independent cross-check of the secular solver: discretize each edge with
 linear elements, add the imaginary skew trace pairing at coupled vertices,
 eliminate the linear constraints (alternating trace sums at even-degree
-coupled vertices, Dirichlet tips) by nullspace restriction, and solve the
-reduced Hermitian pencil (A, M) on a banded Cholesky factor.
+coupled vertices, Dirichlet tips) by nullspace restriction, and find the
+lowest eigenvalues of the reduced Hermitian pencil (A, M) by counting them.
 
-The reduced pencil goes straight to LAPACK band form. One assembly gives
-the triplets of the element, vertex-coupling and constraint terms; the few
-that touch an eliminated trace are expanded through the constraint, the
-rest keep their values, reverse Cuthill-McKee on their pattern leaves
-(A, M) a narrow band (a few diagonals), and each triplet of the upper
-triangle is summed into its band slot. No sparse product, permutation or
-triangle pass runs; `discretize` turns the same triplets into the sparse
-(H, M, C), the reference the reduced pencil is tested against. M also
-stays one CSR matrix for the Arnoldi matvec.
+What is counted: N_h(s), the eigenvalues of (A, M) below s, is the inertia
+n_-(A - sM), as M is positive definite. Each edge's node chain is split at
+one interior node, and by Haynsworth's inertia additivity (1968)
 
-The factorization certifies the shift: a Cholesky factor of A - sM exists
-only when s lies below the whole discrete spectrum, so sigma is twice the
-first s of -1, -2, -4, ... that factors. ARPACK then runs in standard mode
-on x -> (A - sigma M)^{-1} M x, whose largest eigenvalues
-theta = 1 / (lambda - sigma) belong to the smallest lambda.
-Shares only the MetricGraph data model with the secular path: no count, no
-search floor and no secular matrix enters; independence is the point.
+    N_h(s) = sum over chains of #{its discrete Dirichlet eigenvalues < s}
+             + n_-(C_T^H W(s) C_T),
+
+the count Friedlander (1991) makes for the continuum, here on the discrete
+pencil. W(s) lives on the traces and split nodes: the skew vertex coupling
+(`_vertex_terms`, the vertex part of `_triplets`) plus each chain's 2x2 Schur
+block, in closed form in every regime of s (`_chain_terms`); C_T restricts
+it to the kept traces and the split nodes. The blocks eliminate the interior
+nodes exactly for the assembled pencil, so a count is exact up to rounding,
+and one count is one batched `eigvalsh` on matrices about 3E x 3E (E edges),
+with nothing done per node.
+
+The two split plans: a chain's block has a pole at each of its discrete
+Dirichlet eigenvalues. The first plan splits each edge at the fraction
+(3 - sqrt 5) / 2 of its elements, the second at (5 - sqrt 5) / 10, so that a
+root on a pole of one lies off the poles of the other. Near a pole a block
+term is large; it is counted through a bordered row instead (`_inertia`),
+so the count holds within an ulp of the pole.
+
+The refinement: a doubling bracket +-1, +-2, ... with N_h = 0 below and
+N_h >= count above; lockstep bisection on counts until each cell is free of
+poles on one plan at least; then, on that plan, Illinois steps on each
+eigenvalue of C_T^H W C_T that crosses zero in the cell, each decreasing in
+s, to a relative 1e-12. A cell with poles on both plans bisects to that
+tolerance, and its count jump is its multiplicity.
+
+Shares only the MetricGraph data model with the secular path: nothing is
+imported from `secular`, `solve` or `kernels`, and no secular count, search
+floor or secular matrix enters; independence is the point. `discretize`
+assembles the same pencil as sparse matrices from `_triplets`, and the
+tests check the oracle's counts and eigenvalues against dense `eigh` on it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
-from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import LinearOperator, eigs
 
 from .errors import MeshTooCoarse
 from .graph import END, BoundaryType, MetricGraph, START
 
-# doublings of the trial shift s before giving up; A - sM is positive
-# definite once |s| exceeds ||A|| / lambda_min(M), far below this cap for
-# finite data
-_SHIFT_DOUBLINGS = 64
+# each plan's split of an edge, as a fraction of its elements from its start
+_SPLITS = (0.3819660112501051, 0.2763932022500210)
+# the bracket tries +-2^j for j below 64, in batches of 8 per side
+_BRACKET_BATCH = 8
+_BRACKET_DOUBLINGS = 64
+# bisection and Illinois steps stop at this width relative to max(1, |s|)
+_REL_TOL = 1e-12
+# Illinois steps before a cell settles for its midpoint; a few dozen suffice
+_ILLINOIS_STEPS = 100
+# a chain term is large, and counted through a border, where |tan(n phi / 2)|
+# or its inverse exceeds this: n phi lies within about 1e-4 of a pole
+_POLE = 1e4
 
 
 def _trace_dofs(g: MetricGraph, h: float):
-    """Per-edge node offsets and the global dof of each endpoint trace."""
+    """Per-edge node offsets and element counts, the number of nodes, and
+    the global dof of each endpoint trace."""
+    if not h > 0:
+        raise MeshTooCoarse("mesh size must be positive")
     offsets, nelem, total = {}, {}, 0
     for e in g.edges:
         n = max(1, int(round(e.length / h)))
@@ -57,32 +84,12 @@ def _trace_dofs(g: MetricGraph, h: float):
     return offsets, nelem, total, trace
 
 
-def _triplets(g: MetricGraph, h: float):
-    """The unreduced pencil and its constraints as triplets, the one
-    assembly behind `discretize` and the oracle's band pencil.
-
-    Returns (rows, cols, hvals, mvals, kept, c). H holds hvals at (rows,
-    cols): the edge elements' stiffness first, where the mass values mvals
-    lie too, then the skew vertex coupling. kept masks the dofs that stay,
-    and c = (rows, cols, vals) holds the triplets of C: a kept dof is its own
-    column, an eliminated even-vertex trace the combination of kept ones
-    that its constraint gives, an eliminated Dirichlet trace nothing.
-    """
-    if not h > 0:
-        raise MeshTooCoarse("mesh size must be positive")
-    offsets, nelem, total, trace = _trace_dofs(g, h)
-
-    # element e spans the nodes (left, left + 1); he its length
-    left = np.concatenate([np.arange(nelem[e.id]) + offsets[e.id]
-                           for e in g.edges])
-    he = np.concatenate([np.full(nelem[e.id], e.length / nelem[e.id])
-                         for e in g.edges])
-    right = left + 1
-    rows = [left, right, left, right]
-    cols = [left, right, right, left]
-    kvals = [1.0 / he, 1.0 / he, -1.0 / he, -1.0 / he]
-    mvals = [2.0 * he / 6.0, 2.0 * he / 6.0, he / 6.0, he / 6.0]
-
+def _vertex_terms(g: MetricGraph, trace):
+    """The vertex terms on the trace dofs: the skew coupling's triplets
+    (rows, cols, vals) of H, the eliminated traces, and the substitution
+    (er, src, ev) that eliminates them: trace er[k] takes ev[k] times the
+    kept trace src[k], summed over k. An eliminated Dirichlet trace takes
+    nothing."""
     hr, hc, hv = [], [], []
     for v in g.vertices:
         if v.bc is not BoundaryType.COUPLED or v.degree < 2:
@@ -97,9 +104,6 @@ def _triplets(g: MetricGraph, h: float):
                 hr.append(dofs[j])
                 hc.append(dofs[k])
                 hv.append(1j * sign * eps)
-    rows = np.concatenate(rows + [np.array(hr, dtype=int)])
-    cols = np.concatenate(cols + [np.array(hc, dtype=int)])
-    hvals = np.concatenate(kvals + [np.array(hv, dtype=complex)])
 
     # constraint elimination by substitution: eliminated dof = combo of kept
     dropped, er, src, ev = [], [], [], []
@@ -113,13 +117,45 @@ def _triplets(g: MetricGraph, h: float):
             er += [dofs[-1]] * (v.degree - 1)
             src += dofs[:-1]
             ev += [-((-1.0) ** j) for j in range(1, v.degree)]
+    return ((np.array(hr, dtype=int), np.array(hc, dtype=int),
+             np.array(hv, dtype=complex)), np.array(dropped, dtype=int),
+            (np.array(er, dtype=int), np.array(src, dtype=int),
+             np.array(ev, dtype=float)))
+
+
+def _triplets(g: MetricGraph, h: float):
+    """The unreduced pencil and its constraints as triplets, the assembly
+    behind `discretize`; its vertex terms are the oracle's too.
+
+    Returns (rows, cols, hvals, mvals, kept, c). H holds hvals at (rows,
+    cols): the edge elements' stiffness first, where the mass values mvals
+    lie too, then the skew vertex coupling. kept masks the dofs that stay,
+    and c = (rows, cols, vals) holds the triplets of C: a kept dof is its own
+    column, an eliminated even-vertex trace the combination of kept ones
+    that its constraint gives, an eliminated Dirichlet trace nothing.
+    """
+    offsets, nelem, total, trace = _trace_dofs(g, h)
+
+    # element e spans the nodes (left, left + 1); he its length
+    left = np.concatenate([np.arange(nelem[e.id]) + offsets[e.id]
+                           for e in g.edges])
+    he = np.concatenate([np.full(nelem[e.id], e.length / nelem[e.id])
+                         for e in g.edges])
+    right = left + 1
+    kvals = [1.0 / he, 1.0 / he, -1.0 / he, -1.0 / he]
+    mvals = [2.0 * he / 6.0, 2.0 * he / 6.0, he / 6.0, he / 6.0]
+    (hr, hc, hv), dropped, (er, src, ev) = _vertex_terms(g, trace)
+    rows = np.concatenate((left, right, left, right, hr))
+    cols = np.concatenate((left, right, right, left, hc))
+    hvals = np.concatenate(kvals + [hv])
+
     kept = np.ones(total, dtype=bool)
     kept[dropped] = False
     free = np.flatnonzero(kept)
     col_of = np.cumsum(kept) - 1
-    c = (np.concatenate((free, np.array(er, dtype=int))),
-         np.concatenate((np.arange(free.size), col_of[np.array(src, dtype=int)])),
-         np.concatenate((np.ones(free.size), np.array(ev, dtype=float))))
+    c = (np.concatenate((free, er)),
+         np.concatenate((np.arange(free.size), col_of[src])),
+         np.concatenate((np.ones(free.size), ev)))
     return rows, cols, hvals, np.concatenate(mvals), kept, c
 
 
@@ -130,10 +166,12 @@ def discretize(g: MetricGraph, h: float):
     M the mass matrix, C the restriction onto the constraint nullspace
     (columns span the admissible subspace: alternating trace sums vanish at
     even-degree coupled vertices, Dirichlet tip traces vanish). The reduced
-    pencil is (C* H C, C^T M C). The oracle builds that pencil straight from
-    the same triplets (`_band_pencil`); these sparse matrices are its
-    reference.
+    pencil is (C* H C, C^T M C). The oracle counts the eigenvalues of that
+    pencil from the same vertex terms (`_plans`); these sparse matrices are
+    its reference.
     """
+    import scipy.sparse as sp
+
     rows, cols, hvals, mvals, kept, (c_rows, c_cols, c_vals) = _triplets(g, h)
     ne = mvals.size
     shape = (kept.size, kept.size)
@@ -148,105 +186,273 @@ def discretize(g: MetricGraph, h: float):
     return h_mat, mass, restrict
 
 
-def _band_pencil(rows, cols, hvals, mvals, kept, c):
-    """The reduced pencil (C* H C, C^T M C) of `discretize`, in reverse
-    Cuthill-McKee order, built from the triplets of `_triplets` without
-    forming H, M or C. At least one dof must be kept.
+def _chain_terms(s, n, h):
+    """Each chain's exact Schur block on its end nodes, in its sum and
+    difference directions, and its count of discrete Dirichlet eigenvalues
+    below s. s, n and h broadcast.
 
-    Returns (a_band, m_band, m_csr, perm): A and M in LAPACK upper band
-    form (Fortran order), M also as CSR for the Arnoldi matvec, and perm,
-    the reduced dof at each position of the order.
+    A chain of n elements of length h carries, in A - sM, a/2 = 1/h - s h/3
+    on its end nodes, a on each interior node and b = -1/h - s h/6 between
+    neighbours. Eliminating its n - 1 interior nodes leaves [[d, o], [o, d]]
+    on its ends, d = -b sin(phi) cot(n phi) and o = b sin(phi) / sin(n phi),
+    where cos(phi) = -a / 2b, so sin(phi/2) = (h/2) sqrt(s / (1 + s h^2/6)).
+    Its interior block has one negative eigenvalue for each j in 1..n-1 with
+    j pi / n < phi. With x = s h^2, p = sqrt|x| / 2, q = sqrt|1 - x/12| and
+    g = |b sin(phi)| = 2 p q / h, the half-angle forms of sigma = d + o and
+    delta = d - o subtract nothing:
+
+    * 0 < x < 12, oscillating: tan(phi/2) = p / q, t = tan(n phi / 2),
+      sigma = -g t and delta = g / t;
+    * -6 <= x <= 0, growing: phi = i psi, tanh(psi/2) = p / q,
+      T = tanh(n psi / 2), sigma = g T and delta = g / T;
+    * x < -6 and x >= 12, alternating: phi = pi + i psi, tanh(psi/2) = q / p,
+      and the same with sigma and delta swapped for odd n, negated past 12.
+
+    Returns (sigma, delta, below, t), t = 1 outside the oscillating regime:
+    only there is a term large, sigma where |t| is, delta where 1 / |t| is.
     """
-    c_dof, c_col, c_val = c
-    col_of = np.cumsum(kept) - 1
-    ndof = int(kept.sum())
-    # C's rows in CSR form (c_ptr, c_col, c_val), for through_c
-    order = np.argsort(c_dof, kind="stable")
-    c_col, c_val = c_col[order], c_val[order]
-    c_ptr = np.concatenate(([0], np.cumsum(np.bincount(c_dof,
-                                                       minlength=kept.size))))
-
-    def through_c(dof):
-        """Row dof[t] of C for each t, flat: (t, column, coefficient)."""
-        size = c_ptr[dof + 1] - c_ptr[dof]
-        t = np.repeat(np.arange(dof.size), size)
-        k = (c_ptr[dof][t] + np.arange(t.size)
-             - np.repeat(np.cumsum(size) - size, size))
-        return t, c_col[k], c_val[k]
-
-    # a triplet between kept dofs keeps its value; only the few that touch
-    # an eliminated trace expand, one term per pair of their C entries
-    plain = kept[rows] & kept[cols]
-    touched = np.flatnonzero(~plain)
-    ti, a, ca = through_c(rows[touched])
-    tj, b, cb = through_c(cols[touched][ti])
-    which = np.concatenate((np.flatnonzero(plain), touched[ti[tj]]))
-    coef = np.concatenate((np.ones(which.size - tj.size), ca[tj] * cb))
-    ra = np.concatenate((col_of[rows[plain]], a[tj]))
-    rb = np.concatenate((col_of[cols[plain]], b))
-
-    pattern = sp.csr_matrix((np.ones(ra.size), (ra, rb)), shape=(ndof, ndof))
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-    at = np.empty(ndof, dtype=np.intp)
-    at[perm] = np.arange(ndof)
-    pa, pb = at[ra], at[rb]
-    ku = int((pb - pa).max())
-    # entry (i, j), i <= j, sits at band[ku + i - j, j], Fortran order
-    upper = pa <= pb
-    slot = (ku + pa - pb + (ku + 1) * pb)[upper]
-    size = (ku + 1) * ndof
-    a_vals = (hvals[which] * coef)[upper]
-    a_band = np.empty(size, dtype=complex)
-    a_band.real = np.bincount(slot, a_vals.real, size)
-    a_band.imag = np.bincount(slot, a_vals.imag, size)
-    is_mass = which < mvals.size
-    m_vals = mvals[which[is_mass]] * coef[is_mass]
-    m_band = np.bincount(slot[is_mass[upper]], m_vals[upper[is_mass]], size)
-    m_csr = sp.csr_matrix((m_vals, (pa[is_mass], pb[is_mass])),
-                          shape=(ndof, ndof))
-    return (a_band.reshape((ku + 1, ndof), order="F"),
-            m_band.reshape((ku + 1, ndof), order="F"), m_csr, perm)
+    x = s * h * h
+    p = 0.5 * np.sqrt(np.abs(x))
+    q = np.sqrt(np.abs(1.0 - x / 12.0))
+    g = 2.0 * p * q / h
+    osc = (x > 0.0) & (x < 12.0)
+    odd = n % 2 == 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = n * np.arctan2(p, q)
+        t = np.where(osc, np.tan(theta), 1.0)
+        big = np.maximum(p, q)
+        tanh = np.tanh(n * np.arctanh(np.minimum(p, q) / big))
+        # g / T where both vanish, at x = 0 and 12: 2 max(p, q)^2 / (n h)
+        coth = np.where(tanh == 0.0, 2.0 * big * big / (n * h), g / tanh)
+        swap = odd & ((x < -6.0) | (x >= 12.0))
+        sign = np.where(x >= 12.0, -1.0, 1.0)
+        sigma = np.where(osc, -g * t, sign * np.where(swap, coth, g * tanh))
+        delta = np.where(osc, g / t, sign * np.where(swap, g * tanh, coth))
+    # the pole nearest n phi is m pi; s lies above it where t has the sign of
+    # (-1)^m, as t crosses 0 at even m and flips from +inf at odd m
+    m = np.rint(2.0 * theta / np.pi)
+    below = np.clip(m - (t * (1.0 - 2.0 * (m % 2)) <= 0.0), 0, n - 1)
+    below = np.where(osc, below, np.where(x >= 12.0, n - 1, 0))
+    return sigma, delta, below.astype(int), t
 
 
-def _certified_shift(a_band: np.ndarray, m_band: np.ndarray):
-    """(sigma, upper Cholesky band factor of A - sigma M), sigma below the
-    whole spectrum of the pencil.
+@dataclass(frozen=True)
+class _Plans:
+    """Both split plans of one mesh, on W's slots (the traces and the split
+    nodes): n[k] holds each chain's elements on plan k and h their length.
+    w0 is the skew vertex coupling restricted by C_T. Row c of vecs is
+    C_T^T (e_u + e_v) for chain c from slot u to slot v, row nchain + c
+    C_T^T (e_u - e_v), and the rows of basis are their outer products over
+    two, the entries sigma and delta multiply in C_T^T W C_T. ndof counts
+    the reduced pencil's dofs."""
+    n: np.ndarray
+    h: np.ndarray
+    w0: np.ndarray
+    vecs: np.ndarray
+    basis: np.ndarray
+    ndof: int
 
-    The first s of -1, -2, -4, ... at which A - sM factors is below every
-    eigenvalue, and the one before it (if any) is not; sigma = 2s keeps
-    lambda_1 - sigma between |s| and 1.5 |s|, away from a near-singular
-    factor."""
-    s = -1.0
-    for _ in range(_SHIFT_DOUBLINGS):
-        if lapack.zpbtrf(a_band - s * m_band)[1] == 0:
-            chol, info = lapack.zpbtrf(a_band - 2.0 * s * m_band)
-            if info == 0:
-                return 2.0 * s, chol
-        s *= 2.0
-    raise np.linalg.LinAlgError(
-        f"A - sM did not factor for any s down to {s / 2.0!r}")
+
+def _plans(g: MetricGraph, h: float) -> _Plans:
+    """The split plans of g's mesh of size h.
+
+    Edge i's start and end traces are W's slots 2i and 2i + 1; an edge of
+    two or more elements has a split node, slot 2E + (its rank among them),
+    and two chains, start to split node and split node to end; an edge of
+    one element is one chain between its traces."""
+    _, nelem, total, trace = _trace_dofs(g, h)
+    (hr, hc, hv), dropped, (er, src, ev) = _vertex_terms(g, trace)
+    num = len(g.edges)
+    ne = np.array([nelem[e.id] for e in g.edges])
+    he = np.array([e.length for e in g.edges]) / ne
+    cut = ne > 1
+    slots = 2 * num + int(cut.sum())
+    mid = 2 * num + np.cumsum(cut) - 1
+    start, end = 2 * np.arange(num), 2 * np.arange(num) + 1
+    u = np.concatenate((start[~cut], start[cut], mid[cut]))
+    v = np.concatenate((end[~cut], mid[cut], end[cut]))
+    first = np.clip(np.rint(np.multiply.outer(_SPLITS, ne[cut])), 1,
+                    ne[cut] - 1).astype(int)
+    n = np.concatenate((np.ones((2, int((~cut).sum())), dtype=int), first,
+                        ne[cut] - first), axis=1)
+
+    slot = np.full(total, -1)
+    slot[[trace[(e.id, START)] for e in g.edges]] = start
+    slot[[trace[(e.id, END)] for e in g.edges]] = end
+    w = np.zeros((slots, slots), dtype=complex)
+    np.add.at(w, (slot[hr], slot[hc]), hv)
+    # C_T: a kept trace or split node is its own column, an eliminated trace
+    # the substitution's combination of kept ones
+    kept = np.ones(slots, dtype=bool)
+    kept[slot[dropped]] = False
+    col = np.cumsum(kept) - 1
+    ct = np.zeros((slots, int(kept.sum())))
+    ct[np.flatnonzero(kept), col[kept]] = 1.0
+    ct[slot[er], col[slot[src]]] = ev
+    vecs = np.concatenate((ct[u] + ct[v], ct[u] - ct[v]))
+    r = ct.shape[1]
+    return _Plans(n=n, h=np.concatenate((he[~cut], he[cut], he[cut])),
+                  w0=ct.T @ w @ ct, vecs=vecs,
+                  basis=0.5 * (vecs[:, :, None] * vecs[:, None, :]).reshape(
+                      vecs.shape[0], r * r),
+                  ndof=total - dropped.size)
+
+
+def _schur(plans: _Plans, s, plan):
+    """At each s on plan[i]: the chain terms (sigma and delta side by side),
+    each term's size factor (t = tan(n phi / 2) for sigma, 1 / t for delta,
+    1 outside the oscillating regime), and the chain count of each plan."""
+    sigma, delta, below, t = _chain_terms(s[:, None, None], plans.n, plans.h)
+    pick = np.arange(s.size), plan
+    return (np.concatenate((sigma[pick], delta[pick]), axis=1),
+            np.concatenate((t[pick], 1.0 / t[pick]), axis=1),
+            below.sum(axis=2))
+
+
+def _assemble(plans: _Plans, terms):
+    """C_T^T W C_T for each row of chain terms."""
+    r = plans.w0.shape[0]
+    return plans.w0 + (terms @ plans.basis).reshape(-1, r, r)
+
+
+def _inertia(plans: _Plans, s, plan):
+    """N_h at each s, counted on plan[i] for s[i], and the chain count of
+    each plan, shape (S, 2).
+
+    A term whose size factor exceeds _POLE lies near its chain's pole and
+    is large, and eigvalsh would lose the small eigenvalues of W under it.
+    It is moved to a border instead: by Haynsworth, n_-(F + rho/2 v v^T) =
+    n_-([[F, v], [v^T, -2/rho]]) - [rho > 0], and no entry of the bordered
+    matrix is large."""
+    terms, t, chains = _schur(plans, s, plan)
+    large = np.abs(t) > _POLE
+    w = _assemble(plans, np.where(large, 0.0, terms))
+    fix = 0
+    nb = int(large.sum(axis=1).max())
+    if nb:
+        # each row's large terms first; a row with fewer is padded by +1s
+        k = np.argsort(~large, axis=1, kind="stable")[:, :nb]
+        on = np.take_along_axis(large, k, axis=1)
+        rho = np.take_along_axis(terms, k, axis=1)
+        v = plans.vecs[k] * on[:, :, None]
+        with np.errstate(divide="ignore"):
+            corner = np.where(on, -2.0 / rho, 1.0)[:, :, None] * np.eye(nb)
+        w = np.concatenate((np.concatenate((w, v.transpose(0, 2, 1)), axis=2),
+                            np.concatenate((v, corner), axis=2)), axis=1)
+        fix = (on & (rho > 0.0)).sum(axis=1)
+    n = (np.linalg.eigvalsh(w) < 0.0).sum(axis=1) - fix
+    return chains[np.arange(s.size), plan] + n, chains
+
+
+def _tol(a, b):
+    return _REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _illinois(plans: _Plans, a, b, plan, jump):
+    """The roots in each cell (a, b) that holds jump eigenvalues and no pole
+    of its plan, jump times each, ascending: Illinois steps on each Schur
+    eigenvalue that crosses zero. Where the cell's Schur eigenvalues at its
+    ends do not cross zero jump times (a root within rounding of an end or
+    a pole), its midpoint."""
+    m = a.size
+
+    def schur_eigenvalues(x, plan):
+        return np.linalg.eigvalsh(_assemble(plans, _schur(plans, x, plan)[0]))
+
+    mu = schur_eigenvalues(np.concatenate((a, b)),
+                           np.concatenate((plan, plan)))
+    below = (mu < 0.0).sum(axis=1)
+    ok = below[m:] == below[:m] + jump
+    # on a pole-free cell the Schur eigenvalues at indices n_-(W(a)) ..
+    # n_-(W(a)) + jump - 1 fall through zero inside it, each once, as each
+    # decreases with s
+    cell = np.repeat(np.arange(m), jump)
+    j = np.minimum(below[cell] + np.arange(cell.size)
+                   - np.repeat(np.cumsum(jump) - jump, jump), mu.shape[1] - 1)
+    a, b, plan = a[cell], b[cell], plan[cell]
+    fa, fb = mu[cell, j], mu[m + cell, j]
+    side = np.zeros(cell.size)
+    live = ok[cell] & (b - a > _tol(a, b))
+    for _ in range(_ILLINOIS_STEPS):
+        k = np.flatnonzero(live)
+        if k.size == 0:
+            break
+        # a secant point within half the tolerance of an end steps to that
+        # distance, so that a root found from one side closes its cell
+        t = 0.5 * _tol(a[k], b[k])
+        x = np.clip(b[k] - fb[k] * (b[k] - a[k]) / (fb[k] - fa[k]),
+                    a[k] + t, b[k] - t)
+        fx = schur_eigenvalues(x, plan[k])[np.arange(k.size), j[k]]
+        up = fx >= 0.0  # the root lies above x
+        # an end kept twice in a row has its value halved
+        fb[k] = np.where(up & (side[k] < 0), 0.5 * fb[k], fb[k])
+        fa[k] = np.where(~up & (side[k] > 0), 0.5 * fa[k], fa[k])
+        a[k] = np.where(up, x, a[k])
+        fa[k] = np.where(up, fx, fa[k])
+        b[k] = np.where(up & (fx > 0.0), b[k], x)
+        fb[k] = np.where(up, fb[k], fx)
+        side[k] = np.where(up, -1.0, 1.0)
+        live[k] = b[k] - a[k] > _tol(a[k], b[k])
+    return 0.5 * (a + b)
 
 
 def oracle_eigenvalues(g: MetricGraph, count: int, h: float) -> np.ndarray:
-    """`count` smallest eigenvalues of the constrained pencil, ascending.
+    """`count` smallest eigenvalues of the constrained pencil, ascending,
+    each as often as its multiplicity.
 
-    Raises MeshTooCoarse when the reduced problem is too small to trust
-    that many Ritz values.
+    Raises MeshTooCoarse when the reduced problem has fewer than four dofs
+    per wanted eigenvalue.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rows, cols, hvals, mvals, kept, c = _triplets(g, h)
-    ndof = int(kept.sum())
-    if count > ndof // 4:
+    plans = _plans(g, h)
+    if count > plans.ndof // 4:
         raise MeshTooCoarse(
-            f"{count} eigenvalues from {ndof} reduced dofs is unreliable; "
-            f"refine the mesh")
-    a_band, m_band, m_red, _ = _band_pencil(rows, cols, hvals, mvals, kept, c)
-    sigma, chol = _certified_shift(a_band, m_band)
-    op = LinearOperator((ndof, ndof), dtype=complex,
-                        matvec=lambda x: lapack.zpbtrs(chol, m_red @ x)[0])
-    # a fixed generic start vector makes the result independent of ARPACK's
-    # internal random state, hence of the calls made before
-    start = np.random.default_rng(0).standard_normal(ndof)
-    theta = eigs(op, k=count, which="LM", v0=start, return_eigenvectors=False)
-    return np.sort(sigma + 1.0 / theta.real)
+            f"{count} eigenvalues from {plans.ndof} reduced dofs is "
+            f"unreliable; refine the mesh")
+
+    # the bracket: N_h = 0 at its lowest point and N_h >= count at its top
+    k = _BRACKET_BATCH
+    xs, ns = np.empty(0), np.empty(0, dtype=int)
+    chains = np.empty((0, 2), dtype=int)
+    for e in range(0, _BRACKET_DOUBLINGS, k):
+        mags = 2.0 ** np.arange(e, e + k)
+        s = np.concatenate((-mags[::-1], mags))
+        n, ch = _inertia(plans, s, np.zeros(s.size, dtype=int))
+        xs = np.concatenate((s[:k], xs, s[k:]))
+        ns = np.concatenate((n[:k], ns, n[k:]))
+        chains = np.concatenate((ch[:k], chains, ch[k:]))
+        if ns[0] == 0 and ns[-1] >= count:
+            break
+    else:
+        raise np.linalg.LinAlgError(
+            f"no bracket of the lowest {count} eigenvalues within 2^"
+            f"{_BRACKET_DOUBLINGS}")
+
+    # lockstep bisection on the first plan's counts, until each cell is free
+    # of poles on one plan at least
+    while True:
+        jump = np.diff(ns)
+        pole = (chains[1:] != chains[:-1]).all(axis=1)
+        held = (ns[:-1] < count) & (jump > 0)
+        split = held & pole & (xs[1:] - xs[:-1] > _tol(xs[:-1], xs[1:]))
+        if not split.any():
+            break
+        i = np.flatnonzero(split)
+        mid = 0.5 * (xs[i] + xs[i + 1])
+        n, ch = _inertia(plans, mid, np.zeros(i.size, dtype=int))
+        xs = np.insert(xs, i + 1, mid)
+        # a count within rounding of a root may step back; the counts are
+        # monotone
+        ns = np.maximum.accumulate(np.insert(ns, i + 1, n))
+        chains = np.insert(chains, i + 1, ch, axis=0)
+
+    cells = np.flatnonzero(held)
+    a, b, jump = xs[cells], xs[cells + 1], jump[cells]
+    values = np.repeat(0.5 * (a + b), jump)
+    free = ~pole[cells]
+    if free.any():
+        plan = np.argmin(chains[cells + 1] != chains[cells], axis=1)
+        values[np.repeat(free, jump)] = _illinois(
+            plans, a[free], b[free], plan[free], jump[free])
+    return values[:count]

@@ -551,9 +551,9 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     records = []
     if lo <= 0.0 <= hi:
         s = _svdvals(build_secular_matrix(g, 0.0, method), 0.0)
-        rec = record(0.0, s, _null(s).sum())
-        if rec.mult > 0:
-            records.append(rec)
+        m = _null(s).sum()
+        if m > 0:
+            records.append(record(0.0, s, m))
     records += [record(cands[i], svals[i], mult[i]) for i in merged]
     records.sort(key=lambda r: r.lam)
     # completeness: the window holds count eigenvalues. Each is certified,

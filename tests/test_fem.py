@@ -11,6 +11,7 @@ from qgraph.errors import MeshTooCoarse
 from qgraph.experiments import ground_state
 from qgraph.fem import discretize, oracle_eigenvalues
 from qgraph.graph import (
+    EdgeRecord,
     MetricGraph,
     VertexRecord,
     make_cycle,
@@ -108,8 +109,8 @@ class TestOracle:
 
 
 class TestBandedOracle:
-    """The banded Cholesky oracle: its own shift, dense agreement, deep
-    ground states."""
+    """The inertia-count oracle: independence, its counts and eigenvalues
+    against the dense pencil, deep ground states."""
 
     def test_independent_of_the_secular_path(self, monkeypatch, star3):
         def refuse(*args, **kwargs):
@@ -129,8 +130,9 @@ class TestBandedOracle:
         make_cycle([0.4, 0.7, 0.5, 0.9]),
         make_star([1.0] * 3, tip_bc="dirichlet"),
         make_star([1.0] * 6),
+        make_path([0.5, 0.3, 0.4]),
     ], ids=["star3", "figure8-equilateral", "cycle4", "star3-dirichlet",
-            "star6-equilateral"])
+            "star6-equilateral", "path3"])
     def test_matches_dense_pencil(self, g):
         h_mat, mass, restrict = discretize(g, 0.02)
         a = (restrict.conj().T @ h_mat @ restrict).toarray()
@@ -140,14 +142,15 @@ class TestBandedOracle:
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     @staticmethod
-    def dense(band):
-        """The Hermitian matrix stored in LAPACK upper band form."""
-        ku, n = band.shape[0] - 1, band.shape[1]
-        upper = np.zeros((n, n), dtype=band.dtype)
-        for d in range(ku + 1):
-            i = np.arange(n - d)
-            upper[i, i + d] = band[ku - d, d:]
-        return upper + np.triu(upper, 1).conj().T
+    def chain_poles(plans, plan):
+        """Each chain's discrete Dirichlet eigenvalues on the plan: s with
+        sin^2(phi/2) = t, phi = j pi / n, is 12 t / (h^2 (3 - 2 t))."""
+        n, h = plans.n[plan], plans.h
+        poles = []
+        for nc, hc in zip(n, h):
+            t = np.sin(np.arange(1, nc) * np.pi / (2 * nc)) ** 2
+            poles.append(12.0 * t / (hc * hc * (3.0 - 2.0 * t)))
+        return np.concatenate(poles)
 
     @pytest.mark.parametrize("g", [
         make_star([1.0] * 3),
@@ -159,21 +162,57 @@ class TestBandedOracle:
         make_path([0.5, 0.3, 0.4]),
     ], ids=["star3", "figure8-equilateral", "cycle4", "star3-dirichlet",
             "star6-equilateral", "star4-dirichlet", "path3"])
-    def test_band_pencil_is_the_permuted_reduced_pencil(self, g):
-        # the direct assembly gives the pencil discretize's sparse H, M and
-        # C give, in its own order, and M's CSR holds what its band holds
-        h_mat, mass, restrict = discretize(g, 0.02)
-        a_band, m_band, m_csr, perm = fem._band_pencil(*fem._triplets(g, 0.02))
-        n = restrict.shape[1]
-        assert np.array_equal(np.sort(perm), np.arange(n))
-        assert a_band.shape == m_band.shape and a_band.shape[1] == n
-        assert a_band.flags.f_contiguous and m_band.flags.f_contiguous
-        order = np.ix_(perm, perm)
-        a = (restrict.conj().T @ h_mat @ restrict).toarray()[order]
-        m = (restrict.T @ mass @ restrict).toarray()[order]
-        for got, want in ((self.dense(a_band), a), (self.dense(m_band), m),
-                          (m_csr.toarray(), m)):
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    def test_count_is_the_dense_count(self, g):
+        # on both split plans the count is #{dense eigenvalues < s}: in the
+        # growing and oscillating regimes, below -6/h^2 and past 12/h^2 on a
+        # coarse mesh, and within a few ulps of every chain pole
+        for h in (0.02, 0.2):
+            h_mat, mass, restrict = discretize(g, h)
+            a = (restrict.conj().T @ h_mat @ restrict).toarray()
+            m = (restrict.T @ mass @ restrict).toarray()
+            want = scipy.linalg.eigh(a, m, eigvals_only=True)
+            plans = fem._plans(g, h)
+            edge = np.unique(plans.h) ** -2
+            for plan in (0, 1):
+                poles = self.chain_poles(plans, plan)
+                poles = poles[poles < 2.0 * want[-1]]
+                ulps = [np.nextafter(poles, sign * np.inf) for sign in (-1, 1)]
+                ulps += [np.nextafter(u, sign * np.inf)
+                         for u, sign in zip(ulps, (-1, 1))]
+                regimes = [-50.0, -7.0, -6.5, -5.5, -1.0, -1e-3, 1e-3, 3.0,
+                           11.5, 12.5, 13.0, 50.0]
+                s = np.concatenate([
+                    np.outer(edge, regimes).ravel(),
+                    np.linspace(-5.0, min(want[-1], 400.0), 301),
+                    poles, *ulps, [0.0]])
+                gap = np.abs(s[:, None] - want[None, :]).min(axis=1)
+                s = s[gap > 1e-9 * np.maximum(1.0, np.abs(s))]
+                got = fem._inertia(plans, s, np.full(s.size, plan))[0]
+                assert np.array_equal(got, np.searchsorted(want, s)), plan
+
+    def test_alternating_chains_on_a_loop(self):
+        # a loop of three coarse elements with a short pendant edge: the
+        # ground state lies below -6/h^2 of the loop's chains, where they
+        # alternate, and on a loop no sign of theirs is a change of basis
+        g = MetricGraph.create(
+            [VertexRecord("v0", "coupled", (("e1", "start"), ("e1", "end"),
+                                            ("e2", "start"))),
+             VertexRecord("v1", "neumann", (("e2", "end"),))],
+            [EdgeRecord("e1", "v0", "v0", 3.0),
+             EdgeRecord("e2", "v0", "v1", 0.05)])
+        h_mat, mass, restrict = discretize(g, 1.0)
+        a = (restrict.conj().T @ h_mat @ restrict).toarray()
+        m = (restrict.T @ mass @ restrict).toarray()
+        want = scipy.linalg.eigh(a, m, eigvals_only=True)
+        assert want[0] < -6.0
+        got = oracle_eigenvalues(g, 1, 1.0)
+        assert abs(got[0] - want[0]) <= 1e-10 * abs(want[0])
+        s = (want[:, None] + np.array([-1e-8, 1e-8])
+             * np.maximum(1.0, np.abs(want))[:, None]).ravel()
+        plans = fem._plans(g, 1.0)
+        for plan in (0, 1):
+            got = fem._inertia(plans, s, np.full(s.size, plan))[0]
+            assert np.array_equal(got, np.searchsorted(want, s)), plan
 
     def test_deep_ground_state(self):
         # a short edge pushes lambda_1 near -12.5: the shift needs several

@@ -1,6 +1,7 @@
-"""Import footprint: the solver and the CLI load numpy alone; scipy loads
-with the FEM oracle. Each check runs in a fresh interpreter, because the
-test process has scipy loaded already."""
+"""Import footprint: the solver, the CLI and the FEM oracle load numpy
+alone; scipy loads only with `secular.reduced_negative_kappas` and the
+`fem.discretize` reference. Each check runs in a fresh interpreter, because
+the test process has scipy loaded already."""
 
 import os
 import subprocess
@@ -29,13 +30,16 @@ def test_import_loads_no_scipy(module):
     assert run(f"import sys, {module}; print(*{SCIPY})") == []
 
 
-def test_oracle_loads_scipy_sparse_on_access():
-    out = run("import sys\nimport qgraph\n"
-              f"before = {SCIPY}\n"
-              "from qgraph import oracle_eigenvalues\n"
-              "from qgraph.fem import oracle_eigenvalues as fem_oracle\n"
-              "assert oracle_eigenvalues is fem_oracle\n"
-              "print(len(before), 'scipy.sparse' in sys.modules)")
+def test_oracle_loads_no_scipy():
+    # one oracle call counts on numpy alone; the dense reference still
+    # builds its pencil with scipy.sparse
+    out = run("import sys\n"
+              "from qgraph import make_star, oracle_eigenvalues\n"
+              "from qgraph.fem import discretize\n"
+              "oracle_eigenvalues(make_star([1.0] * 3), 2, 0.05)\n"
+              f"print(len({SCIPY}))\n"
+              "discretize(make_star([1.0] * 3), 0.05)\n"
+              "print('scipy.sparse' in sys.modules)")
     assert out == ["0", "True"]
 
 

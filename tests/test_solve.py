@@ -1533,6 +1533,17 @@ class TestFirstEigenvalues:
         n, ok = count_below(g, [lam * (1.0 - 1e-9), lam * (1.0 + 1e-9)])
         assert n.tolist() == [0, 1] and ok.all()
 
+    def test_dropped_zero_test_names_nothing(self):
+        # the lambda = 0 test finds multiplicity 0, so it keeps no record and
+        # names no MultiplicityUncertain(lambda=0); the trusted counts say
+        # nothing is there. The certified root keeps its value and its own
+        # diagnostic
+        with deadline(20):
+            (lam,), spec = first_eigenvalues(TINY_DIRICHLET_STAR, 1)
+        assert lam == 246740090027233.56
+        assert spec.diagnostics == [
+            "MultiplicityUncertain(lambda=2.46740090027e+14)"]
+
     def test_window_growth_reaches_high_count(self):
         lams, _ = first_eigenvalues(make_path([1.0]), 6)
         assert lams == pytest.approx([0.0] + [(n * math.pi) ** 2 for n in range(1, 6)],
