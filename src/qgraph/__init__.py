@@ -10,8 +10,8 @@ from .surgery import (AttachEdge, ExtendEdge, Merge, Split, SurgeryOp,
                       Transplant, apply_surgery, is_figure8_shape,
                       reduce_to_figure8, reduced_loop_lengths)
 from .secular import (build_secular_matrix, interval_dtn,
-                      reduced_negative_kappas, secular_determinant,
-                      star_secular_closed_form, star_secular_reduced)
+                      reduced_negative_kappas, star_secular_closed_form,
+                      star_secular_reduced)
 from .solve import (Eigenfunction, EigRecord, Spectrum, count_negative,
                     default_negative_floor, eigenfunction_at, find_spectrum,
                     first_eigenvalues)
@@ -29,7 +29,7 @@ __all__ = [
     "apply_surgery", "is_figure8_shape", "reduce_to_figure8",
     "reduced_loop_lengths",
     "build_secular_matrix", "interval_dtn", "reduced_negative_kappas",
-    "secular_determinant", "star_secular_closed_form", "star_secular_reduced",
+    "star_secular_closed_form", "star_secular_reduced",
     "Eigenfunction", "EigRecord", "Spectrum", "count_negative",
     "default_negative_floor", "eigenfunction_at", "find_spectrum",
     "first_eigenvalues",

@@ -52,10 +52,11 @@ def _parse_window(text: str) -> tuple:
 
 
 def _parse_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
         raise ValueError(f"grid must be LO:HI:N, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 2 or not lo < hi:
         raise ValueError(f"grid needs LO < HI and N >= 2, got {text!r}")
     return np.linspace(lo, hi, n)

@@ -266,15 +266,15 @@ def load_graph(path: Union[str, Path]) -> MetricGraph:
 
 # -- factories ---------------------------------------------------------------
 
-def make_star(lengths: Sequence[float], tip_bc: BoundaryType = BoundaryType.NEUMANN,
-              center_bc: BoundaryType = BoundaryType.COUPLED) -> MetricGraph:
+def make_star(lengths: Sequence[float],
+              tip_bc: BoundaryType = BoundaryType.NEUMANN) -> MetricGraph:
     """Star with edges e1..eN from center v0 to tips v1..vN."""
     n = len(lengths)
     if n < 1:
         raise InvalidGraph("star needs at least one edge")
     edges = [EdgeRecord(f"e{j + 1}", "v0", f"v{j + 1}", float(lengths[j]))
              for j in range(n)]
-    center = VertexRecord("v0", center_bc, tuple((e.id, START) for e in edges))
+    center = VertexRecord("v0", BoundaryType.COUPLED, tuple((e.id, START) for e in edges))
     tips = [VertexRecord(f"v{j + 1}", tip_bc, ((f"e{j + 1}", END),)) for j in range(n)]
     return MetricGraph.create([center] + tips, edges)
 

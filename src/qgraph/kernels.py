@@ -68,8 +68,8 @@ def prepare_structure(g: MetricGraph):
     adds them in: the products by 0 and +-1 are exact, and adding a signed
     zero to a nonzero sum changes nothing. The + 0.0 turns a -0.0 sum into
     the +0.0 an assembly that starts from zeros gives. This holds for finite
-    traces, which `edge_basis_traces` gives everywhere but on the entire
-    pair far below zero (kappa l past about 710).
+    traces, which `edge_basis_traces` gives at every finite lambda: it runs
+    the cosh/sinh pair only at kappa l < 1.
     """
     ne = g.num_edges
     m = 2 * ne
@@ -102,7 +102,7 @@ def prepare_structure(g: MetricGraph):
     return targets, weights, lengths
 
 
-def edge_basis_traces(lam, lengths, entire: bool = False):
+def edge_basis_traces(lam, lengths):
     """Per-edge basis traces, vectorized over lambdas and edges.
 
     Returns one (8, n, E) array, which unpacks into the eight tables
@@ -110,8 +110,6 @@ def edge_basis_traces(lam, lengths, entire: bool = False):
     derivatives (+f'(0), -f'(l)) of the two basis functions at both
     endpoints, one row per lambda. A scalar `lam` gives an (8, E) array, of
     the bytes of that lambda's row in any batch.
-    `entire` forces the cosh/sinh pair for every edge, at the cost of the
-    large-kappa conditioning; determinant identities are stated in that basis.
     """
     lam = np.asarray(lam, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
@@ -119,7 +117,7 @@ def edge_basis_traces(lam, lengths, entire: bool = False):
     neg, zero = lams < 0.0, lams == 0.0
     k = np.sqrt(np.abs(lams))
     kl = k * lengths
-    decay = neg & (kl >= 1.0) & (not entire)
+    decay = neg & (kl >= 1.0)
     es = np.exp(-np.where(decay, kl, 1.0))
     kes = k * es
     # cosh/sinh on the entire pair's negative rows (fed 0 elsewhere, where
@@ -142,13 +140,13 @@ def edge_basis_traces(lam, lengths, entire: bool = False):
     return out
 
 
-def build_matrix_grid_numpy(lams, plan, entire: bool = False):
+def build_matrix_grid_numpy(lams, plan):
     """Stack of secular matrices, shape (len(lams), 2E, 2E), laid out by the
     graph's plan from `prepare_structure`."""
     targets, weights, lengths = plan
     lams = np.asarray(lams, dtype=float).reshape(-1)
     n, m = lams.size, 2 * lengths.size
-    tabs = edge_basis_traces(lams, lengths, entire).swapaxes(0, 1).reshape(n, -1)
+    tabs = edge_basis_traces(lams, lengths).swapaxes(0, 1).reshape(n, -1)
     buf = np.zeros((n, 2 * m * m))
     buf[:, targets] = tabs @ weights + 0.0
     return buf.view(np.complex128).reshape(n, m, m)

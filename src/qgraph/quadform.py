@@ -146,7 +146,7 @@ def form_domain_basis(g: MetricGraph) -> np.ndarray:
 
 
 def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,
-               order: int = 64, skip_domain_check: bool = False):
+               order: int = 64):
     """Form value a[f, other]; diagonal a[f] (returned real) when other is None.
 
     The diagonal value is real by construction; its imaginary quadrature
@@ -157,10 +157,9 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,
     # on the diagonal each derivative and the trace vector are read once
     ftr = trial_traces(g, f)
     htr = ftr if diag else trial_traces(g, h)
-    if not skip_domain_check:
-        _check_traces(g, ftr)
-        if not diag:
-            _check_traces(g, htr)
+    _check_traces(g, ftr)
+    if not diag:
+        _check_traces(g, htr)
     total = 0.0 + 0.0j
     for e in g.edges:
         breaks = tuple(f.breakpoints.get(e.id, ())) + tuple(h.breakpoints.get(e.id, ()))
@@ -184,14 +183,6 @@ def trial_norm_sq(g: MetricGraph, f: TrialFunction, order: int = 64) -> float:
     for e in g.edges:
         x, w = edge_quadrature(e.length, order, tuple(f.breakpoints.get(e.id, ())))
         total += float(np.sum(w * np.abs(f.value(e.id, x)) ** 2))
-    return total
-
-
-def grad_norm_sq(g: MetricGraph, f: TrialFunction, order: int = 64) -> float:
-    total = 0.0
-    for e in g.edges:
-        x, w = edge_quadrature(e.length, order, tuple(f.breakpoints.get(e.id, ())))
-        total += float(np.sum(w * np.abs(f.derivative(e.id, x)) ** 2))
     return total
 
 

@@ -32,7 +32,7 @@ Graphs (AMS, 2013). solve uses the counts only to isolate eigenvalues in
 cells; sigma_min refines them.
 
 Star graphs additionally admit closed product and reduced transcendental
-forms used for regression and fast sweeps.
+forms, which serve only as regression references.
 """
 
 from __future__ import annotations
@@ -199,22 +199,6 @@ def build_secular_matrix(g: MetricGraph, lam: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def secular_determinant(g: MetricGraph, lam: float, method: str = "edge") -> complex:
-    """Raw determinant of the secular matrix, for closed-form regressions.
-
-    Root *detection* goes through singular values (see solve); the determinant
-    is exposed because the star and figure-8 factorizations are stated in
-    determinant form and make good regression targets. The edge matrix pins
-    the cosh/sinh pair on every edge (the convention of those closed forms)
-    in place of the numerically safer switched basis; that only matters for
-    lambda < 0 with kappa * length >= 1 somewhere.
-    """
-    if method == "edge":
-        return complex(np.linalg.det(build_matrix_grid_numpy(
-            np.array([lam]), prepare_structure(g), entire=True)[0]))
-    return complex(np.linalg.det(build_secular_matrix(g, lam, method)))
-
-
 # -- star closed forms ---------------------------------------------------------
 
 def star_secular_closed_form(lengths, tips: str, kappa: float) -> complex:
@@ -272,11 +256,6 @@ def star_secular_reduced(lengths, tips: str, kappa):
 
 def _real(x):
     return float(x) if np.ndim(x) == 0 else x
-
-
-def star_reduced_positive_dirichlet(k: float, length: float) -> float:
-    """Equilateral Dirichlet 3-star, positive part: 3 tan^2(k l) - k^2."""
-    return float(3.0 * np.tan(k * length) ** 2 - k ** 2)
 
 
 def reduced_negative_kappas(lengths, tips: str = "neumann",

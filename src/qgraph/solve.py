@@ -601,6 +601,8 @@ def first_eigenvalues(g: MetricGraph, k: int):
     tried is moved outward by a relative 1e-6 until its count is trusted,
     so that no end on an eigenvalue or an edge Dirichlet pole leaves the
     window's completeness check undone."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     lo = default_negative_floor(g)
     hi = (math.pi * (k + 2) / g.total_length) ** 2
     for attempt in range(12):
@@ -669,15 +671,6 @@ class Eigenfunction:
             fp[i] = self.derivative(e.id, 0.0)
             fp[j] = -self.derivative(e.id, e.length)
         return f, fp
-
-    def norm_sq(self) -> float:
-        from .quadform import edge_quadrature
-
-        total = 0.0
-        for e in self.graph.edges:
-            x, w = edge_quadrature(e.length, QUAD_ORDER)
-            total += float(np.sum(w * np.abs(self.value(e.id, x)) ** 2))
-        return total
 
     def as_trial(self):
         from .quadform import TrialFunction

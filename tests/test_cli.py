@@ -155,6 +155,17 @@ class TestSurgery:
         assert "diagnostic: step 1: CountMismatch(" in err
         assert "diagnostic: step 0" not in err
 
+    @pytest.mark.parametrize("track", ["0", "-2"])
+    def test_track_below_one_exits_2(self, generic_star_file, tmp_path,
+                                     capsys, track):
+        ops = self.write_ops(tmp_path, [
+            {"op": "extend", "edge": "e1", "amount": 0.3},
+        ])
+        assert main(["surgery", generic_star_file, ops, "--track", track]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: k must be >= 1, got {track}\n"
+
     def test_unknown_op_exits_2(self, star_file, tmp_path, capsys):
         ops = self.write_ops(tmp_path, [{"op": "teleport"}])
         assert main(["surgery", star_file, ops]) == 2
@@ -261,3 +272,9 @@ class TestSweep:
     def test_bad_grid_exits_2(self, capsys):
         assert main(["sweep", "figure8", "--grid", "1:2"]) == 2
         assert main(["sweep", "figure8", "--grid", "2:1:5"]) == 2
+
+    @pytest.mark.parametrize("grid", ["0.5:4:15.0", "0.5:x:15", "1:2:3:4"])
+    def test_unparsable_grid_names_the_form(self, capsys, grid):
+        assert main(["sweep", "figure8", "--grid", grid]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid must be LO:HI:N, got {grid!r}\n")

@@ -56,7 +56,12 @@ def test_degree_one_coupled_normalizes_to_neumann():
 
 def test_validation_rejects_bad_graphs():
     with pytest.raises(InvalidGraph):  # dirichlet needs degree 1
-        make_star([1.0, 1.0], center_bc=BoundaryType.DIRICHLET)
+        MetricGraph.create(
+            [VertexRecord("a", BoundaryType.DIRICHLET,
+                          (("e1", START), ("e2", START))),
+             VertexRecord("b", BoundaryType.NEUMANN, (("e1", END),)),
+             VertexRecord("c", BoundaryType.NEUMANN, (("e2", END),))],
+            [EdgeRecord("e1", "a", "b", 1.0), EdgeRecord("e2", "a", "c", 1.0)])
     with pytest.raises(InvalidGraph):  # nonpositive length
         make_star([1.0, -0.5])
     with pytest.raises(InvalidGraph):  # endpoint owned twice

@@ -61,7 +61,7 @@ class TestBasisTraces:
         assert d1l[0] == 0.0 and d2l[0] == -1.0
 
     def test_entire_pair_shallow_negative(self):
-        # kappa*l < 1 keeps cosh/sinh even without the entire flag
+        # kappa*l < 1 keeps cosh/sinh
         kap, l = 0.5, 1.0
         out = edge_basis_traces(-kap**2, [l])
         assert out[4][0] == pytest.approx(math.cosh(kap * l))
@@ -77,25 +77,18 @@ class TestBasisTraces:
         assert f2l[0] == 1.0 and d2l[0] == pytest.approx(-kap)
         assert max(abs(v[0]) for v in (f10, f20, f1l, f2l)) <= 1.0 + 1e-15
 
-    def test_entire_flag_forces_hyperbolic(self):
-        kap, l = 3.0, 2.0
-        out = edge_basis_traces(-kap**2, [l], entire=True)
-        assert out[4][0] == pytest.approx(math.cosh(kap * l))
-
     def test_bases_span_same_roots(self):
-        # both bases must agree on where the determinant vanishes
+        # the switched basis (decaying pair on the 2.2405 edge, cosh/sinh on
+        # the others) drops rank at the eigenvalue
         g = make_star([0.3546, 0.2023, 0.1557, 2.2405])
-        struct = prepare_structure(g)
         lam = -3.876230573048294
-        for entire in (False, True):
-            mats = build_matrix_grid_numpy([lam], struct, entire=entire)
-            s = np.linalg.svd(mats[0], compute_uv=False)
-            colmax = np.abs(mats[0]).max(axis=0)
-            s_eq = np.linalg.svd(mats[0] / colmax, compute_uv=False)
-            assert s_eq[-1] < 1e-8 * s_eq[0], f"entire={entire}"
+        mat = build_matrix_grid_numpy([lam], prepare_structure(g))[0]
+        colmax = np.abs(mat).max(axis=0)
+        s_eq = np.linalg.svd(mat / colmax, compute_uv=False)
+        assert s_eq[-1] < 1e-8 * s_eq[0]
 
 
-def reference_matrix_grid(g, lams, entire=False):
+def reference_matrix_grid(g, lams):
     """Row-by-row complex assembly, read off the graph's vertex orders, from
     one scalar trace call per lambda. The row of endpoint p at a coupled
     vertex of degree >= 2, followed by q in the vertex's cyclic order, is
@@ -105,7 +98,7 @@ def reference_matrix_grid(g, lams, entire=False):
     n, m = len(lams), 2 * g.num_edges
     tabs = np.empty((8, n, lengths.size))
     for i, lam in enumerate(lams):
-        for t, arr in enumerate(edge_basis_traces(lam, lengths, entire)):
+        for t, arr in enumerate(edge_basis_traces(lam, lengths)):
             tabs[t, i] = arr
     f10, f20, d10, d20, f1l, f2l, d1l, d2l = tabs
     out = np.zeros((n, m, m), dtype=np.complex128)
@@ -168,23 +161,20 @@ class TestByteIdentity:
     def test_grid_has_exact_zero(self):
         assert np.count_nonzero(BYTE_GRID == 0.0) == 1
 
-    @pytest.mark.parametrize("entire", [False, True])
     @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
                                                     "cycle1", "path3"])
-    def test_matrices(self, g, entire):
-        got = build_matrix_grid_numpy(BYTE_GRID, prepare_structure(g),
-                                      entire=entire)
-        ref = reference_matrix_grid(g, BYTE_GRID, entire=entire)
+    def test_matrices(self, g):
+        got = build_matrix_grid_numpy(BYTE_GRID, prepare_structure(g))
+        ref = reference_matrix_grid(g, BYTE_GRID)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("entire", [False, True])
-    def test_trace_rows_match_scalar_calls(self, entire):
+    def test_trace_rows_match_scalar_calls(self):
         lengths = np.array([0.3, 1.0, 2.5, 0.17])
-        tables = edge_basis_traces(BYTE_GRID, lengths, entire)
+        tables = edge_basis_traces(BYTE_GRID, lengths)
         assert all(t.shape == (BYTE_GRID.size, lengths.size) for t in tables)
         for i, lam in enumerate(BYTE_GRID):
-            for table, row in zip(tables, edge_basis_traces(lam, lengths, entire)):
+            for table, row in zip(tables, edge_basis_traces(lam, lengths)):
                 assert row.shape == lengths.shape
                 assert table[i].tobytes() == row.tobytes()
 
@@ -195,16 +185,13 @@ class TestByteIdentity:
     OVERFLOW_GRID = np.array([-300.0**2, -2.0, -0.0, 0.0, 1e-9, 3.0,
                               300.0**2])
 
-    @pytest.mark.parametrize("entire", [False, True])
-    def test_overflow_rows_match_scalar_calls(self, entire):
-        # the entire pair itself overflows below zero past k l ~ 710, so
-        # that row is left out of its batch
-        lams = self.OVERFLOW_GRID[entire:]
+    def test_overflow_rows_match_scalar_calls(self):
+        lams = self.OVERFLOW_GRID
         lengths = np.array([0.3, 1.0, 2.5])
-        tables = edge_basis_traces(lams, lengths, entire)
+        tables = edge_basis_traces(lams, lengths)
         assert all(np.isfinite(t).all() for t in tables)
         for i, lam in enumerate(lams):
-            for table, row in zip(tables, edge_basis_traces(lam, lengths, entire)):
+            for table, row in zip(tables, edge_basis_traces(lam, lengths)):
                 assert table[i].tobytes() == row.tobytes()
 
 

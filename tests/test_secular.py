@@ -27,10 +27,8 @@ from qgraph.secular import (
     dtn_tables,
     interval_dtn,
     reduced_negative_kappas,
-    secular_determinant,
     star_secular_closed_form,
     star_secular_reduced,
-    star_reduced_positive_dirichlet,
 )
 from qgraph.solve import _sigma_grid, default_negative_floor, find_spectrum
 
@@ -297,12 +295,19 @@ class TestDtnByteIdentity:
         assert raised(interval_dtn, 1.0, 4.0 * PI2, "e7")[:2] == ("e7", 2)
 
 
+def edge_determinant(g, kap):
+    # at kappa * max(l) < 1 every edge keeps the cosh/sinh pair, the basis
+    # the closed forms are stated in
+    assert kap * max(e.length for e in g.edges) < 1.0
+    return complex(np.linalg.det(build_secular_matrix(g, -kap**2)))
+
+
 class TestClosedForms:
     def test_three_star_ratio_is_i(self):
         lengths = [1.0, 0.7, 1.3]
         g = make_star(lengths)
-        for kap in (0.5, 1.0, 1.7, 2.4):
-            ratio = secular_determinant(g, -kap**2) / star_secular_closed_form(
+        for kap in (0.3, 0.5, 0.76):
+            ratio = edge_determinant(g, kap) / star_secular_closed_form(
                 lengths, "neumann", kap
             )
             assert ratio == pytest.approx(1j, abs=1e-12)
@@ -310,8 +315,8 @@ class TestClosedForms:
     def test_four_star_ratio_is_one(self):
         lengths = [1.0, 1.0, 1.0, 1.0]
         g = make_star(lengths)
-        for kap in (0.5, 1.3):
-            ratio = secular_determinant(g, -kap**2) / star_secular_closed_form(
+        for kap in (0.5, 0.75, 0.99):
+            ratio = edge_determinant(g, kap) / star_secular_closed_form(
                 lengths, "neumann", kap
             )
             assert ratio == pytest.approx(1.0, abs=1e-12)
@@ -319,8 +324,8 @@ class TestClosedForms:
     def test_dirichlet_star_ratio_is_kappa_cubed_reciprocal(self):
         lengths = [1.0, 1.0, 1.0]
         g = make_star(lengths, tip_bc="dirichlet")
-        for kap in (0.5, 1.3, 2.1):
-            ratio = secular_determinant(g, -kap**2) / star_secular_closed_form(
+        for kap in (0.5, 0.75, 0.99):
+            ratio = edge_determinant(g, kap) / star_secular_closed_form(
                 lengths, "dirichlet", kap
             )
             assert ratio * kap**3 == pytest.approx(1.0, abs=1e-11)
@@ -397,11 +402,13 @@ class TestReducedForms:
             star_secular_reduced([1.0] * 5, "neumann", 1.0)
 
     def test_positive_dirichlet_reduction(self):
-        # 3 tan^2(kl) = k^2 at the first positive Dirichlet-star eigenvalue;
-        # bracket past the tan pole at pi/2.
-        f = lambda k: star_reduced_positive_dirichlet(k, 1.0)
-        k0 = brentq(f, 2.0, 2.5, xtol=1e-13)
-        assert 3 * math.tan(k0) ** 2 == pytest.approx(k0**2, rel=1e-9)
+        # the equilateral Dirichlet 3-star's second positive eigenvalue is
+        # k0^2 at the root of 3 tan^2(k) = k^2 past the tan pole at pi/2
+        k0 = brentq(lambda k: 3 * math.tan(k) ** 2 - k**2, 2.0, 2.5, xtol=1e-15)
+        g = make_star([1.0] * 3, tip_bc="dirichlet")
+        lams = find_spectrum(g, (0.1, 6.0)).lambdas()
+        assert len(lams) == 2
+        assert lams[1] == pytest.approx(k0**2, rel=1e-12)
 
 
 def _sampled(seed):

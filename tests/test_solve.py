@@ -23,6 +23,7 @@ from qgraph.graph import (
     make_star,
 )
 from qgraph.kernels import equilibrate_columns, prepare_structure
+from qgraph.quadform import trial_norm_sq
 from qgraph.secular import (build_secular_matrix, count_below,
                             reduced_negative_kappas)
 from qgraph.solve import (
@@ -1544,6 +1545,12 @@ class TestFirstEigenvalues:
         assert spec.diagnostics == [
             "MultiplicityUncertain(lambda=2.46740090027e+14)"]
 
+    @pytest.mark.parametrize("k", [0, -1, -2])
+    def test_k_below_one_raises(self, k):
+        # at k = -2 the first window ends at 0, which no relative step moves
+        with deadline(5), pytest.raises(ValueError, match="k must be >= 1"):
+            first_eigenvalues(make_star([1.0, 0.7, 1.3]), k)
+
     def test_window_growth_reaches_high_count(self):
         lams, _ = first_eigenvalues(make_path([1.0]), 6)
         assert lams == pytest.approx([0.0] + [(n * math.pi) ** 2 for n in range(1, 6)],
@@ -1741,7 +1748,7 @@ class TestEigenfunctions:
 
     def test_normalized(self, star3):
         f = eigenfunction_at(star3, STAR3_EQUIL[0])[0]
-        assert f.norm_sq() == pytest.approx(1.0, rel=1e-10)
+        assert trial_norm_sq(star3, f.as_trial()) == pytest.approx(1.0, rel=1e-10)
 
     def test_deep_root_back_conversion(self):
         # kappa*l = 4.4 on the long edge: extraction runs through the decaying
