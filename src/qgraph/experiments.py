@@ -28,6 +28,11 @@ from .solve import RANK_TOL, REFINE_TOL, find_spectrum, first_eigenvalues
 from .surgery import AttachEdge, ExtendEdge, Merge, Transplant, apply_surgery
 
 STRICT_MARGIN = 1e-9
+# the seeded batches' sizes and the star-ladder's stars
+TRANSPLANT_CASES = 100
+BOUND_CASES = 30  # diameter-bound and general-bounds
+GROUND_STATE_NS, GROUND_STATE_PER_N = (3, 4, 5, 6), 25
+LADDER_TOTAL, LADDER_N_MAX = 3.0, 8
 
 _SOLVER_TOL = {"rank_tol": RANK_TOL, "refine_tol": REFINE_TOL}
 
@@ -177,13 +182,13 @@ def ground_state(g: MetricGraph) -> tuple:
 
 # -- transplantation ------------------------------------------------------------
 
-def verify_transplantation(n: int = None, lengths=None, moves=None, *,
-                           seed: int = 0, num_cases: int = 100) -> Report:
+def verify_transplantation(lengths=None, moves=None, *, seed: int = 0) -> Report:
     """Strict decrease of the ground state when a piece of a shorter edge is
     transplanted onto a longer one (full removal allowed for even stars).
 
     Explicit form: pass `lengths` plus `moves` = [(j, k, amount), ...] with
-    1-based edge indices and l_j <= l_k. Otherwise a seeded batch is run.
+    1-based edge indices and l_j <= l_k. Otherwise a seeded batch of
+    TRANSPLANT_CASES is run.
     """
     rng = np.random.default_rng(seed)
     specs = []
@@ -194,7 +199,7 @@ def verify_transplantation(n: int = None, lengths=None, moves=None, *,
         specs.append(([1.0, 1.0, 1.0], 1, 2, 0.2))
         specs.append(([1.0, 2.0, 3.0], 1, 3, 0.5))
         specs.append(([1.0, 1.0, 1.0, 1.0], 1, 2, 1.0))  # full removal, N even
-        while len(specs) < num_cases:
+        while len(specs) < TRANSPLANT_CASES:
             nn = int(rng.integers(3, 7))
             total = 2.0 + 2.0 * rng.random()
             ls = sample_lengths(rng, nn, total)
@@ -269,26 +274,27 @@ def verify_equilateral_max(n: int, total: float, samples=None, *,
 
 # -- edge-count ladder ----------------------------------------------------------
 
-def verify_star_count_ladder(total: float = 3.0, n_max: int = 8) -> Report:
-    """Orderings of ground states of equilateral stars of fixed total length:
-    adding two edges lowers it; odd -> odd+1 raises it; even -> even+1 lowers it.
+def verify_star_count_ladder() -> Report:
+    """Orderings of ground states of equilateral stars of total length
+    LADDER_TOTAL, up to LADDER_N_MAX + 2 edges: adding two edges lowers it;
+    odd -> odd+1 raises it; even -> even+1 lowers it.
     """
     def lam_for(nn):
         def thunk():
-            return nn, ground_state(make_star([total / nn] * nn))
+            return nn, ground_state(make_star([LADDER_TOTAL / nn] * nn))
         return thunk
 
-    found = dict(_run_cases([lam_for(nn) for nn in range(3, n_max + 3)]))
+    found = dict(_run_cases([lam_for(nn) for nn in range(3, LADDER_N_MAX + 3)]))
     lams = {nn: lam for nn, (lam, _) in found.items()}
 
     cases = []
-    for nn in range(3, n_max + 1):
+    for nn in range(3, LADDER_N_MAX + 1):
         margin = lams[nn] - lams[nn + 2]
         cases.append(_missed(CaseResult(
             name=f"ladder-skip2-N{nn}", status=_strict(margin), margin=margin,
             details={"lambda1": {str(nn): lams[nn], str(nn + 2): lams[nn + 2]},
-                     "total_length": total}), found[nn][1], found[nn + 2][1]))
-    for nn in range(3, n_max + 1):
+                     "total_length": LADDER_TOTAL}), found[nn][1], found[nn + 2][1]))
+    for nn in range(3, LADDER_N_MAX + 1):
         if nn % 2 == 1:
             margin = lams[nn + 1] - lams[nn]
             name = f"ladder-odd-up-N{nn}"
@@ -298,22 +304,19 @@ def verify_star_count_ladder(total: float = 3.0, n_max: int = 8) -> Report:
         cases.append(_missed(CaseResult(
             name=name, status=_strict(margin), margin=margin,
             details={"lambda1": {str(nn): lams[nn], str(nn + 1): lams[nn + 1]},
-                     "total_length": total}), found[nn][1], found[nn + 1][1]))
+                     "total_length": LADDER_TOTAL}), found[nn][1], found[nn + 1][1]))
     return Report("star-ladder", 0, cases)
 
 
 # -- global ground-state maximality over stars ----------------------------------
 
-def verify_ground_state_theorem(total: float, samples=None, *, seed: int = 0,
-                                per_n: int = 25, ns=(3, 4, 5, 6)) -> Report:
+def verify_ground_state_theorem(total: float, *, seed: int = 0) -> Report:
     """Every star of total length L has ground state at most that of the
-    equilateral 3-star (odd edge counts) or 4-star (even), same L."""
+    equilateral 3-star (odd edge counts) or 4-star (even), same L, on
+    GROUND_STATE_PER_N seeded stars of each edge count in GROUND_STATE_NS."""
     rng = np.random.default_rng(seed)
-    if samples is None:
-        samples = []
-        for nn in ns:
-            for _ in range(per_n):
-                samples.append((nn, sample_lengths(rng, nn, total)))
+    samples = [(nn, sample_lengths(rng, nn, total))
+               for nn in GROUND_STATE_NS for _ in range(GROUND_STATE_PER_N)]
     refs = {nn: ground_state(make_star([total / nn] * nn)) for nn in (3, 4)}
     cases = []
     for nn, (ref, m_ref) in refs.items():
@@ -471,14 +474,13 @@ def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
 
 # -- diameter bound for even stars ----------------------------------------------
 
-def verify_diameter_bound(samples=None, *, seed: int = 0,
-                          num_cases: int = 30) -> Report:
+def verify_diameter_bound(samples=None, *, seed: int = 0) -> Report:
     """lambda_k <= (k-1)^2 pi^2 / diam^2 <= (k-1)^2 pi^2 N^2 / (4 L^2) for
     stars with an even number of edges."""
     rng = np.random.default_rng(seed)
     if samples is None:
         samples = [[1.0, 1.0, 1.0, 1.0]]
-        while len(samples) < num_cases:
+        while len(samples) < BOUND_CASES:
             nn = int(rng.choice([4, 6]))
             samples.append(sample_lengths(rng, nn, 2.0 + rng.random() * 2))
 
@@ -512,8 +514,7 @@ def verify_diameter_bound(samples=None, *, seed: int = 0,
 
 # -- general upper bounds -------------------------------------------------------
 
-def verify_general_bounds(samples=None, *, seed: int = 0,
-                          num_cases: int = 30) -> Report:
+def verify_general_bounds(samples=None, *, seed: int = 0) -> Report:
     """For connected graphs other than paths and cycles: lambda_1 <= -1,
     lambda_2 <= 0, lambda_5 <= 16 pi^2 / L^2 (and lambda_3 <= 4 pi^2 / L^2);
     the equilateral figure-8 attains all of them."""
@@ -526,7 +527,7 @@ def verify_general_bounds(samples=None, *, seed: int = 0,
         graphs.append(make_figure8(0.3, 0.9))
         for nn in (3, 4, 5, 6):
             graphs.append(make_star(sample_lengths(rng, nn, 2.0 + rng.random())))
-        while len(graphs) < num_cases:
+        while len(graphs) < BOUND_CASES:
             graphs.append(sample_graph(rng))
 
     def run(idx, g):

@@ -400,16 +400,17 @@ def oracle_eigenvalues(g: MetricGraph, count: int, h: float) -> np.ndarray:
     """`count` smallest eigenvalues of the constrained pencil, ascending,
     each as often as its multiplicity.
 
-    Raises MeshTooCoarse when the reduced problem has fewer than four dofs
-    per wanted eigenvalue.
+    The counts are exact up to the pencil's order, so every eigenvalue of
+    it can be asked for. Raises MeshTooCoarse when `count` exceeds the
+    reduced dofs, `ndof`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     plans = _plans(g, h)
-    if count > plans.ndof // 4:
+    if count > plans.ndof:
         raise MeshTooCoarse(
-            f"{count} eigenvalues from {plans.ndof} reduced dofs is "
-            f"unreliable; refine the mesh")
+            f"{count} eigenvalues asked of a pencil with ndof = {plans.ndof} "
+            f"reduced dofs; refine the mesh")
 
     # the bracket: N_h = 0 at its lowest point and N_h >= count at its top
     k = _BRACKET_BATCH

@@ -1,14 +1,15 @@
 """Hot kernels: secular matrix assembly and sigma_min scans over lambdas.
 
-`scan_svdvals` is the one loop that turns lambdas into singular values, for
+`scan_sigma` is the one loop that turns lambdas into singular values, for
 both routes: it asks the route's builder for one stack of matrices per chunk
-of the lambdas and runs one batched SVD over the rows off the builder's
-singular mask. `scan_sigma` gathers its rows into one array, each lambda's
-singular values in descending order, inf in the masked rows. The lambdas
-are any batch: find_spectrum scans the points its V-step refinement asks
-for inside the cells that exact eigenvalue counts (`secular.count_below`)
-leave open, each padded by half a width, and certifies each candidate from
-the row its refinement already computed.
+of the lambdas, runs one batched SVD over the rows off the builder's
+singular mask and gathers them into one array, each lambda's singular
+values in descending order, inf in the masked rows. The lambdas are any
+batch: find_spectrum scans the points its V-step refinement asks for inside
+the cells that exact eigenvalue counts (`secular.count_below`) leave open,
+each padded by half a width, and certifies each candidate from the row its
+refinement computed, or from one more scan for a candidate the refinement
+returned unevaluated.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (8, n_lambda, E) trace tables of a
@@ -191,31 +192,23 @@ def branch_svdvals(mats, lams):
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def scan_svdvals(lams, build):
-    """Batched SVDs over chunks of SCAN_CHUNK lams: yields (rows, svdvals) per
-    chunk, svdvals holding each row's singular values, descending.
+def scan_sigma(lams, build):
+    """Batched SVDs over chunks of SCAN_CHUNK lams: every singular value, one
+    descending row per lambda, an (n, m) array for m x m matrices.
 
     build(part) gives the stack of secular matrices of a chunk and its (n,)
-    singular mask; masked rows hold no matrix and are left out of rows.
-    Every row is computed on its own, so a lambda gets the same bytes
-    whatever else its call holds."""
+    singular mask; masked rows hold no matrix and read inf. Every row is
+    computed on its own, so a lambda gets the same bytes whatever else its
+    call holds."""
     lams = np.asarray(lams, dtype=float)
+    out = np.full((lams.size, 0), np.inf)
     for lo in range(0, lams.size, SCAN_CHUNK):
         part = lams[lo:lo + SCAN_CHUNK]
         mats, singular = build(part)
+        if lo == 0:
+            out = np.full((lams.size, mats.shape[-1]), np.inf)
         ok = np.flatnonzero(~singular)
         if ok.size < part.size:
             mats, part = mats[ok], part[ok]
-        yield lo + ok, branch_svdvals(mats, part)
-
-
-def scan_sigma(lams, build):
-    """Every singular value over lams, from `scan_svdvals`: one descending
-    row per lambda, an (n, m) array for m x m matrices; masked rows read
-    inf."""
-    lams = np.asarray(lams, dtype=float)
-    parts = list(scan_svdvals(lams, build))
-    out = np.full((lams.size, parts[0][1].shape[1] if parts else 0), np.inf)
-    for rows, s in parts:
-        out[rows] = s
+        out[lo + ok] = branch_svdvals(mats, part)
     return out

@@ -22,6 +22,7 @@ from .graph import END, BoundaryType, MetricGraph, START
 from .surgery import Transplant, apply_surgery
 
 DOMAIN_TOL = 1e-9
+QUAD_ORDER = 64  # Gauss points per edge piece of form, norm and Gram integrals
 SEAM_TOL = 1e-13  # |psi| at a transplant cut below which the trial is undefined
 
 
@@ -30,7 +31,7 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def edge_quadrature(length: float, order: int = 64, breaks: tuple = ()):
+def edge_quadrature(length: float, order: int = QUAD_ORDER, breaks: tuple = ()):
     """Gauss-Legendre nodes/weights on [0, length], split at breakpoints."""
     base_x, base_w = _leggauss(order)
     cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < length) + [float(length)]
@@ -145,8 +146,7 @@ def form_domain_basis(g: MetricGraph) -> np.ndarray:
     return vh[rank:].T
 
 
-def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,
-               order: int = 64):
+def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None):
     """Form value a[f, other]; diagonal a[f] (returned real) when other is None.
 
     The diagonal value is real by construction; its imaginary quadrature
@@ -163,7 +163,7 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,
     total = 0.0 + 0.0j
     for e in g.edges:
         breaks = tuple(f.breakpoints.get(e.id, ())) + tuple(h.breakpoints.get(e.id, ()))
-        x, w = edge_quadrature(e.length, order, breaks)
+        x, w = edge_quadrature(e.length, breaks=breaks)
         df = f.derivative(e.id, x)
         dh = df if diag else h.derivative(e.id, x)
         total += np.sum(w * df * np.conj(dh))
@@ -178,19 +178,19 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None, *,
     return complex(total)
 
 
-def trial_norm_sq(g: MetricGraph, f: TrialFunction, order: int = 64) -> float:
+def trial_norm_sq(g: MetricGraph, f: TrialFunction) -> float:
     total = 0.0
     for e in g.edges:
-        x, w = edge_quadrature(e.length, order, tuple(f.breakpoints.get(e.id, ())))
+        x, w = edge_quadrature(e.length, breaks=tuple(f.breakpoints.get(e.id, ())))
         total += float(np.sum(w * np.abs(f.value(e.id, x)) ** 2))
     return total
 
 
-def rayleigh_quotient(g: MetricGraph, f: TrialFunction, *, order: int = 64) -> float:
-    norm = trial_norm_sq(g, f, order)
+def rayleigh_quotient(g: MetricGraph, f: TrialFunction) -> float:
+    norm = trial_norm_sq(g, f)
     if norm < 1e-30:
         raise QGraphError("trial function has (numerically) zero norm")
-    return form_value(g, f, order=order) / norm
+    return form_value(g, f) / norm
 
 
 def build_transplant_trial(g: MetricGraph, psi, from_edge: str, to_edge: str,

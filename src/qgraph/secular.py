@@ -13,7 +13,7 @@ Two routes to the same zero set:
   the diagonal and off-diagonal entries plus a per-lambda singular mask.
   `build_dtn_grid` lays a chunk of them into a stack of secular matrices from
   the route's per-graph plan, `_dtn_plan`; it is the builder the one chunk
-  loop, `kernels.scan_svdvals`, runs for this route. `interval_dtn` and the
+  loop, `kernels.scan_sigma`, runs for this route. `interval_dtn` and the
   one-lambda `build_secular_matrix` are single rows of these.
 
 The same tables give exact eigenvalue counts, `count_below`: N(lambda), the

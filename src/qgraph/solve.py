@@ -39,24 +39,25 @@ than the first search can see, and a root whose cell's search slid onto a
 neighbour's.
 The sigma scans keep every singular value, one row per lambda, and each
 candidate is certified from the row its search computed; a candidate the
-search returned unevaluated (a bracket's midpoint) takes one more batch.
-Candidates within the count probes' nudge are one root. Each record reads
-its multiplicity from its row; only the explicit lambda = 0 test builds and
-decomposes a matrix of its own.
+search returned unevaluated (a bracket's midpoint) gets its row from one
+more scan, into the same rows. Candidates within the count probes' nudge
+are one root. Each record reads its multiplicity from its row; only the
+explicit lambda = 0 test builds and decomposes a matrix of its own.
 
-Every batch goes through the one chunk loop, `kernels.scan_svdvals`, with the
-route's builder: the graph's edge plan from `kernels.prepare_structure`, or
-`secular.build_dtn_grid`. A lambda on an edge's Dirichlet spectrum has no
-DtN matrix and reads inf. A DtN candidate sits on such a pole when some edge
-with k l >= 1 has |sin(k l)| < k / (1e6 max(1, k)), an off-diagonal DtN
-entry above 1e6 max(1, k); it is reported as a DtNPole diagnostic, not
-certified. Last, the window is checked for completeness against the trusted
-count N(hi+) - N(lo-), with the probes nudged just outside the window
-(counted in isolation's opening call): it must equal the certified
-multiplicities, up to the at most 2E eigenvalues each DtNPole may hide.
-Otherwise a CountMismatch diagnostic names the roots that neither search
-certified. Where either probe is untrusted the check cannot be made, and a
-CountUntrusted diagnostic names the window.
+Every scan is one `_sigma_grid` call, which runs the one chunk loop,
+`kernels.scan_sigma`, with the route's builder: the graph's edge plan from
+`kernels.prepare_structure`, or `secular.build_dtn_grid`. A lambda on an
+edge's Dirichlet spectrum has no DtN matrix and reads inf. A DtN candidate
+sits on such a pole when some edge with k l >= 1 has |sin(k l)| <
+k / (1e6 max(1, k)), an off-diagonal DtN entry above 1e6 max(1, k); it is
+reported as a DtNPole diagnostic, not certified. Last, the window is
+checked for completeness against the trusted count N(hi+) - N(lo-), with
+the probes nudged just outside the window (counted in isolation's opening
+call): it must equal the certified multiplicities, up to the at most 2E
+eigenvalues each DtNPole may hide. Otherwise a CountMismatch diagnostic
+names the roots that neither search certified. Where either probe is
+untrusted the check cannot be made, and a CountUntrusted diagnostic names
+the window.
 
 A caller that keeps only the lowest k eigenvalues (`first_eigenvalues`)
 passes first=k. Where the lower probe's count is trusted, isolation stops at
@@ -79,15 +80,14 @@ import numpy as np
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import END, MetricGraph, START
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
-                      equilibrate_columns, prepare_structure, scan_sigma,
-                      scan_svdvals)
+                      equilibrate_columns, prepare_structure, scan_sigma)
+from .quadform import QUAD_ORDER, TrialFunction, edge_quadrature
 from .secular import build_dtn_grid, build_secular_matrix, count_below
 
 ZERO_RADIUS = 1e-7
 RANK_TOL = 1e-8  # sigma ratio below which a singular value counts as null
 REFINE_TOL = 1e-12  # |d lambda| every eigenvalue is refined to
 MULT_GUARD = 10.0  # a sigma within this factor of the rank threshold is shaky
-QUAD_ORDER = 64  # Gauss points per edge of the eigenfunction quadrature
 _KAPPA_WIDTH = 1e-3  # widest cell the negative branch isolates, in kappa
 _KAPPA_FLOOR = 1e-4
 _GOLD_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
@@ -167,18 +167,13 @@ def _svdvals(mat, lam):
     return branch_svdvals(mat[None], [lam])[0]
 
 
-def _builder(g, struct, method):
-    """The route's chunk builder: `struct` is the graph's edge plan; the DtN
-    route builds from its own."""
-    if method == "edge":
-        return edge_builder(struct)
-    return lambda part: build_dtn_grid(g, part)
-
-
 def _sigma_grid(g, struct, lams, method):
     """Every singular value over lams, one descending row per lambda, from
-    `kernels.scan_sigma`; DtN-singular points read inf."""
-    return scan_sigma(lams, _builder(g, struct, method))
+    `kernels.scan_sigma` with the route's chunk builder: the graph's edge
+    plan `struct`, or the DtN route's own; DtN-singular points read inf."""
+    build = (edge_builder(struct) if method == "edge"
+             else lambda part: build_dtn_grid(g, part))
+    return scan_sigma(lams, build)
 
 
 def _v_search(a, b, tol):
@@ -414,6 +409,8 @@ def _null(s):
 def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
                   first=None) -> Spectrum:
     """All eigenvalues in the closed window [lo, hi], with multiplicities.
+    A window with an end that is not finite, or with lo > hi, raises
+    ValueError.
 
     With `first` = k only the lowest k eigenvalues of the window are wanted.
     Where the count below lo is trusted and the window holds k eigenvalues,
@@ -422,6 +419,8 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
     [lo, lambda(x*)]: its records, diagnostics, completeness check and
     window end. Every record it keeps is the one the whole window gives."""
     lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window {window} is not finite")
     if not lo <= hi:
         raise ValueError(f"window {window} is empty")
     if method not in ("edge", "dtn"):
@@ -490,19 +489,15 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
                   & (x <= bounds[:, 1] + near(bounds[:, 1])))
         live = (inside & (np.abs(lams) > ZERO_RADIUS + REFINE_TOL)
                 & (lo - REFINE_TOL <= lams) & (lams <= hi + REFINE_TOL))
-        # each candidate's row from its refinement; a batch of its own only
-        # for a candidate the search returned unevaluated
-        svals = np.full((lams.size, 2 * g.num_edges), np.inf)
-        fresh = []
-        for i in np.flatnonzero(live).tolist():
-            if lams[i] in rows:
-                svals[i] = rows[lams[i]]
-            else:
-                fresh.append(i)
+        # each candidate's row from its refinement; a candidate the search
+        # returned unevaluated gets its row from one more scan
+        fresh = [lam for lam in lams[live].tolist() if lam not in rows]
         if fresh:
-            for got, s in scan_svdvals(lams[fresh],
-                                       _builder(g, struct, method)):
-                svals[np.array(fresh)[got]] = s
+            rows.update(zip(fresh, _sigma_grid(g, struct, np.array(fresh),
+                                               method)))
+        svals = np.full((lams.size, 2 * g.num_edges), np.inf)
+        for i in np.flatnonzero(live):
+            svals[i] = rows[lams[i]]
         # interval-Dirichlet pole of the DtN map: some edge with k l >= 1
         # has |sin(k l)| so small that its entries, k / sin(k l), exceed
         # 1e6 max(1, k). The rank ratio under-reads there, and any eigenvalue
@@ -673,8 +668,6 @@ class Eigenfunction:
         return f, fp
 
     def as_trial(self):
-        from .quadform import TrialFunction
-
         return TrialFunction(
             values={e.id: (lambda x, eid=e.id: self.value(eid, x))
                     for e in self.graph.edges},
@@ -702,8 +695,6 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     the coefficient vector; the DtN nullspace only carries traces). Raises
     NotAnEigenvalue when the matrix has full rank there.
     """
-    from .quadform import edge_quadrature
-
     s_mat = build_secular_matrix(g, lam, "edge")
     scales = np.ones(s_mat.shape[1])
     if lam < 0.0:

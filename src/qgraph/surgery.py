@@ -8,8 +8,8 @@ figure-8 of the same total length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from .errors import IllegalOp, NotReducible
 from .graph import (END, START, BoundaryType, EdgeRecord, MetricGraph,

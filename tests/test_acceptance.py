@@ -5,7 +5,6 @@ One test per criterion, executed in order; each prints a single PASS line
 hold. Run with -s to see the lines on success.
 """
 
-import json
 import math
 import time
 
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from qgraph.cli import main
-from qgraph.coupling import assemble_blocks
 from qgraph.experiments import SUITES, sweep_lambda1_vs_length
 from qgraph.fem import oracle_eigenvalues
 from qgraph.graph import (

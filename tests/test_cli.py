@@ -1,8 +1,8 @@
 """CLI: subcommands, exit codes, byte-deterministic output."""
 
 import json
-import math
 import os
+import warnings
 
 import pytest
 
@@ -78,6 +78,15 @@ class TestSpectrum:
         assert main(["spectrum", star_file, "--window", "abc"]) == 2
         assert "window" in capsys.readouterr().err
         assert main(["spectrum", star_file, "--window", "5:1"]) == 2
+
+    @pytest.mark.parametrize("window, named", [("-inf:0", "(-inf, 0.0)"),
+                                               ("0:inf", "(0.0, inf)")])
+    def test_non_finite_window_exits_2(self, star_file, capsys, window, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["spectrum", star_file, "--window", window]) == 2
+        assert f"window {named} is not finite" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "nope.json"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qgraph import BoundaryType, make_star
+from qgraph import BoundaryType
 from qgraph.coupling import assemble_blocks, build_vertex_pair, vertex_residual
 from qgraph.errors import DimensionMismatch
 from qgraph.solve import eigenfunction_at, find_spectrum

@@ -109,7 +109,7 @@ class TestSuites:
             "diameter-bound", "general-bounds"}
 
     def test_star_ladder_passes(self):
-        rep = verify_star_count_ladder(total=3.0, n_max=5)
+        rep = verify_star_count_ladder()
         assert rep.passed()
         assert all(c.status == "pass" for c in rep.cases)
 

@@ -98,6 +98,14 @@ class TestOracle:
         with pytest.raises(MeshTooCoarse):
             oracle_eigenvalues(star3, 10, 0.5)
 
+    def test_count_up_to_the_reduced_dofs(self, star3):
+        # the counts are exact up to the pencil's order: 3 eigenvalues from
+        # the 9 reduced dofs at h = 0.5 are answered, 10 are refused with
+        # the reduced dof count named
+        assert oracle_eigenvalues(star3, 3, 0.5).shape == (3,)
+        with pytest.raises(MeshTooCoarse, match="ndof = 9 "):
+            oracle_eigenvalues(star3, 10, 0.5)
+
     def test_no_reduced_dofs_is_too_coarse(self):
         # one element between two Dirichlet tips leaves no dof at all
         with pytest.raises(MeshTooCoarse):
@@ -140,6 +148,20 @@ class TestBandedOracle:
         want = scipy.linalg.eigh(a, m, eigvals_only=True)[:8]
         got = oracle_eigenvalues(g, 8, 0.02)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("g", [
+        make_figure8(0.7, 1.3),
+        make_star([1.0] * 3, tip_bc="dirichlet"),
+    ], ids=["figure8", "star3-dirichlet"])
+    def test_every_eigenvalue_matches_dense_pencil(self, g):
+        # count = ndof asks for the whole spectrum of the reduced pencil
+        h_mat, mass, restrict = discretize(g, 0.2)
+        a = (restrict.conj().T @ h_mat @ restrict).toarray()
+        m = (restrict.T @ mass @ restrict).toarray()
+        want = scipy.linalg.eigh(a, m, eigvals_only=True)
+        got = oracle_eigenvalues(g, restrict.shape[1], 0.2)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     @staticmethod
     def chain_poles(plans, plan):

@@ -1,7 +1,6 @@
 """Graph model: construction, validation, serialization, metrics."""
 
 import json
-import math
 
 import numpy as np
 import pytest

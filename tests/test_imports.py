@@ -3,12 +3,15 @@ alone; scipy loads only with `secular.reduced_negative_kappas` and the
 `fem.discretize` reference. Each check runs in a fresh interpreter, because
 the test process has scipy loaded already."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import qgraph
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -48,3 +51,25 @@ def test_every_public_name_resolves():
               "missing = [n for n in qgraph.__all__ if not hasattr(qgraph, n)]\n"
               "print(len(qgraph.__all__), *missing)")
     assert int(out[0]) > 0 and out[1:] == []
+
+
+def unused_imports(path, kept=()):
+    """The names a module imports and never reads, less `kept`."""
+    tree = ast.parse(path.read_text())
+    bound = {(a.asname or a.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read - set(kept))
+
+
+@pytest.mark.parametrize("path", sorted((Path(SRC) / "qgraph").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # the package's exports are read by its importers, and experiments keeps
+    # find_spectrum bound for qgbench's spans, which wrap it by that name
+    kept = {"__init__.py": qgraph.__all__,
+            "experiments.py": ["find_spectrum"]}.get(path.name, ())
+    assert unused_imports(path, kept) == []

@@ -315,6 +315,15 @@ class TestWindowHandling:
         with pytest.raises(ValueError):
             find_spectrum(star3, (1.0, -1.0))
 
+    @pytest.mark.parametrize("window", [(-math.inf, 0.0), (0.0, math.inf),
+                                        (math.nan, 1.0)])
+    def test_non_finite_window(self, star3, window):
+        # refused before any count, so no RuntimeWarning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"window \(.*\) is not finite"):
+                find_spectrum(star3, window)
+
     def test_unknown_method(self, star3):
         with pytest.raises(ValueError):
             find_spectrum(star3, (-1.0, 1.0), "shooting")
@@ -1685,19 +1694,38 @@ class TestFirstK:
 class TestCertificationRows:
     """Certification reads each candidate's singular values from the row
     its refinement computed; only a candidate the search returned
-    unevaluated takes a batch of its own."""
+    unevaluated gets its row from one more `_sigma_grid` call."""
 
     @staticmethod
-    def cert_batches(monkeypatch):
-        batches = []
-        scan = solve_mod.scan_svdvals
+    def calls_after_refinement(monkeypatch):
+        """The lambdas of every `_sigma_grid` call made outside
+        `_golden_min`, the refinement."""
+        calls, refining = [], []
+        grid, golden = solve_mod._sigma_grid, solve_mod._golden_min
 
-        def recorded(lams, build):
-            batches.append(np.array(lams))
-            return scan(lams, build)
+        def refine(*args):
+            refining.append(True)
+            try:
+                return golden(*args)
+            finally:
+                refining.pop()
 
-        monkeypatch.setattr(solve_mod, "scan_svdvals", recorded)
-        return batches
+        def recorded(g, struct, lams, method):
+            if not refining:
+                calls.append(np.array(lams))
+            return grid(g, struct, lams, method)
+
+        monkeypatch.setattr(solve_mod, "_golden_min", refine)
+        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
+        return calls
+
+    @staticmethod
+    def assert_one_matrix_bytes(g, spec):
+        for r in spec.records:
+            s = solve_mod._svdvals(
+                build_secular_matrix(g, r.lam, spec.method), r.lam)
+            assert np.float64(r.sigma_min).tobytes() == s[-1].tobytes()
+            assert np.float64(r.sigma_max).tobytes() == s[0].tobytes()
 
     @pytest.mark.parametrize("g, hi", [
         (make_star([0.9, 1.1, 1.05]), 30.0),
@@ -1708,27 +1736,28 @@ class TestCertificationRows:
         (make_star([0.9, 1.1, 1.0], tip_bc="dirichlet"), 30.0)])
     def test_scan_solves_make_no_certification_batch(self, g, hi,
                                                      monkeypatch):
-        batches = self.cert_batches(monkeypatch)
+        # no `_sigma_grid` call after refinement: every record is read from
+        # a refinement row
+        calls = self.calls_after_refinement(monkeypatch)
         spec = find_spectrum(g, (default_negative_floor(g), hi))
         assert spec.diagnostics == [] and spec.count >= 3
-        assert batches == []
+        assert calls == []
+        self.assert_one_matrix_bytes(g, spec)
 
     def test_unevaluated_candidate_takes_its_own_batch(self, monkeypatch):
         # the golden search on a DtN pole cell returns its bracket's
-        # midpoint, which it never evaluated; every record still holds the
-        # bytes a one-matrix SVD at its lambda gives
-        batches = self.cert_batches(monkeypatch)
+        # midpoint, which it never evaluated; one call holds that lambda
+        # alone, and every record still holds the bytes a one-matrix SVD at
+        # its lambda gives
+        calls = self.calls_after_refinement(monkeypatch)
         g = make_figure8(1.15, 1.85)
         spec = find_spectrum(g, (-16.0, 30.0), "dtn")
         assert diagnostic_kinds(spec) == ["DtNPole", "DtNPole"]
-        (batch,) = batches
-        assert batch.size == 1 and f"DtNPole(lambda={batch[0]:.12g})" in (
+        (lams,) = calls
+        assert lams.size == 1 and f"DtNPole(lambda={lams[0]:.12g})" in (
             spec.diagnostics)
         assert len(spec.records) == 4
-        for r in spec.records:
-            s = solve_mod._svdvals(build_secular_matrix(g, r.lam, "dtn"), r.lam)
-            assert np.float64(r.sigma_min).tobytes() == s[-1].tobytes()
-            assert np.float64(r.sigma_max).tobytes() == s[0].tobytes()
+        self.assert_one_matrix_bytes(g, spec)
 
 
 def residual(g, f):

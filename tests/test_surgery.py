@@ -3,10 +3,10 @@ experiments module and its tests)."""
 
 import pytest
 
-from qgraph import (AttachEdge, BoundaryType, ExtendEdge, Merge, MetricGraph,
-                    Split, Transplant, apply_surgery, is_figure8_shape,
-                    make_cycle, make_figure8, make_path, make_star,
-                    reduce_to_figure8, reduced_loop_lengths)
+from qgraph import (AttachEdge, BoundaryType, ExtendEdge, Merge, Split,
+                    Transplant, apply_surgery, is_figure8_shape, make_cycle,
+                    make_path, make_star, reduce_to_figure8,
+                    reduced_loop_lengths)
 from qgraph.errors import IllegalOp, NotReducible
 from qgraph.graph import END, START
 
