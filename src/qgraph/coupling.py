@@ -1,15 +1,22 @@
-"""Vertex condition matrices.
+"""Vertex condition matrices: the one statement of the vertex conditions.
 
 A vertex of degree d with the coupled condition imposes, cyclically in its
 endpoint order, (F_{j+1} - F_j) + i(F'_j + F'_{j+1}) = 0, with derivatives
 taken into the edges. In matrix form that is A F + i B F' = 0 where A is the
 cyclic difference matrix and B the cyclic sum matrix. Degree-1 vertices carry
 Neumann (A=0, B=1) or Dirichlet (A=1, B=0) data.
+
+Both secular routes read their rows from `assemble_blocks`: the DtN route
+multiplies its blocks out per lambda, and the edge route's plan
+(`kernels.prepare_structure`) takes A's entries as value terms and B's as
+derivative terms. The quadratic form's equivalent statement, the skew
+pairing H and the form domain, is `quadform`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,22 +24,27 @@ from .errors import DimensionMismatch
 from .graph import BoundaryType, MetricGraph
 
 
+@lru_cache(maxsize=64)
 def build_vertex_pair(bc: BoundaryType, degree: int):
-    """(A, B) for one vertex; both are degree x degree real arrays."""
+    """(A, B) for one vertex; both are degree x degree real arrays, read-only
+    since one pair serves every vertex of its condition and degree."""
     if degree < 1:
         raise DimensionMismatch("vertex degree must be >= 1")
     bc = BoundaryType(bc)
     if degree == 1:
-        if bc is BoundaryType.DIRICHLET:
-            return np.array([[1.0]]), np.array([[0.0]])
         # coupled at degree 1 is Neumann
-        return np.array([[0.0]]), np.array([[1.0]])
-    if bc is not BoundaryType.COUPLED:
+        dirichlet = float(bc is BoundaryType.DIRICHLET)
+        pair = np.array([[dirichlet]]), np.array([[1.0 - dirichlet]])
+    elif bc is not BoundaryType.COUPLED:
         raise DimensionMismatch(f"{bc.value} condition only defined at degree 1")
-    eye = np.eye(degree)
-    shift = np.roll(eye, 1, axis=1)  # ones on the superdiagonal and the corner
-    # row j of A F reads F_{j+1} - F_j (cyclically), so A is shift minus eye
-    return shift - eye, eye + shift
+    else:
+        eye = np.eye(degree)
+        shift = np.roll(eye, 1, axis=1)  # ones on the superdiagonal and the corner
+        # row j of A F reads F_{j+1} - F_j (cyclically), so A is shift minus eye
+        pair = shift - eye, eye + shift
+    for x in pair:
+        x.flags.writeable = False
+    return pair
 
 
 @dataclass(frozen=True)
@@ -41,7 +53,6 @@ class BlockSystem:
 
     a: np.ndarray
     b: np.ndarray
-    slot_index: dict
 
 
 def assemble_blocks(g: MetricGraph) -> BlockSystem:
@@ -56,7 +67,7 @@ def assemble_blocks(g: MetricGraph) -> BlockSystem:
         a[pos:pos + d, pos:pos + d] = av
         b[pos:pos + d, pos:pos + d] = bv
         pos += d
-    return BlockSystem(a, b, dict(g.slot_index))
+    return BlockSystem(a, b)
 
 
 def vertex_residual(a: np.ndarray, b: np.ndarray, traces, derivs) -> float:

@@ -30,9 +30,11 @@ from .surgery import AttachEdge, ExtendEdge, Merge, Transplant, apply_surgery
 STRICT_MARGIN = 1e-9
 # the seeded batches' sizes and the star-ladder's stars
 TRANSPLANT_CASES = 100
+EQUILATERAL_SAMPLES = 50
 BOUND_CASES = 30  # diameter-bound and general-bounds
 GROUND_STATE_NS, GROUND_STATE_PER_N = (3, 4, 5, 6), 25
 LADDER_TOTAL, LADDER_N_MAX = 3.0, 8
+MIN_LENGTH_FRAC = 0.05  # sample_lengths' shortest edge, a share of the total
 
 _SOLVER_TOL = {"rank_tol": RANK_TOL, "refine_tol": REFINE_TOL}
 
@@ -130,12 +132,13 @@ def _nonstrict(margin: float) -> str:
 
 # -- sampling -------------------------------------------------------------------
 
-def sample_lengths(rng, n: int, total: float, min_frac: float = 0.05) -> list:
-    """Uniform on the simplex of n lengths summing to total, each >= min_frac*total."""
-    base = min_frac * total
+def sample_lengths(rng, n: int, total: float) -> list:
+    """Uniform on the simplex of n lengths summing to total, each >=
+    MIN_LENGTH_FRAC * total."""
+    base = MIN_LENGTH_FRAC * total
     rest = total - n * base
     if rest <= 0:
-        raise ValueError("min_frac too large for this many edges")
+        raise ValueError("MIN_LENGTH_FRAC too large for this many edges")
     return [float(base + rest * w) for w in rng.dirichlet(np.ones(n))]
 
 
@@ -238,12 +241,13 @@ def verify_transplantation(lengths=None, moves=None, *, seed: int = 0) -> Report
 # -- equilateral maximality -----------------------------------------------------
 
 def verify_equilateral_max(n: int, total: float, samples=None, *,
-                           seed: int = 0, num_samples: int = 100) -> Report:
+                           seed: int = 0) -> Report:
     """Among n-edge stars of fixed total length, the equilateral one has the
     largest ground state, strictly unless the sample is equilateral."""
     rng = np.random.default_rng(seed)
     if samples is None:
-        samples = [sample_lengths(rng, n, total) for _ in range(num_samples)]
+        samples = [sample_lengths(rng, n, total)
+                   for _ in range(EQUILATERAL_SAMPLES)]
     eq = make_star([total / n] * n)
     lam_eq, m_eq = ground_state(eq)
     cases = []
@@ -627,10 +631,9 @@ def sweep_lambda1_vs_length(family: str, grid, n: int = 3) -> SweepTable:
 
 SUITES = {
     "transplant": lambda seed: verify_transplantation(seed=seed),
-    "equilateral-max": lambda seed: verify_equilateral_max(3, 3.0, seed=seed,
-                                                           num_samples=50),
-    "equilateral-max-even": lambda seed: verify_equilateral_max(
-        4, 4.0, seed=seed, num_samples=50),
+    "equilateral-max": lambda seed: verify_equilateral_max(3, 3.0, seed=seed),
+    "equilateral-max-even": lambda seed: verify_equilateral_max(4, 4.0,
+                                                                seed=seed),
     "star-ladder": lambda seed: verify_star_count_ladder(),
     "ground-state": lambda seed: verify_ground_state_theorem(3.0, seed=seed),
     "surgery-monotonicity": lambda seed: verify_surgery_monotonicity(seed=seed),

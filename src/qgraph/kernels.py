@@ -1,22 +1,23 @@
 """Hot kernels: secular matrix assembly and sigma_min scans over lambdas.
 
-`scan_sigma` is the one loop that turns lambdas into singular values, for
-both routes: it asks the route's builder for one stack of matrices per chunk
-of the lambdas, runs one batched SVD over the rows off the builder's
-singular mask and gathers them into one array, each lambda's singular
-values in descending order, inf in the masked rows. The lambdas are any
-batch: find_spectrum scans the points its V-step refinement asks for inside
-the cells that exact eigenvalue counts (`secular.count_below`) leave open,
-each padded by half a width, and certifies each candidate from the row its
+`scan_sigma` is the one place that turns lambdas into singular values, for
+both routes: it asks the route's builder for one stack of matrices for all
+its lambdas, runs one batched SVD over the rows off the builder's singular
+mask and gathers them into one array, each lambda's singular values in
+descending order, inf in the masked rows. The lambdas are any batch:
+find_spectrum scans the points its V-step refinement asks for inside the
+cells that exact eigenvalue counts (`secular.count_below`) leave open, each
+padded by half a width, and certifies each candidate from the row its
 refinement computed, or from one more scan for a candidate the refinement
 returned unevaluated.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (8, n_lambda, E) trace tables of a
-chunk, and the graph's plan from `prepare_structure`, built once from the
-vertex orders and cached, lays them into the whole stack by one product
-with a fixed matrix of +-1 weights. No Python loop runs per lambda or per
-row.
+batch, and the graph's plan from `prepare_structure`, read once off the
+vertex blocks A and B of `coupling.assemble_blocks` and cached, lays them
+into the whole stack by one product with a fixed matrix of +-1 weights. The
+vertex conditions are stated only in `coupling`; no Python loop runs per
+lambda or per row.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
 f2(x) = sin(sqrt(lambda) x)/sqrt(lambda), continued through lambda <= 0 by
@@ -40,29 +41,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import END, BoundaryType, MetricGraph
-
-# lambdas per batched build and SVD. Larger chunks run no faster, and at 2048
-# the freed MB-sized arrays raise glibc's dynamic mmap threshold, so later
-# allocations land on the heap and the process's peak RSS grows.
-SCAN_CHUNK = 512
+from .coupling import assemble_blocks
+from .graph import END, MetricGraph
 
 
 @lru_cache(maxsize=256)
 def prepare_structure(g: MetricGraph):
-    """The edge route's plan of a graph: (targets, weights, lengths).
+    """The edge route's plan of a graph: (targets, weights, lengths), read
+    off the vertex blocks A and B of `coupling.assemble_blocks`.
 
     A matrix is stored as a float row of (real, imag) pairs, entry (r, c) at
     2 (r m + c) + part; the trace tables are stacked as (n, 8, E) and
     flattened to (n, 8 E). `targets` are the T distinct float slots that
     any term reaches, in increasing order, and `weights` the (8 E, T)
     matrix of +-1 that sums each slot's terms, applied as
-    buf[:, targets] = tabs @ weights + 0.0. Values go to the real part,
-    inward derivatives (times i) to the imaginary part. A coupled row r,
-    whose endpoint is followed by q in its vertex's cyclic order, gets
-    value(q) - value(r) + i (derivative(r) + derivative(q)); a loop edge
-    puts two terms into one slot. A Neumann row (or a coupled vertex of
-    degree 1) takes derivative(r), a Dirichlet row value(r).
+    buf[:, targets] = tabs @ weights + 0.0. Row r of A F + i B F' = 0 puts,
+    for every nonzero A[r, s], A[r, s] times the value at endpoint s into
+    the real part of its edge's two columns, and for every nonzero B[r, s],
+    B[r, s] times the inward derivative at s (times i) into the imaginary
+    part; a loop edge puts two terms into one slot.
 
     No slot gets more than two nonzero terms, so its sum is the one
     rounding of a row-by-row complex assembly whatever order the product
@@ -74,31 +71,25 @@ def prepare_structure(g: MetricGraph):
     """
     ne = g.num_edges
     m = 2 * ne
-    edge, slot = g.edge_index, g.slot_index
-    terms = []  # (target, source, sign)
-
-    def add(r, ref, deriv, sign=1.0):
-        e = edge[ref[0]]
-        table = 4 * (ref[1] == END) + 2 * deriv
-        for b in range(2):
-            terms.append((2 * (r * m + 2 * e + b) + deriv,
-                          (table + b) * ne + e, sign))
-
-    for v in g.sorted_vertices:
-        for j, ref in enumerate(v.order):
-            r = slot[ref]
-            if v.bc is BoundaryType.COUPLED and v.degree >= 2:
-                q = v.order[(j + 1) % v.degree]
-                add(r, q, deriv=0)
-                add(r, ref, deriv=0, sign=-1.0)
-                add(r, ref, deriv=1)
-                add(r, q, deriv=1)
-            else:
-                add(r, ref, deriv=int(v.bc is not BoundaryType.DIRICHLET))
-    tgt, src, sign = np.array(terms).T
-    targets, col = np.unique(tgt.astype(np.intp), return_inverse=True)
+    # per slot: the first matrix column of its edge e, and its first trace
+    # column, e in the start tables and 4 E + e in the end tables
+    first, trace = np.array(
+        [(2 * g.edge_index[e], 4 * ne * (w == END) + g.edge_index[e])
+         for e, w in g.slot_index], dtype=np.intp).T
+    blocks = assemble_blocks(g)
+    ab = np.stack((blocks.a, blocks.b))
+    deriv, r, s = np.nonzero(ab)
+    # entry (deriv, r, s) of the stack (A, B) reaches both columns of its
+    # edge, b = 0, 1: float slot 2 (r m + 2 e + b) + deriv, from trace table
+    # 4 end + 2 deriv + b
+    tgt = np.add.outer(2 * (r * m + first[s]) + deriv, (0, 2)).ravel()
+    src = np.add.outer(trace[s] + 2 * ne * deriv, (0, ne)).ravel()
+    # the distinct slots in increasing order, and each term's place among them
+    hit = np.zeros(2 * m * m, dtype=np.intp)
+    hit[tgt] = 1
+    targets, col = np.flatnonzero(hit), np.cumsum(hit)[tgt] - 1
     weights = np.zeros((8 * ne, targets.size))
-    np.add.at(weights, (src.astype(np.intp), col), sign)
+    weights[src, col] = ab[deriv, r, s].repeat(2)
     lengths = np.array([e.length for e in g.edges], dtype=np.float64)
     return targets, weights, lengths
 
@@ -147,17 +138,17 @@ def build_matrix_grid_numpy(lams, plan):
     targets, weights, lengths = plan
     lams = np.asarray(lams, dtype=float).reshape(-1)
     n, m = lams.size, 2 * lengths.size
-    tabs = edge_basis_traces(lams, lengths).swapaxes(0, 1).reshape(n, -1)
+    tabs = edge_basis_traces(lams, lengths).swapaxes(0, 1).reshape(n, 4 * m)
     buf = np.zeros((n, 2 * m * m))
     buf[:, targets] = tabs @ weights + 0.0
     return buf.view(np.complex128).reshape(n, m, m)
 
 
 def edge_builder(plan):
-    """The edge route's chunk builder for `scan_sigma`: the stack laid out by
-    the graph's plan, with no singular rows."""
-    return lambda part: (build_matrix_grid_numpy(part, plan),
-                         np.zeros(part.size, dtype=bool))
+    """The edge route's builder for `scan_sigma`: the stack laid out by the
+    graph's plan, with no singular rows."""
+    return lambda lams: (build_matrix_grid_numpy(lams, plan),
+                         np.zeros(lams.size, dtype=bool))
 
 
 def equilibrate_columns(mats):
@@ -193,22 +184,17 @@ def branch_svdvals(mats, lams):
 
 
 def scan_sigma(lams, build):
-    """Batched SVDs over chunks of SCAN_CHUNK lams: every singular value, one
+    """One build and one batched SVD over lams: every singular value, one
     descending row per lambda, an (n, m) array for m x m matrices.
 
-    build(part) gives the stack of secular matrices of a chunk and its (n,)
-    singular mask; masked rows hold no matrix and read inf. Every row is
-    computed on its own, so a lambda gets the same bytes whatever else its
-    call holds."""
+    build(lams) gives the stack of secular matrices and its (n,) singular
+    mask; masked rows hold no matrix and read inf. Every row is computed on
+    its own, so a lambda gets the same bytes whatever else its call holds."""
     lams = np.asarray(lams, dtype=float)
-    out = np.full((lams.size, 0), np.inf)
-    for lo in range(0, lams.size, SCAN_CHUNK):
-        part = lams[lo:lo + SCAN_CHUNK]
-        mats, singular = build(part)
-        if lo == 0:
-            out = np.full((lams.size, mats.shape[-1]), np.inf)
-        ok = np.flatnonzero(~singular)
-        if ok.size < part.size:
-            mats, part = mats[ok], part[ok]
-        out[lo + ok] = branch_svdvals(mats, part)
+    mats, singular = build(lams)
+    out = np.full((lams.size, mats.shape[-1]), np.inf)
+    ok = np.flatnonzero(~singular)
+    if ok.size < lams.size:
+        mats, lams = mats[ok], lams[ok]
+    out[ok] = branch_svdvals(mats, lams)
     return out

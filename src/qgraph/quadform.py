@@ -1,13 +1,19 @@
 """Sesquilinear form of the operator: edge Dirichlet integrals plus a purely
 imaginary skew pairing of traces at each coupled vertex.
 
-For trace vectors F, G at one vertex (in endpoint order, 1-based),
+This module is the one statement of the form, the equivalent of the vertex
+conditions of `coupling`. For trace vectors F, G at one vertex (in endpoint
+order, 1-based),
 
     vertex term = i * sum_{j>k} (-1)^(j+k) (F_k conj(G_j) - F_j conj(G_k)),
 
-which is real on the diagonal. The form domain is edgewise H^1 plus, at every
-even-degree coupled vertex, the alternating trace sum constraint
-sum_j (-1)^j F_j = 0; Dirichlet tips pin their trace to zero.
+which is real on the diagonal; `vertex_form_matrix` writes it once, as the
+Hermitian H with G* H F the sum of the vertex terms. The form domain is
+edgewise H^1 plus, at every even-degree coupled vertex, the alternating
+trace sum constraint sum_j (-1)^j F_j = 0; Dirichlet tips pin their trace to
+zero. `_domain_rows` writes these constraints once, as rows over the global
+slots: `form_domain_basis` is their null space and `check_domain` tests
+traces against them.
 """
 
 from __future__ import annotations
@@ -26,14 +32,15 @@ QUAD_ORDER = 64  # Gauss points per edge piece of form, norm and Gram integrals
 SEAM_TOL = 1e-13  # |psi| at a transplant cut below which the trial is undefined
 
 
-@lru_cache(maxsize=512)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _leggauss():
+    return np.polynomial.legendre.leggauss(QUAD_ORDER)
 
 
-def edge_quadrature(length: float, order: int = QUAD_ORDER, breaks: tuple = ()):
-    """Gauss-Legendre nodes/weights on [0, length], split at breakpoints."""
-    base_x, base_w = _leggauss(order)
+def edge_quadrature(length: float, breaks: tuple = ()):
+    """Gauss-Legendre nodes/weights on [0, length], QUAD_ORDER per piece,
+    split at breakpoints."""
+    base_x, base_w = _leggauss()
     cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < length) + [float(length)]
     xs, ws = [], []
     for a, b in zip(cuts, cuts[1:]):
@@ -78,34 +85,36 @@ def check_domain(g: MetricGraph, f: TrialFunction) -> None:
 
 
 def _check_traces(g: MetricGraph, traces: np.ndarray) -> None:
-    """`check_domain` on a trace vector from `trial_traces`."""
-    for v in g.vertices:
-        if v.bc is BoundaryType.DIRICHLET:
-            t = traces[g.slot_index[v.order[0]]]
-            if abs(t) > DOMAIN_TOL:
+    """`check_domain` on a trace vector from `trial_traces`: the first
+    constraint of `_domain_rows` off zero by more than DOMAIN_TOL raises."""
+    rows, vertices = _domain_rows(g)
+    for v, t in zip(vertices, rows @ traces):
+        if abs(t) > DOMAIN_TOL:
+            if v.bc is BoundaryType.DIRICHLET:
                 raise NotInDomain(f"dirichlet trace {t:.3e} at vertex {v.id!r}")
-        elif v.bc is BoundaryType.COUPLED and v.degree % 2 == 0:
-            alt = sum((-1) ** (j + 1) * traces[g.slot_index[ref]]
-                      for j, ref in enumerate(v.order, start=1))
-            if abs(alt) > DOMAIN_TOL:
-                raise NotInDomain(
-                    f"alternating trace sum {abs(alt):.3e} at even vertex {v.id!r}")
+            raise NotInDomain(
+                f"alternating trace sum {abs(t):.3e} at even vertex {v.id!r}")
 
 
-def _vertex_pair_term(fv: np.ndarray, gv: np.ndarray) -> complex:
-    """i * sum_{j>k} (-1)^(j+k) (F_k conj(G_j) - F_j conj(G_k))."""
-    total = 0.0 + 0.0j
-    d = len(fv)
-    for j in range(1, d):
-        for k in range(j):
-            sign = -1.0 if (j + k) % 2 else 1.0  # (-1)^(j+k), 0-based == 1-based parity
-            total += sign * (fv[k] * np.conj(gv[j]) - fv[j] * np.conj(gv[k]))
-    return 1j * total
+@lru_cache(maxsize=256)
+def _domain_rows(g: MetricGraph):
+    """The form domain's trace constraints, as read-only rows over the
+    global slots, and the vertex of each, in the graph's vertex order: a
+    Dirichlet tip's unit row, and at an even coupled vertex the alternating
+    row, (-1)^j at its j-th endpoint from j = 0."""
+    vertices = tuple(v for v in g.vertices if v.bc is BoundaryType.DIRICHLET
+                     or (v.bc is BoundaryType.COUPLED and v.degree % 2 == 0))
+    rows = np.zeros((len(vertices), 2 * g.num_edges))
+    for row, v in zip(rows, vertices):
+        row[[g.slot_index[ref] for ref in v.order]] = (-1.0) ** np.arange(v.degree)
+    rows.flags.writeable = False
+    return rows, vertices
 
 
+@lru_cache(maxsize=256)
 def vertex_form_matrix(g: MetricGraph) -> np.ndarray:
-    """Hermitian H over global slots with G* H F the sum of the vertex terms
-    of `form_value` (`_vertex_pair_term` on each vertex's traces):
+    """Hermitian H over global slots, read-only, with G* H F the sum of the
+    vertex terms of the module docstring:
     H[s_j, s_k] = i (-1)^(j+k) sign(j - k) at each coupled vertex of degree
     >= 2, s_j the slot of its j-th endpoint."""
     m = 2 * g.num_edges
@@ -116,31 +125,21 @@ def vertex_form_matrix(g: MetricGraph) -> np.ndarray:
             j = np.arange(v.degree)
             h[np.ix_(slots, slots)] = (1j * (-1.0) ** np.add.outer(j, j)
                                        * np.sign(np.subtract.outer(j, j)))
+    h.flags.writeable = False
     return h
 
 
 def form_domain_basis(g: MetricGraph) -> np.ndarray:
     """Orthonormal basis, as columns, of the trace vectors the form domain
-    allows: zero at Dirichlet tips, zero alternating sum at even coupled
-    vertices (the constraints `check_domain` tests).
+    allows: the null space of the M x N constraint rows of `_domain_rows`
+    (the constraints `check_domain` tests).
 
-    The null space of the M x N constraint rows by numpy's full SVD, with
-    the rank rule of scipy.linalg.null_space: singular values above
-    max(s) * eps * max(M, N) count, and the remaining right singular vectors
-    span the basis."""
-    m = 2 * g.num_edges
-    rows = []
-    for v in g.vertices:
-        slots = [g.slot_index[ref] for ref in v.order]
-        if v.bc is BoundaryType.DIRICHLET:
-            rows.append(np.eye(m)[slots[0]])
-        elif v.bc is BoundaryType.COUPLED and v.degree % 2 == 0:
-            row = np.zeros(m)
-            row[slots] = [(-1) ** j for j in range(v.degree)]
-            rows.append(row)
-    if not rows:
-        return np.eye(m)
-    c = np.array(rows)
+    By numpy's full SVD, with the rank rule of scipy.linalg.null_space:
+    singular values above max(s) * eps * max(M, N) count, and the remaining
+    right singular vectors span the basis."""
+    c = _domain_rows(g)[0]
+    if not c.size:
+        return np.eye(c.shape[1])
     _, s, vh = np.linalg.svd(c)
     rank = int((s > s.max() * np.finfo(float).eps * max(c.shape)).sum())
     return vh[rank:].T
@@ -167,10 +166,7 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None):
         df = f.derivative(e.id, x)
         dh = df if diag else h.derivative(e.id, x)
         total += np.sum(w * df * np.conj(dh))
-    for v in g.vertices:
-        if v.bc is BoundaryType.COUPLED and v.degree >= 2:
-            slots = [g.slot_index[ref] for ref in v.order]
-            total += _vertex_pair_term(ftr[slots], htr[slots])
+    total += np.conj(htr) @ vertex_form_matrix(g) @ ftr
     if diag:
         if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
             raise QGraphError(f"diagonal form value has imaginary part {total.imag:.3e}")

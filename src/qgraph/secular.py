@@ -11,9 +11,9 @@ Two routes to the same zero set:
   Dirichlet eigenvalues (nominal poles), useful as an independent cross-check.
   The DtN entries are written once, in `dtn_tables`: (n_lambda, E) tables of
   the diagonal and off-diagonal entries plus a per-lambda singular mask.
-  `build_dtn_grid` lays a chunk of them into a stack of secular matrices from
-  the route's per-graph plan, `_dtn_plan`; it is the builder the one chunk
-  loop, `kernels.scan_sigma`, runs for this route. `interval_dtn` and the
+  `build_dtn_grid` lays a batch of them into a stack of secular matrices
+  from the route's per-graph plan, `_dtn_plan`; it is the builder that
+  `kernels.scan_sigma` runs for this route. `interval_dtn` and the
   one-lambda `build_secular_matrix` are single rows of these.
 
 The same tables give exact eigenvalue counts, `count_below`: N(lambda), the

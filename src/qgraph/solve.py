@@ -44,10 +44,10 @@ more scan, into the same rows. Candidates within the count probes' nudge
 are one root. Each record reads its multiplicity from its row; only the
 explicit lambda = 0 test builds and decomposes a matrix of its own.
 
-Every scan is one `_sigma_grid` call, which runs the one chunk loop,
-`kernels.scan_sigma`, with the route's builder: the graph's edge plan from
-`kernels.prepare_structure`, or `secular.build_dtn_grid`. A lambda on an
-edge's Dirichlet spectrum has no DtN matrix and reads inf. A DtN candidate
+Every scan is one `_sigma_grid` call, which runs `kernels.scan_sigma`, one
+build and one batched SVD, with the route's builder: the graph's edge plan
+from `kernels.prepare_structure`, or `secular.build_dtn_grid`. A lambda on
+an edge's Dirichlet spectrum has no DtN matrix and reads inf. A DtN candidate
 sits on such a pole when some edge with k l >= 1 has |sin(k l)| <
 k / (1e6 max(1, k)), an off-diagonal DtN entry above 1e6 max(1, k); it is
 reported as a DtNPole diagnostic, not certified. Last, the window is
@@ -81,7 +81,7 @@ from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import END, MetricGraph, START
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
                       equilibrate_columns, prepare_structure, scan_sigma)
-from .quadform import QUAD_ORDER, TrialFunction, edge_quadrature
+from .quadform import TrialFunction, edge_quadrature
 from .secular import build_dtn_grid, build_secular_matrix, count_below
 
 ZERO_RADIUS = 1e-7
@@ -169,10 +169,10 @@ def _svdvals(mat, lam):
 
 def _sigma_grid(g, struct, lams, method):
     """Every singular value over lams, one descending row per lambda, from
-    `kernels.scan_sigma` with the route's chunk builder: the graph's edge
-    plan `struct`, or the DtN route's own; DtN-singular points read inf."""
+    `kernels.scan_sigma` with the route's builder: the graph's edge plan
+    `struct`, or the DtN route's own; DtN-singular points read inf."""
     build = (edge_builder(struct) if method == "edge"
-             else lambda part: build_dtn_grid(g, part))
+             else lambda batch: build_dtn_grid(g, batch))
     return scan_sigma(lams, build)
 
 
@@ -711,7 +711,7 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
              for ab in zip(a, b)]
 
     # orthonormalize in L2 via the quadrature Gram matrix
-    quad = {e.id: edge_quadrature(e.length, QUAD_ORDER) for e in g.edges}
+    quad = {e.id: edge_quadrature(e.length) for e in g.edges}
     samples = []
     weights = np.concatenate([quad[e.id][1] for e in g.edges])
     for f in funcs:

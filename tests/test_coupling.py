@@ -86,3 +86,13 @@ def test_sum_rules_on_eigenfunction_traces(fig8):
         assert abs(np.sum(fp[slots])) < 1e-9 * scale
         alt = sum((-1) ** j * f[s] for j, s in enumerate(slots))
         assert abs(alt) < 1e-9 * scale
+
+
+def test_pairs_are_shared_and_read_only():
+    # one pair serves every vertex of its condition and degree, so no caller
+    # may write into it
+    a, b = build_vertex_pair(BoundaryType.COUPLED, 4)
+    assert build_vertex_pair(BoundaryType.COUPLED, 4)[0] is a
+    for x in (a, b, *build_vertex_pair(BoundaryType.DIRICHLET, 1)):
+        with pytest.raises(ValueError):
+            x[0, 0] = 2.0

@@ -14,6 +14,7 @@ import pytest
 import qgraph
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TESTS = Path(__file__).resolve().parent
 
 
 def run(code):
@@ -65,8 +66,9 @@ def unused_imports(path, kept=()):
     return sorted(bound - read - set(kept))
 
 
-@pytest.mark.parametrize("path", sorted((Path(SRC) / "qgraph").glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted((Path(SRC) / "qgraph").glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent.name == "qgraph" else f"tests/{p.name}")
 def test_every_import_is_used(path):
     # the package's exports are read by its importers, and experiments keeps
     # find_spectrum bound for qgbench's spans, which wrap it by that name

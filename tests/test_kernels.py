@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-import qgraph.kernels as kernels_mod
+from qgraph.experiments import sample_graph
 from qgraph.graph import (
     END,
     BoundaryType,
@@ -17,7 +17,6 @@ from qgraph.graph import (
     make_star,
 )
 from qgraph.kernels import (
-    SCAN_CHUNK,
     build_matrix_grid_numpy,
     edge_basis_traces,
     edge_builder,
@@ -152,6 +151,10 @@ BYTE_GRAPHS = [
     make_cycle([1.0]),
     make_path([0.5, 1.2, 0.8]),
 ]
+# random multigraphs as the suites draw them, with loops, parallel edges and
+# vertices of degree 5 to 7
+SAMPLED = [sample_graph(np.random.default_rng(seed), num_edges=n)
+           for n in (5, 6, 7) for seed in range(3)]
 
 
 class TestByteIdentity:
@@ -168,6 +171,21 @@ class TestByteIdentity:
         ref = reference_matrix_grid(g, BYTE_GRID)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+    def test_sampled_graphs_cover_multigraphs(self):
+        loops = parallel = 0
+        for g in SAMPLED:
+            ends = [frozenset((e.src, e.dst)) for e in g.edges]
+            loops += sum(len(p) == 1 for p in ends)
+            parallel += sum(len(p) == 2 and ends.count(p) > 1 for p in ends)
+        assert loops > 0 and parallel > 0
+        assert max(v.degree for g in SAMPLED for v in g.vertices) >= 5
+
+    @pytest.mark.parametrize("g", SAMPLED, ids=[
+        f"E{n}-seed{seed}" for n in (5, 6, 7) for seed in range(3)])
+    def test_sampled_matrices(self, g):
+        got = build_matrix_grid_numpy(BYTE_GRID, prepare_structure(g))
+        assert got.tobytes() == reference_matrix_grid(g, BYTE_GRID).tobytes()
 
     def test_trace_rows_match_scalar_calls(self):
         lengths = np.array([0.3, 1.0, 2.5, 0.17])
@@ -235,32 +253,27 @@ class TestPerRowIdentity:
 
     @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
                                                     "cycle1", "path3"])
-    def test_alone_mixed_and_positive_batches(self, g, monkeypatch):
+    def test_alone_mixed_and_positive_batches(self, g):
         build = edge_builder(prepare_structure(g))
         lams = np.array([-30.0, -4.2, -0.3, 0.0, 0.7, 9.5, 40.0])
         mixed = scan_sigma(lams, build)
         pos = lams > 0.0
         positive = scan_sigma(lams[pos], build)
-        # a chunk boundary splits the batch in the middle
-        with monkeypatch.context() as m:
-            m.setattr(kernels_mod, "SCAN_CHUNK", 3)
-            chunked = scan_sigma(lams, build)
         assert mixed.shape == (lams.size, 2 * g.num_edges)
+        assert scan_sigma(lams[:0], build).shape == (0, 2 * g.num_edges)
         for i, lam in enumerate(lams):
             alone = scan_sigma(np.array([lam]), build)
             assert alone.tobytes() == mixed[i:i + 1].tobytes()
-            assert alone.tobytes() == chunked[i:i + 1].tobytes()
         assert positive.tobytes() == mixed[pos].tobytes()
 
     @pytest.mark.parametrize("g", BYTE_GRAPHS, ids=["star3", "dstar3", "figure8",
                                                     "cycle1", "path3"])
     def test_long_batch_matches_one_at_a_time(self, g):
         build = edge_builder(prepare_structure(g))
-        lams = np.linspace(-16.0, 45.0, 2 * SCAN_CHUNK + 37)
-        # lambda = 0 and pi^2, a Dirichlet eigenvalue of the unit edges, on
-        # both sides of the first chunk boundary
-        lams[SCAN_CHUNK - 1:SCAN_CHUNK + 3] = [math.pi**2, 0.0,
-                                               math.pi**2 + 1e-14, -1e-7]
+        lams = np.linspace(-16.0, 45.0, 1061)
+        # lambda = 0 and pi^2, a Dirichlet eigenvalue of the unit edges, in
+        # the middle of the batch
+        lams[511:515] = [math.pi**2, 0.0, math.pi**2 + 1e-14, -1e-7]
         svals = scan_sigma(lams, build)
         alone = [scan_sigma([lam], build) for lam in lams]
         assert svals.tobytes() == np.concatenate(alone).tobytes()

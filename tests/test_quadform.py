@@ -9,7 +9,6 @@ from qgraph.graph import (BoundaryType, make_cycle, make_figure8, make_path,
                           make_star)
 from qgraph.quadform import (
     TrialFunction,
-    _vertex_pair_term,
     build_transplant_trial,
     check_domain,
     edge_quadrature,
@@ -34,6 +33,26 @@ def gradient_integral(g, f):
     return total
 
 
+def vertex_pair_term(fv, gv):
+    """The module docstring's vertex term at one vertex, term by term:
+    i * sum_{j>k} (-1)^(j+k) (F_k conj(G_j) - F_j conj(G_k))."""
+    total = 0.0 + 0.0j
+    for j in range(1, len(fv)):
+        for k in range(j):
+            sign = -1.0 if (j + k) % 2 else 1.0  # 0-based == 1-based parity
+            total += sign * (fv[k] * np.conj(gv[j]) - fv[j] * np.conj(gv[k]))
+    return 1j * total
+
+
+def linear_trial(slopes):
+    """slope * x on each edge, by edge id."""
+    return TrialFunction(
+        values={e: (lambda x, c=c: c * np.asarray(x, dtype=float))
+                for e, c in slopes.items()},
+        derivatives={e: (lambda x, c=c: c + 0.0 * np.asarray(x, dtype=float))
+                     for e, c in slopes.items()})
+
+
 def poly_trial(g, rng):
     """Random quadratic per edge; smooth, hence in the form domain for odd stars."""
     vals, ders = {}, {}
@@ -47,17 +66,17 @@ def poly_trial(g, rng):
 
 class TestQuadrature:
     def test_polynomial_exactness(self):
-        x, w = edge_quadrature(2.0, order=8)
+        x, w = edge_quadrature(2.0)
         assert np.sum(w * x**3) == pytest.approx(4.0, rel=1e-13)
 
     def test_breakpoint_splitting(self):
         # |x - 1/2| has a kink; split quadrature integrates it exactly
-        x, w = edge_quadrature(1.0, order=16, breaks=(0.5,))
+        x, w = edge_quadrature(1.0, breaks=(0.5,))
         assert np.sum(w * np.abs(x - 0.5)) == pytest.approx(0.25, rel=1e-13)
 
     def test_break_outside_interval_ignored(self):
-        x1, w1 = edge_quadrature(1.0, order=8)
-        x2, w2 = edge_quadrature(1.0, order=8, breaks=(1.5, -0.1))
+        x1, w1 = edge_quadrature(1.0)
+        x2, w2 = edge_quadrature(1.0, breaks=(1.5, -0.1))
         assert np.array_equal(x1, x2) and np.array_equal(w1, w2)
 
 
@@ -84,6 +103,27 @@ class TestDomain:
         )
         with pytest.raises(NotInDomain):
             check_domain(g=fig8, f=f)
+
+    @pytest.mark.parametrize("g, slopes, message", [
+        # tips v2 and v3 off zero: the first in vertex order is named
+        (make_star([1.0] * 3, tip_bc="dirichlet"),
+         {"e1": 0.0, "e2": 2.0, "e3": 3.0},
+         "dirichlet trace 2.000e+00+0.000e+00j at vertex 'v2'"),
+        # x on one loop of the figure-8 leaves its degree-4 vertex's
+        # alternating sum at 0.5
+        (make_figure8(0.5, 0.5), {"e1": 1.0, "e2": 0.0},
+         "alternating trace sum 5.000e-01 at even vertex 'v0'"),
+        # the inner vertex v1 (degree 2) and the tip v2 are both off; v1
+        # comes first
+        (make_path([1.0, 0.5], tip_bc="dirichlet"), {"e1": 2.0, "e2": 0.25},
+         "alternating trace sum 2.000e+00 at even vertex 'v1'"),
+        (make_path([1.0, 1.0], tip_bc="dirichlet"), {"e1": 0.0, "e2": 0.25},
+         "dirichlet trace 2.500e-01+0.000e+00j at vertex 'v2'"),
+    ], ids=["dstar3", "figure8", "dpath-inner", "dpath-tip"])
+    def test_message_names_first_violating_vertex(self, g, slopes, message):
+        with pytest.raises(NotInDomain) as err:
+            check_domain(g, linear_trial(slopes))
+        assert str(err.value) == message
 
     def test_smooth_trial_accepted(self, star3, rng):
         check_domain(star3, poly_trial(star3, rng))
@@ -191,7 +231,7 @@ class TestFormMatrices:
         m = 2 * g.num_edges
         f = rng.normal(size=m) + 1j * rng.normal(size=m)
         other = rng.normal(size=m) + 1j * rng.normal(size=m)
-        ref = sum(_vertex_pair_term(f[s], other[s])
+        ref = sum(vertex_pair_term(f[s], other[s])
                   for v in g.vertices if v.degree >= 2
                   for s in [[g.slot_index[r] for r in v.order]])
         assert np.conj(other) @ h @ f == pytest.approx(ref, abs=1e-12)

@@ -18,7 +18,7 @@ from qgraph.graph import (
     make_path,
     make_star,
 )
-from qgraph.kernels import SCAN_CHUNK, equilibrate_columns, prepare_structure
+from qgraph.kernels import equilibrate_columns, prepare_structure
 from qgraph.secular import (
     _POLE_TOL,
     build_dtn_grid,
@@ -260,9 +260,9 @@ class TestDtnByteIdentity:
     def test_long_batch_matches_one_at_a_time(self, name):
         g = DTN_GRAPHS[name]
         struct = prepare_structure(g)
-        lams = np.linspace(-16.0, 45.0, 2 * SCAN_CHUNK + 37)
-        # a pole and lambda = 0 on both sides of the first chunk boundary
-        lams[SCAN_CHUNK - 1:SCAN_CHUNK + 3] = [PI2, 0.0, POLE_IN, -1e-7]
+        lams = np.linspace(-16.0, 45.0, 1061)
+        # a pole and lambda = 0 in the middle of the batch
+        lams[511:515] = [PI2, 0.0, POLE_IN, -1e-7]
         svals = _sigma_grid(g, struct, lams, "dtn")
         alone = [_sigma_grid(g, struct, [lam], "dtn") for lam in lams]
         assert svals.tobytes() == np.concatenate(alone).tobytes()

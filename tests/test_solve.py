@@ -1837,7 +1837,7 @@ class TestEigenfunctions:
         # L2-orthonormal pair
         from qgraph.quadform import edge_quadrature
 
-        x, w = edge_quadrature(1.0, 96)
+        x, w = edge_quadrature(1.0)
         v0 = funcs[0].value("e1", x)
         v1 = funcs[1].value("e1", x)
         assert np.sum(w * v0 * np.conj(v0)) == pytest.approx(1.0, rel=1e-8)
@@ -1851,7 +1851,7 @@ class TestEigenfunctions:
             assert residual(fig8, f) < 1e-6
 
     @staticmethod
-    def former_orthonormalization(g, lam, a, b, order=64):
+    def former_orthonormalization(g, lam, a, b):
         """Coefficient dicts of the L2-orthonormal basis, from the raw (a, b)
         amplitudes, by the per-column, per-edge loop eigenfunction_at ran
         before it took one product per amplitude."""
@@ -1860,7 +1860,7 @@ class TestEigenfunctions:
         ids = [e.id for e in g.edges]
         funcs = [solve_mod.Eigenfunction(g, lam, dict(zip(ids, zip(*ab))))
                  for ab in zip(a, b)]
-        quad = {e.id: edge_quadrature(e.length, order) for e in g.edges}
+        quad = {e.id: edge_quadrature(e.length) for e in g.edges}
         weights = np.concatenate([quad[e.id][1] for e in g.edges])
         samples = np.array([np.concatenate([f.value(e.id, quad[e.id][0])
                                             for e in g.edges]) for f in funcs])
