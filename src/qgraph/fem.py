@@ -31,10 +31,19 @@ so the count holds within an ulp of the pole.
 
 The refinement: a doubling bracket +-1, +-2, ... with N_h = 0 below and
 N_h >= count above; lockstep bisection on counts until each cell is free of
-poles on one plan at least; then, on that plan, Illinois steps on each
+poles on one plan at least; then, on that plan, regula falsi steps on each
 eigenvalue of C_T^H W C_T that crosses zero in the cell, each decreasing in
-s, to a relative 1e-12. A cell with poles on both plans bisects to that
-tolerance, and its count jump is its multiplicity.
+s, to a relative 1e-12, with the chain terms of that plan alone. An end
+kept twice in a row has its value scaled by the Anderson-Bjorck factor
+1 - f(x) / f(the end x replaced), or halved where that is not positive
+(Anderson & Bjorck, BIT 13, 1973): the steps stay superlinear where two
+roots lie close, as on the 4-cycles' near-double roots, where Illinois
+halving turns linear. A cell whose Schur eigenvalues at its ends do not
+cross zero as often as its counts jump (a root within rounding of an end
+or a pole, as beside a 1e-12 edge, whose entries are of order 1e12) is
+refused with LinAlgError naming the cell, not guessed at. A cell with
+poles on both plans bisects to the tolerance, and its count jump is its
+multiplicity.
 
 Shares only the MetricGraph data model with the secular path: nothing is
 imported from `secular`, `solve` or `kernels`, and no secular count, search
@@ -57,10 +66,10 @@ _SPLITS = (0.3819660112501051, 0.2763932022500210)
 # the bracket tries +-2^j for j below 64, in batches of 8 per side
 _BRACKET_BATCH = 8
 _BRACKET_DOUBLINGS = 64
-# bisection and Illinois steps stop at this width relative to max(1, |s|)
+# bisection and secant steps stop at this width relative to max(1, |s|)
 _REL_TOL = 1e-12
-# Illinois steps before a cell settles for its midpoint; a few dozen suffice
-_ILLINOIS_STEPS = 100
+# secant steps before a cell settles for its midpoint; a few dozen suffice
+_SECANT_STEPS = 100
 # a chain term is large, and counted through a border, where |tan(n phi / 2)|
 # or its inverse exceeds this: n phi lies within about 1e-4 of a pole
 _POLE = 1e4
@@ -348,32 +357,41 @@ def _tol(a, b):
     return _REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _illinois(plans: _Plans, a, b, plan, jump):
+def _anderson_bjorck(plans: _Plans, a, b, plan, jump):
     """The roots in each cell (a, b) that holds jump eigenvalues and no pole
-    of its plan, jump times each, ascending: Illinois steps on each Schur
-    eigenvalue that crosses zero. Where the cell's Schur eigenvalues at its
-    ends do not cross zero jump times (a root within rounding of an end or
-    a pole), its midpoint."""
+    of its plan, jump times each, ascending: Anderson-Bjorck steps on each
+    Schur eigenvalue that crosses zero. Raises LinAlgError where a cell's
+    Schur eigenvalues at its ends do not cross zero jump times (a root
+    within rounding of an end or a pole), naming the cell."""
     m = a.size
 
     def schur_eigenvalues(x, plan):
-        return np.linalg.eigvalsh(_assemble(plans, _schur(plans, x, plan)[0]))
+        # the chain terms of each point's own plan
+        sigma, delta = _chain_terms(x[:, None], plans.n[plan], plans.h)[:2]
+        return np.linalg.eigvalsh(
+            _assemble(plans, np.concatenate((sigma, delta), axis=1)))
 
     mu = schur_eigenvalues(np.concatenate((a, b)),
                            np.concatenate((plan, plan)))
     below = (mu < 0.0).sum(axis=1)
-    ok = below[m:] == below[:m] + jump
+    bad = np.flatnonzero(below[m:] != below[:m] + jump)
+    if bad.size:
+        i = bad[0]
+        raise np.linalg.LinAlgError(
+            f"the cell [{float(a[i])!r}, {float(b[i])!r}] holds {jump[i]} "
+            f"eigenvalue(s) by its counts, but its Schur eigenvalues cross "
+            f"zero {below[m + i] - below[i]} times")
     # on a pole-free cell the Schur eigenvalues at indices n_-(W(a)) ..
     # n_-(W(a)) + jump - 1 fall through zero inside it, each once, as each
     # decreases with s
     cell = np.repeat(np.arange(m), jump)
-    j = np.minimum(below[cell] + np.arange(cell.size)
-                   - np.repeat(np.cumsum(jump) - jump, jump), mu.shape[1] - 1)
+    j = below[cell] + np.arange(cell.size) - np.repeat(np.cumsum(jump) - jump,
+                                                       jump)
     a, b, plan = a[cell], b[cell], plan[cell]
     fa, fb = mu[cell, j], mu[m + cell, j]
     side = np.zeros(cell.size)
-    live = ok[cell] & (b - a > _tol(a, b))
-    for _ in range(_ILLINOIS_STEPS):
+    live = b - a > _tol(a, b)
+    for _ in range(_SECANT_STEPS):
         k = np.flatnonzero(live)
         if k.size == 0:
             break
@@ -384,9 +402,14 @@ def _illinois(plans: _Plans, a, b, plan, jump):
                     a[k] + t, b[k] - t)
         fx = schur_eigenvalues(x, plan[k])[np.arange(k.size), j[k]]
         up = fx >= 0.0  # the root lies above x
-        # an end kept twice in a row has its value halved
-        fb[k] = np.where(up & (side[k] < 0), 0.5 * fb[k], fb[k])
-        fa[k] = np.where(~up & (side[k] > 0), 0.5 * fa[k], fa[k])
+        # an end kept twice in a row has its value scaled by
+        # 1 - f(x) / f(the end x replaces), or halved where that is not
+        # positive
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 1.0 - fx / np.where(up, fa[k], fb[k])
+        scale = np.where(scale > 0.0, scale, 0.5)
+        fb[k] = np.where(up & (side[k] < 0), scale * fb[k], fb[k])
+        fa[k] = np.where(~up & (side[k] > 0), scale * fa[k], fa[k])
         a[k] = np.where(up, x, a[k])
         fa[k] = np.where(up, fx, fa[k])
         b[k] = np.where(up & (fx > 0.0), b[k], x)
@@ -454,6 +477,6 @@ def oracle_eigenvalues(g: MetricGraph, count: int, h: float) -> np.ndarray:
     free = ~pole[cells]
     if free.any():
         plan = np.argmin(chains[cells + 1] != chains[cells], axis=1)
-        values[np.repeat(free, jump)] = _illinois(
+        values[np.repeat(free, jump)] = _anderson_bjorck(
             plans, a[free], b[free], plan[free], jump[free])
     return values[:count]

@@ -41,7 +41,11 @@ def edge_quadrature(length: float, breaks: tuple = ()):
     """Gauss-Legendre nodes/weights on [0, length], QUAD_ORDER per piece,
     split at breakpoints."""
     base_x, base_w = _leggauss()
-    cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < length) + [float(length)]
+    inner = sorted(b for b in breaks if 0.0 < b < length)
+    if not inner:  # one piece
+        half = float(length) / 2.0
+        return (base_x + 1.0) * half, base_w * half
+    cuts = [0.0] + inner + [float(length)]
     xs, ws = [], []
     for a, b in zip(cuts, cuts[1:]):
         half = (b - a) / 2.0
@@ -89,7 +93,7 @@ def _check_traces(g: MetricGraph, traces: np.ndarray) -> None:
     constraint of `_domain_rows` off zero by more than DOMAIN_TOL raises."""
     rows, vertices = _domain_rows(g)
     for v, t in zip(vertices, rows @ traces):
-        if abs(t) > DOMAIN_TOL:
+        if not abs(t) <= DOMAIN_TOL:  # NaN fails too
             if v.bc is BoundaryType.DIRICHLET:
                 raise NotInDomain(f"dirichlet trace {t:.3e} at vertex {v.id!r}")
             raise NotInDomain(
@@ -159,6 +163,14 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None):
     _check_traces(g, ftr)
     if not diag:
         _check_traces(g, htr)
+    return _form(g, f, h, ftr, htr, diag)
+
+
+def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, ftr, htr,
+          diag: bool):
+    """`form_value` from the trace vectors, checked: the edge integrals of
+    f' conj(h') by quadrature split at both trials' breakpoints, plus
+    conj(htr) H ftr. On the diagonal, h is f, and the value is real."""
     total = 0.0 + 0.0j
     for e in g.edges:
         breaks = tuple(f.breakpoints.get(e.id, ())) + tuple(h.breakpoints.get(e.id, ()))
@@ -183,10 +195,22 @@ def trial_norm_sq(g: MetricGraph, f: TrialFunction) -> float:
 
 
 def rayleigh_quotient(g: MetricGraph, f: TrialFunction) -> float:
-    norm = trial_norm_sq(g, f)
+    """form_value(g, f) / trial_norm_sq(g, f), raising their errors in
+    their order: a zero norm, a trace off the form domain, an imaginary
+    residual. Each edge's traces and norm quadrature values come from one
+    f.value call."""
+    traces = np.zeros(2 * g.num_edges, dtype=complex)
+    norm = 0.0
+    for e in g.edges:
+        x, w = edge_quadrature(e.length, tuple(f.breakpoints.get(e.id, ())))
+        v = f.value(e.id, np.concatenate(([0.0, e.length], x)))
+        traces[g.slot_index[(e.id, START)]] = v[0]
+        traces[g.slot_index[(e.id, END)]] = v[1]
+        norm += float(np.sum(w * np.abs(v[2:]) ** 2))
     if norm < 1e-30:
         raise QGraphError("trial function has (numerically) zero norm")
-    return form_value(g, f) / norm
+    _check_traces(g, traces)
+    return _form(g, f, f, traces, traces, True) / norm
 
 
 def build_transplant_trial(g: MetricGraph, psi, from_edge: str, to_edge: str,

@@ -27,9 +27,13 @@ width and clipped to its branch. Each bracket runs its own search on
 sigma_min in plain floats, `_v_search`, which steps to the vertex of the V
 that sigma_min makes at a simple root, guarded by golden section;
 `_golden_min` batches them, one sigma call per round holding every live
-search's points. A padded cell takes four or five rounds; a pole cell on
-the DtN route, where sigma_min is noise, about 50 golden steps. A
-candidate outside its run lies where the counts put no root and is none.
+search's points. A padded cell takes four or five rounds. On the DtN
+route sigma_min is noise in a pole cell, and golden steps close in on the
+pole; each search is given the zones about the edge Dirichlet eigenvalues
+(m pi / l)^2 in its bracket where every point would be flagged a DtN pole
+(`_pole_zones`), and stops on its lowest point once its bracket lies in
+one, well before its tolerance. A candidate outside its run lies where the
+counts put no root and is none.
 A cell with trusted end counts whose candidate is none, or that holds more
 eigenvalues than sigma certified in it, is bisected by counts down to the
 distance at which roots are one, and each run of its pieces is padded by
@@ -39,8 +43,9 @@ than the first search can see, and a root whose cell's search slid onto a
 neighbour's.
 The sigma scans keep every singular value, one row per lambda, and each
 candidate is certified from the row its search computed; a candidate the
-search returned unevaluated (a bracket's midpoint) gets its row from one
-more scan, into the same rows. Candidates within the count probes' nudge
+search returned unevaluated (the midpoint of a bracket narrowed to its
+tolerance, or of a point window) gets its row from one more scan, into the
+same rows. Candidates within the count probes' nudge
 are one root. Each record reads its multiplicity from its row; only the
 explicit lambda = 0 test builds and decomposes a matrix of its own.
 
@@ -91,6 +96,8 @@ MULT_GUARD = 10.0  # a sigma within this factor of the rank threshold is shaky
 _KAPPA_WIDTH = 1e-3  # widest cell the negative branch isolates, in kappa
 _KAPPA_FLOOR = 1e-4
 _GOLD_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
+# the most eigenvalues a window may hold by the bound sqrt(hi) L / pi + 2E
+MAX_WINDOW_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,7 @@ def _sigma_grid(g, struct, lams, method):
     return scan_sigma(lams, build)
 
 
-def _v_search(a, b, tol):
+def _v_search(a, b, tol, zones):
     """The search for the argmin of a unimodal-enough function on one
     bracket [a, b], by V-steps guarded by golden section, in plain floats.
 
@@ -198,7 +205,9 @@ def _v_search(a, b, tol):
       is inf, the vertex leaves (xl, xr) or the bracket has not halved in
       the last two rounds; a confirmation right after the opening or a
       V-step is taken all the same.
-    A bracket narrowed to its tolerance returns its midpoint.
+    A bracket narrowed to its tolerance returns its midpoint. A bracket
+    [xl, xr] that lies inside one of `zones`, pairs (z0, z1), returns xb:
+    the caller knows every point there to be the same answer.
     """
     tol = max(tol, 4.0 * math.ulp(max(abs(a), abs(b))))
     if not b - a > tol:
@@ -215,6 +224,8 @@ def _v_search(a, b, tol):
     w1 = w2 = math.inf  # widths one and two rounds ago
     again = False  # the last round confirmed
     while xr - xl > tol:
+        if any(z0 <= xl and xr <= z1 for z0, z1 in zones):
+            return xb
         width = xr - xl
         inner = xl < xb < xr
         finite = math.isfinite(fl) and math.isfinite(fx) and math.isfinite(fr)
@@ -258,18 +269,20 @@ def _v_search(a, b, tol):
     return (xl + xr) / 2.0
 
 
-def _golden_min(fn, a, b, tol):
+def _golden_min(fn, a, b, tol, zones=None):
     """Argmins of a unimodal-enough function, one per bracket: each bracket
     runs its own `_v_search`, and one fn(xs) call per round, fn mapping an
     array of points to their values, holds every live search's points.
 
-    a, b and tol are arrays (tol may be a scalar). Each bracket's points,
-    comparisons and result are those of its search run alone."""
+    a, b and tol are arrays (tol may be a scalar); zones, where given, holds
+    each bracket's list of stop zones. Each bracket's points, comparisons
+    and result are those of its search run alone."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
+    zones = [()] * a.size if zones is None else zones
     out = np.empty(a.shape)
     live = [(i, search, None) for i, search in enumerate(
-        map(_v_search, a.tolist(), b.tolist(), tol.tolist()))]
+        map(_v_search, a.tolist(), b.tolist(), tol.tolist(), zones))]
     while True:
         asked = []  # each live search's next points, or its argmin in out
         for i, search, ys in live:
@@ -281,6 +294,29 @@ def _golden_min(fn, a, b, tol):
             return out
         f = iter(fn(np.array([x for *_, xs in asked for x in xs])).tolist())
         live = [(i, search, [next(f) for _ in xs]) for i, search, xs in asked]
+
+
+def _pole_zones(lengths, x0, x1, lower, upper):
+    """Each positive bracket [x0, x1]'s zones about the edge Dirichlet
+    eigenvalues (m pi / l)^2 in it, as lists of (z0, z1) in lambda: the k
+    within 0.5e-6 min(k_m, 1) / l of k_m = m pi / l, where |sin(k l)| is at
+    most half the 1e-6 min(k, 1) below which `find_spectrum` flags a DtN
+    pole, each clipped to the bracket's [lower, upper]."""
+    zones = []
+    for a, b, lo, hi in zip(x0.tolist(), x1.tolist(), lower.tolist(),
+                            upper.tolist()):
+        zones.append([])
+        if b <= 0.0:  # the kappa branch has no poles
+            continue
+        for length in lengths:
+            first = max(1, math.ceil(math.sqrt(max(a, 0.0)) * length / math.pi))
+            for m in range(first, math.floor(math.sqrt(b) * length / math.pi) + 1):
+                k = m * math.pi / length
+                d = 0.5e-6 * min(k, 1.0) / length
+                z0, z1 = max((k - d) ** 2, lo), min((k + d) ** 2, hi)
+                if z0 <= z1:
+                    zones[-1].append((z0, z1))
+    return zones
 
 
 def _isolate(g, cells, width, lam_of, probes=(), first=None):
@@ -410,7 +446,10 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
                   first=None) -> Spectrum:
     """All eigenvalues in the closed window [lo, hi], with multiplicities.
     A window with an end that is not finite, or with lo > hi, raises
-    ValueError.
+    ValueError, and so does one that may hold more than MAX_WINDOW_COUNT
+    eigenvalues by the bound N(hi) <= sqrt(hi) L / pi + 2E (L the total
+    length, E the edges): each edge adds at most l sqrt(hi) / pi Dirichlet
+    eigenvalues below hi, and the vertex conditions at most 2E more.
 
     With `first` = k only the lowest k eigenvalues of the window are wanted.
     Where the count below lo is trusted and the window holds k eigenvalues,
@@ -425,8 +464,13 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         raise ValueError(f"window {window} is empty")
     if method not in ("edge", "dtn"):
         raise ValueError(f"unknown method {method!r}")
+    bound = math.sqrt(max(hi, 0.0)) * g.total_length / math.pi + 2 * g.num_edges
+    if bound > MAX_WINDOW_COUNT:
+        raise ValueError(f"window {window} may hold {bound:.4g} eigenvalues, "
+                         f"more than {MAX_WINDOW_COUNT}")
     struct = prepare_structure(g)
     pos_width = default_positive_step(g)
+    lengths = [e.length for e in g.edges]
 
     # one lockstep over both branches in x, increasing with lambda: x = -kappa
     # on the negative branch, x = lambda on the positive one
@@ -478,15 +522,24 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         # kappa tolerance from the bracket's lower kappa, -x1
         tol = np.where(x1 < 0.0, np.maximum(
             REFINE_TOL / (2.0 * np.maximum(-x1, 0.05)), 1e-15), REFINE_TOL)
-        x = _golden_min(sigma_min, x0, x1, tol)
+        lower = bounds[:, 0] - near(bounds[:, 0])
+        upper = bounds[:, 1] + near(bounds[:, 1])
+        # on the DtN route a search stops inside a pole zone, where every
+        # candidate is flagged a pole below; the zones lie in the window,
+        # within the bounds and off the zero radius
+        zones = None if method == "edge" else _pole_zones(
+            lengths, x0, x1,
+            np.maximum(lower, max(lo, np.nextafter(ZERO_RADIUS + REFINE_TOL,
+                                                   np.inf))),
+            np.minimum(upper, hi))
+        x = _golden_min(sigma_min, x0, x1, tol, zones)
         lams = lam_of(x)
         # the counts put every root in a run of cells, so a candidate in
         # the padding is none. Candidates within REFINE_TOL of the zero
         # radius are left to the explicit zero test: a cell that holds only
         # the flank of the lambda = 0 dip refines to its inner end, where the
         # DtN rank ratio can read below RANK_TOL.
-        inside = ((bounds[:, 0] - near(bounds[:, 0]) <= x)
-                  & (x <= bounds[:, 1] + near(bounds[:, 1])))
+        inside = (lower <= x) & (x <= upper)
         live = (inside & (np.abs(lams) > ZERO_RADIUS + REFINE_TOL)
                 & (lo - REFINE_TOL <= lams) & (lams <= hi + REFINE_TOL))
         # each candidate's row from its refinement; a candidate the search
@@ -507,7 +560,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         pole = live & ~np.isfinite(svals[:, 0])
         if method == "dtn":
             k = np.sqrt(np.maximum(lams, 0.0))[:, None]
-            kl = k * np.array([e.length for e in g.edges])
+            kl = k * np.array(lengths)
             pole |= live & ((kl >= 1.0) & (np.abs(np.sin(kl)) < k / (
                 1e6 * np.maximum(1.0, k)))).any(axis=1)
         mult = np.where(pole, 0, _null(svals).sum(axis=1))
@@ -616,6 +669,17 @@ def first_eigenvalues(g: MetricGraph, k: int):
 
 # -- eigenfunctions ------------------------------------------------------------
 
+def _regime_values(lam: float, a, b, x):
+    """a cosh(w x) + b sinh(w x) below zero, a cos(w x) + b sin(w x) above,
+    a + b x at zero, w = sqrt|lam|; a, b and x broadcast."""
+    w = math.sqrt(abs(lam))
+    if lam < 0.0:
+        return a * np.cosh(w * x) + b * np.sinh(w * x)
+    if lam > 0.0:
+        return a * np.cos(w * x) + b * np.sin(w * x)
+    return a + b * x
+
+
 @dataclass
 class Eigenfunction:
     """One eigenfunction as per-edge amplitudes over the regime basis.
@@ -634,13 +698,7 @@ class Eigenfunction:
 
     def value(self, edge_id: str, x):
         a, b = self.coeffs[edge_id]
-        x = np.asarray(x, dtype=float)
-        w = self._rate
-        if self.lam < 0.0:
-            return a * np.cosh(w * x) + b * np.sinh(w * x)
-        if self.lam > 0.0:
-            return a * np.cos(w * x) + b * np.sin(w * x)
-        return a + b * x
+        return _regime_values(self.lam, a, b, np.asarray(x, dtype=float))
 
     def derivative(self, edge_id: str, x):
         a, b = self.coeffs[edge_id]
@@ -707,16 +765,13 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     ids = [e.id for e in g.edges]
     a, b = _regime_coeffs(g, lam, np.eye(len(svals), dtype=complex) if null.all()
                           else vh[null].conj() / scales)
-    funcs = [Eigenfunction(g, float(lam), dict(zip(ids, zip(*ab))))
-             for ab in zip(a, b)]
 
-    # orthonormalize in L2 via the quadrature Gram matrix
-    quad = {e.id: edge_quadrature(e.length) for e in g.edges}
-    samples = []
-    weights = np.concatenate([quad[e.id][1] for e in g.edges])
-    for f in funcs:
-        samples.append(np.concatenate([f.value(e.id, quad[e.id][0]) for e in g.edges]))
-    samples = np.array(samples)
+    # orthonormalize in L2 via the quadrature Gram matrix, whose samples
+    # are each function's values at every edge's nodes
+    x, weights = (np.concatenate(v) for v in zip(
+        *(edge_quadrature(e.length) for e in g.edges)))
+    edge = np.repeat(np.arange(len(ids)), x.size // len(ids))
+    samples = _regime_values(float(lam), a[:, edge], b[:, edge], x)
     gram = (samples * weights) @ samples.conj().T
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > 1e-12 * evals[-1]

@@ -88,6 +88,11 @@ class TestSpectrum:
         assert f"window {named} is not finite" in capsys.readouterr().err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_window_too_wide_exits_2(self, star_file, capsys):
+        # refused at once by the bound on the count it would hold
+        assert main(["spectrum", star_file, "--window", "0:1e300"]) == 2
+        assert "window (0.0, 1e+300) may hold" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "nope.json"),
                      "--window", "-1:1"]) == 2

@@ -1,6 +1,8 @@
 """P1 Galerkin oracle: shapes, interval exactness limits, solver cross-checks."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +237,46 @@ class TestBandedOracle:
         for plan in (0, 1):
             got = fem._inertia(plans, s, np.full(s.size, plan))[0]
             assert np.array_equal(got, np.searchsorted(want, s)), plan
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_few_eigvalsh_calls_on_crosscheck_graphs(self, seed, monkeypatch):
+        # the benchmark's crosscheck graphs of a seed's run (24 ops: stars
+        # with a unit edge, figure-8s, 4-cycles with near-double roots):
+        # Anderson-Bjorck steps stay superlinear at the 4-cycles' close
+        # roots, where Illinois steps took up to 36 eigvalsh calls. The
+        # values match the dense pencil on a mesh where its eigh is exact
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("qgbench.workloads")
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a):
+            calls.append(len(a))
+            return eigvalsh(a)
+
+        for i in range(24):
+            g = workloads.cross_spec(seed, i)["graph"]
+            calls.clear()
+            monkeypatch.setattr(fem.np.linalg, "eigvalsh", counted)
+            oracle_eigenvalues(g, workloads.FEM_COUNT, workloads.FEM_H)
+            monkeypatch.setattr(fem.np.linalg, "eigvalsh", eigvalsh)
+            assert 0 < len(calls) <= 20, i
+            got = oracle_eigenvalues(g, workloads.FEM_COUNT, 0.02)
+            h_mat, mass, restrict = discretize(g, 0.02)
+            a = (restrict.conj().T @ h_mat @ restrict).toarray()
+            m = (restrict.T @ mass @ restrict).toarray()
+            want = scipy.linalg.eigh(a, m, eigvals_only=True)[:workloads.FEM_COUNT]
+            assert np.all(np.abs(got - want)
+                          <= 1e-10 * np.maximum(1.0, np.abs(want))), i
+
+    def test_unresolved_cell_is_refused(self):
+        # a 1e-12 edge carries entries of order 1e12 beside terms of order
+        # 1, and the ground state's cell ends show no Schur eigenvalue
+        # crossing zero; the oracle names the cell instead of returning its
+        # midpoint, 1.5 * 2^24
+        with pytest.raises(np.linalg.LinAlgError, match=(
+                r"cell \[-33554432\.0, -16777216\.0\] holds 1 eigenvalue")):
+            oracle_eigenvalues(make_star([1.0, 0.7, 1e-12]), 3, 1e-3)
 
     def test_deep_ground_state(self):
         # a short edge pushes lambda_1 near -12.5: the shift needs several

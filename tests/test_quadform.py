@@ -8,6 +8,7 @@ from qgraph.experiments import sample_graph
 from qgraph.graph import (BoundaryType, make_cycle, make_figure8, make_path,
                           make_star)
 from qgraph.quadform import (
+    QUAD_ORDER,
     TrialFunction,
     build_transplant_trial,
     check_domain,
@@ -64,7 +65,36 @@ def poly_trial(g, rng):
     return TrialFunction(values=vals, derivatives=ders)
 
 
+def former_edge_quadrature(length, breaks=()):
+    """Reference: edge_quadrature by its piece loop, one piece included."""
+    base_x, base_w = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < length) + [float(length)]
+    xs, ws = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        half = (b - a) / 2.0
+        xs.append((base_x + 1.0) * half + a)
+        ws.append(base_w * half)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def former_rayleigh_quotient(g, f):
+    """Reference: the Rayleigh quotient as the norm, then the form value."""
+    norm = trial_norm_sq(g, f)
+    if norm < 1e-30:
+        raise QGraphError("trial function has (numerically) zero norm")
+    return form_value(g, f) / norm
+
+
 class TestQuadrature:
+    @pytest.mark.parametrize("length, breaks", [
+        (1.0, ()), (0.7, ()), (1e-7, ()), (3, ()), (2.0, (2.5, -0.1)),
+        (1.3, (0.4,)), (1.3, (0.4, 0.4))])
+    def test_matches_the_piece_loop(self, length, breaks):
+        got = edge_quadrature(length, breaks)
+        want = former_edge_quadrature(length, breaks)
+        for u, v in zip(got, want):
+            assert u.tobytes() == v.tobytes()
+
     def test_polynomial_exactness(self):
         x, w = edge_quadrature(2.0)
         assert np.sum(w * x**3) == pytest.approx(4.0, rel=1e-13)
@@ -124,6 +154,20 @@ class TestDomain:
         with pytest.raises(NotInDomain) as err:
             check_domain(g, linear_trial(slopes))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("check", [check_domain, rayleigh_quotient])
+    def test_nan_traces_are_rejected(self, check):
+        # NaN compares false with everything, so a test of the violation
+        # itself would pass it; the Dirichlet tips are named in vertex order
+        g = make_star([1.0] * 3, tip_bc="dirichlet")
+        nan = TrialFunction(
+            values={e.id: (lambda x: np.full(np.shape(x), np.nan))
+                    for e in g.edges},
+            derivatives={e.id: (lambda x: np.full(np.shape(x), np.nan))
+                         for e in g.edges})
+        with pytest.raises(NotInDomain) as err:
+            check(g, nan)
+        assert str(err.value) == "dirichlet trace nan+nanj at vertex 'v1'"
 
     def test_smooth_trial_accepted(self, star3, rng):
         check_domain(star3, poly_trial(star3, rng))
@@ -191,6 +235,50 @@ class TestRayleigh:
         )
         with pytest.raises(QGraphError):
             rayleigh_quotient(star3, zero)
+
+    @pytest.mark.parametrize("g, lams", [
+        (make_star([1.0, 0.7, 1.3]), [-3.461724246805116, 0.0]),
+        (make_star([1.0] * 3), [STAR3_LAM1, 1.067126678486186]),
+        (make_figure8(0.5, 0.5), [-1.0, 16.0 * np.pi ** 2]),
+        (make_cycle([1.0]), [4.0 * np.pi ** 2]),
+        (make_star([1.0, 1.0, 1.0], tip_bc="dirichlet"), [9.0 * np.pi ** 2 / 4.0]),
+    ], ids=["star3", "star3-equilateral", "figure8", "cycle", "dstar3"])
+    def test_eigenfunctions_match_the_former_composition(self, g, lams):
+        for lam in lams:
+            for psi in eigenfunction_at(g, lam):
+                trial = psi.as_trial()
+                got = rayleigh_quotient(g, trial)
+                assert got.hex() == former_rayleigh_quotient(g, trial).hex()
+
+    def test_trials_match_the_former_composition(self, star3, rng):
+        trials = [(star3, poly_trial(star3, rng)) for _ in range(5)]
+        g = make_star([1.0, 0.7, 1.3])
+        psi = eigenfunction_at(g, -3.461724246805116)[0]
+        # breakpoints on the glued edge
+        trials.append(build_transplant_trial(g, psi, "e2", "e3", 0.2))
+        for g, trial in trials:
+            got = rayleigh_quotient(g, trial)
+            assert got.hex() == former_rayleigh_quotient(g, trial).hex()
+
+    def test_errors_come_in_the_former_order(self, fig8):
+        # a zero norm is named before the domain: a trial that is 1 at the
+        # far end of e1 and 0 at every quadrature node violates both
+        def spike(x):
+            return np.where(np.asarray(x, dtype=float) == 0.5, 1.0, 0.0)
+
+        zero_off_domain = TrialFunction(
+            values={"e1": spike, "e2": (lambda x: 0.0 * np.asarray(x))},
+            derivatives={e: (lambda x: 0.0 * np.asarray(x)) for e in ("e1", "e2")})
+        with pytest.raises(NotInDomain):
+            check_domain(fig8, zero_off_domain)
+        off_domain = linear_trial({"e1": 1.0, "e2": 0.0})
+        for f, kind in ((zero_off_domain, QGraphError), (off_domain, NotInDomain)):
+            with pytest.raises(QGraphError) as got:
+                rayleigh_quotient(fig8, f)
+            with pytest.raises(QGraphError) as want:
+                former_rayleigh_quotient(fig8, f)
+            assert type(got.value) is type(want.value) is kind
+            assert str(got.value) == str(want.value)
 
     def test_norms_on_eigenfunction(self, star3):
         psi = eigenfunction_at(star3, STAR3_LAM1)[0]

@@ -27,6 +27,7 @@ from qgraph.quadform import trial_norm_sq
 from qgraph.secular import (build_secular_matrix, count_below,
                             reduced_negative_kappas)
 from qgraph.solve import (
+    EigRecord,
     Spectrum,
     _GOLD_STEP,
     _KAPPA_WIDTH,
@@ -323,6 +324,31 @@ class TestWindowHandling:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"window \(.*\) is not finite"):
                 find_spectrum(star3, window)
+
+    def test_window_too_wide_is_refused(self, monkeypatch):
+        # refused before any count where the bound N(hi) <= sqrt(hi) L / pi
+        # + 2E exceeds MAX_WINDOW_COUNT; a window just inside it is counted
+        def counted(*args):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(solve_mod, "count_below", counted)
+        g = make_star([1.0, 0.7, 1.3])
+        with pytest.raises(ValueError, match=r"window \(0\.0, 1e\+300\) may "
+                           r"hold 9\.549e\+149 eigenvalues, more than 10000"):
+            find_spectrum(g, (0.0, 1e300))
+        hi = ((solve_mod.MAX_WINDOW_COUNT - 6) * math.pi / 3.0) ** 2
+        with pytest.raises(ValueError, match="may hold"):
+            find_spectrum(g, (-1.0, hi * (1.0 + 1e-12)))
+        for window in ((-1.0, hi * (1.0 - 1e-12)), (-1e300, 0.0)):
+            with pytest.raises(AssertionError, match="counted"):
+                find_spectrum(g, window)
+
+    def test_deep_negative_window_finishes(self):
+        # the bound reads hi alone, so a window deep below zero is solved
+        with deadline(5):
+            spec = find_spectrum(make_star([1.0, 0.7, 1.3]), (-1e300, 0.0))
+        assert [r.mult for r in spec.records] == [1, 1]
+        assert spec.records[1].lam == 0.0
 
     def test_unknown_method(self, star3):
         with pytest.raises(ValueError):
@@ -777,9 +803,9 @@ class TestCountGuidedScan:
         """The (a, b) arrays of every _golden_min call find_spectrum makes."""
         brackets = []
 
-        def recorded(fn, a, b, tol):
+        def recorded(fn, a, b, *args):
             brackets.append((np.array(a), np.array(b)))
-            return _golden_min(fn, a, b, tol)
+            return _golden_min(fn, a, b, *args)
 
         monkeypatch.setattr(solve_mod, "_golden_min", recorded)
         return brackets
@@ -837,6 +863,34 @@ class TestCountGuidedScan:
         assert spec.diagnostics == [] and len(spec.records) == 1
         assert spec.records[0].mult == 1
         assert abs(spec.records[0].lam - k * k) <= 1e-12
+
+    def test_pole_cells_stop_in_their_zones(self, monkeypatch):
+        # the loops' Dirichlet eigenvalues (2 pi / 1.85)^2 = 11.53 and
+        # (2 pi / 1.15)^2 = 29.85 are DtN poles. A pole cell's search stops
+        # once its bracket lies in the pole's zone, where every point is
+        # flagged a pole: 11 calls (35 when those searches ran on to their
+        # tolerance), the same records, and each DtNPole in its zone
+        calls = []
+
+        def recorded(g, struct, lams, method):
+            calls.append(np.size(lams))
+            return _sigma_grid(g, struct, lams, method)
+
+        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
+        spec = find_spectrum(make_figure8(1.15, 1.85), (-16.0, 30.0), "dtn")
+        assert len(calls) <= 15
+        assert spec.records == [
+            EigRecord(-1.0, 1, 3.5910239661608205e-17, 2.119709166475704),
+            EigRecord(0.0, 1, 3.371989395691215e-17, 2.7918165132382255),
+            EigRecord(4.386490844928605, 1, 6.770752692255084e-16,
+                      11.004445181306236),
+            EigRecord(17.545963379714415, 1, 1.5719221954600518e-15,
+                      8.003768979111571)]
+        assert diagnostic_kinds(spec) == ["DtNPole", "DtNPole"]
+        for d, (m, loop) in zip(spec.diagnostics, [(2, 1.85), (2, 1.15)]):
+            k, km = math.sqrt(float(d[len("DtNPole(lambda="):-1])), m * math.pi / loop
+            # the zone, with room for the 12 digits of the diagnostic
+            assert abs(k - km) * loop <= 0.5e-6 * min(km, 1.0) + 1e-11
 
     @pytest.mark.parametrize("loop", [0.5, 0.55])
     def test_equilateral_figure8_needs_few_sigma_calls(self, loop,
@@ -1208,12 +1262,12 @@ class TestRefinementBudget:
         makes."""
         calls = []
 
-        def recorded(fn, a, b, tol):
+        def recorded(fn, a, b, *args):
             def counted(xs):
                 calls.append(len(xs))
                 return fn(xs)
 
-            return _golden_min(counted, a, b, tol)
+            return _golden_min(counted, a, b, *args)
 
         monkeypatch.setattr(solve_mod, "_golden_min", recorded)
         return calls
@@ -1440,6 +1494,44 @@ class TestLockstepGoldenMin:
                             np.where(xs > 2.5, np.inf, np.abs(xs - 0.9)))
 
         self.run(fn, [0.5, 1.2, 2.4, 2.6], [1.4, 1.4, 3.0, 2.9], 1e-12)
+
+    def test_a_search_stops_inside_a_zone(self):
+        # an all-inf bracket (a DtN pole cell) narrows about its midpoint by
+        # golden steps and stops, on that evaluated midpoint, once it lies
+        # in a zone; a bracket without zones runs on as alone
+        def fn(xs):
+            return np.full(len(xs), np.inf)
+
+        zone = [(0.5 - 1e-4, 0.5 + 1e-4), (0.9, 1.0)]
+        sizes = []
+
+        def counted(xs):
+            sizes.append(len(xs))
+            return fn(xs)
+
+        assert _golden_min(counted, [0.0], [1.0], 1e-12, [zone]).tolist() == [0.5]
+        alone = len(sizes)
+        assert alone < len(scalar_vmin(lambda x: math.inf, 0.0, 1.0, 1e-12)[1])
+        sizes.clear()
+        got = _golden_min(counted, [0.0, 2.0], [1.0, 3.0], 1e-12, [zone, []])
+        ref = scalar_vmin(lambda x: math.inf, 2.0, 3.0, 1e-12)
+        assert got[0] == 0.5 and got[1].tobytes() == np.float64(ref[0]).tobytes()
+        assert sizes[:alone] == [6] + [2] * (alone - 1)
+        assert len(sizes) == len(ref[1])
+
+    def test_v_search_stops_inside_a_zone(self):
+        # on a V the search stops once its bracket lies in the zone about
+        # the vertex, on its lowest evaluated point
+        points = []
+
+        def fn(xs):
+            points.extend(xs.tolist())
+            return np.abs(xs - 0.3)
+
+        zone = (0.3 - 1e-3, 0.3 + 1e-3)
+        (got,) = _golden_min(fn, [0.0], [1.0], 1e-12, [[zone]]).tolist()
+        assert zone[0] <= got <= zone[1] and got in points
+        assert got == min(points, key=lambda x: abs(x - 0.3))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_v_vertex_within_half_tolerance(self, seed):
@@ -1744,18 +1836,30 @@ class TestCertificationRows:
         assert calls == []
         self.assert_one_matrix_bytes(g, spec)
 
-    def test_unevaluated_candidate_takes_its_own_batch(self, monkeypatch):
-        # the golden search on a DtN pole cell returns its bracket's
-        # midpoint, which it never evaluated; one call holds that lambda
-        # alone, and every record still holds the bytes a one-matrix SVD at
+    def test_unevaluated_candidate_takes_its_own_batch(self, star3,
+                                                       monkeypatch):
+        # a point window's bracket is no wider than its tolerance, and its
+        # search returns the midpoint unevaluated; one call holds that
+        # lambda alone, and the record holds the bytes a one-matrix SVD at
         # its lambda gives
+        calls = self.calls_after_refinement(monkeypatch)
+        lam = STAR3_EQUIL[0]
+        spec = find_spectrum(star3, (lam, lam))
+        assert spec.diagnostics == []
+        assert [(r.lam, r.mult) for r in spec.records] == [(lam, 1)]
+        (lams,) = calls
+        assert lams.tolist() == [lam]
+        self.assert_one_matrix_bytes(star3, spec)
+
+    def test_pole_cells_end_on_an_evaluated_point(self, monkeypatch):
+        # a search on a DtN pole cell stops inside the pole's zone, on its
+        # lowest evaluated point, so no call follows the refinement; every
+        # record still holds the bytes a one-matrix SVD at its lambda gives
         calls = self.calls_after_refinement(monkeypatch)
         g = make_figure8(1.15, 1.85)
         spec = find_spectrum(g, (-16.0, 30.0), "dtn")
         assert diagnostic_kinds(spec) == ["DtNPole", "DtNPole"]
-        (lams,) = calls
-        assert lams.size == 1 and f"DtNPole(lambda={lams[0]:.12g})" in (
-            spec.diagnostics)
+        assert calls == []
         assert len(spec.records) == 4
         self.assert_one_matrix_bytes(g, spec)
 
@@ -1902,6 +2006,62 @@ class TestEigenfunctions:
             # entries that cancel to rounding noise are held to the scale
             np.testing.assert_allclose(got, want, rtol=1e-14,
                                        atol=1e-14 * np.abs(want).max())
+
+    @staticmethod
+    def former_eigenfunction_at(g, lam):
+        """Reference: eigenfunction_at with its Gram samples taken function
+        by function and edge by edge, by the value formula of the regime
+        basis. Returns each function's (a, b) per edge."""
+        from qgraph.quadform import edge_quadrature
+
+        s_mat = build_secular_matrix(g, lam, "edge")
+        scales = np.ones(s_mat.shape[1])
+        if lam < 0.0:
+            s_mat, scales = equilibrate_columns(s_mat)
+        _, svals, vh = np.linalg.svd(s_mat)
+        null = _null(svals)
+        a, b = solve_mod._regime_coeffs(
+            g, lam, np.eye(len(svals), dtype=complex) if null.all()
+            else vh[null].conj() / scales)
+        w = math.sqrt(abs(lam))
+
+        def value(ca, cb, x):
+            if lam < 0.0:
+                return ca * np.cosh(w * x) + cb * np.sinh(w * x)
+            if lam > 0.0:
+                return ca * np.cos(w * x) + cb * np.sin(w * x)
+            return ca + cb * x
+
+        quad = {e.id: edge_quadrature(e.length) for e in g.edges}
+        weights = np.concatenate([quad[e.id][1] for e in g.edges])
+        samples = np.array([
+            np.concatenate([value(ra[g.edge_index[e.id]], rb[g.edge_index[e.id]],
+                                  quad[e.id][0]) for e in g.edges])
+            for ra, rb in zip(a, b)])
+        gram = (samples * weights) @ samples.conj().T
+        evals, evecs = np.linalg.eigh(gram)
+        keep = evals > 1e-12 * evals[-1]
+        trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
+        return trans.T @ a, trans.T @ b
+
+    @pytest.mark.parametrize("g, lam", [
+        (make_star([1.0, 0.7, 1.3]), -3.461724246805116),
+        (make_star(DEEP_STAR_LENGTHS), DEEP_STAR_LAM1),
+        (make_star([1.0] * 3), 0.0),
+        (make_star([1.0] * 3), STAR3_EQUIL[2]),
+        (make_cycle([1.0]), 4 * PI2),
+        (make_figure8(0.5, 0.5), 16 * PI2),
+        (make_figure8(0.5, 0.5), -1.0),
+        (make_cycle([0.4, 0.6, 0.5, 0.5]), 4 * PI2),
+    ], ids=["star3", "deep", "zero", "positive", "cycle-double",
+            "figure8-triple", "figure8-negative", "cycle4-double"])
+    def test_matches_the_former_samples_bytes(self, g, lam):
+        funcs = eigenfunction_at(g, lam)
+        a, b = self.former_eigenfunction_at(g, lam)
+        assert len(funcs) == len(a)
+        for f, ra, rb in zip(funcs, a, b):
+            got = np.array([f.coeffs[e.id] for e in g.edges])
+            assert got.tobytes() == np.stack((ra, rb), axis=1).tobytes()
 
     def test_not_an_eigenvalue(self, star3):
         with pytest.raises(NotAnEigenvalue):
