@@ -3,15 +3,13 @@ vertex coupling: graph model, secular solver, quadratic form, FEM cross-check,
 surgery operations and theorem-verification experiments."""
 
 from .graph import (BoundaryType, EdgeRecord, MetricGraph, VertexRecord,
-                    Violation, diameter, graph_metrics, load_graph, make_cycle,
-                    make_figure8, make_path, make_star, rotation_genus,
-                    save_graph)
+                    Violation, diameter, load_graph, make_cycle, make_figure8,
+                    make_path, make_star, rotation_genus, save_graph)
 from .surgery import (AttachEdge, ExtendEdge, Merge, Split, SurgeryOp,
                       Transplant, apply_surgery, is_figure8_shape,
-                      reduce_to_figure8, reduced_loop_lengths)
+                      reduce_to_figure8)
 from .secular import (build_secular_matrix, interval_dtn,
-                      reduced_negative_kappas, star_secular_closed_form,
-                      star_secular_reduced)
+                      reduced_negative_kappas, star_secular_reduced)
 from .solve import (Eigenfunction, EigRecord, Spectrum, count_negative,
                     default_negative_floor, eigenfunction_at, find_spectrum,
                     first_eigenvalues)
@@ -23,13 +21,12 @@ from .experiments import (Report, SUITES, sample_graph,
 
 __all__ = [
     "BoundaryType", "EdgeRecord", "MetricGraph", "VertexRecord", "Violation",
-    "diameter", "graph_metrics", "load_graph", "make_cycle", "make_figure8",
-    "make_path", "make_star", "rotation_genus", "save_graph",
+    "diameter", "load_graph", "make_cycle", "make_figure8", "make_path",
+    "make_star", "rotation_genus", "save_graph",
     "AttachEdge", "ExtendEdge", "Merge", "Split", "SurgeryOp", "Transplant",
     "apply_surgery", "is_figure8_shape", "reduce_to_figure8",
-    "reduced_loop_lengths",
     "build_secular_matrix", "interval_dtn", "reduced_negative_kappas",
-    "star_secular_closed_form", "star_secular_reduced",
+    "star_secular_reduced",
     "Eigenfunction", "EigRecord", "Spectrum", "count_negative",
     "default_negative_floor", "eigenfunction_at", "find_spectrum",
     "first_eigenvalues",

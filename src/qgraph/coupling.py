@@ -68,13 +68,3 @@ def assemble_blocks(g: MetricGraph) -> BlockSystem:
         b[pos:pos + d, pos:pos + d] = bv
         pos += d
     return BlockSystem(a, b)
-
-
-def vertex_residual(a: np.ndarray, b: np.ndarray, traces, derivs) -> float:
-    """Max-norm of A F + i B F' for given trace/derivative vectors."""
-    f = np.asarray(traces, dtype=complex)
-    fp = np.asarray(derivs, dtype=complex)
-    if f.shape != (a.shape[0],) or fp.shape != (a.shape[0],):
-        raise DimensionMismatch(
-            f"expected vectors of length {a.shape[0]}, got {f.shape} and {fp.shape}")
-    return float(np.max(np.abs(a @ f + 1j * (b @ fp))))

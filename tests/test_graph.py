@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from qgraph import (BoundaryType, EdgeRecord, MetricGraph, VertexRecord,
-                    diameter, graph_metrics, load_graph, make_cycle,
+                    diameter, load_graph, make_cycle,
                     make_figure8, make_path, make_star, rotation_genus,
                     save_graph)
 from qgraph.errors import Disconnected, InvalidGraph
@@ -69,6 +69,19 @@ def test_validation_rejects_bad_graphs():
              VertexRecord("b", BoundaryType.NEUMANN, (("e1", START),)),
              VertexRecord("c", BoundaryType.NEUMANN, (("e1", END),))],
             [EdgeRecord("e1", "a", "c", 1.0)])
+
+
+@pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan, 0.0])
+def test_length_must_be_finite_and_positive(length):
+    # inf > 0, yet an infinite edge has no spectrum to find
+    g = MetricGraph([VertexRecord("a", BoundaryType.NEUMANN, (("e1", START),)),
+                     VertexRecord("b", BoundaryType.NEUMANN, (("e1", END),))],
+                    [EdgeRecord("e1", "a", "b", length)])
+    (bad,) = g.validate()
+    assert bad.code == "NonpositiveLength" and bad.entity == "e1"
+    assert "must be finite and > 0" in bad.message
+    with pytest.raises(InvalidGraph, match="NonpositiveLength"):
+        make_star([length, 1.0, 1.0])
 
 
 def test_json_round_trip(tmp_path, star3):
@@ -242,10 +255,3 @@ def test_rotation_genus_requires_connected():
     with pytest.raises(Disconnected):
         rotation_genus(g)
 
-
-def test_graph_metrics(fig8):
-    m = graph_metrics(fig8)
-    assert m["total_length"] == pytest.approx(1.0)
-    assert m["diameter"] == pytest.approx(0.5)
-    assert m["mean_edge_length"] == pytest.approx(0.5)
-    assert m["rotation_genus"] == 0

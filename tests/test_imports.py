@@ -1,10 +1,13 @@
-"""Import footprint: the solver, the CLI and the FEM oracle load numpy
-alone; scipy loads only with `secular.reduced_negative_kappas` and the
-`fem.discretize` reference. Each check runs in a fresh interpreter, because
-the test process has scipy loaded already."""
+"""Import footprint: numpy is the package's one runtime dependency. Every
+module of `src/qgraph` imports only the standard library, qgraph and the
+`[project] dependencies` of pyproject.toml, and the solver, the CLI, the FEM
+oracle and the reduced root finder load no scipy module. The scipy checks
+run in a fresh interpreter, because the test process has scipy loaded
+already (the tests' references use it)."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +16,10 @@ import pytest
 
 import qgraph
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 TESTS = Path(__file__).resolve().parent
+MODULES = sorted((Path(SRC) / "qgraph").glob("*.py"))
 
 
 def run(code):
@@ -35,16 +40,46 @@ def test_import_loads_no_scipy(module):
 
 
 def test_oracle_loads_no_scipy():
-    # one oracle call counts on numpy alone; the dense reference still
-    # builds its pencil with scipy.sparse
+    # after both imports, one call of the FEM oracle and one of the reduced
+    # root finder, the two former scipy callers
     out = run("import sys\n"
-              "from qgraph import make_star, oracle_eigenvalues\n"
-              "from qgraph.fem import discretize\n"
+              "import qgraph, qgraph.cli\n"
+              "from qgraph import (make_star, oracle_eigenvalues,\n"
+              "                    reduced_negative_kappas)\n"
+              "reduced_negative_kappas([1, .7, 1.3])\n"
               "oracle_eigenvalues(make_star([1.0] * 3), 2, 0.05)\n"
-              f"print(len({SCIPY}))\n"
-              "discretize(make_star([1.0] * 3), 0.05)\n"
-              "print('scipy.sparse' in sys.modules)")
-    assert out == ["0", "True"]
+              f"print(*{SCIPY})")
+    assert out == []
+
+
+def runtime_dependencies():
+    """The import names of pyproject.toml's `[project] dependencies`."""
+    tomllib = pytest.importorskip("tomllib")
+    doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    return {re.match(r"[A-Za-z0-9_]+", d).group() for d in
+            doc["project"]["dependencies"]}
+
+
+def imported_modules(path):
+    """The top-level names of the modules a file imports anywhere in it;
+    a relative import is qgraph's."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("qgraph" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    assert runtime_dependencies() == {"numpy"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_a_dependency(path):
+    allowed = set(sys.stdlib_module_names) | {"qgraph"} | runtime_dependencies()
+    assert sorted(imported_modules(path) - allowed) == []
 
 
 def test_every_public_name_resolves():
@@ -67,7 +102,7 @@ def unused_imports(path, kept=()):
 
 
 @pytest.mark.parametrize(
-    "path", sorted((Path(SRC) / "qgraph").glob("*.py")) + sorted(TESTS.glob("*.py")),
+    "path", MODULES + sorted(TESTS.glob("*.py")),
     ids=lambda p: p.name if p.parent.name == "qgraph" else f"tests/{p.name}")
 def test_every_import_is_used(path):
     # the package's exports are read by its importers, and experiments keeps

@@ -10,7 +10,6 @@ from qgraph.graph import (BoundaryType, make_cycle, make_figure8, make_path,
 from qgraph.quadform import (
     QUAD_ORDER,
     TrialFunction,
-    build_transplant_trial,
     check_domain,
     edge_quadrature,
     form_domain_basis,
@@ -21,6 +20,7 @@ from qgraph.quadform import (
     vertex_form_matrix,
 )
 from qgraph.solve import eigenfunction_at
+from qgraph.surgery import Transplant, apply_surgery
 
 STAR3_LAM1 = -3.3290586132660844
 
@@ -363,6 +363,62 @@ class TestFormMatrices:
         q = null_space(np.array(rows))
         assert p.shape == q.shape
         assert np.allclose(p @ p.T, q @ q.T, rtol=0, atol=1e-14)
+
+
+SEAM_TOL = 1e-13  # |psi| at a transplant cut below which the trial is undefined
+
+
+def build_transplant_trial(g, psi, from_edge, to_edge, amount):
+    """Transplant trial: cut `amount` off from_edge's far end, glue a scaled
+    copy of the removed tail onto to_edge's far end.
+
+    psi is an Eigenfunction of g (expected: the star ground state). Returns
+    (new_graph, TrialFunction on it). The construction keeps the trial
+    continuous at the seam and leaves every vertex trace of the original
+    center untouched, so domain membership carries over.
+    """
+    le_from = g.edge_map[from_edge].length
+    le_to = g.edge_map[to_edge].length
+    if le_from > le_to:
+        raise QGraphError("transplant trial moves length from the shorter edge")
+    n_edges = g.num_edges
+    if not (0.0 < amount <= le_from):
+        raise QGraphError(f"amount {amount} outside (0, {le_from}]")
+    if amount == le_from and n_edges % 2 == 1:
+        raise QGraphError("full removal of an edge needs an even edge count")
+    new_g = apply_surgery(g, Transplant(from_edge, to_edge, amount))
+    stub = le_from - amount
+    seam_val = complex(psi.value(from_edge, stub))
+    denom = complex(psi.value(to_edge, le_to))
+    # scale so the glued tail continues psi on to_edge
+    if abs(seam_val) < SEAM_TOL:
+        raise QGraphError("eigenfunction vanishes at the cut point; trial undefined")
+    scale = denom / seam_val
+
+    values = {}
+    derivs = {}
+    breaks = {}
+    for e in new_g.edges:
+        if e.id == to_edge:
+            def val(x, _s=scale, _l=le_to, _st=stub, _eid=from_edge, _tid=to_edge):
+                x = np.asarray(x, dtype=float)
+                inner = psi.value(_tid, np.minimum(x, _l))
+                outer = _s * psi.value(_eid, np.clip(x - _l + _st, 0.0, None))
+                return np.where(x <= _l, inner, outer)
+
+            def der(x, _s=scale, _l=le_to, _st=stub, _eid=from_edge, _tid=to_edge):
+                x = np.asarray(x, dtype=float)
+                inner = psi.derivative(_tid, np.minimum(x, _l))
+                outer = _s * psi.derivative(_eid, np.clip(x - _l + _st, 0.0, None))
+                return np.where(x <= _l, inner, outer)
+
+            values[e.id] = val
+            derivs[e.id] = der
+            breaks[e.id] = (le_to,)
+        else:
+            values[e.id] = (lambda x, _eid=e.id: psi.value(_eid, x))
+            derivs[e.id] = (lambda x, _eid=e.id: psi.derivative(_eid, x))
+    return new_g, TrialFunction(values=values, derivatives=derivs, breakpoints=breaks)
 
 
 class TestTransplantTrial:

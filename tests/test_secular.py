@@ -1,6 +1,9 @@
 """Secular matrix, DtN blocks, closed forms, and negative-root reduction."""
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,6 @@ from qgraph.secular import (
     dtn_tables,
     interval_dtn,
     reduced_negative_kappas,
-    star_secular_closed_form,
     star_secular_reduced,
 )
 from qgraph.solve import _sigma_grid, default_negative_floor, find_spectrum
@@ -295,6 +297,24 @@ class TestDtnByteIdentity:
         assert raised(interval_dtn, 1.0, 4.0 * PI2, "e7")[:2] == ("e7", 2)
 
 
+def star_secular_closed_form(lengths, tips, kappa):
+    """Product form for a star at lambda = -kappa^2; zero iff eigenvalue.
+
+    With per-edge factors A_j, B_j built from cosh/sinh (Neumann tips) or
+    sinh/cosh (Dirichlet tips), the value is prod A_j + (-1)^(N+1) prod B_j.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    n = lengths.size
+    kl = kappa * lengths
+    if tips == "neumann":
+        a = np.cosh(kl) + 1j * kappa * np.sinh(kl)
+        b = -np.cosh(kl) + 1j * kappa * np.sinh(kl)
+    else:  # dirichlet
+        a = np.sinh(kl) + 1j * kappa * np.cosh(kl)
+        b = -np.sinh(kl) + 1j * kappa * np.cosh(kl)
+    return complex(np.prod(a) + (-1) ** (n + 1) * np.prod(b))
+
+
 def edge_determinant(g, kap):
     # at kappa * max(l) < 1 every edge keeps the cosh/sinh pair, the basis
     # the closed forms are stated in
@@ -338,6 +358,45 @@ class TestClosedForms:
             val = star_secular_closed_form(lengths, "neumann", kap)
             scale = sum(abs(math.cosh(kap * l) + 1j * kap * math.sinh(kap * l)) for l in lengths)
             assert abs(val) < 1e-8 * scale**3
+
+
+BRENTQ_XTOL, BRENTQ_RTOL = 1e-13, 8.9e-16
+
+
+def brentq_kappas(lengths, tips, kappa_max=None):
+    """The roots as `reduced_negative_kappas` found them with scipy: brentq
+    on each sign-change bracket of the same 20,000-point grid."""
+    lengths = np.asarray(lengths, dtype=float)
+    if kappa_max is None:
+        kappa_max = 3.0 * lengths.size / np.sqrt(np.min(lengths)) + 5.0
+    grid = np.linspace(1e-6, kappa_max, 20000)
+    sign = np.sign(star_secular_reduced(lengths, tips, grid))
+    return [brentq(lambda k: star_secular_reduced(lengths, tips, k),
+                   grid[i], grid[i + 1], xtol=BRENTQ_XTOL, rtol=BRENTQ_RTOL)
+            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+
+
+# every star the tests pass to reduced_negative_kappas
+REDUCED_STARS = [
+    ([1.0] * 3, "neumann", None), ([1.0] * 4, "neumann", None),
+    ([1.0] * 6, "neumann", None), ([1.0] * 3, "dirichlet", None),
+    ([1.0, 0.7, 1.3], "neumann", None), ([0.55] * 3, "dirichlet", None),
+    ([0.6] * 3, "dirichlet", None), ([120.0, 1.0, 1.0], "neumann", None),
+    ([1.0, 1.0, 0.001], "neumann", 40.0), ([1.0, 0.7, 0.002], "neumann", 40.0),
+]
+
+
+def scan_reference_stars():
+    """The stars of the benchmark's scan ops 0-23 at seeds 1-3 whose
+    negative levels its check reads from reduced_negative_kappas."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    try:
+        workloads = importlib.import_module("qgbench.workloads")
+    finally:
+        sys.path.pop(0)
+    refs = [workloads.scan_spec(seed, i)["ref"]
+            for seed in (1, 2, 3) for i in range(24)]
+    return [(list(r[1]), r[2], None) for r in refs if r[0] == "reduced"]
 
 
 class TestReducedForms:
@@ -400,6 +459,17 @@ class TestReducedForms:
     def test_unsupported_combination(self):
         with pytest.raises(ValueError):
             star_secular_reduced([1.0] * 5, "neumann", 1.0)
+
+    @pytest.mark.parametrize("lengths,tips,kappa_max", [
+        *REDUCED_STARS, *scan_reference_stars()])
+    def test_bisection_finds_the_brentq_roots(self, lengths, tips, kappa_max):
+        # the same roots as one brentq per sign-change bracket of the same
+        # grid, each within brentq's own tolerance
+        got = reduced_negative_kappas(lengths, tips, kappa_max)
+        want = brentq_kappas(lengths, tips, kappa_max)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= BRENTQ_XTOL + BRENTQ_RTOL * abs(b)
 
     def test_positive_dirichlet_reduction(self):
         # the equilateral Dirichlet 3-star's second positive eigenvalue is

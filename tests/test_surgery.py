@@ -5,10 +5,39 @@ import pytest
 
 from qgraph import (AttachEdge, BoundaryType, ExtendEdge, Merge, Split,
                     Transplant, apply_surgery, is_figure8_shape, make_cycle,
-                    make_path, make_star, reduce_to_figure8,
-                    reduced_loop_lengths)
+                    make_path, make_star, reduce_to_figure8)
 from qgraph.errors import IllegalOp, NotReducible
 from qgraph.graph import END, START
+
+
+def reduced_loop_lengths(g):
+    """Lengths of the two loops of a figure-8-shaped graph (sorted)."""
+    if not is_figure8_shape(g):
+        raise IllegalOp("graph is not figure-8 shaped")
+    hub = max(g.vertices, key=lambda v: v.degree).id
+    hub_slots = list(g.vertex_map[hub].order)
+    seen = set()
+    loops = []
+    for start_ref in hub_slots:
+        if start_ref in seen:
+            continue
+        length = 0.0
+        ref = start_ref
+        while True:
+            seen.add(ref)
+            eid, end = ref
+            length += g.edge_map[eid].length
+            far = (eid, END if end == START else START)
+            seen.add(far)
+            v = g.vertex_of_endpoint[far]
+            if v == hub:
+                break
+            a, b = g.vertex_map[v].order
+            ref = b if a == far else a
+        loops.append(length)
+    if len(loops) != 2:
+        raise IllegalOp("loop chase failed")
+    return tuple(sorted(loops))
 
 
 def lengths_of(g):
