@@ -18,9 +18,11 @@ pencil. W(s) lives on the traces and split nodes: the skew vertex coupling
 (`_vertex_terms`, which writes it straight into W's slots) plus each
 chain's 2x2 Schur block, in closed form in every regime of s
 (`_chain_terms`); C_T restricts it to the kept traces and the split nodes.
-The blocks eliminate the interior nodes exactly for the assembled pencil,
-so a count is exact up to rounding, and one count is one batched `eigvalsh`
-on matrices about 3E x 3E (E edges), with nothing done per node.
+The chains' own counts (`_chain_counts`) are read only by the count,
+`_inertia`. The blocks eliminate the interior nodes exactly for the
+assembled pencil, so a count is exact up to rounding, and one count is one
+batched `eigvalsh` on matrices about 3E x 3E (E edges), with nothing done
+per node.
 
 The two split plans: a chain's block has a pole at each of its discrete
 Dirichlet eigenvalues. The first plan splits each edge at the fraction
@@ -33,8 +35,10 @@ The refinement: a doubling bracket +-1, +-2, ... with N_h = 0 below and
 N_h >= count above; lockstep bisection on counts until each cell is free of
 poles on one plan at least; then, on that plan, regula falsi steps on each
 eigenvalue of C_T^H W C_T that crosses zero in the cell, each decreasing in
-s, to a relative 1e-12, with the chain terms of that plan alone. An end
-kept twice in a row has its value scaled by the Anderson-Bjorck factor
+s, to a relative 1e-12, with the chain terms of that plan alone and no
+chain counts. Each root's bracket and values are plain floats; numpy runs
+only each step's batched Schur eigenvalues. An end kept twice in a row has
+its value scaled by the Anderson-Bjorck factor
 1 - f(x) / f(the end x replaced), or halved where that is not positive
 (Anderson & Bjorck, BIT 13, 1973): the steps stay superlinear where two
 roots lie close, as on the 4-cycles' near-double roots, where Illinois
@@ -109,18 +113,26 @@ def _vertex_terms(g: MetricGraph, slots: int):
     return w, ct
 
 
+def _phase(s, n, h):
+    """x = s h^2, p = sqrt|x| / 2, q = sqrt|1 - x/12|, theta = n arctan2(p, q)
+    and the oscillating mask 0 < x < 12 of the chains at s (see
+    `_chain_terms`); s, n and h broadcast."""
+    x = s * h * h
+    p = 0.5 * np.sqrt(np.abs(x))
+    q = np.sqrt(np.abs(1.0 - x / 12.0))
+    return x, p, q, n * np.arctan2(p, q), (x > 0.0) & (x < 12.0)
+
+
 def _chain_terms(s, n, h):
     """Each chain's exact Schur block on its end nodes, in its sum and
-    difference directions, and its count of discrete Dirichlet eigenvalues
-    below s. s, n and h broadcast.
+    difference directions. s, n and h broadcast.
 
     A chain of n elements of length h carries, in A - sM, a/2 = 1/h - s h/3
     on its end nodes, a on each interior node and b = -1/h - s h/6 between
     neighbours. Eliminating its n - 1 interior nodes leaves [[d, o], [o, d]]
     on its ends, d = -b sin(phi) cot(n phi) and o = b sin(phi) / sin(n phi),
     where cos(phi) = -a / 2b, so sin(phi/2) = (h/2) sqrt(s / (1 + s h^2/6)).
-    Its interior block has one negative eigenvalue for each j in 1..n-1 with
-    j pi / n < phi. With x = s h^2, p = sqrt|x| / 2, q = sqrt|1 - x/12| and
+    With x = s h^2, p = sqrt|x| / 2, q = sqrt|1 - x/12| and
     g = |b sin(phi)| = 2 p q / h, the half-angle forms of sigma = d + o and
     delta = d - o subtract nothing:
 
@@ -131,32 +143,44 @@ def _chain_terms(s, n, h):
     * x < -6 and x >= 12, alternating: phi = pi + i psi, tanh(psi/2) = q / p,
       and the same with sigma and delta swapped for odd n, negated past 12.
 
-    Returns (sigma, delta, below, t), t = 1 outside the oscillating regime:
-    only there is a term large, sigma where |t| is, delta where 1 / |t| is.
+    The last two are evaluated only where the batch holds such a point, and
+    merged onto the oscillating values. Returns (sigma, delta, t), t = 1
+    outside the oscillating regime: only there is a term large, sigma where
+    |t| is, delta where 1 / |t| is.
     """
-    x = s * h * h
-    p = 0.5 * np.sqrt(np.abs(x))
-    q = np.sqrt(np.abs(1.0 - x / 12.0))
+    x, p, q, theta, osc = _phase(s, n, h)
     g = 2.0 * p * q / h
-    osc = (x > 0.0) & (x < 12.0)
-    odd = n % 2 == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = n * np.arctan2(p, q)
-        t = np.where(osc, np.tan(theta), 1.0)
-        big = np.maximum(p, q)
-        tanh = np.tanh(n * np.arctanh(np.minimum(p, q) / big))
-        # g / T where both vanish, at x = 0 and 12: 2 max(p, q)^2 / (n h)
-        coth = np.where(tanh == 0.0, 2.0 * big * big / (n * h), g / tanh)
-        swap = odd & ((x < -6.0) | (x >= 12.0))
+    t = np.tan(theta)
+    mixed = not osc.all()
+    if mixed:
+        t = np.where(osc, t, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            big = np.maximum(p, q)
+            tanh = np.tanh(n * np.arctanh(np.minimum(p, q) / big))
+            # g / T where both vanish, at x = 0 and 12: 2 max(p, q)^2 / (n h)
+            coth = np.where(tanh == 0.0, 2.0 * big * big / (n * h), g / tanh)
+        swap = (n % 2 == 1) & ((x < -6.0) | (x >= 12.0))
         sign = np.where(x >= 12.0, -1.0, 1.0)
-        sigma = np.where(osc, -g * t, sign * np.where(swap, coth, g * tanh))
-        delta = np.where(osc, g / t, sign * np.where(swap, g * tanh, coth))
+    # t is finite and nonzero where 0 < x < 12, and 1 elsewhere
+    sigma, delta = -g * t, g / t
+    if mixed:
+        sigma = np.where(osc, sigma, sign * np.where(swap, coth, g * tanh))
+        delta = np.where(osc, delta, sign * np.where(swap, g * tanh, coth))
+    return sigma, delta, t
+
+
+def _chain_counts(s, n, h, t):
+    """Each chain's count of its discrete Dirichlet eigenvalues below s, t
+    being its `_chain_terms` size factor at s. Its interior block has one
+    negative eigenvalue for each j in 1..n-1 with j pi / n < phi: none in
+    the growing regime, all n - 1 past x = 12."""
+    x, _, _, theta, osc = _phase(s, n, h)
     # the pole nearest n phi is m pi; s lies above it where t has the sign of
     # (-1)^m, as t crosses 0 at even m and flips from +inf at odd m
     m = np.rint(2.0 * theta / np.pi)
     below = np.clip(m - (t * (1.0 - 2.0 * (m % 2)) <= 0.0), 0, n - 1)
     below = np.where(osc, below, np.where(x >= 12.0, n - 1, 0))
-    return sigma, delta, below.astype(int), t
+    return below.astype(int)
 
 
 @dataclass(frozen=True)
@@ -209,17 +233,6 @@ def _plans(g: MetricGraph, h: float) -> _Plans:
                   ndof=int(ne.sum()) + num - (slots - r))
 
 
-def _schur(plans: _Plans, s, plan):
-    """At each s on plan[i]: the chain terms (sigma and delta side by side),
-    each term's size factor (t = tan(n phi / 2) for sigma, 1 / t for delta,
-    1 outside the oscillating regime), and the chain count of each plan."""
-    sigma, delta, below, t = _chain_terms(s[:, None, None], plans.n, plans.h)
-    pick = np.arange(s.size), plan
-    return (np.concatenate((sigma[pick], delta[pick]), axis=1),
-            np.concatenate((t[pick], 1.0 / t[pick]), axis=1),
-            below.sum(axis=2))
-
-
 def _assemble(plans: _Plans, terms):
     """C_T^T W C_T for each row of chain terms."""
     r = plans.w0.shape[0]
@@ -235,7 +248,13 @@ def _inertia(plans: _Plans, s, plan):
     It is moved to a border instead: by Haynsworth, n_-(F + rho/2 v v^T) =
     n_-([[F, v], [v^T, -2/rho]]) - [rho > 0], and no entry of the bordered
     matrix is large."""
-    terms, t, chains = _schur(plans, s, plan)
+    sigma, delta, t = _chain_terms(s[:, None, None], plans.n, plans.h)
+    chains = _chain_counts(s[:, None, None], plans.n, plans.h, t).sum(axis=2)
+    # the chain terms of each point's own plan, sigma and delta side by side,
+    # and each term's size factor: t for sigma, 1 / t for delta
+    pick = np.arange(s.size), plan
+    terms = np.concatenate((sigma[pick], delta[pick]), axis=1)
+    t = np.concatenate((t[pick], 1.0 / t[pick]), axis=1)
     large = np.abs(t) > _POLE
     w = _assemble(plans, np.where(large, 0.0, terms))
     fix = 0
@@ -259,6 +278,19 @@ def _tol(a, b):
     return _REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
+def _float_tol(a: float, b: float) -> float:
+    """`_tol` of two floats."""
+    return _REL_TOL * max(1.0, abs(a), abs(b))
+
+
+def _quotient(num: float, den: float) -> float:
+    """num / den, with the inf or nan of IEEE division where den is 0."""
+    if den == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(num) / den)
+    return num / den
+
+
 def _anderson_bjorck(plans: _Plans, a, b, plan, jump):
     """The roots in each cell (a, b) that holds jump eigenvalues and no pole
     of its plan, jump times each, ascending: Anderson-Bjorck steps on each
@@ -269,7 +301,7 @@ def _anderson_bjorck(plans: _Plans, a, b, plan, jump):
 
     def schur_eigenvalues(x, plan):
         # the chain terms of each point's own plan
-        sigma, delta = _chain_terms(x[:, None], plans.n[plan], plans.h)[:2]
+        sigma, delta, _ = _chain_terms(x[:, None], plans.n[plan], plans.h)
         return np.linalg.eigvalsh(
             _assemble(plans, np.concatenate((sigma, delta), axis=1)))
 
@@ -289,36 +321,48 @@ def _anderson_bjorck(plans: _Plans, a, b, plan, jump):
     cell = np.repeat(np.arange(m), jump)
     j = below[cell] + np.arange(cell.size) - np.repeat(np.cumsum(jump) - jump,
                                                        jump)
-    a, b, plan = a[cell], b[cell], plan[cell]
-    fa, fb = mu[cell, j], mu[m + cell, j]
-    side = np.zeros(cell.size)
-    live = b - a > _tol(a, b)
+    plan = plan[cell]
+    # each root's bracket, its values, and the side of its last step, in
+    # plain floats: numpy runs only the batched Schur eigenvalues
+    a, b, fa, fb = (v.tolist() for v in (a[cell], b[cell], mu[cell, j],
+                                         mu[m + cell, j]))
+    side = [0.0] * cell.size
+    tol = [_float_tol(x0, x1) for x0, x1 in zip(a, b)]
+    live = [i for i in range(cell.size) if b[i] - a[i] > tol[i]]
     for _ in range(_SECANT_STEPS):
-        k = np.flatnonzero(live)
-        if k.size == 0:
+        if not live:
             break
         # a secant point within half the tolerance of an end steps to that
         # distance, so that a root found from one side closes its cell
-        t = 0.5 * _tol(a[k], b[k])
-        x = np.clip(b[k] - fb[k] * (b[k] - a[k]) / (fb[k] - fa[k]),
-                    a[k] + t, b[k] - t)
-        fx = schur_eigenvalues(x, plan[k])[np.arange(k.size), j[k]]
-        up = fx >= 0.0  # the root lies above x
-        # an end kept twice in a row has its value scaled by
-        # 1 - f(x) / f(the end x replaces), or halved where that is not
-        # positive
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = 1.0 - fx / np.where(up, fa[k], fb[k])
-        scale = np.where(scale > 0.0, scale, 0.5)
-        fb[k] = np.where(up & (side[k] < 0), scale * fb[k], fb[k])
-        fa[k] = np.where(~up & (side[k] > 0), scale * fa[k], fa[k])
-        a[k] = np.where(up, x, a[k])
-        fa[k] = np.where(up, fx, fa[k])
-        b[k] = np.where(up & (fx > 0.0), b[k], x)
-        fb[k] = np.where(up, fb[k], fx)
-        side[k] = np.where(up, -1.0, 1.0)
-        live[k] = b[k] - a[k] > _tol(a[k], b[k])
-    return 0.5 * (a + b)
+        xs = []
+        for i in live:
+            t = 0.5 * tol[i]
+            x = b[i] - _quotient(fb[i] * (b[i] - a[i]), fb[i] - fa[i])
+            xs.append(min(max(x, a[i] + t), b[i] - t))
+        fxs = schur_eigenvalues(np.array(xs), plan[live])[
+            np.arange(len(live)), j[live]].tolist()
+        for i, x, fx in zip(live, xs, fxs):
+            up = fx >= 0.0  # the root lies above x
+            # an end kept twice in a row has its value scaled by
+            # 1 - f(x) / f(the end x replaces), or halved where that is not
+            # positive
+            scale = 1.0 - _quotient(fx, fa[i] if up else fb[i])
+            if not scale > 0.0:
+                scale = 0.5
+            if up:
+                if side[i] < 0:
+                    fb[i] *= scale
+                a[i], fa[i] = x, fx
+                if not fx > 0.0:  # a root on x closes its cell there
+                    b[i] = x
+            else:
+                if side[i] > 0:
+                    fa[i] *= scale
+                b[i], fb[i] = x, fx
+            side[i] = -1.0 if up else 1.0
+            tol[i] = _float_tol(a[i], b[i])
+        live = [i for i in live if b[i] - a[i] > tol[i]]
+    return np.array([0.5 * (x0 + x1) for x0, x1 in zip(a, b)])
 
 
 def oracle_eigenvalues(g: MetricGraph, count: int, h: float) -> np.ndarray:

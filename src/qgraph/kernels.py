@@ -13,11 +13,11 @@ returned unevaluated.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (8, n_lambda, E) trace tables of a
-batch, and the graph's plan from `prepare_structure`, read once off the
-vertex blocks A and B of `coupling.assemble_blocks` and cached, lays them
-into the whole stack by one product with a fixed matrix of +-1 weights. The
-vertex conditions are stated only in `coupling`; no Python loop runs per
-lambda or per row.
+batch, and `lay_out_matrices`, with the graph's plan from
+`prepare_structure`, read once off the vertex blocks A and B of
+`coupling.assemble_blocks` and cached, lays them into the whole stack by
+one product with a fixed matrix of +-1 weights. The vertex conditions are
+stated only in `coupling`; no Python loop runs per lambda or per row.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
 f2(x) = sin(sqrt(lambda) x)/sqrt(lambda), continued through lambda <= 0 by
@@ -30,8 +30,9 @@ with kappa * l >= 1 therefore switches to the decaying pair
 that pair degenerates only as kappa -> 0, where the entire pair takes over.
 `edge_basis_traces` is the one place this switch is made: the matrix stacks
 are filled from its tables, and solve.eigenfunction_at converts nullspace
-coefficients back through its start traces. It picks each entry of its
-eight tables in one pass, so a row has the same bytes in any batch.
+coefficients back through the start traces of the same tables its matrix
+was laid out from. It picks each entry of its eight tables in one pass, so
+a row has the same bytes in any batch.
 Matrix rows follow the global endpoint slot order; columns are (2e, 2e+1).
 """
 
@@ -132,16 +133,23 @@ def edge_basis_traces(lam, lengths):
     return out
 
 
-def build_matrix_grid_numpy(lams, plan):
-    """Stack of secular matrices, shape (len(lams), 2E, 2E), laid out by the
-    graph's plan from `prepare_structure`."""
+def lay_out_matrices(traces, plan):
+    """Stack of secular matrices, shape (n, 2E, 2E), laid out by the graph's
+    plan from `prepare_structure` from the (8, n, E) tables of
+    `edge_basis_traces`."""
     targets, weights, lengths = plan
-    lams = np.asarray(lams, dtype=float).reshape(-1)
-    n, m = lams.size, 2 * lengths.size
-    tabs = edge_basis_traces(lams, lengths).swapaxes(0, 1).reshape(n, 4 * m)
+    n, m = traces.shape[1], 2 * lengths.size
+    tabs = traces.swapaxes(0, 1).reshape(n, 4 * m)
     buf = np.zeros((n, 2 * m * m))
     buf[:, targets] = tabs @ weights + 0.0
     return buf.view(np.complex128).reshape(n, m, m)
+
+
+def build_matrix_grid_numpy(lams, plan):
+    """Stack of secular matrices, shape (len(lams), 2E, 2E), laid out by the
+    graph's plan from `prepare_structure`."""
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    return lay_out_matrices(edge_basis_traces(lams, plan[2]), plan)
 
 
 def edge_builder(plan):

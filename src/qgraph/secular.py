@@ -55,6 +55,8 @@ _POLE_TOL = 1e-13
 # largest |eigenvalue|), so one below that may carry either sign. This is
 # the multiple.
 _COUNT_TRUST = 10.0
+# the largest Dirichlet count a float holds exactly
+_EXACT_COUNT = 2.0 ** 53
 
 
 def dtn_tables(lams, lengths):
@@ -75,8 +77,8 @@ def dtn_tables(lams, lengths):
     lengths = np.asarray(lengths, dtype=float)
     neg, pos = lams < 0.0, lams > 0.0
     k = np.sqrt(np.abs(lams))
-    kl = k * lengths
     with np.errstate(over="ignore", invalid="ignore"):
+        kl = k * lengths
         sh = np.where(neg, np.sinh(kl), np.sin(kl))
         diag = -k * np.where(neg, np.cosh(kl), np.cos(kl)) / sh
         off = k / sh
@@ -161,21 +163,34 @@ def count_below(g: MetricGraph, lams):
     the module docstring), with one batched eigvalsh over the lambdas.
 
     Returns (counts, trusted): an (n,) integer array and an (n,) mask. A
-    count is trusted off the singular mask of `dtn_tables` and when no
-    eigenvalue of Q lies within _COUNT_TRUST * r * eps * max |mu| of zero,
-    mu the eigenvalues of Q and r its order; an untrusted one sits on, or
-    within rounding of, an edge Dirichlet eigenvalue or an eigenvalue of the
-    graph.
+    count is trusted off the singular mask of `dtn_tables`, where N_D is
+    exact in a float (at most _EXACT_COUNT), and when no eigenvalue of Q
+    lies within _COUNT_TRUST * r * eps * max |mu| of zero, mu the
+    eigenvalues of Q and r its order; an untrusted one sits on, or within
+    rounding of, an edge Dirichlet eigenvalue or an eigenvalue of the graph,
+    or has k l too large for its counts to mean anything.
     """
     hp, dterm, oterm, lengths = _count_plan(g)
     lams = np.asarray(lams, dtype=float).reshape(-1)
     diag, off, singular = dtn_tables(lams, lengths)
+    k = np.sqrt(np.maximum(lams, 0.0))[:, None]
+    with np.errstate(over="ignore"):
+        n_dirichlet = np.maximum(np.ceil(k * lengths / np.pi) - 1.0,
+                                 0.0).sum(axis=1)
+    # past 2^53 (k l not finite, or so large that the row is singular) the
+    # Dirichlet count is no exact integer: the row counts 0, is untrusted as
+    # a singular row is, and its DtN entries, nan where k l is not finite,
+    # are not used
+    if not n_dirichlet.max(initial=0.0) <= _EXACT_COUNT:
+        exact = n_dirichlet <= _EXACT_COUNT
+        singular = singular | ~exact
+        n_dirichlet = np.where(exact, n_dirichlet, 0.0)
+        diag = np.where(exact[:, None], diag, 0.0)
+        off = np.where(exact[:, None], off, 0.0)
     r = hp.shape[0]
     mu = np.linalg.eigvalsh(
         hp - (diag @ dterm + off @ oterm).reshape(lams.size, r, r))
     abs_mu = np.abs(mu)
-    k = np.sqrt(np.maximum(lams, 0.0))[:, None]
-    n_dirichlet = np.maximum(np.ceil(k * lengths / np.pi) - 1.0, 0.0).sum(axis=1)
     thr = (_COUNT_TRUST * r * np.finfo(float).eps
            * abs_mu.max(axis=1, initial=0.0))
     counts = n_dirichlet.astype(np.intp) + (mu < 0.0).sum(axis=1)

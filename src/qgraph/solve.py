@@ -85,7 +85,8 @@ import numpy as np
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import MetricGraph
 from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
-                      equilibrate_columns, prepare_structure, scan_sigma)
+                      equilibrate_columns, lay_out_matrices,
+                      prepare_structure, scan_sigma)
 from .quadform import TrialFunction, edge_quadrature
 from .secular import build_dtn_grid, build_secular_matrix, count_below
 
@@ -98,6 +99,9 @@ _KAPPA_FLOOR = 1e-4
 _GOLD_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
 # the most eigenvalues a window may hold by the bound sqrt(hi) L / pi + 2E
 MAX_WINDOW_COUNT = 10_000
+# the most times first_eigenvalues moves a window end outward by a relative
+# 1e-6 for a trusted count; one move clears an eigenvalue or a pole
+_TRUST_NUDGES = 100
 
 
 @dataclass(frozen=True)
@@ -645,15 +649,23 @@ def first_eigenvalues(g: MetricGraph, k: int):
     k, the whole window is solved again, as with no cut. Each window end
     tried is moved outward by a relative 1e-6 until its count is trusted,
     so that no end on an eigenvalue or an edge Dirichlet pole leaves the
-    window's completeness check undone."""
+    window's completeness check undone. An end still untrusted after
+    _TRUST_NUDGES moves (an end of 0, or an edge so long that no positive
+    count is trusted) raises WindowTooCoarse naming it."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     lo = default_negative_floor(g)
     hi = (math.pi * (k + 2) / g.total_length) ** 2
     for attempt in range(12):
         end = hi * 2.0 ** attempt
+        nudges = 0
         while not count_below(g, [end])[1][0]:
+            if nudges == _TRUST_NUDGES:
+                raise WindowTooCoarse(
+                    f"the eigenvalue count at the window end {end!r} is not "
+                    f"trusted after {_TRUST_NUDGES} nudges")
             end *= 1.0 + 1e-6
+            nudges += 1
         spec = find_spectrum(g, (lo, end), first=k)
         if spec.count < k and spec.window[1] < end:
             spec = find_spectrum(g, (lo, end))
@@ -716,12 +728,13 @@ class Eigenfunction:
         )
 
 
-def _regime_coeffs(g: MetricGraph, lam: float, vecs):
+def _regime_coeffs(traces, lam: float, vecs):
     """Amplitudes (a, b), each of shape (len(vecs), E), in the regime basis
     Eigenfunction stores, from edge-ansatz coefficient vectors: the start
     value of each edge's solution and its start derivative over the rate
-    sqrt|lam| (1 at lam = 0), read off the basis traces of the kernels."""
-    f10, f20, d10, d20 = edge_basis_traces(lam, [e.length for e in g.edges])[:4]
+    sqrt|lam| (1 at lam = 0), read off lam's (8, E) basis traces from
+    `kernels.edge_basis_traces`."""
+    f10, f20, d10, d20 = traces[:4]
     vecs = np.asarray(vecs)
     c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
     w = math.sqrt(abs(lam)) if lam != 0.0 else 1.0
@@ -732,10 +745,13 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     """L2-orthonormal basis of the eigenspace at lam.
 
     Extraction always goes through the edge-ansatz matrix (its nullspace IS
-    the coefficient vector; the DtN nullspace only carries traces). Raises
-    NotAnEigenvalue when the matrix has full rank there.
+    the coefficient vector; the DtN nullspace only carries traces), laid
+    out from the same trace tables that convert its coefficients back.
+    Raises NotAnEigenvalue when the matrix has full rank there.
     """
-    s_mat = build_secular_matrix(g, lam, "edge")
+    plan = prepare_structure(g)
+    traces = edge_basis_traces(np.array([lam], dtype=float), plan[2])
+    s_mat = lay_out_matrices(traces, plan)[0]
     scales = np.ones(s_mat.shape[1])
     if lam < 0.0:
         s_mat, scales = equilibrate_columns(s_mat)
@@ -745,7 +761,8 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
         raise NotAnEigenvalue(f"sigma_min/sigma_max = {svals[-1] / svals[0]:.3e} "
                               f"at lambda = {lam}")
     ids = [e.id for e in g.edges]
-    a, b = _regime_coeffs(g, lam, np.eye(len(svals), dtype=complex) if null.all()
+    a, b = _regime_coeffs(traces[:, 0], lam,
+                          np.eye(len(svals), dtype=complex) if null.all()
                           else vh[null].conj() / scales)
 
     # orthonormalize in L2 via the quadrature Gram matrix, whose samples

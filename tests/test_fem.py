@@ -75,6 +75,166 @@ def dense_eigenvalues(g, h):
                              restrict.T @ mass @ restrict, eigvals_only=True)
 
 
+def former_chain_terms(s, n, h):
+    """The chain terms as `fem._chain_terms` gave them with the chain counts,
+    every regime evaluated at every point: (sigma, delta, below, t)."""
+    x = s * h * h
+    p = 0.5 * np.sqrt(np.abs(x))
+    q = np.sqrt(np.abs(1.0 - x / 12.0))
+    g = 2.0 * p * q / h
+    osc = (x > 0.0) & (x < 12.0)
+    odd = n % 2 == 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = n * np.arctan2(p, q)
+        t = np.where(osc, np.tan(theta), 1.0)
+        big = np.maximum(p, q)
+        tanh = np.tanh(n * np.arctanh(np.minimum(p, q) / big))
+        coth = np.where(tanh == 0.0, 2.0 * big * big / (n * h), g / tanh)
+        swap = odd & ((x < -6.0) | (x >= 12.0))
+        sign = np.where(x >= 12.0, -1.0, 1.0)
+        sigma = np.where(osc, -g * t, sign * np.where(swap, coth, g * tanh))
+        delta = np.where(osc, g / t, sign * np.where(swap, g * tanh, coth))
+    m = np.rint(2.0 * theta / np.pi)
+    below = np.clip(m - (t * (1.0 - 2.0 * (m % 2)) <= 0.0), 0, n - 1)
+    below = np.where(osc, below, np.where(x >= 12.0, n - 1, 0))
+    return sigma, delta, below.astype(int), t
+
+
+def former_anderson_bjorck(plans, a, b, plan, jump):
+    """`fem._anderson_bjorck` as it stepped with its brackets in numpy
+    arrays, on the former chain terms, less its check of the cell ends."""
+    m = a.size
+
+    def schur_eigenvalues(x, plan):
+        sigma, delta = former_chain_terms(x[:, None], plans.n[plan],
+                                          plans.h)[:2]
+        return np.linalg.eigvalsh(
+            fem._assemble(plans, np.concatenate((sigma, delta), axis=1)))
+
+    mu = schur_eigenvalues(np.concatenate((a, b)),
+                           np.concatenate((plan, plan)))
+    below = (mu < 0.0).sum(axis=1)
+    cell = np.repeat(np.arange(m), jump)
+    j = below[cell] + np.arange(cell.size) - np.repeat(np.cumsum(jump) - jump,
+                                                       jump)
+    a, b, plan = a[cell], b[cell], plan[cell]
+    fa, fb = mu[cell, j], mu[m + cell, j]
+    side = np.zeros(cell.size)
+    live = b - a > fem._tol(a, b)
+    for _ in range(fem._SECANT_STEPS):
+        k = np.flatnonzero(live)
+        if k.size == 0:
+            break
+        # a secant point within half the tolerance of an end steps to that
+        # distance, so that a root found from one side closes its cell
+        t = 0.5 * fem._tol(a[k], b[k])
+        x = np.clip(b[k] - fb[k] * (b[k] - a[k]) / (fb[k] - fa[k]),
+                    a[k] + t, b[k] - t)
+        fx = schur_eigenvalues(x, plan[k])[np.arange(k.size), j[k]]
+        up = fx >= 0.0  # the root lies above x
+        # an end kept twice in a row has its value scaled by
+        # 1 - f(x) / f(the end x replaces), or halved where that is not
+        # positive
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 1.0 - fx / np.where(up, fa[k], fb[k])
+        scale = np.where(scale > 0.0, scale, 0.5)
+        fb[k] = np.where(up & (side[k] < 0), scale * fb[k], fb[k])
+        fa[k] = np.where(~up & (side[k] > 0), scale * fa[k], fa[k])
+        a[k] = np.where(up, x, a[k])
+        fa[k] = np.where(up, fx, fa[k])
+        b[k] = np.where(up & (fx > 0.0), b[k], x)
+        fb[k] = np.where(up, fb[k], fx)
+        side[k] = np.where(up, -1.0, 1.0)
+        live[k] = b[k] - a[k] > fem._tol(a[k], b[k])
+    return 0.5 * (a + b)
+
+
+class TestChainTerms:
+    """`fem._chain_terms` and `fem._chain_counts` against the former terms,
+    byte for byte: x = s h^2 in each regime and on its bounds -6, 0 and 12,
+    odd and even chains, in batches of one regime, of several, and of one
+    point, shaped as the counts and as the secant steps shape them."""
+
+    # dyadic lengths put x exactly on the bounds; 0.1 puts it near them
+    H = np.array([0.5, 0.25, 0.1])
+    N = np.array([[1, 2, 3], [4, 5, 8]])
+    # x = s / 4 on the first chain: -25, -6, -3, 0, 1.25, 11.75, 12, 50
+    MIXED = np.array([-100.0, -24.0, -12.0, 0.0, 5.0, 47.0, 48.0, 200.0])
+    # 0 < x < 12 on every chain, with points near poles of tan(n phi / 2)
+    OSCILLATING = np.concatenate((np.linspace(0.5, 47.5, 37), [9.8696044]))
+
+    @staticmethod
+    def assert_same(s, n, h):
+        sigma, delta, below, t = former_chain_terms(s, n, h)
+        got = fem._chain_terms(s, n, h)
+        got += (fem._chain_counts(s, n, h, got[2]),)
+        for a, b in zip(got, (sigma, delta, t, below)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("batch", ["mixed", "oscillating"])
+    def test_batch_as_the_counts_shape_it(self, batch):
+        s = self.MIXED if batch == "mixed" else self.OSCILLATING
+        self.assert_same(s[:, None, None], self.N, self.H)
+
+    @pytest.mark.parametrize("batch", ["mixed", "oscillating"])
+    def test_batch_as_the_secant_steps_shape_it(self, batch):
+        s = self.MIXED if batch == "mixed" else self.OSCILLATING
+        plan = np.arange(s.size) % 2
+        self.assert_same(s[:, None], self.N[plan], self.H)
+
+    @pytest.mark.parametrize("s", MIXED.tolist() + [-24.0 * (1 + 1e-15),
+                                                    48.0 * (1 - 1e-15)])
+    def test_one_point(self, s):
+        self.assert_same(np.array([s])[:, None, None], self.N, self.H)
+        self.assert_same(np.array([s])[:, None], self.N[:1], self.H)
+
+    def test_bounds_are_hit(self):
+        x = self.MIXED * self.H[0] ** 2
+        assert {-6.0, 0.0, 12.0} <= set(x.tolist())
+        assert (x < -6.0).any() and (x > 12.0).any()
+        assert ((-6.0 < x) & (x < 0.0)).any() and ((0.0 < x) & (x < 12.0)).any()
+        x = self.OSCILLATING[:, None] * self.H ** 2
+        assert ((0.0 < x) & (x < 12.0)).all()
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_secant_steps_match_the_former_array_loop(self, seed,
+                                                      monkeypatch):
+        # the float steps take the numpy steps' operations in their order:
+        # every value of the crosscheck graphs keeps its bytes
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("qgbench.workloads")
+        graphs = [workloads.cross_spec(seed, i)["graph"] for i in range(24)]
+        want = [oracle_eigenvalues(g, workloads.FEM_COUNT, workloads.FEM_H)
+                for g in graphs]
+        monkeypatch.setattr(fem, "_anderson_bjorck", former_anderson_bjorck)
+        for i, g in enumerate(graphs):
+            got = oracle_eigenvalues(g, workloads.FEM_COUNT, workloads.FEM_H)
+            assert got.tobytes() == want[i].tobytes(), i
+
+    def test_secant_steps_compute_no_counts(self, monkeypatch):
+        # the steps read the terms alone; only _inertia counts
+        g = make_cycle([0.9, 1.1, 1.0, 1.0])
+        want = oracle_eigenvalues(g, 8, 1e-3)
+        counts, steps = fem._chain_counts, fem._anderson_bjorck
+        calls = []
+
+        def refuse(*args):
+            raise AssertionError("chain counts in a secant step")
+
+        def stepped(*args):
+            calls.append(args)
+            monkeypatch.setattr(fem, "_chain_counts", refuse)
+            try:
+                return steps(*args)
+            finally:
+                monkeypatch.setattr(fem, "_chain_counts", counts)
+
+        monkeypatch.setattr(fem, "_anderson_bjorck", stepped)
+        got = oracle_eigenvalues(g, 8, 1e-3)
+        assert len(calls) == 1 and got.tobytes() == want.tobytes()
+
+
 class TestDiscretize:
     def test_shapes_and_hermiticity(self, star3):
         h_mat, mass, restrict = discretize(star3, 0.1)

@@ -555,6 +555,19 @@ class TestCountBelow:
             one = count_below(g, lam)
             assert (one[0][0], one[1][0]) == (c, t)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_edge_counts_are_untrusted_and_finite(self):
+        # on a 1e300 edge k l is past 2^53 times pi at every positive probe
+        # here, and not finite at 1e17 and above: those rows count 0 Dirichlet
+        # eigenvalues, untrusted, with no invalid cast or overflow warned
+        g = make_star([1e300, 1.0, 1.0])
+        lams = [-1.0, 1e-300, 1e-2, 1.0, 1e10, 1e17, 1e300, math.inf]
+        counts, trusted = count_below(g, lams)
+        assert trusted.tolist() == [True] + [False] * 7
+        assert 0 <= counts.min() and counts.max() <= 2 * g.num_edges
+        # the probe whose count is exact keeps the count it has alone
+        assert counts[0] == count_below(g, [-1.0])[0][0]
+
     def test_empty_trace_space(self):
         # a Dirichlet interval keeps no trace: N = N_D, the (n pi)^2 below
         g = make_path([1.0], tip_bc="dirichlet")

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from qgraph.coupling import assemble_blocks
+import qgraph.kernels as kernels_mod
 import qgraph.secular as secular_mod
 import qgraph.solve as solve_mod
 from qgraph.errors import NotAnEigenvalue, WindowTooCoarse
@@ -22,7 +23,8 @@ from qgraph.graph import (
     make_path,
     make_star,
 )
-from qgraph.kernels import equilibrate_columns, prepare_structure
+from qgraph.kernels import (edge_basis_traces, equilibrate_columns,
+                            prepare_structure)
 from qgraph.quadform import trial_norm_sq
 from qgraph.secular import (build_secular_matrix, count_below,
                             reduced_negative_kappas)
@@ -1647,6 +1649,27 @@ class TestFirstEigenvalues:
         assert spec.diagnostics == [
             "MultiplicityUncertain(lambda=2.46740090027e+14)"]
 
+    def test_untrusted_end_is_refused_after_the_nudges(self, monkeypatch):
+        # the 1e300 edge makes the first window end (3 pi / L)^2 underflow
+        # to 0, where the count is untrusted and no relative nudge moves it;
+        # every positive count is untrusted there too
+        g = make_star([1e300, 1.0, 1.0])
+        calls = []
+
+        def counted(g, lams):
+            calls.append(lams)
+            return count_below(g, lams)
+
+        monkeypatch.setattr(solve_mod, "count_below", counted)
+        with deadline(5), pytest.raises(WindowTooCoarse) as err:
+            first_eigenvalues(g, 1)
+        assert str(err.value) == (
+            f"the eigenvalue count at the window end 0.0 is not trusted "
+            f"after {solve_mod._TRUST_NUDGES} nudges")
+        # the search floor's count, then the end's, once and after each nudge
+        assert calls[0][0] < 0.0
+        assert calls[1:] == [[0.0]] * (solve_mod._TRUST_NUDGES + 1)
+
     @pytest.mark.parametrize("k", [0, -1, -2])
     def test_k_below_one_raises(self, k):
         # at k = -2 the first window ends at 0, which no relative step moves
@@ -1921,7 +1944,8 @@ class TestEigenfunctions:
         rng = np.random.default_rng(3)
         shape = (5, 2 * g.num_edges)
         vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        a, b = solve_mod._regime_coeffs(g, lam, vecs)
+        traces = edge_basis_traces(lam, [e.length for e in g.edges])
+        a, b = solve_mod._regime_coeffs(traces, lam, vecs)
         for j, vec in enumerate(vecs):
             ref_a, ref_b = self.former_conversion(g, lam, vec)
             np.testing.assert_allclose(a[j], ref_a, rtol=1e-14, atol=0.0)
@@ -2022,7 +2046,8 @@ class TestEigenfunctions:
         _, svals, vh = np.linalg.svd(s_mat)
         null = _null(svals)
         a, b = solve_mod._regime_coeffs(
-            g, lam, np.eye(len(svals), dtype=complex) if null.all()
+            edge_basis_traces(lam, [e.length for e in g.edges]), lam,
+            np.eye(len(svals), dtype=complex) if null.all()
             else vh[null].conj() / scales)
         w = math.sqrt(abs(lam))
 
@@ -2067,6 +2092,25 @@ class TestEigenfunctions:
     def test_not_an_eigenvalue(self, star3):
         with pytest.raises(NotAnEigenvalue):
             eigenfunction_at(star3, 2.0)
+
+    @pytest.mark.parametrize("g, lam", [
+        (make_star(DEEP_STAR_LENGTHS), DEEP_STAR_LAM1),
+        (make_star([1.0] * 3), 0.0),
+        (make_figure8(0.5, 0.5), 16 * PI2),
+    ], ids=["deep", "zero", "figure8-triple"])
+    def test_one_trace_table_per_eigenfunction(self, g, lam, monkeypatch):
+        # the matrix and the back-conversion read the same tables
+        traces = solve_mod.edge_basis_traces
+        calls = []
+
+        def counted(lams, lengths):
+            calls.append(np.asarray(lams).tolist())
+            return traces(lams, lengths)
+
+        monkeypatch.setattr(solve_mod, "edge_basis_traces", counted)
+        monkeypatch.setattr(kernels_mod, "edge_basis_traces", counted)
+        funcs = eigenfunction_at(g, lam)
+        assert funcs and calls == [[lam]]
 
 
 class TestEnumerationInvariance:
