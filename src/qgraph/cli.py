@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IllegalOp, InvalidGraph, QGraphError
-from .experiments import SUITES, sweep_lambda1_vs_length, write_report
+from .experiments import (SUITES, SWEEP_FAMILIES, sweep_lambda1_vs_length,
+                          write_report)
 from .graph import MetricGraph, load_graph
 from .solve import find_spectrum, first_eigenvalues
 from .surgery import AttachEdge, ExtendEdge, Merge, Split, Transplant, apply_surgery
@@ -31,8 +32,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
-
-SWEEP_FAMILIES = ("figure8", "neumann_star", "dirichlet_star")
 
 
 def _fail(msg: str, code: int) -> int:

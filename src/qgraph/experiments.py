@@ -15,8 +15,10 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -60,15 +62,12 @@ class Report:
         "strict_margin": STRICT_MARGIN, **_SOLVER_TOL})
 
     @property
-    def counts(self) -> dict:
-        out = {}
-        for c in self.cases:
-            out[c.status] = out.get(c.status, 0) + 1
-        return out
+    def counts(self) -> Counter:
+        return Counter(c.status for c in self.cases)
 
     @property
     def num_failures(self) -> int:
-        return self.counts.get("fail", 0)
+        return self.counts["fail"]
 
     def passed(self) -> bool:
         return self.num_failures == 0
@@ -183,176 +182,12 @@ def ground_state(g: MetricGraph) -> tuple:
     return lams[0], missed
 
 
-# -- transplantation ------------------------------------------------------------
-
-def verify_transplantation(lengths=None, moves=None, *, seed: int = 0) -> Report:
-    """Strict decrease of the ground state when a piece of a shorter edge is
-    transplanted onto a longer one (full removal allowed for even stars).
-
-    Explicit form: pass `lengths` plus `moves` = [(j, k, amount), ...] with
-    1-based edge indices and l_j <= l_k. Otherwise a seeded batch of
-    TRANSPLANT_CASES is run.
-    """
-    rng = np.random.default_rng(seed)
-    specs = []
-    if lengths is not None:
-        for (j, k, amount) in moves:
-            specs.append((list(lengths), j, k, float(amount)))
-    else:
-        specs.append(([1.0, 1.0, 1.0], 1, 2, 0.2))
-        specs.append(([1.0, 2.0, 3.0], 1, 3, 0.5))
-        specs.append(([1.0, 1.0, 1.0, 1.0], 1, 2, 1.0))  # full removal, N even
-        while len(specs) < TRANSPLANT_CASES:
-            nn = int(rng.integers(3, 7))
-            total = 2.0 + 2.0 * rng.random()
-            ls = sample_lengths(rng, nn, total)
-            j, k = rng.choice(nn, size=2, replace=False)
-            if ls[j] > ls[k]:
-                j, k = k, j
-            if nn % 2 == 0 and rng.random() < 0.15:
-                amount = ls[j]
-            else:
-                amount = float(ls[j] * rng.uniform(0.2, 0.95))
-            specs.append((ls, int(j) + 1, int(k) + 1, amount))
-
-    def run(idx, ls, j, k, amount):
-        def thunk():
-            before = make_star(ls)
-            op = Transplant(f"e{j}", f"e{k}", amount)
-            after = apply_surgery(before, op)
-            lam_b, mb = ground_state(before)
-            lam_a, ma = ground_state(after)
-            margin = lam_b - lam_a
-            return _missed(CaseResult(
-                name=f"transplant-{idx:03d}",
-                status=_strict(margin), margin=margin,
-                details={"graph_before": before.to_json_dict(),
-                         "graph_after": after.to_json_dict(),
-                         "move": {"from": f"e{j}", "to": f"e{k}",
-                                  "amount": amount},
-                         "lambda1_before": lam_b, "lambda1_after": lam_a}),
-                mb, ma)
-        return thunk
-
-    thunks = [run(i, *s) for i, s in enumerate(specs)]
-    return Report("transplant", seed, _run_cases(thunks))
+def _equilateral(n: int, total: float) -> tuple:
+    """`ground_state` of the equilateral n-star of total length `total`."""
+    return ground_state(make_star([total / n] * n))
 
 
-# -- equilateral maximality -----------------------------------------------------
-
-def verify_equilateral_max(n: int, total: float, samples=None, *,
-                           seed: int = 0) -> Report:
-    """Among n-edge stars of fixed total length, the equilateral one has the
-    largest ground state, strictly unless the sample is equilateral."""
-    rng = np.random.default_rng(seed)
-    if samples is None:
-        samples = [sample_lengths(rng, n, total)
-                   for _ in range(EQUILATERAL_SAMPLES)]
-    eq = make_star([total / n] * n)
-    lam_eq, m_eq = ground_state(eq)
-    cases = []
-
-    lam_eq_again, m_again = ground_state(make_star([total / n] * n))
-    dev = abs(lam_eq_again - lam_eq)
-    cases.append(_missed(CaseResult(
-        name=f"equilateral-max-N{n}-equality",
-        status="pass" if dev < 1e-10 else "fail", margin=dev,
-        details={"lambda1": lam_eq, "recomputed": lam_eq_again}),
-        m_eq, m_again))
-
-    def run(idx, ls):
-        def thunk():
-            g = make_star(ls)
-            lam, missed = ground_state(g)
-            margin = lam_eq - lam
-            return _missed(CaseResult(
-                name=f"equilateral-max-N{n}-{idx:03d}",
-                status=_strict(margin), margin=margin,
-                details={"graph": g.to_json_dict(), "lambda1": lam,
-                         "lambda1_equilateral": lam_eq}), missed, m_eq)
-        return thunk
-
-    cases.extend(_run_cases([run(i, ls) for i, ls in enumerate(samples)]))
-    return Report(f"equilateral-max-N{n}", seed, cases)
-
-
-# -- edge-count ladder ----------------------------------------------------------
-
-def verify_star_count_ladder() -> Report:
-    """Orderings of ground states of equilateral stars of total length
-    LADDER_TOTAL, up to LADDER_N_MAX + 2 edges: adding two edges lowers it;
-    odd -> odd+1 raises it; even -> even+1 lowers it.
-    """
-    def lam_for(nn):
-        def thunk():
-            return nn, ground_state(make_star([LADDER_TOTAL / nn] * nn))
-        return thunk
-
-    found = dict(_run_cases([lam_for(nn) for nn in range(3, LADDER_N_MAX + 3)]))
-    lams = {nn: lam for nn, (lam, _) in found.items()}
-
-    cases = []
-    for nn in range(3, LADDER_N_MAX + 1):
-        margin = lams[nn] - lams[nn + 2]
-        cases.append(_missed(CaseResult(
-            name=f"ladder-skip2-N{nn}", status=_strict(margin), margin=margin,
-            details={"lambda1": {str(nn): lams[nn], str(nn + 2): lams[nn + 2]},
-                     "total_length": LADDER_TOTAL}), found[nn][1], found[nn + 2][1]))
-    for nn in range(3, LADDER_N_MAX + 1):
-        if nn % 2 == 1:
-            margin = lams[nn + 1] - lams[nn]
-            name = f"ladder-odd-up-N{nn}"
-        else:
-            margin = lams[nn] - lams[nn + 1]
-            name = f"ladder-even-down-N{nn}"
-        cases.append(_missed(CaseResult(
-            name=name, status=_strict(margin), margin=margin,
-            details={"lambda1": {str(nn): lams[nn], str(nn + 1): lams[nn + 1]},
-                     "total_length": LADDER_TOTAL}), found[nn][1], found[nn + 1][1]))
-    return Report("star-ladder", 0, cases)
-
-
-# -- global ground-state maximality over stars ----------------------------------
-
-def verify_ground_state_theorem(total: float, *, seed: int = 0) -> Report:
-    """Every star of total length L has ground state at most that of the
-    equilateral 3-star (odd edge counts) or 4-star (even), same L, on
-    GROUND_STATE_PER_N seeded stars of each edge count in GROUND_STATE_NS."""
-    rng = np.random.default_rng(seed)
-    samples = [(nn, sample_lengths(rng, nn, total))
-               for nn in GROUND_STATE_NS for _ in range(GROUND_STATE_PER_N)]
-    refs = {nn: ground_state(make_star([total / nn] * nn)) for nn in (3, 4)}
-    cases = []
-    for nn, (ref, m_ref) in refs.items():
-        again, m_again = ground_state(make_star([total / nn] * nn))
-        dev = abs(again - ref)
-        cases.append(_missed(CaseResult(
-            name=f"ground-state-equality-N{nn}",
-            status="pass" if dev < 1e-10 else "fail", margin=dev,
-            details={"lambda1": ref}), m_ref, m_again))
-
-    def run(idx, nn, ls):
-        def thunk():
-            g = make_star(ls)
-            lam, missed = ground_state(g)
-            ref, m_ref = refs[3 if nn % 2 else 4]
-            margin = ref - lam
-            return _missed(CaseResult(
-                name=f"ground-state-N{nn}-{idx:03d}",
-                status=_strict(margin), margin=margin,
-                details={"graph": g.to_json_dict(), "lambda1": lam,
-                         "reference": ref, "reference_star": 3 if nn % 2 else 4}),
-                missed, m_ref)
-        return thunk
-
-    cases.extend(_run_cases([run(i, nn, ls)
-                             for i, (nn, ls) in enumerate(samples)]))
-    return Report("ground-state", seed, cases)
-
-
-# -- monotonicity under attach / extend / merge ----------------------------------
-
-def _first_k(g: MetricGraph, k: int = 6):
+def _first_k(g: MetricGraph, k: int):
     """First k eigenvalues, and the CountMismatch and CountUntrusted
     diagnostics of their window: where the solver left a root uncertified,
     or the window's count could not check it, the list may be wrong."""
@@ -371,16 +206,215 @@ def _missed(case: CaseResult, *mismatches) -> CaseResult:
     return case
 
 
-def _compare(before, after, ks, direction) -> tuple:
-    """Min margin over the checked indices; direction 'down' means after<=before."""
-    margins = {}
+# -- transplantation ------------------------------------------------------------
+
+def _transplant_case(idx, ls, j, k, amount) -> CaseResult:
+    before = make_star(ls)
+    after = apply_surgery(before, Transplant(f"e{j}", f"e{k}", amount))
+    lam_b, mb = ground_state(before)
+    lam_a, ma = ground_state(after)
+    margin = lam_b - lam_a
+    return _missed(CaseResult(
+        name=f"transplant-{idx:03d}", status=_strict(margin), margin=margin,
+        details={"graph_before": before.to_json_dict(),
+                 "graph_after": after.to_json_dict(),
+                 "move": {"from": f"e{j}", "to": f"e{k}", "amount": amount},
+                 "lambda1_before": lam_b, "lambda1_after": lam_a}), mb, ma)
+
+
+def verify_transplantation(lengths=None, moves=None, *, seed: int = 0) -> Report:
+    """Strict decrease of the ground state when a piece of a shorter edge is
+    transplanted onto a longer one (full removal allowed for even stars).
+
+    Explicit form: pass `lengths` plus `moves` = [(j, k, amount), ...] with
+    1-based edge indices and l_j <= l_k. Otherwise a seeded batch of
+    TRANSPLANT_CASES is run.
+    """
+    rng = np.random.default_rng(seed)
+    if lengths is not None:
+        specs = [(list(lengths), j, k, float(amount)) for j, k, amount in moves]
+    else:
+        specs = [([1.0, 1.0, 1.0], 1, 2, 0.2), ([1.0, 2.0, 3.0], 1, 3, 0.5),
+                 ([1.0, 1.0, 1.0, 1.0], 1, 2, 1.0)]  # full removal, N even
+        while len(specs) < TRANSPLANT_CASES:
+            nn = int(rng.integers(3, 7))
+            total = 2.0 + 2.0 * rng.random()
+            ls = sample_lengths(rng, nn, total)
+            j, k = rng.choice(nn, size=2, replace=False)
+            if ls[j] > ls[k]:
+                j, k = k, j
+            if nn % 2 == 0 and rng.random() < 0.15:
+                amount = ls[j]
+            else:
+                amount = float(ls[j] * rng.uniform(0.2, 0.95))
+            specs.append((ls, int(j) + 1, int(k) + 1, amount))
+    return Report("transplant", seed, _run_cases(
+        [partial(_transplant_case, i, *s) for i, s in enumerate(specs)]))
+
+
+# -- equilateral maximality -----------------------------------------------------
+
+def verify_equilateral_max(n: int, total: float, samples=None, *,
+                           seed: int = 0) -> Report:
+    """Among n-edge stars of fixed total length, the equilateral one has the
+    largest ground state, strictly unless the sample is equilateral."""
+    rng = np.random.default_rng(seed)
+    if samples is None:
+        samples = [sample_lengths(rng, n, total)
+                   for _ in range(EQUILATERAL_SAMPLES)]
+    lam_eq, m_eq = _equilateral(n, total)
+    lam_eq_again, m_again = _equilateral(n, total)
+    dev = abs(lam_eq_again - lam_eq)
+    cases = [_missed(CaseResult(
+        name=f"equilateral-max-N{n}-equality",
+        status="pass" if dev < 1e-10 else "fail", margin=dev,
+        details={"lambda1": lam_eq, "recomputed": lam_eq_again}),
+        m_eq, m_again)]
+
+    def case(idx, ls):
+        g = make_star(ls)
+        lam, missed = ground_state(g)
+        margin = lam_eq - lam
+        return _missed(CaseResult(
+            name=f"equilateral-max-N{n}-{idx:03d}",
+            status=_strict(margin), margin=margin,
+            details={"graph": g.to_json_dict(), "lambda1": lam,
+                     "lambda1_equilateral": lam_eq}), missed, m_eq)
+
+    cases += _run_cases([partial(case, i, ls) for i, ls in enumerate(samples)])
+    return Report(f"equilateral-max-N{n}", seed, cases)
+
+
+# -- edge-count ladder ----------------------------------------------------------
+
+def verify_star_count_ladder() -> Report:
+    """Orderings of ground states of equilateral stars of total length
+    LADDER_TOTAL, up to LADDER_N_MAX + 2 edges: adding two edges lowers it;
+    odd -> odd+1 raises it; even -> even+1 lowers it.
+    """
+    ns = range(3, LADDER_N_MAX + 3)
+    found = dict(zip(ns, _run_cases(
+        [partial(_equilateral, nn, LADDER_TOTAL) for nn in ns])))
+    steps = [(f"ladder-skip2-N{nn}", nn, nn + 2)
+             for nn in range(3, LADDER_N_MAX + 1)]
+    steps += [(f"ladder-odd-up-N{nn}", nn + 1, nn) if nn % 2 else
+              (f"ladder-even-down-N{nn}", nn, nn + 1)
+              for nn in range(3, LADDER_N_MAX + 1)]
+    cases = []
+    for name, higher, lower in steps:  # the higher star's ground state is above
+        margin = found[higher][0] - found[lower][0]
+        pair = sorted((higher, lower))
+        cases.append(_missed(CaseResult(
+            name=name, status=_strict(margin), margin=margin,
+            details={"lambda1": {str(nn): found[nn][0] for nn in pair},
+                     "total_length": LADDER_TOTAL}),
+            *(found[nn][1] for nn in pair)))
+    return Report("star-ladder", 0, cases)
+
+
+# -- global ground-state maximality over stars ----------------------------------
+
+def verify_ground_state_theorem(total: float, *, seed: int = 0) -> Report:
+    """Every star of total length L has ground state at most that of the
+    equilateral 3-star (odd edge counts) or 4-star (even), same L, on
+    GROUND_STATE_PER_N seeded stars of each edge count in GROUND_STATE_NS."""
+    rng = np.random.default_rng(seed)
+    samples = [(nn, sample_lengths(rng, nn, total))
+               for nn in GROUND_STATE_NS for _ in range(GROUND_STATE_PER_N)]
+    refs = {nn: _equilateral(nn, total) for nn in (3, 4)}
+    cases = []
+    for nn, (ref, m_ref) in refs.items():
+        again, m_again = _equilateral(nn, total)
+        dev = abs(again - ref)
+        cases.append(_missed(CaseResult(
+            name=f"ground-state-equality-N{nn}",
+            status="pass" if dev < 1e-10 else "fail", margin=dev,
+            details={"lambda1": ref}), m_ref, m_again))
+
+    def case(idx, nn, ls):
+        g = make_star(ls)
+        lam, missed = ground_state(g)
+        ref, m_ref = refs[3 if nn % 2 else 4]
+        margin = ref - lam
+        return _missed(CaseResult(
+            name=f"ground-state-N{nn}-{idx:03d}",
+            status=_strict(margin), margin=margin,
+            details={"graph": g.to_json_dict(), "lambda1": lam,
+                     "reference": ref, "reference_star": 3 if nn % 2 else 4}),
+            missed, m_ref)
+
+    cases += _run_cases([partial(case, i, nn, ls)
+                         for i, (nn, ls) in enumerate(samples)])
+    return Report("ground-state", seed, cases)
+
+
+# -- monotonicity under attach / extend / merge ----------------------------------
+
+# The seeded surgery batch, one row per kind: (kind, cases, edge-count draw,
+# base total, extra draw). Each case draws its edge count, the total's
+# rng.random() above the base, the lengths, then its extra.
+SURGERY_DRAWS = (
+    ("attach-even", 8, lambda r: r.choice([4, 6]), 2.0,  # at the center
+     lambda r, nn: float(r.uniform(0.3, 1.2))),
+    ("attach-odd", 7, lambda r: r.choice([3, 5]), 2.0,
+     lambda r, nn: float(r.uniform(0.3, 1.2))),
+    ("attach-two", 10, lambda r: r.choice([4, 6]), 2.0,
+     lambda r, nn: (float(r.uniform(0.3, 1.2)), float(r.uniform(0.3, 1.2)))),
+    ("extend", 15, lambda r: r.integers(3, 7), 2.0,  # Neumann tips
+     lambda r, nn: (int(r.integers(1, nn + 1)), float(r.uniform(0.1, 1.0)))),
+    ("extend-dirichlet", 10, lambda r: r.integers(3, 7), 2.5,
+     lambda r, nn: (int(r.integers(1, nn + 1)), float(r.uniform(0.1, 1.0)))),
+    ("merge-odd-odd", 6, lambda r: r.integers(3, 6), 2.0,  # two tips
+     lambda r, nn: tuple(int(v) + 1 for v in r.choice(nn, 2, replace=False))),
+    ("merge-mixed", 4, lambda r: r.choice([4, 6]), 2.0,  # a tip, the center
+     lambda r, nn: int(r.integers(1, nn + 1))),
+)
+
+
+def _operate(before: MetricGraph, kind: str, extra) -> MetricGraph:
+    """`before` after the surgery of `kind`, with the draw's `extra`."""
+    if kind == "attach-two":
+        return apply_surgery(apply_surgery(before, AttachEdge("v0", extra[0])),
+                             AttachEdge("v0", extra[1]))
+    if kind.startswith("attach"):
+        return apply_surgery(before, AttachEdge("v0", extra))
+    if kind.startswith("extend"):
+        return apply_surgery(before, ExtendEdge(f"e{extra[0]}", extra[1]))
+    if kind == "merge-odd-odd":
+        return apply_surgery(before, Merge(f"v{extra[0]}", f"v{extra[1]}"))
+    return apply_surgery(before, Merge(f"v{extra}", "v0"))  # merge-mixed
+
+
+def _surgery_case(idx, kind, ls, extra) -> CaseResult:
+    tip = "dirichlet" if kind == "extend-dirichlet" else "neumann"
+    before = make_star(ls, tip_bc=tip)
+    after = _operate(before, kind, extra)
+    (lb, mb), (la, ma) = _first_k(before, 6), _first_k(after, 6)
+    ks = range(1, 7)
+    if kind == "attach-odd":
+        ks = [k for k in ks if lb[k - 1] >= 0.0]
+    margins, uncovered = {}, []
     for k in ks:
-        if direction == "down":
-            margins[k] = before[k - 1] - after[k - 1]
+        b, a = lb[k - 1], la[k - 1]
+        if kind != "extend":  # merging odd tips raises, the rest lower
+            margins[k] = a - b if kind == "merge-odd-odd" else b - a
+        elif a <= 0.0:  # Neumann tips: the signs decide the way
+            margins[k] = a - b
+        elif b >= 0.0:
+            margins[k] = b - a
         else:
-            margins[k] = after[k - 1] - before[k - 1]
-    worst = min(margins.values()) if margins else math.inf
-    return worst, margins
+            uncovered.append(k)
+    det = ({"checked_k": list(ks)} if kind in ("attach-even", "attach-odd")
+           else {"uncovered_k": uncovered} if kind == "extend" else {})
+    worst = min(margins.values(), default=math.inf)
+    status = "uncovered" if uncovered and not margins else _nonstrict(worst)
+    det.update({"graph_before": before.to_json_dict(),
+                "graph_after": after.to_json_dict(),
+                "lambdas_before": lb, "lambdas_after": la,
+                "margins": {str(k): v for k, v in margins.items()}})
+    return _missed(CaseResult(
+        name=f"{kind}-{idx:03d}", status=status,
+        margin=(None if worst is math.inf else worst), details=det), mb, ma)
 
 
 def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
@@ -390,93 +424,39 @@ def verify_surgery_monotonicity(cases=None, *, seed: int = 0) -> Report:
     rng = np.random.default_rng(seed)
     if cases is None:
         cases = []
-        for i in range(8):  # attach one edge at an even-degree center
-            nn = int(rng.choice([4, 6]))
-            cases.append(("attach-even", sample_lengths(rng, nn, 2.0 + rng.random() * 2),
-                          float(rng.uniform(0.3, 1.2))))
-        for i in range(7):  # attach at an odd-degree center
-            nn = int(rng.choice([3, 5]))
-            cases.append(("attach-odd", sample_lengths(rng, nn, 2.0 + rng.random() * 2),
-                          float(rng.uniform(0.3, 1.2))))
-        for i in range(10):  # attach two edges to an even star
-            nn = int(rng.choice([4, 6]))
-            cases.append(("attach-two", sample_lengths(rng, nn, 2.0 + rng.random() * 2),
-                          (float(rng.uniform(0.3, 1.2)), float(rng.uniform(0.3, 1.2)))))
-        for i in range(15):  # extend one edge of a Neumann star
-            nn = int(rng.integers(3, 7))
-            ls = sample_lengths(rng, nn, 2.0 + rng.random() * 2)
-            cases.append(("extend", ls, (int(rng.integers(1, nn + 1)),
-                                         float(rng.uniform(0.1, 1.0)))))
-        for i in range(10):  # extend one edge of a Dirichlet star
-            nn = int(rng.integers(3, 7))
-            ls = sample_lengths(rng, nn, 2.5 + rng.random() * 2)
-            cases.append(("extend-dirichlet", ls, (int(rng.integers(1, nn + 1)),
-                                                   float(rng.uniform(0.1, 1.0)))))
-        for i in range(6):  # merge two degree-1 tips (odd + odd)
-            nn = int(rng.integers(3, 6))
-            ls = sample_lengths(rng, nn, 2.0 + rng.random() * 2)
-            a, b = rng.choice(nn, size=2, replace=False)
-            cases.append(("merge-odd-odd", ls, (int(a) + 1, int(b) + 1)))
-        for i in range(4):  # merge a tip into the even center (odd + even)
-            nn = int(rng.choice([4, 6]))
-            ls = sample_lengths(rng, nn, 2.0 + rng.random() * 2)
-            cases.append(("merge-mixed", ls, int(rng.integers(1, nn + 1))))
-
-    def build(idx, kind, ls, extra):
-        def thunk():
-            tip = "dirichlet" if kind == "extend-dirichlet" else "neumann"
-            before = make_star(ls, tip_bc=tip)
-            if kind in ("attach-even", "attach-odd"):
-                after = apply_surgery(before, AttachEdge("v0", extra))
-            elif kind == "attach-two":
-                mid = apply_surgery(before, AttachEdge("v0", extra[0]))
-                after = apply_surgery(mid, AttachEdge("v0", extra[1]))
-            elif kind in ("extend", "extend-dirichlet"):
-                after = apply_surgery(before, ExtendEdge(f"e{extra[0]}",
-                                                         extra[1]))
-            elif kind == "merge-odd-odd":
-                after = apply_surgery(before, Merge(f"v{extra[0]}",
-                                                    f"v{extra[1]}"))
-            else:  # merge-mixed: a tip into the even center
-                after = apply_surgery(before, Merge(f"v{extra}", "v0"))
-            (lb, mb), (la, ma) = _first_k(before), _first_k(after)
-            ks, det = range(1, 7), {}
-            if kind == "attach-odd":
-                ks = [k for k in ks if lb[k - 1] >= 0.0]
-            if kind in ("attach-even", "attach-odd"):
-                det = {"checked_k": list(ks)}
-            if kind == "extend":  # Neumann tips: the signs decide the way
-                margins, uncovered = {}, []
-                for k in ks:
-                    if la[k - 1] <= 0.0:
-                        margins[k] = la[k - 1] - lb[k - 1]
-                    elif lb[k - 1] >= 0.0:
-                        margins[k] = lb[k - 1] - la[k - 1]
-                    else:
-                        uncovered.append(k)
-                worst = min(margins.values()) if margins else math.inf
-                status = ("uncovered" if uncovered and not margins
-                          else _nonstrict(worst))
-                det = {"uncovered_k": uncovered}
-            else:
-                worst, margins = _compare(
-                    lb, la, ks, "up" if kind == "merge-odd-odd" else "down")
-                status = _nonstrict(worst)
-            det.update({"graph_before": before.to_json_dict(),
-                        "graph_after": after.to_json_dict(),
-                        "lambdas_before": lb, "lambdas_after": la,
-                        "margins": {str(k): v for k, v in margins.items()}})
-            return _missed(CaseResult(
-                name=f"{kind}-{idx:03d}", status=status,
-                margin=(None if worst is math.inf else worst), details=det),
-                mb, ma)
-        return thunk
-
-    thunks = [build(i, *c) for i, c in enumerate(cases)]
-    return Report("surgery-monotonicity", seed, _run_cases(thunks))
+        for kind, batch, count, base, extra in SURGERY_DRAWS:
+            for _ in range(batch):
+                nn = int(count(rng))
+                ls = sample_lengths(rng, nn, base + rng.random() * 2)
+                cases.append((kind, ls, extra(rng, nn)))
+    return Report("surgery-monotonicity", seed, _run_cases(
+        [partial(_surgery_case, i, *c) for i, c in enumerate(cases)]))
 
 
 # -- diameter bound for even stars ----------------------------------------------
+
+def _diameter_case(idx, ls) -> CaseResult:
+    g = make_star(ls)
+    lams, missed = _first_k(g, 6)
+    diam = diameter(g)
+    nn = len(ls)
+    length = sum(ls)
+    worst = math.inf
+    chain_ok = True
+    per_k = {}
+    for k in range(1, 7):
+        b1 = (k - 1) ** 2 * math.pi ** 2 / diam ** 2
+        b2 = (k - 1) ** 2 * math.pi ** 2 * nn ** 2 / (4 * length ** 2)
+        per_k[str(k)] = {"lambda": lams[k - 1], "diam_bound": b1,
+                         "mean_bound": b2}
+        worst = min(worst, b1 - lams[k - 1])
+        chain_ok = chain_ok and (b2 - b1 >= -STRICT_MARGIN)
+    status = _nonstrict(worst) if chain_ok else "fail"
+    return _missed(CaseResult(
+        name=f"diameter-bound-{idx:03d}", status=status, margin=worst,
+        details={"graph": g.to_json_dict(), "diameter": diam,
+                 "bounds": per_k}), missed)
+
 
 def verify_diameter_bound(samples=None, *, seed: int = 0) -> Report:
     """lambda_k <= (k-1)^2 pi^2 / diam^2 <= (k-1)^2 pi^2 N^2 / (4 L^2) for
@@ -487,76 +467,46 @@ def verify_diameter_bound(samples=None, *, seed: int = 0) -> Report:
         while len(samples) < BOUND_CASES:
             nn = int(rng.choice([4, 6]))
             samples.append(sample_lengths(rng, nn, 2.0 + rng.random() * 2))
-
-    def run(idx, ls):
-        def thunk():
-            g = make_star(ls)
-            lams, missed = _first_k(g, 6)
-            diam = diameter(g)
-            nn = len(ls)
-            length = sum(ls)
-            worst = math.inf
-            chain_ok = True
-            per_k = {}
-            for k in range(1, 7):
-                b1 = (k - 1) ** 2 * math.pi ** 2 / diam ** 2
-                b2 = (k - 1) ** 2 * math.pi ** 2 * nn ** 2 / (4 * length ** 2)
-                per_k[str(k)] = {"lambda": lams[k - 1], "diam_bound": b1,
-                                 "mean_bound": b2}
-                worst = min(worst, b1 - lams[k - 1])
-                chain_ok = chain_ok and (b2 - b1 >= -STRICT_MARGIN)
-            status = _nonstrict(worst) if chain_ok else "fail"
-            return _missed(CaseResult(
-                name=f"diameter-bound-{idx:03d}", status=status, margin=worst,
-                details={"graph": g.to_json_dict(), "diameter": diam,
-                         "bounds": per_k}), missed)
-        return thunk
-
-    thunks = [run(i, ls) for i, ls in enumerate(samples)]
-    return Report("diameter-bound", seed, _run_cases(thunks))
+    return Report("diameter-bound", seed, _run_cases(
+        [partial(_diameter_case, i, ls) for i, ls in enumerate(samples)]))
 
 
 # -- general upper bounds -------------------------------------------------------
+
+def _general_bounds_case(idx, g) -> CaseResult:
+    lams, missed = _first_k(g, 5)
+    length = g.total_length
+    checks = {
+        "lambda1<=-1": -1.0 - lams[0],
+        "lambda2<=0": 0.0 - lams[1],
+        "lambda3<=4pi^2/L^2": 4 * math.pi ** 2 / length ** 2 - lams[2],
+        "lambda5<=16pi^2/L^2": 16 * math.pi ** 2 / length ** 2 - lams[4],
+    }
+    worst = min(checks.values())
+    return _missed(CaseResult(
+        name=f"general-bounds-{idx:03d}", status=_nonstrict(worst),
+        margin=worst, details={"graph": g.to_json_dict(), "lambdas": lams,
+                               "margins": checks}), missed)
+
 
 def verify_general_bounds(samples=None, *, seed: int = 0) -> Report:
     """For connected graphs other than paths and cycles: lambda_1 <= -1,
     lambda_2 <= 0, lambda_5 <= 16 pi^2 / L^2 (and lambda_3 <= 4 pi^2 / L^2);
     the equilateral figure-8 attains all of them."""
     rng = np.random.default_rng(seed)
-    graphs = []
     if samples is not None:
         graphs = list(samples)
     else:
-        graphs.append(make_figure8(0.5, 0.5))
-        graphs.append(make_figure8(0.3, 0.9))
+        graphs = [make_figure8(0.5, 0.5), make_figure8(0.3, 0.9)]
         for nn in (3, 4, 5, 6):
             graphs.append(make_star(sample_lengths(rng, nn, 2.0 + rng.random())))
         while len(graphs) < BOUND_CASES:
             graphs.append(sample_graph(rng))
-
-    def run(idx, g):
-        def thunk():
-            lams, missed = _first_k(g, 5)
-            length = g.total_length
-            checks = {
-                "lambda1<=-1": -1.0 - lams[0],
-                "lambda2<=0": 0.0 - lams[1],
-                "lambda3<=4pi^2/L^2": 4 * math.pi ** 2 / length ** 2 - lams[2],
-                "lambda5<=16pi^2/L^2": 16 * math.pi ** 2 / length ** 2 - lams[4],
-            }
-            worst = min(checks.values())
-            return _missed(CaseResult(
-                name=f"general-bounds-{idx:03d}", status=_nonstrict(worst),
-                margin=worst,
-                details={"graph": g.to_json_dict(), "lambdas": lams,
-                         "margins": checks}), missed)
-        return thunk
-
-    cases = _run_cases([run(i, g) for i, g in enumerate(graphs)])
+    cases = _run_cases([partial(_general_bounds_case, i, g)
+                        for i, g in enumerate(graphs)])
 
     # sharpness: the equilateral figure-8 attains every bound
-    g8 = make_figure8(0.5, 0.5)
-    lams, missed = _first_k(g8, 5)
+    lams, missed = _first_k(make_figure8(0.5, 0.5), 5)
     targets = [-1.0, 0.0, 4 * math.pi ** 2, 16 * math.pi ** 2, 16 * math.pi ** 2]
     dev = max(abs(l - t) for l, t in zip(lams, targets))
     cases.append(_missed(CaseResult(
@@ -586,6 +536,16 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
+# family: (graph at parameter p with n edges, limit of the ground state)
+SWEEP_FAMILIES = {
+    "figure8": (lambda t, n: make_figure8(t, 2 * t), lambda n: -1.0),
+    "neumann_star": (lambda l, n: make_star([l] * n),
+                     lambda n: -n * (n - 1) / 2.0),
+    "dirichlet_star": (lambda l, n: make_star([l] * n, tip_bc="dirichlet"),
+                       lambda n: -n * (n - 1) / 2.0),
+}
+
+
 def sweep_lambda1_vs_length(family: str, grid, n: int = 3) -> SweepTable:
     """Ground state along a one-parameter family of graphs, with the
     CountMismatch and CountUntrusted diagnostics of each ground state's
@@ -595,25 +555,16 @@ def sweep_lambda1_vs_length(family: str, grid, n: int = 3) -> SweepTable:
     the equilateral n-star; limit = -n(n-1)/2) and "figure8" (loops (t, 2t);
     the ground state stays at -1).
     """
-    if family == "figure8":
-        builder = lambda t: make_figure8(t, 2 * t)
-        limit = -1.0
-    elif family == "neumann_star":
-        builder = lambda l: make_star([l] * n)
-        limit = -n * (n - 1) / 2.0
-    elif family == "dirichlet_star":
-        builder = lambda l: make_star([l] * n, tip_bc="dirichlet")
-        limit = -n * (n - 1) / 2.0
-    else:
+    if family not in SWEEP_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    build, limit_of = SWEEP_FAMILIES[family]
+    limit = limit_of(n)
 
-    def run(p):
-        def thunk():
-            lam, missed = ground_state(builder(float(p)))
-            return (float(p), lam, lam - limit), missed
-        return thunk
+    def case(p):
+        lam, missed = ground_state(build(float(p), n))
+        return (float(p), lam, lam - limit), missed
 
-    solved = _run_cases([run(p) for p in grid])
+    solved = _run_cases([partial(case, p) for p in grid])
     rows = [row for row, _ in solved]
     diagnostics = [(row[0], d) for row, missed in solved for d in missed]
     lams = [r[1] for r in rows]

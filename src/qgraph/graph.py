@@ -15,7 +15,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -351,61 +351,16 @@ def _vertex_distances(g: MetricGraph) -> dict:
     return dist
 
 
-@lru_cache(maxsize=8)
-def _meeting_lines(a, b, same_edge):
-    """The part of `_max_min_affine` fixed by the slopes a and b (tuples):
-    the row pairs (i, j) whose lines c_i + a_i t + b_i s = c_j + a_j t + b_j s
-    come first, then the box sides and s = t on one edge, each as
-    alpha t + beta s = gamma; and the pairs (p, q) of lines that meet, with
-    det != 0. The slopes come back as arrays first."""
-    a, b = np.array(a), np.array(b)
-    i, j = np.triu_indices(a.size, 1)
-    sides = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
-    if same_edge:
-        sides.append((1.0, -1.0))
-    alpha = np.concatenate((a[i] - a[j], [side[0] for side in sides]))
-    beta = np.concatenate((b[i] - b[j], [side[1] for side in sides]))
-    p, q = np.triu_indices(alpha.size, 1)
-    det = alpha[p] * beta[q] - alpha[q] * beta[p]
-    meet = det != 0.0
-    return a, b, i, j, alpha, beta, p[meet], q[meet], det[meet]
-
-
-def _max_min_affine(c, a, b, box0, box1, same_edge=False):
-    """For each row of c, the max of min_i c_i + a_i t + b_i s over
-    0 <= t <= box0, 0 <= s <= box1, and s <= t if same_edge: c is (P, R),
-    the slopes a and b (tuples of R) are shared by every row, box0 and box1
-    are (P,). Exact, no LP.
-
-    A concave piecewise-affine function on a polygon takes its max at a
-    vertex of its pieces' cells, where two of these lines meet: the box
-    sides, s = t on one edge, and c_i + a_i t + b_i s = c_j + a_j t + b_j s.
-    Every such meeting point, moved into the polygon, is a candidate, so the
-    max over them is exact up to rounding. The lines' slopes are shared, so
-    which of them meet is the same for every row (`_meeting_lines`).
-    """
-    a, b, i, j, alpha, beta, p, q, det = _meeting_lines(a, b, same_edge)
-    zero = np.zeros(box0.shape)
-    gamma = np.column_stack([c[:, j] - c[:, i], zero, box0, zero, box1]
-                            + [zero] * same_edge)
-    t = np.clip((gamma[:, p] * beta[q] - gamma[:, q] * beta[p]) / det,
-                0.0, box0[:, None])
-    s = np.clip((alpha[p] * gamma[:, q] - alpha[q] * gamma[:, p]) / det,
-                0.0, box1[:, None])
-    if same_edge:
-        s = np.minimum(s, t)
-    value = (c[:, :, None] + a[:, None] * t[:, None, :]
-             + b[:, None] * s[:, None, :])
-    return value.min(axis=1).max(axis=1)
-
-
 def diameter(g: MetricGraph) -> float:
     """Metric diameter: max distance over all points, interior points included.
 
-    The distance of a point t along edge e (from its start) to a point s
-    along f is the min of four affine pieces through the ends' vertex
-    distances, two when both points lie on one edge; `_max_min_affine`
-    maximizes it over every pair of edges at once."""
+    Two points of one edge (a, b) of length l are at most (d(a, b) + l) / 2
+    apart. A point t along e = (a, b) lies at phi_c(t) = min(d(a, c) + t,
+    d(b, c) + l_e - t) from a vertex c, a tent with its apex inside e. A
+    point of f = (c, d) is reached through c or d, and |phi_c - phi_d| <=
+    d(c, d) <= l_f, so the farthest point of f from t is at (phi_c(t) +
+    phi_d(t) + l_f) / 2; the concave phi_c + phi_d is largest at an end of
+    e or at an apex."""
     if not g.is_connected():
         raise Disconnected("diameter undefined for disconnected graph")
     dv = _vertex_distances(g)
@@ -415,17 +370,14 @@ def diameter(g: MetricGraph) -> float:
     src = np.array([at[e.src] for e in g.edges])
     dst = np.array([at[e.dst] for e in g.edges])
     length = np.array([e.length for e in g.edges])
-    # both points on e, at s <= t from its start
-    same = _max_min_affine(
-        np.column_stack((np.zeros(length.size), dist[src, dst] + length)),
-        (1.0, -1.0), (-1.0, 1.0), length, length, same_edge=True)
+    same = (dist[src, dst] + length) / 2
     i, j = np.triu_indices(length.size, 1)
-    a, b, c, d = src[i], dst[i], src[j], dst[j]
-    pairs = _max_min_affine(
-        np.column_stack((dist[a, c], dist[a, d] + length[j],
-                         dist[b, c] + length[i],
-                         dist[b, d] + length[i] + length[j])),
-        (1.0, 1.0, -1.0, -1.0), (1.0, -1.0, 1.0, -1.0), length[i], length[j])
+    a, b, le = src[i, None], dst[i, None], length[i, None]
+    ends = np.stack((src[j], dst[j]))[:, :, None]  # (2, P, 1): c and d
+    apex = (dist[b, ends] + le - dist[a, ends]) / 2
+    t = np.concatenate((np.zeros_like(le), le, apex[0], apex[1]), axis=1)
+    phi = np.minimum(dist[a, ends] + t, dist[b, ends] + le - t)
+    pairs = (phi.sum(axis=0).max(axis=1) + length[j]) / 2
     return float(max(0.0, same.max(), pairs.max(initial=0.0)))
 
 

@@ -18,7 +18,10 @@ from qgraph.experiments import (
     sweep_lambda1_vs_length,
     verify_diameter_bound,
     verify_equilateral_max,
+    verify_general_bounds,
+    verify_ground_state_theorem,
     verify_star_count_ladder,
+    verify_surgery_monotonicity,
     verify_transplantation,
     write_report,
 )
@@ -162,6 +165,93 @@ class TestWorkerCount:
         assert experiments_mod._worker_count() == 1
         monkeypatch.setenv("QGRAPH_THREADS", "3")
         assert experiments_mod._worker_count() == 3
+
+
+def small_batches():
+    """One small explicit batch of every suite that runs its cases through
+    `_run_cases`, each as the text its report or table prints."""
+    surgery = [("attach-even", [0.6, 0.8, 0.7, 0.9], 0.5),
+               ("attach-odd", [0.6, 0.8, 1.1], 0.4),
+               ("attach-two", [0.6, 0.8, 0.7, 0.9], (0.5, 0.7)),
+               ("extend", [0.6, 0.8, 1.1], (2, 0.3)),
+               ("extend-dirichlet", [0.9, 0.8, 1.1], (1, 0.2)),
+               ("merge-odd-odd", [0.6, 0.8, 1.1], (1, 3)),
+               ("merge-mixed", [0.6, 0.8, 0.7, 0.9], 2)]
+    sweep = sweep_lambda1_vs_length("dirichlet_star", [0.8, 1.5], n=3)
+    return {
+        "transplant": verify_transplantation(
+            lengths=[1.0, 0.7, 1.3], moves=[(2, 3, 0.2), (1, 3, 0.5)]).to_json(),
+        "equilateral-max": verify_equilateral_max(
+            3, 3.0, samples=[[1.0, 0.7, 1.3], [0.6, 1.2, 1.2]]).to_json(),
+        "star-ladder": verify_star_count_ladder().to_json(),
+        "ground-state": verify_ground_state_theorem(3.0, seed=2).to_json(),
+        "surgery": verify_surgery_monotonicity(cases=surgery).to_json(),
+        "diameter-bound": verify_diameter_bound(
+            samples=[[1.0] * 4, [0.5, 1.0, 1.5, 0.8, 0.6, 0.9]]).to_json(),
+        "general-bounds": verify_general_bounds(
+            samples=[make_figure8(0.3, 0.9), make_cycle([0.6, 1.1]),
+                     make_star([1.0, 0.7, 1.3])]).to_json(),
+        "sweep": sweep.to_csv() + repr(sweep.diagnostics),
+    }
+
+
+def test_pooled_reports_equal_serial_reports(monkeypatch):
+    # the inputs are drawn before the cases run, so the reports do not
+    # depend on how the pool schedules them
+    monkeypatch.setattr(experiments_mod, "GROUND_STATE_PER_N", 1)
+    monkeypatch.delenv("QGRAPH_THREADS", raising=False)
+    serial = small_batches()
+    monkeypatch.setenv("QGRAPH_THREADS", "2")
+    assert experiments_mod._worker_count() == 2
+    assert small_batches() == serial
+
+
+def former_surgery_draws(rng):
+    """Reference: the seeded surgery batch as seven loops, one per kind."""
+    cases = []
+    for i in range(8):  # attach one edge at an even-degree center
+        nn = int(rng.choice([4, 6]))
+        cases.append(("attach-even", sample_lengths(rng, nn, 2.0 + rng.random() * 2),
+                      float(rng.uniform(0.3, 1.2))))
+    for i in range(7):  # attach at an odd-degree center
+        nn = int(rng.choice([3, 5]))
+        cases.append(("attach-odd", sample_lengths(rng, nn, 2.0 + rng.random() * 2),
+                      float(rng.uniform(0.3, 1.2))))
+    for i in range(10):  # attach two edges to an even star
+        nn = int(rng.choice([4, 6]))
+        cases.append(("attach-two", sample_lengths(rng, nn, 2.0 + rng.random() * 2),
+                      (float(rng.uniform(0.3, 1.2)), float(rng.uniform(0.3, 1.2)))))
+    for i in range(15):  # extend one edge of a Neumann star
+        nn = int(rng.integers(3, 7))
+        ls = sample_lengths(rng, nn, 2.0 + rng.random() * 2)
+        cases.append(("extend", ls, (int(rng.integers(1, nn + 1)),
+                                     float(rng.uniform(0.1, 1.0)))))
+    for i in range(10):  # extend one edge of a Dirichlet star
+        nn = int(rng.integers(3, 7))
+        ls = sample_lengths(rng, nn, 2.5 + rng.random() * 2)
+        cases.append(("extend-dirichlet", ls, (int(rng.integers(1, nn + 1)),
+                                               float(rng.uniform(0.1, 1.0)))))
+    for i in range(6):  # merge two degree-1 tips (odd + odd)
+        nn = int(rng.integers(3, 6))
+        ls = sample_lengths(rng, nn, 2.0 + rng.random() * 2)
+        a, b = rng.choice(nn, size=2, replace=False)
+        cases.append(("merge-odd-odd", ls, (int(a) + 1, int(b) + 1)))
+    for i in range(4):  # merge a tip into the even center (odd + even)
+        nn = int(rng.choice([4, 6]))
+        ls = sample_lengths(rng, nn, 2.0 + rng.random() * 2)
+        cases.append(("merge-mixed", ls, int(rng.integers(1, nn + 1))))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_surgery_draw_table_reproduces_the_former_loops(monkeypatch, seed):
+    drawn = []
+    monkeypatch.setattr(experiments_mod, "_run_cases",
+                        lambda thunks: drawn.extend(t.args for t in thunks) or [])
+    verify_surgery_monotonicity(seed=seed)
+    want = former_surgery_draws(np.random.default_rng(seed))
+    assert len(drawn) == 60
+    assert drawn == [(i, *case) for i, case in enumerate(want)]
 
 
 class TestSweeps:

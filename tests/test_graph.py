@@ -165,45 +165,22 @@ def diameter_graphs():
     return graphs
 
 
-def loop_max_min_affine(rows, box, same_edge=False):
-    """Reference: `graph._max_min_affine` on one pair of edges, rows the
-    (c_i, a_i, b_i) of its affine pieces."""
-    c, a, b = np.asarray(rows, dtype=float).T
-    i, j = np.triu_indices(c.size, 1)
-    sides = [(1.0, 0.0, 0.0), (1.0, 0.0, box[0]), (0.0, 1.0, 0.0),
-             (0.0, 1.0, box[1])]
-    if same_edge:
-        sides.append((1.0, -1.0, 0.0))
-    alpha, beta, gamma = np.concatenate(
-        (np.column_stack((a[i] - a[j], b[i] - b[j], c[j] - c[i])), sides)).T
-    p, q = np.triu_indices(alpha.size, 1)
-    det = alpha[p] * beta[q] - alpha[q] * beta[p]
-    p, q, det = p[det != 0.0], q[det != 0.0], det[det != 0.0]
-    t = np.clip((gamma[p] * beta[q] - gamma[q] * beta[p]) / det, 0.0, box[0])
-    s = np.clip((alpha[p] * gamma[q] - alpha[q] * gamma[p]) / det, 0.0, box[1])
-    if same_edge:
-        s = np.minimum(s, t)
-    value = c[:, None] + a[:, None] * t + b[:, None] * s
-    return float(value.min(axis=0).max())
-
-
 def loop_diameter(g):
-    """Reference: the diameter one pair of edges at a time."""
+    """Reference: `diameter`'s closed form in Python floats, one edge and one
+    pair of edges at a time."""
     dv = _vertex_distances(g)
     best = 0.0
     for i, e in enumerate(g.edges):
-        a, b = e.src, e.dst
-        rows = [(0.0, 1.0, -1.0),
-                (dv[a][b] + e.length, -1.0, 1.0)]
-        best = max(best, loop_max_min_affine(rows, (e.length, e.length),
-                                             same_edge=True))
+        a, b, le = e.src, e.dst, e.length
+        best = max(best, (dv[a][b] + le) / 2)
         for f in g.edges[i + 1:]:
-            c, d = f.src, f.dst
-            rows = [(dv[a][c], 1.0, 1.0),
-                    (dv[a][d] + f.length, 1.0, -1.0),
-                    (dv[b][c] + e.length, -1.0, 1.0),
-                    (dv[b][d] + e.length + f.length, -1.0, -1.0)]
-            best = max(best, loop_max_min_affine(rows, (e.length, f.length)))
+            def phi(c, t):
+                return min(dv[a][c] + t, dv[b][c] + le - t)
+
+            ts = [0.0, le] + [(dv[b][c] + le - dv[a][c]) / 2
+                              for c in (f.src, f.dst)]
+            far = max(phi(f.src, t) + phi(f.dst, t) for t in ts)
+            best = max(best, (far + f.length) / 2)
     return best
 
 

@@ -110,3 +110,53 @@ def test_every_import_is_used(path):
     kept = {"__init__.py": qgraph.__all__,
             "experiments.py": ["find_spectrum"]}.get(path.name, ())
     assert unused_imports(path, kept) == []
+
+
+def options(path):
+    """`module.function.parameter` for every parameter with a default of
+    every function in a module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [k for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            found |= {f"{path.stem}.{node.name}.{arg.arg}" for arg in defaulted}
+    return found
+
+
+def test_options_are_the_listed_ones():
+    # a new option, or one that stops being one, must be listed here
+    assert set().union(*map(options, MODULES)) == {
+        "cli.main.argv",
+        "experiments.sample_graph.num_edges",
+        "experiments.sample_graph.total",
+        "experiments.sweep_lambda1_vs_length.n",
+        "experiments.verify_diameter_bound.samples",
+        "experiments.verify_diameter_bound.seed",
+        "experiments.verify_equilateral_max.samples",
+        "experiments.verify_equilateral_max.seed",
+        "experiments.verify_general_bounds.samples",
+        "experiments.verify_general_bounds.seed",
+        "experiments.verify_ground_state_theorem.seed",
+        "experiments.verify_surgery_monotonicity.cases",
+        "experiments.verify_surgery_monotonicity.seed",
+        "experiments.verify_transplantation.lengths",
+        "experiments.verify_transplantation.moves",
+        "experiments.verify_transplantation.seed",
+        "graph.make_path.tip_bc",
+        "graph.make_star.tip_bc",
+        "quadform.edge_quadrature.breaks",
+        "quadform.form_value.other",
+        "secular.build_secular_matrix.method",
+        "secular.interval_dtn.edge_id",
+        "secular.reduced_negative_kappas.kappa_max",
+        "secular.reduced_negative_kappas.tips",
+        "solve._golden_min.zones",
+        "solve._isolate.first",
+        "solve._isolate.probes",
+        "solve.find_spectrum.first",
+        "solve.find_spectrum.method",
+    }
