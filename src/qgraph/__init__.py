@@ -6,8 +6,7 @@ from .graph import (BoundaryType, EdgeRecord, MetricGraph, VertexRecord,
                     Violation, diameter, load_graph, make_cycle, make_figure8,
                     make_path, make_star, rotation_genus, save_graph)
 from .surgery import (AttachEdge, ExtendEdge, Merge, Split, SurgeryOp,
-                      Transplant, apply_surgery, is_figure8_shape,
-                      reduce_to_figure8)
+                      Transplant, apply_surgery, reduce_to_figure8)
 from .secular import (build_secular_matrix, interval_dtn,
                       reduced_negative_kappas, star_secular_reduced)
 from .solve import (Eigenfunction, EigRecord, Spectrum, count_negative,
@@ -24,7 +23,7 @@ __all__ = [
     "diameter", "load_graph", "make_cycle", "make_figure8", "make_path",
     "make_star", "rotation_genus", "save_graph",
     "AttachEdge", "ExtendEdge", "Merge", "Split", "SurgeryOp", "Transplant",
-    "apply_surgery", "is_figure8_shape", "reduce_to_figure8",
+    "apply_surgery", "reduce_to_figure8",
     "build_secular_matrix", "interval_dtn", "reduced_negative_kappas",
     "star_secular_reduced",
     "Eigenfunction", "EigRecord", "Spectrum", "count_negative",

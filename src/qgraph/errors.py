@@ -22,7 +22,7 @@ class NotReducible(QGraphError):
 
 
 class DimensionMismatch(QGraphError):
-    """Trace vector length does not match vertex degree."""
+    """A vertex condition asked for at a degree it is not defined at."""
 
 
 class DtNSingular(QGraphError):

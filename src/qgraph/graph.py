@@ -195,9 +195,10 @@ class MetricGraph:
             out.append(Violation("BadEnumeration", str(ref),
                                  f"order entry references unknown endpoint (owners {owners!r})"))
         for v in self.vertices:
-            if v.bc is BoundaryType.DIRICHLET and v.degree != 1:
+            if v.bc is not BoundaryType.COUPLED and v.degree != 1:
                 out.append(Violation("BadBoundaryType", v.id,
-                                     "dirichlet condition only defined at degree 1"))
+                                     f"{v.bc.value} condition only defined "
+                                     "at degree 1"))
             if v.degree == 0:
                 out.append(Violation("IsolatedVertex", v.id, "vertex has no endpoints"))
         return out

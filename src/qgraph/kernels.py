@@ -13,11 +13,11 @@ returned unevaluated.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (8, n_lambda, E) trace tables of a
-batch, and `lay_out_matrices`, with the graph's plan from
-`prepare_structure`, read once off the vertex blocks A and B of
-`coupling.assemble_blocks` and cached, lays them into the whole stack by
-one product with a fixed matrix of +-1 weights. The vertex conditions are
-stated only in `coupling`; no Python loop runs per lambda or per row.
+batch, and the graph's plan from `prepare_structure`, read once off the
+vertex blocks A and B of `coupling.assemble_blocks` and cached, lays them
+into the whole stack by one product with a fixed matrix of +-1 weights.
+The vertex conditions are stated only in `coupling`; no Python loop runs
+per lambda or per row.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
 f2(x) = sin(sqrt(lambda) x)/sqrt(lambda), continued through lambda <= 0 by
@@ -28,16 +28,18 @@ even at regular points and fakes rank drops deep in the scan window. Any edge
 with kappa * l >= 1 therefore switches to the decaying pair
 {e^(-kappa x), e^(-kappa (l - x))}, whose traces stay bounded by max(1, kappa);
 that pair degenerates only as kappa -> 0, where the entire pair takes over.
-`edge_basis_traces` is the one place this switch is made: the matrix stacks
-are filled from its tables, and solve.eigenfunction_at converts nullspace
-coefficients back through the start traces of the same tables its matrix
-was laid out from. It picks each entry of its eight tables in one pass, so
-a row has the same bytes in any batch.
+`edge_basis_traces` makes this switch for the matrix stacks, which are
+filled from its tables; it picks each entry of its eight tables in one
+pass, so a row has the same bytes in any batch. `edge_basis` makes the same
+switch inside an edge, with the tables' bytes at both ends: an
+eigenfunction keeps the null vector's coefficients over the pair its matrix
+was laid out in and is evaluated through it, with no change of basis.
 Matrix rows follow the global endpoint slot order; columns are (2e, 2e+1).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -133,23 +135,42 @@ def edge_basis_traces(lam, lengths):
     return out
 
 
-def lay_out_matrices(traces, plan):
-    """Stack of secular matrices, shape (n, 2E, 2E), laid out by the graph's
-    plan from `prepare_structure` from the (8, n, E) tables of
-    `edge_basis_traces`."""
-    targets, weights, lengths = plan
-    n, m = traces.shape[1], 2 * lengths.size
-    tabs = traces.swapaxes(0, 1).reshape(n, 4 * m)
-    buf = np.zeros((n, 2 * m * m))
-    buf[:, targets] = tabs @ weights + 0.0
-    return buf.view(np.complex128).reshape(n, m, m)
+def edge_basis(lam: float, length: float, x, deriv: bool):
+    """The basis pair (f1, f2) of `edge_basis_traces` on one edge at one
+    lambda: its values at the points x in [0, length], or with deriv its
+    derivatives d/dx there.
+
+    The pair is the tables' pair: the decaying one where lambda < 0 and
+    kappa * length >= 1, the entire one elsewhere. At x = 0 and x = length
+    it gives the bytes of the tables, up to the sign of the end derivative,
+    which the tables hold inward (-d/dx)."""
+    x = np.asarray(x, dtype=float)
+    k = math.sqrt(abs(lam))
+    if lam < 0.0 and k * length >= 1.0:
+        start, end = np.exp(-k * x), np.exp(-k * (length - x))
+        return (-k * start, k * end) if deriv else (start, end)
+    if lam == 0.0:
+        one = np.ones_like(x)
+        return (np.zeros_like(x), one) if deriv else (one, x)
+    kx = k * x
+    if lam < 0.0:
+        sn, cs = np.sinh(kx), np.cosh(kx)
+        return (k * sn, cs) if deriv else (cs, sn / k)
+    sn, cs = np.sin(kx), np.cos(kx)
+    return (-(k * sn), cs) if deriv else (cs, sn / k)
 
 
 def build_matrix_grid_numpy(lams, plan):
     """Stack of secular matrices, shape (len(lams), 2E, 2E), laid out by the
-    graph's plan from `prepare_structure`."""
+    graph's plan from `prepare_structure` from the (8, n, E) tables of
+    `edge_basis_traces`."""
+    targets, weights, lengths = plan
     lams = np.asarray(lams, dtype=float).reshape(-1)
-    return lay_out_matrices(edge_basis_traces(lams, plan[2]), plan)
+    n, m = lams.size, 2 * lengths.size
+    tabs = edge_basis_traces(lams, lengths).swapaxes(0, 1).reshape(n, 4 * m)
+    buf = np.zeros((n, 2 * m * m))
+    buf[:, targets] = tabs @ weights + 0.0
+    return buf.view(np.complex128).reshape(n, m, m)
 
 
 def edge_builder(plan):

@@ -84,9 +84,8 @@ import numpy as np
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import MetricGraph
-from .kernels import (branch_svdvals, edge_basis_traces, edge_builder,
-                      equilibrate_columns, lay_out_matrices,
-                      prepare_structure, scan_sigma)
+from .kernels import (branch_svdvals, edge_basis, edge_builder,
+                      equilibrate_columns, prepare_structure, scan_sigma)
 from .quadform import TrialFunction, edge_quadrature
 from .secular import build_dtn_grid, build_secular_matrix, count_below
 
@@ -678,46 +677,27 @@ def first_eigenvalues(g: MetricGraph, k: int):
 
 # -- eigenfunctions ------------------------------------------------------------
 
-def _regime_values(lam: float, a, b, x):
-    """a cosh(w x) + b sinh(w x) below zero, a cos(w x) + b sin(w x) above,
-    a + b x at zero, w = sqrt|lam|; a, b and x broadcast."""
-    w = math.sqrt(abs(lam))
-    if lam < 0.0:
-        return a * np.cosh(w * x) + b * np.sinh(w * x)
-    if lam > 0.0:
-        return a * np.cos(w * x) + b * np.sin(w * x)
-    return a + b * x
-
-
 @dataclass
 class Eigenfunction:
-    """One eigenfunction as per-edge amplitudes over the regime basis.
-
-    lambda < 0: a cosh(kappa x) + b sinh(kappa x);
-    lambda > 0: a cos(k x) + b sin(k x); lambda = 0: a + b x.
-    """
+    """One eigenfunction as per-edge coefficients (c1, c2) over the edge
+    basis pair its secular matrix was laid out in (`kernels.edge_basis`):
+    c1 f1(x) + c2 f2(x) on each edge."""
 
     graph: MetricGraph
     lam: float
-    coeffs: dict  # edge_id -> (a, b)
+    coeffs: dict  # edge_id -> (c1, c2)
 
-    @property
-    def _rate(self) -> float:
-        return math.sqrt(abs(self.lam))
+    def _combine(self, edge_id: str, x, deriv: bool):
+        c1, c2 = self.coeffs[edge_id]
+        f1, f2 = edge_basis(self.lam, self.graph.edge_map[edge_id].length, x,
+                            deriv)
+        return c1 * f1 + c2 * f2
 
     def value(self, edge_id: str, x):
-        a, b = self.coeffs[edge_id]
-        return _regime_values(self.lam, a, b, np.asarray(x, dtype=float))
+        return self._combine(edge_id, x, False)
 
     def derivative(self, edge_id: str, x):
-        a, b = self.coeffs[edge_id]
-        x = np.asarray(x, dtype=float)
-        w = self._rate
-        if self.lam < 0.0:
-            return w * (a * np.sinh(w * x) + b * np.cosh(w * x))
-        if self.lam > 0.0:
-            return w * (-a * np.sin(w * x) + b * np.cos(w * x))
-        return b * np.ones_like(x)
+        return self._combine(edge_id, x, True)
 
     def as_trial(self):
         return TrialFunction(
@@ -728,30 +708,16 @@ class Eigenfunction:
         )
 
 
-def _regime_coeffs(traces, lam: float, vecs):
-    """Amplitudes (a, b), each of shape (len(vecs), E), in the regime basis
-    Eigenfunction stores, from edge-ansatz coefficient vectors: the start
-    value of each edge's solution and its start derivative over the rate
-    sqrt|lam| (1 at lam = 0), read off lam's (8, E) basis traces from
-    `kernels.edge_basis_traces`."""
-    f10, f20, d10, d20 = traces[:4]
-    vecs = np.asarray(vecs)
-    c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
-    w = math.sqrt(abs(lam)) if lam != 0.0 else 1.0
-    return c1 * f10 + c2 * f20, (c1 * d10 + c2 * d20) / w
-
-
 def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     """L2-orthonormal basis of the eigenspace at lam.
 
-    Extraction always goes through the edge-ansatz matrix (its nullspace IS
-    the coefficient vector; the DtN nullspace only carries traces), laid
-    out from the same trace tables that convert its coefficients back.
-    Raises NotAnEigenvalue when the matrix has full rank there.
+    Extraction always goes through the edge-ansatz matrix of
+    `build_secular_matrix` (its nullspace IS the coefficient vector; the DtN
+    nullspace only carries traces), and each function keeps its null
+    vector's coefficients in the basis that matrix was laid out in. Raises
+    NotAnEigenvalue when the matrix has full rank there.
     """
-    plan = prepare_structure(g)
-    traces = edge_basis_traces(np.array([lam], dtype=float), plan[2])
-    s_mat = lay_out_matrices(traces, plan)[0]
+    s_mat = build_secular_matrix(g, lam, "edge")
     scales = np.ones(s_mat.shape[1])
     if lam < 0.0:
         s_mat, scales = equilibrate_columns(s_mat)
@@ -760,20 +726,23 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     if not null.any():
         raise NotAnEigenvalue(f"sigma_min/sigma_max = {svals[-1] / svals[0]:.3e} "
                               f"at lambda = {lam}")
-    ids = [e.id for e in g.edges]
-    a, b = _regime_coeffs(traces[:, 0], lam,
-                          np.eye(len(svals), dtype=complex) if null.all()
-                          else vh[null].conj() / scales)
+    vecs = (np.eye(len(svals), dtype=complex) if null.all()
+            else vh[null].conj() / scales)
+    c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
 
     # orthonormalize in L2 via the quadrature Gram matrix, whose samples
     # are each function's values at every edge's nodes
-    x, weights = (np.concatenate(v) for v in zip(
-        *(edge_quadrature(e.length) for e in g.edges)))
-    edge = np.repeat(np.arange(len(ids)), x.size // len(ids))
-    samples = _regime_values(float(lam), a[:, edge], b[:, edge], x)
+    ids = [e.id for e in g.edges]
+    nodes = [edge_quadrature(e.length) for e in g.edges]
+    weights = np.concatenate([w for _, w in nodes])
+    f1, f2 = (np.concatenate(v) for v in zip(*(
+        edge_basis(lam, e.length, x, False)
+        for e, (x, _) in zip(g.edges, nodes))))
+    edge = np.repeat(np.arange(len(ids)), weights.size // len(ids))
+    samples = c1[:, edge] * f1 + c2[:, edge] * f2
     gram = (samples * weights) @ samples.conj().T
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > 1e-12 * evals[-1]
     trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
-    return [Eigenfunction(g, float(lam), dict(zip(ids, zip(*ab))))
-            for ab in zip(trans.T @ a, trans.T @ b)]
+    return [Eigenfunction(g, float(lam), dict(zip(ids, zip(*c))))
+            for c in zip(trans.T @ c1, trans.T @ c2)]

@@ -296,9 +296,3 @@ def reduce_to_figure8(g: MetricGraph) -> list:
             steps.append((op, cur))
             holder = f"({holder}:b)"
     return steps
-
-
-def is_figure8_shape(g: MetricGraph) -> bool:
-    """True when suppressing degree-2 joints leaves one vertex with two loops."""
-    degs = sorted(v.degree for v in g.vertices)
-    return g.is_connected() and degs[-1] == 4 and all(d == 2 for d in degs[:-1])

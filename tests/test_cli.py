@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from qgraph.cli import main
-from qgraph.graph import make_figure8, make_star, save_graph
+from qgraph.graph import make_figure8, make_path, make_star, save_graph
 
 
 @pytest.fixture
@@ -110,6 +110,19 @@ class TestSpectrum:
         p.write_text(p.read_text().replace('"length": 1.0', '"length": Infinity', 1))
         assert main(["spectrum", str(p), "--window", "-5:-1"]) == 2
         assert "length inf must be finite and > 0" in capsys.readouterr().err
+
+    def test_neumann_joint_exits_2(self, tmp_path, capsys):
+        # a path a-b-c with b Neumann: refused as input, not met in assembly
+        p = tmp_path / "joint.json"
+        save_graph(make_path([1.0, 1.0]), p)
+        doc = json.loads(p.read_text())
+        for v in doc["vertices"]:
+            if len(v["order"]) == 2:
+                v["bc"] = "neumann"
+        p.write_text(json.dumps(doc))
+        assert main(["spectrum", str(p), "--window", "-1:1"]) == 2
+        assert "neumann condition only defined at degree 1" in \
+            capsys.readouterr().err
 
     def test_internal_error_exits_4(self, star_file, monkeypatch, capsys):
         import qgraph.cli as cli_mod

@@ -61,6 +61,14 @@ def test_validation_rejects_bad_graphs():
              VertexRecord("b", BoundaryType.NEUMANN, (("e1", END),)),
              VertexRecord("c", BoundaryType.NEUMANN, (("e2", END),))],
             [EdgeRecord("e1", "a", "b", 1.0), EdgeRecord("e2", "a", "c", 1.0)])
+    with pytest.raises(InvalidGraph, match="neumann condition only defined "
+                       "at degree 1"):  # so does neumann
+        MetricGraph.create(
+            [VertexRecord("a", BoundaryType.NEUMANN, (("e1", START),)),
+             VertexRecord("b", BoundaryType.NEUMANN,
+                          (("e1", END), ("e2", START))),
+             VertexRecord("c", BoundaryType.NEUMANN, (("e2", END),))],
+            [EdgeRecord("e1", "a", "b", 1.0), EdgeRecord("e2", "b", "c", 1.0)])
     with pytest.raises(InvalidGraph):  # nonpositive length
         make_star([1.0, -0.5])
     with pytest.raises(InvalidGraph):  # endpoint owned twice

@@ -18,6 +18,7 @@ from qgraph.graph import (
 )
 from qgraph.kernels import (
     build_matrix_grid_numpy,
+    edge_basis,
     edge_basis_traces,
     edge_builder,
     equilibrate_columns,
@@ -85,6 +86,21 @@ class TestBasisTraces:
         colmax = np.abs(mat).max(axis=0)
         s_eq = np.linalg.svd(mat / colmax, compute_uv=False)
         assert s_eq[-1] < 1e-8 * s_eq[0]
+
+    @pytest.mark.parametrize("lam", [
+        -100.0, -4.0, -0.25, -1e-12, 0.0, -0.0, 2.0, math.pi ** 2, 1e4])
+    def test_edge_basis_ends_are_the_tables(self, lam):
+        # kappa l = 1 exactly on the 0.5 edge at -4 and the 2.0 edge at
+        # -0.25, the entire pair below; pi^2 is the unit edge's first
+        # Dirichlet eigenvalue
+        lengths = [0.5, 1.0, 2.0, 3.7]
+        tables = edge_basis_traces(lam, lengths)
+        for j, length in enumerate(lengths):
+            ends = np.array([0.0, length])
+            f1, f2 = edge_basis(lam, length, ends, False)
+            d1, d2 = edge_basis(lam, length, ends, True)
+            want = [f1[0], f2[0], d1[0], d2[0], f1[1], f2[1], -d1[1], -d2[1]]
+            assert tables[:, j].tolist() == want
 
 
 def reference_matrix_grid(g, lams):

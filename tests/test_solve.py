@@ -25,7 +25,7 @@ from qgraph.graph import (
 )
 from qgraph.kernels import (edge_basis_traces, equilibrate_columns,
                             prepare_structure)
-from qgraph.quadform import trial_norm_sq
+from qgraph.quadform import rayleigh_quotient, trial_norm_sq
 from qgraph.secular import (build_secular_matrix, count_below,
                             reduced_negative_kappas)
 from qgraph.solve import (
@@ -1908,48 +1908,12 @@ class TestEigenfunctions:
         assert trial_norm_sq(star3, f.as_trial()) == pytest.approx(1.0, rel=1e-10)
 
     def test_deep_root_back_conversion(self):
-        # kappa*l = 4.4 on the long edge: extraction runs through the decaying
-        # basis and must convert back to cosh/sinh amplitudes correctly
+        # kappa*l = 4.4 on the long edge: its coefficients are over the
+        # decaying pair, the short edges' over the entire one
         g = make_star(DEEP_STAR_LENGTHS)
         funcs = eigenfunction_at(g, DEEP_STAR_LAM1)
         assert len(funcs) == 1
         assert residual(g, funcs[0]) < 1e-7
-
-    @staticmethod
-    def former_conversion(g, lam, vec):
-        """The three-branch back-conversion eigenfunction_at once inlined."""
-        w = math.sqrt(abs(lam))
-        out = []
-        for e in g.edges:
-            c1, c2 = vec[2 * g.edge_index[e.id]], vec[2 * g.edge_index[e.id] + 1]
-            if lam == 0.0:
-                out.append((c1, c2))
-            elif lam < 0.0 and w * e.length >= 1.0:
-                es = math.exp(-w * e.length)
-                out.append((c1 + c2 * es, -c1 + c2 * es))
-            else:
-                out.append((c1, c2 / w))
-        return np.array(out).T
-
-    @pytest.mark.parametrize("lengths,lam", [
-        (DEEP_STAR_LENGTHS, DEEP_STAR_LAM1),
-        ([1.0, 1.0, 1.0], 0.0),
-        ([1.0, 1.0, 1.0], STAR3_EQUIL[2]),
-    ], ids=["deep-negative", "zero", "positive"])
-    def test_back_conversion_matches_former_branches(self, lengths, lam):
-        g = make_star(lengths)
-        if lam < 0.0:  # both sides of the kappa * l >= 1 switch
-            kl = math.sqrt(-lam) * np.array(lengths)
-            assert kl.min() < 1.0 <= kl.max()
-        rng = np.random.default_rng(3)
-        shape = (5, 2 * g.num_edges)
-        vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        traces = edge_basis_traces(lam, [e.length for e in g.edges])
-        a, b = solve_mod._regime_coeffs(traces, lam, vecs)
-        for j, vec in enumerate(vecs):
-            ref_a, ref_b = self.former_conversion(g, lam, vec)
-            np.testing.assert_allclose(a[j], ref_a, rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(b[j], ref_b, rtol=1e-14, atol=0.0)
 
     def test_zero_mode_is_constant(self, star3):
         f = eigenfunction_at(star3, 0.0)[0]
@@ -1980,63 +1944,12 @@ class TestEigenfunctions:
             assert residual(fig8, f) < 1e-6
 
     @staticmethod
-    def former_orthonormalization(g, lam, a, b):
-        """Coefficient dicts of the L2-orthonormal basis, from the raw (a, b)
-        amplitudes, by the per-column, per-edge loop eigenfunction_at ran
-        before it took one product per amplitude."""
-        from qgraph.quadform import edge_quadrature
-
-        ids = [e.id for e in g.edges]
-        funcs = [solve_mod.Eigenfunction(g, lam, dict(zip(ids, zip(*ab))))
-                 for ab in zip(a, b)]
-        quad = {e.id: edge_quadrature(e.length) for e in g.edges}
-        weights = np.concatenate([quad[e.id][1] for e in g.edges])
-        samples = np.array([np.concatenate([f.value(e.id, quad[e.id][0])
-                                            for e in g.edges]) for f in funcs])
-        gram = (samples * weights) @ samples.conj().T
-        evals, evecs = np.linalg.eigh(gram)
-        keep = evals > 1e-12 * evals[-1]
-        trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
-        out = []
-        for col in range(trans.shape[1]):
-            coeffs = {}
-            for e in g.edges:
-                ca = sum(trans[j, col] * funcs[j].coeffs[e.id][0]
-                         for j in range(len(funcs)))
-                cb = sum(trans[j, col] * funcs[j].coeffs[e.id][1]
-                         for j in range(len(funcs)))
-                coeffs[e.id] = (ca, cb)
-            out.append(coeffs)
-        return out
-
-    @pytest.mark.parametrize("g,lam", [(make_cycle([1.0]), 4 * PI2),
-                                       (make_figure8(0.5, 0.5), 16 * PI2)],
-                             ids=["cycle-double", "figure8-triple"])
-    def test_orthonormal_basis_matches_former_loop(self, g, lam, monkeypatch):
-        regime = solve_mod._regime_coeffs
-        raw = []
-
-        def recorded(*args):
-            raw.append(regime(*args))
-            return raw[-1]
-
-        monkeypatch.setattr(solve_mod, "_regime_coeffs", recorded)
-        funcs = eigenfunction_at(g, lam)
-        ref = self.former_orthonormalization(g, lam, *raw[0])
-        assert len(funcs) == len(ref) == len(raw[0][0])
-        for f, coeffs in zip(funcs, ref):
-            assert list(f.coeffs) == list(coeffs)
-            got = np.array([f.coeffs[eid] for eid in coeffs])
-            want = np.array(list(coeffs.values()))
-            # entries that cancel to rounding noise are held to the scale
-            np.testing.assert_allclose(got, want, rtol=1e-14,
-                                       atol=1e-14 * np.abs(want).max())
-
-    @staticmethod
     def former_eigenfunction_at(g, lam):
-        """Reference: eigenfunction_at with its Gram samples taken function
-        by function and edge by edge, by the value formula of the regime
-        basis. Returns each function's (a, b) per edge."""
+        """Reference: eigenfunction_at as it was when it converted the null
+        vectors into amplitudes (a, b) over the regime basis, a cosh + b sinh
+        below zero, a cos + b sin above and a + b x at zero, with its Gram
+        samples taken function by function and edge by edge. Returns each
+        function's value and derivative as callables (edge, x)."""
         from qgraph.quadform import edge_quadrature
 
         s_mat = build_secular_matrix(g, lam, "edge")
@@ -2045,11 +1958,16 @@ class TestEigenfunctions:
             s_mat, scales = equilibrate_columns(s_mat)
         _, svals, vh = np.linalg.svd(s_mat)
         null = _null(svals)
-        a, b = solve_mod._regime_coeffs(
-            edge_basis_traces(lam, [e.length for e in g.edges]), lam,
-            np.eye(len(svals), dtype=complex) if null.all()
-            else vh[null].conj() / scales)
+        vecs = (np.eye(len(svals), dtype=complex) if null.all()
+                else vh[null].conj() / scales)
+        # the start value of each edge's solution, and its start derivative
+        # over the rate w (1 at lam = 0), off lam's start traces
+        f10, f20, d10, d20 = edge_basis_traces(
+            lam, [e.length for e in g.edges])[:4]
+        c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
         w = math.sqrt(abs(lam))
+        a = c1 * f10 + c2 * f20
+        b = (c1 * d10 + c2 * d20) / (w if lam != 0.0 else 1.0)
 
         def value(ca, cb, x):
             if lam < 0.0:
@@ -2057,6 +1975,13 @@ class TestEigenfunctions:
             if lam > 0.0:
                 return ca * np.cos(w * x) + cb * np.sin(w * x)
             return ca + cb * x
+
+        def derivative(ca, cb, x):
+            if lam < 0.0:
+                return w * (ca * np.sinh(w * x) + cb * np.cosh(w * x))
+            if lam > 0.0:
+                return w * (-ca * np.sin(w * x) + cb * np.cos(w * x))
+            return cb * np.ones_like(x)
 
         quad = {e.id: edge_quadrature(e.length) for e in g.edges}
         weights = np.concatenate([quad[e.id][1] for e in g.edges])
@@ -2068,7 +1993,11 @@ class TestEigenfunctions:
         evals, evecs = np.linalg.eigh(gram)
         keep = evals > 1e-12 * evals[-1]
         trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
-        return trans.T @ a, trans.T @ b
+        return [(lambda eid, x, ra=ra, rb=rb: value(
+                    ra[g.edge_index[eid]], rb[g.edge_index[eid]], x),
+                 lambda eid, x, ra=ra, rb=rb: derivative(
+                    ra[g.edge_index[eid]], rb[g.edge_index[eid]], x))
+                for ra, rb in zip(trans.T @ a, trans.T @ b)]
 
     @pytest.mark.parametrize("g, lam", [
         (make_star([1.0, 0.7, 1.3]), -3.461724246805116),
@@ -2082,12 +2011,25 @@ class TestEigenfunctions:
     ], ids=["star3", "deep", "zero", "positive", "cycle-double",
             "figure8-triple", "figure8-negative", "cycle4-double"])
     def test_matches_the_former_samples_bytes(self, g, lam):
+        # where the former amplitudes kept their digits (kappa l <= 4.4
+        # here), both give the same functions: values and derivatives at
+        # every edge's ends and Gauss nodes, to 1e-12 of each one's max
+        from qgraph.quadform import edge_quadrature
+
         funcs = eigenfunction_at(g, lam)
-        a, b = self.former_eigenfunction_at(g, lam)
-        assert len(funcs) == len(a)
-        for f, ra, rb in zip(funcs, a, b):
-            got = np.array([f.coeffs[e.id] for e in g.edges])
-            assert got.tobytes() == np.stack((ra, rb), axis=1).tobytes()
+        former = self.former_eigenfunction_at(g, lam)
+        assert len(funcs) == len(former)
+        points = {e.id: np.concatenate(([0.0, e.length],
+                                        edge_quadrature(e.length)[0]))
+                  for e in g.edges}
+
+        def samples(fn):
+            return np.concatenate([fn(eid, x) for eid, x in points.items()])
+
+        for f, (value, derivative) in zip(funcs, former):
+            for got, want in ((f.value, value), (f.derivative, derivative)):
+                got, want = samples(got), samples(want)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_not_an_eigenvalue(self, star3):
         with pytest.raises(NotAnEigenvalue):
@@ -2099,18 +2041,42 @@ class TestEigenfunctions:
         (make_figure8(0.5, 0.5), 16 * PI2),
     ], ids=["deep", "zero", "figure8-triple"])
     def test_one_trace_table_per_eigenfunction(self, g, lam, monkeypatch):
-        # the matrix and the back-conversion read the same tables
-        traces = solve_mod.edge_basis_traces
-        calls = []
+        # the one table is built inside build_secular_matrix, where the
+        # benchmark's spans see it
+        traces = kernels_mod.edge_basis_traces
+        build = solve_mod.build_secular_matrix
+        calls, building = [], []
 
         def counted(lams, lengths):
-            calls.append(np.asarray(lams).tolist())
+            calls.append((np.asarray(lams).tolist(), bool(building)))
             return traces(lams, lengths)
 
-        monkeypatch.setattr(solve_mod, "edge_basis_traces", counted)
+        def built(*args):
+            building.append(args)
+            try:
+                return build(*args)
+            finally:
+                building.pop()
+
         monkeypatch.setattr(kernels_mod, "edge_basis_traces", counted)
+        monkeypatch.setattr(solve_mod, "build_secular_matrix", built)
         funcs = eigenfunction_at(g, lam)
-        assert funcs and calls == [[lam]]
+        assert funcs and calls == [([lam], True)]
+
+    @pytest.mark.parametrize("lengths, tol", [
+        ([3.0, 2.0, 1e-3], 1e-12),
+        ([4.0, 2.0, 1e-3], 1e-12),
+        ([30.0, 2.0, 1e-3], 1e-6),  # quadrature-limited on the long edge
+    ], ids=["star-3", "star-4", "star-30"])
+    def test_deep_ground_state_reproduces_its_eigenvalue(self, lengths, tol):
+        # kappa l = 25 to 380 on the long edges: amplitudes over cosh/sinh
+        # lose every digit there, the decaying pair's coefficients none
+        g = make_star(lengths)
+        lam = first_eigenvalues(g, 1)[0][0]
+        (f,) = eigenfunction_at(g, lam)
+        q = rayleigh_quotient(g, f.as_trial())
+        assert abs(q - lam) <= tol * abs(lam)
+        assert residual(g, f) < 1e-9
 
 
 class TestEnumerationInvariance:

@@ -4,10 +4,16 @@ experiments module and its tests)."""
 import pytest
 
 from qgraph import (AttachEdge, BoundaryType, ExtendEdge, Merge, Split,
-                    Transplant, apply_surgery, is_figure8_shape, make_cycle,
-                    make_path, make_star, reduce_to_figure8)
+                    Transplant, apply_surgery, make_cycle, make_path,
+                    make_star, reduce_to_figure8)
 from qgraph.errors import IllegalOp, NotReducible
 from qgraph.graph import END, START
+
+
+def is_figure8_shape(g):
+    """True when suppressing degree-2 joints leaves one vertex with two loops."""
+    degs = sorted(v.degree for v in g.vertices)
+    return g.is_connected() and degs[-1] == 4 and all(d == 2 for d in degs[:-1])
 
 
 def reduced_loop_lengths(g):
