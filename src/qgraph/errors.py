@@ -26,7 +26,8 @@ class DimensionMismatch(QGraphError):
 
 
 class DtNSingular(QGraphError):
-    """Dirichlet-to-Neumann map undefined: lambda hits an edge Dirichlet eigenvalue."""
+    """Dirichlet-to-Neumann map undefined: lambda hits a Dirichlet eigenvalue
+    of an interval, an edge or, on the DtN route, a piece of one."""
 
     def __init__(self, edge_id, index):
         self.edge_id = edge_id

@@ -6,30 +6,40 @@ Two routes to the same zero set:
   the vertex conditions. Entire in lambda, no poles, 2E x 2E. A one-lambda
   matrix is one row of `kernels.build_matrix_grid_numpy`, laid out by the
   graph's edge plan.
-* Dirichlet-to-Neumann: unknowns are the endpoint traces, rows impose
-  A F + i B M(lambda) F = 0 with M the per-edge DtN map. Undefined at the edge
-  Dirichlet eigenvalues (nominal poles), useful as an independent cross-check.
-  The DtN entries are written once, in `dtn_tables`: (n_lambda, E) tables of
-  the diagonal and off-diagonal entries plus a per-lambda singular mask.
-  `build_dtn_grid` lays a batch of them into a stack of secular matrices
-  from the route's per-graph plan, `_dtn_plan`; it is the builder that
-  `kernels.scan_sigma` runs for this route. `interval_dtn` and the
-  one-lambda `build_secular_matrix` are single rows of these.
+* Dirichlet-to-Neumann: an independent cross-check. Each edge is split at
+  the fraction alpha = _SPLIT of its length into two pieces; the unknowns are
+  the endpoint traces F and each edge's split-point trace u, 3E x 3E. With
+  (d, o) the diagonal and off-diagonal DtN entries of the pieces a = [0,
+  alpha l] and b = [alpha l, l], the inward derivative at an edge's start is
+  d_a F_s + o_a u and at its end d_b F_e + o_b u; the 2E vertex rows impose
+  A F + i B F' = 0 with these, and the E split-point rows the matching of
+  the two pieces' derivatives, o_a F_s + (d_a + d_b) u + o_b F_e = 0 (times
+  i: the row of a Neumann vertex of degree 2, A = 0 and B = 1). Sharing u
+  builds in continuity. An edge's own DtN map has poles at its Dirichlet
+  eigenvalues (m pi / l)^2, where eigenvalues often sit; the pieces' poles
+  lie off them, and the matrix is singular only on a piece's pole.
+  Eliminating u would bring the edge's poles back.
+  The DtN entries are written once, in `dtn_tables`: (n_lambda, n_pieces)
+  tables of the diagonal and off-diagonal entries plus a per-lambda
+  singular mask. `build_dtn_grid` lays a batch of them into a stack of
+  secular matrices from the route's per-graph plan, `_dtn_plan`; it is the
+  builder that `kernels.scan_sigma` runs for this route. `interval_dtn` and
+  the one-lambda `build_secular_matrix` are single rows of these.
 
-The same tables give exact eigenvalue counts, `count_below`: N(lambda), the
-number of eigenvalues below lambda with multiplicity, is
-N_D(lambda) + n_-(Q(lambda)). N_D counts the edge Dirichlet eigenvalues
-(n pi / l_e)^2 below lambda and n_- the negative eigenvalues of
-Q(lambda) = P* (H - M(lambda)) P, with H the Hermitian vertex term of the
-form (`quadform.vertex_form_matrix`) and P an orthonormal basis of the
-form-domain traces (`quadform.form_domain_basis`). Off the edge Dirichlet
-spectrum the form h - lambda splits orthogonally into its parts on the
-edgewise H^1_0 functions and on the lambda-harmonic extensions of the traces,
-where integration by parts leaves F* (H - M) F: the Dirichlet-to-Neumann
-counting argument of L. Friedlander (Arch. Rational Mech. Anal. 116, 1991),
-in the quantum-graph form of Berkolaiko & Kuchment, Introduction to Quantum
-Graphs (AMS, 2013). solve uses the counts only to isolate eigenvalues in
-cells; sigma_min refines them.
+The same tables, over the unsplit edges, give exact eigenvalue counts,
+`count_below`: N(lambda), the number of eigenvalues below lambda with
+multiplicity, is N_D(lambda) + n_-(Q(lambda)). N_D counts the edge Dirichlet
+eigenvalues (n pi / l_e)^2 below lambda and n_- the negative eigenvalues of
+Q(lambda) = P* (H - M(lambda)) P, with H the Hermitian vertex term of the form
+(`quadform.vertex_form_matrix`) and P an orthonormal basis of the form-domain
+traces (`quadform.form_domain_basis`). Off the edge Dirichlet spectrum the
+form h - lambda splits orthogonally into its parts on the edgewise H^1_0
+functions and on the lambda-harmonic extensions of the traces, where
+integration by parts leaves F* (H - M) F: the Dirichlet-to-Neumann counting
+argument of L. Friedlander (Arch. Rational Mech. Anal. 116, 1991), in the
+quantum-graph form of Berkolaiko & Kuchment, Introduction to Quantum Graphs
+(AMS, 2013). solve uses the counts only to isolate eigenvalues in cells;
+sigma_min refines them.
 
 Star graphs additionally admit reduced transcendental forms, which serve
 only as regression references; `reduced_negative_kappas` finds their roots
@@ -38,6 +48,7 @@ by bisection on numpy alone.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -49,6 +60,10 @@ from .kernels import build_matrix_grid_numpy, prepare_structure
 from .quadform import form_domain_basis, vertex_form_matrix
 
 _POLE_TOL = 1e-13
+# the DtN route splits each edge at this fraction of its length, golden
+# section's (3 - sqrt(5)) / 2: irrational, so no pole of either piece lies
+# on an edge Dirichlet eigenvalue or on a pole of the other piece
+_SPLIT = (3.0 - math.sqrt(5.0)) / 2.0
 # A count is trusted when the smallest |eigenvalue| of Q clears eigvalsh's
 # backward error: the computed eigenvalues are exact for a Hermitian matrix
 # within a small multiple of r * eps * ||Q||_2 of Q (r its order, ||Q||_2 its
@@ -116,24 +131,35 @@ def _edge_slots(g: MetricGraph):
 
 @lru_cache(maxsize=256)
 def _dtn_plan(g: MetricGraph):
-    """Per-graph constants of the DtN secular matrices: the vertex blocks A
-    and B, then `_edge_slots`."""
+    """Per-graph constants of the DtN secular matrices over the traces
+    (F, u), F at the 2E endpoint slots and u at the E split points (column
+    2E + e for edge e): the blocks diag(A, 0) and diag(B, I) of the vertex
+    blocks A and B, then each piece's (start, end) columns and its length,
+    the first pieces [0, alpha l] of all edges before the second pieces."""
+    start, end, lengths = _edge_slots(g)
+    m, ne = 2 * lengths.size, lengths.size
     blocks = assemble_blocks(g)
-    return (blocks.a, blocks.b) + _edge_slots(g)
+    a, b = np.zeros((m + ne, m + ne)), np.eye(m + ne)
+    a[:m, :m], b[:m, :m] = blocks.a, blocks.b
+    split = m + np.arange(ne)
+    first = _SPLIT * lengths
+    return (a, b, np.concatenate((start, split)), np.concatenate((split, end)),
+            np.concatenate((first, lengths - first)))
 
 
 def build_dtn_grid(g: MetricGraph, lams):
-    """Stack of DtN secular matrices A + i B M(lambda), shape (n, 2E, 2E),
-    and the (n,) singular mask of `dtn_tables`; singular rows are not valid
-    matrices.
+    """Stack of DtN secular matrices A + i B M(lambda) over the traces
+    (F, u) of `_dtn_plan`, shape (n, 3E, 3E), and the (n,) singular mask of
+    `dtn_tables` over the pieces; singular rows are not valid matrices.
 
-    M is filled from zeros by one add per entry (the two endpoint slots of
-    an edge are its own), then the same A + 1j * (B @ M) as a matrix built
+    M is filled from zeros by one add per entry of each piece's DtN block
+    (a piece's two columns are its own; a split point's diagonal takes one
+    add from each piece), then the same A + 1j * (B @ M) as a matrix built
     alone, so every row has the bytes of a one-lambda build.
     """
-    a, b, start, end, lengths = _dtn_plan(g)
+    a, b, start, end, pieces = _dtn_plan(g)
     lams = np.asarray(lams, dtype=float).reshape(-1)
-    diag, off, singular = dtn_tables(lams, lengths)
+    diag, off, singular = dtn_tables(lams, pieces)
     dtn = np.zeros((lams.size,) + a.shape)
     dtn[:, start, start] += diag
     dtn[:, start, end] += off
@@ -201,7 +227,8 @@ def build_secular_matrix(g: MetricGraph, lam: float,
                          method: str = "edge") -> np.ndarray:
     """Secular matrix at one lambda; rank deficiency = eigenspace dimension.
 
-    The DtN matrix raises DtNSingular at the first edge with a pole at lam.
+    The DtN matrix raises DtNSingular at the first edge with a piece that
+    has a pole at lam, naming the edge and the piece's n.
     """
     if method == "edge":
         return build_matrix_grid_numpy(np.array([lam]),
@@ -209,8 +236,10 @@ def build_secular_matrix(g: MetricGraph, lam: float,
     if method == "dtn":
         mats, singular = build_dtn_grid(g, [lam])
         if singular[0]:
-            for e in g.edges:  # raises at the first edge with a pole
-                interval_dtn(e.length, lam, e.id)
+            pieces = _dtn_plan(g)[4].reshape(2, -1).T
+            for e, lengths in zip(g.edges, pieces.tolist()):
+                for length in lengths:  # raises at the first piece's pole
+                    interval_dtn(length, lam, e.id)
         return mats[0]
     raise ValueError(f"unknown method {method!r}")
 

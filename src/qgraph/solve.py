@@ -19,21 +19,18 @@ halves' midpoints, which the next round reads; the opening call counts the
 start cells' ends, the window's completeness probes and the points of the
 first two rounds. A cell is split while it is wider than its branch width
 (_KAPPA_WIDTH in kappa, default_positive_step in lambda) and than 4 float
-spacings of its larger |end|, and its end counts differ or either end
-count is untrusted. A cell with equal trusted counts holds no eigenvalue
-and is dropped. Neighbours that share an untrusted end share its root; a
-longest chain of them is a run. Each cell left is padded by half a
-width and clipped to its branch. Each bracket runs its own search on
-sigma_min in plain floats, `_v_search`, which steps to the vertex of the V
-that sigma_min makes at a simple root, guarded by golden section;
+spacings of its larger |end|, and its end counts differ or either end count
+is untrusted. A cell with equal trusted counts holds no eigenvalue and is
+dropped. Where untrusted counts keep every cell splitting, the calls grow
+about fourfold a call; one that would hold more than _MAX_COUNT_POINTS
+points raises WindowTooCoarse instead. Neighbours that share an untrusted
+end share its root; a longest chain of them is a run. Each cell left is
+padded by half a width and clipped to its branch. Each bracket runs its own
+search on sigma_min in plain floats, `_v_search`, which steps to the vertex
+of the V that sigma_min makes at a simple root, guarded by golden section;
 `_golden_min` batches them, one sigma call per round holding every live
-search's points. A padded cell takes four or five rounds. On the DtN
-route sigma_min is noise in a pole cell, and golden steps close in on the
-pole; each search is given the zones about the edge Dirichlet eigenvalues
-(m pi / l)^2 in its bracket where every point would be flagged a DtN pole
-(`_pole_zones`), and stops on its lowest point once its bracket lies in
-one, well before its tolerance. A candidate outside its run lies where the
-counts put no root and is none.
+search's points. A padded cell takes four or five rounds. A candidate
+outside its run lies where the counts put no root and is none.
 A cell with trusted end counts whose candidate is none, or that holds more
 eigenvalues than sigma certified in it, is bisected by counts down to the
 distance at which roots are one, and each run of its pieces is padded by
@@ -51,18 +48,17 @@ explicit lambda = 0 test builds and decomposes a matrix of its own.
 
 Every scan is one `_sigma_grid` call, which runs `kernels.scan_sigma`, one
 build and one batched SVD, with the route's builder: the graph's edge plan
-from `kernels.prepare_structure`, or `secular.build_dtn_grid`. A lambda on
-an edge's Dirichlet spectrum has no DtN matrix and reads inf. A DtN candidate
-sits on such a pole when some edge with k l >= 1 has |sin(k l)| <
-k / (1e6 max(1, k)), an off-diagonal DtN entry above 1e6 max(1, k); it is
-reported as a DtNPole diagnostic, not certified. Last, the window is
-checked for completeness against the trusted count N(hi+) - N(lo-), with
-the probes nudged just outside the window (counted in isolation's opening
-call): it must equal the certified multiplicities, up to the at most 2E
-eigenvalues each DtNPole may hide. Otherwise a CountMismatch diagnostic
-names the roots that neither search certified. Where either probe is
-untrusted the check cannot be made, and a CountUntrusted diagnostic names
-the window.
+from `kernels.prepare_structure`, or `secular.build_dtn_grid`. The DtN
+route splits every edge and keeps the split point's trace an unknown, so
+its matrix is regular at the edge Dirichlet eigenvalues and certifies a
+root there as the edge route does; a lambda on a piece's own Dirichlet
+spectrum has no DtN matrix, reads inf and certifies nothing. Last, the
+window is checked for completeness against the trusted count
+N(hi+) - N(lo-), with the probes nudged just outside the window (counted
+in isolation's opening call): it must equal the certified multiplicities.
+Otherwise a CountMismatch diagnostic names the roots that the search did
+not certify, or certified too many of. Where either probe is untrusted the
+check cannot be made, and a CountUntrusted diagnostic names the window.
 
 A caller that keeps only the lowest k eigenvalues (`first_eigenvalues`)
 passes first=k. Where the lower probe's count is trusted, isolation stops at
@@ -98,6 +94,9 @@ _KAPPA_FLOOR = 1e-4
 _GOLD_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
 # the most eigenvalues a window may hold by the bound sqrt(hi) L / pi + 2E
 MAX_WINDOW_COUNT = 10_000
+# the most points one count_below call of _isolate may hold; where untrusted
+# counts keep every cell splitting, the calls grow fourfold and stop here
+_MAX_COUNT_POINTS = 4 * MAX_WINDOW_COUNT
 # the most times first_eigenvalues moves a window end outward by a relative
 # 1e-6 for a trusted count; one move clears an eigenvalue or a pole
 _TRUST_NUDGES = 100
@@ -183,7 +182,7 @@ def _sigma_grid(g, struct, lams, method):
     return scan_sigma(lams, build)
 
 
-def _v_search(a, b, tol, zones):
+def _v_search(a, b, tol):
     """The search for the argmin of a unimodal-enough function on one
     bracket [a, b], by V-steps guarded by golden section, in plain floats.
 
@@ -205,9 +204,7 @@ def _v_search(a, b, tol, zones):
       is inf, the vertex leaves (xl, xr) or the bracket has not halved in
       the last two rounds; a confirmation right after the opening or a
       V-step is taken all the same.
-    A bracket narrowed to its tolerance returns its midpoint. A bracket
-    [xl, xr] that lies inside one of `zones`, pairs (z0, z1), returns xb:
-    the caller knows every point there to be the same answer.
+    A bracket narrowed to its tolerance returns its midpoint.
     """
     tol = max(tol, 4.0 * math.ulp(max(abs(a), abs(b))))
     if not b - a > tol:
@@ -224,8 +221,6 @@ def _v_search(a, b, tol, zones):
     w1 = w2 = math.inf  # widths one and two rounds ago
     again = False  # the last round confirmed
     while xr - xl > tol:
-        if any(z0 <= xl and xr <= z1 for z0, z1 in zones):
-            return xb
         width = xr - xl
         inner = xl < xb < xr
         finite = math.isfinite(fl) and math.isfinite(fx) and math.isfinite(fr)
@@ -269,20 +264,18 @@ def _v_search(a, b, tol, zones):
     return (xl + xr) / 2.0
 
 
-def _golden_min(fn, a, b, tol, zones=None):
+def _golden_min(fn, a, b, tol):
     """Argmins of a unimodal-enough function, one per bracket: each bracket
     runs its own `_v_search`, and one fn(xs) call per round, fn mapping an
     array of points to their values, holds every live search's points.
 
-    a, b and tol are arrays (tol may be a scalar); zones, where given, holds
-    each bracket's list of stop zones. Each bracket's points, comparisons
-    and result are those of its search run alone."""
+    a, b and tol are arrays (tol may be a scalar). Each bracket's points,
+    comparisons and result are those of its search run alone."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
-    zones = [()] * a.size if zones is None else zones
     out = np.empty(a.shape)
     live = [(i, search, None) for i, search in enumerate(
-        map(_v_search, a.tolist(), b.tolist(), tol.tolist(), zones))]
+        map(_v_search, a.tolist(), b.tolist(), tol.tolist()))]
     while True:
         asked = []  # each live search's next points, or its argmin in out
         for i, search, ys in live:
@@ -294,29 +287,6 @@ def _golden_min(fn, a, b, tol, zones=None):
             return out
         f = iter(fn(np.array([x for *_, xs in asked for x in xs])).tolist())
         live = [(i, search, [next(f) for _ in xs]) for i, search, xs in asked]
-
-
-def _pole_zones(lengths, x0, x1, lower, upper):
-    """Each positive bracket [x0, x1]'s zones about the edge Dirichlet
-    eigenvalues (m pi / l)^2 in it, as lists of (z0, z1) in lambda: the k
-    within 0.5e-6 min(k_m, 1) / l of k_m = m pi / l, where |sin(k l)| is at
-    most half the 1e-6 min(k, 1) below which `find_spectrum` flags a DtN
-    pole, each clipped to the bracket's [lower, upper]."""
-    zones = []
-    for a, b, lo, hi in zip(x0.tolist(), x1.tolist(), lower.tolist(),
-                            upper.tolist()):
-        zones.append([])
-        if b <= 0.0:  # the kappa branch has no poles
-            continue
-        for length in lengths:
-            first = max(1, math.ceil(math.sqrt(max(a, 0.0)) * length / math.pi))
-            for m in range(first, math.floor(math.sqrt(b) * length / math.pi) + 1):
-                k = m * math.pi / length
-                d = 0.5e-6 * min(k, 1.0) / length
-                z0, z1 = max((k - d) ** 2, lo), min((k + d) ** 2, hi)
-                if z0 <= z1:
-                    zones[-1].append((z0, z1))
-    return zones
 
 
 def _isolate(g, cells, width, lam_of, probes=(), first=None):
@@ -344,7 +314,11 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
     are wanted, and where the probe's count is trusted their limit is that
     count plus `first`. In every round the lowest end of a live cell whose
     trusted count reaches the limit becomes the cut, and the cells at or
-    above it are dropped."""
+    above it are dropped.
+
+    A call that would hold more than _MAX_COUNT_POINTS points raises
+    WindowTooCoarse, naming the start cells' span in lambda and the count
+    of points, before it is made."""
     x = np.array(cells, dtype=float).reshape(-1, 2)
     order = np.argsort(x[:, 0])
     x = x[order]
@@ -360,9 +334,17 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
         return [mid] + [(a + b) / 2.0 for a, b in ((x0, mid), (mid, x1))
                         if wide(a, b, w)]
 
+    def budgeted(lams):  # count_below, within the budget
+        if lams.size > _MAX_COUNT_POINTS:
+            lo, hi = lam_of(np.array([x[0, 0], x[:, 1].max()])).tolist()
+            raise WindowTooCoarse(
+                f"isolating [{lo:.12g}, {hi:.12g}] asks one count for "
+                f"{lams.size} points, more than {_MAX_COUNT_POINTS}")
+        return count_below(g, lams)
+
     opening = [p for (x0, x1), w in zip(x.tolist(), width.tolist())
                if wide(x0, x1, w) for p in ahead(x0, x1, w)]
-    n, ok = count_below(g, np.concatenate((
+    n, ok = budgeted(np.concatenate((
         lam_of(x.T.ravel()), np.asarray(probes, dtype=float),
         lam_of(np.array(opening, dtype=float)))))
     nprobe = x.size + len(probes)
@@ -393,7 +375,7 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
                if s and (x0 + x1) / 2.0 not in counted
                for p in ahead(x0, x1, w)]
         if ask:
-            n_ask, ok_ask = count_below(g, lam_of(np.array(ask)))
+            n_ask, ok_ask = budgeted(lam_of(np.array(ask)))
             counted.update(zip(ask, zip(n_ask.tolist(), ok_ask.tolist())))
         # each split cell becomes its two halves, in place
         split = []
@@ -430,14 +412,17 @@ def _null(s):
     RANK_TOL * sigma_max, so sigma_min is null iff any is.
 
     The constant threshold needs no reference scale, because sigma_max >= 1
-    up to rounding on every matrix that has not vanished. An edge-route
-    matrix (column-equilibrated below zero) holds an entry of modulus >= 1
-    unless the graph is a single loop: some row has a start value f1(0) = 1
-    or a start derivative 1 that no other term of its entry cancels. On the
-    DtN route every row of a coupled or Dirichlet vertex has real part +-1
-    from A. The one exception is a single loop shorter than RANK_TOL /
-    sqrt(2), about 7e-9: its matrix at lambda = 0 has sigma_max sqrt(2) l,
-    and reads as vanished."""
+    up to rounding on every matrix that has not vanished, sigma_max being at
+    least the modulus of any entry. An edge-route matrix (column-equilibrated
+    below zero) holds an entry of modulus >= 1 unless the graph is a single
+    loop: some row has a start value f1(0) = 1 or a start derivative 1 that
+    no other term of its entry cancels. On the DtN route every row of a
+    coupled or Dirichlet vertex has real part +-1 from A (i B M is imaginary,
+    the DtN entries M real), and the split points' rows and columns cannot
+    lower sigma_max; only a lone edge with Neumann ends has no such row. The
+    one exception is a single loop shorter than RANK_TOL / sqrt(2), about
+    7e-9: its edge matrix at lambda = 0 has sigma_max sqrt(2) l, and reads
+    as vanished."""
     smax = s[..., :1]
     return (s < RANK_TOL * smax) | (smax < RANK_TOL)
 
@@ -470,7 +455,9 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
                          f"more than {MAX_WINDOW_COUNT}")
     struct = prepare_structure(g)
     pos_width = default_positive_step(g)
-    lengths = [e.length for e in g.edges]
+    # the secular matrices' size: 2E on the edge route, 3E over the DtN
+    # route's endpoint and split-point traces
+    size = (2 if method == "edge" else 3) * g.num_edges
 
     # one lockstep over both branches in x, increasing with lambda: x = -kappa
     # on the negative branch, x = lambda on the positive one
@@ -510,9 +497,9 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         return svals[:, -1]
 
     def search(cells, bounds, width):
-        """Each cell's candidate lambda, with its singular values, DtN pole
-        flag and certified multiplicity (0 where it is not certified), and
-        whether it lies within its bounds, the ends of its run."""
+        """Each cell's candidate lambda, with its singular values and
+        certified multiplicity (0 where it is not certified), and whether
+        it lies within its bounds, the ends of its run."""
         # each cell padded by half the width it was isolated to, clipped to
         # its branch
         a, b = branches[np.searchsorted(branches[:, 0], cells[:, 0],
@@ -524,15 +511,7 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
             REFINE_TOL / (2.0 * np.maximum(-x1, 0.05)), 1e-15), REFINE_TOL)
         lower = bounds[:, 0] - near(bounds[:, 0])
         upper = bounds[:, 1] + near(bounds[:, 1])
-        # on the DtN route a search stops inside a pole zone, where every
-        # candidate is flagged a pole below; the zones lie in the window,
-        # within the bounds and off the zero radius
-        zones = None if method == "edge" else _pole_zones(
-            lengths, x0, x1,
-            np.maximum(lower, max(lo, np.nextafter(ZERO_RADIUS + REFINE_TOL,
-                                                   np.inf))),
-            np.minimum(upper, hi))
-        x = _golden_min(sigma_min, x0, x1, tol, zones)
+        x = _golden_min(sigma_min, x0, x1, tol)
         lams = lam_of(x)
         # the counts put every root in a run of cells, so a candidate in
         # the padding is none. Candidates within REFINE_TOL of the zero
@@ -548,32 +527,21 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         if fresh:
             rows.update(zip(fresh, _sigma_grid(g, struct, np.array(fresh),
                                                method)))
-        svals = np.full((lams.size, 2 * g.num_edges), np.inf)
+        # a candidate that is not live, or on a DtN piece's pole, reads inf
+        # and certifies nothing
+        svals = np.full((lams.size, size), np.inf)
         for i in np.flatnonzero(live):
             svals[i] = rows[lams[i]]
-        # interval-Dirichlet pole of the DtN map: some edge with k l >= 1
-        # has |sin(k l)| so small that its entries, k / sin(k l), exceed
-        # 1e6 max(1, k). The rank ratio under-reads there, and any eigenvalue
-        # hiding here cannot be certified on this route (the edge method
-        # can). A short edge's entries are large (about 1 / l) far from its
-        # poles.
-        pole = live & ~np.isfinite(svals[:, 0])
-        if method == "dtn":
-            k = np.sqrt(np.maximum(lams, 0.0))[:, None]
-            kl = k * np.array(lengths)
-            pole |= live & ((kl >= 1.0) & (np.abs(np.sin(kl)) < k / (
-                1e6 * np.maximum(1.0, k)))).any(axis=1)
-        mult = np.where(pole, 0, _null(svals).sum(axis=1))
-        return lams, svals, pole, mult, inside
+        return lams, svals, _null(svals).sum(axis=1), inside
 
     runs, run = _runs(cells, ok)
     found = search(cells, runs[run], width_of(cells[:, 0]))
     # a cell with trusted end counts whose candidate is none, or that holds
     # more eigenvalues than sigma certified in it, is bisected by counts
     # down to the distance at which roots are one; each run of its pieces
-    # is searched again. A DtN pole cell is left as it is.
-    _, _, pole, mult, inside = found
-    lost = ok.all(axis=1) & ~pole & (~inside | (mult < n[:, 1] - n[:, 0]))
+    # is searched again
+    _, _, mult, inside = found
+    lost = ok.all(axis=1) & (~inside | (mult < n[:, 1] - n[:, 0]))
     if lost.any():
         sub, _, sub_ok = _isolate(g, cells[lost], near(cells[lost, 0]),
                                   lam_of)[:3]
@@ -581,8 +549,8 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
         found = [np.concatenate((v[~lost], w)) for v, w in
                  zip(found, search(runs, runs, near(runs[:, 0])))]
     order = np.argsort(found[0], kind="stable")
-    cands, svals, pole, mult = (v[order] for v in found[:4])
-    diagnostics = [f"DtNPole(lambda={lam:.12g})" for lam in cands[pole]]
+    cands, svals, mult = (v[order] for v in found[:3])
+    diagnostics = []
 
     merged = []  # indices into cands
     for i in np.flatnonzero(mult > 0):
@@ -604,17 +572,15 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
             records.append(record(0.0, s, m))
     records += [record(cands[i], svals[i], mult[i]) for i in merged]
     records.sort(key=lambda r: r.lam)
-    # completeness: the window holds count eigenvalues. Each is certified,
-    # or hidden at a flagged DtN pole, whose multiplicity is at most 2E.
+    # completeness: the window holds count eigenvalues, each certified
     count = int(counts[1] - counts[0])
     certified = sum(r.mult for r in records)
-    poles = int(pole.sum())
     if not trusted.all():
         diagnostics.append(f"CountUntrusted(lo={lo:.12g}, hi={hi:.12g})")
-    elif not certified <= count <= certified + 2 * g.num_edges * poles:
+    elif certified != count:
         diagnostics.append(
             f"CountMismatch(lo={lo:.12g}, hi={hi:.12g}, certified={certified}, "
-            f"poles={poles}, count={count})")
+            f"count={count})")
     return Spectrum(
         records=records,
         window=(lo, hi),

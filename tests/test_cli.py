@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, byte-deterministic output."""
 
 import json
+import math
 import os
 import warnings
 
@@ -67,12 +68,18 @@ class TestSpectrum:
         assert len(doc["eigenvalues"]) == 4
 
     def test_dtn_pole_diagnostic_exits_3(self, generic_star_file, capsys):
-        # pi^2 is both an eigenvalue and a DtN pole for the unit edge
+        # pi^2 is both an eigenvalue and the unit edge's Dirichlet
+        # eigenvalue, where the DtN route's split edges have no pole: the
+        # root is printed and nothing is diagnosed
         code = main(["spectrum", generic_star_file, "--window", "8:12",
                      "--method", "dtn"])
         captured = capsys.readouterr()
-        assert code == 3
-        assert "DtNPole" in captured.err
+        assert code == 0 and captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == "1 eigenvalue(s) in [8.0, 12.0] (method=dtn)"
+        lam, mult = lines[1].split("=")[1].split("(multiplicity")
+        assert float(lam) == pytest.approx(math.pi ** 2, rel=1e-12)
+        assert mult == " 1)"
 
     def test_bad_window_exits_2(self, star_file, capsys):
         assert main(["spectrum", star_file, "--window", "abc"]) == 2
@@ -298,9 +305,9 @@ class TestSweep:
             "2e-07,-1.1656757003676708,-0.16567570036767076"]
         assert err.splitlines() == [
             "diagnostic: 1e-07: CountMismatch(lo=-64, hi=1.57513684483, "
-            "certified=739, poles=0, count=2)",
+            "certified=739, count=2)",
             "diagnostic: 2e-07: CountMismatch(lo=-64, hi=-0.595327566205, "
-            "certified=172, poles=0, count=1)"]
+            "certified=172, count=1)"]
 
     def test_unknown_family_exits_2(self, capsys):
         assert main(["sweep", "moebius", "--grid", "1:2:3"]) == 2

@@ -154,7 +154,6 @@ def test_options_are_the_listed_ones():
         "secular.interval_dtn.edge_id",
         "secular.reduced_negative_kappas.kappa_max",
         "secular.reduced_negative_kappas.tips",
-        "solve._golden_min.zones",
         "solve._isolate.first",
         "solve._isolate.probes",
         "solve.find_spectrum.first",

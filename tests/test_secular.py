@@ -24,6 +24,7 @@ from qgraph.graph import (
 from qgraph.kernels import equilibrate_columns, prepare_structure
 from qgraph.secular import (
     _POLE_TOL,
+    _SPLIT,
     build_dtn_grid,
     build_secular_matrix,
     count_below,
@@ -114,14 +115,27 @@ class TestIntervalDtn:
 
 class TestSecularMatrix:
     def test_shapes(self, star3):
-        for method in ("edge", "dtn"):
+        # 2E x 2E on the edge route, 3E x 3E over the DtN route's endpoint
+        # and split-point traces
+        for method, size in (("edge", 6), ("dtn", 9)):
             m = build_secular_matrix(star3, -1.0, method)
-            assert m.shape == (6, 6)
+            assert m.shape == (size, size)
             assert m.dtype == np.complex128
 
     def test_unknown_method(self, star3):
         with pytest.raises(ValueError):
             build_secular_matrix(star3, -1.0, "spectral")
+
+    def test_dtn_singular_names_the_edge_of_the_piece(self):
+        # the DtN route's matrix is singular only on a pole of a piece: here
+        # the first of the 0.7 edge's second piece, past the unit edge's
+        # regular pieces. pi^2, the unit edge's own pole, is regular
+        g = make_star([1.0, 0.7, 1.3])
+        lam = (math.pi / (0.7 - _SPLIT * 0.7)) ** 2
+        with pytest.raises(DtNSingular) as err:
+            build_secular_matrix(g, lam, "dtn")
+        assert (err.value.edge_id, err.value.index) == (g.edges[1].id, 1)
+        assert np.isfinite(build_secular_matrix(g, math.pi ** 2, "dtn")).all()
 
     def test_rank_drop_at_eigenvalue(self, star3):
         # lambda_1 of the equilateral 3-star; away from it the matrix is
@@ -161,25 +175,33 @@ def reference_interval_dtn(length, lam, edge_id="interval"):
 
 
 def reference_dtn_matrix(g, lam):
-    """The former per-edge += assembly of A + i B M(lambda)."""
+    """A per-piece += assembly of A + i B M(lambda) over the traces (F, u):
+    each edge split at _SPLIT of its length, its split-point trace in column
+    2E + e, whose row is that of a Neumann vertex of degree 2 (A = 0, B = 1):
+    the inward derivatives of its two pieces sum to zero."""
     blocks = assemble_blocks(g)
     m = 2 * g.num_edges
-    dtn = np.zeros((m, m))
-    for e in g.edges:
-        i = g.slot_index[(e.id, START)]
-        j = g.slot_index[(e.id, END)]
-        blk = reference_interval_dtn(e.length, lam, e.id)
-        dtn[i, i] += blk[0, 0]
-        dtn[i, j] += blk[0, 1]
-        dtn[j, i] += blk[1, 0]
-        dtn[j, j] += blk[1, 1]
-    return blocks.a + 1j * (blocks.b @ dtn)
+    size = m + g.num_edges
+    a, b, dtn = np.zeros((size, size)), np.eye(size), np.zeros((size, size))
+    a[:m, :m], b[:m, :m] = blocks.a, blocks.b
+    for k, e in enumerate(g.edges):
+        u = m + k
+        first = _SPLIT * e.length
+        for (i, j), length in (((g.slot_index[(e.id, START)], u), first),
+                               ((u, g.slot_index[(e.id, END)]),
+                                e.length - first)):
+            blk = reference_interval_dtn(length, lam, e.id)
+            dtn[i, i] += blk[0, 0]
+            dtn[i, j] += blk[0, 1]
+            dtn[j, i] += blk[1, 0]
+            dtn[j, j] += blk[1, 1]
+    return a + 1j * (b @ dtn)
 
 
 def reference_dtn_grid(g, lams):
-    """The former per-lambda DtN loop of the sigma grid: every singular
-    value of each lambda, descending, and a row of inf at a pole."""
-    out = np.full((len(lams), 2 * g.num_edges), np.inf)
+    """A per-lambda DtN loop of the sigma grid: every singular value of
+    each lambda, descending, and a row of inf at a piece's pole."""
+    out = np.full((len(lams), 3 * g.num_edges), np.inf)
     for i, lam in enumerate(lams):
         try:
             mat = reference_dtn_matrix(g, lam)
@@ -194,6 +216,10 @@ def reference_dtn_grid(g, lams):
 PI2 = math.pi**2
 POLE_IN = PI2 * (1 + 1.5e-13)  # |sin k| just below _POLE_TOL * k on a unit edge
 POLE_OUT = PI2 * (1 + 2e-13)  # and just above it
+# the first Dirichlet eigenvalue of a unit edge's first piece, a pole of the
+# DtN route, and a lambda just inside its pole rule
+PIECE_POLE = (math.pi / _SPLIT) ** 2
+PIECE_POLE_IN = PIECE_POLE * (1 + 1.5e-13)
 DTN_GRAPHS = {
     "star3-unit": make_star([1.0, 1.0, 1.0]),
     "star4-unit": make_star([1.0, 0.7, 1.3, 0.9]),
@@ -203,11 +229,14 @@ DTN_GRAPHS = {
     "cycle4": make_cycle([0.4, 0.6, 0.3, 0.7]),
     "path3": make_path([0.5, 1.0, 0.7]),
 }
-# a mixed-sign batch: both branches, lambda = 0 and +-1e-7, the Dirichlet
-# eigenvalues pi^2 (unit edges) and 4 pi^2 (figure-8 loops, one-edge cycle)
+# a mixed-sign batch: both branches, lambda = 0 and +-1e-7, the edge
+# Dirichlet eigenvalues pi^2 (unit edges) and 4 pi^2 (figure-8 loops,
+# one-edge cycle), which the split leaves regular, and a unit edge's first
+# piece's pole
 DTN_GRID = np.concatenate([np.linspace(-20.0, -0.05, 60), [-1e-7, 0.0, 1e-7],
                            np.linspace(0.05, 45.0, 150),
-                           [PI2, POLE_IN, POLE_OUT, 4.0 * PI2]])
+                           [PI2, POLE_IN, POLE_OUT, 4.0 * PI2, PIECE_POLE,
+                            PIECE_POLE_IN]])
 HAS_UNIT_EDGE = {name for name, g in DTN_GRAPHS.items()
                  if any(e.length == 1.0 for e in g.edges)}
 
@@ -222,8 +251,8 @@ def raised(fn, *args):
 
 
 class TestDtnByteIdentity:
-    """The batched DtN tables, matrices and grid must reproduce the former
-    per-lambda loop bit for bit, poles and lambda = 0 included."""
+    """The batched DtN tables, matrices and grid must reproduce a per-lambda
+    loop bit for bit, poles and lambda = 0 included."""
 
     def test_tables_flag_the_pole_rule(self):
         lams = [PI2, POLE_IN, POLE_OUT, 0.0, 1e-7, -1e-7, -3.0]
@@ -254,17 +283,17 @@ class TestDtnByteIdentity:
         svals = _sigma_grid(g, prepare_structure(g), DTN_GRID, "dtn")
         assert svals.tobytes() == reference_dtn_grid(g, DTN_GRID).tobytes()
         smin = svals[:, -1]
-        at_pi2 = np.isin(DTN_GRID, [PI2, POLE_IN])
-        assert np.isinf(smin[at_pi2]).all() == (name in HAS_UNIT_EDGE)
-        assert np.isfinite(smin[np.abs(DTN_GRID) <= 1e-7]).all()
+        at_piece_pole = np.isin(DTN_GRID, [PIECE_POLE, PIECE_POLE_IN])
+        assert np.isinf(smin[at_piece_pole]).all() == (name in HAS_UNIT_EDGE)
+        assert np.isfinite(smin[~at_piece_pole]).all()
 
     @pytest.mark.parametrize("name", DTN_GRAPHS)
     def test_long_batch_matches_one_at_a_time(self, name):
         g = DTN_GRAPHS[name]
         struct = prepare_structure(g)
         lams = np.linspace(-16.0, 45.0, 1061)
-        # a pole and lambda = 0 in the middle of the batch
-        lams[511:515] = [PI2, 0.0, POLE_IN, -1e-7]
+        # a piece's pole and lambda = 0 in the middle of the batch
+        lams[511:515] = [PIECE_POLE, 0.0, PIECE_POLE_IN, -1e-7]
         svals = _sigma_grid(g, struct, lams, "dtn")
         alone = [_sigma_grid(g, struct, [lam], "dtn") for lam in lams]
         assert svals.tobytes() == np.concatenate(alone).tobytes()
@@ -274,7 +303,7 @@ class TestDtnByteIdentity:
     def test_matrices_match_former_assembly(self, name):
         g = DTN_GRAPHS[name]
         mats, singular = build_dtn_grid(g, DTN_GRID)
-        assert mats.shape == (DTN_GRID.size, 2 * g.num_edges, 2 * g.num_edges)
+        assert mats.shape == (DTN_GRID.size, 3 * g.num_edges, 3 * g.num_edges)
         for lam, row, sing in zip(DTN_GRID, mats, singular):
             err = raised(reference_dtn_matrix, g, lam)
             assert raised(build_secular_matrix, g, lam, "dtn") == err

@@ -1,9 +1,13 @@
 """Spectrum solver: frozen regressions, multiplicities, dual routes, eigenfunctions."""
 
 import math
+import re
 import signal
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,6 @@ from qgraph.quadform import rayleigh_quotient, trial_norm_sq
 from qgraph.secular import (build_secular_matrix, count_below,
                             reduced_negative_kappas)
 from qgraph.solve import (
-    EigRecord,
     Spectrum,
     _GOLD_STEP,
     _KAPPA_WIDTH,
@@ -387,8 +390,8 @@ class TestWindowHandling:
 
 class TestDualRoute:
     def test_agreement_away_from_poles(self, star3):
-        # window stops short of pi^2, which is both an eigenvalue and an
-        # interval-Dirichlet pole of the DtN map
+        # window stops short of pi^2, an eigenvalue and an edge Dirichlet
+        # eigenvalue, which the tests below take
         e = find_spectrum(star3, (-10.0, 9.0), "edge")
         d = find_spectrum(star3, (-10.0, 9.0), "dtn")
         assert len(e.records) == len(d.records) == 4
@@ -397,14 +400,31 @@ class TestDualRoute:
             assert rd.mult == re_.mult
 
     def test_dtn_pole_coincident_eigenvalue_is_flagged(self):
-        # pi^2 is an eigenvalue of this star and a pole of the unit edge's
-        # DtN block; the dtn route must refuse it rather than mis-certify
+        # pi^2 is an eigenvalue of this star and a Dirichlet eigenvalue of
+        # the unit edge, where the edge's own DtN block has a pole; the DtN
+        # route splits each edge, so its matrix is regular there and
+        # certifies the root as the edge route does
         g = make_star([1.0, 0.7, 1.3])
         spec = find_spectrum(g, (8.0, 12.0), "dtn")
-        assert spec.records == []
-        assert any(d.startswith("DtNPole") for d in spec.diagnostics)
+        check(spec, [(PI2, 1)], tol=1e-12)
+        assert spec.diagnostics == []
         edge = find_spectrum(g, (8.0, 12.0), "edge")
         check(edge, [(PI2, 1)])
+
+    def test_near_equal_figure8_roots_are_all_certified(self):
+        # the loops' Dirichlet eigenvalues crowd this window, once DtN poles:
+        # the DtN route certified 3 of its 8 roots, flagged 4 poles and left
+        # the root 19.0129565 between two of them uncertified. The split
+        # edges certify all 8, as the edge route does
+        loop = 1.4409023604983773
+        g = make_figure8(loop, loop * (1.0 + 9.435366872677488e-05))
+        edge = find_spectrum(g, (3.6963, 76.7384), "edge")
+        dtn = find_spectrum(g, (3.6963, 76.7384), "dtn")
+        assert edge.diagnostics == dtn.diagnostics == []
+        assert [r.mult for r in dtn.records] == [r.mult for r in edge.records]
+        assert edge.count == 8
+        for rd, re_ in zip(dtn.records, edge.records):
+            assert abs(rd.lam - re_.lam) <= 1e-10 * abs(re_.lam)
 
     def test_figure8_negative_part_both_routes(self):
         g = make_figure8(0.7, 1.3)
@@ -427,37 +447,32 @@ class TestDualRoute:
         assert [r.mult for r in dtn.records] == [1, 2, 2]
 
     def test_all_singular_grid_warns_nothing(self):
-        # every point of the positive grid sits on pi^2, a DtN pole of the
-        # unit edge, so no sigma_max of it is finite to take a median of
+        # every point of the positive grid sits on pi^2, an edge Dirichlet
+        # eigenvalue of the unit edge, where the split DtN matrix is regular
         g = make_star([1.0, 0.7, 1.3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             spec = find_spectrum(g, (PI2, PI2), method="dtn")
         assert spec.window == (PI2, PI2)
-        # the one-point cell's untrusted count keeps it open; its point is
-        # left to the pole check, not dropped. The completeness probes sit
-        # within rounding of the root pi^2, so the check is named untrusted
-        assert spec.records == []
-        assert spec.diagnostics == [f"DtNPole(lambda={PI2:.12g})",
-                                    f"CountUntrusted(lo={PI2:.12g}, "
+        # the one-point cell's untrusted count keeps it open, and its point
+        # is certified. The completeness probes sit within rounding of the
+        # root pi^2, so the check is named untrusted
+        check(spec, [(PI2, 1)], tol=1e-12)
+        assert spec.diagnostics == [f"CountUntrusted(lo={PI2:.12g}, "
                                     f"hi={PI2:.12g})"]
 
     @pytest.mark.parametrize("half", [1e-3, 0.1, 1.0])
     def test_narrow_window_around_pole_is_flagged(self, half):
-        # the median sigma_max of a narrow window around the pole is large,
-        # yet far below the candidates'; the pole test reads the DtN entries
-        # at each candidate, so no flank of the pole is certified. A window
-        # no wider than the cell width is one cell and one candidate; a wider
-        # one is first split at its middle, the pole itself, whose count is
-        # untrusted, so the cells on both sides stay open and both flanks
-        # are flagged
+        # a window no wider than the cell width is one cell and one
+        # candidate; a wider one is first split at its middle, the edge
+        # Dirichlet eigenvalue pi^2 itself, whose count is untrusted, so the
+        # cells on both sides stay open. Either way the DtN route certifies
+        # the one root pi^2, and no flank of it
         g = make_star([1.0, 0.7, 1.3])
         window = (PI2 - half, PI2 + half)
         spec = find_spectrum(g, window, "dtn")
-        assert spec.records == []
-        one_cell = 2 * half <= default_positive_step(g)
-        assert len(spec.diagnostics) == (1 if one_cell else 2)
-        assert all(d.startswith("DtNPole") for d in spec.diagnostics)
+        check(spec, [(PI2, 1)], tol=1e-12)
+        assert spec.diagnostics == []
         check(find_spectrum(g, window, "edge"), [(PI2, 1)])
 
     @pytest.mark.parametrize("method", ["edge", "dtn"])
@@ -471,11 +486,13 @@ class TestDualRoute:
             assert solve_mod._svdvals(mat, lam).tobytes() == ref.tobytes()
 
     def test_dtn_grid_maps_singular_points_to_inf(self, star3):
-        # pi^2 is a Dirichlet eigenvalue of every unit edge: no DtN map there
+        # (pi / (alpha l))^2 is a Dirichlet eigenvalue of every unit edge's
+        # first piece: no DtN map there. pi^2, the edge's own, is regular
+        pole = (math.pi / secular_mod._SPLIT) ** 2
         svals = _sigma_grid(star3, prepare_structure(star3),
-                            [2.0, PI2, 12.0], "dtn")
-        assert np.isinf(svals[1]).all()
-        assert np.isfinite(svals[[0, 2]]).all()
+                            [2.0, PI2, pole, 70.0], "dtn")
+        assert np.isinf(svals[2]).all()
+        assert np.isfinite(svals[[0, 1, 3]]).all()
 
     def test_dtn_grid_propagates_other_errors(self, star3, monkeypatch):
         # the grid builds its matrices in batches; only the singular mask
@@ -507,15 +524,14 @@ class TestCompleteness:
     @pytest.mark.parametrize("short", [1e-7, 1e-8])
     def test_short_edge_is_no_dtn_pole(self, short):
         # a short edge's DtN entries are about 1 / l everywhere, far from its
-        # first pole at k l = pi; the pole rule must not flag the true roots.
-        # Where the DtN route then disagrees with the count, it says so
+        # pieces' first poles, and the true roots are still found. Where the
+        # DtN route then disagrees with the count, it says so
         g = make_star([1.0, 0.7, short])
         spec = find_spectrum(g, (0.5, 30.0), "dtn")
         edge = find_spectrum(g, (0.5, 30.0), "edge")
         assert edge.diagnostics == []
         assert [r.lam for r in edge.records] == pytest.approx(
             [3.4151, 13.6603], abs=1e-4)
-        assert not any(d.startswith("DtNPole") for d in spec.diagnostics)
         assert [r.lam for r in spec.records] == pytest.approx(
             [r.lam for r in edge.records], rel=1e-6)
         for rd, re_ in zip(spec.records, edge.records):
@@ -524,14 +540,6 @@ class TestCompleteness:
                     spec.diagnostics
         if spec.count != edge.count:
             assert spec.diagnostics[-1].startswith("CountMismatch")
-
-    def test_poles_may_hide_eigenvalues(self):
-        # the DtN route cannot certify the triple roots on the equilateral
-        # figure-8's poles; each DtNPole may stand for up to 2E of the count
-        spec = find_spectrum(make_figure8(0.5, 0.5), (-5.0, 170.0), "dtn")
-        assert spec.count == 2  # -1 and 0; 4 pi^2 (x1) and 16 pi^2 (x3) hide
-        assert len(spec.diagnostics) == 2
-        assert all(d.startswith("DtNPole") for d in spec.diagnostics)
 
     @staticmethod
     def off_by_one_above(monkeypatch, hi, trusted):
@@ -550,7 +558,7 @@ class TestCompleteness:
         spec = find_spectrum(star3, (-10.0, 10.0))
         assert spec.records == ref.records
         assert spec.diagnostics == [
-            "CountMismatch(lo=-10, hi=10, certified=5, poles=0, count=6)"]
+            "CountMismatch(lo=-10, hi=10, certified=5, count=6)"]
 
     @pytest.mark.parametrize("length, window, method", [
         (1e-7, None, "edge"), (1e-7, None, "dtn"), (1e-8, None, "edge"),
@@ -580,10 +588,10 @@ def _sampled(seed):
 
 
 # (graph, window): stars with Neumann and Dirichlet tips, equilateral even
-# stars, figure-8s (the equilateral one with triple roots on DtN poles), the
-# one-edge cycle (roots of full multiplicity), a 4-cycle, a path, sampled
-# multigraphs with loops and parallel edges, and windows on and around the
-# pi^2 pole of a unit edge
+# stars, figure-8s (the equilateral one with triple roots on the loops'
+# Dirichlet eigenvalues), the one-edge cycle (roots of full multiplicity), a
+# 4-cycle, a path, sampled multigraphs with loops and parallel edges, and
+# windows on and around pi^2, a unit edge's Dirichlet eigenvalue
 IDENTITY_CASES = {
     "star3": (make_star([1.0, 0.7, 1.3]), (-10.0, 30.0)),
     "star3-dirichlet": (make_star([1.0, 0.7, 1.3], tip_bc="dirichlet"),
@@ -604,128 +612,69 @@ IDENTITY_CASES = {
 
 
 # (records as (lambda, mult), diagnostic kinds) of every IDENTITY_CASES window
-# on both routes, frozen from the full-grid sigma scan (every point of a grid
-# of the cell width, brackets around its minima) that count isolation
-# replaced
+# on the edge route, frozen from the full-grid sigma scan (every point of a
+# grid of the cell width, brackets around its minima) that count isolation
+# replaced. The DtN route, whose split edges have no pole on an edge
+# Dirichlet eigenvalue, must give the same
 FULL_GRID_SPECTRA = {
-    ("cycle1", "dtn"): (
-        [(0.0, 1)],
-        ["DtNPole", "DtNPole"]),
-    ("cycle1", "edge"): (
+    "cycle1": (
         [(0.0, 1), (39.47841760435752, 2), (157.91367041742973, 2)],
         []),
-    ("cycle4", "dtn"): (
+    "cycle4": (
         [(0.0, 1), (9.86960440108949, 2), (39.478417604357524, 2)],
         []),
-    ("cycle4", "edge"): (
-        [(0.0, 1), (9.86960440108949, 2), (39.478417604357524, 2)],
-        []),
-    ("figure8-0.3-0.9", "dtn"): (
-        [(-1.000000000000142, 1), (0.0, 1), (27.41556778080398, 1)],
-        ["DtNPole"]),
-    ("figure8-0.3-0.9", "edge"): (
+    "figure8-0.3-0.9": (
         [(-1.000000000000142, 1), (0.0, 1), (27.415567780803542, 1),
          (48.73878716587357, 1)],
         []),
-    ("figure8-equilateral", "dtn"): (
-        [(-1.000000000000142, 1), (0.0, 1)],
-        ["DtNPole", "DtNPole", "DtNPole", "DtNPole"]),
-    ("figure8-equilateral", "edge"): (
+    "figure8-equilateral": (
         [(-1.000000000000142, 1), (0.0, 1), (39.47841760435737, 1),
          (157.91367041742984, 3), (355.3057584392168, 1), (631.654681669719,
          3)],
         []),
-    ("path", "dtn"): (
+    "path": (
         [(0.0, 1), (9.869604401089537, 1), (39.478417604357276, 1),
          (88.82643960980414, 1)],
         []),
-    ("path", "edge"): (
-        [(0.0, 1), (9.869604401089537, 1), (39.478417604357276, 1),
-         (88.82643960980414, 1)],
-        []),
-    ("pole-narrow", "dtn"): (
-        [],
-        # the fixed grid flagged both flanks of the one pole
-        ["DtNPole"]),
-    ("pole-narrow", "edge"): (
+    "pole-narrow": (
         [(9.86960440108936, 1)],
         []),
     # the full-grid scan had no CountUntrusted: both completeness probes of
     # the one-point window sit within rounding of the root pi^2
-    ("pole-point", "dtn"): (
-        [],
-        ["DtNPole", "CountUntrusted"]),
-    ("pole-point", "edge"): (
+    "pole-point": (
         [(9.869604401089358, 1)],
         ["CountUntrusted"]),
-    ("pole-wide", "dtn"): (
-        [],
-        ["DtNPole"]),
-    ("pole-wide", "edge"): (
+    "pole-wide": (
         [(9.869604401089253, 1)],
         []),
-    ("sampled11", "dtn"): (
-        [(-16.549615541929246, 1), (-1.7618563491761194, 1),
-         (-0.9374422682460687, 1), (-0.7779552013213085, 1), (0.0, 1),
-         (10.251405315562026, 1), (25.01089651548199, 1), (58.82775238719481,
-         1)],
-        []),
-    ("sampled11", "edge"): (
+    "sampled11": (
         [(-16.549615541929246, 1), (-1.7618563491761194, 1),
          (-0.9374422682460687, 1), (-0.7779552013213085, 1), (0.0, 1),
          (10.251405315562026, 1), (25.01089651548199, 1), (58.82775238719454,
          1)],
         []),
-    ("sampled6", "dtn"): (
+    "sampled6": (
         [(-19.798190448468382, 1), (-2.7558381617066905, 1),
          (-0.09127495298748191, 1), (0.0, 1), (10.54523210063416, 1),
          (38.558910225893264, 1), (50.816311448712696, 1)],
         []),
-    ("sampled6", "edge"): (
-        [(-19.798190448468382, 1), (-2.7558381617066905, 1),
-         (-0.09127495298748191, 1), (0.0, 1), (10.54523210063416, 1),
-         (38.558910225893264, 1), (50.816311448712696, 1)],
-        []),
-    ("star3-dirichlet", "dtn"): (
+    "star3-dirichlet": (
         [(-2.363985693651558, 1), (2.4674011002722303, 1),
          (5.9469876975412985, 1), (13.200196726165146, 1), (22.20660990245102,
          1), (36.11419002307062, 1), (45.43976737434642, 1)],
         []),
-    ("star3-dirichlet", "edge"): (
-        [(-2.363985693651558, 1), (2.4674011002722303, 1),
-         (5.9469876975412985, 1), (13.200196726165146, 1), (22.20660990245102,
-         1), (36.11419002307062, 1), (45.43976737434642, 1)],
-        []),
-    ("star3", "dtn"): (
-        [(-3.4617242468051828, 1), (0.0, 1), (1.0697613270244237, 1),
-         (5.222405795808801, 1), (19.34370045266015, 1), (24.246622228261685,
-         1)],
-        ["DtNPole"]),
-    ("star3", "edge"): (
+    "star3": (
         [(-3.4617242468051828, 1), (0.0, 1), (1.0697613270244237, 1),
          (5.222405795808801, 1), (9.869604401089553, 1), (19.34370045266015,
          1), (24.246622228261685, 1)],
         []),
-    ("star4-equilateral", "dtn"): (
-        [(-1.4392288398907136, 1), (0.0, 1), (0.7401738843948504, 1),
-         (2.4674011002722303, 1), (7.8309644612381, 1), (11.734861829941819,
-         1), (22.20660990245102, 1), (37.46970727849981, 1),
-         (41.438807847570544, 1)],
-        ["DtNPole", "DtNPole"]),
-    ("star4-equilateral", "edge"): (
+    "star4-equilateral": (
         [(-1.4392288398907136, 1), (0.0, 1), (0.7401738843948504, 1),
          (2.4674011002722303, 1), (7.8309644612381, 1), (9.869604401089145, 1),
          (11.734861829941819, 1), (22.20660990245102, 1), (37.46970727849981,
          1), (39.47841760435746, 1), (41.438807847570544, 1)],
         []),
-    ("star6-equilateral", "dtn"): (
-        [(-3.8710354230140553, 1), (-0.9488111930944065, 1), (0.0, 1),
-         (0.7247576913768314, 1), (1.731503287224418, 1), (5.0355124495354815,
-         1), (15.12810735381193, 1), (18.465895010723454, 1),
-         (21.75231482809856, 1), (24.673945424222666, 1), (45.3196120458184,
-         1)],
-        ["DtNPole"]),
-    ("star6-equilateral", "edge"): (
+    "star6-equilateral": (
         [(-3.8710354230140553, 1), (-0.9488111930944065, 1), (0.0, 1),
          (0.7247576913768314, 1), (1.731503287224418, 1), (5.0355124495354815,
          1), (15.12810735381193, 1), (18.465895010723454, 1),
@@ -749,7 +698,7 @@ class TestCountGuidedScan:
         # same eigenvalues up to the refinement of a different bracket
         g, window = IDENTITY_CASES[name]
         spec = find_spectrum(g, window, method)
-        records, kinds = FULL_GRID_SPECTRA[(name, method)]
+        records, kinds = FULL_GRID_SPECTRA[name]
         assert diagnostic_kinds(spec) == kinds
         assert [r.mult for r in spec.records] == [m for _, m in records]
         for r, (lam, _) in zip(spec.records, records):
@@ -814,14 +763,15 @@ class TestCountGuidedScan:
         return brackets
 
     def test_cells_holding_roots_are_padded(self, monkeypatch):
-        # the DtN route reads inf on the pi^2 pole of the unit edge, so the
-        # cell holding it is refined over the cell widened by half a width on
-        # each side and clipped to the window
+        # the cell holding the root pi^2, a unit edge's Dirichlet eigenvalue,
+        # is refined over the cell widened by half a width on each side and
+        # clipped to the window, and the DtN route certifies the root there
         g = make_star([1.0, 0.7, 1.3])
         width = default_positive_step(g)
         brackets = self.recorded_brackets(monkeypatch)
         spec = find_spectrum(g, (8.0, 12.0), "dtn")
-        assert spec.records == [] and diagnostic_kinds(spec) == ["DtNPole"]
+        check(spec, [(PI2, 1)], tol=1e-12)
+        assert spec.diagnostics == []
         cells = _isolate(g, [[8.0, 12.0]], width, lambda x: x)[0]
         assert cells.shape == (1, 2) and cells[0, 1] - cells[0, 0] <= width
         assert cells[0, 0] < PI2 < cells[0, 1]
@@ -830,12 +780,11 @@ class TestCountGuidedScan:
         assert b.tolist() == [cells[0, 1] + width / 2.0]
         brackets.clear()
         spec = find_spectrum(g, (PI2 - 0.003, 12.0), "dtn")
-        # clipped to the window. That search ends on the window end, which
-        # sigma does not certify, so the cell is searched again after count
-        # bisection and the pole is flagged
-        a, b = brackets[0]
+        # clipped to the window, and the root found in one search
+        (a, b), = brackets
         assert a.tolist() == [PI2 - 0.003]
-        assert spec.records == [] and diagnostic_kinds(spec) == ["DtNPole"]
+        check(spec, [(PI2, 1)], tol=1e-12)
+        assert spec.diagnostics == []
 
     def test_root_on_a_pole_is_found(self):
         # on the edge route sigma certifies the root pi^2 on the unit edge's
@@ -866,34 +815,6 @@ class TestCountGuidedScan:
         assert spec.diagnostics == [] and len(spec.records) == 1
         assert spec.records[0].mult == 1
         assert abs(spec.records[0].lam - k * k) <= 1e-12
-
-    def test_pole_cells_stop_in_their_zones(self, monkeypatch):
-        # the loops' Dirichlet eigenvalues (2 pi / 1.85)^2 = 11.53 and
-        # (2 pi / 1.15)^2 = 29.85 are DtN poles. A pole cell's search stops
-        # once its bracket lies in the pole's zone, where every point is
-        # flagged a pole: 11 calls (35 when those searches ran on to their
-        # tolerance), the same records, and each DtNPole in its zone
-        calls = []
-
-        def recorded(g, struct, lams, method):
-            calls.append(np.size(lams))
-            return _sigma_grid(g, struct, lams, method)
-
-        monkeypatch.setattr(solve_mod, "_sigma_grid", recorded)
-        spec = find_spectrum(make_figure8(1.15, 1.85), (-16.0, 30.0), "dtn")
-        assert len(calls) <= 15
-        assert spec.records == [
-            EigRecord(-1.0, 1, 3.5910239661608205e-17, 2.119709166475704),
-            EigRecord(0.0, 1, 3.371989395691215e-17, 2.7918165132382255),
-            EigRecord(4.386490844928605, 1, 6.770752692255084e-16,
-                      11.004445181306236),
-            EigRecord(17.545963379714415, 1, 1.5719221954600518e-15,
-                      8.003768979111571)]
-        assert diagnostic_kinds(spec) == ["DtNPole", "DtNPole"]
-        for d, (m, loop) in zip(spec.diagnostics, [(2, 1.85), (2, 1.15)]):
-            k, km = math.sqrt(float(d[len("DtNPole(lambda="):-1])), m * math.pi / loop
-            # the zone, with room for the 12 digits of the diagnostic
-            assert abs(k - km) * loop <= 0.5e-6 * min(km, 1.0) + 1e-11
 
     @pytest.mark.parametrize("loop", [0.5, 0.55])
     def test_equilateral_figure8_needs_few_sigma_calls(self, loop,
@@ -1254,6 +1175,55 @@ class TestIsolate:
         self.assert_same(got, (np.zeros((0, 2)), np.zeros((0, 2), np.intp),
                                np.zeros((0, 2), bool)))
 
+    def test_no_count_call_exceeds_the_budget(self, monkeypatch):
+        # with every count untrusted every cell splits down to its width,
+        # and each call holds about four times the points of the last; the
+        # call past the budget is refused before it is made
+        pointwise, calls = solve_mod.count_below, []
+
+        def untrusted(g, lams):
+            calls.append(np.size(lams))
+            counts, _ = pointwise(g, lams)
+            return counts, np.zeros(counts.size, dtype=bool)
+
+        monkeypatch.setattr(solve_mod, "count_below", untrusted)
+        monkeypatch.setattr(solve_mod, "_MAX_COUNT_POINTS", 20)
+        with pytest.raises(WindowTooCoarse, match=re.escape(
+                "isolating [-3, 3] asks one count for 48 points, more than "
+                "20")):
+            _isolate(self.GRAPHS["star3"], [[-3.0, 3.0]], 0.05, lambda x: x)
+        assert calls == [5, 12]
+
+    def test_untrusted_star_stops_at_the_budget(self):
+        # beside a 1e-10 edge nearly every negative count is untrusted, and
+        # the count calls grow 48, 168, 648, 2577, 10281, 41070, ... points
+        # until memory runs out unless the budget stops them. So the solve
+        # runs in a child process under an address-space limit and a
+        # timeout: a regression fails here and does not exhaust the host
+        script = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qgraph.errors import WindowTooCoarse\n"
+            "from qgraph.graph import make_star\n"
+            "from qgraph.solve import default_negative_floor, find_spectrum\n"
+            "g = make_star([1.0, 0.7, 1e-10])\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    find_spectrum(g, (default_negative_floor(g), -1e-8))\n"
+            "except WindowTooCoarse as exc:\n"
+            "    print(exc)\n"
+            "print(time.perf_counter() - start)\n")
+        src = str(Path(solve_mod.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], text=True,
+                              capture_output=True, timeout=60,
+                              env={"PYTHONPATH": src, "OMP_NUM_THREADS": "1",
+                                   "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        message, seconds = proc.stdout.splitlines()
+        assert re.fullmatch(r"isolating \[-\d+, -1e-08\] asks one count for "
+                            r"\d+ points, more than 40000", message)
+        assert float(seconds) < 10.0
+
 
 class TestRefinementBudget:
     """V-steps finish a bracket in a few rounds; certification reads its
@@ -1291,8 +1261,8 @@ class TestRefinementBudget:
             self, method, budget, monkeypatch):
         # near 9.3e3 the float spacing is 1.8e-12, wider than refine_tol: the
         # tolerance floor of four spacings lets each bracket finish, in 4
-        # calls on the edge route. The DtN route's pole cell at 9484.69 keeps
-        # golden steps
+        # calls on the edge route. The DtN route also certifies the root
+        # 9484.69 at the unit edge's Dirichlet eigenvalue (31 pi)^2
         calls = []
 
         def recorded(g, struct, lams, method):
@@ -1305,12 +1275,7 @@ class TestRefinementBudget:
         counts, trusted = count_below(g, [9000.0, 9600.0])
         assert trusted.all() and counts[1] - counts[0] == 2
         roots = [9343.98427390539, 9484.689829446872]
-        if method == "dtn":
-            roots = roots[:1]
-            assert diagnostic_kinds(spec) == ["DtNPole"]
-            assert "9484.689" in spec.diagnostics[0]
-        else:
-            assert spec.diagnostics == []
+        assert spec.diagnostics == []
         assert [r.mult for r in spec.records] == [1] * len(roots)
         for r, lam in zip(spec.records, roots):
             assert abs(r.lam - lam) <= 1e-12 * lam
@@ -1478,7 +1443,7 @@ class TestLockstepGoldenMin:
         assert abs(got[0] - 9343.9842739) <= 2.0 * np.spacing(b)
 
     def test_all_infinite_brackets_end_in_golden_rounds(self):
-        # a DtN pole cell reads inf everywhere, so only golden steps run:
+        # a bracket that reads inf everywhere takes only golden steps:
         # each bracket ends within golden section's rounds at 0.618 a round,
         # plus two, and no round makes an empty call
         a = np.array([0.0, 3.0, -2.0, 1.0, 0.5])
@@ -1497,44 +1462,6 @@ class TestLockstepGoldenMin:
                             np.where(xs > 2.5, np.inf, np.abs(xs - 0.9)))
 
         self.run(fn, [0.5, 1.2, 2.4, 2.6], [1.4, 1.4, 3.0, 2.9], 1e-12)
-
-    def test_a_search_stops_inside_a_zone(self):
-        # an all-inf bracket (a DtN pole cell) narrows about its midpoint by
-        # golden steps and stops, on that evaluated midpoint, once it lies
-        # in a zone; a bracket without zones runs on as alone
-        def fn(xs):
-            return np.full(len(xs), np.inf)
-
-        zone = [(0.5 - 1e-4, 0.5 + 1e-4), (0.9, 1.0)]
-        sizes = []
-
-        def counted(xs):
-            sizes.append(len(xs))
-            return fn(xs)
-
-        assert _golden_min(counted, [0.0], [1.0], 1e-12, [zone]).tolist() == [0.5]
-        alone = len(sizes)
-        assert alone < len(scalar_vmin(lambda x: math.inf, 0.0, 1.0, 1e-12)[1])
-        sizes.clear()
-        got = _golden_min(counted, [0.0, 2.0], [1.0, 3.0], 1e-12, [zone, []])
-        ref = scalar_vmin(lambda x: math.inf, 2.0, 3.0, 1e-12)
-        assert got[0] == 0.5 and got[1].tobytes() == np.float64(ref[0]).tobytes()
-        assert sizes[:alone] == [6] + [2] * (alone - 1)
-        assert len(sizes) == len(ref[1])
-
-    def test_v_search_stops_inside_a_zone(self):
-        # on a V the search stops once its bracket lies in the zone about
-        # the vertex, on its lowest evaluated point
-        points = []
-
-        def fn(xs):
-            points.extend(xs.tolist())
-            return np.abs(xs - 0.3)
-
-        zone = (0.3 - 1e-3, 0.3 + 1e-3)
-        (got,) = _golden_min(fn, [0.0], [1.0], 1e-12, [[zone]]).tolist()
-        assert zone[0] <= got <= zone[1] and got in points
-        assert got == min(points, key=lambda x: abs(x - 0.3))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_v_vertex_within_half_tolerance(self, seed):
@@ -1874,18 +1801,6 @@ class TestCertificationRows:
         (lams,) = calls
         assert lams.tolist() == [lam]
         self.assert_one_matrix_bytes(star3, spec)
-
-    def test_pole_cells_end_on_an_evaluated_point(self, monkeypatch):
-        # a search on a DtN pole cell stops inside the pole's zone, on its
-        # lowest evaluated point, so no call follows the refinement; every
-        # record still holds the bytes a one-matrix SVD at its lambda gives
-        calls = self.calls_after_refinement(monkeypatch)
-        g = make_figure8(1.15, 1.85)
-        spec = find_spectrum(g, (-16.0, 30.0), "dtn")
-        assert diagnostic_kinds(spec) == ["DtNPole", "DtNPole"]
-        assert calls == []
-        assert len(spec.records) == 4
-        self.assert_one_matrix_bytes(g, spec)
 
 
 def residual(g, f):
