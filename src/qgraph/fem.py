@@ -116,16 +116,17 @@ def _vertex_terms(g: MetricGraph, slots: int):
 def _phase(s, n, h):
     """x = s h^2, p = sqrt|x| / 2, q = sqrt|1 - x/12|, theta = n arctan2(p, q)
     and the oscillating mask 0 < x < 12 of the chains at s (see
-    `_chain_terms`); s, n and h broadcast."""
+    `_chain_terms`), which `_chain_terms` and `_chain_counts` read; s, n
+    and h broadcast."""
     x = s * h * h
     p = 0.5 * np.sqrt(np.abs(x))
     q = np.sqrt(np.abs(1.0 - x / 12.0))
     return x, p, q, n * np.arctan2(p, q), (x > 0.0) & (x < 12.0)
 
 
-def _chain_terms(s, n, h):
+def _chain_terms(phase, n, h):
     """Each chain's exact Schur block on its end nodes, in its sum and
-    difference directions. s, n and h broadcast.
+    difference directions, at the s of `_phase(s, n, h)`, which broadcast.
 
     A chain of n elements of length h carries, in A - sM, a/2 = 1/h - s h/3
     on its end nodes, a on each interior node and b = -1/h - s h/6 between
@@ -148,7 +149,7 @@ def _chain_terms(s, n, h):
     outside the oscillating regime: only there is a term large, sigma where
     |t| is, delta where 1 / |t| is.
     """
-    x, p, q, theta, osc = _phase(s, n, h)
+    x, p, q, theta, osc = phase
     g = 2.0 * p * q / h
     t = np.tan(theta)
     mixed = not osc.all()
@@ -169,12 +170,12 @@ def _chain_terms(s, n, h):
     return sigma, delta, t
 
 
-def _chain_counts(s, n, h, t):
-    """Each chain's count of its discrete Dirichlet eigenvalues below s, t
-    being its `_chain_terms` size factor at s. Its interior block has one
-    negative eigenvalue for each j in 1..n-1 with j pi / n < phi: none in
-    the growing regime, all n - 1 past x = 12."""
-    x, _, _, theta, osc = _phase(s, n, h)
+def _chain_counts(phase, n, t):
+    """Each chain's count of its discrete Dirichlet eigenvalues below the s
+    of `_phase`, t being its `_chain_terms` size factor there. Its interior
+    block has one negative eigenvalue for each j in 1..n-1 with
+    j pi / n < phi: none in the growing regime, all n - 1 past x = 12."""
+    x, _, _, theta, osc = phase
     # the pole nearest n phi is m pi; s lies above it where t has the sign of
     # (-1)^m, as t crosses 0 at even m and flips from +inf at odd m
     m = np.rint(2.0 * theta / np.pi)
@@ -248,8 +249,9 @@ def _inertia(plans: _Plans, s, plan):
     It is moved to a border instead: by Haynsworth, n_-(F + rho/2 v v^T) =
     n_-([[F, v], [v^T, -2/rho]]) - [rho > 0], and no entry of the bordered
     matrix is large."""
-    sigma, delta, t = _chain_terms(s[:, None, None], plans.n, plans.h)
-    chains = _chain_counts(s[:, None, None], plans.n, plans.h, t).sum(axis=2)
+    phase = _phase(s[:, None, None], plans.n, plans.h)
+    sigma, delta, t = _chain_terms(phase, plans.n, plans.h)
+    chains = _chain_counts(phase, plans.n, t).sum(axis=2)
     # the chain terms of each point's own plan, sigma and delta side by side,
     # and each term's size factor: t for sigma, 1 / t for delta
     pick = np.arange(s.size), plan
@@ -301,7 +303,8 @@ def _anderson_bjorck(plans: _Plans, a, b, plan, jump):
 
     def schur_eigenvalues(x, plan):
         # the chain terms of each point's own plan
-        sigma, delta, _ = _chain_terms(x[:, None], plans.n[plan], plans.h)
+        n, h = plans.n[plan], plans.h
+        sigma, delta, _ = _chain_terms(_phase(x[:, None], n, h), n, h)
         return np.linalg.eigvalsh(
             _assemble(plans, np.concatenate((sigma, delta), axis=1)))
 

@@ -15,8 +15,13 @@ zero. `_domain_rows` writes these constraints once, as rows over the global
 slots: `form_domain_basis` is their null space and `check_domain` tests
 traces against them.
 
-The module evaluates trials and builds none: a `TrialFunction` comes from
-its caller, as `solve.Eigenfunction.as_trial` gives one.
+The module evaluates trials and builds none. A trial is any object with
+the `value` and `derivative` methods and the `breakpoints` mapping of
+`TrialFunction`; `solve.Eigenfunction` is one. Its one integration code is
+`_edge_nodes`, each edge's nodes split at the trials' breakpoints, and
+`_sample`, a trial's traces and norm from one call per edge: the traces,
+the form, the norm and the Rayleigh quotient read both, and the Gram matrix
+of `solve.eigenfunction_at` reads the nodes.
 """
 
 from __future__ import annotations
@@ -38,21 +43,44 @@ def _leggauss():
     return np.polynomial.legendre.leggauss(QUAD_ORDER)
 
 
+@lru_cache(maxsize=256)
 def edge_quadrature(length: float, breaks: tuple = ()):
     """Gauss-Legendre nodes/weights on [0, length], QUAD_ORDER per piece,
-    split at breakpoints."""
+    split at breakpoints; read-only, as one call serves every trial and
+    lambda on the edge."""
     base_x, base_w = _leggauss()
-    inner = sorted(b for b in breaks if 0.0 < b < length)
-    if not inner:  # one piece
-        half = float(length) / 2.0
-        return (base_x + 1.0) * half, base_w * half
-    cuts = [0.0] + inner + [float(length)]
+    cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < length) + [float(length)]
     xs, ws = [], []
     for a, b in zip(cuts, cuts[1:]):
         half = (b - a) / 2.0
         xs.append((base_x + 1.0) * half + a)
         ws.append(base_w * half)
-    return np.concatenate(xs), np.concatenate(ws)
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _edge_nodes(g: MetricGraph, *trials):
+    """Each edge's nodes and weights (`edge_quadrature`), in the graph's edge
+    order, split at the set union of the trials' breakpoints on it, so a
+    breakpoint the trials share cuts once."""
+    return [edge_quadrature(e.length, tuple(set().union(
+                *(f.breakpoints.get(e.id, ()) for f in trials))))
+            for e in g.edges]
+
+
+def _sample(g: MetricGraph, f, nodes):
+    """f's trace vector over the global slots and its squared L2 norm on
+    the nodes of `_edge_nodes`, from one f.value call per edge on
+    [0, length, nodes...]."""
+    traces = np.zeros(2 * g.num_edges, dtype=complex)
+    norm = 0.0
+    for e, (x, w) in zip(g.edges, nodes):
+        v = f.value(e.id, np.concatenate(([0.0, e.length], x)))
+        traces[g.slot_index[(e.id, START)]] = v[0]
+        traces[g.slot_index[(e.id, END)]] = v[1]
+        norm += float(np.sum(w * np.abs(v[2:]) ** 2))
+    return traces, norm
 
 
 @dataclass
@@ -76,11 +104,7 @@ class TrialFunction:
 
 def trial_traces(g: MetricGraph, f: TrialFunction) -> np.ndarray:
     """Trace vector over global endpoint slots."""
-    out = np.zeros(2 * g.num_edges, dtype=complex)
-    for e in g.edges:
-        out[g.slot_index[(e.id, START)]] = complex(f.value(e.id, 0.0))
-        out[g.slot_index[(e.id, END)]] = complex(f.value(e.id, e.length))
-    return out
+    return _sample(g, f, _edge_nodes(g, f))[0]
 
 
 def check_domain(g: MetricGraph, f: TrialFunction) -> None:
@@ -158,24 +182,23 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None):
     """
     diag = other is None
     h = f if diag else other
+    nodes = _edge_nodes(g, f, h)
     # on the diagonal each derivative and the trace vector are read once
-    ftr = trial_traces(g, f)
-    htr = ftr if diag else trial_traces(g, h)
+    ftr = _sample(g, f, nodes)[0]
+    htr = ftr if diag else _sample(g, h, nodes)[0]
     _check_traces(g, ftr)
     if not diag:
         _check_traces(g, htr)
-    return _form(g, f, h, ftr, htr, diag)
+    return _form(g, f, h, nodes, ftr, htr, diag)
 
 
-def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, ftr, htr,
-          diag: bool):
-    """`form_value` from the trace vectors, checked: the edge integrals of
-    f' conj(h') by quadrature split at both trials' breakpoints, plus
-    conj(htr) H ftr. On the diagonal, h is f, and the value is real."""
+def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, nodes, ftr,
+          htr, diag: bool):
+    """`form_value` from the nodes of `_edge_nodes` and the trace vectors,
+    checked: the edge integrals of f' conj(h'), plus conj(htr) H ftr. On
+    the diagonal, h is f, and the value is real."""
     total = 0.0 + 0.0j
-    for e in g.edges:
-        breaks = tuple(f.breakpoints.get(e.id, ())) + tuple(h.breakpoints.get(e.id, ()))
-        x, w = edge_quadrature(e.length, breaks=breaks)
+    for e, (x, w) in zip(g.edges, nodes):
         df = f.derivative(e.id, x)
         dh = df if diag else h.derivative(e.id, x)
         total += np.sum(w * df * np.conj(dh))
@@ -188,27 +211,16 @@ def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, ftr, htr,
 
 
 def trial_norm_sq(g: MetricGraph, f: TrialFunction) -> float:
-    total = 0.0
-    for e in g.edges:
-        x, w = edge_quadrature(e.length, breaks=tuple(f.breakpoints.get(e.id, ())))
-        total += float(np.sum(w * np.abs(f.value(e.id, x)) ** 2))
-    return total
+    return _sample(g, f, _edge_nodes(g, f))[1]
 
 
 def rayleigh_quotient(g: MetricGraph, f: TrialFunction) -> float:
     """form_value(g, f) / trial_norm_sq(g, f), raising their errors in
     their order: a zero norm, a trace off the form domain, an imaginary
-    residual. Each edge's traces and norm quadrature values come from one
-    f.value call."""
-    traces = np.zeros(2 * g.num_edges, dtype=complex)
-    norm = 0.0
-    for e in g.edges:
-        x, w = edge_quadrature(e.length, tuple(f.breakpoints.get(e.id, ())))
-        v = f.value(e.id, np.concatenate(([0.0, e.length], x)))
-        traces[g.slot_index[(e.id, START)]] = v[0]
-        traces[g.slot_index[(e.id, END)]] = v[1]
-        norm += float(np.sum(w * np.abs(v[2:]) ** 2))
+    residual. The form reads the traces and the nodes the norm read."""
+    nodes = _edge_nodes(g, f)
+    traces, norm = _sample(g, f, nodes)
     if norm < 1e-30:
         raise QGraphError("trial function has (numerically) zero norm")
     _check_traces(g, traces)
-    return _form(g, f, f, traces, traces, True) / norm
+    return _form(g, f, f, nodes, traces, traces, True) / norm

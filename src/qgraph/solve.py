@@ -75,6 +75,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,7 +83,7 @@ from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import MetricGraph
 from .kernels import (branch_svdvals, edge_basis, edge_builder,
                       equilibrate_columns, prepare_structure, scan_sigma)
-from .quadform import TrialFunction, edge_quadrature
+from .quadform import _edge_nodes
 from .secular import build_dtn_grid, build_secular_matrix, count_below
 
 ZERO_RADIUS = 1e-7
@@ -647,11 +648,16 @@ def first_eigenvalues(g: MetricGraph, k: int):
 class Eigenfunction:
     """One eigenfunction as per-edge coefficients (c1, c2) over the edge
     basis pair its secular matrix was laid out in (`kernels.edge_basis`):
-    c1 f1(x) + c2 f2(x) on each edge."""
+    c1 f1(x) + c2 f2(x) on each edge.
+
+    It is a `quadform` trial itself: `breakpoints`, empty on every edge, is
+    where the quadrature of its norm, form and Rayleigh quotient splits an
+    edge, and `eigenfunction_at`'s Gram matrix splits where they do."""
 
     graph: MetricGraph
     lam: float
     coeffs: dict  # edge_id -> (c1, c2)
+    breakpoints = MappingProxyType({})  # a class attribute, not a field
 
     def _combine(self, edge_id: str, x, deriv: bool):
         c1, c2 = self.coeffs[edge_id]
@@ -666,12 +672,8 @@ class Eigenfunction:
         return self._combine(edge_id, x, True)
 
     def as_trial(self):
-        return TrialFunction(
-            values={e.id: (lambda x, eid=e.id: self.value(eid, x))
-                    for e in self.graph.edges},
-            derivatives={e.id: (lambda x, eid=e.id: self.derivative(eid, x))
-                         for e in self.graph.edges},
-        )
+        """The function as a `quadform` trial: itself."""
+        return self
 
 
 def eigenfunction_at(g: MetricGraph, lam: float) -> list:
@@ -697,14 +699,15 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
 
     # orthonormalize in L2 via the quadrature Gram matrix, whose samples
-    # are each function's values at every edge's nodes
+    # are each function's values at every edge's nodes: those quadform
+    # integrates an Eigenfunction on, split at its class's breakpoints
     ids = [e.id for e in g.edges]
-    nodes = [edge_quadrature(e.length) for e in g.edges]
+    nodes = _edge_nodes(g, Eigenfunction)
     weights = np.concatenate([w for _, w in nodes])
     f1, f2 = (np.concatenate(v) for v in zip(*(
         edge_basis(lam, e.length, x, False)
         for e, (x, _) in zip(g.edges, nodes))))
-    edge = np.repeat(np.arange(len(ids)), weights.size // len(ids))
+    edge = np.repeat(np.arange(len(ids)), [w.size for _, w in nodes])
     samples = c1[:, edge] * f1 + c2[:, edge] * f2
     gram = (samples * weights) @ samples.conj().T
     evals, evecs = np.linalg.eigh(gram)

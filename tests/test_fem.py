@@ -166,8 +166,9 @@ class TestChainTerms:
     @staticmethod
     def assert_same(s, n, h):
         sigma, delta, below, t = former_chain_terms(s, n, h)
-        got = fem._chain_terms(s, n, h)
-        got += (fem._chain_counts(s, n, h, got[2]),)
+        phase = fem._phase(s, n, h)
+        got = fem._chain_terms(phase, n, h)
+        got += (fem._chain_counts(phase, n, got[2]),)
         for a, b in zip(got, (sigma, delta, t, below)):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
@@ -211,6 +212,26 @@ class TestChainTerms:
         for i, g in enumerate(graphs):
             got = oracle_eigenvalues(g, workloads.FEM_COUNT, workloads.FEM_H)
             assert got.tobytes() == want[i].tobytes(), i
+
+    def test_each_count_computes_one_phase(self, monkeypatch):
+        # the chain terms and the chain counts of a count read one phase
+        phase, inertia = fem._phase, fem._inertia
+        phases, per_count = [], []
+
+        def counted(*args):
+            phases.append(args)
+            return phase(*args)
+
+        def count(*args):
+            phases.clear()
+            out = inertia(*args)
+            per_count.append(len(phases))
+            return out
+
+        monkeypatch.setattr(fem, "_phase", counted)
+        monkeypatch.setattr(fem, "_inertia", count)
+        oracle_eigenvalues(make_cycle([0.9, 1.1, 1.0, 1.0]), 8, 1e-3)
+        assert per_count and set(per_count) == {1}
 
     def test_secant_steps_compute_no_counts(self, monkeypatch):
         # the steps read the terms alone; only _inertia counts

@@ -437,6 +437,25 @@ class TestTransplantTrial:
         # the glued trial certifies strict decrease of the ground state
         assert rayleigh_quotient(new_g, trial) < lam1 - 1e-6
 
+    @pytest.mark.parametrize("integral", [form_value, rayleigh_quotient])
+    def test_glued_edge_is_read_on_two_pieces(self, integral):
+        # the seam is the glued edge's one breakpoint, read once by the form
+        # and the norm alike: 2 pieces, 128 nodes, and the two traces
+        g = make_star([1.0, 0.7, 1.3])
+        psi = eigenfunction_at(g, -3.461724246805116)[0]
+        new_g, trial = build_transplant_trial(g, psi, "e2", "e3", 0.2)
+        sizes = []
+        for kind, fns in (("value", trial.values),
+                          ("derivative", trial.derivatives)):
+            def read(x, _fn=fns["e3"], _kind=kind):
+                sizes.append((_kind, np.size(x)))
+                return _fn(x)
+
+            fns["e3"] = read
+        integral(new_g, trial)
+        assert sizes == [("value", 2 + 2 * QUAD_ORDER),
+                         ("derivative", 2 * QUAD_ORDER)]
+
     def test_rejects_wrong_direction(self):
         g = make_star([1.0, 0.7, 1.3])
         psi = eigenfunction_at(g, -3.461724246805116)[0]

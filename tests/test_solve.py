@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 
 from qgraph.coupling import assemble_blocks
 import qgraph.kernels as kernels_mod
+import qgraph.quadform as quadform_mod
 import qgraph.secular as secular_mod
 import qgraph.solve as solve_mod
 from qgraph.errors import NotAnEigenvalue, WindowTooCoarse
@@ -1857,6 +1858,45 @@ class TestEigenfunctions:
         assert len(funcs) == 3
         for f in funcs:
             assert residual(fig8, f) < 1e-6
+
+    @pytest.mark.parametrize("g, lam, mult", [
+        (make_figure8(0.5, 0.5), 16 * PI2, 3),
+        (make_cycle([1.0]), 4 * PI2, 2),
+        (make_cycle([0.4, 0.6, 0.5, 0.5]), 4 * PI2, 2),
+    ], ids=["figure8-triple", "cycle-double", "cycle4-double"])
+    def test_multiple_eigenspace_is_orthonormal(self, g, lam, mult):
+        # the Gram matrix by quadform's own nodes, which the Rayleigh
+        # quotient reads too
+        funcs = eigenfunction_at(g, lam)
+        assert len(funcs) == mult
+        gram = np.zeros((mult, mult), dtype=complex)
+        for e, (x, w) in zip(g.edges, quadform_mod._edge_nodes(g, *funcs)):
+            v = np.array([f.value(e.id, x) for f in funcs])
+            gram += (v * w) @ v.conj().T
+        assert np.abs(gram - np.eye(mult)).max() <= 1e-12
+
+    @pytest.mark.parametrize("g, lam", [
+        (make_star([1.0, 0.7, 1.3]), -3.461724246805116),
+        (make_figure8(0.5, 0.5), 16 * PI2),
+        (make_cycle([0.4, 0.6, 0.5, 0.5]), 4 * PI2),
+    ], ids=["star3", "figure8-triple", "cycle4-double"])
+    def test_one_quadrature_per_edge(self, g, lam, monkeypatch):
+        # the Gram matrix and each Rayleigh quotient build every edge's
+        # nodes once
+        quadrature = quadform_mod.edge_quadrature
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return quadrature(*args)
+
+        monkeypatch.setattr(quadform_mod, "edge_quadrature", counted)
+        funcs = eigenfunction_at(g, lam)
+        assert len(calls) == g.num_edges
+        for f in funcs:
+            calls.clear()
+            rayleigh_quotient(g, f)
+            assert len(calls) == g.num_edges
 
     @staticmethod
     def former_eigenfunction_at(g, lam):
