@@ -31,9 +31,12 @@ that pair degenerates only as kappa -> 0, where the entire pair takes over.
 `edge_basis_traces` makes this switch for the matrix stacks, which are
 filled from its tables; it picks each entry of its eight tables in one
 pass, so a row has the same bytes in any batch. `edge_basis` makes the same
-switch inside an edge, with the tables' bytes at both ends: an
-eigenfunction keeps the null vector's coefficients over the pair its matrix
-was laid out in and is evaluated through it, with no change of basis.
+switch point by point, at one lambda on every edge of a graph in one call,
+with the tables' bytes at both ends. So at one lambda the trace tables are
+the end columns of that one basis evaluation: `end_matrix` lays them out
+into the bytes of `build_matrix_grid_numpy`'s matrix, and an eigenfunction
+keeps the null vector's coefficients over the pair its matrix was laid out
+in and is evaluated through it, with no change of basis.
 Matrix rows follow the global endpoint slot order; columns are (2e, 2e+1).
 """
 
@@ -135,42 +138,64 @@ def edge_basis_traces(lam, lengths):
     return out
 
 
-def edge_basis(lam: float, length: float, x, deriv: bool):
-    """The basis pair (f1, f2) of `edge_basis_traces` on one edge at one
-    lambda: its values at the points x in [0, length], or with deriv its
-    derivatives d/dx there.
+def edge_basis(lam: float, lengths, x, deriv: bool):
+    """The basis pair (f1, f2) of `edge_basis_traces` at one lambda, at
+    points x on any edges at once: its values there, or with deriv its
+    derivatives d/dx. `lengths` broadcasts against x, each point's edge
+    length, so one call covers every edge of a graph, ragged or not.
 
-    The pair is the tables' pair: the decaying one where lambda < 0 and
-    kappa * length >= 1, the entire one elsewhere. At x = 0 and x = length
-    it gives the bytes of the tables, up to the sign of the end derivative,
-    which the tables hold inward (-d/dx)."""
+    The pair is the tables' pair, picked point by point: the decaying one
+    where lambda < 0 and kappa * length >= 1, the entire one elsewhere. At
+    x = 0 and x = length it gives the bytes of the tables, up to the sign
+    of the end derivative, which the tables hold inward (-d/dx)."""
     x = np.asarray(x, dtype=float)
     k = math.sqrt(abs(lam))
-    if lam < 0.0 and k * length >= 1.0:
-        start, end = np.exp(-k * x), np.exp(-k * (length - x))
-        return (-k * start, k * end) if deriv else (start, end)
     if lam == 0.0:
         one = np.ones_like(x)
         return (np.zeros_like(x), one) if deriv else (one, x)
     kx = k * x
-    if lam < 0.0:
-        sn, cs = np.sinh(kx), np.cosh(kx)
-        return (k * sn, cs) if deriv else (cs, sn / k)
-    sn, cs = np.sin(kx), np.cos(kx)
-    return (-(k * sn), cs) if deriv else (cs, sn / k)
+    if lam > 0.0:
+        sn, cs = np.sin(kx), np.cos(kx)
+        return (-(k * sn), cs) if deriv else (cs, sn / k)
+    # cosh/sinh on the entire pair's points (fed 0 on the decaying pair's,
+    # where they could overflow)
+    lengths = np.asarray(lengths, dtype=float)
+    decay = k * lengths >= 1.0
+    hyp = np.where(decay, 0.0, kx)
+    sn, cs = np.sinh(hyp), np.cosh(hyp)
+    start, end = np.exp(-k * x), np.exp(-k * (lengths - x))
+    if deriv:
+        return np.where(decay, -k * start, k * sn), np.where(decay, k * end, cs)
+    return np.where(decay, start, cs), np.where(decay, end, sn / k)
+
+
+def lay_out(tabs, plan):
+    """Stack of secular matrices, shape (n, 2E, 2E), laid out by the graph's
+    plan from `prepare_structure` from trace tables stacked (n, 8, E), the
+    eight tables of `edge_basis_traces`, and flattened to (n, 8 E)."""
+    targets, weights, lengths = plan
+    n, m = tabs.shape[0], 2 * lengths.size
+    buf = np.zeros((n, 2 * m * m))
+    buf[:, targets] = tabs @ weights + 0.0
+    return buf.view(np.complex128).reshape(n, m, m)
+
+
+def end_matrix(values, derivs, plan):
+    """The secular matrix at one lambda, laid out by the graph's plan from
+    the values (f1, f2) and the derivatives (d1, d2) of `edge_basis` at
+    every edge's ends, each a (2, E) array of (x = 0, x = length) rows: the
+    bytes of that lambda's matrix in `build_matrix_grid_numpy`."""
+    tabs = np.array((*values, *derivs))
+    tabs[2:, 1] = -tabs[2:, 1]  # the tables hold the end derivative inward
+    return lay_out(tabs.swapaxes(0, 1).reshape(1, -1), plan)[0]
 
 
 def build_matrix_grid_numpy(lams, plan):
     """Stack of secular matrices, shape (len(lams), 2E, 2E), laid out by the
-    graph's plan from `prepare_structure` from the (8, n, E) tables of
-    `edge_basis_traces`."""
-    targets, weights, lengths = plan
+    graph's plan from the tables of `edge_basis_traces`."""
     lams = np.asarray(lams, dtype=float).reshape(-1)
-    n, m = lams.size, 2 * lengths.size
-    tabs = edge_basis_traces(lams, lengths).swapaxes(0, 1).reshape(n, 4 * m)
-    buf = np.zeros((n, 2 * m * m))
-    buf[:, targets] = tabs @ weights + 0.0
-    return buf.view(np.complex128).reshape(n, m, m)
+    tabs = edge_basis_traces(lams, plan[2]).swapaxes(0, 1)
+    return lay_out(tabs.reshape(lams.size, 8 * plan[2].size), plan)
 
 
 def edge_builder(plan):

@@ -16,18 +16,26 @@ slots: `form_domain_basis` is their null space and `check_domain` tests
 traces against them.
 
 The module evaluates trials and builds none. A trial is any object with
-the `value` and `derivative` methods and the `breakpoints` mapping of
-`TrialFunction`; `solve.Eigenfunction` is one. Its one integration code is
-`_edge_nodes`, each edge's nodes split at the trials' breakpoints, and
-`_sample`, a trial's traces and norm from one call per edge: the traces,
-the form, the norm and the Rayleigh quotient read both, and the Gram matrix
-of `solve.eigenfunction_at` reads the nodes.
+the `value`, `derivative` and `on_edges` methods and the `breakpoints`
+mapping of `TrialFunction`; `solve.Eigenfunction` is one. Its one
+integration code is `_edge_nodes`, the graph's quadrature split at the
+trials' breakpoints and cached per graph, with every edge's points in one
+array, and `_sample`, a trial's traces and norm from one `on_edges` call
+for the values on all edges at once: the traces, the form, the norm and the
+Rayleigh quotient read both, and `solve.eigenfunction_at` reads the same
+points for its secular matrix and its Gram matrix. A TrialFunction reads
+its own callables edge by edge, an Eigenfunction every edge in one
+`kernels.edge_basis` call. Each edge's integral is its own pairwise sum,
+and the edges' sums are added in edge order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +51,9 @@ def _leggauss():
     return np.polynomial.legendre.leggauss(QUAD_ORDER)
 
 
-@lru_cache(maxsize=256)
-def edge_quadrature(length: float, breaks: tuple = ()):
+def edge_quadrature(length: float, breaks=()):
     """Gauss-Legendre nodes/weights on [0, length], QUAD_ORDER per piece,
-    split at breakpoints; read-only, as one call serves every trial and
-    lambda on the edge."""
+    split at breakpoints."""
     base_x, base_w = _leggauss()
     cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < length) + [float(length)]
     xs, ws = [], []
@@ -55,32 +61,93 @@ def edge_quadrature(length: float, breaks: tuple = ()):
         half = (b - a) / 2.0
         xs.append((base_x + 1.0) * half + a)
         ws.append(base_w * half)
-    x, w = np.concatenate(xs), np.concatenate(ws)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return np.concatenate(xs), np.concatenate(ws)
 
 
-def _edge_nodes(g: MetricGraph, *trials):
-    """Each edge's nodes and weights (`edge_quadrature`), in the graph's edge
-    order, split at the set union of the trials' breakpoints on it, so a
-    breakpoint the trials share cuts once."""
-    return [edge_quadrature(e.length, tuple(set().union(
-                *(f.breakpoints.get(e.id, ()) for f in trials))))
+class EdgePoints(NamedTuple):
+    """Points on every edge of a graph in one read-only array, edge after
+    edge in the graph's edge order, where a trial's `on_edges` reads it."""
+
+    x: np.ndarray
+    length: np.ndarray  # each point's edge length
+    edge: np.ndarray  # each point's edge index
+    parts: tuple  # (edge id, its points: a view of x), edge by edge
+
+
+class _Nodes(NamedTuple):
+    """A graph's quadrature: a trial's values are read at `points`,
+    [0, length, nodes...] on each edge, and its derivatives at `nodes`."""
+
+    points: EdgePoints
+    nodes: EdgePoints
+    inner: np.ndarray  # the nodes' places among the points
+    ends: np.ndarray  # (2, E): each edge's 0 and length among the points
+    traces: np.ndarray  # the place among the points of each global slot
+    weights: np.ndarray  # the nodes' weights
+    rows: int | None  # the node count of every edge, None where they differ
+    splits: np.ndarray  # where one edge's nodes end and the next edge's begin
+
+
+def _edge_points(g: MetricGraph, x, sizes) -> EdgePoints:
+    """EdgePoints of the points x, the first sizes[0] on the graph's first
+    edge, the next sizes[1] on its second, and so on."""
+    bounds = [0, *accumulate(sizes)]
+    edge = np.repeat(np.arange(len(sizes)), sizes)
+    length = np.array([e.length for e in g.edges])[edge]
+    for a in (x, edge, length):
+        a.flags.writeable = False
+    return EdgePoints(x, length, edge, tuple(
+        (e.id, x[a:b]) for e, a, b in zip(g.edges, bounds, bounds[1:])))
+
+
+@lru_cache(maxsize=64)  # about 5 kB per edge, 1 MB for 64 3-edge graphs
+def _quadrature(g: MetricGraph, breaks: frozenset) -> _Nodes:
+    """Each edge's quadrature (`edge_quadrature`), split at its (edge id,
+    breakpoint) pairs among breaks, laid out edge after edge."""
+    quad = [edge_quadrature(e.length, [b for eid, b in breaks if eid == e.id])
             for e in g.edges]
+    sizes = [w.size for _, w in quad]
+    nodes = _edge_points(g, np.concatenate([x for x, _ in quad]), sizes)
+    points = _edge_points(g, np.concatenate([
+        np.concatenate(([0.0, e.length], x)) for e, (x, _) in zip(g.edges, quad)
+    ]), [n + 2 for n in sizes])
+    first = np.array([0, *accumulate(n + 2 for n in sizes[:-1])])
+    ends = np.stack((first, first + 1))
+    slots = [g.slot_index[(e.id, w)] for w in (START, END) for e in g.edges]
+    # node j of edge e follows the two ends of each of the edges 0..e
+    q = _Nodes(points, nodes, np.arange(nodes.x.size) + 2 * nodes.edge + 2,
+               ends, ends.ravel()[np.argsort(slots)],
+               np.concatenate([w for _, w in quad]),
+               sizes[0] if len(set(sizes)) == 1 else None,
+               np.cumsum(sizes[:-1]))
+    for a in (q.inner, q.ends, q.traces, q.weights, q.splits):
+        a.flags.writeable = False
+    return q
 
 
-def _sample(g: MetricGraph, f, nodes):
+def _edge_nodes(g: MetricGraph, *trials) -> _Nodes:
+    """The graph's quadrature split at the set union of the trials'
+    breakpoints, so a breakpoint the trials share cuts once."""
+    return _quadrature(g, frozenset((eid, b) for f in trials
+                                    for eid, bs in f.breakpoints.items()
+                                    for b in bs))
+
+
+def _edge_total(terms, q: _Nodes, start):
+    """start plus the sum of the terms at the nodes of q, edge by edge:
+    np.sum's pairwise sum over each edge, added in the graph's edge order."""
+    if q.rows:
+        sums = terms.reshape(-1, q.rows).sum(axis=1)
+    else:
+        sums = np.array([t.sum() for t in np.split(terms, q.splits)])
+    return reduce(add, sums.tolist(), start)
+
+
+def _sample(f, q: _Nodes):
     """f's trace vector over the global slots and its squared L2 norm on
-    the nodes of `_edge_nodes`, from one f.value call per edge on
-    [0, length, nodes...]."""
-    traces = np.zeros(2 * g.num_edges, dtype=complex)
-    norm = 0.0
-    for e, (x, w) in zip(g.edges, nodes):
-        v = f.value(e.id, np.concatenate(([0.0, e.length], x)))
-        traces[g.slot_index[(e.id, START)]] = v[0]
-        traces[g.slot_index[(e.id, END)]] = v[1]
-        norm += float(np.sum(w * np.abs(v[2:]) ** 2))
-    return traces, norm
+    the quadrature q of `_edge_nodes`, from f's values at q's points."""
+    v = f.on_edges(q.points, False)
+    return v[q.traces], _edge_total(q.weights * np.abs(v[q.inner]) ** 2, q, 0.0)
 
 
 @dataclass
@@ -101,10 +168,16 @@ class TrialFunction:
     def derivative(self, edge_id: str, x):
         return np.asarray(self.derivatives[edge_id](x), dtype=complex)
 
+    def on_edges(self, points: EdgePoints, deriv: bool):
+        """Values, or with deriv derivatives, at every edge's points, from
+        one call of each edge's callable."""
+        read = self.derivative if deriv else self.value
+        return np.concatenate([read(eid, x) for eid, x in points.parts])
+
 
 def trial_traces(g: MetricGraph, f: TrialFunction) -> np.ndarray:
     """Trace vector over global endpoint slots."""
-    return _sample(g, f, _edge_nodes(g, f))[0]
+    return _sample(f, _edge_nodes(g, f))[0]
 
 
 def check_domain(g: MetricGraph, f: TrialFunction) -> None:
@@ -182,26 +255,24 @@ def form_value(g: MetricGraph, f: TrialFunction, other: TrialFunction = None):
     """
     diag = other is None
     h = f if diag else other
-    nodes = _edge_nodes(g, f, h)
+    q = _edge_nodes(g, f, h)
     # on the diagonal each derivative and the trace vector are read once
-    ftr = _sample(g, f, nodes)[0]
-    htr = ftr if diag else _sample(g, h, nodes)[0]
+    ftr = _sample(f, q)[0]
+    htr = ftr if diag else _sample(h, q)[0]
     _check_traces(g, ftr)
     if not diag:
         _check_traces(g, htr)
-    return _form(g, f, h, nodes, ftr, htr, diag)
+    return _form(g, f, h, q, ftr, htr, diag)
 
 
-def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, nodes, ftr,
-          htr, diag: bool):
-    """`form_value` from the nodes of `_edge_nodes` and the trace vectors,
-    checked: the edge integrals of f' conj(h'), plus conj(htr) H ftr. On
-    the diagonal, h is f, and the value is real."""
-    total = 0.0 + 0.0j
-    for e, (x, w) in zip(g.edges, nodes):
-        df = f.derivative(e.id, x)
-        dh = df if diag else h.derivative(e.id, x)
-        total += np.sum(w * df * np.conj(dh))
+def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, q: _Nodes,
+          ftr, htr, diag: bool):
+    """`form_value` from the quadrature q of `_edge_nodes` and the trace
+    vectors, checked: the edge integrals of f' conj(h'), plus
+    conj(htr) H ftr. On the diagonal, h is f, and the value is real."""
+    df = f.on_edges(q.nodes, True)
+    dh = df if diag else h.on_edges(q.nodes, True)
+    total = _edge_total(q.weights * df * np.conj(dh), q, 0.0 + 0.0j)
     total += np.conj(htr) @ vertex_form_matrix(g) @ ftr
     if diag:
         if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
@@ -211,16 +282,16 @@ def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, nodes, ftr,
 
 
 def trial_norm_sq(g: MetricGraph, f: TrialFunction) -> float:
-    return _sample(g, f, _edge_nodes(g, f))[1]
+    return _sample(f, _edge_nodes(g, f))[1]
 
 
 def rayleigh_quotient(g: MetricGraph, f: TrialFunction) -> float:
     """form_value(g, f) / trial_norm_sq(g, f), raising their errors in
     their order: a zero norm, a trace off the form domain, an imaginary
     residual. The form reads the traces and the nodes the norm read."""
-    nodes = _edge_nodes(g, f)
-    traces, norm = _sample(g, f, nodes)
+    q = _edge_nodes(g, f)
+    traces, norm = _sample(f, q)
     if norm < 1e-30:
         raise QGraphError("trial function has (numerically) zero norm")
     _check_traces(g, traces)
-    return _form(g, f, f, nodes, traces, traces, True) / norm
+    return _form(g, f, f, q, traces, traces, True) / norm

@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import MetricGraph
-from .kernels import (branch_svdvals, edge_basis, edge_builder,
+from .kernels import (branch_svdvals, edge_basis, edge_builder, end_matrix,
                       equilibrate_columns, prepare_structure, scan_sigma)
 from .quadform import _edge_nodes
 from .secular import build_dtn_grid, build_secular_matrix, count_below
@@ -646,9 +646,10 @@ def first_eigenvalues(g: MetricGraph, k: int):
 
 @dataclass
 class Eigenfunction:
-    """One eigenfunction as per-edge coefficients (c1, c2) over the edge
-    basis pair its secular matrix was laid out in (`kernels.edge_basis`):
-    c1 f1(x) + c2 f2(x) on each edge.
+    """One eigenfunction as coefficients (c1, c2) over the edge basis pair
+    its secular matrix was laid out in (`kernels.edge_basis`): c1 f1(x) +
+    c2 f2(x) on each edge, row e of the (E, 2) array `coeffs` on the
+    graph's e-th edge.
 
     It is a `quadform` trial itself: `breakpoints`, empty on every edge, is
     where the quadrature of its norm, form and Rayleigh quotient splits an
@@ -656,13 +657,13 @@ class Eigenfunction:
 
     graph: MetricGraph
     lam: float
-    coeffs: dict  # edge_id -> (c1, c2)
+    coeffs: np.ndarray  # (E, 2): (c1, c2) on each edge, in edge order
     breakpoints = MappingProxyType({})  # a class attribute, not a field
 
     def _combine(self, edge_id: str, x, deriv: bool):
-        c1, c2 = self.coeffs[edge_id]
-        f1, f2 = edge_basis(self.lam, self.graph.edge_map[edge_id].length, x,
-                            deriv)
+        e = self.graph.edge_index[edge_id]
+        c1, c2 = self.coeffs[e]
+        f1, f2 = edge_basis(self.lam, self.graph.edges[e].length, x, deriv)
         return c1 * f1 + c2 * f2
 
     def value(self, edge_id: str, x):
@@ -670,6 +671,13 @@ class Eigenfunction:
 
     def derivative(self, edge_id: str, x):
         return self._combine(edge_id, x, True)
+
+    def on_edges(self, points, deriv: bool):
+        """Values, or with deriv derivatives, at every edge's points
+        (`quadform.EdgePoints`), from one `edge_basis` call."""
+        f1, f2 = edge_basis(self.lam, points.length, points.x, deriv)
+        c1, c2 = self.coeffs.T
+        return c1[points.edge] * f1 + c2[points.edge] * f2
 
     def as_trial(self):
         """The function as a `quadform` trial: itself."""
@@ -679,13 +687,22 @@ class Eigenfunction:
 def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     """L2-orthonormal basis of the eigenspace at lam.
 
-    Extraction always goes through the edge-ansatz matrix of
-    `build_secular_matrix` (its nullspace IS the coefficient vector; the DtN
-    nullspace only carries traces), and each function keeps its null
-    vector's coefficients in the basis that matrix was laid out in. Raises
-    NotAnEigenvalue when the matrix has full rank there.
+    Extraction always goes through the edge-ansatz matrix (its nullspace IS
+    the coefficient vector; the DtN nullspace only carries traces), and
+    each function keeps its null vector's coefficients in the basis that
+    matrix was laid out in. One `edge_basis` call gives the pair's values
+    at every edge's ends and at the nodes `quadform` integrates an
+    Eigenfunction on, and one more its derivatives at the ends: the matrix
+    is laid out from the ends, with the bytes of `build_secular_matrix`,
+    and the Gram matrix is read off the nodes. Raises NotAnEigenvalue when
+    the matrix has full rank there.
     """
-    s_mat = build_secular_matrix(g, lam, "edge")
+    q = _edge_nodes(g, Eigenfunction)
+    f1, f2 = edge_basis(lam, q.points.length, q.points.x, False)
+    ends = q.points.x[q.ends]
+    s_mat = end_matrix((f1[q.ends], f2[q.ends]),
+                       edge_basis(lam, ends[1], ends, True),
+                       prepare_structure(g))
     scales = np.ones(s_mat.shape[1])
     if lam < 0.0:
         s_mat, scales = equilibrate_columns(s_mat)
@@ -699,19 +716,12 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
 
     # orthonormalize in L2 via the quadrature Gram matrix, whose samples
-    # are each function's values at every edge's nodes: those quadform
-    # integrates an Eigenfunction on, split at its class's breakpoints
-    ids = [e.id for e in g.edges]
-    nodes = _edge_nodes(g, Eigenfunction)
-    weights = np.concatenate([w for _, w in nodes])
-    f1, f2 = (np.concatenate(v) for v in zip(*(
-        edge_basis(lam, e.length, x, False)
-        for e, (x, _) in zip(g.edges, nodes))))
-    edge = np.repeat(np.arange(len(ids)), [w.size for _, w in nodes])
-    samples = c1[:, edge] * f1 + c2[:, edge] * f2
-    gram = (samples * weights) @ samples.conj().T
+    # are each function's values at every edge's nodes
+    edge = q.nodes.edge
+    samples = c1[:, edge] * f1[q.inner] + c2[:, edge] * f2[q.inner]
+    gram = (samples * q.weights) @ samples.conj().T
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > 1e-12 * evals[-1]
     trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
-    return [Eigenfunction(g, float(lam), dict(zip(ids, zip(*c))))
-            for c in zip(trans.T @ c1, trans.T @ c2)]
+    return [Eigenfunction(g, float(lam), c)
+            for c in np.stack((trans.T @ c1, trans.T @ c2), axis=-1)]

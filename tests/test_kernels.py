@@ -25,7 +25,9 @@ from qgraph.kernels import (
     prepare_structure,
     scan_sigma,
 )
+from qgraph.quadform import TrialFunction, _edge_nodes
 from qgraph.secular import build_secular_matrix
+from qgraph.surgery import Transplant, apply_surgery
 
 
 class TestPrepareStructure:
@@ -87,6 +89,31 @@ class TestBasisTraces:
         s_eq = np.linalg.svd(mat / colmax, compute_uv=False)
         assert s_eq[-1] < 1e-8 * s_eq[0]
 
+    @pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 2.0, math.pi ** 2])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["star", "glued"])
+    def test_whole_graph_basis_is_the_per_edge_basis(self, lam, ragged):
+        # one call over every edge's points gives each edge the bytes of the
+        # former per-edge call: at -1 the edges shorter than 1 keep the
+        # entire pair and the others (kappa l = 1 on the unit edge) take the
+        # decaying one; -4 decays on all, -0.25 on none. The transplant
+        # trial's glued edge, split at its seam, has twice the nodes of the
+        # others
+        g = make_star([1.0, 0.7, 1.3])
+        trials = ()
+        if ragged:
+            g = apply_surgery(g, Transplant("e2", "e3", 0.2))
+            trials = (TrialFunction({}, {}, {"e3": (1.3,)}),)
+        q = _edge_nodes(g, *trials)
+        assert (q.rows is None) == ragged
+        for points in (q.points, q.nodes):
+            for deriv in (False, True):
+                got = edge_basis(lam, points.length, points.x, deriv)
+                for e, (_, x) in zip(g.edges, points.parts):
+                    part = points.edge == g.edge_index[e.id]
+                    want = former_edge_basis(lam, e.length, x, deriv)
+                    for u, v in zip(got, want):
+                        assert u[part].tobytes() == v.tobytes()
+
     @pytest.mark.parametrize("lam", [
         -100.0, -4.0, -0.25, -1e-12, 0.0, -0.0, 2.0, math.pi ** 2, 1e4])
     def test_edge_basis_ends_are_the_tables(self, lam):
@@ -101,6 +128,24 @@ class TestBasisTraces:
             d1, d2 = edge_basis(lam, length, ends, True)
             want = [f1[0], f2[0], d1[0], d2[0], f1[1], f2[1], -d1[1], -d2[1]]
             assert tables[:, j].tolist() == want
+
+
+def former_edge_basis(lam, length, x, deriv):
+    """Reference: edge_basis as it was, on one edge at a time."""
+    x = np.asarray(x, dtype=float)
+    k = math.sqrt(abs(lam))
+    if lam < 0.0 and k * length >= 1.0:
+        start, end = np.exp(-k * x), np.exp(-k * (length - x))
+        return (-k * start, k * end) if deriv else (start, end)
+    if lam == 0.0:
+        one = np.ones_like(x)
+        return (np.zeros_like(x), one) if deriv else (one, x)
+    kx = k * x
+    if lam < 0.0:
+        sn, cs = np.sinh(kx), np.cosh(kx)
+        return (k * sn, cs) if deriv else (cs, sn / k)
+    sn, cs = np.sin(kx), np.cos(kx)
+    return (-(k * sn), cs) if deriv else (cs, sn / k)
 
 
 def reference_matrix_grid(g, lams):

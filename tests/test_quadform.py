@@ -5,8 +5,8 @@ import pytest
 
 from qgraph.errors import NotInDomain, QGraphError
 from qgraph.experiments import sample_graph
-from qgraph.graph import (BoundaryType, make_cycle, make_figure8, make_path,
-                          make_star)
+from qgraph.graph import (END, START, BoundaryType, make_cycle, make_figure8,
+                          make_path, make_star)
 from qgraph.quadform import (
     QUAD_ORDER,
     TrialFunction,
@@ -85,10 +85,29 @@ def former_rayleigh_quotient(g, f):
     return form_value(g, f) / norm
 
 
+def edge_loop_rayleigh_quotient(g, f):
+    """Reference: the Rayleigh quotient by the former loop over edges, on
+    each edge's own nodes: one f.value call on [0, length, nodes...] and one
+    f.derivative call on the nodes, each edge's integral by np.sum, added
+    in edge order."""
+    traces = np.zeros(2 * g.num_edges, dtype=complex)
+    norm, total = 0.0, 0.0 + 0.0j
+    for e in g.edges:
+        x, w = edge_quadrature(e.length, tuple(set(f.breakpoints.get(e.id, ()))))
+        v = f.value(e.id, np.concatenate(([0.0, e.length], x)))
+        traces[g.slot_index[(e.id, START)]] = v[0]
+        traces[g.slot_index[(e.id, END)]] = v[1]
+        norm += float(np.sum(w * np.abs(v[2:]) ** 2))
+        df = f.derivative(e.id, x)
+        total += np.sum(w * df * np.conj(df))
+    total += np.conj(traces) @ vertex_form_matrix(g) @ traces
+    return float(total.real) / norm
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("length, breaks", [
         (1.0, ()), (0.7, ()), (1e-7, ()), (3, ()), (2.0, (2.5, -0.1)),
-        (1.3, (0.4,)), (1.3, (0.4, 0.4))])
+        (1.3, (0.4,)), (1.3, (0.4, 0.4)), (1.3, [0.4, 0.4])])
     def test_matches_the_piece_loop(self, length, breaks):
         got = edge_quadrature(length, breaks)
         want = former_edge_quadrature(length, breaks)
@@ -242,13 +261,20 @@ class TestRayleigh:
         (make_figure8(0.5, 0.5), [-1.0, 16.0 * np.pi ** 2]),
         (make_cycle([1.0]), [4.0 * np.pi ** 2]),
         (make_star([1.0, 1.0, 1.0], tip_bc="dirichlet"), [9.0 * np.pi ** 2 / 4.0]),
-    ], ids=["star3", "star3-equilateral", "figure8", "cycle", "dstar3"])
+        # the shapes of the benchmark's crosscheck workload, at roots its
+        # DtN route certifies
+        (make_star([1.0, 0.8, 1.25]), [-3.377172782409636, 0.0, 5.401443856991723]),
+        (make_cycle([0.96, 1.24, 0.64, 1.16]), [0.0, 2.467401100272335]),
+        (make_figure8(1.2, 1.8), [-1.0, 0.0, 4.386490844928604]),
+    ], ids=["star3", "star3-equilateral", "figure8", "cycle", "dstar3",
+            "star-unit", "cycle4-near-double", "figure8-crosscheck"])
     def test_eigenfunctions_match_the_former_composition(self, g, lams):
         for lam in lams:
             for psi in eigenfunction_at(g, lam):
                 trial = psi.as_trial()
-                got = rayleigh_quotient(g, trial)
-                assert got.hex() == former_rayleigh_quotient(g, trial).hex()
+                got = rayleigh_quotient(g, trial).hex()
+                assert got == former_rayleigh_quotient(g, trial).hex()
+                assert got == edge_loop_rayleigh_quotient(g, trial).hex()
 
     def test_trials_match_the_former_composition(self, star3, rng):
         trials = [(star3, poly_trial(star3, rng)) for _ in range(5)]
@@ -257,8 +283,9 @@ class TestRayleigh:
         # breakpoints on the glued edge
         trials.append(build_transplant_trial(g, psi, "e2", "e3", 0.2))
         for g, trial in trials:
-            got = rayleigh_quotient(g, trial)
-            assert got.hex() == former_rayleigh_quotient(g, trial).hex()
+            got = rayleigh_quotient(g, trial).hex()
+            assert got == former_rayleigh_quotient(g, trial).hex()
+            assert got == edge_loop_rayleigh_quotient(g, trial).hex()
 
     def test_errors_come_in_the_former_order(self, fig8):
         # a zero norm is named before the domain: a trial that is 1 at the

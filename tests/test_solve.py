@@ -1869,34 +1869,80 @@ class TestEigenfunctions:
         # quotient reads too
         funcs = eigenfunction_at(g, lam)
         assert len(funcs) == mult
+        q = quadform_mod._edge_nodes(g, *funcs)
         gram = np.zeros((mult, mult), dtype=complex)
-        for e, (x, w) in zip(g.edges, quadform_mod._edge_nodes(g, *funcs)):
-            v = np.array([f.value(e.id, x) for f in funcs])
+        for (eid, x), w in zip(q.nodes.parts, np.split(q.weights, q.splits)):
+            v = np.array([f.value(eid, x) for f in funcs])
             gram += (v * w) @ v.conj().T
         assert np.abs(gram - np.eye(mult)).max() <= 1e-12
 
     @pytest.mark.parametrize("g, lam", [
         (make_star([1.0, 0.7, 1.3]), -3.461724246805116),
+        (make_star(DEEP_STAR_LENGTHS), DEEP_STAR_LAM1),
+        (make_star([1.0] * 3), 0.0),
         (make_figure8(0.5, 0.5), 16 * PI2),
         (make_cycle([0.4, 0.6, 0.5, 0.5]), 4 * PI2),
-    ], ids=["star3", "figure8-triple", "cycle4-double"])
-    def test_one_quadrature_per_edge(self, g, lam, monkeypatch):
-        # the Gram matrix and each Rayleigh quotient build every edge's
-        # nodes once
+    ], ids=["star3", "deep", "zero", "figure8-triple", "cycle4-double"])
+    def test_whole_graph_basis_calls(self, g, lam, monkeypatch):
+        # eigenfunction_at evaluates the basis on every edge at once, once
+        # for the values at the ends and nodes and once for the derivatives
+        # at the ends, and builds no trace table; a Rayleigh quotient reads
+        # an Eigenfunction in two whole-graph calls (values, derivatives),
+        # and all of them build every edge's nodes once
+        basis = solve_mod.edge_basis
+        traces = kernels_mod.edge_basis_traces
         quadrature = quadform_mod.edge_quadrature
-        calls = []
+        calls, tables, quads = [], [], []
 
-        def counted(*args):
-            calls.append(args)
+        def counted(lam, lengths, x, deriv):
+            calls.append((np.shape(x), deriv))
+            return basis(lam, lengths, x, deriv)
+
+        def table(*args):
+            tables.append(args)
+            return traces(*args)
+
+        def quad(*args):
+            quads.append(args)
             return quadrature(*args)
 
-        monkeypatch.setattr(quadform_mod, "edge_quadrature", counted)
+        monkeypatch.setattr(solve_mod, "edge_basis", counted)
+        monkeypatch.setattr(kernels_mod, "edge_basis_traces", table)
+        monkeypatch.setattr(quadform_mod, "edge_quadrature", quad)
+        quadform_mod._quadrature.cache_clear()
         funcs = eigenfunction_at(g, lam)
-        assert len(calls) == g.num_edges
+        points = (2 + quadform_mod.QUAD_ORDER) * g.num_edges
+        assert calls == [((points,), False), ((2, g.num_edges), True)]
+        assert tables == []
         for f in funcs:
             calls.clear()
             rayleigh_quotient(g, f)
-            assert len(calls) == g.num_edges
+            assert [deriv for _, deriv in calls] == [False, True]
+        assert len(quads) == g.num_edges
+
+    @pytest.mark.parametrize("g, lams", [
+        (make_star([1.0, 0.8, 1.25]), [-3.377172782409636, 0.0, 5.401443856991723]),
+        (make_star(DEEP_STAR_LENGTHS), [DEEP_STAR_LAM1]),
+        (make_cycle([0.96, 1.24, 0.64, 1.16]), [0.0, 2.467401100272335]),
+        (make_figure8(1.2, 1.8), [-1.0, 0.0, 4.386490844928604]),
+        (make_figure8(0.5, 0.5), [16 * PI2]),
+    ], ids=["star-unit", "deep", "cycle4-near-double", "figure8",
+            "figure8-triple"])
+    def test_laid_out_matrix_is_the_secular_matrix(self, g, lams, monkeypatch):
+        # the matrix laid out from the basis at the edge ends has the bytes
+        # of the edge route's one-lambda matrix
+        end_matrix, built = solve_mod.end_matrix, []
+
+        def kept(*args):
+            built.append(end_matrix(*args))
+            return built[-1]
+
+        monkeypatch.setattr(solve_mod, "end_matrix", kept)
+        for lam in lams:
+            built.clear()
+            assert eigenfunction_at(g, lam)
+            (mat,) = built
+            assert mat.tobytes() == build_secular_matrix(g, lam, "edge").tobytes()
 
     @staticmethod
     def former_eigenfunction_at(g, lam):
@@ -1989,34 +2035,6 @@ class TestEigenfunctions:
     def test_not_an_eigenvalue(self, star3):
         with pytest.raises(NotAnEigenvalue):
             eigenfunction_at(star3, 2.0)
-
-    @pytest.mark.parametrize("g, lam", [
-        (make_star(DEEP_STAR_LENGTHS), DEEP_STAR_LAM1),
-        (make_star([1.0] * 3), 0.0),
-        (make_figure8(0.5, 0.5), 16 * PI2),
-    ], ids=["deep", "zero", "figure8-triple"])
-    def test_one_trace_table_per_eigenfunction(self, g, lam, monkeypatch):
-        # the one table is built inside build_secular_matrix, where the
-        # benchmark's spans see it
-        traces = kernels_mod.edge_basis_traces
-        build = solve_mod.build_secular_matrix
-        calls, building = [], []
-
-        def counted(lams, lengths):
-            calls.append((np.asarray(lams).tolist(), bool(building)))
-            return traces(lams, lengths)
-
-        def built(*args):
-            building.append(args)
-            try:
-                return build(*args)
-            finally:
-                building.pop()
-
-        monkeypatch.setattr(kernels_mod, "edge_basis_traces", counted)
-        monkeypatch.setattr(solve_mod, "build_secular_matrix", built)
-        funcs = eigenfunction_at(g, lam)
-        assert funcs and calls == [([lam], True)]
 
     @pytest.mark.parametrize("lengths, tol", [
         ([3.0, 2.0, 1e-3], 1e-12),
