@@ -1878,6 +1878,29 @@ class TestEigenfunctions:
 
     @pytest.mark.parametrize("g, lam", [
         (make_star([1.0, 0.7, 1.3]), -3.461724246805116),
+        (make_figure8(0.5, 0.5), 16 * PI2),
+        (make_cycle([0.4, 0.6, 0.5, 0.5]), 4 * PI2),
+    ], ids=["star3", "figure8-triple", "cycle4-double"])
+    def test_one_quadrature_per_edge(self, g, lam, monkeypatch):
+        # the Gram matrix and every Rayleigh quotient share one build of
+        # every edge's nodes
+        quadrature = quadform_mod.edge_quadrature
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return quadrature(*args)
+
+        monkeypatch.setattr(quadform_mod, "edge_quadrature", counted)
+        quadform_mod._quadrature.cache_clear()
+        funcs = eigenfunction_at(g, lam)
+        assert len(calls) == g.num_edges
+        for f in funcs:
+            rayleigh_quotient(g, f)
+            assert len(calls) == g.num_edges
+
+    @pytest.mark.parametrize("g, lam", [
+        (make_star([1.0, 0.7, 1.3]), -3.461724246805116),
         (make_star(DEEP_STAR_LENGTHS), DEEP_STAR_LAM1),
         (make_star([1.0] * 3), 0.0),
         (make_figure8(0.5, 0.5), 16 * PI2),
@@ -1887,12 +1910,10 @@ class TestEigenfunctions:
         # eigenfunction_at evaluates the basis on every edge at once, once
         # for the values at the ends and nodes and once for the derivatives
         # at the ends, and builds no trace table; a Rayleigh quotient reads
-        # an Eigenfunction in two whole-graph calls (values, derivatives),
-        # and all of them build every edge's nodes once
+        # an Eigenfunction in two whole-graph calls (values, derivatives)
         basis = solve_mod.edge_basis
         traces = kernels_mod.edge_basis_traces
-        quadrature = quadform_mod.edge_quadrature
-        calls, tables, quads = [], [], []
+        calls, tables = [], []
 
         def counted(lam, lengths, x, deriv):
             calls.append((np.shape(x), deriv))
@@ -1902,13 +1923,8 @@ class TestEigenfunctions:
             tables.append(args)
             return traces(*args)
 
-        def quad(*args):
-            quads.append(args)
-            return quadrature(*args)
-
         monkeypatch.setattr(solve_mod, "edge_basis", counted)
         monkeypatch.setattr(kernels_mod, "edge_basis_traces", table)
-        monkeypatch.setattr(quadform_mod, "edge_quadrature", quad)
         quadform_mod._quadrature.cache_clear()
         funcs = eigenfunction_at(g, lam)
         points = (2 + quadform_mod.QUAD_ORDER) * g.num_edges
@@ -1918,7 +1934,6 @@ class TestEigenfunctions:
             calls.clear()
             rayleigh_quotient(g, f)
             assert [deriv for _, deriv in calls] == [False, True]
-        assert len(quads) == g.num_edges
 
     @pytest.mark.parametrize("g, lams", [
         (make_star([1.0, 0.8, 1.25]), [-3.377172782409636, 0.0, 5.401443856991723]),
