@@ -84,8 +84,7 @@ class _Nodes(NamedTuple):
     ends: np.ndarray  # (2, E): each edge's 0 and length among the points
     traces: np.ndarray  # the place among the points of each global slot
     weights: np.ndarray  # the nodes' weights
-    rows: int | None  # the node count of every edge, None where they differ
-    splits: np.ndarray  # where one edge's nodes end and the next edge's begin
+    pieces: tuple  # each edge's nodes, as a slice of the nodes
 
 
 def _edge_points(g: MetricGraph, x, sizes) -> EdgePoints:
@@ -115,12 +114,12 @@ def _quadrature(g: MetricGraph, breaks: frozenset) -> _Nodes:
     ends = np.stack((first, first + 1))
     slots = [g.slot_index[(e.id, w)] for w in (START, END) for e in g.edges]
     # node j of edge e follows the two ends of each of the edges 0..e
+    bounds = [0, *accumulate(sizes)]
     q = _Nodes(points, nodes, np.arange(nodes.x.size) + 2 * nodes.edge + 2,
                ends, ends.ravel()[np.argsort(slots)],
                np.concatenate([w for _, w in quad]),
-               sizes[0] if len(set(sizes)) == 1 else None,
-               np.cumsum(sizes[:-1]))
-    for a in (q.inner, q.ends, q.traces, q.weights, q.splits):
+               tuple(map(slice, bounds, bounds[1:])))
+    for a in (q.inner, q.ends, q.traces, q.weights):
         a.flags.writeable = False
     return q
 
@@ -136,11 +135,7 @@ def _edge_nodes(g: MetricGraph, *trials) -> _Nodes:
 def _edge_total(terms, q: _Nodes, start):
     """start plus the sum of the terms at the nodes of q, edge by edge:
     np.sum's pairwise sum over each edge, added in the graph's edge order."""
-    if q.rows:
-        sums = terms.reshape(-1, q.rows).sum(axis=1)
-    else:
-        sums = np.array([t.sum() for t in np.split(terms, q.splits)])
-    return reduce(add, sums.tolist(), start)
+    return reduce(add, [terms[s].sum().item() for s in q.pieces], start)
 
 
 def _sample(f, q: _Nodes):
