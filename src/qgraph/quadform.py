@@ -113,8 +113,8 @@ def _quadrature(g: MetricGraph, breaks: frozenset) -> _Nodes:
     first = np.array([0, *accumulate(n + 2 for n in sizes[:-1])])
     ends = np.stack((first, first + 1))
     slots = [g.slot_index[(e.id, w)] for w in (START, END) for e in g.edges]
-    # node j of edge e follows the two ends of each of the edges 0..e
     bounds = [0, *accumulate(sizes)]
+    # node j of edge e follows the two ends of each of the edges 0..e
     q = _Nodes(points, nodes, np.arange(nodes.x.size) + 2 * nodes.edge + 2,
                ends, ends.ravel()[np.argsort(slots)],
                np.concatenate([w for _, w in quad]),
