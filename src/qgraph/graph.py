@@ -180,8 +180,6 @@ class MetricGraph:
             for ref in v.order:
                 claims.setdefault(ref, []).append(v.id)
         for e in self.edges:
-            if e.id not in seen_e:
-                continue
             for which, owner in ((START, e.src), (END, e.dst)):
                 got = claims.pop((e.id, which), [])
                 if len(got) != 1:

@@ -33,10 +33,12 @@ filled from its tables; it picks each entry of its eight tables in one
 pass, so a row has the same bytes in any batch. `edge_basis` makes the same
 switch point by point, at one lambda on every edge of a graph in one call,
 with the tables' bytes at both ends. So at one lambda the trace tables are
-the end columns of that one basis evaluation: `end_matrix` lays them out
-into the bytes of `build_matrix_grid_numpy`'s matrix, and an eigenfunction
-keeps the null vector's coefficients over the pair its matrix was laid out
-in and is evaluated through it, with no change of basis.
+the pair's values and derivatives at every edge's ends: `end_matrix` lays
+them out into the bytes of `build_matrix_grid_numpy`'s matrix, and an
+eigenfunction keeps the null vector's coefficients over the pair its
+matrix was laid out in and is evaluated through it, with no change of
+basis. The matrix reads the pair at the ends only; the Gram matrix that
+orthonormalizes the eigenfunctions reads it apart, at `quadform`'s nodes.
 Matrix rows follow the global endpoint slot order; columns are (2e, 2e+1).
 """
 

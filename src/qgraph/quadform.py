@@ -15,18 +15,21 @@ zero. `_domain_rows` writes these constraints once, as rows over the global
 slots: `form_domain_basis` is their null space and `check_domain` tests
 traces against them.
 
-The module evaluates trials and builds none. A trial is any object with
-the `value`, `derivative` and `on_edges` methods and the `breakpoints`
-mapping of `TrialFunction`; `solve.Eigenfunction` is one. Its one
-integration code is `_edge_nodes`, the graph's quadrature split at the
-trials' breakpoints and cached per graph, with every edge's points in one
-array, and `_sample`, a trial's traces and norm from one `on_edges` call
-for the values on all edges at once: the traces, the form, the norm and the
-Rayleigh quotient read both, and `solve.eigenfunction_at` reads the same
-points for its secular matrix and its Gram matrix. A TrialFunction reads
-its own callables edge by edge, an Eigenfunction every edge in one
-`kernels.edge_basis` call. Each edge's integral is its own pairwise sum,
-and the edges' sums are added in edge order.
+The module evaluates trials and builds none, and it alone knows where a
+trial is sampled. A trial is any object with the `value`, `derivative` and
+`on_edges` methods and the `breakpoints` mapping of `TrialFunction`;
+`solve.Eigenfunction` is one. Its one integration code is `_edge_nodes`,
+the graph's quadrature split at the trials' breakpoints and cached per
+graph: a `_Nodes`, [0, length, nodes...] on each edge, every edge's points
+in one array, which `on_edges` reads on all edges at once. `_sample` gives
+a trial's traces and norm from one values call, `_form` reads the
+derivatives at the same points and keeps the nodes', and `_gram` is the
+trials' L2 Gram matrix, which `solve.eigenfunction_at` orthonormalizes
+with: the traces, the form, the norm, the Rayleigh quotient and the Gram
+matrix all read the same nodes. A TrialFunction reads its own callables
+edge by edge, an Eigenfunction every edge in one `kernels.edge_basis`
+call. Each edge's integral is its own pairwise sum, and the edges' sums are
+added in edge order.
 """
 
 from __future__ import annotations
@@ -64,62 +67,43 @@ def edge_quadrature(length: float, breaks=()):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-class EdgePoints(NamedTuple):
-    """Points on every edge of a graph in one read-only array, edge after
-    edge in the graph's edge order, where a trial's `on_edges` reads it."""
+class _Nodes(NamedTuple):
+    """A graph's quadrature, laid out edge after edge in the graph's edge
+    order: each edge's points are [0, length, nodes...], all in one
+    read-only array, where a trial's `on_edges` reads its values and its
+    derivatives."""
 
     x: np.ndarray
     length: np.ndarray  # each point's edge length
     edge: np.ndarray  # each point's edge index
     parts: tuple  # (edge id, its points: a view of x), edge by edge
-
-
-class _Nodes(NamedTuple):
-    """A graph's quadrature: a trial's values are read at `points`,
-    [0, length, nodes...] on each edge, and its derivatives at `nodes`."""
-
-    points: EdgePoints
-    nodes: EdgePoints
     inner: np.ndarray  # the nodes' places among the points
-    ends: np.ndarray  # (2, E): each edge's 0 and length among the points
     traces: np.ndarray  # the place among the points of each global slot
     weights: np.ndarray  # the nodes' weights
     pieces: tuple  # each edge's nodes, as a slice of the nodes
 
 
-def _edge_points(g: MetricGraph, x, sizes) -> EdgePoints:
-    """EdgePoints of the points x, the first sizes[0] on the graph's first
-    edge, the next sizes[1] on its second, and so on."""
-    bounds = [0, *accumulate(sizes)]
-    edge = np.repeat(np.arange(len(sizes)), sizes)
-    length = np.array([e.length for e in g.edges])[edge]
-    for a in (x, edge, length):
-        a.flags.writeable = False
-    return EdgePoints(x, length, edge, tuple(
-        (e.id, x[a:b]) for e, a, b in zip(g.edges, bounds, bounds[1:])))
-
-
-@lru_cache(maxsize=64)  # about 5 kB per edge, 1 MB for 64 3-edge graphs
+@lru_cache(maxsize=64)  # about 2.6 kB per edge piece of 64 nodes
 def _quadrature(g: MetricGraph, breaks: frozenset) -> _Nodes:
     """Each edge's quadrature (`edge_quadrature`), split at its (edge id,
     breakpoint) pairs among breaks, laid out edge after edge."""
     quad = [edge_quadrature(e.length, [b for eid, b in breaks if eid == e.id])
             for e in g.edges]
     sizes = [w.size for _, w in quad]
-    nodes = _edge_points(g, np.concatenate([x for x, _ in quad]), sizes)
-    points = _edge_points(g, np.concatenate([
-        np.concatenate(([0.0, e.length], x)) for e, (x, _) in zip(g.edges, quad)
-    ]), [n + 2 for n in sizes])
-    first = np.array([0, *accumulate(n + 2 for n in sizes[:-1])])
-    ends = np.stack((first, first + 1))
+    bounds = [0, *accumulate(n + 2 for n in sizes)]
+    cuts = [0, *accumulate(sizes)]
+    x = np.concatenate([np.concatenate(([0.0, e.length], nodes))
+                        for e, (nodes, _) in zip(g.edges, quad)])
+    edge = np.repeat(np.arange(len(sizes)), np.diff(bounds))
+    ends = np.array(bounds[:-1]) + np.array([[0], [1]])  # (2, E): 0, length
     slots = [g.slot_index[(e.id, w)] for w in (START, END) for e in g.edges]
-    bounds = [0, *accumulate(sizes)]
-    # node j of edge e follows the two ends of each of the edges 0..e
-    q = _Nodes(points, nodes, np.arange(nodes.x.size) + 2 * nodes.edge + 2,
-               ends, ends.ravel()[np.argsort(slots)],
+    q = _Nodes(x, np.array([e.length for e in g.edges])[edge], edge,
+               tuple((e.id, x[a:b]) for e, a, b in zip(g.edges, bounds, bounds[1:])),
+               np.delete(np.arange(x.size), ends.ravel()),
+               ends.ravel()[np.argsort(slots)],
                np.concatenate([w for _, w in quad]),
-               tuple(map(slice, bounds, bounds[1:])))
-    for a in (q.inner, q.ends, q.traces, q.weights):
+               tuple(map(slice, cuts, cuts[1:])))
+    for a in (q.x, q.length, q.edge, q.inner, q.traces, q.weights):
         a.flags.writeable = False
     return q
 
@@ -141,8 +125,16 @@ def _edge_total(terms, q: _Nodes, start):
 def _sample(f, q: _Nodes):
     """f's trace vector over the global slots and its squared L2 norm on
     the quadrature q of `_edge_nodes`, from f's values at q's points."""
-    v = f.on_edges(q.points, False)
+    v = f.on_edges(q, False)
     return v[q.traces], _edge_total(q.weights * np.abs(v[q.inner]) ** 2, q, 0.0)
+
+
+def _gram(g: MetricGraph, trials) -> np.ndarray:
+    """The trials' L2 Gram matrix, (v * w) @ v^H for their values v at the
+    nodes of `_edge_nodes` and the nodes' weights w."""
+    q = _edge_nodes(g, *trials)
+    v = np.array([f.on_edges(q, False)[q.inner] for f in trials])
+    return (v * q.weights) @ v.conj().T
 
 
 @dataclass
@@ -163,7 +155,7 @@ class TrialFunction:
     def derivative(self, edge_id: str, x):
         return np.asarray(self.derivatives[edge_id](x), dtype=complex)
 
-    def on_edges(self, points: EdgePoints, deriv: bool):
+    def on_edges(self, points: _Nodes, deriv: bool):
         """Values, or with deriv derivatives, at every edge's points, from
         one call of each edge's callable."""
         read = self.derivative if deriv else self.value
@@ -265,8 +257,8 @@ def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, q: _Nodes,
     """`form_value` from the quadrature q of `_edge_nodes` and the trace
     vectors, checked: the edge integrals of f' conj(h'), plus
     conj(htr) H ftr. On the diagonal, h is f, and the value is real."""
-    df = f.on_edges(q.nodes, True)
-    dh = df if diag else h.on_edges(q.nodes, True)
+    df = f.on_edges(q, True)[q.inner]
+    dh = df if diag else h.on_edges(q, True)[q.inner]
     total = _edge_total(q.weights * df * np.conj(dh), q, 0.0 + 0.0j)
     total += np.conj(htr) @ vertex_form_matrix(g) @ ftr
     if diag:

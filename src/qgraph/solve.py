@@ -75,7 +75,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -83,7 +82,7 @@ from .errors import NotAnEigenvalue, WindowTooCoarse
 from .graph import MetricGraph
 from .kernels import (branch_svdvals, edge_basis, edge_builder, end_matrix,
                       equilibrate_columns, prepare_structure, scan_sigma)
-from .quadform import _edge_nodes
+from .quadform import _gram
 from .secular import build_dtn_grid, build_secular_matrix, count_below
 
 ZERO_RADIUS = 1e-7
@@ -651,14 +650,14 @@ class Eigenfunction:
     c2 f2(x) on each edge, row e of the (E, 2) array `coeffs` on the
     graph's e-th edge.
 
-    It is a `quadform` trial itself: `breakpoints`, empty on every edge, is
-    where the quadrature of its norm, form and Rayleigh quotient splits an
-    edge, and `eigenfunction_at`'s Gram matrix splits where they do."""
+    It is a `quadform` trial itself: `breakpoints` maps an edge id to the
+    points where the quadrature of its norm, form, Rayleigh quotient and
+    Gram matrix splits that edge; an edge it does not name is one piece."""
 
     graph: MetricGraph
     lam: float
     coeffs: np.ndarray  # (E, 2): (c1, c2) on each edge, in edge order
-    breakpoints = MappingProxyType({})  # a class attribute, not a field
+    breakpoints: dict = field(default_factory=dict)
 
     def _combine(self, edge_id: str, x, deriv: bool):
         e = self.graph.edge_index[edge_id]
@@ -673,8 +672,8 @@ class Eigenfunction:
         return self._combine(edge_id, x, True)
 
     def on_edges(self, points, deriv: bool):
-        """Values, or with deriv derivatives, at every edge's points
-        (`quadform.EdgePoints`), from one `edge_basis` call."""
+        """Values, or with deriv derivatives, at every edge's points (a
+        `quadform._Nodes`), from one `edge_basis` call."""
         f1, f2 = edge_basis(self.lam, points.length, points.x, deriv)
         c1, c2 = self.coeffs.T
         return c1[points.edge] * f1 + c2[points.edge] * f2
@@ -684,25 +683,48 @@ class Eigenfunction:
         return self
 
 
+def _basis_breaks(g: MetricGraph, lam: float) -> dict:
+    """The breakpoints that let each piece's Gauss rule resolve the basis
+    pair of `kernels.edge_basis` at lam, by edge id. Below zero, where
+    kappa l > 8, at 4/kappa * 4^j from both ends while under l/2, so the
+    pieces grow geometrically away from the ends where e^(-kappa x) lives;
+    above zero, where k l > 20, into ceil(k l / 20) equal pieces, about
+    three periods each. Other edges are one piece."""
+    k = math.sqrt(abs(lam))
+    breaks = {}
+    for e in g.edges:
+        kl = k * e.length
+        if lam < 0.0 and kl > 8.0:
+            near, x = [], 4.0 / k
+            while x < e.length / 2.0:
+                near.append(x)
+                x *= 4.0
+            breaks[e.id] = near + [e.length - x for x in near]
+        elif lam > 0.0 and kl > 20.0:
+            n = math.ceil(kl / 20.0)
+            breaks[e.id] = [e.length * j / n for j in range(1, n)]
+    return breaks
+
+
 def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     """L2-orthonormal basis of the eigenspace at lam.
 
     Extraction always goes through the edge-ansatz matrix (its nullspace IS
     the coefficient vector; the DtN nullspace only carries traces), and
     each function keeps its null vector's coefficients in the basis that
-    matrix was laid out in. One `edge_basis` call gives the pair's values
-    at every edge's ends and at the nodes `quadform` integrates an
-    Eigenfunction on, and one more its derivatives at the ends: the matrix
-    is laid out from the ends, with the bytes of `build_secular_matrix`,
-    and the Gram matrix is read off the nodes. Raises NotAnEigenvalue when
-    the matrix has full rank there.
+    matrix was laid out in. Two `edge_basis` calls give the pair's values
+    and derivatives at every edge's ends, which the matrix is laid out from,
+    with the bytes of `build_secular_matrix`. The null vectors, each wrapped
+    in an Eigenfunction with the breakpoints of `_basis_breaks`, are
+    orthonormalized by their Gram matrix (`quadform._gram`), so the Gram
+    matrix, the norm, the form and the Rayleigh quotient of every function
+    returned read the same nodes. Raises NotAnEigenvalue when the matrix has
+    full rank there.
     """
-    q = _edge_nodes(g, Eigenfunction)
-    f1, f2 = edge_basis(lam, q.points.length, q.points.x, False)
-    ends = q.points.x[q.ends]
-    s_mat = end_matrix((f1[q.ends], f2[q.ends]),
-                       edge_basis(lam, ends[1], ends, True),
-                       prepare_structure(g))
+    plan = prepare_structure(g)
+    ends = plan[2] * np.array([[0.0], [1.0]])  # (2, E): each edge's 0, length
+    s_mat = end_matrix(edge_basis(lam, ends[1], ends, False),
+                       edge_basis(lam, ends[1], ends, True), plan)
     scales = np.ones(s_mat.shape[1])
     if lam < 0.0:
         s_mat, scales = equilibrate_columns(s_mat)
@@ -714,14 +736,11 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     vecs = (np.eye(len(svals), dtype=complex) if null.all()
             else vh[null].conj() / scales)
     c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
-
-    # orthonormalize in L2 via the quadrature Gram matrix, whose samples
-    # are each function's values at every edge's nodes
-    edge = q.nodes.edge
-    samples = c1[:, edge] * f1[q.inner] + c2[:, edge] * f2[q.inner]
-    gram = (samples * q.weights) @ samples.conj().T
-    evals, evecs = np.linalg.eigh(gram)
+    breaks = _basis_breaks(g, lam)
+    evals, evecs = np.linalg.eigh(_gram(g, [
+        Eigenfunction(g, float(lam), c, breaks)
+        for c in np.stack((c1, c2), axis=-1)]))
     keep = evals > 1e-12 * evals[-1]
     trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
-    return [Eigenfunction(g, float(lam), c)
+    return [Eigenfunction(g, float(lam), c, dict(breaks))
             for c in np.stack((trans.T @ c1, trans.T @ c2), axis=-1)]

@@ -81,6 +81,18 @@ class TestSpectrum:
         assert float(lam) == pytest.approx(math.pi ** 2, rel=1e-12)
         assert mult == " 1)"
 
+    def test_diagnostic_exits_3(self, generic_star_file, capsys):
+        # the window ends on pi^2, a root and the unit edge's Dirichlet
+        # eigenvalue, where the upper count probe is untrusted: the root is
+        # printed and the diagnostic goes to stderr
+        code = main(["spectrum", generic_star_file, "--window",
+                     f"8:{math.pi ** 2!r}"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out.splitlines()[1] == (f"  lambda = {math.pi ** 2!r}  "
+                                       "(multiplicity 1)")
+        assert err == "diagnostic: CountUntrusted(lo=8, hi=9.86960440109)\n"
+
     def test_bad_window_exits_2(self, star_file, capsys):
         assert main(["spectrum", star_file, "--window", "abc"]) == 2
         assert "window" in capsys.readouterr().err
@@ -173,6 +185,25 @@ class TestSurgery:
         out = capsys.readouterr().out
         assert "attach at v0" in out
 
+    def test_merge_then_split(self, generic_star_file, tmp_path, capsys):
+        # merging two tips closes a cycle; splitting the merged vertex
+        # gives the star back, its new degree-1 vertices Neumann
+        ops = self.write_ops(tmp_path, [
+            {"op": "merge", "v1": "v1", "v2": "v2"},
+            {"op": "split", "vertex": "(v1+v2)", "group1": [["e1", "end"]],
+             "group2": [["e2", "end"]]},
+        ])
+        with pytest.warns(UserWarning, match="reduces to Neumann"):
+            code = main(["surgery", generic_star_file, ops, "--track", "1"])
+        assert code == 0
+        rows = [line.split("  ")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["input", "merge v1+v2",
+                                            "split (v1+v2)"]
+        lam1 = [float(row[2]) for row in rows]
+        assert lam1[1] != pytest.approx(lam1[0], rel=1e-3)
+        assert lam1[2] == pytest.approx(lam1[0], rel=1e-12)
+
     def test_csv_determinism(self, star_file, tmp_path, capsys):
         ops = self.write_ops(tmp_path, [
             {"op": "extend", "edge": "e1", "amount": 0.3},
@@ -222,6 +253,19 @@ class TestSurgery:
         p = tmp_path / "ops.json"
         p.write_text('{"op": "extend"}')
         assert main(["surgery", star_file, str(p)]) == 2
+
+    @pytest.mark.parametrize("text, error", [
+        (None, "error: cannot read "),
+        ("[{", "error: ops file is not valid JSON: "),
+    ], ids=["missing", "not-json"])
+    def test_unreadable_ops_exits_2(self, star_file, tmp_path, capsys, text,
+                                    error):
+        p = tmp_path / "ops.json"
+        if text is not None:
+            p.write_text(text)
+        assert main(["surgery", star_file, str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(error)
 
     def test_illegal_op_exits_2(self, star_file, tmp_path, capsys):
         # transplanting more than the edge holds

@@ -1,6 +1,7 @@
 """Graph model: construction, validation, serialization, metrics."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,39 @@ def test_degree_one_coupled_normalizes_to_neumann():
     assert g.vertex_map["a"].bc is BoundaryType.NEUMANN
 
 
+def graph_doc(vertices, edges):
+    """A graph document: vertices as (id, bc, [(edge id, end), ...]), edges
+    as (id, from, to), each of length 1."""
+    return {"vertices": [{"id": v, "bc": bc, "order": [list(r) for r in order]}
+                         for v, bc, order in vertices],
+            "edges": [{"id": e, "from": a, "to": b, "length": 1.0}
+                      for e, a, b in edges]}
+
+
+PATH_ENDS = [("a", "neumann", [("e1", "start")]),
+             ("b", "neumann", [("e1", "end")])]
+# graph documents, each with a violation it must be refused for
+BAD_GRAPH_DOCS = [
+    (graph_doc([], []), "NoEdges(-): graph has no edges"),
+    (graph_doc([("a", "neumann", [("e1", "start")]),
+                ("a", "neumann", [("e1", "end")])], [("e1", "a", "a")]),
+     "DuplicateId(a): vertex id repeated"),
+    (graph_doc(PATH_ENDS, [("e1", "a", "b"), ("e1", "a", "b")]),
+     "DuplicateId(e1): edge id repeated"),
+    (graph_doc(PATH_ENDS, [("e1", "a", "z")]),
+     "UnknownVertex(e1): edge references missing vertex 'z'"),
+    (graph_doc([("a", "neumann", [("e1", "end")]),
+                ("b", "neumann", [("e1", "start")])], [("e1", "a", "b")]),
+     "BadEnumeration(e1): endpoint start listed under 'b', edge names 'a'"),
+    (graph_doc([("a", "coupled", [("e1", "start"), ("e9", "start")]),
+                ("b", "neumann", [("e1", "end")])], [("e1", "a", "b")]),
+     "BadEnumeration(('e9', 'start')): order entry references unknown "
+     "endpoint (owners ['a'])"),
+    (graph_doc(PATH_ENDS + [("c", "coupled", [])], [("e1", "a", "b")]),
+     "IsolatedVertex(c): vertex has no endpoints"),
+]
+
+
 def test_validation_rejects_bad_graphs():
     with pytest.raises(InvalidGraph):  # dirichlet needs degree 1
         MetricGraph.create(
@@ -77,6 +111,9 @@ def test_validation_rejects_bad_graphs():
              VertexRecord("b", BoundaryType.NEUMANN, (("e1", START),)),
              VertexRecord("c", BoundaryType.NEUMANN, (("e1", END),))],
             [EdgeRecord("e1", "a", "c", 1.0)])
+    for doc, violation in BAD_GRAPH_DOCS:  # as a graph file gives them
+        with pytest.raises(InvalidGraph, match=re.escape(violation)):
+            MetricGraph.from_json_dict(doc)
 
 
 @pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan, 0.0])

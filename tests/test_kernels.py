@@ -92,12 +92,12 @@ class TestBasisTraces:
     @pytest.mark.parametrize("lam", [-4.0, -1.0, -0.25, 0.0, 2.0, math.pi ** 2])
     @pytest.mark.parametrize("ragged", [False, True], ids=["star", "glued"])
     def test_whole_graph_basis_is_the_per_edge_basis(self, lam, ragged):
-        # one call over every edge's points gives each edge the bytes of the
-        # former per-edge call: at -1 the edges shorter than 1 keep the
-        # entire pair and the others (kappa l = 1 on the unit edge) take the
-        # decaying one; -4 decays on all, -0.25 on none. The transplant
-        # trial's glued edge, split at its seam, has twice the nodes of the
-        # others
+        # one call over every edge's points, its ends and its nodes, gives
+        # each edge the bytes of the former per-edge call: at -1 the edges
+        # shorter than 1 keep the entire pair and the others (kappa l = 1 on
+        # the unit edge) take the decaying one; -4 decays on all, -0.25 on
+        # none. The transplant trial's glued edge, split at its seam, has
+        # twice the nodes of the others
         g = make_star([1.0, 0.7, 1.3])
         trials = ()
         if ragged:
@@ -106,14 +106,13 @@ class TestBasisTraces:
         q = _edge_nodes(g, *trials)
         sizes = {s.stop - s.start for s in q.pieces}
         assert (len(sizes) > 1) == ragged
-        for points in (q.points, q.nodes):
-            for deriv in (False, True):
-                got = edge_basis(lam, points.length, points.x, deriv)
-                for e, (_, x) in zip(g.edges, points.parts):
-                    part = points.edge == g.edge_index[e.id]
-                    want = former_edge_basis(lam, e.length, x, deriv)
-                    for u, v in zip(got, want):
-                        assert u[part].tobytes() == v.tobytes()
+        for deriv in (False, True):
+            got = edge_basis(lam, q.length, q.x, deriv)
+            for e, (_, x) in zip(g.edges, q.parts):
+                part = q.edge == g.edge_index[e.id]
+                want = former_edge_basis(lam, e.length, x, deriv)
+                for u, v in zip(got, want):
+                    assert u[part].tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("lam", [
         -100.0, -4.0, -0.25, -1e-12, 0.0, -0.0, 2.0, math.pi ** 2, 1e4])

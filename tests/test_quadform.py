@@ -467,7 +467,8 @@ class TestTransplantTrial:
     @pytest.mark.parametrize("integral", [form_value, rayleigh_quotient])
     def test_glued_edge_is_read_on_two_pieces(self, integral):
         # the seam is the glued edge's one breakpoint, read once by the form
-        # and the norm alike: 2 pieces, 128 nodes, and the two traces
+        # and the norm alike: 2 pieces, 128 nodes, and the two traces, where
+        # the values and the derivatives are both read
         g = make_star([1.0, 0.7, 1.3])
         psi = eigenfunction_at(g, -3.461724246805116)[0]
         new_g, trial = build_transplant_trial(g, psi, "e2", "e3", 0.2)
@@ -481,7 +482,7 @@ class TestTransplantTrial:
             fns["e3"] = read
         integral(new_g, trial)
         assert sizes == [("value", 2 + 2 * QUAD_ORDER),
-                         ("derivative", 2 * QUAD_ORDER)]
+                         ("derivative", 2 + 2 * QUAD_ORDER)]
 
     def test_rejects_wrong_direction(self):
         g = make_star([1.0, 0.7, 1.3])

@@ -1813,6 +1813,27 @@ def residual(g, f):
     return float(np.max(np.abs(r))) / scale
 
 
+def closed_form_norm_sq(g, f):
+    """Reference: the squared L2 norm of an eigenfunction at lambda < 0,
+    with no `quadform` code. On an edge of the decaying pair (kappa l >= 1)
+    in closed form, (|c1|^2 + |c2|^2) (1 - e^(-2 kappa l)) / (2 kappa) +
+    2 Re(c1 conj(c2)) l e^(-kappa l); on the others, where kappa l < 1, by
+    one 64-point Gauss-Legendre rule."""
+    k = math.sqrt(-f.lam)
+    x, w = np.polynomial.legendre.leggauss(64)
+    total = 0.0
+    for e, (c1, c2) in zip(g.edges, f.coeffs):
+        if k * e.length >= 1.0:
+            total += ((abs(c1) ** 2 + abs(c2) ** 2)
+                      * -math.expm1(-2.0 * k * e.length) / (2.0 * k)
+                      + 2.0 * (c1 * np.conj(c2)).real * e.length
+                      * math.exp(-k * e.length))
+        else:
+            half = e.length / 2.0
+            total += half * np.sum(w * np.abs(f.value(e.id, (x + 1.0) * half)) ** 2)
+    return total
+
+
 class TestEigenfunctions:
     def test_ground_state_satisfies_vertex_conditions(self, star3):
         funcs = eigenfunction_at(star3, STAR3_EQUIL[0])
@@ -1863,19 +1884,28 @@ class TestEigenfunctions:
         (make_figure8(0.5, 0.5), 16 * PI2, 3),
         (make_cycle([1.0]), 4 * PI2, 2),
         (make_cycle([0.4, 0.6, 0.5, 0.5]), 4 * PI2, 2),
-    ], ids=["figure8-triple", "cycle-double", "cycle4-double"])
+        (make_cycle([1.0]), 4e4 * PI2, 2),  # k l = 628: 32 pieces
+    ], ids=["figure8-triple", "cycle-double", "cycle4-double",
+            "cycle-double-high"])
     def test_multiple_eigenspace_is_orthonormal(self, g, lam, mult):
         # the Gram matrix by quadform's own nodes, which the Rayleigh
-        # quotient reads too
+        # quotient reads too, edge by edge and by `quadform._gram`, and by a
+        # finer rule of 128 equal pieces per edge
         funcs = eigenfunction_at(g, lam)
         assert len(funcs) == mult
         q = quadform_mod._edge_nodes(g, *funcs)
         gram = np.zeros((mult, mult), dtype=complex)
-        for (eid, x), s in zip(q.nodes.parts, q.pieces):
-            v = np.array([f.value(eid, x) for f in funcs])
-            w = q.weights[s]
-            gram += (v * w) @ v.conj().T
-        assert np.abs(gram - np.eye(mult)).max() <= 1e-12
+        fine = np.zeros((mult, mult), dtype=complex)
+        for (eid, x), s in zip(q.parts, q.pieces):
+            v = np.array([f.value(eid, x[2:]) for f in funcs])
+            gram += (v * q.weights[s]) @ v.conj().T
+            length = x[1]
+            xf, wf = quadform_mod.edge_quadrature(
+                length, tuple(np.linspace(0.0, length, 129)[1:-1]))
+            v = np.array([f.value(eid, xf) for f in funcs])
+            fine += (v * wf) @ v.conj().T
+        for m in (gram, fine, quadform_mod._gram(g, funcs)):
+            assert np.abs(m - np.eye(mult)).max() <= 1e-12
 
     @pytest.mark.parametrize("g, lam", [
         (make_star([1.0, 0.7, 1.3]), -3.461724246805116),
@@ -1908,10 +1938,11 @@ class TestEigenfunctions:
         (make_cycle([0.4, 0.6, 0.5, 0.5]), 4 * PI2),
     ], ids=["star3", "deep", "zero", "figure8-triple", "cycle4-double"])
     def test_whole_graph_basis_calls(self, g, lam, monkeypatch):
-        # eigenfunction_at evaluates the basis on every edge at once, once
-        # for the values at the ends and nodes and once for the derivatives
-        # at the ends, and builds no trace table; a Rayleigh quotient reads
-        # an Eigenfunction in two whole-graph calls (values, derivatives)
+        # eigenfunction_at evaluates the basis on every edge at once: the
+        # values and the derivatives at the ends for its matrix, then each
+        # null vector's values at every edge's points for the Gram matrix,
+        # and it builds no trace table; a Rayleigh quotient reads an
+        # Eigenfunction in two whole-graph calls (values, derivatives)
         basis = solve_mod.edge_basis
         traces = kernels_mod.edge_basis_traces
         calls, tables = [], []
@@ -1929,7 +1960,9 @@ class TestEigenfunctions:
         quadform_mod._quadrature.cache_clear()
         funcs = eigenfunction_at(g, lam)
         points = (2 + quadform_mod.QUAD_ORDER) * g.num_edges
-        assert calls == [((points,), False), ((2, g.num_edges), True)]
+        ends = (2, g.num_edges)
+        assert calls == ([(ends, False), (ends, True)]
+                         + [((points,), False)] * len(funcs))
         assert tables == []
         for f in funcs:
             calls.clear()
@@ -2052,20 +2085,31 @@ class TestEigenfunctions:
         with pytest.raises(NotAnEigenvalue):
             eigenfunction_at(star3, 2.0)
 
-    @pytest.mark.parametrize("lengths, tol", [
-        ([3.0, 2.0, 1e-3], 1e-12),
-        ([4.0, 2.0, 1e-3], 1e-12),
-        ([30.0, 2.0, 1e-3], 1e-6),  # quadrature-limited on the long edge
-    ], ids=["star-3", "star-4", "star-30"])
-    def test_deep_ground_state_reproduces_its_eigenvalue(self, lengths, tol):
-        # kappa l = 25 to 380 on the long edges: amplitudes over cosh/sinh
-        # lose every digit there, the decaying pair's coefficients none
-        g = make_star(lengths)
+    @pytest.mark.parametrize("long", [3.0, 4.0, 30.0, 100.0, 300.0, 3000.0],
+                             ids=lambda x: f"star-{x:g}")
+    def test_deep_ground_state_reproduces_its_eigenvalue(self, long):
+        # kappa l = 25 to 38,000 on the long edges: amplitudes over cosh/sinh
+        # lose every digit there, the decaying pair's coefficients none, and
+        # the pieces of `_basis_breaks` follow e^(-kappa x) from both ends,
+        # where one Gauss rule per edge read the quotient 0.40 relative off
+        g = make_star([long, 2.0, 1e-3])
         lam = first_eigenvalues(g, 1)[0][0]
         (f,) = eigenfunction_at(g, lam)
         q = rayleigh_quotient(g, f.as_trial())
-        assert abs(q - lam) <= tol * abs(lam)
+        assert abs(q - lam) <= 1e-12 * abs(lam)
+        assert abs(closed_form_norm_sq(g, f) - 1.0) <= 1e-12
         assert residual(g, f) < 1e-9
+
+    def test_high_roots_reproduce_their_eigenvalues(self):
+        # k l up to 950 on the long edge: `_basis_breaks` cuts it into
+        # pieces of k l <= 20, where one Gauss rule per edge read quotients
+        # up to 1.4 relative off
+        g = make_star([3.0, 2.0, 1.0])
+        spec = find_spectrum(g, (1e3, 1e5))
+        assert spec.diagnostics == [] and spec.count == 542
+        for r in spec.records:
+            for f in eigenfunction_at(g, r.lam):
+                assert abs(rayleigh_quotient(g, f) - r.lam) <= 1e-12 * r.lam
 
 
 class TestEnumerationInvariance:
