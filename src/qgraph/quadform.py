@@ -19,17 +19,17 @@ The module evaluates trials and builds none, and it alone knows where a
 trial is sampled. A trial is any object with the `value`, `derivative` and
 `on_edges` methods and the `breakpoints` mapping of `TrialFunction`;
 `solve.Eigenfunction` is one. Its one integration code is `_edge_nodes`,
-the graph's quadrature split at the trials' breakpoints and cached per
-graph: a `_Nodes`, [0, length, nodes...] on each edge, every edge's points
-in one array, which `on_edges` reads on all edges at once. `_sample` gives
-a trial's traces and norm from one values call, `_form` reads the
-derivatives at the same points and keeps the nodes', and `_gram` is the
-trials' L2 Gram matrix, which `solve.eigenfunction_at` orthonormalizes
-with: the traces, the form, the norm, the Rayleigh quotient and the Gram
-matrix all read the same nodes. A TrialFunction reads its own callables
-edge by edge, an Eigenfunction every edge in one `kernels.edge_basis`
-call. Each edge's integral is its own pairwise sum, and the edges' sums are
-added in edge order.
+the graph's quadrature split at the trials' breakpoints, cached per graph
+where it is not split: a `_Nodes`, [0, length, nodes...] on each edge,
+every edge's points in one array, which `on_edges` reads on all edges at
+once. `_sample` gives a trial's traces and norm from one values call,
+`_form` reads the derivatives at the same points and keeps the nodes', and
+`_gram` is the trials' L2 Gram matrix, which `solve.eigenfunction_at`
+orthonormalizes with: the traces, the form, the norm, the Rayleigh quotient
+and the Gram matrix all read the same nodes. A TrialFunction reads its own
+callables edge by edge, an Eigenfunction every edge in one
+`kernels.edge_basis` call. Each edge's integral is its own pairwise sum,
+and the edges' sums are added in edge order.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class _Nodes(NamedTuple):
     pieces: tuple  # each edge's nodes, as a slice of the nodes
 
 
-@lru_cache(maxsize=64)  # about 2.6 kB per edge piece of 64 nodes
+@lru_cache(maxsize=64)  # unsplit layouts only: about 2.6 kB per edge
 def _quadrature(g: MetricGraph, breaks: frozenset) -> _Nodes:
     """Each edge's quadrature (`edge_quadrature`), split at its (edge id,
     breakpoint) pairs among breaks, laid out edge after edge."""
@@ -110,10 +110,12 @@ def _quadrature(g: MetricGraph, breaks: frozenset) -> _Nodes:
 
 def _edge_nodes(g: MetricGraph, *trials) -> _Nodes:
     """The graph's quadrature split at the set union of the trials'
-    breakpoints, so a breakpoint the trials share cuts once."""
-    return _quadrature(g, frozenset((eid, b) for f in trials
-                                    for eid, bs in f.breakpoints.items()
-                                    for b in bs))
+    breakpoints, so a breakpoint the trials share cuts once. Only the
+    unsplit layout is cached: a split one is built per call, as each
+    eigenvalue has breakpoints of its own and its layout grows with k l."""
+    breaks = frozenset((eid, b) for f in trials
+                       for eid, bs in f.breakpoints.items() for b in bs)
+    return (_quadrature.__wrapped__ if breaks else _quadrature)(g, breaks)
 
 
 def _edge_total(terms, q: _Nodes, start):

@@ -650,14 +650,20 @@ class Eigenfunction:
     c2 f2(x) on each edge, row e of the (E, 2) array `coeffs` on the
     graph's e-th edge.
 
-    It is a `quadform` trial itself: `breakpoints` maps an edge id to the
-    points where the quadrature of its norm, form, Rayleigh quotient and
-    Gram matrix splits that edge; an edge it does not name is one piece."""
+    It is a `quadform` trial itself, whose `breakpoints` follow from its
+    graph and lam (`_basis_breaks`)."""
 
     graph: MetricGraph
     lam: float
     coeffs: np.ndarray  # (E, 2): (c1, c2) on each edge, in edge order
-    breakpoints: dict = field(default_factory=dict)
+
+    @property
+    def breakpoints(self) -> dict:
+        """Edge id to the points where the quadrature of the norm, form,
+        Rayleigh quotient and Gram matrix splits that edge, so that each
+        piece's Gauss rule resolves the basis at lam; an edge it does not
+        name is one piece."""
+        return _basis_breaks(self.graph, self.lam)
 
     def _combine(self, edge_id: str, x, deriv: bool):
         e = self.graph.edge_index[edge_id]
@@ -715,7 +721,7 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     matrix was laid out in. Two `edge_basis` calls give the pair's values
     and derivatives at every edge's ends, which the matrix is laid out from,
     with the bytes of `build_secular_matrix`. The null vectors, each wrapped
-    in an Eigenfunction with the breakpoints of `_basis_breaks`, are
+    in an Eigenfunction, which splits its quadrature by `_basis_breaks`, are
     orthonormalized by their Gram matrix (`quadform._gram`), so the Gram
     matrix, the norm, the form and the Rayleigh quotient of every function
     returned read the same nodes. Raises NotAnEigenvalue when the matrix has
@@ -736,11 +742,9 @@ def eigenfunction_at(g: MetricGraph, lam: float) -> list:
     vecs = (np.eye(len(svals), dtype=complex) if null.all()
             else vh[null].conj() / scales)
     c1, c2 = vecs[:, 0::2], vecs[:, 1::2]
-    breaks = _basis_breaks(g, lam)
     evals, evecs = np.linalg.eigh(_gram(g, [
-        Eigenfunction(g, float(lam), c, breaks)
-        for c in np.stack((c1, c2), axis=-1)]))
+        Eigenfunction(g, float(lam), c) for c in np.stack((c1, c2), axis=-1)]))
     keep = evals > 1e-12 * evals[-1]
     trans = np.conj(evecs[:, keep]) / np.sqrt(evals[keep])
-    return [Eigenfunction(g, float(lam), c, dict(breaks))
+    return [Eigenfunction(g, float(lam), c)
             for c in np.stack((trans.T @ c1, trans.T @ c2), axis=-1)]

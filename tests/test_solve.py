@@ -2103,13 +2103,16 @@ class TestEigenfunctions:
     def test_high_roots_reproduce_their_eigenvalues(self):
         # k l up to 950 on the long edge: `_basis_breaks` cuts it into
         # pieces of k l <= 20, where one Gauss rule per edge read quotients
-        # up to 1.4 relative off
+        # up to 1.4 relative off. Every edge is split at each root, and a
+        # split layout grows with k l, so none enters `_quadrature`'s cache
         g = make_star([3.0, 2.0, 1.0])
         spec = find_spectrum(g, (1e3, 1e5))
         assert spec.diagnostics == [] and spec.count == 542
+        before = quadform_mod._quadrature.cache_info()
         for r in spec.records:
             for f in eigenfunction_at(g, r.lam):
                 assert abs(rayleigh_quotient(g, f) - r.lam) <= 1e-12 * r.lam
+        assert quadform_mod._quadrature.cache_info() == before
 
 
 class TestEnumerationInvariance:
