@@ -6,6 +6,12 @@ taken into the edges. In matrix form that is A F + i B F' = 0 where A is the
 cyclic difference matrix and B the cyclic sum matrix. Degree-1 vertices carry
 Neumann (A=0, B=1) or Dirichlet (A=1, B=0) data.
 
+The pairs are built for the vertices of a validated graph, which come in
+these kinds only: coupled of degree >= 2, or a Neumann or Dirichlet tip of
+degree 1. `MetricGraph.create` rewrites a coupled vertex of degree 1 to a
+Neumann tip (the cyclic condition at one endpoint is F' = 0) and refuses
+any other kind, so no other (condition, degree) pair reaches this module.
+
 Both secular routes read their rows from `assemble_blocks`: the DtN route
 multiplies its blocks out per lambda, and the edge route's plan
 (`kernels.prepare_structure`) takes A's entries as value terms and B's as
@@ -15,48 +21,34 @@ pairing H and the form domain, is `quadform`'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .graph import BoundaryType, MetricGraph
 
 
 @lru_cache(maxsize=64)
 def build_vertex_pair(bc: BoundaryType, degree: int):
-    """(A, B) for one vertex; both are degree x degree real arrays, read-only
-    since one pair serves every vertex of its condition and degree."""
-    if degree < 1:
-        raise DimensionMismatch("vertex degree must be >= 1")
-    bc = BoundaryType(bc)
-    if degree == 1:
-        # coupled at degree 1 is Neumann
-        dirichlet = float(bc is BoundaryType.DIRICHLET)
-        pair = np.array([[dirichlet]]), np.array([[1.0 - dirichlet]])
-    elif bc is not BoundaryType.COUPLED:
-        raise DimensionMismatch(f"{bc.value} condition only defined at degree 1")
-    else:
+    """(A, B) for one vertex of a validated graph; both are degree x degree
+    real arrays, read-only since one pair serves every vertex of its
+    condition and degree."""
+    if bc is BoundaryType.COUPLED:
         eye = np.eye(degree)
         shift = np.roll(eye, 1, axis=1)  # ones on the superdiagonal and the corner
         # row j of A F reads F_{j+1} - F_j (cyclically), so A is shift minus eye
         pair = shift - eye, eye + shift
+    else:  # a tip: (A, B) = (d, 1 - d), d = 1 for Dirichlet
+        dirichlet = float(bc is BoundaryType.DIRICHLET)
+        pair = np.array([[dirichlet]]), np.array([[1.0 - dirichlet]])
     for x in pair:
         x.flags.writeable = False
     return pair
 
 
-@dataclass(frozen=True)
-class BlockSystem:
-    """Block-diagonal (A, B) over all vertices, rows/cols in global slot order."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-
-def assemble_blocks(g: MetricGraph) -> BlockSystem:
-    """Stack the per-vertex pairs along the graph's global endpoint enumeration."""
+def assemble_blocks(g: MetricGraph):
+    """The block-diagonal pair (A, B) over all vertices, each m x m with
+    m = 2E, rows and columns in the graph's global endpoint slot order."""
     m = 2 * g.num_edges
     a = np.zeros((m, m))
     b = np.zeros((m, m))
@@ -67,4 +59,4 @@ def assemble_blocks(g: MetricGraph) -> BlockSystem:
         a[pos:pos + d, pos:pos + d] = av
         b[pos:pos + d, pos:pos + d] = bv
         pos += d
-    return BlockSystem(a, b)
+    return a, b

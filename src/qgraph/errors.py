@@ -21,10 +21,6 @@ class NotReducible(QGraphError):
     """Graph cannot be reduced to a figure-8 (path or cycle)."""
 
 
-class DimensionMismatch(QGraphError):
-    """A vertex condition asked for at a degree it is not defined at."""
-
-
 class DtNSingular(QGraphError):
     """Dirichlet-to-Neumann map undefined: lambda hits a Dirichlet eigenvalue
     of an interval, an edge or, on the DtN route, a piece of one."""

@@ -94,7 +94,7 @@ def _vertex_terms(g: MetricGraph, slots: int):
         s = [ends[ref] for ref in v.order]
         if v.bc is BoundaryType.DIRICHLET:
             kept[s[0]] = False
-        elif v.bc is BoundaryType.COUPLED and v.degree >= 2:
+        elif v.bc is BoundaryType.COUPLED:
             # i (-1)^(j+k) sign(j - k) between its j-th and k-th traces
             j = np.arange(v.degree)
             w.imag[np.ix_(s, s)] = ((-1.0) ** np.add.outer(j, j)

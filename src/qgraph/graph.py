@@ -10,7 +10,6 @@ and appear twice in the order list.
 
 from __future__ import annotations
 
-import heapq
 import json
 import warnings
 from dataclasses import dataclass
@@ -83,7 +82,10 @@ class MetricGraph:
         """Normalize and validate a graph.
 
         Degree-1 vertices marked COUPLED are rewritten to NEUMANN: the cyclic
-        coupled condition at a single endpoint reduces to F' = 0.
+        coupled condition at a single endpoint reduces to F' = 0. So every
+        vertex of a created graph is COUPLED of degree >= 2 or a NEUMANN or
+        DIRICHLET tip of degree 1, the only kinds `coupling`, `quadform` and
+        `fem` build conditions for.
         """
         vs = []
         for v in vertices:
@@ -295,6 +297,8 @@ def make_path(lengths: Sequence[float],
               tip_bc: BoundaryType = BoundaryType.NEUMANN) -> MetricGraph:
     """Path graph v0 - v1 - ... - vN with coupled interior vertices."""
     n = len(lengths)
+    if n < 1:
+        raise InvalidGraph("path needs at least one edge")
     edges = [EdgeRecord(f"e{j + 1}", f"v{j}", f"v{j + 1}", float(lengths[j]))
              for j in range(n)]
     verts = [VertexRecord("v0", tip_bc, (("e1", START),))]
@@ -326,27 +330,18 @@ def make_cycle(lengths: Sequence[float]) -> MetricGraph:
 
 # -- metrics -----------------------------------------------------------------
 
-def _vertex_distances(g: MetricGraph) -> dict:
-    """All-pairs shortest path distances between vertices (Dijkstra per source)."""
-    adj = {v.id: [] for v in g.vertices}
+def _distances(g: MetricGraph) -> np.ndarray:
+    """All-pairs shortest path distances between vertices, rows and columns
+    in the order of g.vertices: one Floyd-Warshall pass over the matrix of
+    the shortest edge joining each pair; inf between components."""
+    at = {v.id: k for k, v in enumerate(g.vertices)}
+    dist = np.full((len(at), len(at)), np.inf)
     for e in g.edges:
-        adj[e.src].append((e.dst, e.length))
-        adj[e.dst].append((e.src, e.length))
-    dist = {}
-    for src in g.vertices:
-        d = {v.id: float("inf") for v in g.vertices}
-        d[src.id] = 0.0
-        heap = [(0.0, src.id)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > d[u]:
-                continue
-            for w, lw in adj[u]:
-                nd = du + lw
-                if nd < d[w]:
-                    d[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        dist[src.id] = d
+        i, j = at[e.src], at[e.dst]
+        dist[i, j] = dist[j, i] = min(dist[i, j], e.length)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(len(at)):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
     return dist
 
 
@@ -359,13 +354,13 @@ def diameter(g: MetricGraph) -> float:
     point of f = (c, d) is reached through c or d, and |phi_c - phi_d| <=
     d(c, d) <= l_f, so the farthest point of f from t is at (phi_c(t) +
     phi_d(t) + l_f) / 2; the concave phi_c + phi_d is largest at an end of
-    e or at an apex."""
+    e or at an apex.
+
+    The vertex distances d come from `_distances`, in one all-pairs pass."""
     if not g.is_connected():
         raise Disconnected("diameter undefined for disconnected graph")
-    dv = _vertex_distances(g)
-    ids = [v.id for v in g.vertices]
-    dist = np.array([[dv[u][w] for w in ids] for u in ids])
-    at = {v: k for k, v in enumerate(ids)}
+    dist = _distances(g)
+    at = {v.id: k for k, v in enumerate(g.vertices)}
     src = np.array([at[e.src] for e in g.edges])
     dst = np.array([at[e.dst] for e in g.edges])
     length = np.array([e.length for e in g.edges])

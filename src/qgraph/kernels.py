@@ -84,8 +84,7 @@ def prepare_structure(g: MetricGraph):
     first, trace = np.array(
         [(2 * g.edge_index[e], 4 * ne * (w == END) + g.edge_index[e])
          for e, w in g.slot_index], dtype=np.intp).T
-    blocks = assemble_blocks(g)
-    ab = np.stack((blocks.a, blocks.b))
+    ab = np.stack(assemble_blocks(g))
     deriv, r, s = np.nonzero(ab)
     # entry (deriv, r, s) of the stack (A, B) reaches both columns of its
     # edge, b = 0, 1: float slot 2 (r m + 2 e + b) + deriv, from trace table

@@ -16,9 +16,9 @@ slots: `form_domain_basis` is their null space and `check_domain` tests
 traces against them.
 
 The module evaluates trials and builds none, and it alone knows where a
-trial is sampled. A trial is any object with the `value`, `derivative` and
-`on_edges` methods and the `breakpoints` mapping of `TrialFunction`;
-`solve.Eigenfunction` is one. Its one integration code is `_edge_nodes`,
+trial is sampled. A trial is any object with the `on_edges` method and the
+`breakpoints` mapping of `TrialFunction`, the only two things this module
+reads of it; `solve.Eigenfunction` is one. Its one integration code is `_edge_nodes`,
 the graph's quadrature split at the trials' breakpoints, cached per graph
 where it is not split: a `_Nodes`, [0, length, nodes...] on each edge,
 every edge's points in one array, which `on_edges` reads on all edges at
@@ -206,12 +206,12 @@ def _domain_rows(g: MetricGraph):
 def vertex_form_matrix(g: MetricGraph) -> np.ndarray:
     """Hermitian H over global slots, read-only, with G* H F the sum of the
     vertex terms of the module docstring:
-    H[s_j, s_k] = i (-1)^(j+k) sign(j - k) at each coupled vertex of degree
-    >= 2, s_j the slot of its j-th endpoint."""
+    H[s_j, s_k] = i (-1)^(j+k) sign(j - k) at each coupled vertex, s_j the
+    slot of its j-th endpoint."""
     m = 2 * g.num_edges
     h = np.zeros((m, m), dtype=complex)
     for v in g.vertices:
-        if v.bc is BoundaryType.COUPLED and v.degree >= 2:
+        if v.bc is BoundaryType.COUPLED:
             slots = [g.slot_index[ref] for ref in v.order]
             j = np.arange(v.degree)
             h[np.ix_(slots, slots)] = (1j * (-1.0) ** np.add.outer(j, j)

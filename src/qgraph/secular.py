@@ -138,9 +138,8 @@ def _dtn_plan(g: MetricGraph):
     the first pieces [0, alpha l] of all edges before the second pieces."""
     start, end, lengths = _edge_slots(g)
     m, ne = 2 * lengths.size, lengths.size
-    blocks = assemble_blocks(g)
     a, b = np.zeros((m + ne, m + ne)), np.eye(m + ne)
-    a[:m, :m], b[:m, :m] = blocks.a, blocks.b
+    a[:m, :m], b[:m, :m] = assemble_blocks(g)
     split = m + np.arange(ne)
     first = _SPLIT * lengths
     return (a, b, np.concatenate((start, split)), np.concatenate((split, end)),

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from qgraph import BoundaryType
+from qgraph import (BoundaryType, EdgeRecord, MetricGraph, Split,
+                    VertexRecord, apply_surgery, make_star)
 from qgraph.coupling import assemble_blocks, build_vertex_pair
-from qgraph.errors import DimensionMismatch
+from qgraph.graph import END, START
 from qgraph.solve import eigenfunction_at, find_spectrum
 from reference import trace_vectors
 
@@ -30,17 +31,6 @@ def test_degree_one_pairs():
     assert (a[0, 0], b[0, 0]) == (0.0, 1.0)
     a, b = build_vertex_pair(BoundaryType.DIRICHLET, 1)
     assert (a[0, 0], b[0, 0]) == (1.0, 0.0)
-    a, b = build_vertex_pair(BoundaryType.COUPLED, 1)  # normalizes to neumann
-    assert (a[0, 0], b[0, 0]) == (0.0, 1.0)
-
-
-def test_pair_rejects_impossible_requests():
-    with pytest.raises(DimensionMismatch):
-        build_vertex_pair(BoundaryType.COUPLED, 0)
-    with pytest.raises(DimensionMismatch):
-        build_vertex_pair(BoundaryType.DIRICHLET, 3)
-    with pytest.raises(DimensionMismatch):
-        build_vertex_pair(BoundaryType.NEUMANN, 2)
 
 
 def test_cyclic_difference_kernel():
@@ -52,14 +42,35 @@ def test_cyclic_difference_kernel():
 
 
 def test_assemble_blocks_layout(star3):
-    blocks = assemble_blocks(star3)
+    a, b = assemble_blocks(star3)
     m = 2 * star3.num_edges
-    assert blocks.a.shape == blocks.b.shape == (m, m)
+    assert a.shape == b.shape == (m, m)
     # center occupies the first 3 slots, each tip one slot after it
     np.testing.assert_array_equal(
-        blocks.a[:3, :3], np.roll(np.eye(3), 1, axis=1) - np.eye(3))
-    assert np.all(blocks.a[3:, :] == 0.0)
-    np.testing.assert_array_equal(blocks.b[3:, 3:], np.eye(3))
+        a[:3, :3], np.roll(np.eye(3), 1, axis=1) - np.eye(3))
+    assert np.all(a[3:, :] == 0.0)
+    np.testing.assert_array_equal(b[3:, 3:], np.eye(3))
+
+
+def test_split_to_one_endpoint_gives_the_neumann_tip_pair():
+    # a coupled vertex left with one endpoint is a Neumann tip once the
+    # graph is created, so its pair is the tip's, byte for byte
+    star4 = make_star([1.0, 0.7, 1.3, 0.9])
+    rest = tuple((f"e{j}", START) for j in (2, 3, 4))
+    with pytest.warns(UserWarning, match="reduces to Neumann"):
+        s = apply_surgery(star4, Split("v0", (("e1", START),), rest))
+    tips = [VertexRecord(f"v{j}", BoundaryType.NEUMANN, ((f"e{j}", END),))
+            for j in range(1, 5)]
+    ref = MetricGraph.create(
+        [VertexRecord("(v0:a)", BoundaryType.NEUMANN, (("e1", START),)),
+         VertexRecord("(v0:b)", BoundaryType.COUPLED, rest)] + tips,
+        [EdgeRecord("e1", "(v0:a)", "v1", 1.0)]
+        + [EdgeRecord(f"e{j}", "(v0:b)", f"v{j}", x)
+           for j, x in ((2, 0.7), (3, 1.3), (4, 0.9))])
+    assert s.vertex_map["(v0:a)"].bc is BoundaryType.NEUMANN
+    assert s.slot_index == ref.slot_index
+    for got, want in zip(assemble_blocks(s), assemble_blocks(ref)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ground_state_satisfies_vertex_conditions(star3):
@@ -67,8 +78,8 @@ def test_ground_state_satisfies_vertex_conditions(star3):
     lam = find_spectrum(star3, (-10.0, -0.1)).records[0].lam
     (psi,) = eigenfunction_at(star3, lam)
     f, fp = trace_vectors(psi)
-    blocks = assemble_blocks(star3)
-    res = vertex_residual(blocks.a, blocks.b, f, fp)
+    a, b = assemble_blocks(star3)
+    res = vertex_residual(a, b, f, fp)
     scale = max(np.max(np.abs(f)), np.max(np.abs(fp)))
     assert res < 1e-9 * scale
 

@@ -13,7 +13,7 @@ from qgraph import (BoundaryType, EdgeRecord, MetricGraph, VertexRecord,
                     save_graph)
 from qgraph.errors import Disconnected, InvalidGraph
 from qgraph.experiments import sample_graph
-from qgraph.graph import END, START, _vertex_distances
+from qgraph.graph import END, START, _distances
 
 
 def test_star_shape(star3):
@@ -43,6 +43,12 @@ def test_slot_index_is_vertex_major(star3):
     assert idx[("e1", START)] == 0
     assert idx[("e2", START)] == 1
     assert idx[("e3", START)] == 2
+
+
+@pytest.mark.parametrize("factory", [make_star, make_path, make_cycle])
+def test_factories_refuse_an_empty_edge_list(factory):
+    with pytest.raises(InvalidGraph, match=r"^\w+ needs at least one edge$"):
+        factory([])
 
 
 def test_degree_one_coupled_normalizes_to_neumann():
@@ -158,10 +164,16 @@ def test_diameter_attained_inside_edges():
     assert diameter(make_cycle([1.0, 1.0])) == pytest.approx(1.0)
 
 
+def vertex_distances(g):
+    """`_distances` as Python floats keyed by vertex id, dv[u][w]."""
+    ids = [v.id for v in g.vertices]
+    return {u: dict(zip(ids, row)) for u, row in zip(ids, _distances(g).tolist())}
+
+
 def lp_diameter(g):
     """Reference diameter: one linear program per pair of edges, maximizing
     z <= every affine piece of the distance over the pair's box."""
-    dv = _vertex_distances(g)
+    dv = vertex_distances(g)
 
     def lp(rows, box, same_edge=False):
         a_ub = [[-at, -bs, 1.0] for _, at, bs in rows]
@@ -213,7 +225,7 @@ def diameter_graphs():
 def loop_diameter(g):
     """Reference: `diameter`'s closed form in Python floats, one edge and one
     pair of edges at a time."""
-    dv = _vertex_distances(g)
+    dv = vertex_distances(g)
     best = 0.0
     for i, e in enumerate(g.edges):
         a, b, le = e.src, e.dst, e.length
@@ -239,6 +251,24 @@ def test_diameter_matches_the_pairwise_loop():
         got, want = diameter(g), loop_diameter(g)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_distances_match_scipy_dijkstra():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    for g in diameter_graphs():
+        at = {v.id: k for k, v in enumerate(g.vertices)}
+        w = np.full((len(at), len(at)), np.inf)  # inf: no edge
+        for e in g.edges:
+            if e.src != e.dst:
+                i, j = at[e.src], at[e.dst]
+                w[i, j] = w[j, i] = min(w[i, j], e.length)
+        want = csgraph.shortest_path(w, method="D", directed=False)
+        got = _distances(g)
+        if all(e.src == "v0" != e.dst for e in g.edges):
+            # a star: every distance is one edge or the sum of two
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_diameter_matches_linear_programs():

@@ -179,11 +179,10 @@ def reference_dtn_matrix(g, lam):
     each edge split at _SPLIT of its length, its split-point trace in column
     2E + e, whose row is that of a Neumann vertex of degree 2 (A = 0, B = 1):
     the inward derivatives of its two pieces sum to zero."""
-    blocks = assemble_blocks(g)
     m = 2 * g.num_edges
     size = m + g.num_edges
     a, b, dtn = np.zeros((size, size)), np.eye(size), np.zeros((size, size))
-    a[:m, :m], b[:m, :m] = blocks.a, blocks.b
+    a[:m, :m], b[:m, :m] = assemble_blocks(g)
     for k, e in enumerate(g.edges):
         u = m + k
         first = _SPLIT * e.length

@@ -1807,8 +1807,8 @@ class TestCertificationRows:
 def residual(g, f):
     # loop sine modes have all-zero traces, so the scale must see F' too
     tr, dv = trace_vectors(f)
-    blocks = assemble_blocks(g)
-    r = blocks.a @ tr + 1j * (blocks.b @ dv)
+    a, b = assemble_blocks(g)
+    r = a @ tr + 1j * (b @ dv)
     scale = max(float(np.max(np.abs(tr))), float(np.max(np.abs(dv))), 1e-30)
     return float(np.max(np.abs(r))) / scale
 

@@ -1,0 +1,180 @@
+"""Fingerprint a checkout's outputs, to show that a change keeps every byte.
+
+    python tools/fingerprint.py [TREE]          # per output family: records, SHA-256
+    python tools/fingerprint.py --lines [TREE]  # code lines of src/qgraph
+
+TREE is the checkout to measure, by default the one holding this script. Its
+`src/qgraph` and `qgbench` are imported, so running the same script against
+two checkouts and comparing the printed lines tells whether a change moved
+any output. The families:
+
+- scan: the repr of every `scan` op output of seeds 1-3, ops 0-47;
+- crosscheck: every `crosscheck` op output of the same seeds and ops, the
+  DtN spectrum's repr, each Rayleigh quotient's `float.hex` and the FEM
+  values' bytes;
+- eigenfunctions: for every DtN eigenvalue of those ops, each
+  eigenfunction's `coeffs.tobytes()` and its Rayleigh quotient's `float.hex`;
+- suites: the `to_json()` of the 16 suite reports, every suite at seeds 0
+  and 1;
+- cli: stdout and exit code of a fixed set of CLI runs; the report path
+  line of `verify` is dropped, as it names a temporary directory.
+
+Inputs and reports go to a temporary directory, which is removed at the end;
+nothing is written into the tree, byte code included.
+
+`--lines` prints each `src/qgraph` module's code lines: lines holding a
+`tokenize` token other than a comment or a line break, less the lines of
+docstrings found by `ast`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+import tokenize
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+OPS = range(48)
+SUITE_SEEDS = (0, 1)
+SKIP_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+               tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(path: Path) -> int:
+    """Lines of `path` that hold code: not blank, comment or docstring."""
+    text = path.read_text()
+    lines = {n for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+             if tok.type not in SKIP_TOKENS
+             for n in range(tok.start[0], tok.end[0] + 1)}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines -= set(range(first.lineno, first.end_lineno + 1))
+    return len(lines)
+
+
+def print_lines(tree: Path) -> None:
+    total = 0
+    for path in sorted((tree / "src" / "qgraph").glob("*.py")):
+        n = code_lines(path)
+        total += n
+        print(f"{path.stem:12s} {n:5d}")
+    print(f"{'total':12s} {total:5d}")
+
+
+class Family:
+    """One SHA-256 over a stream of records, each a tuple of byte strings."""
+
+    def __init__(self):
+        self._h = hashlib.sha256()
+        self.records = 0
+
+    def add(self, *parts) -> None:
+        self.records += 1
+        for p in parts:
+            b = p if isinstance(p, bytes) else str(p).encode()
+            self._h.update(len(b).to_bytes(8, "little") + b)
+
+    def __str__(self) -> str:
+        return f"{self.records:6d} {self._h.hexdigest()}"
+
+
+def _cli_runs(tmp: Path) -> list:
+    """Argument lists of the CLI family, over graph and ops files in tmp."""
+    from qgraph.graph import make_figure8, make_star, save_graph
+
+    star, fig8 = tmp / "star.json", tmp / "fig8.json"
+    save_graph(make_star([1.0, 0.7, 1.3]), star)
+    save_graph(make_figure8(0.8, 1.2), fig8)
+    ops = tmp / "ops.json"
+    ops.write_text('[{"op": "transplant", "from_edge": "e2", "to_edge": "e3",'
+                   ' "amount": 0.2}, {"op": "attach", "at_vertex": "v0",'
+                   ' "length": 0.5}]')
+    out = str(tmp / "reports")
+    return [
+        ["spectrum", str(star), "--window", "-8:30"],
+        ["spectrum", str(star), "--window", "-8:30", "--json"],
+        ["spectrum", str(star), "--window", "-8:30", "--csv"],
+        ["spectrum", str(star), "--window", "-8:30", "--method", "dtn"],
+        ["spectrum", str(fig8), "--window", "-4:60"],
+        ["surgery", str(star), str(ops), "--track", "3"],
+        ["surgery", str(star), str(ops), "--track", "3", "--json"],
+        ["verify", "star-ladder", "--out", out],
+        ["verify", "diameter-bound", "--seed", "1", "--out", out],
+        ["verify", "no-such-suite", "--out", out],
+        ["sweep", "figure8", "--grid", "0.5:1.5:5"],
+        ["sweep", "neumann_star", "--grid", "0.5:1.5:4", "--edges", "4"],
+        ["sweep", "no-such-family", "--grid", "0.5:1.5:3"],
+    ]
+
+
+def fingerprint() -> dict:
+    from qgbench import workloads
+    from qgraph import quadform, solve
+    from qgraph.errors import QGraphError
+    from qgraph.experiments import SUITES
+
+    fam = {name: Family() for name in
+           ("scan", "crosscheck", "eigenfunctions", "suites", "cli")}
+    for seed in SEEDS:
+        for i in OPS:
+            fam["scan"].add(repr(workloads.scan_op(workloads.scan_spec(seed, i))))
+            spec = workloads.cross_spec(seed, i)
+            out = workloads.cross_op(spec)
+            fam["crosscheck"].add(repr(out["dtn"]), out["fem"].tobytes())
+            for lam, quotients, err in out["rayleigh"]:
+                fam["crosscheck"].add(lam.hex(), err,
+                                      *(q.hex() for q in quotients))
+            for r in out["dtn"].records:
+                try:
+                    funcs = solve.eigenfunction_at(spec["graph"], r.lam)
+                except QGraphError as exc:
+                    fam["eigenfunctions"].add(r.lam.hex(), type(exc).__name__)
+                    continue
+                for f in funcs:
+                    q = quadform.rayleigh_quotient(spec["graph"], f.as_trial())
+                    fam["eigenfunctions"].add(r.lam.hex(), f.coeffs.tobytes(),
+                                              q.hex())
+    for name in sorted(SUITES):
+        for seed in SUITE_SEEDS:
+            fam["suites"].add(name, seed, SUITES[name](seed).to_json())
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in _cli_runs(Path(tmp)):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code, text = workloads._run_cli(argv)
+            kept = [ln for ln in text.splitlines() if tmp not in ln]
+            fam["cli"].add(" ".join(argv).replace(tmp, "TMP"), code,
+                           "\n".join(kept))
+    return fam
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("tree", nargs="?", type=Path,
+                    default=Path(__file__).resolve().parents[1])
+    ap.add_argument("--lines", action="store_true",
+                    help="print code lines per src/qgraph module instead")
+    args = ap.parse_args(argv)
+    tree = args.tree.resolve()
+    if args.lines:
+        print_lines(tree)
+        return 0
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(tree / "src"), str(tree)]
+    for name, family in fingerprint().items():
+        print(f"{name:15s} {family}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
