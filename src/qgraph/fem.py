@@ -212,7 +212,7 @@ def _plans(g: MetricGraph, h: float) -> _Plans:
         raise MeshTooCoarse("mesh size must be positive")
     num = len(g.edges)
     ne = np.array([max(1, int(round(e.length / h))) for e in g.edges])
-    he = np.array([e.length for e in g.edges]) / ne
+    he = g.lengths / ne
     cut = ne > 1
     slots = 2 * num + int(cut.sum())
     mid = 2 * num + np.cumsum(cut) - 1

@@ -71,10 +71,25 @@ class Violation:
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Immutable metric graph. Build via MetricGraph.create or the factories."""
+    """Immutable metric graph. Build via MetricGraph.create or the factories.
+
+    Its hash is the hash of its field tuple, computed once per instance, so
+    the caches keyed on a graph do not rehash its nested tuples. A pickled
+    graph is rebuilt from its fields and carries neither its hash nor any
+    cached view."""
 
     vertices: tuple
     edges: tuple
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __reduce__(self):
+        return MetricGraph, (self.vertices, self.edges)
 
     @staticmethod
     def create(vertices: Iterable[VertexRecord],
@@ -139,6 +154,24 @@ class MetricGraph:
     @cached_property
     def edge_index(self) -> dict:
         return {e.id: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """The edge lengths in edge order, a read-only float array."""
+        lengths = np.array([e.length for e in self.edges], dtype=float)
+        lengths.flags.writeable = False
+        return lengths
+
+    @cached_property
+    def shape(self) -> "MetricGraph":
+        """The graph's shape: its vertices, with their conditions and
+        endpoint orders, and its edges' ids and endpoints, as the graph of
+        that shape whose every edge has length 1. Graphs that differ only in
+        their lengths share it, so a plan that reads no length is built once
+        per shape from it, and carries nothing of the graph it was asked for.
+        """
+        return MetricGraph(self.vertices, tuple(
+            EdgeRecord(e.id, e.src, e.dst, 1.0) for e in self.edges))
 
     def degree(self, vertex_id: str) -> int:
         return self.vertex_map[vertex_id].degree
@@ -363,7 +396,7 @@ def diameter(g: MetricGraph) -> float:
     at = {v.id: k for k, v in enumerate(g.vertices)}
     src = np.array([at[e.src] for e in g.edges])
     dst = np.array([at[e.dst] for e in g.edges])
-    length = np.array([e.length for e in g.edges])
+    length = g.lengths
     same = (dist[src, dst] + length) / 2
     i, j = np.triu_indices(length.size, 1)
     a, b, le = src[i, None], dst[i, None], length[i, None]

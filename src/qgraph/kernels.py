@@ -13,11 +13,15 @@ returned unevaluated.
 
 The edge route's builder, `edge_builder`, runs `build_matrix_grid_numpy`:
 one edge_basis_traces call gives the (8, n_lambda, E) trace tables of a
-batch, and the graph's plan from `prepare_structure`, read once off the
-vertex blocks A and B of `coupling.assemble_blocks` and cached, lays them
-into the whole stack by one product with a fixed matrix of +-1 weights.
-The vertex conditions are stated only in `coupling`; no Python loop runs
-per lambda or per row.
+batch, and the graph's plan from `prepare_structure` lays them into the
+whole stack by one product with a fixed matrix of +-1 weights. What is
+cached per shape (`MetricGraph.shape`: the vertices, their conditions and
+endpoint orders, and the edges' ids and endpoints) is the plan's layout,
+the target slots and the weights, read once off the vertex blocks A and B
+of `coupling.assemble_blocks` by `_edge_layout` and shared, read-only, by
+every graph of that shape; what stays per graph is its edge lengths. The
+vertex conditions are stated only in `coupling`; no Python loop runs per
+lambda or per row.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
 f2(x) = sin(sqrt(lambda) x)/sqrt(lambda), continued through lambda <= 0 by
@@ -55,8 +59,17 @@ from .graph import END, MetricGraph
 
 @lru_cache(maxsize=256)
 def prepare_structure(g: MetricGraph):
-    """The edge route's plan of a graph: (targets, weights, lengths), read
-    off the vertex blocks A and B of `coupling.assemble_blocks`.
+    """The edge route's plan of a graph: (targets, weights, lengths), the
+    layout `_edge_layout` built once for the graph's shape and shared by
+    every graph of that shape, and the graph's own edge lengths."""
+    return (*_edge_layout(g.shape), g.lengths)
+
+
+@lru_cache(maxsize=64)
+def _edge_layout(shape: MetricGraph):
+    """The length-free part of the edge route's plan, (targets, weights),
+    read-only, read off the vertex blocks A and B of
+    `coupling.assemble_blocks` of the graph's shape (`MetricGraph.shape`).
 
     A matrix is stored as a float row of (real, imag) pairs, entry (r, c) at
     2 (r m + c) + part; the trace tables are stacked as (n, 8, E) and
@@ -77,14 +90,14 @@ def prepare_structure(g: MetricGraph):
     traces, which `edge_basis_traces` gives at every finite lambda: it runs
     the cosh/sinh pair only at kappa l < 1.
     """
-    ne = g.num_edges
+    ne = shape.num_edges
     m = 2 * ne
     # per slot: the first matrix column of its edge e, and its first trace
     # column, e in the start tables and 4 E + e in the end tables
     first, trace = np.array(
-        [(2 * g.edge_index[e], 4 * ne * (w == END) + g.edge_index[e])
-         for e, w in g.slot_index], dtype=np.intp).T
-    ab = np.stack(assemble_blocks(g))
+        [(2 * shape.edge_index[e], 4 * ne * (w == END) + shape.edge_index[e])
+         for e, w in shape.slot_index], dtype=np.intp).T
+    ab = np.stack(assemble_blocks(shape))
     deriv, r, s = np.nonzero(ab)
     # entry (deriv, r, s) of the stack (A, B) reaches both columns of its
     # edge, b = 0, 1: float slot 2 (r m + 2 e + b) + deriv, from trace table
@@ -97,8 +110,8 @@ def prepare_structure(g: MetricGraph):
     targets, col = np.flatnonzero(hit), np.cumsum(hit)[tgt] - 1
     weights = np.zeros((8 * ne, targets.size))
     weights[src, col] = ab[deriv, r, s].repeat(2)
-    lengths = np.array([e.length for e in g.edges], dtype=np.float64)
-    return targets, weights, lengths
+    targets.flags.writeable = weights.flags.writeable = False
+    return targets, weights
 
 
 def edge_basis_traces(lam, lengths):
@@ -243,13 +256,15 @@ def scan_sigma(lams, build):
     descending row per lambda, an (n, m) array for m x m matrices.
 
     build(lams) gives the stack of secular matrices and its (n,) singular
-    mask; masked rows hold no matrix and read inf. Every row is computed on
-    its own, so a lambda gets the same bytes whatever else its call holds."""
+    mask; masked rows hold no matrix and read inf, and a batch with none
+    (always so on the edge route) is the SVD's rows as they come. Every row
+    is computed on its own, so a lambda gets the same bytes whatever else
+    its call holds."""
     lams = np.asarray(lams, dtype=float)
     mats, singular = build(lams)
+    if not singular.any():
+        return branch_svdvals(mats, lams)
     out = np.full((lams.size, mats.shape[-1]), np.inf)
-    ok = np.flatnonzero(~singular)
-    if ok.size < lams.size:
-        mats, lams = mats[ok], lams[ok]
-    out[ok] = branch_svdvals(mats, lams)
+    ok = ~singular
+    out[ok] = branch_svdvals(mats[ok], lams[ok])
     return out

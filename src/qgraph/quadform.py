@@ -97,7 +97,7 @@ def _quadrature(g: MetricGraph, breaks: frozenset) -> _Nodes:
     edge = np.repeat(np.arange(len(sizes)), np.diff(bounds))
     ends = np.array(bounds[:-1]) + np.array([[0], [1]])  # (2, E): 0, length
     slots = [g.slot_index[(e.id, w)] for w in (START, END) for e in g.edges]
-    q = _Nodes(x, np.array([e.length for e in g.edges])[edge], edge,
+    q = _Nodes(x, g.lengths[edge], edge,
                tuple((e.id, x[a:b]) for e, a, b in zip(g.edges, bounds, bounds[1:])),
                np.delete(np.arange(x.size), ends.ravel()),
                ends.ravel()[np.argsort(slots)],

@@ -41,6 +41,14 @@ quantum-graph form of Berkolaiko & Kuchment, Introduction to Quantum Graphs
 (AMS, 2013). solve uses the counts only to isolate eigenvalues in cells;
 sigma_min refines them.
 
+What is cached per shape (`MetricGraph.shape`: the vertices, their
+conditions and endpoint orders, and the edges' ids and endpoints) is the
+count's plan, `_count_plan`: P* H P and the two stacks P* M P takes per
+unit DtN entry, read-only and shared by every graph of that shape. What
+stays per graph is its edge lengths (`MetricGraph.lengths`), from which
+each call makes its DtN tables and N_D, and the DtN route's plan
+`_dtn_plan`, whose pieces are lengths.
+
 Star graphs additionally admit reduced transcendental forms, which serve
 only as regression references; `reduced_negative_kappas` finds their roots
 by bisection on numpy alone.
@@ -70,6 +78,7 @@ _SPLIT = (3.0 - math.sqrt(5.0)) / 2.0
 # largest |eigenvalue|), so one below that may carry either sign. This is
 # the multiple.
 _COUNT_TRUST = 10.0
+_EPS = np.finfo(float).eps
 # the largest Dirichlet count a float holds exactly
 _EXACT_COUNT = 2.0 ** 53
 
@@ -88,6 +97,13 @@ def dtn_tables(lams, lengths):
     One pass picks sinh/cosh or sin/cos per row, with the float operations
     of a one-lambda call, so a row has the same bytes in any batch.
     """
+    return _dtn_entries(lams, lengths)[:3]
+
+
+def _dtn_entries(lams, lengths):
+    """`dtn_tables`, and the (n, E) table of k l it was computed from,
+    k = sqrt(|lambda|), with 0 in the rows below zero: above zero, the
+    table `count_below` reads the edge Dirichlet counts off."""
     lams = np.asarray(lams, dtype=float).reshape(-1, 1)
     lengths = np.asarray(lengths, dtype=float)
     neg, pos = lams < 0.0, lams > 0.0
@@ -104,7 +120,7 @@ def dtn_tables(lams, lengths):
         off = np.where(zero, 1.0 / lengths, off)
     singular = pos[:, 0] & (np.abs(sh) < _POLE_TOL
                             * np.maximum(1.0, kl)).any(axis=1)
-    return diag, off, singular
+    return diag, off, singular, np.where(neg, 0.0, kl)
 
 
 def interval_dtn(length: float, lam: float, edge_id: str = "interval") -> np.ndarray:
@@ -123,10 +139,9 @@ def interval_dtn(length: float, lam: float, edge_id: str = "interval") -> np.nda
 
 
 def _edge_slots(g: MetricGraph):
-    """The (start, end) slots of every edge, and the edge lengths."""
-    start = np.array([g.slot_index[(e.id, START)] for e in g.edges], dtype=np.intp)
-    end = np.array([g.slot_index[(e.id, END)] for e in g.edges], dtype=np.intp)
-    return start, end, np.array([e.length for e in g.edges], dtype=float)
+    """The (start, end) slots of every edge."""
+    return (np.array([g.slot_index[(e.id, START)] for e in g.edges], dtype=np.intp),
+            np.array([g.slot_index[(e.id, END)] for e in g.edges], dtype=np.intp))
 
 
 @lru_cache(maxsize=256)
@@ -136,7 +151,8 @@ def _dtn_plan(g: MetricGraph):
     2E + e for edge e): the blocks diag(A, 0) and diag(B, I) of the vertex
     blocks A and B, then each piece's (start, end) columns and its length,
     the first pieces [0, alpha l] of all edges before the second pieces."""
-    start, end, lengths = _edge_slots(g)
+    start, end = _edge_slots(g)
+    lengths = g.lengths
     m, ne = 2 * lengths.size, lengths.size
     a, b = np.zeros((m + ne, m + ne)), np.eye(m + ne)
     a[:m, :m], b[:m, :m] = assemble_blocks(g)
@@ -167,20 +183,24 @@ def build_dtn_grid(g: MetricGraph, lams):
     return a + 1j * (b @ dtn), singular
 
 
-@lru_cache(maxsize=256)
-def _count_plan(g: MetricGraph):
-    """Per-graph constants of `count_below`: P* H P; the stacks
-    p_s p_s^T + p_e p_e^T and p_s p_e^T + p_e p_s^T that P* M P takes per
-    unit diagonal and off-diagonal DtN entry of each edge, p_s and p_e the
-    rows of P at the edge's start and end slots, each flattened to (E, r^2);
-    and the edge lengths."""
-    start, end, lengths = _edge_slots(g)
-    p = form_domain_basis(g)
+@lru_cache(maxsize=64)
+def _count_plan(shape: MetricGraph):
+    """The constants of `count_below` for a graph's shape
+    (`MetricGraph.shape`), read-only: P* H P; the stacks p_s p_s^T +
+    p_e p_e^T and p_s p_e^T + p_e p_s^T that P* M P takes per unit diagonal
+    and off-diagonal DtN entry of each edge, p_s and p_e the rows of P at
+    the edge's start and end slots, each flattened to (E, r^2). None of them
+    reads a length."""
+    start, end = _edge_slots(shape)
+    p = form_domain_basis(shape)
     ps, pe = p[start][:, :, None], p[end][:, :, None]
     ps_t, pe_t = ps.transpose(0, 2, 1), pe.transpose(0, 2, 1)
-    return (p.T @ vertex_form_matrix(g) @ p,
-            (ps * ps_t + pe * pe_t).reshape(lengths.size, -1),
-            (ps * pe_t + pe * ps_t).reshape(lengths.size, -1), lengths)
+    plan = (p.T @ vertex_form_matrix(shape) @ p,
+            (ps * ps_t + pe * pe_t).reshape(start.size, -1),
+            (ps * pe_t + pe * ps_t).reshape(start.size, -1))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def count_below(g: MetricGraph, lams):
@@ -193,15 +213,14 @@ def count_below(g: MetricGraph, lams):
     lies within _COUNT_TRUST * r * eps * max |mu| of zero, mu the
     eigenvalues of Q and r its order; an untrusted one sits on, or within
     rounding of, an edge Dirichlet eigenvalue or an eigenvalue of the graph,
-    or has k l too large for its counts to mean anything.
+    or has k l too large for its counts to mean anything. Q is formed from
+    the graph's lengths and the plan of its shape, `_count_plan`.
     """
-    hp, dterm, oterm, lengths = _count_plan(g)
+    hp, dterm, oterm = _count_plan(g.shape)
     lams = np.asarray(lams, dtype=float).reshape(-1)
-    diag, off, singular = dtn_tables(lams, lengths)
-    k = np.sqrt(np.maximum(lams, 0.0))[:, None]
-    with np.errstate(over="ignore"):
-        n_dirichlet = np.maximum(np.ceil(k * lengths / np.pi) - 1.0,
-                                 0.0).sum(axis=1)
+    diag, off, singular, kl = _dtn_entries(lams, g.lengths)
+    # N_D: each edge's ceil(k l / pi) - 1 Dirichlet eigenvalues below lambda
+    n_dirichlet = np.maximum(np.ceil(kl / np.pi) - 1.0, 0.0).sum(axis=1)
     # past 2^53 (k l not finite, or so large that the row is singular) the
     # Dirichlet count is no exact integer: the row counts 0, is untrusted as
     # a singular row is, and its DtN entries, nan where k l is not finite,
@@ -216,8 +235,7 @@ def count_below(g: MetricGraph, lams):
     mu = np.linalg.eigvalsh(
         hp - (diag @ dterm + off @ oterm).reshape(lams.size, r, r))
     abs_mu = np.abs(mu)
-    thr = (_COUNT_TRUST * r * np.finfo(float).eps
-           * abs_mu.max(axis=1, initial=0.0))
+    thr = _COUNT_TRUST * r * _EPS * abs_mu.max(axis=1, initial=0.0)
     counts = n_dirichlet.astype(np.intp) + (mu < 0.0).sum(axis=1)
     return counts, ~singular & (abs_mu.min(axis=1, initial=np.inf) > thr)
 

@@ -158,13 +158,19 @@ def default_negative_floor(g: MetricGraph) -> float:
     """Lower end of the negative window, below every eigenvalue: -d^2, with
     d = 2 * max degree doubled until the exact count N(-d^2) is a trusted 0.
     """
+    return _negative_floor(g, [])[0]
+
+
+def _negative_floor(g: MetricGraph, extra):
+    """`default_negative_floor`, and the (counts, trusted) of `count_below`
+    at the lambdas `extra`, which its first count call counts as well."""
     d = 2 * max(v.degree for v in g.vertices)
-    while True:
-        floor = -float(d * d)
-        count, trusted = count_below(g, [floor])
-        if trusted[0] and count[0] == 0:
-            return floor
+    counts, trusted = count_below(g, [-float(d * d), *extra])
+    rest = counts[1:], trusted[1:]
+    while not (trusted[0] and counts[0] == 0):
         d *= 2
+        counts, trusted = count_below(g, [-float(d * d)])
+    return -float(d * d), rest
 
 
 def _svdvals(mat, lam):
@@ -352,13 +358,16 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
     counted = dict(zip(opening, zip(n[nprobe:].tolist(),
                                     ok[nprobe:].tolist())))
     n, ok = (v[:x.size].reshape(2, -1).tolist() for v in (n, ok))
-    live = list(zip(*x.T.tolist(), *n, *ok, width.tolist()))
+
+    def holds(n0, n1, ok0, ok1):  # equal trusted end counts: no eigenvalue
+        return n0 != n1 or not (ok0 and ok1)
+
+    live = [c for c in zip(*x.T.tolist(), *n, *ok, width.tolist())
+            if holds(*c[2:6])]
     limit = (int(probed[0][0]) + first
              if first is not None and probed[1][0] else None)
     cut = None
     while True:
-        # a cell with equal trusted end counts holds no eigenvalue
-        live = [c for c in live if c[2] != c[3] or not (c[4] and c[5])]
         if limit is not None:
             # the cells are in increasing order, so the first end found is
             # the lowest; it lies at or below the last cut
@@ -368,25 +377,31 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
             if reached is not None:
                 cut = reached
                 live = [c for c in live if c[0] < cut[0]]
-        splits = [wide(c[0], c[1], c[6]) for c in live]
-        if not any(splits):
+        # one pass decides which cells split, at their midpoints, and which
+        # points the round counts
+        mids, ask = [], []
+        for x0, x1, *_, w in live:
+            mid = (x0 + x1) / 2.0 if wide(x0, x1, w) else None
+            if mid is not None and mid not in counted:
+                ask += ahead(x0, x1, w)
+            mids.append(mid)
+        if mids.count(None) == len(mids):
             break
-        ask = [p for (x0, x1, *_, w), s in zip(live, splits)
-               if s and (x0 + x1) / 2.0 not in counted
-               for p in ahead(x0, x1, w)]
         if ask:
             n_ask, ok_ask = budgeted(lam_of(np.array(ask)))
             counted.update(zip(ask, zip(n_ask.tolist(), ok_ask.tolist())))
-        # each split cell becomes its two halves, in place
+        # each split cell becomes its halves that may hold an eigenvalue, in
+        # place
         split = []
-        for (x0, x1, n0, n1, ok0, ok1, w), s in zip(live, splits):
-            if s:
-                mid = (x0 + x1) / 2.0
-                n_m, ok_m = counted[mid]
-                split += [(x0, mid, n0, n_m, ok0, ok_m, w),
-                          (mid, x1, n_m, n1, ok_m, ok1, w)]
-            else:
+        for (x0, x1, n0, n1, ok0, ok1, w), mid in zip(live, mids):
+            if mid is None:
                 split.append((x0, x1, n0, n1, ok0, ok1, w))
+                continue
+            n_m, ok_m = counted[mid]
+            if holds(n0, n_m, ok0, ok_m):
+                split.append((x0, mid, n0, n_m, ok0, ok_m, w))
+            if holds(n_m, n1, ok_m, ok1):
+                split.append((mid, x1, n_m, n1, ok_m, ok1, w))
         live = split
     return (np.array([c[0:2] for c in live], dtype=float).reshape(-1, 2),
             np.array([c[2:4] for c in live], dtype=np.intp).reshape(-1, 2),
@@ -400,7 +415,8 @@ def _runs(cells, ok):
     Returns the (m, 2) array of run ends and each cell's run index."""
     start = np.ones(len(cells), dtype=bool)
     start[1:] = ok[:-1, 1] | (cells[1:, 0] > cells[:-1, 1])
-    last = np.roll(start, -1)  # a run ends before the next one starts
+    last = np.ones_like(start)  # a run ends before the next one starts
+    last[:-1] = start[1:]
     runs = np.stack((cells[start, 0], cells[last, 1]), axis=1)
     return runs, np.cumsum(start) - 1
 
@@ -558,11 +574,12 @@ def find_spectrum(g: MetricGraph, window, method: str = "edge", *,
             merged.append(i)
 
     def record(lam, s, m):
+        s = s.tolist()
+        shaky = RANK_TOL * s[0] / MULT_GUARD, RANK_TOL * s[0] * MULT_GUARD
         # a full collapse has no sigma ratio to be unsure of
-        if m < len(s) and np.any((s >= RANK_TOL * s[0] / MULT_GUARD)
-                                 & (s <= RANK_TOL * s[0] * MULT_GUARD)):
+        if m < len(s) and any(shaky[0] <= x <= shaky[1] for x in s):
             diagnostics.append(f"MultiplicityUncertain(lambda={lam:.12g})")
-        return EigRecord(float(lam), int(m), float(s[-1]), float(s[0]))
+        return EigRecord(float(lam), int(m), s[-1], s[0])
 
     records = []
     if lo <= 0.0 <= hi:
@@ -616,21 +633,26 @@ def first_eigenvalues(g: MetricGraph, k: int):
     so that no end on an eigenvalue or an edge Dirichlet pole leaves the
     window's completeness check undone. An end still untrusted after
     _TRUST_NUDGES moves (an end of 0, or an edge so long that no positive
-    count is trusted) raises WindowTooCoarse naming it."""
+    count is trusted) raises WindowTooCoarse naming it. The first window
+    end is counted in the first count call of the window's lower end,
+    `default_negative_floor`."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    lo = default_negative_floor(g)
     hi = (math.pi * (k + 2) / g.total_length) ** 2
+    lo, (_, trusted) = _negative_floor(g, [hi])
     for attempt in range(12):
         end = hi * 2.0 ** attempt
+        if attempt:
+            trusted = count_below(g, [end])[1]
         nudges = 0
-        while not count_below(g, [end])[1][0]:
+        while not trusted[0]:
             if nudges == _TRUST_NUDGES:
                 raise WindowTooCoarse(
                     f"the eigenvalue count at the window end {end!r} is not "
                     f"trusted after {_TRUST_NUDGES} nudges")
             end *= 1.0 + 1e-6
             nudges += 1
+            trusted = count_below(g, [end])[1]
         spec = find_spectrum(g, (lo, end), first=k)
         if spec.count < k and spec.window[1] < end:
             spec = find_spectrum(g, (lo, end))

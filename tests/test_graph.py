@@ -1,7 +1,9 @@
 """Graph model: construction, validation, serialization, metrics."""
 
 import json
+import pickle
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -58,6 +60,31 @@ def test_degree_one_coupled_normalizes_to_neumann():
     with pytest.warns(UserWarning, match="reduces to Neumann"):
         g = MetricGraph.create(verts, edges)
     assert g.vertex_map["a"].bc is BoundaryType.NEUMANN
+
+
+def test_equal_graphs_hash_once_and_share_a_cache_entry():
+    a, b = make_star([1.0, 0.7, 1.3]), make_star([1.0, 0.7, 1.3])
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.vertices, a.edges))
+    assert vars(a)["_hash"] == hash(a)  # kept on the instance
+    built = []
+
+    @lru_cache(maxsize=None)
+    def plan(g):
+        built.append(g)
+        return object()
+
+    assert plan(a) is plan(b) and built == [a]
+    assert plan.cache_info().currsize == 1
+
+
+def test_a_pickled_graph_carries_no_hash_or_cached_view(star3):
+    hash(star3), star3.slot_index, star3.lengths, star3.shape
+    copy = pickle.loads(pickle.dumps(star3))
+    # rebuilt from its fields: a hash made under another process's string
+    # hash seed would break every dict and cache holding it
+    assert set(vars(copy)) == {"vertices", "edges"}
+    assert copy == star3 and hash(copy) == hash(star3)
 
 
 def graph_doc(vertices, edges):

@@ -1,16 +1,20 @@
-"""Scan kernels: the per-graph edge plan, basis switching, byte identity of
-the vectorized assembly, equilibration and per-row sigma identity of the
-scan."""
+"""Scan kernels: the edge plan, built per shape, basis switching, byte
+identity of the vectorized assembly, equilibration and per-row sigma
+identity of the scan."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qgraph import kernels, secular
 from qgraph.experiments import sample_graph
 from qgraph.graph import (
     END,
     BoundaryType,
+    MetricGraph,
     make_cycle,
     make_figure8,
     make_path,
@@ -26,7 +30,7 @@ from qgraph.kernels import (
     scan_sigma,
 )
 from qgraph.quadform import TrialFunction, _edge_nodes
-from qgraph.secular import build_secular_matrix
+from qgraph.secular import _count_plan, build_secular_matrix, count_below
 from qgraph.surgery import Transplant, apply_surgery
 
 
@@ -365,3 +369,73 @@ class TestScanAgreement:
         plan = prepare_structure(make_cycle([1.0]))
         svals = scan_sigma(lam, edge_builder(plan))
         assert svals[0, 0] < 1e-7
+
+
+def edited(g, edit):
+    """g with its JSON document changed in place by edit."""
+    doc = g.to_json_dict()
+    edit(doc)
+    return MetricGraph.from_json_dict(doc)
+
+
+def swap_center_order(doc):  # one vertex's endpoint order
+    order = doc["vertices"][0]["order"]
+    order[0], order[1] = order[1], order[0]
+
+
+def dirichlet_tip(doc):  # one tip condition
+    doc["vertices"][1]["bc"] = "dirichlet"
+
+
+def reverse_edge(doc):  # one edge's endpoints, with the endpoints they own
+    doc["edges"][0]["from"], doc["edges"][0]["to"] = "v1", "v0"
+    doc["vertices"][0]["order"][0] = ["e1", "end"]
+    doc["vertices"][1]["order"] = [["e1", "start"]]
+
+
+class TestShapePlans:
+    """The length-free plans are built once per shape and shared by every
+    graph of that shape; each graph keeps its own lengths."""
+
+    def test_graphs_of_one_shape_share_the_length_free_arrays(self):
+        a, b = make_star([1.0, 0.7, 1.3]), make_star([0.4, 2.0, 1.1])
+        assert a.shape == b.shape and a != b
+        (ta, wa, la), (tb, wb, lb) = prepare_structure(a), prepare_structure(b)
+        assert ta is tb and wa is wb
+        assert la.tolist() == [1.0, 0.7, 1.3] and lb.tolist() == [0.4, 2.0, 1.1]
+        assert all(x is y for x, y in zip(_count_plan(a.shape),
+                                          _count_plan(b.shape)))
+        for x in (ta, wa, la, *_count_plan(a.shape)):
+            assert not x.flags.writeable
+
+    @pytest.mark.parametrize("edit", [swap_center_order, dirichlet_tip,
+                                      reverse_edge])
+    def test_a_change_of_shape_gets_its_own_plans(self, edit):
+        base = make_star([1.0, 0.7, 1.3])
+        g = edited(base, edit)
+        assert g.shape != base.shape
+        assert g.lengths.tolist() == base.lengths.tolist()
+        plan, other = prepare_structure(g), prepare_structure(base)
+        assert plan[0].tobytes() != other[0].tobytes() or \
+            plan[1].tobytes() != other[1].tobytes()
+        got = build_matrix_grid_numpy(BYTE_GRID, plan)
+        assert got.tobytes() == reference_matrix_grid(g, BYTE_GRID).tobytes()
+        # the count plan of the shape is its own, the one built from the
+        # graph itself (a reversed edge leaves its bytes, as an interval's
+        # DtN map is symmetric)
+        shared = _count_plan(g.shape)
+        assert shared is not _count_plan(base.shape)
+        own = _count_plan.__wrapped__(g)
+        assert [x.tobytes() for x in shared] == [x.tobytes() for x in own]
+
+    def test_no_shape_plan_survives_the_benchmark_cache_reset(self,
+                                                               monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        run = importlib.import_module("qgbench.run")
+        g = make_star([0.9, 1.1, 1.2])
+        prepare_structure(g)
+        count_below(g, [1.0])
+        shape_caches = (kernels._edge_layout, secular._count_plan)
+        assert all(c.cache_info().currsize for c in shape_caches)
+        run.reset_caches()
+        assert [c.cache_info().currsize for c in shape_caches] == [0, 0]

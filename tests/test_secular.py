@@ -535,6 +535,41 @@ COUNT_GRAPHS = {
 }
 
 
+class TestShuffledBatches:
+    """Every row of a batch in shuffled order has the bytes of its one-point
+    call: the counts, trust flags and singular values. The points mix both
+    signs, 0 (an eigenvalue of the star), pi^2 (a Dirichlet eigenvalue of
+    the unit edge), both with untrusted counts, and a pole of the unit
+    edge's first DtN piece (where the DtN route has no matrix and reads inf,
+    and the edge route does not)."""
+
+    G = COUNT_GRAPHS["star3"]
+    POLE = (math.pi / _SPLIT) ** 2
+    LAMS = np.random.default_rng(7).permutation(
+        [-30.0, -4.2, -0.3, -1e-7, 0.0, 1e-9, 0.7, 9.5, math.pi ** 2, POLE,
+         40.0, 61.3])
+
+    def test_count_below(self):
+        counts, trusted = count_below(self.G, self.LAMS)
+        for i, lam in enumerate(self.LAMS):
+            one = count_below(self.G, [lam])
+            assert one[0].tobytes() == counts[i:i + 1].tobytes()
+            assert one[1].tobytes() == trusted[i:i + 1].tobytes()
+        assert trusted.tolist() == [lam not in (0.0, math.pi ** 2)
+                                    for lam in self.LAMS]
+
+    @pytest.mark.parametrize("method", ["edge", "dtn"])
+    def test_sigma_grid(self, method):
+        plan = prepare_structure(self.G)
+        svals = _sigma_grid(self.G, plan, self.LAMS, method)
+        for i, lam in enumerate(self.LAMS):
+            one = _sigma_grid(self.G, plan, [lam], method)
+            assert one.tobytes() == svals[i:i + 1].tobytes()
+        pole = self.LAMS == self.POLE
+        assert np.isinf(svals[pole]).all() == (method == "dtn")
+        assert np.isfinite(svals[~pole]).all()
+
+
 class TestCountBelow:
     """N(lambda), the number of eigenvalues below lambda, from the inertia of
     the DtN form against the eigenvalues find_spectrum certifies."""

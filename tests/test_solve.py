@@ -1511,6 +1511,29 @@ class TestFirstEigenvalues:
         assert lams == pytest.approx(STAR3_EQUIL, abs=1e-8)
         assert spec.method == "edge"
 
+    def test_floor_and_first_window_end_share_a_count_call(self,
+                                                             monkeypatch):
+        # one count_below call fewer than the floor's and the end's apart:
+        # the first call counts both, and the spectrum is the one the
+        # window solved alone gives; the star's first window end lies off
+        # every edge Dirichlet eigenvalue, so its count is trusted at once
+        g, k = make_star([1.1, 0.7, 1.3]), 4
+        floor = default_negative_floor(g)
+        end = (math.pi * (k + 2) / g.total_length) ** 2
+        calls = []
+
+        def counted(g, lams):
+            calls.append(np.ravel(lams).tolist())
+            return count_below(g, lams)
+
+        monkeypatch.setattr(solve_mod, "count_below", counted)
+        lams, spec = first_eigenvalues(g, k)
+        made = calls[:]
+        calls.clear()
+        alone = find_spectrum(g, (floor, end), first=k)
+        assert made == [[floor, end]] + calls
+        assert repr(spec) == repr(alone) and lams == alone.lambdas()[:k]
+
     def test_multiplicity_expansion(self):
         lams, _ = first_eigenvalues(make_cycle([1.0]), 3)
         assert lams[0] == pytest.approx(0.0, abs=1e-10)
@@ -1594,9 +1617,10 @@ class TestFirstEigenvalues:
         assert str(err.value) == (
             f"the eigenvalue count at the window end 0.0 is not trusted "
             f"after {solve_mod._TRUST_NUDGES} nudges")
-        # the search floor's count, then the end's, once and after each nudge
-        assert calls[0][0] < 0.0
-        assert calls[1:] == [[0.0]] * (solve_mod._TRUST_NUDGES + 1)
+        # the search floor's count holds the end's first count, and the end
+        # is counted again after each nudge
+        assert calls[0][0] < 0.0 and calls[0][1:] == [0.0]
+        assert calls[1:] == [[0.0]] * solve_mod._TRUST_NUDGES
 
     @pytest.mark.parametrize("k", [0, -1, -2])
     def test_k_below_one_raises(self, k):

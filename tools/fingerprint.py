@@ -17,7 +17,12 @@ any output. The families:
 - suites: the `to_json()` of the 16 suite reports, every suite at seeds 0
   and 1;
 - cli: stdout and exit code of a fixed set of CLI runs; the report path
-  line of `verify` is dropped, as it names a temporary directory.
+  line of `verify` is dropped, as it names a temporary directory;
+- scan, crosscheck and eigenfunctions once more, marked "reversed": after
+  qgbench's `reset_caches()`, the same ops are solved from the last to the
+  first, and their outputs hashed in op order. A plan that is cached and
+  shared (by graph shape, say) and that kept anything of the graph it was
+  first built for makes these lines differ from the ones above.
 
 Inputs and reports go to a temporary directory, which is removed at the end;
 nothing is written into the tree, byte code included.
@@ -118,33 +123,44 @@ def _cli_runs(tmp: Path) -> list:
     ]
 
 
-def fingerprint() -> dict:
+def _op_records(seed: int, i: int) -> dict:
+    """The records of scan op i and crosscheck op i of seed, by family."""
     from qgbench import workloads
     from qgraph import quadform, solve
     from qgraph.errors import QGraphError
+
+    out = {"scan": [(repr(workloads.scan_op(workloads.scan_spec(seed, i))),)],
+           "crosscheck": [], "eigenfunctions": []}
+    spec = workloads.cross_spec(seed, i)
+    cross = workloads.cross_op(spec)
+    out["crosscheck"].append((repr(cross["dtn"]), cross["fem"].tobytes()))
+    for lam, quotients, err in cross["rayleigh"]:
+        out["crosscheck"].append((lam.hex(), err,
+                                  *(q.hex() for q in quotients)))
+    for r in cross["dtn"].records:
+        try:
+            funcs = solve.eigenfunction_at(spec["graph"], r.lam)
+        except QGraphError as exc:
+            out["eigenfunctions"].append((r.lam.hex(), type(exc).__name__))
+            continue
+        for f in funcs:
+            q = quadform.rayleigh_quotient(spec["graph"], f.as_trial())
+            out["eigenfunctions"].append((r.lam.hex(), f.coeffs.tobytes(),
+                                          q.hex()))
+    return out
+
+
+def fingerprint() -> dict:
+    from qgbench import run, workloads
     from qgraph.experiments import SUITES
 
-    fam = {name: Family() for name in
-           ("scan", "crosscheck", "eigenfunctions", "suites", "cli")}
-    for seed in SEEDS:
-        for i in OPS:
-            fam["scan"].add(repr(workloads.scan_op(workloads.scan_spec(seed, i))))
-            spec = workloads.cross_spec(seed, i)
-            out = workloads.cross_op(spec)
-            fam["crosscheck"].add(repr(out["dtn"]), out["fem"].tobytes())
-            for lam, quotients, err in out["rayleigh"]:
-                fam["crosscheck"].add(lam.hex(), err,
-                                      *(q.hex() for q in quotients))
-            for r in out["dtn"].records:
-                try:
-                    funcs = solve.eigenfunction_at(spec["graph"], r.lam)
-                except QGraphError as exc:
-                    fam["eigenfunctions"].add(r.lam.hex(), type(exc).__name__)
-                    continue
-                for f in funcs:
-                    q = quadform.rayleigh_quotient(spec["graph"], f.as_trial())
-                    fam["eigenfunctions"].add(r.lam.hex(), f.coeffs.tobytes(),
-                                              q.hex())
+    ops_families = ("scan", "crosscheck", "eigenfunctions")
+    fam = {name: Family() for name in (*ops_families, "suites", "cli")}
+    ops = [(seed, i) for seed in SEEDS for i in OPS]
+    for op in ops:
+        for name, records in _op_records(*op).items():
+            for parts in records:
+                fam[name].add(*parts)
     for name in sorted(SUITES):
         for seed in SUITE_SEEDS:
             fam["suites"].add(name, seed, SUITES[name](seed).to_json())
@@ -155,6 +171,13 @@ def fingerprint() -> dict:
             kept = [ln for ln in text.splitlines() if tmp not in ln]
             fam["cli"].add(" ".join(argv).replace(tmp, "TMP"), code,
                            "\n".join(kept))
+    run.reset_caches()
+    solved = {op: _op_records(*op) for op in reversed(ops)}
+    for name in ops_families:
+        fam[f"{name} reversed"] = family = Family()
+        for op in ops:
+            for parts in solved[op][name]:
+                family.add(*parts)
     return fam
 
 
@@ -172,7 +195,7 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree)]
     for name, family in fingerprint().items():
-        print(f"{name:15s} {family}")
+        print(f"{name:24s} {family}")
     return 0
 
 
