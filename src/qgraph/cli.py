@@ -100,6 +100,8 @@ def cmd_spectrum(args) -> int:
 
 def _op_from_dict(doc: dict):
     """Ops-file entry -> surgery op. The `op` key selects the type."""
+    if not isinstance(doc, dict):
+        raise InvalidGraph(f"op entry {doc!r} is not a JSON object")
     kind = doc.get("op")
     try:
         if kind == "transplant":

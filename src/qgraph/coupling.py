@@ -12,8 +12,10 @@ degree 1. `MetricGraph.create` rewrites a coupled vertex of degree 1 to a
 Neumann tip (the cyclic condition at one endpoint is F' = 0) and refuses
 any other kind, so no other (condition, degree) pair reaches this module.
 
-Both secular routes read their rows from `assemble_blocks`: the DtN route
-multiplies its blocks out per lambda, and the edge route's plan
+Both secular routes read their rows from `assemble_blocks`, which places
+each vertex's pair at its endpoints' global slots (`MetricGraph.slot_index`):
+the DtN route's plan (`secular._dtn_plan`) folds B into the stacks it
+multiplies the DtN tables by, once per graph, and the edge route's plan
 (`kernels.prepare_structure`) takes A's entries as value terms and B's as
 derivative terms. The quadratic form's equivalent statement, the skew
 pairing H and the form domain, is `quadform`'s.
@@ -48,15 +50,12 @@ def build_vertex_pair(bc: BoundaryType, degree: int):
 
 def assemble_blocks(g: MetricGraph):
     """The block-diagonal pair (A, B) over all vertices, each m x m with
-    m = 2E, rows and columns in the graph's global endpoint slot order."""
+    m = 2E, rows and columns in the graph's global endpoint slot order:
+    each vertex's pair sits at the slots of its endpoints, in its order."""
     m = 2 * g.num_edges
-    a = np.zeros((m, m))
-    b = np.zeros((m, m))
-    pos = 0
-    for v in g.sorted_vertices:
-        d = v.degree
-        av, bv = build_vertex_pair(v.bc, d)
-        a[pos:pos + d, pos:pos + d] = av
-        b[pos:pos + d, pos:pos + d] = bv
-        pos += d
+    a, b = np.zeros((m, m)), np.zeros((m, m))
+    for v in g.vertices:
+        slots = np.array([g.slot_index[ref] for ref in v.order])
+        at = slots[:, None], slots
+        a[at], b[at] = build_vertex_pair(v.bc, v.degree)
     return a, b

@@ -152,6 +152,16 @@ class MetricGraph:
         return idx
 
     @cached_property
+    def end_slots(self) -> np.ndarray:
+        """Every edge's global slots, a read-only (2, E) integer array: the
+        start slots in edge order, then the end slots. It is the one
+        statement of the edge ends' slots that the solver plans read."""
+        slots = np.array([[self.slot_index[(e.id, w)] for e in self.edges]
+                          for w in (START, END)], dtype=np.intp)
+        slots.flags.writeable = False
+        return slots
+
+    @cached_property
     def edge_index(self) -> dict:
         return {e.id: i for i, e in enumerate(self.edges)}
 

@@ -18,10 +18,13 @@ whole stack by one product with a fixed matrix of +-1 weights. What is
 cached per shape (`MetricGraph.shape`: the vertices, their conditions and
 endpoint orders, and the edges' ids and endpoints) is the plan's layout,
 the target slots and the weights, read once off the vertex blocks A and B
-of `coupling.assemble_blocks` by `_edge_layout` and shared, read-only, by
-every graph of that shape; what stays per graph is its edge lengths. The
-vertex conditions are stated only in `coupling`; no Python loop runs per
-lambda or per row.
+of `coupling.assemble_blocks` and the edge ends' slots of
+`MetricGraph.end_slots` by `_edge_layout` and shared, read-only, by every
+graph of that shape; what stays per graph is its edge lengths. The vertex
+conditions are stated only in `coupling`; no Python loop runs per lambda
+or per row. The DtN route's builder, `secular.build_dtn_grid`, forms its
+stack as A' + i (diag @ D + off @ O) from its DtN tables, the way
+`secular.count_below` forms its count matrix.
 
 The per-edge solution basis is {f1, f2} with f1(x) = cos(sqrt(lambda) x) and
 f2(x) = sin(sqrt(lambda) x)/sqrt(lambda), continued through lambda <= 0 by
@@ -54,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import assemble_blocks
-from .graph import END, MetricGraph
+from .graph import MetricGraph
 
 
 @lru_cache(maxsize=256)
@@ -94,9 +97,9 @@ def _edge_layout(shape: MetricGraph):
     m = 2 * ne
     # per slot: the first matrix column of its edge e, and its first trace
     # column, e in the start tables and 4 E + e in the end tables
-    first, trace = np.array(
-        [(2 * shape.edge_index[e], 4 * ne * (w == END) + shape.edge_index[e])
-         for e, w in shape.slot_index], dtype=np.intp).T
+    first, trace = np.empty((2, m), dtype=np.intp)
+    first[shape.end_slots] = 2 * np.arange(ne)
+    trace[shape.end_slots] = np.arange(ne) + [[0], [4 * ne]]
     ab = np.stack(assemble_blocks(shape))
     deriv, r, s = np.nonzero(ab)
     # entry (deriv, r, s) of the stack (A, B) reaches both columns of its

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotInDomain, QGraphError
-from .graph import END, BoundaryType, MetricGraph, START
+from .graph import BoundaryType, MetricGraph
 
 DOMAIN_TOL = 1e-9
 QUAD_ORDER = 64  # Gauss points per edge piece of form, norm and Gram integrals
@@ -96,11 +96,10 @@ def _quadrature(g: MetricGraph, breaks: frozenset) -> _Nodes:
                         for e, (nodes, _) in zip(g.edges, quad)])
     edge = np.repeat(np.arange(len(sizes)), np.diff(bounds))
     ends = np.array(bounds[:-1]) + np.array([[0], [1]])  # (2, E): 0, length
-    slots = [g.slot_index[(e.id, w)] for w in (START, END) for e in g.edges]
     q = _Nodes(x, g.lengths[edge], edge,
                tuple((e.id, x[a:b]) for e, a, b in zip(g.edges, bounds, bounds[1:])),
                np.delete(np.arange(x.size), ends.ravel()),
-               ends.ravel()[np.argsort(slots)],
+               ends.ravel()[np.argsort(g.end_slots.ravel())],
                np.concatenate([w for _, w in quad]),
                tuple(map(slice, cuts, cuts[1:])))
     for a in (q.x, q.length, q.edge, q.inner, q.traces, q.weights):
@@ -178,7 +177,7 @@ def check_domain(g: MetricGraph, f: TrialFunction) -> None:
 def _check_traces(g: MetricGraph, traces: np.ndarray) -> None:
     """`check_domain` on a trace vector from `trial_traces`: the first
     constraint of `_domain_rows` off zero by more than DOMAIN_TOL raises."""
-    rows, vertices = _domain_rows(g)
+    rows, vertices = _domain_rows(g.shape)
     for v, t in zip(vertices, rows @ traces):
         if not abs(t) <= DOMAIN_TOL:  # NaN fails too
             if v.bc is BoundaryType.DIRICHLET:
@@ -262,7 +261,7 @@ def _form(g: MetricGraph, f: TrialFunction, h: TrialFunction, q: _Nodes,
     df = f.on_edges(q, True)[q.inner]
     dh = df if diag else h.on_edges(q, True)[q.inner]
     total = _edge_total(q.weights * df * np.conj(dh), q, 0.0 + 0.0j)
-    total += np.conj(htr) @ vertex_form_matrix(g) @ ftr
+    total += np.conj(htr) @ vertex_form_matrix(g.shape) @ ftr
     if diag:
         if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
             raise QGraphError(f"diagonal form value has imaginary part {total.imag:.3e}")

@@ -21,10 +21,12 @@ Two routes to the same zero set:
   Eliminating u would bring the edge's poles back.
   The DtN entries are written once, in `dtn_tables`: (n_lambda, n_pieces)
   tables of the diagonal and off-diagonal entries plus a per-lambda
-  singular mask. `build_dtn_grid` lays a batch of them into a stack of
-  secular matrices from the route's per-graph plan, `_dtn_plan`; it is the
-  builder that `kernels.scan_sigma` runs for this route. `interval_dtn` and
-  the one-lambda `build_secular_matrix` are single rows of these.
+  singular mask. `build_dtn_grid` turns a batch of them into the stack
+  A' + i (diag @ D + off @ O), A' = diag(A, 0), from the route's per-graph
+  plan, `_dtn_plan`, whose stacks D and O are what B' M takes per unit DtN
+  entry, B' = diag(B, I); it is the builder that `kernels.scan_sigma` runs
+  for this route. `interval_dtn` and the one-lambda `build_secular_matrix`
+  are single rows of these.
 
 The same tables, over the unsplit edges, give exact eigenvalue counts,
 `count_below`: N(lambda), the number of eigenvalues below lambda with
@@ -41,13 +43,21 @@ quantum-graph form of Berkolaiko & Kuchment, Introduction to Quantum Graphs
 (AMS, 2013). solve uses the counts only to isolate eigenvalues in cells;
 sigma_min refines them.
 
+Both matrices linear in the DtN map, Q and A + i B M, are built one way: a
+constant plus diag @ D + off @ O, with the stacks D and O of
+`_dtn_stacks` from the left and right factors at each piece's two traces
+(P's rows at an edge's two ends for Q; B''s columns and unit rows at a
+piece's two traces for the DtN route). Those traces' slots are read from
+`MetricGraph.end_slots`, the one statement of the edge ends' slots.
+
 What is cached per shape (`MetricGraph.shape`: the vertices, their
 conditions and endpoint orders, and the edges' ids and endpoints) is the
 count's plan, `_count_plan`: P* H P and the two stacks P* M P takes per
 unit DtN entry, read-only and shared by every graph of that shape. What
 stays per graph is its edge lengths (`MetricGraph.lengths`), from which
 each call makes its DtN tables and N_D, and the DtN route's plan
-`_dtn_plan`, whose pieces are lengths.
+`_dtn_plan`, whose pieces are lengths (it calls `assemble_blocks` per
+graph, a call the benchmark's `crosscheck` layers record).
 
 Star graphs additionally admit reduced transcendental forms, which serve
 only as regression references; `reduced_negative_kappas` finds their roots
@@ -63,7 +73,7 @@ import numpy as np
 
 from .coupling import assemble_blocks
 from .errors import DtNSingular
-from .graph import END, MetricGraph, START
+from .graph import MetricGraph
 from .kernels import build_matrix_grid_numpy, prepare_structure
 from .quadform import form_domain_basis, vertex_form_matrix
 
@@ -138,28 +148,39 @@ def interval_dtn(length: float, lam: float, edge_id: str = "interval") -> np.nda
     return np.array([[d, o], [o, d]])
 
 
-def _edge_slots(g: MetricGraph):
-    """The (start, end) slots of every edge."""
-    return (np.array([g.slot_index[(e.id, START)] for e in g.edges], dtype=np.intp),
-            np.array([g.slot_index[(e.id, END)] for e in g.edges], dtype=np.intp))
+def _dtn_stacks(ls, le, rs, re):
+    """The stacks l_s r_s + l_e r_e and l_s r_e + l_e r_s, each flattened
+    to (pieces, rows * columns), that a matrix linear in the DtN map takes
+    per unit diagonal and per unit off-diagonal DtN entry of each piece,
+    from the left factors (ls, le) and the right factors (rs, re) at each
+    piece's two traces s and e, one row per piece."""
+    ls, le, rs, re = ls[:, :, None], le[:, :, None], rs[:, None], re[:, None]
+    return ((ls * rs + le * re).reshape(ls.shape[0], -1),
+            (ls * re + le * rs).reshape(ls.shape[0], -1))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)  # dense, about 288 E^3 bytes an entry; a solve reads one
 def _dtn_plan(g: MetricGraph):
     """Per-graph constants of the DtN secular matrices over the traces
     (F, u), F at the 2E endpoint slots and u at the E split points (column
-    2E + e for edge e): the blocks diag(A, 0) and diag(B, I) of the vertex
-    blocks A and B, then each piece's (start, end) columns and its length,
-    the first pieces [0, alpha l] of all edges before the second pieces."""
-    start, end = _edge_slots(g)
-    lengths = g.lengths
-    m, ne = 2 * lengths.size, lengths.size
+    2E + e for edge e), read-only: A' = diag(A, 0) of the vertex blocks A
+    and B; the stacks of `_dtn_stacks` that B' M takes, B' = diag(B, I),
+    whose left factors are B''s columns at a piece's two traces and whose
+    right factors are those traces' unit rows; and the pieces' lengths, the
+    first pieces [0, alpha l] of all edges before the second pieces. Each
+    piece is taken from its edge end's slot to the split point (a piece's
+    DtN map is symmetric, so the second piece may run backwards)."""
+    m, ne = 2 * g.num_edges, g.num_edges
     a, b = np.zeros((m + ne, m + ne)), np.eye(m + ne)
     a[:m, :m], b[:m, :m] = assemble_blocks(g)
-    split = m + np.arange(ne)
-    first = _SPLIT * lengths
-    return (a, b, np.concatenate((start, split)), np.concatenate((split, end)),
-            np.concatenate((first, lengths - first)))
+    # piece p's traces: its edge end's slot at[0, p], its split point at[1, p]
+    at = np.stack((g.end_slots.ravel(), np.tile(m + np.arange(ne), 2)))
+    first = _SPLIT * g.lengths
+    plan = (a, *_dtn_stacks(*b.T[at], *np.eye(m + ne)[at]),
+            np.concatenate((first, g.lengths - first)))
+    for x in plan:
+        x.flags.writeable = False
+    return plan
 
 
 def build_dtn_grid(g: MetricGraph, lams):
@@ -167,37 +188,34 @@ def build_dtn_grid(g: MetricGraph, lams):
     (F, u) of `_dtn_plan`, shape (n, 3E, 3E), and the (n,) singular mask of
     `dtn_tables` over the pieces; singular rows are not valid matrices.
 
-    M is filled from zeros by one add per entry of each piece's DtN block
-    (a piece's two columns are its own; a split point's diagonal takes one
-    add from each piece), then the same A + 1j * (B @ M) as a matrix built
-    alone, so every row has the bytes of a one-lambda build.
+    The stack is A' + i (diag @ dterm + off @ oterm), as `count_below`'s Q
+    is P* H P - (diag @ dterm + off @ oterm), over stacks of `_dtn_stacks`.
+    A zero array takes A' as its real part and each product added into its
+    imaginary part, so no complex temporary is made. No entry of B' M sums
+    more than two nonzero products, each exact (B's entries are 0 and 1),
+    and adding to +0.0 turns a -0.0 into +0.0, so every row has the bytes
+    of a one-lambda build and, off the singular rows, of A' + 1j * (B' @ M),
+    whatever order the products add in.
     """
-    a, b, start, end, pieces = _dtn_plan(g)
+    a, dterm, oterm, pieces = _dtn_plan(g)
     lams = np.asarray(lams, dtype=float).reshape(-1)
     diag, off, singular = dtn_tables(lams, pieces)
-    dtn = np.zeros((lams.size,) + a.shape)
-    dtn[:, start, start] += diag
-    dtn[:, start, end] += off
-    dtn[:, end, start] += off
-    dtn[:, end, end] += diag
-    return a + 1j * (b @ dtn), singular
+    mats = np.zeros((lams.size,) + a.shape, dtype=complex)
+    mats.real = a
+    mats.imag += (diag @ dterm).reshape(mats.shape)
+    mats.imag += (off @ oterm).reshape(mats.shape)
+    return mats, singular
 
 
 @lru_cache(maxsize=64)
 def _count_plan(shape: MetricGraph):
     """The constants of `count_below` for a graph's shape
-    (`MetricGraph.shape`), read-only: P* H P; the stacks p_s p_s^T +
-    p_e p_e^T and p_s p_e^T + p_e p_s^T that P* M P takes per unit diagonal
-    and off-diagonal DtN entry of each edge, p_s and p_e the rows of P at
-    the edge's start and end slots, each flattened to (E, r^2). None of them
-    reads a length."""
-    start, end = _edge_slots(shape)
+    (`MetricGraph.shape`), read-only: P* H P, and the stacks of
+    `_dtn_stacks` that P* M P takes, both factors P's rows at each edge's
+    (start, end) slots. None of them reads a length."""
     p = form_domain_basis(shape)
-    ps, pe = p[start][:, :, None], p[end][:, :, None]
-    ps_t, pe_t = ps.transpose(0, 2, 1), pe.transpose(0, 2, 1)
-    plan = (p.T @ vertex_form_matrix(shape) @ p,
-            (ps * ps_t + pe * pe_t).reshape(start.size, -1),
-            (ps * pe_t + pe * ps_t).reshape(start.size, -1))
+    ps, pe = p[shape.end_slots]
+    plan = (p.T @ vertex_form_matrix(shape) @ p, *_dtn_stacks(ps, pe, ps, pe))
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -253,7 +271,7 @@ def build_secular_matrix(g: MetricGraph, lam: float,
     if method == "dtn":
         mats, singular = build_dtn_grid(g, [lam])
         if singular[0]:
-            pieces = _dtn_plan(g)[4].reshape(2, -1).T
+            pieces = _dtn_plan(g)[3].reshape(2, -1).T
             for e, lengths in zip(g.edges, pieces.tolist()):
                 for length in lengths:  # raises at the first piece's pole
                     interval_dtn(length, lam, e.id)

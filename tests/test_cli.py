@@ -9,6 +9,7 @@ import pytest
 
 from qgraph.cli import main
 from qgraph.graph import make_figure8, make_path, make_star, save_graph
+from qgraph.solve import default_negative_floor
 
 
 @pytest.fixture
@@ -143,6 +144,17 @@ class TestSpectrum:
         assert "neumann condition only defined at degree 1" in \
             capsys.readouterr().err
 
+    def test_numerical_error_exits_3(self, tmp_path, capsys):
+        # a 1e-10 edge needs a finer count grid than the negative window
+        # allows: WindowTooCoarse, a QGraphError that is no input error
+        p = tmp_path / "short.json"
+        g = make_star([1.0, 0.7, 1e-10])
+        save_graph(g, p)
+        window = f"{default_negative_floor(g)!r}:-1e-8"
+        assert main(["spectrum", str(p), "--window", window]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: WindowTooCoarse: ")
+
     def test_internal_error_exits_4(self, star_file, monkeypatch, capsys):
         import qgraph.cli as cli_mod
 
@@ -248,6 +260,16 @@ class TestSurgery:
     def test_malformed_op_entry_exits_2(self, star_file, tmp_path, capsys):
         ops = self.write_ops(tmp_path, [{"op": "extend", "edge": "e1"}])
         assert main(["surgery", star_file, ops]) == 2
+
+    @pytest.mark.parametrize("entry", ["transplant", 1, None],
+                             ids=["string", "number", "null"])
+    def test_non_object_op_entry_exits_2(self, star_file, tmp_path, capsys,
+                                         entry):
+        ops = self.write_ops(tmp_path, [entry])
+        assert main(["surgery", star_file, ops]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: op entry {entry!r} is not a JSON object\n"
 
     def test_non_list_ops_exits_2(self, star_file, tmp_path, capsys):
         p = tmp_path / "ops.json"

@@ -52,6 +52,40 @@ def test_assemble_blocks_layout(star3):
     np.testing.assert_array_equal(b[3:, 3:], np.eye(3))
 
 
+def former_assemble_blocks(g):
+    """Reference: the pairs laid along the diagonal by a running offset,
+    vertex after vertex in sorted id order."""
+    m = 2 * g.num_edges
+    a, b = np.zeros((m, m)), np.zeros((m, m))
+    pos = 0
+    for v in sorted(g.vertices, key=lambda v: v.id):
+        d = v.degree
+        a[pos:pos + d, pos:pos + d], b[pos:pos + d, pos:pos + d] = \
+            build_vertex_pair(v.bc, d)
+        pos += d
+    return a, b
+
+
+def test_blocks_sit_at_each_vertex_slots_in_any_vertex_order():
+    # vertex list v2, v9, v10; sorted id order v10, v2, v9 fixes the slots
+    g = MetricGraph.create(
+        [VertexRecord("v2", BoundaryType.COUPLED,
+                      (("a", START), ("b", END), ("c", START), ("c", END))),
+         VertexRecord("v9", BoundaryType.DIRICHLET, (("a", END),)),
+         VertexRecord("v10", BoundaryType.NEUMANN, (("b", START),))],
+        [EdgeRecord("a", "v2", "v9", 1.0), EdgeRecord("b", "v10", "v2", 0.7),
+         EdgeRecord("c", "v2", "v2", 1.3)])
+    assert [g.slot_index[("b", START)], g.slot_index[("a", END)]] == [0, 5]
+    want = np.zeros((2, 6, 6))
+    for v in g.vertices:
+        for j, k in np.ndindex(v.degree, v.degree):
+            r, c = g.slot_index[v.order[j]], g.slot_index[v.order[k]]
+            want[:, r, c] = [x[j, k] for x in build_vertex_pair(v.bc, v.degree)]
+    got = assemble_blocks(g)
+    for got_x, want_x, former in zip(got, want, former_assemble_blocks(g)):
+        assert got_x.tobytes() == want_x.tobytes() == former.tobytes()
+
+
 def test_split_to_one_endpoint_gives_the_neumann_tip_pair():
     # a coupled vertex left with one endpoint is a Neumann tip once the
     # graph is created, so its pair is the tip's, byte for byte

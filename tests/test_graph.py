@@ -47,6 +47,34 @@ def test_slot_index_is_vertex_major(star3):
     assert idx[("e3", START)] == 2
 
 
+@pytest.mark.parametrize("g", [make_star([1.0, 0.7, 1.3]),
+                               make_figure8(0.5, 0.7),
+                               make_cycle([0.4, 0.6, 0.3, 0.7]),
+                               make_path([0.5, 1.0])],
+                         ids=["star3", "figure8", "cycle4", "path2"])
+def test_end_slots_read_the_slot_index(g):
+    want = [[g.slot_index[(e.id, w)] for e in g.edges] for w in (START, END)]
+    assert g.end_slots.tolist() == want
+    assert g.end_slots.dtype == np.intp
+    with pytest.raises(ValueError, match="read-only"):
+        g.end_slots[0, 0] = 1
+
+
+def two_loops():
+    """Two one-edge cycles, apart: a valid graph that is not connected."""
+    return MetricGraph.create(
+        [VertexRecord(v, BoundaryType.COUPLED, ((e, START), (e, END)))
+         for v, e in (("a", "e1"), ("b", "e2"))],
+        [EdgeRecord("e1", "a", "a", 1.0), EdgeRecord("e2", "b", "b", 2.0)])
+
+
+def test_diameter_of_a_disconnected_graph_raises():
+    g = two_loops()
+    assert not g.is_connected()
+    with pytest.raises(Disconnected, match="disconnected graph"):
+        diameter(g)
+
+
 @pytest.mark.parametrize("factory", [make_star, make_path, make_cycle])
 def test_factories_refuse_an_empty_edge_list(factory):
     with pytest.raises(InvalidGraph, match=r"^\w+ needs at least one edge$"):

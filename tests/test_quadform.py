@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qgraph import quadform
 from qgraph.errors import NotInDomain, QGraphError
 from qgraph.experiments import sample_graph
 from qgraph.graph import (END, START, BoundaryType, make_cycle, make_figure8,
@@ -254,6 +255,21 @@ class TestRayleigh:
         )
         with pytest.raises(QGraphError):
             rayleigh_quotient(star3, zero)
+
+    def test_form_arrays_are_built_once_per_shape(self, fig8):
+        # edgewise constants: the even vertex's alternating sum is zero
+        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        trial = TrialFunction(values={"e1": one, "e2": one},
+                              derivatives={"e1": zero, "e2": zero})
+        other = make_figure8(0.3, 0.9)
+        assert other != fig8 and other.shape == fig8.shape
+        caches = (vertex_form_matrix, quadform._domain_rows)
+        for cache in caches:
+            cache.cache_clear()
+        for g in (fig8, other):
+            rayleigh_quotient(g, trial)
+        assert [c.cache_info().currsize for c in caches] == [1, 1]
 
     @pytest.mark.parametrize("g, lams", [
         (make_star([1.0, 0.7, 1.3]), [-3.461724246805116, 0.0]),

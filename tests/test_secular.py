@@ -276,6 +276,24 @@ class TestDtnByteIdentity:
         assert diag[1, 2] == -283.0 and 0.0 < off[1, 2] < 1e-300
         assert singular.tolist() == [False] * 7 + [True, False]
 
+    def test_overflow_rows_match_one_lambda_builds(self):
+        # at -300^2 the 4.0 edge's second piece has kappa l = 742: its sinh
+        # overflows, and its entries take their limits -kappa and 0
+        g = make_star([1.0, 0.7, 4.0])
+        lams = [-300.0**2, -2.0, 0.0, 3.0, -283.0**2]
+        mats, singular = build_dtn_grid(g, lams)
+        assert np.isfinite(mats).all() and not singular.any()
+        for lam, row in zip(lams, mats):
+            assert row.tobytes() == build_dtn_grid(g, [lam])[0][0].tobytes()
+            assert row.tobytes() == \
+                build_secular_matrix(g, lam, "dtn").tobytes()
+        u, end = 2 * g.num_edges + 2, g.slot_index[("e3", END)]
+        diag, off, _ = dtn_tables(lams[0], [_SPLIT * 4.0, (1 - _SPLIT) * 4.0])
+        assert (diag[0, 1], off[0, 1]) == (-300.0, 0.0)
+        # the split point's row: the two pieces' inward derivatives
+        assert mats[0, u, u] == 1j * (diag[0, 0] + diag[0, 1])
+        assert mats[0, u, end] == 0.0
+
     @pytest.mark.parametrize("name", DTN_GRAPHS)
     def test_grid_matches_loop(self, name):
         g = DTN_GRAPHS[name]
@@ -483,6 +501,10 @@ class TestReducedForms:
         scalar = [star_secular_reduced(lengths, tips, k) for k in kaps.tolist()]
         assert all(type(v) is float for v in scalar)
         np.testing.assert_allclose(vals, scalar, rtol=1e-14, atol=0)
+
+    def test_unknown_tip_condition(self):
+        with pytest.raises(ValueError, match="unknown tip condition 'robin'"):
+            star_secular_reduced([1.0, 1.0, 1.0], "robin", 1.0)
 
     def test_unsupported_combination(self):
         with pytest.raises(ValueError):

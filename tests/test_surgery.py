@@ -145,6 +145,26 @@ class TestAttachExtend:
             apply_surgery(star3, ExtendEdge("zz", 1.0))
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("op", [
+        Merge("v0", "nowhere"),
+        Split("nowhere", (("e1", START),), (("e2", START),)),
+        AttachEdge("nowhere", 1.0),
+    ], ids=["merge", "split", "attach"])
+    def test_unknown_vertex_is_named(self, star3, op):
+        with pytest.raises(IllegalOp, match="^unknown vertex 'nowhere'$"):
+            apply_surgery(star3, op)
+
+    def test_split_needs_two_nonempty_groups(self, fig8):
+        v = fig8.vertices[0]
+        with pytest.raises(IllegalOp, match="both split groups must be nonempty"):
+            apply_surgery(fig8, Split(v.id, v.order, ()))
+
+    def test_an_object_that_is_no_op_is_refused(self, star3):
+        with pytest.raises(IllegalOp, match="^unknown op type dict$"):
+            apply_surgery(star3, {"op": "merge", "v1": "v1", "v2": "v2"})
+
+
 class TestFigure8Reduction:
     def test_fig8_is_already_reduced(self, fig8):
         assert is_figure8_shape(fig8)
@@ -155,6 +175,13 @@ class TestFigure8Reduction:
             reduce_to_figure8(make_path([1.0, 1.0]))
         with pytest.raises(NotReducible):
             reduce_to_figure8(make_cycle([1.0, 1.0]))
+
+    def test_disconnected_graph_not_reducible(self, fig8):
+        v = fig8.vertices[0].id
+        loops = apply_surgery(fig8, Split(v, (("e1", START), ("e1", END)),
+                                          (("e2", START), ("e2", END))))
+        with pytest.raises(NotReducible, match="graph must be connected"):
+            reduce_to_figure8(loops)
 
     def test_star_reduces_with_total_length_kept(self):
         g = make_star([1.0, 0.5, 0.8, 0.7])
