@@ -208,10 +208,11 @@ def _missed(case: CaseResult, *mismatches) -> CaseResult:
 
 # -- transplantation ------------------------------------------------------------
 
-def _transplant_case(idx, ls, j, k, amount) -> CaseResult:
+def _transplant_case(idx, ls, j, k, amount, base) -> CaseResult:
+    """One move on the star of lengths ls, whose `ground_state` is base."""
     before = make_star(ls)
     after = apply_surgery(before, Transplant(f"e{j}", f"e{k}", amount))
-    lam_b, mb = ground_state(before)
+    lam_b, mb = base
     lam_a, ma = ground_state(after)
     margin = lam_b - lam_a
     return _missed(CaseResult(
@@ -228,7 +229,8 @@ def verify_transplantation(lengths=None, moves=None, *, seed: int = 0) -> Report
 
     Explicit form: pass `lengths` plus `moves` = [(j, k, amount), ...] with
     1-based edge indices and l_j <= l_k. Otherwise a seeded batch of
-    TRANSPLANT_CASES is run.
+    TRANSPLANT_CASES is run. Each distinct star's ground state is solved
+    once, before the cases, which solve the moved stars.
     """
     rng = np.random.default_rng(seed)
     if lengths is not None:
@@ -248,8 +250,11 @@ def verify_transplantation(lengths=None, moves=None, *, seed: int = 0) -> Report
             else:
                 amount = float(ls[j] * rng.uniform(0.2, 0.95))
             specs.append((ls, int(j) + 1, int(k) + 1, amount))
+    bases = {ls: ground_state(make_star(list(ls)))
+             for ls in dict.fromkeys(tuple(s[0]) for s in specs)}
     return Report("transplant", seed, _run_cases(
-        [partial(_transplant_case, i, *s) for i, s in enumerate(specs)]))
+        [partial(_transplant_case, i, *s, bases[tuple(s[0])])
+         for i, s in enumerate(specs)]))
 
 
 # -- equilateral maximality -----------------------------------------------------

@@ -138,15 +138,11 @@ class MetricGraph:
         return owner
 
     @cached_property
-    def sorted_vertices(self) -> tuple:
-        """Vertices in sorted id order; fixes the global endpoint enumeration."""
-        return tuple(sorted(self.vertices, key=lambda v: v.id))
-
-    @cached_property
     def slot_index(self) -> dict:
-        """(edge_id, start|end) -> global slot in vertex-major order."""
+        """(edge_id, start|end) -> global slot in vertex-major order, the
+        vertices in sorted id order."""
         idx = {}
-        for v in self.sorted_vertices:
+        for v in sorted(self.vertices, key=lambda v: v.id):
             for ref in v.order:
                 idx[ref] = len(idx)
         return idx

@@ -40,8 +40,9 @@ functions and on the lambda-harmonic extensions of the traces, where
 integration by parts leaves F* (H - M) F: the Dirichlet-to-Neumann counting
 argument of L. Friedlander (Arch. Rational Mech. Anal. 116, 1991), in the
 quantum-graph form of Berkolaiko & Kuchment, Introduction to Quantum Graphs
-(AMS, 2013). solve uses the counts only to isolate eigenvalues in cells;
-sigma_min refines them.
+(AMS, 2013). solve uses the counts only to isolate eigenvalues in cells,
+reading through `_count_parts` each count's N_D and mu as well, to aim a
+cell's bisection at its root; sigma_min refines them.
 
 Both matrices linear in the DtN map, Q and A + i B M, are built one way: a
 constant plus diag @ D + off @ O, with the stacks D and O of
@@ -234,6 +235,17 @@ def count_below(g: MetricGraph, lams):
     or has k l too large for its counts to mean anything. Q is formed from
     the graph's lengths and the plan of its shape, `_count_plan`.
     """
+    return _count_parts(g, lams)[:2]
+
+
+def _count_parts(g: MetricGraph, lams):
+    """`count_below`'s (counts, trusted), and the parts each count is read
+    from: the (n,) integer array of N_D and the (n, r) array of the
+    eigenvalues mu of Q, ascending in each row, so that the count is N_D
+    plus the number of negative entries of its row. Where a count rises by
+    one between two lambdas with equal N_D, the mu that changed sign,
+    mu[j] with j = n_- at the lower one, locates the root by regula falsi
+    (`solve._isolate`'s jump)."""
     hp, dterm, oterm = _count_plan(g.shape)
     lams = np.asarray(lams, dtype=float).reshape(-1)
     diag, off, singular, kl = _dtn_entries(lams, g.lengths)
@@ -254,8 +266,10 @@ def count_below(g: MetricGraph, lams):
         hp - (diag @ dterm + off @ oterm).reshape(lams.size, r, r))
     abs_mu = np.abs(mu)
     thr = _COUNT_TRUST * r * _EPS * abs_mu.max(axis=1, initial=0.0)
-    counts = n_dirichlet.astype(np.intp) + (mu < 0.0).sum(axis=1)
-    return counts, ~singular & (abs_mu.min(axis=1, initial=np.inf) > thr)
+    n_dirichlet = n_dirichlet.astype(np.intp)
+    return (n_dirichlet + (mu < 0.0).sum(axis=1),
+            ~singular & (abs_mu.min(axis=1, initial=np.inf) > thr),
+            n_dirichlet, mu)
 
 
 def build_secular_matrix(g: MetricGraph, lam: float,

@@ -21,16 +21,25 @@ first two rounds. A cell is split while it is wider than its branch width
 (_KAPPA_WIDTH in kappa, default_positive_step in lambda) and than 4 float
 spacings of its larger |end|, and its end counts differ or either end count
 is untrusted. A cell with equal trusted counts holds no eigenvalue and is
-dropped. Where untrusted counts keep every cell splitting, the calls grow
-about fourfold a call; one that would hold more than _MAX_COUNT_POINTS
-points raises WindowTooCoarse instead. Neighbours that share an untrusted
-end share its root; a longest chain of them is a run. Each cell left is
-padded by half a width and clipped to its branch. Each bracket runs its own
-search on sigma_min in plain floats, `_v_search`, which steps to the vertex
-of the V that sigma_min makes at a simple root, guarded by golden section;
-`_golden_min` batches them, one sigma call per round holding every live
-search's points. A padded cell takes four or five rounds. A candidate
-outside its run lies where the counts put no root and is none.
+dropped. A cell whose trusted counts rise by one, with no edge Dirichlet
+eigenvalue between its ends, may jump instead of asking for its next two
+rounds: the eigenvalue of the count's matrix Q that changes sign across the
+cell places the root by regula falsi, and the call counts the ends of the
+bisection leaf that holds that estimate and of the node three levels down.
+The cell becomes the one whose ends carry its own counts, or else bisects
+on the next call; counts still decide every cell, and a leaf reached is the
+one bisection reaches. Where untrusted counts keep every cell splitting,
+the calls grow about fourfold a call; one that would hold more than
+_MAX_COUNT_POINTS points raises WindowTooCoarse instead. Neighbours that
+share an untrusted end share its root; a longest chain of them is a run.
+Each cell left is padded by half a width and clipped to its branch. Each
+bracket runs its own search on sigma_min in plain floats, `_v_search`,
+which steps to the vertex of the V that sigma_min makes at a simple root,
+guarded by golden section; a step that lands near the best point also
+evaluates the points that confirm it. `_golden_min` batches the searches,
+one sigma call per round holding every live search's points. A padded
+cell takes four rounds, some three or five. A candidate outside its run
+lies where the counts put no root and is none.
 A cell with trusted end counts whose candidate is none, or that holds more
 eigenvalues than sigma certified in it, is bisected by counts down to the
 distance at which roots are one, and each run of its pieces is padded by
@@ -72,6 +81,7 @@ the whole window gives, so every record kept is too.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,7 +93,8 @@ from .graph import MetricGraph
 from .kernels import (branch_svdvals, edge_basis, edge_builder, end_matrix,
                       equilibrate_columns, prepare_structure, scan_sigma)
 from .quadform import _gram
-from .secular import build_dtn_grid, build_secular_matrix, count_below
+from .secular import (_count_parts, build_dtn_grid, build_secular_matrix,
+                      count_below)
 
 ZERO_RADIUS = 1e-7
 RANK_TOL = 1e-8  # sigma ratio below which a singular value counts as null
@@ -92,9 +103,12 @@ MULT_GUARD = 10.0  # a sigma within this factor of the rank threshold is shaky
 _KAPPA_WIDTH = 1e-3  # widest cell the negative branch isolates, in kappa
 _KAPPA_FLOOR = 1e-4
 _GOLD_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
+# a V-step this many tol / 2 or fewer from the best point is a landing: on
+# the benchmark's ops 2e5 saves the rounds that 1e6 saves, with fewer points
+_LANDING = 2e5
 # the most eigenvalues a window may hold by the bound sqrt(hi) L / pi + 2E
 MAX_WINDOW_COUNT = 10_000
-# the most points one count_below call of _isolate may hold; where untrusted
+# the most points one count call of _isolate may hold; where untrusted
 # counts keep every cell splitting, the calls grow fourfold and stop here
 _MAX_COUNT_POINTS = 4 * MAX_WINDOW_COUNT
 # the most times first_eigenvalues moves a window end outward by a relative
@@ -202,15 +216,22 @@ def _v_search(a, b, tol):
     Each round evaluates one of:
     - a V-step: sigma_min is |c (x - v)| near a simple root, so the vertex of
       the symmetric V through xb and its two neighbours, c the steeper of the
-      two secant slopes and v = xb -+ f(xb) / c on the shallower side;
+      two secant slopes and v = xb -+ f(xb) / c on the shallower side. A
+      V-step within _LANDING * tol / 2 of xb is a landing: its round also
+      evaluates v -+ tol / 2, those of them inside (xl, xr), the points of
+      the confirmation that follows where v becomes xb;
     - a confirmation, once |v - xb| <= tol / 2 or xb is an end: xb -+ tol / 2,
-      those of them inside (xl, xr). If neither is lower, the minimum lies
-      within tol / 2 of xb, which is returned;
+      those of them inside (xl, xr), read without a round of their own where
+      landings evaluated them all. If neither is lower, the minimum
+      lies within tol / 2 of xb, which is returned;
     - a golden step, 0.382 of the larger side away from xb, wherever a value
       is inf, the vertex leaves (xl, xr) or the bracket has not halved in
       the last two rounds; a confirmation right after the opening or a
       V-step is taken all the same.
-    A bracket narrowed to its tolerance returns its midpoint.
+    A bracket narrowed to its tolerance returns its midpoint. The landing
+    changes no comparison, so the argmin is the one the search without it
+    gives, in fewer rounds: a bracket that runs open, V, V, a landing V,
+    confirm takes four rounds, the confirmation reading the landing's.
     """
     tol = max(tol, 4.0 * math.ulp(max(abs(a), abs(b))))
     if not b - a > tol:
@@ -224,6 +245,7 @@ def _v_search(a, b, tol):
     else:
         xl, xb, xr, fl, fx, fr = a, m, b, fa, fm, fb
     h = tol / 2.0
+    landed = {}  # the values at v -+ tol / 2 of every landing
     w1 = w2 = math.inf  # widths one and two rounds ago
     again = False  # the last round confirmed
     while xr - xl > tol:
@@ -244,17 +266,26 @@ def _v_search(a, b, tol):
                    and not (stalled and again))
         w2, w1, again = w1, width, confirm
         if confirm:
-            # the points inside (xl, xr); it moves to the lower, the left on
-            # ties, and returns xb where neither is lower
+            # the points inside (xl, xr), read from the landings where they
+            # evaluated them all; it moves to the lower, the left on ties,
+            # and returns xb where neither is lower
             pts = [x for x in (xb - h, xb + h) if xl < x < xr]
-            fu, u = min(zip((yield pts), pts)) if pts else (math.inf, xb)
+            fs = [landed.get(x) for x in pts]
+            if None in fs:
+                fs = yield pts
+            fu, u = min(zip(fs, pts), default=(math.inf, xb))
             if not fu < fx:
                 return xb
         else:
+            land = ()
             if stalled or v is None or not xl < v < xr:  # a golden step
                 far = xr if xr - xb >= xb - xl else xl
                 v = xb + _GOLD_STEP * (far - xb)
-            u, (fu,) = v, (yield [v])
+            elif abs(v - xb) <= _LANDING * h:  # a landing: v -+ tol / 2 too
+                land = [x for x in (v - h, v + h) if xl < x < xr]
+            u, (fu, *fs) = v, (yield [v, *land])
+            if land:
+                landed.update(zip(land, fs))
         # a lower point becomes xb, and xb the end on its other side; any
         # other point becomes the end on its own side
         if fu < fx:
@@ -304,17 +335,32 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
     and trust flags at the probes, lambdas counted in the opening call, and
     last the cut, (x, count) or None.
 
-    Cells are bisected in lockstep, two rounds per `count_below` call: a
-    call counts the midpoint of every cell that splits in its round and,
-    where that cell's halves are still wider than their width, the halves'
-    midpoints, which the next round reads from the dict of counted points.
-    The opening call counts the start cells' ends, the probes and the points
-    of the first two rounds of every start cell wider than its width. A
-    cell is split while it is wider than its width and its end counts
-    differ or either end count is untrusted; a cell with equal trusted end
-    counts holds no eigenvalue and is dropped. The few live cells are a list
-    of (x0, x1, n0, n1, ok0, ok1, width); only the counted points go through
-    numpy.
+    Cells are bisected in lockstep, two rounds per count call
+    (`secular._count_parts`): a call counts the midpoint of every cell that
+    splits in its round and, where that cell's halves are still wider than
+    their width, the halves' midpoints, which the next round reads from the
+    dict of counted points. The opening call counts the start cells' ends,
+    the probes and the points of the first two rounds of every start cell
+    wider than its width. A cell is split while it is wider than its width
+    and its end counts differ or either end count is untrusted; a cell with
+    equal trusted end counts holds no eigenvalue and is dropped. The few
+    live cells are a list of (x0, x1, n0, n1, ok0, ok1, width, jump); only
+    the counted points go through numpy.
+
+    A cell that would ask for its two rounds' points may jump instead: one
+    wider than its width whose trusted end counts rise by one and whose
+    ends' N_D are equal holds one simple root and no edge Dirichlet
+    eigenvalue. There the eigenvalue mu_j of Q that changes sign (j = n_-
+    at x0) puts the root at its regula-falsi root xh. The cell walks its
+    bisection tree toward xh, at the midpoints bisection takes, and the
+    call counts the ends of the leaf that holds xh and of the node three
+    levels down, where the leaf is deeper. The cell becomes the leaf, or
+    else that node, if the trusted counts at its ends are the cell's own
+    (n0, n0 + 1); counts being monotone, that leaf is the cell bisection
+    gives. Otherwise the jump missed, and the cell bisects on the next
+    call, its halves free to jump again. Only odd rounds count, the rounds
+    in which bisecting cells ask, so a cell that a jump, or a split at a
+    jump's point, put out of step waits a round rather than adding a call.
 
     With `first`, only the lowest `first` eigenvalues above the first probe
     are wanted, and where the probe's count is trusted their limit is that
@@ -340,34 +386,62 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
         return [mid] + [(a + b) / 2.0 for a, b in ((x0, mid), (mid, x1))
                         if wide(a, b, w)]
 
-    def budgeted(lams):  # count_below, within the budget
+    def leap(x0, x1, n0, w):
+        """A jump's leaf, and the node three levels down where the leaf is
+        deeper, or None where the cell's ends differ in N_D."""
+        (nd0, mu0), (nd1, mu1) = parts[x0], parts[x1]
+        if nd0 != nd1:
+            return None
+        # mu_j > 0 at x0 and < 0 at x1, as the trusted counts say
+        up, down = mu0[n0 - nd0], mu1[n0 - nd0]
+        xh = x0 + (x1 - x0) * (up / (up - down))
+        # a width above the float floor at the cell's ends is above it at
+        # every node inside, whose |ends| are no larger
+        coarse = w > 4.0 * math.ulp(max(-x0, x1))
+        a, b, node, depth = x0, x1, None, 0
+        while b - a > w and (coarse or wide(a, b, w)):
+            mid = (a + b) / 2.0
+            if xh < mid:
+                b = mid
+            else:
+                a = mid
+            depth += 1
+            if depth == 3:
+                node = a, b
+        return ((a, b), node) if depth > 3 else ((a, b),)
+
+    def budgeted(lams):  # the count parts, within the budget
         if lams.size > _MAX_COUNT_POINTS:
             lo, hi = lam_of(np.array([x[0, 0], x[:, 1].max()])).tolist()
             raise WindowTooCoarse(
                 f"isolating [{lo:.12g}, {hi:.12g}] asks one count for "
                 f"{lams.size} points, more than {_MAX_COUNT_POINTS}")
-        return count_below(g, lams)
+        return _count_parts(g, lams)
 
     opening = [p for (x0, x1), w in zip(x.tolist(), width.tolist())
                if wide(x0, x1, w) for p in ahead(x0, x1, w)]
-    n, ok = budgeted(np.concatenate((
+    n, ok, nd, mu = budgeted(np.concatenate((
         lam_of(x.T.ravel()), np.asarray(probes, dtype=float),
         lam_of(np.array(opening, dtype=float)))))
     nprobe = x.size + len(probes)
     probed = n[x.size:nprobe], ok[x.size:nprobe]
     counted = dict(zip(opening, zip(n[nprobe:].tolist(),
                                     ok[nprobe:].tolist())))
+    # every counted point's N_D and mu, which a jump reads at a cell's ends
+    nd, mu = nd.tolist(), mu.tolist()
+    del nd[x.size:nprobe], mu[x.size:nprobe]
+    parts = dict(zip(x.T.ravel().tolist() + opening, zip(nd, mu)))
     n, ok = (v[:x.size].reshape(2, -1).tolist() for v in (n, ok))
 
     def holds(n0, n1, ok0, ok1):  # equal trusted end counts: no eigenvalue
         return n0 != n1 or not (ok0 and ok1)
 
-    live = [c for c in zip(*x.T.tolist(), *n, *ok, width.tolist())
+    live = [(*c, True) for c in zip(*x.T.tolist(), *n, *ok, width.tolist())
             if holds(*c[2:6])]
     limit = (int(probed[0][0]) + first
              if first is not None and probed[1][0] else None)
     cut = None
-    while True:
+    for rnd in itertools.count(1):
         if limit is not None:
             # the cells are in increasing order, so the first end found is
             # the lowest; it lies at or below the last cut
@@ -377,31 +451,48 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
             if reached is not None:
                 cut = reached
                 live = [c for c in live if c[0] < cut[0]]
-        # one pass decides which cells split, at their midpoints, and which
-        # points the round counts
-        mids, ask = [], []
-        for x0, x1, *_, w in live:
+        # one pass decides which cells split, at their midpoints, which
+        # jump, and which points the round counts; only every other round
+        # counts, so that the cells keep in step, and a cell whose midpoint
+        # is not counted waits for it
+        mids, ask, jumps = [], [], {}
+        for i, (x0, x1, n0, n1, ok0, ok1, w, jump) in enumerate(live):
             mid = (x0 + x1) / 2.0 if wide(x0, x1, w) else None
-            if mid is not None and mid not in counted:
+            if mid is None or mid in counted or not rnd % 2:
+                pass
+            elif (jump and ok0 and ok1 and n1 == n0 + 1
+                  and (to := leap(x0, x1, n0, w))):
+                jumps[i] = to
+                ask += sorted({p for node in to for p in node}
+                              - counted.keys() - {x0, x1})
+            else:
                 ask += ahead(x0, x1, w)
             mids.append(mid)
         if mids.count(None) == len(mids):
             break
         if ask:
-            n_ask, ok_ask = budgeted(lam_of(np.array(ask)))
+            n_ask, ok_ask, nd_ask, mu_ask = budgeted(lam_of(np.array(ask)))
             counted.update(zip(ask, zip(n_ask.tolist(), ok_ask.tolist())))
+            parts.update(zip(ask, zip(nd_ask.tolist(), mu_ask.tolist())))
         # each split cell becomes its halves that may hold an eigenvalue, in
-        # place
+        # place; each jump its leaf or node, or else it waits to bisect
         split = []
-        for (x0, x1, n0, n1, ok0, ok1, w), mid in zip(live, mids):
-            if mid is None:
-                split.append((x0, x1, n0, n1, ok0, ok1, w))
-                continue
-            n_m, ok_m = counted[mid]
-            if holds(n0, n_m, ok0, ok_m):
-                split.append((x0, mid, n0, n_m, ok0, ok_m, w))
-            if holds(n_m, n1, ok_m, ok1):
-                split.append((mid, x1, n_m, n1, ok_m, ok1, w))
+        for i, (c, mid) in enumerate(zip(live, mids)):
+            x0, x1, n0, n1, ok0, ok1, w, _ = c
+            if i in jumps:
+                hit = next(((a, b) for a, b in jumps[i]
+                            if (a == x0 or counted[a] == (n0, True))
+                            and (b == x1 or counted[b] == (n1, True))), None)
+                split.append((*hit, n0, n1, True, True, w, True) if hit
+                             else c[:7] + (False,))
+            elif mid not in counted:
+                split.append(c)
+            else:
+                n_m, ok_m = counted[mid]
+                if holds(n0, n_m, ok0, ok_m):
+                    split.append((x0, mid, n0, n_m, ok0, ok_m, w, True))
+                if holds(n_m, n1, ok_m, ok1):
+                    split.append((mid, x1, n_m, n1, ok_m, ok1, w, True))
         live = split
     return (np.array([c[0:2] for c in live], dtype=float).reshape(-1, 2),
             np.array([c[2:4] for c in live], dtype=np.intp).reshape(-1, 2),

@@ -133,6 +133,28 @@ class TestSuites:
         assert rep.passed()
         assert rep.cases[0].status == "pass"
 
+    def test_transplant_solves_the_base_star_once(self, monkeypatch):
+        # every explicit move applies to one star, whose ground state is
+        # solved once, before the cases; each case solves its moved star.
+        # Each case reads as it does in a call of its own
+        lengths, moves = [1.0, 0.7, 1.3], [(2, 3, 0.2), (2, 1, 0.1), (1, 3, 0.3)]
+        alone = [verify_transplantation(lengths=lengths, moves=[m]).cases[0]
+                 for m in moves]
+        solved = []
+
+        def recorded(g):
+            solved.append([e.length for e in g.edges])
+            return ground_state(g)
+
+        monkeypatch.setattr(experiments_mod, "ground_state", recorded)
+        rep = verify_transplantation(lengths=lengths, moves=moves)
+        assert len(solved) == 4 and solved[0] == lengths
+        assert lengths not in solved[1:]
+        for i, (case, one) in enumerate(zip(rep.cases, alone)):
+            assert case.name == f"transplant-{i:03d}"
+            assert json.dumps(case.details) == json.dumps(one.details)
+            assert (case.status, case.margin) == (one.status, one.margin)
+
     def test_transplant_detects_violated_hypothesis(self):
         # moving length from the longer onto the shorter edge reverses the
         # inequality; the harness must report that as a failure, not mask it

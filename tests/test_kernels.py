@@ -179,7 +179,7 @@ def reference_matrix_grid(g, lams):
             return e, d1l[:, e], d2l[:, e]
         return e, d10[:, e], d20[:, e]
 
-    for v in g.sorted_vertices:
+    for v in g.vertices:
         for j, p in enumerate(v.order):
             r = g.slot_index[p]
             if v.bc is BoundaryType.COUPLED and v.degree >= 2:

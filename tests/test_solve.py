@@ -31,12 +31,13 @@ from qgraph.graph import (
 from qgraph.kernels import (edge_basis_traces, equilibrate_columns,
                             prepare_structure)
 from qgraph.quadform import rayleigh_quotient, trial_norm_sq
-from qgraph.secular import (build_secular_matrix, count_below,
+from qgraph.secular import (_count_parts, build_secular_matrix, count_below,
                             reduced_negative_kappas)
 from qgraph.solve import (
     Spectrum,
     _GOLD_STEP,
     _KAPPA_WIDTH,
+    _LANDING,
     _golden_min,
     _isolate,
     _null,
@@ -338,7 +339,7 @@ class TestWindowHandling:
         def counted(*args):
             raise AssertionError("counted")
 
-        monkeypatch.setattr(solve_mod, "count_below", counted)
+        monkeypatch.setattr(solve_mod, "_count_parts", counted)
         g = make_star([1.0, 0.7, 1.3])
         with pytest.raises(ValueError, match=r"window \(0\.0, 1e\+300\) may "
                            r"hold 9\.549e\+149 eigenvalues, more than 10000"):
@@ -548,10 +549,11 @@ class TestCompleteness:
         those probes trusted or not; the scan never probes above hi."""
         def counted(g, lams):
             lams = np.asarray(lams, dtype=float).reshape(-1)
-            counts, ok = count_below(g, lams)
-            return counts + (lams > hi), ok & (trusted | (lams <= hi))
+            counts, ok, *parts = _count_parts(g, lams)
+            return (counts + (lams > hi), ok & (trusted | (lams <= hi)),
+                    *parts)
 
-        monkeypatch.setattr(solve_mod, "count_below", counted)
+        monkeypatch.setattr(solve_mod, "_count_parts", counted)
 
     def test_miscount_is_reported(self, star3, monkeypatch):
         ref = find_spectrum(star3, (-10.0, 10.0))
@@ -738,10 +740,10 @@ class TestCountGuidedScan:
         # no count settles a cell, so the cells cover the whole window, each
         # is refined on its own, and every root is still found
         def untrusted(g, lams):
-            counts, _ = count_below(g, lams)
-            return counts, np.zeros(counts.size, dtype=bool)
+            counts, _, *parts = _count_parts(g, lams)
+            return counts, np.zeros(counts.size, dtype=bool), *parts
 
-        monkeypatch.setattr(solve_mod, "count_below", untrusted)
+        monkeypatch.setattr(solve_mod, "_count_parts", untrusted)
         cells = _isolate(star3, [[-10.0, 10.0]], 0.05, lambda x: x)[0]
         cells = cells[np.argsort(cells[:, 0])]
         assert cells[0, 0] == -10.0 and cells[-1, 1] == 10.0
@@ -1014,7 +1016,7 @@ def reference_isolate(g, cells, width, lam_of, depths=None):
     float spacings of its larger |end|. Appends to depths the round of each
     midpoint counted, 1 for a start cell's own."""
     def count(x):
-        n, ok = solve_mod.count_below(g, lam_of(np.array([x])))
+        n, ok = solve_mod._count_parts(g, lam_of(np.array([x])))[:2]
         return int(n[0]), bool(ok[0])
 
     out = []
@@ -1066,11 +1068,11 @@ class TestIsolate:
     @pytest.fixture(autouse=True)
     def pointwise(self, monkeypatch):
         def counted(g, lams):
-            parts = [count_below(g, [lam]) for lam in np.ravel(lams)]
-            return (np.array([n[0] for n, _ in parts], dtype=np.intp),
-                    np.array([ok[0] for _, ok in parts], dtype=bool))
+            parts = [_count_parts(g, [lam]) for lam in np.ravel(lams)]
+            return (tuple(map(np.concatenate, zip(*parts))) if parts
+                    else _count_parts(g, []))
 
-        monkeypatch.setattr(solve_mod, "count_below", counted)
+        monkeypatch.setattr(solve_mod, "_count_parts", counted)
 
     @staticmethod
     def branches(g, lo, hi):
@@ -1103,16 +1105,16 @@ class TestIsolate:
         # the other rounds
         g = self.GRAPHS[name]
         cells, width = self.branches(g, default_negative_floor(g), 60.0)
-        pointwise, calls = solve_mod.count_below, []
+        pointwise, calls = solve_mod._count_parts, []
 
         def counted(g, lams):
             calls.append(np.size(lams))
             return pointwise(g, lams)
 
-        monkeypatch.setattr(solve_mod, "count_below", counted)
+        monkeypatch.setattr(solve_mod, "_count_parts", counted)
         probes = [-40.0, 60.5]
         got = _isolate(g, cells, width, branch_lam, probes)
-        monkeypatch.setattr(solve_mod, "count_below", pointwise)
+        monkeypatch.setattr(solve_mod, "_count_parts", pointwise)
         depths = []
         self.assert_same(got, reference_isolate(g, cells, width, branch_lam,
                                                 depths))
@@ -1120,7 +1122,7 @@ class TestIsolate:
         # every start cell here splits, and so do both its halves
         assert max(depths) > 2 and np.all(cells[:, 1] - cells[:, 0] > 2 * width)
         assert calls[0] == cells.size + len(probes) + 3 * len(cells)
-        self.assert_same(got[3], pointwise(g, probes))
+        self.assert_same(got[3], pointwise(g, probes)[:2])
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -1145,14 +1147,84 @@ class TestIsolate:
         ends, n, ok = (v[below] for v in ref)
         assert not np.any(ok & (n >= n_lo + k) & (ends < x))
 
+    @staticmethod
+    def calls_made(monkeypatch, skew=None):
+        """The lambdas of each count call made from now on, over the
+        pointwise helper, whose mu skew(lams, n, nd, mu) may rewrite."""
+        pointwise, calls = solve_mod._count_parts, []
+
+        def counted(g, lams):
+            lams = np.ravel(lams)
+            calls.append(lams.tolist())
+            n, ok, nd, mu = pointwise(g, lams)
+            return n, ok, nd, mu if skew is None else skew(lams, n, nd, mu)
+
+        monkeypatch.setattr(solve_mod, "_count_parts", counted)
+        return calls
+
+    def test_ground_state_window_jumps_to_its_leaf(self, monkeypatch):
+        # the window first_eigenvalues solves for the ground state: the
+        # opening call and two jumps, where bisection alone took 7 calls.
+        # Below the cut the cells are the reference's
+        g = make_star([1.0, 0.8, 1.2])
+        lo = default_negative_floor(g)
+        end = (3.0 * math.pi / g.total_length) ** 2
+        while not count_below(g, [end])[1][0]:
+            end *= 1.0 + 1e-6
+        cells, width = self.branches(g, lo, end)
+        calls = self.calls_made(monkeypatch)
+        got = _isolate(g, cells, width, branch_lam, [lo * (1.0 + 1e-9)],
+                       first=1)
+        assert len(calls) <= 4
+        ref = reference_isolate(g, cells, width, branch_lam)
+        below = ref[0][:, 0] < got[4][0]
+        assert below.sum() == 1 and got[1].tolist() == [[0, 1]]
+        self.assert_same(got[:3], tuple(v[below] for v in ref))
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_misled_jumps_match_the_reference(self, name, monkeypatch):
+        # mu rewritten as 1 / (r - x) above and -1 / (x - r) below each
+        # reference root r (its leaf's midpoint, in x) puts a cell's
+        # regula-falsi root at the mirror image of r across the cell's
+        # midpoint, so every walk leaves r's half at its first step and
+        # every jump misses. The cells then bisect through every midpoint
+        # the reference counts, which the unskewed jumps skip, and the
+        # counts still decide every cell, at the price of more calls
+        g = self.GRAPHS[name]
+        cells, width = self.branches(g, default_negative_floor(g), 60.0)
+        counted = self.calls_made(monkeypatch)
+        ref = reference_isolate(g, cells, width, branch_lam)
+        bisected = {lam for call in counted for lam in call}
+        roots = ref[0][ref[1][:, 1] > ref[1][:, 0]].mean(axis=1)
+
+        def mirrored(lams, n, nd, mu):
+            x = np.where(lams < 0.0, -np.sqrt(np.abs(lams)), lams)
+            mu, above = mu.copy(), np.searchsorted(roots, x, side="right")
+            for i, j, k in zip(range(len(x)), n - nd, above):
+                if j < mu.shape[1] and k < len(roots):
+                    mu[i, j] = 1.0 / (roots[k] - x[i])
+                if j > 0 and k > 0:
+                    mu[i, j - 1] = -1.0 / (x[i] - roots[k - 1])
+            return mu
+
+        calls = self.calls_made(monkeypatch)
+        _isolate(g, cells, width, branch_lam)
+        straight = len(calls)
+        assert not bisected <= {lam for call in calls for lam in call}
+        calls = self.calls_made(monkeypatch, mirrored)
+        got = _isolate(g, cells, width, branch_lam)
+        assert len(calls) > straight
+        assert bisected <= {lam for call in calls for lam in call}
+        self.assert_same(got, ref)
+
     def test_untrusted_counts_match_the_reference(self, monkeypatch):
-        counted = solve_mod.count_below
+        counted = solve_mod._count_parts
 
         def untrusted(g, lams):
-            counts, _ = counted(g, lams)
-            return counts, np.zeros(counts.size, dtype=bool)
+            counts, _, *parts = counted(g, lams)
+            return counts, np.zeros(counts.size, dtype=bool), *parts
 
-        monkeypatch.setattr(solve_mod, "count_below", untrusted)
+        monkeypatch.setattr(solve_mod, "_count_parts", untrusted)
         g = self.GRAPHS["star3"]
         got = _isolate(g, [[-3.0, 3.0]], 0.05, lambda x: x)
         assert len(got[0]) == 128 and not got[2].any()
@@ -1180,14 +1252,14 @@ class TestIsolate:
         # with every count untrusted every cell splits down to its width,
         # and each call holds about four times the points of the last; the
         # call past the budget is refused before it is made
-        pointwise, calls = solve_mod.count_below, []
+        pointwise, calls = solve_mod._count_parts, []
 
         def untrusted(g, lams):
             calls.append(np.size(lams))
-            counts, _ = pointwise(g, lams)
-            return counts, np.zeros(counts.size, dtype=bool)
+            counts, _, *parts = pointwise(g, lams)
+            return counts, np.zeros(counts.size, dtype=bool), *parts
 
-        monkeypatch.setattr(solve_mod, "count_below", untrusted)
+        monkeypatch.setattr(solve_mod, "_count_parts", untrusted)
         monkeypatch.setattr(solve_mod, "_MAX_COUNT_POINTS", 20)
         with pytest.raises(WindowTooCoarse, match=re.escape(
                 "isolating [-3, 3] asks one count for 48 points, more than "
@@ -1308,7 +1380,10 @@ class TestRefinementBudget:
 def scalar_vmin(fn, a, b, tol):
     """Reference: the search of `_golden_min` on one bracket in plain floats,
     one fn call per point. Returns the result and the points of each round;
-    a bracket no wider than its floored tolerance is never evaluated."""
+    a bracket no wider than its floored tolerance is never evaluated. A
+    V-step within _LANDING * tol / 2 of the best point lands: its round also
+    evaluates v -+ tol / 2 inside the bracket, and a confirmation whose
+    points landings evaluated reads them without a round of its own."""
     tol = max(tol, 4.0 * float(np.spacing(max(abs(a), abs(b)))))
     rounds = []
 
@@ -1329,6 +1404,7 @@ def scalar_vmin(fn, a, b, tol):
     h = tol / 2.0
     w1 = w2 = math.inf
     again = False
+    landed = {}
     while xr - xl > tol:
         width = xr - xl
         inner = xl < xb < xr
@@ -1348,7 +1424,10 @@ def scalar_vmin(fn, a, b, tol):
         w2, w1, again = w1, width, confirm
         if confirm:
             pts = [x for x in (xb - h, xb + h) if xl < x < xr]
-            got = dict(zip(pts, ev(pts) if pts else []))
+            if all(x in landed for x in pts):
+                got = {x: landed[x] for x in pts}
+            else:
+                got = dict(zip(pts, ev(pts)))
             fcl, fcr = got.get(xb - h, math.inf), got.get(xb + h, math.inf)
             u, fu = (xb - h, fcl) if fcl <= fcr else (xb + h, fcr)
             if not fu < fbest:
@@ -1357,7 +1436,11 @@ def scalar_vmin(fn, a, b, tol):
             if not step:
                 far = xr if xr - xb >= xb - xl else xl
                 v = xb + _GOLD_STEP * (far - xb)
-            u, (fu,) = v, ev([v])
+            land = [x for x in (v - h, v + h) if xl < x < xr
+                    and step and abs(v - xb) <= _LANDING * h]
+            fu, *rest = ev([v] + land)
+            u = v
+            landed.update(zip(land, rest))
         if fu < fbest:
             if u > xb:
                 xl, fl = xb, fbest
@@ -1522,11 +1605,15 @@ class TestFirstEigenvalues:
         end = (math.pi * (k + 2) / g.total_length) ** 2
         calls = []
 
-        def counted(g, lams):
-            calls.append(np.ravel(lams).tolist())
-            return count_below(g, lams)
+        def recorded(count):
+            def counted(g, lams):
+                calls.append(np.ravel(lams).tolist())
+                return count(g, lams)
+            return counted
 
-        monkeypatch.setattr(solve_mod, "count_below", counted)
+        for name in ("count_below", "_count_parts"):
+            monkeypatch.setattr(solve_mod, name,
+                                recorded(getattr(solve_mod, name)))
         lams, spec = first_eigenvalues(g, k)
         made = calls[:]
         calls.clear()
@@ -1724,15 +1811,15 @@ class TestFirstK:
     def test_untrusted_lower_probe_makes_no_cut(self, star3, monkeypatch):
         # the limit reads the count below lo; where it is untrusted the
         # whole window is solved
-        counted = solve_mod.count_below
+        counted = solve_mod._count_parts
 
         def untrusted_below(g, lams):
-            counts, trusted = counted(g, lams)
-            return counts, trusted & (np.asarray(lams) > -10.0)
+            counts, trusted, *parts = counted(g, lams)
+            return counts, trusted & (np.asarray(lams) > -10.0), *parts
 
         window = (-10.0, 30.0)
         whole = find_spectrum(star3, window)
-        monkeypatch.setattr(solve_mod, "count_below", untrusted_below)
+        monkeypatch.setattr(solve_mod, "_count_parts", untrusted_below)
         spec = find_spectrum(star3, window, first=1)
         assert spec.window == window
         assert repr(spec.records) == repr(whole.records)

@@ -2,6 +2,7 @@
 
     python tools/fingerprint.py [TREE]          # per output family: records, SHA-256
     python tools/fingerprint.py --lines [TREE]  # code lines of src/qgraph
+    python tools/fingerprint.py --calls [TREE]  # count and sigma calls per op
 
 TREE is the checkout to measure, by default the one holding this script. Its
 `src/qgraph` and `qgbench` are imported, so running the same script against
@@ -30,6 +31,14 @@ nothing is written into the tree, byte code included.
 `--lines` prints each `src/qgraph` module's code lines: lines holding a
 `tokenize` token other than a comment or a line break, less the lines of
 docstrings found by `ast`.
+
+`--calls` prints, for each benchmark op, the calls and points of the exact
+eigenvalue counts (`secular._count_parts`, which `count_below` and
+isolation both call; `count_below` itself in a checkout without it) and of
+the sigma scans (`kernels.scan_sigma`), then each workload's means per op.
+It runs `scan` and `crosscheck` ops 0-47 and `suites` ops 0-19, of seeds
+1-3, serially, each workload's inputs built before its counting starts.
+Counts repeat exactly, so two checkouts' lines compare call for call.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 OPS = range(48)
+CALL_OPS = {"scan": OPS, "crosscheck": OPS, "suites": range(20)}
 SUITE_SEEDS = (0, 1)
 SKIP_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
                tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
@@ -181,12 +191,64 @@ def fingerprint() -> dict:
     return fam
 
 
+def calls() -> list:
+    """(workload, seed, op, count calls, count points, sigma calls, sigma
+    points) for every op of CALL_OPS and SEEDS."""
+    import numpy as np
+
+    from qgbench import workloads
+    from qgraph import secular, solve
+
+    tally = [0, 0, 0, 0]
+
+    def watched(fn, at, lams_arg):
+        def counted(*args):
+            tally[at] += 1
+            tally[at + 1] += np.size(args[lams_arg])
+            return fn(*args)
+        return counted
+
+    count = "_count_parts" if hasattr(secular, "_count_parts") else "count_below"
+    for module, name, at, lams_arg in ((secular, count, 0, 1),
+                                       (solve, count, 0, 1),
+                                       (solve, "scan_sigma", 2, 0)):
+        setattr(module, name, watched(getattr(module, name), at, lams_arg))
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, ops in CALL_OPS.items():
+            work = workloads.get(name, tmp)
+            specs = [(seed, i, work.make(seed, i)) for seed in SEEDS
+                     for i in ops]
+            for seed, i, spec in specs:
+                tally[:] = [0, 0, 0, 0]
+                work.op(spec)
+                rows.append((name, seed, i, *tally))
+    return rows
+
+
+def print_calls(rows) -> None:
+    print(f"{'workload':10s} {'seed':>4s} {'op':>3s} {'count':>6s} "
+          f"{'points':>7s} {'sigma':>6s} {'points':>7s}")
+    for name, seed, i, *tally in rows:
+        print(f"{name:10s} {seed:4d} {i:3d} " + " ".join(
+            f"{t:{w}d}" for t, w in zip(tally, (6, 7, 6, 7))))
+    for name in CALL_OPS:
+        per = [r[3:] for r in rows if r[0] == name]
+        means = [sum(col) / len(per) for col in zip(*per)]
+        print(f"{name:10s} mean per op of {len(per)}: " + " ".join(
+            f"{m:{w}.2f}" for m, w in zip(means, (6, 7, 6, 7))))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree", nargs="?", type=Path,
                     default=Path(__file__).resolve().parents[1])
-    ap.add_argument("--lines", action="store_true",
-                    help="print code lines per src/qgraph module instead")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--lines", action="store_true",
+                      help="print code lines per src/qgraph module instead")
+    mode.add_argument("--calls", action="store_true",
+                      help="print count and sigma calls per benchmark op "
+                           "instead")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     if args.lines:
@@ -194,6 +256,9 @@ def main(argv=None) -> int:
         return 0
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree)]
+    if args.calls:
+        print_calls(calls())
+        return 0
     for name, family in fingerprint().items():
         print(f"{name:24s} {family}")
     return 0
