@@ -25,6 +25,7 @@ import numpy as np
 from .graph import (BoundaryType, EdgeRecord, MetricGraph, START, END,
                     VertexRecord, diameter, make_figure8, make_star,
                     rotation_genus)
+from .secular import reduced_negative_kappas
 # find_spectrum is not called here; qgbench's spans wrap it under this module
 from .solve import RANK_TOL, REFINE_TOL, find_spectrum, first_eigenvalues
 from .surgery import AttachEdge, ExtendEdge, Merge, Transplant, apply_surgery
@@ -187,6 +188,17 @@ def _equilateral(n: int, total: float) -> tuple:
     return ground_state(make_star([total / n] * n))
 
 
+def _equality_case(name: str, n: int, total: float, found) -> CaseResult:
+    """The equilateral n-star's solved ground state `found` (with its
+    diagnostics) against the one `reduced_negative_kappas` gives."""
+    lam, missed = found
+    reduced = -max(reduced_negative_kappas([total / n] * n)) ** 2
+    dev = abs(lam - reduced)
+    return _missed(CaseResult(
+        name=name, status="pass" if dev < 1e-10 else "fail", margin=dev,
+        details={"lambda1": lam, "reduced": reduced}), missed)
+
+
 def _first_k(g: MetricGraph, k: int):
     """First k eigenvalues, and the CountMismatch and CountUntrusted
     diagnostics of their window: where the solver left a root uncertified,
@@ -268,13 +280,8 @@ def verify_equilateral_max(n: int, total: float, samples=None, *,
         samples = [sample_lengths(rng, n, total)
                    for _ in range(EQUILATERAL_SAMPLES)]
     lam_eq, m_eq = _equilateral(n, total)
-    lam_eq_again, m_again = _equilateral(n, total)
-    dev = abs(lam_eq_again - lam_eq)
-    cases = [_missed(CaseResult(
-        name=f"equilateral-max-N{n}-equality",
-        status="pass" if dev < 1e-10 else "fail", margin=dev,
-        details={"lambda1": lam_eq, "recomputed": lam_eq_again}),
-        m_eq, m_again)]
+    cases = [_equality_case(f"equilateral-max-N{n}-equality", n, total,
+                            (lam_eq, m_eq))]
 
     def case(idx, ls):
         g = make_star(ls)
@@ -327,14 +334,8 @@ def verify_ground_state_theorem(total: float, *, seed: int = 0) -> Report:
     samples = [(nn, sample_lengths(rng, nn, total))
                for nn in GROUND_STATE_NS for _ in range(GROUND_STATE_PER_N)]
     refs = {nn: _equilateral(nn, total) for nn in (3, 4)}
-    cases = []
-    for nn, (ref, m_ref) in refs.items():
-        again, m_again = _equilateral(nn, total)
-        dev = abs(again - ref)
-        cases.append(_missed(CaseResult(
-            name=f"ground-state-equality-N{nn}",
-            status="pass" if dev < 1e-10 else "fail", margin=dev,
-            details={"lambda1": ref}), m_ref, m_again))
+    cases = [_equality_case(f"ground-state-equality-N{nn}", nn, total, ref)
+             for nn, ref in refs.items()]
 
     def case(idx, nn, ls):
         g = make_star(ls)
@@ -541,13 +542,22 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
+def _star_limit(n: int) -> float:
+    """The equilateral n-star's ground state as its edges grow, either tip:
+    with every tau_j -> 1, `star_secular_reduced` is Im (1 + i kappa)^n,
+    whose largest root is kappa = tan(m pi / n), m = (n - 1) // 2. So the
+    limit is -cot^2(pi / 2n) for odd n, -cot^2(pi / n) for even n, and 0
+    where n <= 2 leaves no root."""
+    m = (n - 1) // 2
+    return -1.0 / math.tan((n - 2 * m) * math.pi / (2 * n)) ** 2 if m else 0.0
+
+
 # family: (graph at parameter p with n edges, limit of the ground state)
 SWEEP_FAMILIES = {
     "figure8": (lambda t, n: make_figure8(t, 2 * t), lambda n: -1.0),
-    "neumann_star": (lambda l, n: make_star([l] * n),
-                     lambda n: -n * (n - 1) / 2.0),
+    "neumann_star": (lambda l, n: make_star([l] * n), _star_limit),
     "dirichlet_star": (lambda l, n: make_star([l] * n, tip_bc="dirichlet"),
-                       lambda n: -n * (n - 1) / 2.0),
+                       _star_limit),
 }
 
 
@@ -557,8 +567,9 @@ def sweep_lambda1_vs_length(family: str, grid, n: int = 3) -> SweepTable:
     window, as `ground_state` gives them.
 
     Families: "neumann_star" and "dirichlet_star" (parameter = edge length of
-    the equilateral n-star; limit = -n(n-1)/2) and "figure8" (loops (t, 2t);
-    the ground state stays at -1).
+    the equilateral n-star; limit = -cot^2(pi / 2n) for odd n, -cot^2(pi / n)
+    for even n, 0 for n <= 2, from `_star_limit`) and "figure8" (loops
+    (t, 2t); the ground state stays at -1).
     """
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"unknown family {family!r}")

@@ -43,9 +43,11 @@ its value scaled by the Anderson-Bjorck factor
 (Anderson & Bjorck, BIT 13, 1973): the steps stay superlinear where two
 roots lie close, as on the 4-cycles' near-double roots, where Illinois
 halving turns linear. A cell whose Schur eigenvalues at its ends do not
-cross zero as often as its counts jump (a root within rounding of an end
-or a pole, as beside a 1e-12 edge, whose entries are of order 1e12) is
-refused with LinAlgError naming the cell, not guessed at. A cell with
+cross zero as often as its counts jump, or in which a root's bracket
+closes onto the cell's end with no step on that end's side (a root within
+rounding of an end or a pole, as beside a 1e-12 edge, whose entries are
+of order 1e12), is refused with LinAlgError naming the cell, not guessed
+at: the end of a bisection cell is no root. A cell with
 poles on both plans bisects to the tolerance, and its count jump is its
 multiplicity.
 
@@ -296,9 +298,11 @@ def _quotient(num: float, den: float) -> float:
 def _anderson_bjorck(plans: _Plans, a, b, plan, jump):
     """The roots in each cell (a, b) that holds jump eigenvalues and no pole
     of its plan, jump times each, ascending: Anderson-Bjorck steps on each
-    Schur eigenvalue that crosses zero. Raises LinAlgError where a cell's
-    Schur eigenvalues at its ends do not cross zero jump times (a root
-    within rounding of an end or a pole), naming the cell."""
+    Schur eigenvalue that crosses zero. Raises LinAlgError, naming the
+    cell, where a cell's Schur eigenvalues at its ends do not cross zero
+    jump times, or where a root's bracket closes onto an end of its cell
+    with no step inside the cell on that end's side: both read a root
+    within rounding of an end or a pole, and the end's sign as noise."""
     m = a.size
 
     def schur_eigenvalues(x, plan):
@@ -332,6 +336,7 @@ def _anderson_bjorck(plans: _Plans, a, b, plan, jump):
     side = [0.0] * cell.size
     tol = [_float_tol(x0, x1) for x0, x1 in zip(a, b)]
     live = [i for i in range(cell.size) if b[i] - a[i] > tol[i]]
+    ends = {i: (a[i], b[i]) for i in live}
     for _ in range(_SECANT_STEPS):
         if not live:
             break
@@ -365,6 +370,12 @@ def _anderson_bjorck(plans: _Plans, a, b, plan, jump):
             side[i] = -1.0 if up else 1.0
             tol[i] = _float_tol(a[i], b[i])
         live = [i for i in live if b[i] - a[i] > tol[i]]
+    for i, (x0, x1) in ends.items():
+        if b[i] - a[i] <= tol[i] and (a[i] == x0 or b[i] == x1):
+            raise np.linalg.LinAlgError(
+                f"the cell [{x0!r}, {x1!r}] holds a root by its counts, but "
+                f"its Schur eigenvalue changes sign nowhere inside it: the "
+                f"root closed onto the cell's end")
     return np.array([0.5 * (x0 + x1) for x0, x1 in zip(a, b)])
 
 

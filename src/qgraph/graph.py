@@ -243,20 +243,9 @@ class MetricGraph:
         return out
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = {v.id: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-        seen = {self.vertices[0].id}
-        todo = [self.vertices[0].id]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == len(self.vertices)
+        """Whether every vertex reaches every other: no distance of
+        `_distances` is infinite. A graph with no vertices is not."""
+        return _connected(_distances(self))
 
     # -- serialization -------------------------------------------------------
 
@@ -384,6 +373,11 @@ def _distances(g: MetricGraph) -> np.ndarray:
     return dist
 
 
+def _connected(dist) -> bool:
+    """`MetricGraph.is_connected`, read off its `_distances` matrix."""
+    return dist.size > 0 and bool(np.isfinite(dist).all())
+
+
 def diameter(g: MetricGraph) -> float:
     """Metric diameter: max distance over all points, interior points included.
 
@@ -396,9 +390,9 @@ def diameter(g: MetricGraph) -> float:
     e or at an apex.
 
     The vertex distances d come from `_distances`, in one all-pairs pass."""
-    if not g.is_connected():
-        raise Disconnected("diameter undefined for disconnected graph")
     dist = _distances(g)
+    if not _connected(dist):
+        raise Disconnected("diameter undefined for disconnected graph")
     at = {v.id: k for k, v in enumerate(g.vertices)}
     src = np.array([at[e.src] for e in g.edges])
     dst = np.array([at[e.dst] for e in g.edges])

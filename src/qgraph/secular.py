@@ -60,9 +60,12 @@ each call makes its DtN tables and N_D, and the DtN route's plan
 `_dtn_plan`, whose pieces are lengths (it calls `assemble_blocks` per
 graph, a call the benchmark's `crosscheck` layers record).
 
-Star graphs additionally admit reduced transcendental forms, which serve
-only as regression references; `reduced_negative_kappas` finds their roots
-by bisection on numpy alone.
+Every star has one reduced form, which serves only as a regression
+reference: lambda = -kappa^2 is an eigenvalue exactly where Im prod_j (1 +
+i kappa tau_j) = 0, tau_j = tanh(kappa l_j) at a Neumann tip and coth(kappa
+l_j) at a Dirichlet tip (`star_secular_reduced`).
+`reduced_negative_kappas` finds its roots by bisection on numpy alone, on a
+kappa grid that ends at a bound read off the product.
 """
 
 from __future__ import annotations
@@ -293,59 +296,55 @@ def build_secular_matrix(g: MetricGraph, lam: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-# -- star reduced forms --------------------------------------------------------
+# -- star reduced form ---------------------------------------------------------
 
 def star_secular_reduced(lengths, tips: str, kappa):
-    """Real reduced secular function for the star cases that admit one.
+    """Im prod_j (1 + i kappa tau_j), the reduced secular function of a star
+    at lambda = -kappa^2, for any number of edges and any lengths: tau_j =
+    tanh(kappa l_j) at a Neumann tip, coth(kappa l_j) at a Dirichlet tip.
 
-    Neumann tips: any 3-star (sum of coth products minus kappa^2), equilateral
-    4-star (coth^2 - kappa^2), equilateral 6-star (quartic in coth). Dirichlet
-    tips: any 3-star with coth replaced by tanh. A scalar kappa gives a float,
-    an array of kappas an array of values.
+    On edge j the solution that meets its tip's condition has f'(0) =
+    -kappa tau_j f(0) at the centre, so the cyclic coupling (U - I) F +
+    i (U + I) F' = 0 reads U G = D G, with G = (I - i kappa T) F and D the
+    unimodular phases (1 + i kappa tau_j) / (1 - i kappa tau_j). Once round
+    the cycle, it has a solution, one-dimensional, exactly where their
+    product is 1: where prod_j (1 + i kappa tau_j) is real, that is where
+    sum_j arctan(kappa tau_j) is a multiple of pi (Exner & Tater, Phys.
+    Lett. A 382, 2018). The product form prod_j (cosh + i kappa sinh) +
+    (-1)^(N+1) prod_j (-cosh + i kappa sinh) of (kappa l_j) is 2i prod_j
+    cosh(kappa l_j) times it (sinh and cosh swapped, and prod sinh, at
+    Dirichlet tips). A scalar kappa gives a float, an array of kappas an
+    array of values.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    n = lengths.size
-    equilateral = np.allclose(lengths, lengths[0], rtol=0, atol=0)
-    if tips == "neumann":
-        if n == 3:
-            c = 1.0 / np.tanh(np.multiply.outer(kappa, lengths))
-            return _real(c[..., 0] * c[..., 1] + c[..., 0] * c[..., 2]
-                         + c[..., 1] * c[..., 2] - kappa ** 2)
-        if n == 4 and equilateral:
-            c = 1.0 / np.tanh(kappa * lengths[0])
-            return _real(c ** 2 - kappa ** 2)
-        if n == 6 and equilateral:
-            c2 = (1.0 / np.tanh(kappa * lengths[0])) ** 2
-            return _real(3.0 * c2 ** 2 - 10.0 * c2 * kappa ** 2 + 3.0 * kappa ** 4)
-    elif tips == "dirichlet":
-        if n == 3:
-            t = np.tanh(np.multiply.outer(kappa, lengths))
-            return _real(t[..., 0] * t[..., 1] + t[..., 0] * t[..., 2]
-                         + t[..., 1] * t[..., 2] - kappa ** 2)
-    else:
+    kappa = np.asarray(kappa, dtype=float)[..., None]
+    tau = np.tanh(kappa * np.asarray(lengths, dtype=float))
+    if tips == "dirichlet":
+        tau = 1.0 / tau
+    elif tips != "neumann":
         raise ValueError(f"unknown tip condition {tips!r}")
-    raise ValueError(f"no reduced form for N={n}, tips={tips}, "
-                     f"equilateral={equilateral}")
+    value = np.prod(1.0 + 1j * kappa * tau, axis=-1).imag
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _real(x):
-    return float(x) if np.ndim(x) == 0 else x
+def reduced_negative_kappas(lengths, tips: str = "neumann") -> list:
+    """All kappa > 0 roots of `star_secular_reduced`, ascending; the star's
+    negative eigenvalues are their -kappa^2, each simple.
 
-
-def reduced_negative_kappas(lengths, tips: str = "neumann",
-                            kappa_max: float = None) -> list:
-    """All kappa > 0 roots of the reduced secular function, ascending.
-
-    Independent of the general solver: scalar root finding on the
-    transcendental reduced forms. Each sign change of the function on a
-    20,000-point kappa grid brackets one root, and every bracket is halved
-    in lockstep, keeping the half whose ends differ in sign, until its
-    midpoint rounds to one of its ends.
+    Independent of the general solver: scalar root finding on numpy alone.
+    kappa tau_j rises with kappa, so the phase sum_j arctan(kappa tau_j)
+    rises through (0, N pi / 2), and at the largest root it is at most
+    (N - 1) pi / 2: some edge has arctan(kappa tau_j) <= pi/2 - pi/(2N),
+    kappa tau_j <= C = cot(pi / 2N). As tau_j >= tanh(kappa l_min) >=
+    min(1, kappa l_min) tanh 1, every root lies at or below max(C / tanh 1,
+    sqrt(C / (l_min tanh 1))), where a 20,000-point kappa grid ends. Each
+    sign change of the function on the grid brackets one root, and every
+    bracket is halved in lockstep, keeping the half whose ends differ in
+    sign, until its midpoint rounds to one of its ends.
     """
     lengths = np.asarray(lengths, dtype=float)
-    if kappa_max is None:
-        # coth(kappa l) <= coth of the smallest edge bounds the root region
-        kappa_max = 3.0 * lengths.size / np.sqrt(np.min(lengths)) + 5.0
+    c = 1.0 / math.tan(math.pi / (2 * lengths.size))
+    t1 = math.tanh(1.0)
+    kappa_max = max(c / t1, math.sqrt(c / (np.min(lengths) * t1)))
     grid = np.linspace(1e-6, kappa_max, 20000)
     vals = star_secular_reduced(lengths, tips, grid)
     sign = np.sign(vals)

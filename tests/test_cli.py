@@ -359,6 +359,15 @@ class TestSweep:
         assert texts[0] == texts[1]
         assert texts[0].startswith("# family=neumann_star,n=3,limit=-3.0")
 
+    def test_five_star_limit(self, capsys):
+        # the equilateral 5-star's ground state tends to -cot^2(pi / 10)
+        assert main(["sweep", "neumann_star", "--grid", "1:20:3",
+                     "--edges", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        limit = float(lines[0].split("limit=")[1].split(",")[0])
+        assert limit == pytest.approx(-9.472135954999, abs=1e-12)
+        assert abs(float(lines[-1].split(",")[2])) < 1e-9
+
     def test_untrusted_ground_state_exits_3(self, capsys):
         # loops of 1e-7 and 2e-7: the ground state's window counts fewer
         # eigenvalues than it certified, and the values read off it are wrong

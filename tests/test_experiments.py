@@ -121,11 +121,55 @@ class TestSuites:
         rep = verify_equilateral_max(
             3, 3.0, samples=[sample_lengths(rng, 3, 3.0) for _ in range(6)])
         assert rep.passed()
-        # case 0 is the reproducibility self-check; the equilateral sample
-        # itself must come out inconclusive (margin ~ 0), not a strict win
+        # case 0 checks the solved equilateral ground state against the
+        # reduced form's root; the equilateral sample itself must come out
+        # inconclusive (margin ~ 0), not a strict win
         rep_eq = verify_equilateral_max(3, 3.0, samples=[[1.0, 1.0, 1.0]])
         assert rep_eq.cases[0].status == "pass"
         assert rep_eq.cases[1].status == "inconclusive"
+
+    @pytest.mark.parametrize("suite,total,ns", [
+        (lambda total: verify_equilateral_max(3, total, samples=[]), 3.0, (3,)),
+        (lambda total: verify_equilateral_max(4, total, samples=[]), 4.0, (4,)),
+        (verify_ground_state_theorem, 3.0, (3, 4))])
+    def test_equality_cases_read_the_reduced_form(self, monkeypatch, suite,
+                                                  total, ns):
+        # the solved equilateral ground state equals the reduced form's
+        # root, -max(reduced_negative_kappas)^2, bit for bit; a reduced
+        # root moved by 1e-9 fails the case
+        monkeypatch.setattr(experiments_mod, "GROUND_STATE_PER_N", 0)
+        cases = suite(total).cases
+        assert len(cases) == len(ns)
+        for c, n in zip(cases, ns):
+            assert "equality" in c.name and f"N{n}" in c.name
+            assert (c.status, c.margin) == ("pass", 0.0)
+            lam = ground_state(make_star([total / n] * n))[0]
+            assert c.details == {"lambda1": lam, "reduced": lam}
+        reduced = experiments_mod.reduced_negative_kappas
+        monkeypatch.setattr(experiments_mod, "reduced_negative_kappas",
+                            lambda ls: [k + 1e-9 for k in reduced(ls)])
+        assert [c.status for c in suite(total).cases] == ["fail"] * len(ns)
+
+    def test_extend_case_reports_a_zero_crossing_as_uncovered(
+            self, monkeypatch):
+        # a Neumann star keeps (N - 1) // 2 negative eigenvalues at any
+        # lengths (the phase sum of the reduced form rises from 0 to
+        # N pi / 2), so no extension takes one across zero; stand-in
+        # spectra that do cross leave that k unchecked
+        for before, status, uncovered in (
+                ([-2.0, 1.0, 2.0, 3.0, 4.0, 5.0], "pass", [1]),
+                ([-6.0, -5.0, -4.0, -3.0, -2.0, -1.0], "uncovered",
+                 [1, 2, 3, 4, 5, 6])):
+            after = [0.5 if lam < 0.0 else lam - 0.1 for lam in before]
+            spectra = iter([(before, []), (after, [])])
+            monkeypatch.setattr(experiments_mod, "_first_k",
+                                lambda g, k: next(spectra))
+            case = experiments_mod._surgery_case(0, "extend", [0.6, 0.8, 1.1],
+                                                 (2, 0.3))
+            assert case.details["uncovered_k"] == uncovered
+            assert [int(k) for k in case.details["margins"]] == [
+                k for k in range(1, 7) if k not in uncovered]
+            assert case.status == status
 
     def test_transplant_explicit_move(self):
         rep = verify_transplantation(lengths=[1.0, 0.7, 1.3],
@@ -296,6 +340,31 @@ class TestSweeps:
         table = sweep_lambda1_vs_length("dirichlet_star", [0.8, 1.5, 3.0], n=3)
         assert table.limit == -3.0
         assert table.monotonicity == "decreasing"
+
+    @pytest.mark.parametrize("n,limit", [
+        (4, -1.0), (5, -9.472135954999579), (6, -3.0), (7, -19.19566935808922)])
+    def test_star_limit_is_the_long_edge_ground_state(self, n, limit):
+        # -cot^2(pi / 2n) for odd n, -cot^2(pi / n) for even n: both tips'
+        # ground states reach it at l = 20
+        for family in ("neumann_star", "dirichlet_star"):
+            table = sweep_lambda1_vs_length(family, [20.0], n=n)
+            assert table.limit == pytest.approx(limit, rel=1e-15)
+            assert abs(table.rows[0][2]) < 1e-9
+
+    def test_short_star_limit_is_zero(self):
+        # n <= 2 leaves the reduced form no root: no negative eigenvalue
+        table = sweep_lambda1_vs_length("neumann_star", [1.0, 20.0], n=2)
+        assert table.limit == 0.0
+        for _, lam, gap in table.rows:
+            assert lam == gap == pytest.approx(0.0, abs=1e-9)
+
+    def test_non_monotone_sweep(self, monkeypatch):
+        lams = {1.0: -3.5, 2.0: -3.2, 3.0: -3.4}
+        monkeypatch.setattr(experiments_mod, "ground_state",
+                            lambda g: (lams[g.edges[0].length], []))
+        table = sweep_lambda1_vs_length("neumann_star", [1.0, 2.0, 3.0])
+        assert table.monotonicity == "non-monotone"
+        assert [lam for _, lam, _ in table.rows] == [-3.5, -3.2, -3.4]
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

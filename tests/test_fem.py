@@ -504,6 +504,36 @@ class TestBandedOracle:
                 r"cell \[-33554432\.0, -16777216\.0\] holds 1 eigenvalue")):
             oracle_eigenvalues(make_star([1.0, 0.7, 1e-12]), 3, 1e-3)
 
+    @pytest.mark.parametrize("h,cell", [
+        (1e-4, r"-134217728\.0, -67108864\.0"),
+        (1e-5, r"-33554432\.0, -16777216\.0")])
+    def test_root_on_its_cell_end_is_refused(self, h, cell):
+        # beside a 1e-12 edge the Schur eigenvalue at a cell end reads a
+        # sign below rounding, and every step inside the cell reads the
+        # other: the bracket closes onto the end, a power of two and no
+        # root, in the ground state's cell (h = 1e-4) or the second
+        # eigenvalue's (h = 1e-5); the oracle names the cell
+        with pytest.raises(np.linalg.LinAlgError, match=(
+                rf"cell \[{cell}\] holds a root .* closed onto the "
+                r"cell's end")):
+            oracle_eigenvalues(make_star([1.0, 0.7, 1e-12]), 3, h)
+
+    def test_short_edge_ground_state_is_kept(self):
+        # beside a 1e-7 edge the bracket closes inside its cell: the
+        # ground state, near -73681.2967 in the continuum, is answered
+        got = oracle_eigenvalues(make_star([1.0, 0.7, 1e-7]), 3, 1e-5)
+        assert got[0] == pytest.approx(-73681.29, abs=0.01)
+
+    def test_halving_where_the_scale_is_not_positive(self):
+        # on this figure-8 one step's value is at least the value held for
+        # the end it replaces, so the Anderson-Bjorck factor is not positive
+        # and falls back to halving; the roots stay the dense pencil's
+        g = make_figure8(0.4, 0.5)
+        got = oracle_eigenvalues(g, 6, 0.1)
+        want = dense_eigenvalues(g, 0.1)[:6]
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
     def test_deep_ground_state(self):
         # a short edge pushes lambda_1 near -12.5: the shift needs several
         # doublings below -1

@@ -75,6 +75,14 @@ def test_diameter_of_a_disconnected_graph_raises():
         diameter(g)
 
 
+def test_a_graph_with_no_vertices_is_not_connected():
+    # `create` refuses it (no edges); built directly, it is disconnected
+    g = MetricGraph((), ())
+    assert not g.is_connected()
+    with pytest.raises(Disconnected, match="disconnected graph"):
+        diameter(g)
+
+
 @pytest.mark.parametrize("factory", [make_star, make_path, make_cycle])
 def test_factories_refuse_an_empty_edge_list(factory):
     with pytest.raises(InvalidGraph, match=r"^\w+ needs at least one edge$"):

@@ -152,7 +152,6 @@ def test_options_are_the_listed_ones():
         "quadform.form_value.other",
         "secular.build_secular_matrix.method",
         "secular.interval_dtn.edge_id",
-        "secular.reduced_negative_kappas.kappa_max",
         "secular.reduced_negative_kappas.tips",
         "solve._isolate.first",
         "solve._isolate.probes",

@@ -226,6 +226,20 @@ class TestFormValue:
         assert form_value(star3, trial) < 0.0 < gradient_integral(star3, trial)
 
 
+    def test_diagonal_with_an_imaginary_part_raises(self, star3,
+                                                    monkeypatch):
+        # a vertex term that is not Hermitian, H + i I, gives the diagonal
+        # an imaginary part i |F|^2, which the form refuses to drop
+        trial = eigenfunction_at(star3, STAR3_LAM1)[0].as_trial()
+        herm = vertex_form_matrix(star3.shape)
+        monkeypatch.setattr(quadform, "vertex_form_matrix",
+                            lambda shape: herm + 1j * np.eye(len(herm)))
+        with pytest.raises(QGraphError, match="imaginary part"):
+            form_value(star3, trial)
+        with pytest.raises(QGraphError, match="imaginary part"):
+            rayleigh_quotient(star3, trial)
+
+
 class TestRayleigh:
     def test_matches_negative_eigenvalue(self, star3):
         psi = eigenfunction_at(star3, STAR3_LAM1)[0]

@@ -409,12 +409,14 @@ class TestClosedForms:
 BRENTQ_XTOL, BRENTQ_RTOL = 1e-13, 8.9e-16
 
 
-def brentq_kappas(lengths, tips, kappa_max=None):
+def brentq_kappas(lengths, tips):
     """The roots as `reduced_negative_kappas` found them with scipy: brentq
-    on each sign-change bracket of the same 20,000-point grid."""
+    on each sign-change bracket of the same 20,000-point grid, which ends at
+    max(C / tanh 1, sqrt(C / (l_min tanh 1))), C = cot(pi / 2N)."""
     lengths = np.asarray(lengths, dtype=float)
-    if kappa_max is None:
-        kappa_max = 3.0 * lengths.size / np.sqrt(np.min(lengths)) + 5.0
+    c = 1.0 / math.tan(math.pi / (2 * lengths.size))
+    kappa_max = max(c / math.tanh(1.0),
+                    math.sqrt(c / (np.min(lengths) * math.tanh(1.0))))
     grid = np.linspace(1e-6, kappa_max, 20000)
     sign = np.sign(star_secular_reduced(lengths, tips, grid))
     return [brentq(lambda k: star_secular_reduced(lengths, tips, k),
@@ -424,11 +426,11 @@ def brentq_kappas(lengths, tips, kappa_max=None):
 
 # every star the tests pass to reduced_negative_kappas
 REDUCED_STARS = [
-    ([1.0] * 3, "neumann", None), ([1.0] * 4, "neumann", None),
-    ([1.0] * 6, "neumann", None), ([1.0] * 3, "dirichlet", None),
-    ([1.0, 0.7, 1.3], "neumann", None), ([0.55] * 3, "dirichlet", None),
-    ([0.6] * 3, "dirichlet", None), ([120.0, 1.0, 1.0], "neumann", None),
-    ([1.0, 1.0, 0.001], "neumann", 40.0), ([1.0, 0.7, 0.002], "neumann", 40.0),
+    ([1.0] * 3, "neumann"), ([1.0] * 4, "neumann"), ([1.0] * 6, "neumann"),
+    ([1.0] * 3, "dirichlet"), ([1.0, 0.7, 1.3], "neumann"),
+    ([0.55] * 3, "dirichlet"), ([0.6] * 3, "dirichlet"),
+    ([120.0, 1.0, 1.0], "neumann"), ([1.0, 1.0, 0.001], "neumann"),
+    ([1.0, 0.7, 0.002], "neumann"),
 ]
 
 
@@ -442,7 +444,31 @@ def scan_reference_stars():
         sys.path.pop(0)
     refs = [workloads.scan_spec(seed, i)["ref"]
             for seed in (1, 2, 3) for i in range(24)]
-    return [(list(r[1]), r[2], None) for r in refs if r[0] == "reduced"]
+    return [(list(r[1]), r[2]) for r in refs if r[0] == "reduced"]
+
+
+BRENTQ_STARS = [*REDUCED_STARS, *scan_reference_stars()]
+
+
+def solver_stars():
+    """Seeded random stars, N = 3..10, and equilateral stars, N = 3..12,
+    each with both tips."""
+    rng = np.random.default_rng(46)
+    for _ in range(64):
+        n, total = int(rng.integers(3, 11)), float(rng.uniform(0.3, 10.0))
+        w = rng.uniform(0.2, 1.0, n)
+        for tips in ("neumann", "dirichlet"):
+            yield (total * w / w.sum()).tolist(), tips
+    for n in range(3, 13):
+        for length in (0.05, 0.3, 1.0, 3.0, 10.0):
+            for tips in ("neumann", "dirichlet"):
+                yield [length] * n, tips
+
+
+def solver_negatives(lengths, tips):
+    g = make_star(lengths, tip_bc=tips)
+    spec = find_spectrum(g, (default_negative_floor(g), -1e-8))
+    return [(r.lam, r.mult) for r in spec.records]
 
 
 class TestReducedForms:
@@ -484,8 +510,7 @@ class TestReducedForms:
         assert kaps[0] == pytest.approx(0.5740185154466122, abs=1e-11)
 
     def test_reduced_form_values(self):
-        # Spot-check the algebraic reductions against the closed form's sign
-        # structure: both must vanish together.
+        # the product vanishes, to rounding, at every root found
         for lengths, tips in ([[1.0] * 3, "neumann"], [[1.0] * 4, "neumann"],
                               [[1.0] * 6, "neumann"], [[1.0] * 3, "dirichlet"]):
             for kap in reduced_negative_kappas(lengths, tips):
@@ -506,17 +531,66 @@ class TestReducedForms:
         with pytest.raises(ValueError, match="unknown tip condition 'robin'"):
             star_secular_reduced([1.0, 1.0, 1.0], "robin", 1.0)
 
-    def test_unsupported_combination(self):
-        with pytest.raises(ValueError):
-            star_secular_reduced([1.0] * 5, "neumann", 1.0)
+    @pytest.mark.parametrize("tips,count", [("neumann", 2),
+                                            ("dirichlet", 1)])
+    def test_non_equilateral_five_star(self, tips, count):
+        # one form for every star: a 5-star of unequal lengths has the
+        # solver's negative eigenvalues as its roots
+        lengths = [0.4, 1.1, 0.7, 1.6, 0.9]
+        got = solver_negatives(lengths, tips)
+        want = sorted(-k * k for k in reduced_negative_kappas(lengths, tips))
+        assert len(want) == count
+        assert [m for _, m in got] == [1] * count
+        for (lam, _), ref in zip(got, want):
+            assert abs(lam - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("lengths,tips,kappa_max", [
-        *REDUCED_STARS, *scan_reference_stars()])
-    def test_bisection_finds_the_brentq_roots(self, lengths, tips, kappa_max):
+    @pytest.mark.parametrize("tips", ["neumann", "dirichlet"])
+    def test_closed_form_is_the_product_times_its_scale(self, tips):
+        # the product form is 2i prod cosh (prod sinh at Dirichlet tips)
+        # times Im prod (1 + i kappa tau)
+        lengths = [0.4, 1.1, 0.7, 1.6, 0.9, 0.3]
+        scale = np.cosh if tips == "neumann" else np.sinh
+        for kap in (0.3, 1.0, 2.5):
+            want = star_secular_closed_form(lengths, tips, kap)
+            got = 2j * np.prod(scale(kap * np.asarray(lengths))) \
+                * star_secular_reduced(lengths, tips, kap)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_roots_are_the_solvers_negative_eigenvalues(self):
+        # seeded random stars and equilateral stars up to N = 12, both tips:
+        # as many roots as simple negative eigenvalues, each within the
+        # solver's REFINE_TOL = 1e-12 scale, relative to max(1, |lambda|)
+        for lengths, tips in solver_stars():
+            got = solver_negatives(lengths, tips)
+            want = sorted(-k * k
+                          for k in reduced_negative_kappas(lengths, tips))
+            assert [m for _, m in got] == [1] * len(want), (lengths, tips)
+            for (lam, _), ref in zip(got, want):
+                assert abs(lam - ref) <= 1e-12 * max(1.0, abs(ref)), (
+                    lengths, tips, lam, ref)
+
+    def test_grid_reaches_the_largest_root(self):
+        # the Neumann 21-star of l = 100 has its largest root near
+        # kappa = tan(10 pi / 21) = 13.3, beyond a grid end sized for
+        # N <= 6, 3N / sqrt(l_min) + 5 = 11.3; all ten are found
+        kaps = reduced_negative_kappas([100.0] * 21, "neumann")
+        got = solver_negatives([100.0] * 21, "neumann")
+        assert len(kaps) == len(got) == 10
+        assert kaps[-1] == pytest.approx(math.tan(10 * math.pi / 21),
+                                         rel=1e-12)
+        for (lam, _), k in zip(got, reversed(kaps)):
+            assert abs(lam + k * k) <= 1e-12 * k * k
+
+    @pytest.mark.parametrize("lengths,tips", BRENTQ_STARS, ids=[
+        # ids as they read when each star carried its own grid end: 40.0
+        # for the two short-edge stars, None for the rest
+        f"lengths{i}-{tips}-{40.0 if min(lengths) < 0.01 else None}"
+        for i, (lengths, tips) in enumerate(BRENTQ_STARS)])
+    def test_bisection_finds_the_brentq_roots(self, lengths, tips):
         # the same roots as one brentq per sign-change bracket of the same
         # grid, each within brentq's own tolerance
-        got = reduced_negative_kappas(lengths, tips, kappa_max)
-        want = brentq_kappas(lengths, tips, kappa_max)
+        got = reduced_negative_kappas(lengths, tips)
+        want = brentq_kappas(lengths, tips)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert abs(a - b) <= BRENTQ_XTOL + BRENTQ_RTOL * abs(b)

@@ -199,7 +199,7 @@ class TestNegativeCounts:
         # a short edge puts the ground state far below -(2 * max degree)^2
         # = -36; the default floor widens until the count below it is 0
         g = make_star(lengths)
-        kappa = max(reduced_negative_kappas(lengths, kappa_max=40.0))
+        kappa = max(reduced_negative_kappas(lengths))
         assert -kappa ** 2 < -36.0
         assert count_below(g, [-36.0])[0][0] == 1
         floor = default_negative_floor(g)

@@ -1,13 +1,13 @@
 """Fingerprint a checkout's outputs, to show that a change keeps every byte.
 
-    python tools/fingerprint.py [TREE]          # per output family: records, SHA-256
+    python tools/fingerprint.py [TREE]          # per output: records, SHA-256
     python tools/fingerprint.py --lines [TREE]  # code lines of src/qgraph
     python tools/fingerprint.py --calls [TREE]  # count and sigma calls per op
 
 TREE is the checkout to measure, by default the one holding this script. Its
 `src/qgraph` and `qgbench` are imported, so running the same script against
 two checkouts and comparing the printed lines tells whether a change moved
-any output. The families:
+any output, and which. The lines:
 
 - scan: the repr of every `scan` op output of seeds 1-3, ops 0-47;
 - crosscheck: every `crosscheck` op output of the same seeds and ops, the
@@ -15,10 +15,11 @@ any output. The families:
   values' bytes;
 - eigenfunctions: for every DtN eigenvalue of those ops, each
   eigenfunction's `coeffs.tobytes()` and its Rayleigh quotient's `float.hex`;
-- suites: the `to_json()` of the 16 suite reports, every suite at seeds 0
-  and 1;
-- cli: stdout and exit code of a fixed set of CLI runs; the report path
-  line of `verify` is dropped, as it names a temporary directory;
+- one line per suite, named by the suite: the `to_json()` of its reports
+  at seeds 0 and 1;
+- one line per CLI run, named by its arguments: its stdout and exit code;
+  the report path line of `verify` is dropped, as it names a temporary
+  directory;
 - scan, crosscheck and eigenfunctions once more, marked "reversed": after
   qgbench's `reset_caches()`, the same ops are solved from the last to the
   first, and their outputs hashed in op order. A plan that is cached and
@@ -129,6 +130,8 @@ def _cli_runs(tmp: Path) -> list:
         ["verify", "no-such-suite", "--out", out],
         ["sweep", "figure8", "--grid", "0.5:1.5:5"],
         ["sweep", "neumann_star", "--grid", "0.5:1.5:4", "--edges", "4"],
+        ["sweep", "neumann_star", "--grid", "0.5:1.5:4", "--edges", "5"],
+        ["sweep", "dirichlet_star", "--grid", "0.5:1.5:4", "--edges", "4"],
         ["sweep", "no-such-family", "--grid", "0.5:1.5:3"],
     ]
 
@@ -165,22 +168,24 @@ def fingerprint() -> dict:
     from qgraph.experiments import SUITES
 
     ops_families = ("scan", "crosscheck", "eigenfunctions")
-    fam = {name: Family() for name in (*ops_families, "suites", "cli")}
+    fam = {name: Family() for name in ops_families}
     ops = [(seed, i) for seed in SEEDS for i in OPS]
     for op in ops:
         for name, records in _op_records(*op).items():
             for parts in records:
                 fam[name].add(*parts)
     for name in sorted(SUITES):
+        fam[name] = family = Family()
         for seed in SUITE_SEEDS:
-            fam["suites"].add(name, seed, SUITES[name](seed).to_json())
+            family.add(name, seed, SUITES[name](seed).to_json())
     with tempfile.TemporaryDirectory() as tmp:
         for argv in _cli_runs(Path(tmp)):
             with contextlib.redirect_stderr(io.StringIO()):
                 code, text = workloads._run_cli(argv)
             kept = [ln for ln in text.splitlines() if tmp not in ln]
-            fam["cli"].add(" ".join(argv).replace(tmp, "TMP"), code,
-                           "\n".join(kept))
+            run_name = " ".join(argv).replace(tmp, "TMP")
+            fam[run_name] = family = Family()
+            family.add(run_name, code, "\n".join(kept))
     run.reset_caches()
     solved = {op: _op_records(*op) for op in reversed(ops)}
     for name in ops_families:
@@ -259,8 +264,10 @@ def main(argv=None) -> int:
     if args.calls:
         print_calls(calls())
         return 0
-    for name, family in fingerprint().items():
-        print(f"{name:24s} {family}")
+    lines = fingerprint()
+    width = max(map(len, lines))
+    for name, family in lines.items():
+        print(f"{name:{width}s} {family}")
     return 0
 
 
