@@ -32,8 +32,8 @@ class DtNSingular(QGraphError):
 
 
 class WindowTooCoarse(QGraphError):
-    """The search window cannot answer: the count of negative eigenvalues is
-    untrusted, or repeated doubling did not reach the requested eigenvalues."""
+    """The search window cannot answer: a count it needs is untrusted or has
+    no float to stand at, or the requested eigenvalues were not certified."""
 
 
 class NotAnEigenvalue(QGraphError):

@@ -84,6 +84,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,9 +112,10 @@ MAX_WINDOW_COUNT = 10_000
 # the most points one count call of _isolate may hold; where untrusted
 # counts keep every cell splitting, the calls grow fourfold and stop here
 _MAX_COUNT_POINTS = 4 * MAX_WINDOW_COUNT
-# the most times first_eigenvalues moves a window end outward by a relative
-# 1e-6 for a trusted count; one move clears an eigenvalue or a pole
-_TRUST_NUDGES = 100
+# the most times first_eigenvalues moves its window end, each one count call:
+# outward by a relative 1e-6 to a trusted count, which one move gives off an
+# eigenvalue or a pole, or doubled while the trusted count is below k
+_END_MOVES = 100
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,9 @@ def default_positive_step(g: MetricGraph) -> float:
 def default_negative_floor(g: MetricGraph) -> float:
     """Lower end of the negative window, below every eigenvalue: -d^2, with
     d = 2 * max degree doubled until the exact count N(-d^2) is a trusted 0.
+    Where the next -d^2 would leave the float range (an edge so short that
+    its negative eigenvalue lies beyond it), WindowTooCoarse names the last
+    floor counted.
     """
     return _negative_floor(g, [])[0]
 
@@ -182,6 +187,10 @@ def _negative_floor(g: MetricGraph, extra):
     counts, trusted = count_below(g, [-float(d * d), *extra])
     rest = counts[1:], trusted[1:]
     while not (trusted[0] and counts[0] == 0):
+        if 4 * d * d > sys.float_info.max:
+            raise WindowTooCoarse(
+                f"the eigenvalue count below the floor {-float(d * d)!r} is "
+                f"not a trusted 0, and a lower floor leaves the float range")
         d *= 2
         counts, trusted = count_below(g, [-float(d * d)])
     return -float(d * d), rest
@@ -339,13 +348,14 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
     (`secular._count_parts`): a call counts the midpoint of every cell that
     splits in its round and, where that cell's halves are still wider than
     their width, the halves' midpoints, which the next round reads from the
-    dict of counted points. The opening call counts the start cells' ends,
-    the probes and the points of the first two rounds of every start cell
-    wider than its width. A cell is split while it is wider than its width
-    and its end counts differ or either end count is untrusted; a cell with
-    equal trusted end counts holds no eigenvalue and is dropped. The few
-    live cells are a list of (x0, x1, n0, n1, ok0, ok1, width, jump); only
-    the counted points go through numpy.
+    one dict of counted points, x -> (count, trusted, N_D, mu), which holds
+    every point counted but the probes. The opening call counts the start
+    cells' ends, the probes and the points of the first two rounds of every
+    start cell wider than its width. A cell is split while it is wider than
+    its width and its end counts differ or either end count is untrusted; a
+    cell with equal trusted end counts holds no eigenvalue and is dropped.
+    The few live cells are a list of (x0, x1, n0, n1, ok0, ok1, width,
+    jump); only the counted points go through numpy.
 
     A cell that would ask for its two rounds' points may jump instead: one
     wider than its width whose trusted end counts rise by one and whose
@@ -389,7 +399,7 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
     def leap(x0, x1, n0, w):
         """A jump's leaf, and the node three levels down where the leaf is
         deeper, or None where the cell's ends differ in N_D."""
-        (nd0, mu0), (nd1, mu1) = parts[x0], parts[x1]
+        (*_, nd0, mu0), (*_, nd1, mu1) = counted[x0], counted[x1]
         if nd0 != nd1:
             return None
         # mu_j > 0 at x0 and < 0 at x1, as the trusted counts say
@@ -420,24 +430,25 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
 
     opening = [p for (x0, x1), w in zip(x.tolist(), width.tolist())
                if wide(x0, x1, w) for p in ahead(x0, x1, w)]
-    n, ok, nd, mu = budgeted(np.concatenate((
+    parts = budgeted(np.concatenate((
         lam_of(x.T.ravel()), np.asarray(probes, dtype=float),
         lam_of(np.array(opening, dtype=float)))))
     nprobe = x.size + len(probes)
-    probed = n[x.size:nprobe], ok[x.size:nprobe]
-    counted = dict(zip(opening, zip(n[nprobe:].tolist(),
-                                    ok[nprobe:].tolist())))
-    # every counted point's N_D and mu, which a jump reads at a cell's ends
-    nd, mu = nd.tolist(), mu.tolist()
-    del nd[x.size:nprobe], mu[x.size:nprobe]
-    parts = dict(zip(x.T.ravel().tolist() + opening, zip(nd, mu)))
-    n, ok = (v[:x.size].reshape(2, -1).tolist() for v in (n, ok))
+    probed = tuple(v[x.size:nprobe] for v in parts[:2])
+    kept = np.r_[:x.size, nprobe:nprobe + len(opening)]
+    counted = dict(zip(x.T.ravel().tolist() + opening,
+                       zip(*(v[kept].tolist() for v in parts))))
 
-    def holds(n0, n1, ok0, ok1):  # equal trusted end counts: no eigenvalue
-        return n0 != n1 or not (ok0 and ok1)
+    def cell(x0, x1, w):  # a cell, with its ends' counts and trust flags
+        (n0, ok0, *_), (n1, ok1, *_) = counted[x0], counted[x1]
+        return x0, x1, n0, n1, ok0, ok1, w, True
 
-    live = [(*c, True) for c in zip(*x.T.tolist(), *n, *ok, width.tolist())
-            if holds(*c[2:6])]
+    def holds(c):  # equal trusted end counts: no eigenvalue
+        return c[2] != c[3] or not (c[4] and c[5])
+
+    live = [c for c in itertools.starmap(cell, zip(*x.T.tolist(),
+                                                   width.tolist()))
+            if holds(c)]
     limit = (int(probed[0][0]) + first
              if first is not None and probed[1][0] else None)
     cut = None
@@ -464,35 +475,30 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
                   and (to := leap(x0, x1, n0, w))):
                 jumps[i] = to
                 ask += sorted({p for node in to for p in node}
-                              - counted.keys() - {x0, x1})
+                              - counted.keys())
             else:
                 ask += ahead(x0, x1, w)
             mids.append(mid)
         if mids.count(None) == len(mids):
             break
         if ask:
-            n_ask, ok_ask, nd_ask, mu_ask = budgeted(lam_of(np.array(ask)))
-            counted.update(zip(ask, zip(n_ask.tolist(), ok_ask.tolist())))
-            parts.update(zip(ask, zip(nd_ask.tolist(), mu_ask.tolist())))
+            counted.update(zip(ask, zip(*(
+                v.tolist() for v in budgeted(lam_of(np.array(ask)))))))
         # each split cell becomes its halves that may hold an eigenvalue, in
         # place; each jump its leaf or node, or else it waits to bisect
         split = []
         for i, (c, mid) in enumerate(zip(live, mids)):
-            x0, x1, n0, n1, ok0, ok1, w, _ = c
+            x0, x1, n0, n1, _, _, w, _ = c
             if i in jumps:
-                hit = next(((a, b) for a, b in jumps[i]
-                            if (a == x0 or counted[a] == (n0, True))
-                            and (b == x1 or counted[b] == (n1, True))), None)
-                split.append((*hit, n0, n1, True, True, w, True) if hit
-                             else c[:7] + (False,))
-            elif mid not in counted:
-                split.append(c)
+                hit = next((cell(a, b, w) for a, b in jumps[i]
+                            if counted[a][:2] == (n0, True)
+                            and counted[b][:2] == (n1, True)), None)
+                split.append(hit or c[:7] + (False,))
+            elif mid in counted:
+                split += [h for h in (cell(x0, mid, w), cell(mid, x1, w))
+                          if holds(h)]
             else:
-                n_m, ok_m = counted[mid]
-                if holds(n0, n_m, ok0, ok_m):
-                    split.append((x0, mid, n0, n_m, ok0, ok_m, w, True))
-                if holds(n_m, n1, ok_m, ok1):
-                    split.append((mid, x1, n_m, n1, ok_m, ok1, w, True))
+                split.append(c)
         live = split
     return (np.array([c[0:2] for c in live], dtype=float).reshape(-1, 2),
             np.array([c[2:4] for c in live], dtype=np.intp).reshape(-1, 2),
@@ -713,45 +719,44 @@ def count_negative(g: MetricGraph) -> int:
 
 
 def first_eigenvalues(g: MetricGraph, k: int):
-    """First k eigenvalues (with multiplicity), growing the window as needed,
-    and the spectrum they were read from.
+    """First k eigenvalues (with multiplicity), and the spectrum they were
+    read from.
 
-    Each window is solved with first=k, so a window that holds k
-    eigenvalues ends just above the k-th, at a trusted count point, and its
-    spectrum covers only that much. Where a cut window certifies fewer than
-    k, the whole window is solved again, as with no cut. Each window end
-    tried is moved outward by a relative 1e-6 until its count is trusted,
-    so that no end on an eigenvalue or an edge Dirichlet pole leaves the
-    window's completeness check undone. An end still untrusted after
-    _TRUST_NUDGES moves (an end of 0, or an edge so long that no positive
-    count is trusted) raises WindowTooCoarse naming it. The first window
-    end is counted in the first count call of the window's lower end,
-    `default_negative_floor`."""
+    The counts size the window before it is solved. Its end starts at
+    (pi (k + 2) / L)^2, counted in the first count call of the window's
+    lower end, `default_negative_floor`, below which the count is a trusted
+    0. While the end's count is untrusted (the end lies on an eigenvalue or
+    an edge Dirichlet pole), the end moves outward by a relative 1e-6; while
+    its trusted count is below k, it doubles. An end whose trusted count
+    does not reach k after _END_MOVES such moves, each one count call (an
+    end of 0, or an edge so long that no positive count is trusted), raises
+    WindowTooCoarse naming it. The window then holds k eigenvalues and is
+    solved once with first=k, so that it ends just above the k-th, at a
+    trusted count point, and its spectrum covers only that much. Where the
+    cut window certifies fewer than k, the whole window is solved again, as
+    with no cut; where that too certifies fewer than k, WindowTooCoarse
+    names the window."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    hi = (math.pi * (k + 2) / g.total_length) ** 2
-    lo, (_, trusted) = _negative_floor(g, [hi])
-    for attempt in range(12):
-        end = hi * 2.0 ** attempt
-        if attempt:
-            trusted = count_below(g, [end])[1]
-        nudges = 0
-        while not trusted[0]:
-            if nudges == _TRUST_NUDGES:
-                raise WindowTooCoarse(
-                    f"the eigenvalue count at the window end {end!r} is not "
-                    f"trusted after {_TRUST_NUDGES} nudges")
-            end *= 1.0 + 1e-6
-            nudges += 1
-            trusted = count_below(g, [end])[1]
-        spec = find_spectrum(g, (lo, end), first=k)
-        if spec.count < k and spec.window[1] < end:
-            spec = find_spectrum(g, (lo, end))
-        lams = spec.lambdas()
-        if len(lams) >= k:
-            return lams[:k], spec
-    raise WindowTooCoarse(f"could not locate {k} eigenvalues in "
-                          f"[{spec.window[0]}, {spec.window[1]}]")
+    end = (math.pi * (k + 2) / g.total_length) ** 2
+    lo, ((n,), (ok,)) = _negative_floor(g, [end])
+    for _ in range(_END_MOVES):
+        if ok and n >= k:
+            break
+        end *= 2.0 if ok else 1.0 + 1e-6
+        (n,), (ok,) = count_below(g, [end])
+    if not (ok and n >= k):
+        raise WindowTooCoarse(
+            f"the eigenvalue count at the window end {end!r} is not a "
+            f"trusted {k} or more after {_END_MOVES} moves")
+    spec = find_spectrum(g, (lo, end), first=k)
+    if spec.count < k and spec.window[1] < end:
+        spec = find_spectrum(g, (lo, end))
+    lams = spec.lambdas()
+    if len(lams) < k:
+        raise WindowTooCoarse(f"could not locate {k} eigenvalues in "
+                              f"[{spec.window[0]}, {spec.window[1]}]")
+    return lams[:k], spec
 
 
 # -- eigenfunctions ------------------------------------------------------------

@@ -227,6 +227,18 @@ class TestSurgery:
         assert first == capsys.readouterr().out
         assert first.startswith("# method=edge\nstep,op,lambda_1")
 
+    def test_floor_beyond_the_float_range_exits_3(self, tmp_path, capsys):
+        # a 1e-200 edge puts the ground state below every float: the
+        # negative floor refuses with WindowTooCoarse, no OverflowError
+        p = tmp_path / "short.json"
+        save_graph(make_star([1e-200, 1.0, 1.0]), p)
+        ops = self.write_ops(tmp_path, [
+            {"op": "attach", "at_vertex": "v0", "length": 0.5},
+        ])
+        assert main(["surgery", str(p), ops, "--track", "1"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: WindowTooCoarse: the eigenvalue count below the floor ")
+
     def test_step_diagnostic_exits_3(self, tmp_path, capsys):
         # a 1e-7 pendant edge drives lambda_1 to about -7.4e4, where the
         # step's window misses roots its trusted count holds
@@ -367,6 +379,20 @@ class TestSweep:
         limit = float(lines[0].split("limit=")[1].split(",")[0])
         assert limit == pytest.approx(-9.472135954999, abs=1e-12)
         assert abs(float(lines[-1].split(",")[2])) < 1e-9
+
+    @pytest.mark.parametrize("family,edges,mono", [
+        ("neumann_star", "5", "increasing"),
+        ("dirichlet_star", "7", "decreasing")])
+    def test_sweep_reaching_its_limit_keeps_its_trend(self, family, edges,
+                                                       mono, capsys):
+        # the ground states at 10.5 and 20 are the same float, the limit: a
+        # tie, which breaks no trend
+        assert main(["sweep", family, "--grid", "1:20:3",
+                     "--edges", edges]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        lams = [float(row.split(",")[1]) for row in lines[2:]]
+        assert lams[1] == lams[2] != lams[0]
+        assert f"monotonicity={mono}" in lines[0]
 
     def test_untrusted_ground_state_exits_3(self, capsys):
         # loops of 1e-7 and 2e-7: the ground state's window counts fewer

@@ -213,6 +213,29 @@ class TestNegativeCounts:
         assert default_negative_floor(make_star([1.0] * 3)) == -36.0
         assert default_negative_floor(make_figure8(0.7, 1.3)) == -64.0
 
+    def test_floor_near_the_float_range_keeps_its_value(self):
+        # the 1e-150 edge's ground state lies near -1e300, still a float:
+        # the floor doubles that far and stands there
+        g = make_star([1e-150, 1.0, 1.0])
+        floor = default_negative_floor(g)
+        assert floor == -8.56521739283203e+286
+        counts, trusted = count_below(g, [floor])
+        assert counts[0] == 0 and trusted[0]
+
+    @pytest.mark.parametrize("g,last", [
+        (make_star([1e-200, 1.0, 1.0]), -1.0112023883600527e+308),
+        (make_star([1e-300, 1.0, 1.0]), -1.0112023883600527e+308),
+        (make_figure8(1e-300, 1.0), -4.49423283715579e+307),
+        (make_cycle([1e-300, 1.0]), -4.49423283715579e+307)])
+    def test_floor_beyond_the_float_range_is_refused(self, g, last):
+        # a ground state below -1.8e308 has no float floor: the last floor
+        # that is a float is named, not overflowed past
+        with deadline(10), pytest.raises(WindowTooCoarse) as err:
+            default_negative_floor(g)
+        assert str(err.value) == (
+            f"the eigenvalue count below the floor {last!r} is not a trusted "
+            f"0, and a lower floor leaves the float range")
+
     def test_random_stars_respect_bound(self):
         # bracketing against the semi-infinite star gives a lower bound
         rng = np.random.default_rng(7)
@@ -1647,6 +1670,9 @@ class TestFirstEigenvalues:
         assert spec.window[0] == lo and lams[-1] < spec.window[1] < end
 
     def test_error_names_the_last_window_scanned(self, star3, monkeypatch):
+        # a stand-in solve that certifies nothing is called once, on a
+        # window whose end's trusted count already holds k; its cut window
+        # is the whole one, so no retry runs, and the error names it
         windows = []
 
         def empty(g, window, method="edge", *, first=None):
@@ -1657,11 +1683,31 @@ class TestFirstEigenvalues:
         monkeypatch.setattr(solve_mod, "find_spectrum", empty)
         with pytest.raises(WindowTooCoarse) as err:
             first_eigenvalues(star3, 2)
-        assert len(windows) == 12
-        assert windows[-1][1] == windows[0][1] * 2.0 ** 11
+        (lo, end), = windows
+        counts, trusted = count_below(star3, [end])
+        assert trusted[0] and counts[0] >= 2
         assert str(err.value) == (
-            f"could not locate 2 eigenvalues in [{windows[-1][0]}, "
-            f"{windows[-1][1]}]")
+            f"could not locate 2 eigenvalues in [{lo}, {end}]")
+
+    def test_short_first_end_is_doubled_before_any_solve(self, monkeypatch):
+        # the first end (14 pi / 10)^2 holds 11 of the 12 eigenvalues asked
+        # for: the counts double it, and the window is solved once
+        g = make_star([1.0] * 10, tip_bc="dirichlet")
+        first_end = (14.0 * math.pi / 10.0) ** 2
+        counts, trusted = count_below(g, [first_end])
+        assert trusted[0] and counts[0] == 11
+        windows = []
+
+        def recorded(g, window, method="edge", **kwargs):
+            windows.append(window)
+            return find_spectrum(g, window, method, **kwargs)
+
+        monkeypatch.setattr(solve_mod, "find_spectrum", recorded)
+        lams, spec = first_eigenvalues(g, 12)
+        assert windows == [(-400.0, 2.0 * first_end)]
+        assert spec.window == (-400.0, 19.447144704096793)
+        assert lams == find_spectrum(g, (-400.0, 2.0 * first_end),
+                                     first=12).lambdas()[:12]
 
     def test_root_beyond_float_resolution_of_the_width(self):
         # the first eigenvalue, about 2.47e14, is isolated to 4 float
@@ -1689,7 +1735,7 @@ class TestFirstEigenvalues:
 
     def test_untrusted_end_is_refused_after_the_nudges(self, monkeypatch):
         # the 1e300 edge makes the first window end (3 pi / L)^2 underflow
-        # to 0, where the count is untrusted and no relative nudge moves it;
+        # to 0, where the count is untrusted and no relative move shifts it;
         # every positive count is untrusted there too
         g = make_star([1e300, 1.0, 1.0])
         calls = []
@@ -1699,15 +1745,16 @@ class TestFirstEigenvalues:
             return count_below(g, lams)
 
         monkeypatch.setattr(solve_mod, "count_below", counted)
+        monkeypatch.setattr(solve_mod, "find_spectrum", None)
         with deadline(5), pytest.raises(WindowTooCoarse) as err:
             first_eigenvalues(g, 1)
         assert str(err.value) == (
-            f"the eigenvalue count at the window end 0.0 is not trusted "
-            f"after {solve_mod._TRUST_NUDGES} nudges")
+            f"the eigenvalue count at the window end 0.0 is not a trusted 1 "
+            f"or more after {solve_mod._END_MOVES} moves")
         # the search floor's count holds the end's first count, and the end
-        # is counted again after each nudge
+        # is counted again after each move; nothing is solved
         assert calls[0][0] < 0.0 and calls[0][1:] == [0.0]
-        assert calls[1:] == [[0.0]] * solve_mod._TRUST_NUDGES
+        assert calls[1:] == [[0.0]] * solve_mod._END_MOVES
 
     @pytest.mark.parametrize("k", [0, -1, -2])
     def test_k_below_one_raises(self, k):
@@ -1844,6 +1891,26 @@ class TestFirstK:
         assert calls == [4, None]
         assert lams == pytest.approx(STAR3_EQUIL[:4], abs=1e-8)
         assert spec.window[1] > STAR3_EQUIL[4]
+
+    def test_whole_window_short_of_k_is_refused(self, star3, monkeypatch):
+        # where the whole window too certifies fewer than k, no larger
+        # window is solved: the counts already hold k in it
+        windows = []
+
+        def lossy(g, window, method="edge", *, first=None):
+            windows.append((window, first))
+            spec = find_spectrum(g, window, method, first=first)
+            spec.records = [r for r in spec.records
+                            if r.lam < STAR3_EQUIL[3] - 1e-6]
+            return spec
+
+        monkeypatch.setattr(solve_mod, "find_spectrum", lossy)
+        with pytest.raises(WindowTooCoarse) as err:
+            first_eigenvalues(star3, 4)
+        (cut, four), (whole, none) = windows
+        assert cut == whole and (four, none) == (4, None)
+        assert str(err.value) == (
+            f"could not locate 4 eigenvalues in [{whole[0]}, {whole[1]}]")
 
 
 class TestCertificationRows:

@@ -2,7 +2,7 @@
 
     python tools/fingerprint.py [TREE]          # per output: records, SHA-256
     python tools/fingerprint.py --lines [TREE]  # code lines of src/qgraph
-    python tools/fingerprint.py --calls [TREE]  # count and sigma calls per op
+    python tools/fingerprint.py --calls [TREE]  # count, sigma, solve calls
 
 TREE is the checkout to measure, by default the one holding this script. Its
 `src/qgraph` and `qgbench` are imported, so running the same script against
@@ -35,8 +35,10 @@ docstrings found by `ast`.
 
 `--calls` prints, for each benchmark op, the calls and points of the exact
 eigenvalue counts (`secular._count_parts`, which `count_below` and
-isolation both call; `count_below` itself in a checkout without it) and of
-the sigma scans (`kernels.scan_sigma`), then each workload's means per op.
+isolation both call; `count_below` itself in a checkout without it), of
+the sigma scans (`kernels.scan_sigma`) and the `solve.find_spectrum` calls,
+which show how many windows a path solves, then each workload's means per
+op.
 It runs `scan` and `crosscheck` ops 0-47 and `suites` ops 0-19, of seeds
 1-3, serially, each workload's inputs built before its counting starts.
 Counts repeat exactly, so two checkouts' lines compare call for call.
@@ -198,19 +200,20 @@ def fingerprint() -> dict:
 
 def calls() -> list:
     """(workload, seed, op, count calls, count points, sigma calls, sigma
-    points) for every op of CALL_OPS and SEEDS."""
+    points, find_spectrum calls) for every op of CALL_OPS and SEEDS."""
     import numpy as np
 
     from qgbench import workloads
-    from qgraph import secular, solve
+    from qgraph import cli, experiments, secular, solve
 
-    tally = [0, 0, 0, 0]
+    tally = [0, 0, 0, 0, 0]
 
     def watched(fn, at, lams_arg):
-        def counted(*args):
+        def counted(*args, **kwargs):
             tally[at] += 1
-            tally[at + 1] += np.size(args[lams_arg])
-            return fn(*args)
+            if lams_arg is not None:
+                tally[at + 1] += np.size(args[lams_arg])
+            return fn(*args, **kwargs)
         return counted
 
     count = "_count_parts" if hasattr(secular, "_count_parts") else "count_below"
@@ -218,6 +221,11 @@ def calls() -> list:
                                        (solve, count, 0, 1),
                                        (solve, "scan_sigma", 2, 0)):
         setattr(module, name, watched(getattr(module, name), at, lams_arg))
+    # every module that imported find_spectrum by name calls its own binding
+    solver = solve.find_spectrum
+    for module in (solve, cli, experiments):
+        if getattr(module, "find_spectrum", None) is solver:
+            module.find_spectrum = watched(solver, 4, None)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, ops in CALL_OPS.items():
@@ -225,23 +233,24 @@ def calls() -> list:
             specs = [(seed, i, work.make(seed, i)) for seed in SEEDS
                      for i in ops]
             for seed, i, spec in specs:
-                tally[:] = [0, 0, 0, 0]
+                tally[:] = [0, 0, 0, 0, 0]
                 work.op(spec)
                 rows.append((name, seed, i, *tally))
     return rows
 
 
 def print_calls(rows) -> None:
+    widths = (6, 7, 6, 7, 6)
     print(f"{'workload':10s} {'seed':>4s} {'op':>3s} {'count':>6s} "
-          f"{'points':>7s} {'sigma':>6s} {'points':>7s}")
+          f"{'points':>7s} {'sigma':>6s} {'points':>7s} {'solves':>6s}")
     for name, seed, i, *tally in rows:
         print(f"{name:10s} {seed:4d} {i:3d} " + " ".join(
-            f"{t:{w}d}" for t, w in zip(tally, (6, 7, 6, 7))))
+            f"{t:{w}d}" for t, w in zip(tally, widths)))
     for name in CALL_OPS:
         per = [r[3:] for r in rows if r[0] == name]
         means = [sum(col) / len(per) for col in zip(*per)]
         print(f"{name:10s} mean per op of {len(per)}: " + " ".join(
-            f"{m:{w}.2f}" for m, w in zip(means, (6, 7, 6, 7))))
+            f"{m:{w}.2f}" for m, w in zip(means, widths)))
 
 
 def main(argv=None) -> int:
@@ -252,8 +261,8 @@ def main(argv=None) -> int:
     mode.add_argument("--lines", action="store_true",
                       help="print code lines per src/qgraph module instead")
     mode.add_argument("--calls", action="store_true",
-                      help="print count and sigma calls per benchmark op "
-                           "instead")
+                      help="print count, sigma and find_spectrum calls per "
+                           "benchmark op instead")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     if args.lines:
