@@ -172,28 +172,33 @@ def default_positive_step(g: MetricGraph) -> float:
 
 def default_negative_floor(g: MetricGraph) -> float:
     """Lower end of the negative window, below every eigenvalue: -d^2, with
-    d = 2 * max degree doubled until the exact count N(-d^2) is a trusted 0.
-    Where the next -d^2 would leave the float range (an edge so short that
-    its negative eigenvalue lies beyond it), WindowTooCoarse names the last
-    floor counted.
+    d = 2 * max degree, where the exact count N(-d^2) is a trusted 0, and
+    otherwise the first further doubling of d whose count is. Those
+    doublings are counted in one call, as far as -d^2 is a float; where
+    none counts a trusted 0 (an edge so short that its negative eigenvalue
+    lies beyond the float range), WindowTooCoarse names the last of them.
     """
     return _negative_floor(g, [])[0]
 
 
 def _negative_floor(g: MetricGraph, extra):
     """`default_negative_floor`, and the (counts, trusted) of `count_below`
-    at the lambdas `extra`, which its first count call counts as well."""
+    at the lambdas `extra`, which its first count call counts as well; a
+    second call, where the first floor fails, counts all its doublings."""
     d = 2 * max(v.degree for v in g.vertices)
     counts, trusted = count_below(g, [-float(d * d), *extra])
-    rest = counts[1:], trusted[1:]
-    while not (trusted[0] and counts[0] == 0):
-        if 4 * d * d > sys.float_info.max:
-            raise WindowTooCoarse(
-                f"the eigenvalue count below the floor {-float(d * d)!r} is "
-                f"not a trusted 0, and a lower floor leaves the float range")
-        d *= 2
-        counts, trusted = count_below(g, [-float(d * d)])
-    return -float(d * d), rest
+    floors, rest = [-float(d * d)], (counts[1:], trusted[1:])
+    if not (trusted[0] and counts[0] == 0):
+        # the doublings d 2^j, j >= 1, whose (d 2^j)^2 is at most float max
+        top = math.isqrt(int(sys.float_info.max)) // d
+        floors = [-float((d << j) ** 2) for j in range(1, top.bit_length())]
+        counts, trusted = count_below(g, floors)
+    for floor, n, ok in zip(floors, counts.tolist(), trusted.tolist()):
+        if ok and n == 0:
+            return floor, rest
+    raise WindowTooCoarse(
+        f"the eigenvalue count below the floor {floors[-1]!r} is not a "
+        f"trusted 0, and a lower floor leaves the float range")
 
 
 def _svdvals(mat, lam):
@@ -354,8 +359,9 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
     start cell wider than its width. A cell is split while it is wider than
     its width and its end counts differ or either end count is untrusted; a
     cell with equal trusted end counts holds no eigenvalue and is dropped.
-    The few live cells are a list of (x0, x1, n0, n1, ok0, ok1, width,
-    jump); only the counted points go through numpy.
+    The few live cells are a list of (x0, x1, width, may_jump), which read
+    their end counts from that dict; only the counted points go through
+    numpy.
 
     A cell that would ask for its two rounds' points may jump instead: one
     wider than its width whose trusted end counts rise by one and whose
@@ -396,11 +402,12 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
         return [mid] + [(a + b) / 2.0 for a, b in ((x0, mid), (mid, x1))
                         if wide(a, b, w)]
 
-    def leap(x0, x1, n0, w):
+    def leap(x0, x1, w):
         """A jump's leaf, and the node three levels down where the leaf is
-        deeper, or None where the cell's ends differ in N_D."""
-        (*_, nd0, mu0), (*_, nd1, mu1) = counted[x0], counted[x1]
-        if nd0 != nd1:
+        deeper, or None where the cell may not jump: its end counts are
+        not trusted, do not rise by one or its ends differ in N_D."""
+        (n0, ok0, nd0, mu0), (n1, ok1, nd1, mu1) = counted[x0], counted[x1]
+        if not (ok0 and ok1 and n1 == n0 + 1 and nd0 == nd1):
             return None
         # mu_j > 0 at x0 and < 0 at x1, as the trusted counts say
         up, down = mu0[n0 - nd0], mu1[n0 - nd0]
@@ -439,16 +446,13 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
     counted = dict(zip(x.T.ravel().tolist() + opening,
                        zip(*(v[kept].tolist() for v in parts))))
 
-    def cell(x0, x1, w):  # a cell, with its ends' counts and trust flags
+    def holds(x0, x1):  # equal trusted end counts: no eigenvalue
         (n0, ok0, *_), (n1, ok1, *_) = counted[x0], counted[x1]
-        return x0, x1, n0, n1, ok0, ok1, w, True
+        return n0 != n1 or not (ok0 and ok1)
 
-    def holds(c):  # equal trusted end counts: no eigenvalue
-        return c[2] != c[3] or not (c[4] and c[5])
-
-    live = [c for c in itertools.starmap(cell, zip(*x.T.tolist(),
-                                                   width.tolist()))
-            if holds(c)]
+    live = [(x0, x1, w, True)
+            for x0, x1, w in zip(*x.T.tolist(), width.tolist())
+            if holds(x0, x1)]
     limit = (int(probed[0][0]) + first
              if first is not None and probed[1][0] else None)
     cut = None
@@ -456,9 +460,9 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
         if limit is not None:
             # the cells are in increasing order, so the first end found is
             # the lowest; it lies at or below the last cut
-            reached = next(((xe, ne) for c in live for xe, ne, oke in
-                            ((c[0], c[2], c[4]), (c[1], c[3], c[5]))
-                            if oke and ne >= limit), cut)
+            reached = next(((xe, n) for c in live for xe in c[:2]
+                            for n, ok, *_ in [counted[xe]]
+                            if ok and n >= limit), cut)
             if reached is not None:
                 cut = reached
                 live = [c for c in live if c[0] < cut[0]]
@@ -467,12 +471,11 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
         # counts, so that the cells keep in step, and a cell whose midpoint
         # is not counted waits for it
         mids, ask, jumps = [], [], {}
-        for i, (x0, x1, n0, n1, ok0, ok1, w, jump) in enumerate(live):
+        for i, (x0, x1, w, may_jump) in enumerate(live):
             mid = (x0 + x1) / 2.0 if wide(x0, x1, w) else None
             if mid is None or mid in counted or not rnd % 2:
                 pass
-            elif (jump and ok0 and ok1 and n1 == n0 + 1
-                  and (to := leap(x0, x1, n0, w))):
+            elif may_jump and (to := leap(x0, x1, w)):
                 jumps[i] = to
                 ask += sorted({p for node in to for p in node}
                               - counted.keys())
@@ -487,22 +490,22 @@ def _isolate(g, cells, width, lam_of, probes=(), first=None):
         # each split cell becomes its halves that may hold an eigenvalue, in
         # place; each jump its leaf or node, or else it waits to bisect
         split = []
-        for i, (c, mid) in enumerate(zip(live, mids)):
-            x0, x1, n0, n1, _, _, w, _ = c
-            if i in jumps:
-                hit = next((cell(a, b, w) for a, b in jumps[i]
-                            if counted[a][:2] == (n0, True)
-                            and counted[b][:2] == (n1, True)), None)
-                split.append(hit or c[:7] + (False,))
+        for i, ((x0, x1, w, _), mid) in enumerate(zip(live, mids)):
+            if i in jumps:  # `leap` found the cell's end counts trusted
+                hit = next(((a, b, w, True) for a, b in jumps[i]
+                            if counted[a][:2] == counted[x0][:2]
+                            and counted[b][:2] == counted[x1][:2]), None)
+                split.append(hit or (x0, x1, w, False))
             elif mid in counted:
-                split += [h for h in (cell(x0, mid, w), cell(mid, x1, w))
-                          if holds(h)]
+                split += [(a, b, w, True) for a, b in ((x0, mid), (mid, x1))
+                          if holds(a, b)]
             else:
-                split.append(c)
+                split.append(live[i])
         live = split
-    return (np.array([c[0:2] for c in live], dtype=float).reshape(-1, 2),
-            np.array([c[2:4] for c in live], dtype=np.intp).reshape(-1, 2),
-            np.array([c[4:6] for c in live], dtype=bool).reshape(-1, 2),
+    ends = np.array([c[:2] for c in live], dtype=float).reshape(-1, 2)
+    at = [counted[xe] for xe in ends.ravel().tolist()]
+    return (ends, np.array([p[0] for p in at], dtype=np.intp).reshape(-1, 2),
+            np.array([p[1] for p in at], dtype=bool).reshape(-1, 2),
             probed, cut)
 
 

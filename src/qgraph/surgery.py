@@ -1,9 +1,11 @@
 """Graph surgery: length transplant, vertex merge/split, edge attach/extend.
 
 Each op is a small frozen dataclass; apply_surgery returns a new graph (inputs
-are never mutated). reduce_to_figure8 composes merges and splits into the
-standard reduction of any connected graph with a branch vertex down to a
-figure-8 of the same total length.
+are never mutated). An op states only the new vertex records and the edge
+lengths; `_rebuilt` reads each edge's src and dst off the vertex whose order
+lists its start and its end, so no op relabels an edge. reduce_to_figure8
+composes merges and splits into the standard reduction of any connected
+graph with a branch vertex down to a figure-8 of the same total length.
 """
 
 from __future__ import annotations
@@ -69,33 +71,38 @@ def _fresh_id(taken, stem: str) -> str:
     return f"{stem}{k}"
 
 
+def _rebuilt(verts, lengths: dict) -> MetricGraph:
+    """The graph of the vertex records `verts` and the edges of `lengths`, a
+    dict edge id -> length in edge order: each edge runs from the vertex
+    whose order lists its start to the one whose order lists its end."""
+    owner = {ref: v.id for v in verts for ref in v.order}
+    return MetricGraph.create(verts, [
+        EdgeRecord(eid, owner[eid, START], owner[eid, END], length)
+        for eid, length in lengths.items()])
+
+
+def _lengths(g: MetricGraph, step: dict) -> dict:
+    """g's edge lengths, edge id -> length in edge order, each moved by its
+    entry of `step`; `x + 0` keeps x's type and bits."""
+    return {e.id: e.length + step.get(e.id, 0) for e in g.edges}
+
+
 def _apply_transplant(g: MetricGraph, op: Transplant) -> MetricGraph:
     if op.from_edge == op.to_edge:
         raise IllegalOp("transplant needs two distinct edges")
     try:
-        src = g.edge_map[op.from_edge]
-        dst = g.edge_map[op.to_edge]
+        src, _ = g.edge_map[op.from_edge], g.edge_map[op.to_edge]
     except KeyError as exc:
         raise IllegalOp(f"unknown edge {exc.args[0]!r}") from None
     if not (0.0 < op.amount <= src.length):
         raise IllegalOp(f"amount {op.amount} outside (0, {src.length}]")
-    edges = []
-    for e in g.edges:
-        if e.id == op.from_edge:
-            if op.amount < src.length:
-                edges.append(EdgeRecord(e.id, e.src, e.dst, e.length - op.amount))
-        elif e.id == op.to_edge:
-            edges.append(EdgeRecord(e.id, e.src, e.dst, e.length + op.amount))
-        else:
-            edges.append(e)
-    removed = op.amount == src.length
-    verts = []
-    for v in g.vertices:
-        order = tuple(ref for ref in v.order if not (removed and ref[0] == op.from_edge))
-        if removed and not order:
-            continue  # vertex isolated by the removal
-        verts.append(VertexRecord(v.id, v.bc, order))
-    return MetricGraph.create(verts, edges)
+    lengths = _lengths(g, {op.from_edge: -op.amount, op.to_edge: op.amount})
+    if op.amount == src.length:
+        del lengths[op.from_edge]
+    # a full removal drops the edge's ends, and the vertices it isolates
+    verts = [VertexRecord(v.id, v.bc, order) for v in g.vertices
+             if (order := tuple(r for r in v.order if r[0] in lengths))]
+    return _rebuilt(verts, lengths)
 
 
 def _apply_merge(g: MetricGraph, op: Merge) -> MetricGraph:
@@ -109,16 +116,10 @@ def _apply_merge(g: MetricGraph, op: Merge) -> MetricGraph:
     for v in (a, b):
         if v.bc is BoundaryType.DIRICHLET:
             raise IllegalOp(f"cannot merge dirichlet vertex {v.id!r}")
-    new_id = f"({a.id}+{b.id})"
-    merged = VertexRecord(new_id, BoundaryType.COUPLED, a.order + b.order)
+    merged = VertexRecord(f"({a.id}+{b.id})", BoundaryType.COUPLED,
+                          a.order + b.order)
     verts = [merged] + [v for v in g.vertices if v.id not in (a.id, b.id)]
-    old = {a.id, b.id}
-    edges = [EdgeRecord(e.id,
-                        new_id if e.src in old else e.src,
-                        new_id if e.dst in old else e.dst,
-                        e.length)
-             for e in g.edges]
-    return MetricGraph.create(verts, edges)
+    return _rebuilt(verts, _lengths(g, {}))
 
 
 def _apply_split(g: MetricGraph, op: Split) -> MetricGraph:
@@ -136,18 +137,10 @@ def _apply_split(g: MetricGraph, op: Split) -> MetricGraph:
     pos = {ref: i for i, ref in enumerate(v.order)}
     g1 = tuple(sorted(g1, key=pos.get))  # keep parent-relative order
     g2 = tuple(sorted(g2, key=pos.get))
-    id1, id2 = f"({v.id}:a)", f"({v.id}:b)"
-    owner = {ref: id1 for ref in g1}
-    owner.update({ref: id2 for ref in g2})
-    verts = [VertexRecord(id1, BoundaryType.COUPLED, g1),
-             VertexRecord(id2, BoundaryType.COUPLED, g2)]
+    verts = [VertexRecord(f"({v.id}:a)", BoundaryType.COUPLED, g1),
+             VertexRecord(f"({v.id}:b)", BoundaryType.COUPLED, g2)]
     verts += [w for w in g.vertices if w.id != v.id]
-    edges = [EdgeRecord(e.id,
-                        owner.get((e.id, START), e.src),
-                        owner.get((e.id, END), e.dst),
-                        e.length)
-             for e in g.edges]
-    return MetricGraph.create(verts, edges)
+    return _rebuilt(verts, _lengths(g, {}))
 
 
 def _apply_attach(g: MetricGraph, op: AttachEdge) -> MetricGraph:
@@ -168,8 +161,7 @@ def _apply_attach(g: MetricGraph, op: AttachEdge) -> MetricGraph:
     verts = [VertexRecord(v.id, BoundaryType.COUPLED, order)]
     verts += [w for w in g.vertices if w.id != v.id]
     verts.append(VertexRecord(tid, BoundaryType.NEUMANN, ((eid, END),)))
-    edges = list(g.edges) + [EdgeRecord(eid, v.id, tid, float(op.length))]
-    return MetricGraph.create(verts, edges)
+    return _rebuilt(verts, {**_lengths(g, {}), eid: float(op.length)})
 
 
 def _apply_extend(g: MetricGraph, op: ExtendEdge) -> MetricGraph:
@@ -177,10 +169,7 @@ def _apply_extend(g: MetricGraph, op: ExtendEdge) -> MetricGraph:
         raise IllegalOp(f"unknown edge {op.edge!r}")
     if not (op.amount > 0.0):
         raise IllegalOp("extension must be positive")
-    edges = [EdgeRecord(e.id, e.src, e.dst,
-                        e.length + op.amount if e.id == op.edge else e.length)
-             for e in g.edges]
-    return MetricGraph.create(g.vertices, edges)
+    return _rebuilt(g.vertices, _lengths(g, {op.edge: op.amount}))
 
 
 _DISPATCH = {

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import runpy
+import sys
 import warnings
 
 import pytest
@@ -422,3 +424,19 @@ class TestSweep:
         assert main(["sweep", "figure8", "--grid", grid]) == 2
         assert capsys.readouterr().err == (
             f"error: grid must be LO:HI:N, got {grid!r}\n")
+
+
+class TestEntryPoints:
+    def test_module_runs_as_a_script(self, star_file, monkeypatch, capsys):
+        # `python -m qgraph.cli` runs the module as __main__ by runpy, and
+        # its main() reads sys.argv; run here in-process from a fresh copy
+        # of the module, which runpy requires not to be imported already
+        argv = ["spectrum", star_file, "--window", "-10:0"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["qgraph", *argv])
+        monkeypatch.delitem(sys.modules, "qgraph.cli")
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("qgraph.cli", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out == want

@@ -48,6 +48,13 @@ class TestSampling:
             assert rotation_genus(g) == 0
             assert g.num_edges == 5
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
+        "ROADMAP item 18: the rejection sampler finds no planar endpoint "
+        "order of these 7 edges in 500 draws"))
+    def test_seven_edges_at_a_failing_seed_are_sampled(self):
+        g = sample_graph(np.random.default_rng([7, 51]), 7)
+        assert rotation_genus(g) == 0 and g.num_edges == 7
+
     def test_graph_total_length(self, rng):
         g = sample_graph(rng, num_edges=4, total=2.5)
         assert g.total_length == pytest.approx(2.5, rel=1e-12)

@@ -518,6 +518,19 @@ class TestBandedOracle:
                 r"cell's end")):
             oracle_eigenvalues(make_star([1.0, 0.7, 1e-12]), 3, h)
 
+    def test_no_bracket_within_the_doublings_is_refused(self, monkeypatch):
+        # one batch of doublings reaches 2^7 = 128; the star's 20th
+        # eigenvalue at h = 0.1 is near 464
+        monkeypatch.setattr(fem, "_BRACKET_DOUBLINGS", fem._BRACKET_BATCH)
+        with pytest.raises(np.linalg.LinAlgError, match=(
+                r"^no bracket of the lowest 20 eigenvalues within 2\^8$")):
+            oracle_eigenvalues(make_star([1.0, 1.0, 1.0]), 20, 0.1)
+
+    def test_quotient_by_zero_is_ieee(self):
+        assert fem._quotient(1.0, 0.0) == math.inf
+        assert fem._quotient(-2.0, 0.0) == -math.inf
+        assert math.isnan(fem._quotient(0.0, 0.0))
+
     def test_short_edge_ground_state_is_kept(self):
         # beside a 1e-7 edge the bracket closes inside its cell: the
         # ground state, near -73681.2967 in the continuum, is answered

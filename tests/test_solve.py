@@ -222,6 +222,20 @@ class TestNegativeCounts:
         counts, trusted = count_below(g, [floor])
         assert counts[0] == 0 and trusted[0]
 
+    def test_floor_doublings_are_counted_in_one_call(self, monkeypatch):
+        # the first floor fails; its 475 further doublings take one call
+        calls = []
+
+        def counted(g, lams):
+            calls.append(len(lams))
+            return count_below(g, lams)
+
+        monkeypatch.setattr(solve_mod, "count_below", counted)
+        floor = default_negative_floor(make_star([1e-150, 1.0, 1.0]))
+        assert floor == -8.56521739283203e+286
+        assert type(floor) is float
+        assert len(calls) <= 2 and calls[0] == 1
+
     @pytest.mark.parametrize("g,last", [
         (make_star([1e-200, 1.0, 1.0]), -1.0112023883600527e+308),
         (make_star([1e-300, 1.0, 1.0]), -1.0112023883600527e+308),

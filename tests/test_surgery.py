@@ -6,8 +6,12 @@ import pytest
 from qgraph import (AttachEdge, BoundaryType, ExtendEdge, Merge, Split,
                     Transplant, apply_surgery, make_cycle, make_path,
                     make_star, reduce_to_figure8)
+from qgraph.surgery import _euler_circuit
 from qgraph.errors import IllegalOp, NotReducible
-from qgraph.graph import END, START
+from qgraph.graph import (END, START, EdgeRecord, MetricGraph, VertexRecord,
+                          make_figure8)
+
+C, N = BoundaryType.COUPLED, BoundaryType.NEUMANN
 
 
 def is_figure8_shape(g):
@@ -145,6 +149,66 @@ class TestAttachExtend:
             apply_surgery(star3, ExtendEdge("zz", 1.0))
 
 
+def built(vertices, edges):
+    """A graph written out by hand: vertices as (id, bc, order), edges as
+    (id, src, dst, length), each in graph order."""
+    return MetricGraph.create([VertexRecord(*v) for v in vertices],
+                              [EdgeRecord(*e) for e in edges])
+
+
+STAR = make_star([1.0, 0.7, 1.3])
+TIPS = [("v1", N, (("e1", END),)), ("v2", N, (("e2", END),)),
+        ("v3", N, (("e3", END),))]
+HUB = ("v0", C, (("e1", START), ("e2", START), ("e3", START)))
+
+
+@pytest.mark.parametrize("g,op,expected", [
+    (STAR, Merge("v1", "v2"), built(
+        [("(v1+v2)", C, (("e1", END), ("e2", END))), HUB, TIPS[2]],
+        [("e1", "v0", "(v1+v2)", 1.0), ("e2", "v0", "(v1+v2)", 0.7),
+         ("e3", "v0", "v3", 1.3)])),
+    (STAR, Merge("v2", "v0"), built(
+        [("(v2+v0)", C, (("e2", END), ("e1", START), ("e2", START),
+                         ("e3", START))), TIPS[0], TIPS[2]],
+        [("e1", "(v2+v0)", "v1", 1.0), ("e2", "(v2+v0)", "(v2+v0)", 0.7),
+         ("e3", "(v2+v0)", "v3", 1.3)])),
+    (make_figure8(0.8, 1.2),
+     Split("v0", (("e2", START), ("e1", END)), (("e1", START), ("e2", END))),
+     built([("(v0:a)", C, (("e1", END), ("e2", START))),
+            ("(v0:b)", C, (("e1", START), ("e2", END)))],
+           [("e1", "(v0:b)", "(v0:a)", 0.8), ("e2", "(v0:a)", "(v0:b)", 1.2)])),
+    (STAR, AttachEdge("v0", 0.5, position=1), built(
+        [("v0", C, (("e1", START), ("e4", START), ("e2", START),
+                    ("e3", START))), *TIPS, ("t1", N, (("e4", END),))],
+        [("e1", "v0", "v1", 1.0), ("e2", "v0", "v2", 0.7),
+         ("e3", "v0", "v3", 1.3), ("e4", "v0", "t1", 0.5)])),
+    (STAR, AttachEdge("v2", 0.5), built(
+        [("v2", C, (("e2", END), ("e4", START))), HUB, TIPS[0], TIPS[2],
+         ("t1", N, (("e4", END),))],
+        [("e1", "v0", "v1", 1.0), ("e2", "v0", "v2", 0.7),
+         ("e3", "v0", "v3", 1.3), ("e4", "v2", "t1", 0.5)])),
+    (STAR, Transplant("e1", "e3", 0.25), built(
+        [HUB, *TIPS],
+        [("e1", "v0", "v1", 1.0 - 0.25), ("e2", "v0", "v2", 0.7),
+         ("e3", "v0", "v3", 1.3 + 0.25)])),
+    (make_star([1.0, 0.7, 1.3, 0.9]), Transplant("e2", "e4", 0.7), built(
+        [("v0", C, (("e1", START), ("e3", START), ("e4", START))),
+         TIPS[0], TIPS[2], ("v4", N, (("e4", END),))],
+        [("e1", "v0", "v1", 1.0), ("e3", "v0", "v3", 1.3),
+         ("e4", "v0", "v4", 0.9 + 0.7)])),
+    (STAR, ExtendEdge("e2", 0.4), built(
+        [HUB, *TIPS],
+        [("e1", "v0", "v1", 1.0), ("e2", "v0", "v2", 0.7 + 0.4),
+         ("e3", "v0", "v3", 1.3)])),
+], ids=["merge-two-tips", "merge-tip-into-centre", "split-figure8-hub",
+        "attach-at-position-1", "attach-at-the-end", "transplant-part",
+        "transplant-all-drops-the-tip", "extend"])
+def test_op_builds_the_hand_built_graph(g, op, expected):
+    # == compares every vertex's id, condition and order and every edge's
+    # id, ends and length, in graph order
+    assert apply_surgery(g, op) == expected
+
+
 class TestRefusals:
     @pytest.mark.parametrize("op", [
         Merge("v0", "nowhere"),
@@ -191,6 +255,14 @@ class TestFigure8Reduction:
         assert final.total_length == pytest.approx(g.total_length)
         l1, l2 = reduced_loop_lengths(final)
         assert l1 + l2 == pytest.approx(3.0)
+
+    def test_disconnected_even_graph_has_no_circuit(self, fig8):
+        # two loops: every degree is even, and a circuit from one misses
+        # the other
+        loops = apply_surgery(fig8, Split("v0", (("e1", START), ("e1", END)),
+                                          (("e2", START), ("e2", END))))
+        with pytest.raises(NotReducible, match="no Eulerian circuit"):
+            _euler_circuit(loops, "(v0:a)")
 
     def test_dirichlet_graph_rejected(self):
         g = make_star([1.0] * 4, tip_bc=BoundaryType.DIRICHLET)

@@ -24,7 +24,14 @@ any output, and which. The lines:
   qgbench's `reset_caches()`, the same ops are solved from the last to the
   first, and their outputs hashed in op order. A plan that is cached and
   shared (by graph shape, say) and that kept anything of the graph it was
-  first built for makes these lines differ from the ones above.
+  first built for makes these lines differ from the ones above;
+- floors: the repr of `default_negative_floor`, or its refusal, on eight
+  graphs with one very short edge (stars with a 1e-8 to 1e-300 edge, a
+  figure-8 and a 2-cycle with a 1e-300 one), which take the floor's
+  further doublings or leave the float range;
+- ops: the `to_json()` of every graph of a fixed chain of surgery ops that
+  reaches all five kinds (a split and a full-removal transplant among
+  them), and of every step of one graph's `reduce_to_figure8`.
 
 Inputs and reports go to a temporary directory, which is removed at the end;
 nothing is written into the tree, byte code included.
@@ -165,6 +172,48 @@ def _op_records(seed: int, i: int) -> dict:
     return out
 
 
+def _floor_records() -> list:
+    """The records of the floors family, one per short-edge graph."""
+    from qgraph.errors import QGraphError
+    from qgraph.graph import make_cycle, make_figure8, make_star
+    from qgraph.solve import default_negative_floor
+
+    graphs = [make_star([short, 1.0, 1.0])
+              for short in (1e-8, 1e-10, 1e-12, 1e-150, 1e-200, 1e-300)]
+    graphs += [make_figure8(1e-300, 1.0), make_cycle([1e-300, 1.0])]
+    out = []
+    for g in graphs:
+        try:
+            out.append((repr(default_negative_floor(g)),))
+        except QGraphError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def _surgery_records() -> list:
+    """The records of the ops family: each op of a chain on a 4-star, with
+    the graph after it, then each step of a 5-star's figure-8 reduction."""
+    from qgraph.graph import START, make_star
+    from qgraph.surgery import (AttachEdge, ExtendEdge, Merge, Split,
+                                Transplant, apply_surgery, reduce_to_figure8)
+
+    chain = [Transplant("e1", "e2", 0.25),
+             Transplant("e3", "e4", 1.3),  # all of e3: it and v3 go
+             ExtendEdge("e2", 0.4),
+             AttachEdge("v0", 0.5, position=1),  # the freed id e3
+             AttachEdge("v2", 0.3),
+             Merge("v1", "t1"),
+             Split("v0", (("e3", START), ("e1", START)),
+                   (("e4", START), ("e2", START)))]
+    g, out = make_star([1.0, 0.7, 1.3, 0.9]), []
+    for op in chain:
+        g = apply_surgery(g, op)
+        out.append((repr(op), g.to_json()))
+    out += [(repr(op), step.to_json()) for op, step in
+            reduce_to_figure8(make_star([1.0, 0.7, 1.3, 0.9, 0.6]))]
+    return out
+
+
 def fingerprint() -> dict:
     from qgbench import run, workloads
     from qgraph.experiments import SUITES
@@ -195,6 +244,11 @@ def fingerprint() -> dict:
         for op in ops:
             for parts in solved[op][name]:
                 family.add(*parts)
+    for name, records in (("floors", _floor_records()),
+                          ("ops", _surgery_records())):
+        fam[name] = family = Family()
+        for parts in records:
+            family.add(*parts)
     return fam
 
 
